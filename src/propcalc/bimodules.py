@@ -1073,7 +1073,9 @@ def _fill_boxv_piece(e1, e2, te, h_p, h_q, space, mats):
                 v1 = sect1.mat(d1)
                 for b2 in range(e2["component"].carrier.dim(d2)):
                     v2 = sect2.mat(d2)
-                    col = space.flat_index((d1, d2), (b1, b2))
+                    col = space.flat_index(
+                        (d1, d2), (e1["offset"].get(d1, 0) + b1, e2["offset"].get(d2, 0) + b2)
+                    )
                     # expand representatives
                     for r1 in range(len(v1)):
                         a1 = v1[r1][b1]

@@ -195,9 +195,33 @@ def test_induced_horizontal_well_defined_on_classes():
     assert twisted_any
 
 
+def test_induced_horizontal_uses_middle_piece_offsets():
+    # with several middle pieces, each piece's classes sit at its own offset
+    # in the box_v component; the composite x.x lands in the middle merges
+    # x.x, then x.xx and xx.x, then x.xxx, xx.xx and xxx.x
+    hp = scalar_hprop(lengths=(1, 2, 3, 4))
+    hq = scalar_hprop(lengths=(1, 2, 3, 4))
+    _, rdata = induce_horizontal_on_boxv(hp, hq)
+    k1 = key(PAL1, "x")
+    m = rdata.compose_map((k1, k1), (k1, k1)).mat(0)
+    nonzeros = {
+        i: {j: v for j, v in enumerate(row) if v != 0} for i, row in enumerate(m) if any(row)
+    }
+    assert nonzeros == {
+        1: {0: 1},
+        2: {1: 1, 4: 1},
+        3: {2: 1, 5: 1, 8: 1},
+    }
+
+
 def test_induced_horizontal_associativity_on_basis():
-    hp = scalar_hprop(lengths=(1, 2))
-    hq = scalar_hprop(lengths=(1, 2))
+    for lengths in ((1, 2), (1, 2, 3)):
+        _check_horizontal_associativity(lengths)
+
+
+def _check_horizontal_associativity(lengths):
+    hp = scalar_hprop(lengths=lengths)
+    hq = scalar_hprop(lengths=lengths)
     r, rdata = induce_horizontal_on_boxv(hp, hq)
     k1 = key(PAL1, "x")
     k2 = key(PAL1, "x", "x")
