@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from propcalc import linalg
 from propcalc.chains import (
@@ -28,6 +29,8 @@ from propcalc.chains import (
     TensorSpace,
     assemble_tensor_map,
     direct_sum,
+    place_blocks,
+    sum_offsets,
 )
 from propcalc.profiles import (
     OrbitKey,
@@ -55,11 +58,13 @@ class BimoduleComponent:
 
     out_gens / in_gens: dict one-line-image tuple -> ChainMap on the carrier.
     The out side satisfies M(s's) = M(s') M(s), the in side the reversed law.
+    layout: how a product's carrier is built from its pieces (a
+    CoinvariantLayout, InducedLayout or DirectSumLayout), None otherwise.
     """
 
-    __slots__ = ("out_key", "in_key", "carrier", "out_gens", "in_gens", "summands")
+    __slots__ = ("out_key", "in_key", "carrier", "out_gens", "in_gens", "layout")
 
-    def __init__(self, out_key: OrbitKey, in_key: OrbitKey, carrier: ChainComplex, out_gens, in_gens, summands=None):
+    def __init__(self, out_key: OrbitKey, in_key: OrbitKey, carrier: ChainComplex, out_gens, in_gens, layout=None):
         self.out_key = out_key
         self.in_key = in_key
         self.carrier = carrier
@@ -71,7 +76,7 @@ class BimoduleComponent:
         for s in stabilizer_generators(in_key):
             if s.images not in self.in_gens:
                 raise BimoduleError("missing in-generator action %r" % (s.images,))
-        self.summands = summands
+        self.layout = layout
 
     @classmethod
     def trivial(cls, out_key, in_key, carrier) -> "BimoduleComponent":
@@ -156,6 +161,105 @@ class BimoduleComponent:
                     failures.append("out/in actions do not commute")
                     break
         return failures
+
+
+class CoinvariantLayout(NamedTuple):
+    """Carrier of a middle-orbit composite: the quotient of space = left (x) right
+    by the middle relations, with proj: space -> carrier and sect back."""
+
+    space: TensorSpace
+    proj: ChainMap
+    sect: ChainMap
+    left: BimoduleComponent
+    right: BimoduleComponent
+
+
+class InducedLayout(NamedTuple):
+    """Carrier of an induced component: one copy of tensor (the tensor product of
+    the factors) per pair of out and in placements.
+
+    The pair (outs[a], ins[b]) is copy number index[(outs[a], ins[b])] =
+    a * len(ins) + b, and copy s occupies rows s * tensor.complex.dim(n)
+    onward in degree n.  Build it with InducedLayout.of.
+    """
+
+    factors: tuple
+    outs: tuple
+    ins: tuple
+    tensor: TensorSpace
+    index: dict
+
+    @classmethod
+    def of(cls, factors, outs, ins, tensor) -> "InducedLayout":
+        n_ins = len(ins)
+        index = {(ao, ai): a * n_ins + b for a, ao in enumerate(outs) for b, ai in enumerate(ins)}
+        return cls(tuple(factors), tuple(outs), tuple(ins), tensor, index)
+
+    def flat(self, n: int, out_place, in_place, tensor_flat: int) -> int:
+        """Degree-n carrier index of tensor basis vector tensor_flat in the copy
+        of the placement pair."""
+        return self.index[(out_place, in_place)] * self.tensor.complex.dim(n) + tensor_flat
+
+    def copy_offsets(self, copy: int):
+        """Per-degree first carrier index of the given copy."""
+        return {n: copy * d for n, d in self.tensor.complex.dims.items()}
+
+    def locate(self, n: int, flat: int):
+        """(out placement, in placement, tensor index) of a degree-n carrier index."""
+        copy, tensor_flat = divmod(flat, self.tensor.complex.dim(n))
+        a, b = divmod(copy, len(self.ins))
+        return self.outs[a], self.ins[b], tensor_flat
+
+
+class SumPiece(NamedTuple):
+    """One summand of a direct-sum component: the middle orbit key (box_v), the
+    pair of factor orbit pairs (box_h) or the tuple of factor in-keys (free
+    PROP on an operad), and the summand itself."""
+
+    key: object
+    component: BimoduleComponent
+
+
+class DirectSumLayout(NamedTuple):
+    """Carrier of a direct sum: piece i starts at offsets[i][n] in degree n."""
+
+    pieces: tuple
+    offsets: tuple
+
+    def find(self, key):
+        """Number of the piece with the given key, or None."""
+        for i, piece in enumerate(self.pieces):
+            if piece.key == key:
+                return i
+        return None
+
+    def locate(self, n: int, flat: int):
+        """(piece number, index inside the piece) of a degree-n carrier index."""
+        for i, (piece, off) in enumerate(zip(self.pieces, self.offsets)):
+            start = off.get(n, 0)
+            if start <= flat < start + piece.component.carrier.dim(n):
+                return i, flat - start
+        raise IndexError("flat index %d out of range in degree %d" % (flat, n))
+
+
+def sum_components(pieces) -> BimoduleComponent:
+    """Direct sum of SumPieces sharing one orbit pair, with blockwise actions."""
+    comps = [piece.component for piece in pieces]
+    out_key, in_key = comps[0].out_key, comps[0].in_key
+    carrier = direct_sum(*(c.carrier for c in comps))
+    offsets = sum_offsets(c.carrier for c in comps)
+
+    def blockwise(maps):
+        return place_blocks(carrier, carrier, zip(maps, offsets, offsets))
+
+    out_gens = {
+        s.images: blockwise(c.rho_out(s) for c in comps) for s in stabilizer_generators(out_key)
+    }
+    in_gens = {
+        s.images: blockwise(c.rho_in(s) for c in comps) for s in stabilizer_generators(in_key)
+    }
+    layout = DirectSumLayout(tuple(pieces), tuple(offsets))
+    return BimoduleComponent(out_key, in_key, carrier, out_gens, in_gens, layout)
 
 
 class ColoredBimodule:
@@ -283,55 +387,8 @@ def tensor_over_sigma(x: BimoduleComponent, y: BimoduleComponent) -> BimoduleCom
             space, space, [(xs, xs, ChainMap.identity(x.carrier)), (ys, ys, y.rho_in(s))]
         )
         in_gens[s.images] = descend(big)
-    comp = BimoduleComponent(x.out_key, y.in_key, quotient, out_gens, in_gens)
-    comp.summands = {"proj": proj, "sect": sect, "space": space, "left": x, "right": y}
-    return comp
-
-
-def _collect_direct_sum(palette, pieces):
-    """Direct-sum a list of (meta, component) sharing one orbit pair."""
-    if not pieces:
-        return None
-    out_key = pieces[0][1].out_key
-    in_key = pieces[0][1].in_key
-    carrier = None
-    metas = []
-    offset_list = []
-    for meta, comp in pieces:
-        metas.append((meta, comp))
-        carrier = comp.carrier if carrier is None else direct_sum(carrier, comp.carrier)
-    # offsets per degree
-    offsets = []
-    acc = {}
-    for meta, comp in pieces:
-        offsets.append(dict(acc))
-        for n in comp.carrier.degrees():
-            acc[n] = acc.get(n, 0) + comp.carrier.dim(n)
-    def block_diag(chain_maps):
-        mats = {}
-        for n in carrier.degrees():
-            m = linalg.zeros(carrier.dim(n), carrier.dim(n))
-            for (meta, comp), off in zip(pieces, offsets):
-                o = off.get(n, 0)
-                sub = chain_maps[id(comp)].mat(n) if id(comp) in chain_maps else None
-                if sub is None:
-                    continue
-                for i in range(comp.carrier.dim(n)):
-                    for j in range(comp.carrier.dim(n)):
-                        if sub[i][j] != 0:
-                            m[o + i][o + j] = sub[i][j]
-            mats[n] = m
-        return ChainMap(carrier, carrier, mats, check=False)
-
-    out_gens = {}
-    for s in stabilizer_generators(out_key):
-        out_gens[s.images] = block_diag({id(c): c.rho_out(s) for _, c in pieces})
-    in_gens = {}
-    for s in stabilizer_generators(in_key):
-        in_gens[s.images] = block_diag({id(c): c.rho_in(s) for _, c in pieces})
-    total = BimoduleComponent(out_key, in_key, carrier, out_gens, in_gens)
-    total.summands = {"pieces": metas, "offsets": offsets}
-    return total
+    layout = CoinvariantLayout(space, proj, sect, x, y)
+    return BimoduleComponent(x.out_key, y.in_key, quotient, out_gens, in_gens, layout)
 
 
 def box_v(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
@@ -346,12 +403,8 @@ def box_v(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
             comp = tensor_over_sigma(px, qy)
             if comp.carrier.is_zero():
                 continue
-            buckets.setdefault((kd, kc), []).append((("mid", kb), comp))
-    components = {}
-    for key, pieces in buckets.items():
-        total = _collect_direct_sum(p.palette, pieces)
-        if total is not None:
-            components[key] = total
+            buckets.setdefault((kd, kc), []).append(SumPiece(kb, comp))
+    components = {key: sum_components(pieces) for key, pieces in buckets.items()}
     return ColoredBimodule(p.palette, components)
 
 
@@ -359,7 +412,8 @@ def box_v(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
 # induced representations and the horizontal product
 
 
-def _merge_keys(palette, keys):
+def merge_keys(palette, keys) -> OrbitKey:
+    """Orbit of the concatenation of the keys' representatives."""
     entries = []
     for k in keys:
         entries.extend(k.rep.entries)
@@ -440,86 +494,51 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
         raise BimoduleError("box_dot needs at least one factor")
     out_keys = [f.out_key for f in factors]
     in_keys = [f.in_key for f in factors]
-    merged_out = _merge_keys(palette, out_keys)
-    merged_in = _merge_keys(palette, in_keys)
-    outs = placements(palette, out_keys, merged_out)
-    ins = placements(palette, in_keys, merged_in)
-    tensor = TensorSpace([f.carrier for f in factors])
-    base = tensor.complex
-    n_summands = len(outs) * len(ins)
-    summand_index = {}
-    for a, ao in enumerate(outs):
-        for b, ai in enumerate(ins):
-            summand_index[(ao, ai)] = a * len(ins) + b
-
-    dims = {n: base.dim(n) * n_summands for n in base.degrees()}
-    boundary = {}
-    for n in base.degrees():
-        if n >= 1 and base.dim(n) and base.dim(n - 1):
-            big = linalg.zeros(dims[n - 1], dims[n])
-            d = base.d(n)
-            for s in range(n_summands):
-                ro = s * base.dim(n - 1)
-                co = s * base.dim(n)
-                for i in range(base.dim(n - 1)):
-                    for j in range(base.dim(n)):
-                        if d[i][j] != 0:
-                            big[ro + i][co + j] = d[i][j]
-            boundary[n] = big
-    carrier = ChainComplex(dims, boundary)
+    merged_out = merge_keys(palette, out_keys)
+    merged_in = merge_keys(palette, in_keys)
+    layout = InducedLayout.of(
+        factors,
+        placements(palette, out_keys, merged_out),
+        placements(palette, in_keys, merged_in),
+        TensorSpace([f.carrier for f in factors]),
+    )
+    carrier = direct_sum(*[layout.tensor.complex] * len(layout.index))
 
     factor_spaces = [TensorSpace([f.carrier]) for f in factors]
 
     def decorated(maps):
         return assemble_tensor_map(
-            tensor, tensor, [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
+            layout.tensor, layout.tensor, [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
         )
 
-    def action_map(side, sigma):
+    def action_blocks(side, sigma):
         perm_positions = (
             [sigma(i + 1) - 1 for i in range(sigma.n)]
             if side == "out"
             else [sigma.inverse()(i + 1) - 1 for i in range(sigma.n)]
         )
-        mats = {}
-        for n in carrier.degrees():
-            mats[n] = linalg.zeros(carrier.dim(n), carrier.dim(n))
-        for ao in outs:
-            for ai in ins:
-                src = summand_index[(ao, ai)]
-                if side == "out":
-                    new_a = _moved_placement(ao, perm_positions)
-                    tw = _twists(ao, new_a, perm_positions, len(factors))
-                    tgt = summand_index[(new_a, ai)]
-                    dec = decorated([f.rho_out(t) for f, t in zip(factors, tw)])
-                else:
-                    new_a = _moved_placement(ai, perm_positions)
-                    tw = _twists(ai, new_a, perm_positions, len(factors))
-                    tgt = summand_index[(ao, new_a)]
-                    dec = decorated([f.rho_in(t.inverse()) for f, t in zip(factors, tw)])
-                for n in base.degrees():
-                    m = dec.mat(n)
-                    ro = tgt * base.dim(n)
-                    co = src * base.dim(n)
-                    for i in range(base.dim(n)):
-                        for j in range(base.dim(n)):
-                            if m[i][j] != 0:
-                                mats[n][ro + i][co + j] = m[i][j]
-        return ChainMap(carrier, carrier, mats, check=False)
+        for (ao, ai), src in layout.index.items():
+            if side == "out":
+                new_a = _moved_placement(ao, perm_positions)
+                tw = _twists(ao, new_a, perm_positions, len(factors))
+                tgt = layout.index[(new_a, ai)]
+                dec = decorated([f.rho_out(t) for f, t in zip(factors, tw)])
+            else:
+                new_a = _moved_placement(ai, perm_positions)
+                tw = _twists(ai, new_a, perm_positions, len(factors))
+                tgt = layout.index[(ao, new_a)]
+                dec = decorated([f.rho_in(t.inverse()) for f, t in zip(factors, tw)])
+            yield dec, layout.copy_offsets(tgt), layout.copy_offsets(src)
 
     out_gens = {
-        s.images: action_map("out", s) for s in stabilizer_generators(merged_out)
+        s.images: place_blocks(carrier, carrier, action_blocks("out", s))
+        for s in stabilizer_generators(merged_out)
     }
-    in_gens = {s.images: action_map("in", s) for s in stabilizer_generators(merged_in)}
-    comp = BimoduleComponent(merged_out, merged_in, carrier, out_gens, in_gens)
-    comp.summands = {
-        "factors": list(factors),
-        "outs": outs,
-        "ins": ins,
-        "tensor": tensor,
-        "index": summand_index,
+    in_gens = {
+        s.images: place_blocks(carrier, carrier, action_blocks("in", s))
+        for s in stabilizer_generators(merged_in)
     }
-    return comp
+    return BimoduleComponent(merged_out, merged_in, carrier, out_gens, in_gens, layout)
 
 
 def box_dot(palette, x: BimoduleComponent, y: BimoduleComponent) -> BimoduleComponent:
@@ -578,14 +597,8 @@ def box_h(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
             if comp.carrier.is_zero():
                 continue
             key = (comp.out_key, comp.in_key)
-            buckets.setdefault(key, []).append(
-                ((("split", (kd1, kc1), (kd2, kc2))), comp)
-            )
-    components = {}
-    for key, pieces in buckets.items():
-        total = _collect_direct_sum(p.palette, pieces)
-        if total is not None:
-            components[key] = total
+            buckets.setdefault(key, []).append(SumPiece(((kd1, kc1), (kd2, kc2)), comp))
+    components = {key: sum_components(pieces) for key, pieces in buckets.items()}
     return ColoredBimodule(p.palette, components)
 
 
@@ -681,46 +694,33 @@ def _induced_component(alpha, module, kd2, kc2):
                 summands.append((d_prof, c_prof, comp))
     if not summands:
         return None
-    carrier = None
-    offsets = []
-    acc = {}
-    for d_prof, c_prof, comp in summands:
-        offsets.append(dict(acc))
-        carrier = comp.carrier if carrier is None else direct_sum(carrier, comp.carrier)
-        for n in comp.carrier.degrees():
-            acc[n] = acc.get(n, 0) + comp.carrier.dim(n)
-    carrier = carrier if carrier is not None else ChainComplex({})
+    carrier = direct_sum(*(comp.carrier for _, _, comp in summands))
+    offsets = sum_offsets(comp.carrier for _, _, comp in summands)
     index_of = {(d.entries, c.entries): i for i, (d, c, _) in enumerate(summands)}
 
-    def act(side, s: Permutation) -> ChainMap:
-        mats = {n: linalg.zeros(carrier.dim(n), carrier.dim(n)) for n in carrier.degrees()}
+    def act_blocks(side, s: Permutation):
         for i, (d_prof, c_prof, comp) in enumerate(summands):
+            _, structure = component_at(module, d_prof, c_prof)
             if side == "out":
                 new_d = apply_permutation(s, d_prof, "left")
                 new_c = c_prof
-                _, structure = component_at(module, d_prof, c_prof)
                 m = structure(s, Permutation.identity(len(c_prof)))
             else:
                 new_d = d_prof
                 new_c = apply_permutation(s, c_prof, "right")
-                _, structure = component_at(module, d_prof, c_prof)
                 m = structure(Permutation.identity(len(d_prof)), s)
             j = index_of[(new_d.entries, new_c.entries)]
-            src_off = offsets[i]
-            tgt_off = offsets[j]
-            for n in comp.carrier.degrees():
-                sub = m.mat(n)
-                for r in range(comp.carrier.dim(n)):
-                    for c2 in range(comp.carrier.dim(n)):
-                        if sub[r][c2] != 0:
-                            mats[n][tgt_off.get(n, 0) + r][src_off.get(n, 0) + c2] = sub[r][c2]
-        return ChainMap(carrier, carrier, mats, check=False)
+            yield m, offsets[j], offsets[i]
 
-    out_gens = {s.images: act("out", s) for s in stabilizer_generators(kd2)}
-    in_gens = {s.images: act("in", s) for s in stabilizer_generators(kc2)}
-    comp = BimoduleComponent(kd2, kc2, carrier, out_gens, in_gens)
-    comp.summands = {"preimages": [(d.entries, c.entries) for d, c, _ in summands]}
-    return comp
+    out_gens = {
+        s.images: place_blocks(carrier, carrier, act_blocks("out", s))
+        for s in stabilizer_generators(kd2)
+    }
+    in_gens = {
+        s.images: place_blocks(carrier, carrier, act_blocks("in", s))
+        for s in stabilizer_generators(kc2)
+    }
+    return BimoduleComponent(kd2, kc2, carrier, out_gens, in_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +831,8 @@ class HPropData:
             return m
         c1 = self.module.component(*key1)
         c2 = self.module.component(*key2)
-        merged_out = _merge_keys(self.module.palette, [key1[0], key2[0]])
-        merged_in = _merge_keys(self.module.palette, [key1[1], key2[1]])
+        merged_out = merge_keys(self.module.palette, [key1[0], key2[0]])
+        merged_in = merge_keys(self.module.palette, [key1[1], key2[1]])
         target = self.module.component(merged_out, merged_in)
         src = (
             TensorSpace([c1.carrier, c2.carrier]).complex if c1 and c2 else ChainComplex({})
@@ -874,83 +874,62 @@ def induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
     return r, VPropData(r, vcomp)
 
 
-def _boxh_piece_layout(comp):
-    """Per-degree offset table for (piece, summand) blocks of a box_h component."""
-    layout = []
-    for (meta, sub), off in zip(comp.summands["pieces"], comp.summands["offsets"]):
-        _, split1, split2 = meta
-        sm = sub.summands
-        layout.append(
-            {
-                "split1": split1,
-                "split2": split2,
-                "outs": sm["outs"],
-                "ins": sm["ins"],
-                "index": sm["index"],
-                "tensor": sm["tensor"],
-                "offset": off,
-                "component": sub,
-            }
-        )
-    return layout
-
-
 def _fill_boxh_vertical(p_data, q_data, upper, lower, target, space, mats):
-    up_layout = _boxh_piece_layout(upper)
-    low_layout = _boxh_piece_layout(lower)
-    tgt_layout = _boxh_piece_layout(target)
-    tgt_lookup = {}
-    for entry in tgt_layout:
-        tgt_lookup[(entry["split1"], entry["split2"])] = entry
-    for ue in up_layout:
-        (kd1, kb1) = ue["split1"]
-        (kd2, kb2) = ue["split2"]
-        for le in low_layout:
-            (kb1p, kc1) = le["split1"]
-            (kb2p, kc2) = le["split2"]
+    up, low, tgt = upper.layout, lower.layout, target.layout
+    for u_piece, u_off in zip(up.pieces, up.offsets):
+        (kd1, kb1), (kd2, kb2) = u_piece.key
+        for l_piece, l_off in zip(low.pieces, low.offsets):
+            (kb1p, kc1), (kb2p, kc2) = l_piece.key
             if kb1p != kb1 or kb2p != kb2:
                 continue
-            tgt_entry = tgt_lookup.get(((kd1, kc1), (kd2, kc2)))
-            if tgt_entry is None:
+            t = tgt.find(((kd1, kc1), (kd2, kc2)))
+            if t is None:
                 continue
             vc_p = p_data.compose_map(kd1, kb1, kc1)
             vc_q = q_data.compose_map(kd2, kb2, kc2)
             if vc_p.is_zero() and vc_q.is_zero():
                 continue
             _fill_boxh_vertical_piece(
-                ue, le, tgt_entry, vc_p, vc_q, space, mats
+                (u_piece.component.layout, u_off),
+                (l_piece.component.layout, l_off),
+                (tgt.pieces[t].component.layout, tgt.offsets[t]),
+                vc_p,
+                vc_q,
+                space,
+                mats,
             )
 
 
-def _fill_boxh_vertical_piece(ue, le, te, vc_p, vc_q, space, mats):
-    u_tensor = ue["tensor"]
-    l_tensor = le["tensor"]
-    t_tensor = te["tensor"]
+def _fill_boxh_vertical_piece(upper, lower, target, vc_p, vc_q, space, mats):
+    """Add the composites of one (upper piece, lower piece) pair; each of
+    upper, lower, target is (InducedLayout, per-degree offset of the piece)."""
+    (ue, u_off), (le, l_off), (te, t_off) = upper, lower, target
+    u_tensor = ue.tensor
+    l_tensor = le.tensor
+    t_tensor = te.tensor
     p1 = u_tensor.factors[0]
     q1 = u_tensor.factors[1]
     p2 = l_tensor.factors[0]
     q2 = l_tensor.factors[1]
     tp_space = TensorSpace([p1, p2])
     tq_space = TensorSpace([q1, q2])
-    for ao_u in ue["outs"]:
-        for mid_a in ue["ins"]:
-            if mid_a not in le["outs"]:
+    for ao_u in ue.outs:
+        for mid_a in ue.ins:
+            if mid_a not in le.outs:
                 continue
-            u_summand = ue["index"][(ao_u, mid_a)]
-            for ai_l in le["ins"]:
-                l_summand = le["index"][(mid_a, ai_l)]
-                t_summand = te["index"][(ao_u, ai_l)]
+            for ai_l in le.ins:
                 for du in u_tensor.complex.degrees():
+                    u_start = u_off.get(du, 0) + ue.flat(du, ao_u, mid_a, 0)
                     for dl in l_tensor.complex.degrees():
                         n = du + dl
                         if space.complex.dim(n) == 0:
                             continue
+                        l_start = l_off.get(dl, 0) + le.flat(dl, mid_a, ai_l, 0)
+                        t_start = t_off.get(n, 0) + te.flat(n, ao_u, ai_l, 0)
                         for (cu, iu) in u_tensor.basis(du):
-                            uflat = u_tensor.flat_index(cu, iu)
-                            u_global = ue["offset"].get(du, 0) + u_summand * u_tensor.complex.dim(du) + uflat
+                            u_global = u_start + u_tensor.flat_index(cu, iu)
                             for (cl, il) in l_tensor.basis(dl):
-                                lflat = l_tensor.flat_index(cl, il)
-                                l_global = le["offset"].get(dl, 0) + l_summand * l_tensor.complex.dim(dl) + lflat
+                                l_global = l_start + l_tensor.flat_index(cl, il)
                                 col = space.flat_index((du, dl), (u_global, l_global))
                                 dx1, dx2 = cu
                                 dy1, dy2 = cl
@@ -973,8 +952,7 @@ def _fill_boxh_vertical_piece(ue, le, te, vc_p, vc_q, space, mats):
                                             continue
                                         # rows live in P(kd1,kc1) at degree dx1+dy1, Q part likewise
                                         trow = t_tensor.flat_index((dx1 + dy1, dx2 + dy2), (rp, rq))
-                                        row = te["offset"].get(n, 0) + t_summand * t_tensor.complex.dim(n) + trow
-                                        mats[n][row][col] += sign * a * b
+                                        mats[n][t_start + trow][col] += sign * a * b
 
 
 def induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None):
@@ -994,8 +972,8 @@ def induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None)
         for key2 in keys:
             c1 = r.component(*key1)
             c2 = r.component(*key2)
-            merged_out = _merge_keys(r.palette, [key1[0], key2[0]])
-            merged_in = _merge_keys(r.palette, [key1[1], key2[1]])
+            merged_out = merge_keys(r.palette, [key1[0], key2[0]])
+            merged_in = merge_keys(r.palette, [key1[1], key2[1]])
             target = r.component(merged_out, merged_in)
             if target is None:
                 continue
@@ -1010,71 +988,57 @@ def induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None)
     return r, HPropData(r, hcomp)
 
 
-def _boxv_piece_layout(comp):
-    layout = []
-    for (meta, sub), off in zip(comp.summands["pieces"], comp.summands["offsets"]):
-        _, mid = meta
-        sm = sub.summands
-        layout.append(
-            {
-                "mid": mid,
-                "proj": sm["proj"],
-                "sect": sm["sect"],
-                "space": sm["space"],
-                "left": sm["left"],
-                "right": sm["right"],
-                "offset": off,
-                "component": sub,
-            }
-        )
-    return layout
-
-
 def _fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats):
-    lay1 = _boxv_piece_layout(c1)
-    lay2 = _boxv_piece_layout(c2)
-    tgt_lay = {entry["mid"]: entry for entry in _boxv_piece_layout(target)}
-    for e1 in lay1:
-        for e2 in lay2:
-            mid_merged = _merge_keys(p_data.module.palette, [e1["mid"], e2["mid"]])
-            te = tgt_lay.get(mid_merged)
-            if te is None:
+    lay1, lay2, tgt = c1.layout, c2.layout, target.layout
+    for piece1, off1 in zip(lay1.pieces, lay1.offsets):
+        for piece2, off2 in zip(lay2.pieces, lay2.offsets):
+            t = tgt.find(merge_keys(p_data.module.palette, [piece1.key, piece2.key]))
+            if t is None:
                 continue
-            x1 = e1["left"]
-            y1 = e1["right"]
-            x2 = e2["left"]
-            y2 = e2["right"]
+            e1 = piece1.component.layout
+            e2 = piece2.component.layout
             h_p = p_data.compose_map(
-                (x1.out_key, x1.in_key), (x2.out_key, x2.in_key)
+                (e1.left.out_key, e1.left.in_key), (e2.left.out_key, e2.left.in_key)
             )
             h_q = q_data.compose_map(
-                (y1.out_key, y1.in_key), (y2.out_key, y2.in_key)
+                (e1.right.out_key, e1.right.in_key), (e2.right.out_key, e2.right.in_key)
             )
             if h_p.is_zero() or h_q.is_zero():
                 continue
-            _fill_boxv_piece(e1, e2, te, h_p, h_q, space, mats)
+            _fill_boxv_piece(
+                (piece1.component, off1),
+                (piece2.component, off2),
+                (tgt.pieces[t].component.layout, tgt.offsets[t]),
+                h_p,
+                h_q,
+                space,
+                mats,
+            )
 
 
-def _fill_boxv_piece(e1, e2, te, h_p, h_q, space, mats):
-    sect1 = e1["sect"]
-    sect2 = e2["sect"]
-    tproj = te["proj"]
-    sp1 = e1["space"]  # TensorSpace([x1, y1])
-    sp2 = e2["space"]
+def _fill_boxv_piece(first, second, target, h_p, h_q, space, mats):
+    """Add the composites of one pair of middle pieces; first and second are
+    (piece component, its per-degree offset), target is (CoinvariantLayout,
+    per-degree offset)."""
+    (c1, off1), (c2, off2), (te, t_off) = first, second, target
+    e1, e2 = c1.layout, c2.layout
+    sp1 = e1.space  # TensorSpace([x1, y1])
+    sp2 = e2.space
     xp_space = TensorSpace([sp1.factors[0], sp2.factors[0]])
     yq_space = TensorSpace([sp1.factors[1], sp2.factors[1]])
-    tgt_space = te["space"]  # TensorSpace([P(kd,mid), Q(mid,kc)])
-    for d1 in e1["component"].carrier.degrees():
-        for d2 in e2["component"].carrier.degrees():
+    tgt_space = te.space  # TensorSpace([P(kd,mid), Q(mid,kc)])
+    for d1 in c1.carrier.degrees():
+        v1 = e1.sect.mat(d1)
+        for d2 in c2.carrier.degrees():
+            v2 = e2.sect.mat(d2)
             n = d1 + d2
             if space.complex.dim(n) == 0:
                 continue
-            for b1 in range(e1["component"].carrier.dim(d1)):
-                v1 = sect1.mat(d1)
-                for b2 in range(e2["component"].carrier.dim(d2)):
-                    v2 = sect2.mat(d2)
+            pm = te.proj.mat(n)
+            for b1 in range(c1.carrier.dim(d1)):
+                for b2 in range(c2.carrier.dim(d2)):
                     col = space.flat_index(
-                        (d1, d2), (e1["offset"].get(d1, 0) + b1, e2["offset"].get(d2, 0) + b2)
+                        (d1, d2), (off1.get(d1, 0) + b1, off2.get(d2, 0) + b2)
                     )
                     # expand representatives
                     for r1 in range(len(v1)):
@@ -1105,10 +1069,9 @@ def _fill_boxv_piece(e1, e2, te, h_p, h_q, space, mats):
                                     traw = tgt_space.flat_index(
                                         (dx1 + dx2, dy1 + dy2), (rp, rq)
                                     )
-                                    pm = tproj.mat(n)
                                     for rt in range(len(pm)):
                                         c = pm[rt][traw]
                                         if c == 0:
                                             continue
-                                        row = te["offset"].get(n, 0) + rt
+                                        row = t_off.get(n, 0) + rt
                                         mats[n][row][col] += sign * a1 * a2 * ap * aq * c

@@ -122,27 +122,44 @@ def disc_complex() -> ChainComplex:
     return ChainComplex({0: 1, 1: 1}, {1: [[ONE]]})
 
 
-def interval_complex() -> ChainComplex:
-    """Two vertices, one edge, d(e) = v1 - v0; quasi-isomorphic to Q."""
-    return ChainComplex({0: 2, 1: 1}, {1: [[-ONE], [ONE]]})
+def sum_offsets(complexes):
+    """Per-degree first index of each summand inside the direct sum of the complexes."""
+    offsets = []
+    acc = {}
+    for x in complexes:
+        offsets.append(dict(acc))
+        for n in x.degrees():
+            acc[n] = acc.get(n, 0) + x.dim(n)
+    return offsets
 
 
-def direct_sum(x: ChainComplex, y: ChainComplex) -> ChainComplex:
+def _place(m, r0: int, c0: int, block):
+    """Write the nonzero entries of block into m with its corner at (r0, c0)."""
+    for i, block_row in enumerate(block):
+        row = m[r0 + i]
+        for j, x in enumerate(block_row):
+            if x != 0:
+                row[c0 + j] = x
+
+
+def direct_sum(*complexes) -> ChainComplex:
+    """Direct sum, summands in order; sum_offsets gives where each one starts.
+
+    The sum of one complex is that complex itself, not a copy.
+    """
+    if len(complexes) == 1:
+        return complexes[0]
+    offsets = sum_offsets(complexes)
     dims = {}
-    for n in set(x.dims) | set(y.dims):
-        dims[n] = x.dim(n) + y.dim(n)
+    for x in complexes:
+        for n in x.degrees():
+            dims[n] = dims.get(n, 0) + x.dim(n)
     bnd = {}
-    for n in dims:
-        if n >= 1 and dims.get(n) and dims.get(n - 1):
-            m = linalg.zeros(dims.get(n - 1, 0), dims[n])
-            dx, dy = x.d(n), y.d(n)
-            for i in range(x.dim(n - 1)):
-                for j in range(x.dim(n)):
-                    m[i][j] = dx[i][j]
-            for i in range(y.dim(n - 1)):
-                for j in range(y.dim(n)):
-                    m[x.dim(n - 1) + i][x.dim(n) + j] = dy[i][j]
-            bnd[n] = m
+    for x, off in zip(complexes, offsets):
+        for n, d in x.boundary.items():
+            if n not in bnd:
+                bnd[n] = linalg.zeros(dims[n - 1], dims[n])
+            _place(bnd[n], off.get(n - 1, 0), off.get(n, 0), d)
     return ChainComplex(dims, bnd)
 
 
@@ -258,6 +275,23 @@ class ChainMap:
 
     def __repr__(self):
         return "ChainMap(degree=%d, degrees=%s)" % (self.degree, sorted(self.mats))
+
+
+def place_blocks(source: ChainComplex, target: ChainComplex, blocks) -> ChainMap:
+    """Degree-0 map source -> target assembled from blocks (f, row_offsets, col_offsets).
+
+    In degree n the matrix of f sits at rows row_offsets[n] and columns
+    col_offsets[n] (offsets as from sum_offsets; a missing degree starts at
+    0).  The blocks must not overlap; they are read once, so a generator
+    keeps only one block alive at a time.
+    """
+    mats = {}
+    for f, rows, cols in blocks:
+        for n, m in f.mats.items():
+            if n not in mats:
+                mats[n] = linalg.zeros(target.dim(n), source.dim(n))
+            _place(mats[n], rows.get(n, 0), cols.get(n, 0), m)
+    return ChainMap(source, target, mats, check=False)
 
 
 def boundary_of_map(f: ChainMap) -> ChainMap:

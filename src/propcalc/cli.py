@@ -20,8 +20,9 @@ from propcalc.algebras import (
     factor_algebra,
     transfer,
 )
-from propcalc.bimodules import box_h, box_v
-from propcalc.chains import classify_map, homology_dims, path_object
+from propcalc.bimodules import BimoduleError, box_h, box_v
+from propcalc.chains import ChainError, classify_map, homology_dims, path_object
+from propcalc.endo import EndoError
 from propcalc.exprs import (
     ParseError,
     PresentationError,
@@ -52,6 +53,9 @@ INPUT_ERRORS = (
     OperadError,
     ResourceCapExceeded,
     PresentationError,
+    ChainError,
+    EndoError,
+    BimoduleError,
 )
 
 
@@ -190,7 +194,7 @@ def _dispatch(args, ws):
         return 0
 
     if cmd == "normalize":
-        sig = ws.resolve(args.signature)
+        sig = ws.resolve_as(args.signature, "signature")
         e = parse(args.expr, sig)
         g = expr_to_graph(e)
         cert, order = g.canonical()
@@ -200,7 +204,7 @@ def _dispatch(args, ws):
         return 0
 
     if cmd == "eq":
-        sig = ws.resolve(args.signature)
+        sig = ws.resolve_as(args.signature, "signature")
         e1 = parse(args.expr1, sig)
         e2 = parse(args.expr2, sig)
         equal = graphs_equal(e1, e2)
@@ -212,7 +216,7 @@ def _dispatch(args, ws):
         return 0 if equal else 1
 
     if cmd == "dim-free":
-        sig = ws.resolve(args.signature)
+        sig = ws.resolve_as(args.signature, "signature")
         out_p = Profile(sig.palette, args.out_profile.split(","))
         in_p = Profile(sig.palette, args.in_profile.split(","))
         cap = args.vertex_cap if args.vertex_cap is not None else args.max_vertices
@@ -221,15 +225,15 @@ def _dispatch(args, ws):
         return 0
 
     if cmd in ("box-v", "box-h"):
-        left = ws.resolve(args.left)
-        right = ws.resolve(args.right)
+        left = ws.resolve_as(args.left, "bimodule")
+        right = ws.resolve_as(args.right, "bimodule")
         product = box_v(left, right) if cmd == "box-v" else box_h(left, right)
         payload = formats.bimodule_to_json(product)
         emit(args, payload, [dumps(payload).strip()])
         return 0
 
     if cmd == "homology":
-        x = ws.resolve(args.complex)
+        x = ws.resolve_as(args.complex, "complex")
         dims = homology_dims(x)
         payload = {"command": cmd, "ok": True, "homology": {str(k): v for k, v in sorted(dims.items())}}
         emit(args, payload, ["H_%d = %d" % (k, v) for k, v in sorted(dims.items())] or ["acyclic"])
@@ -257,7 +261,7 @@ def _dispatch(args, ws):
         raise FormatError("classify expects a chain_map or family_map file")
 
     if cmd == "path-object":
-        x = ws.resolve(args.complex)
+        x = ws.resolve_as(args.complex, "complex")
         p, s, d0, d1 = path_object(x)
         payload = {
             "command": cmd,
@@ -271,7 +275,7 @@ def _dispatch(args, ws):
         return 0
 
     if cmd == "algebra-check":
-        st = ws.resolve(args.structure)
+        st = ws.resolve_as(args.structure, "structure")
         pres_failures = validate_presentation(st.presentation)
         report = check_algebra(st)
         ok = not pres_failures and not report
@@ -291,9 +295,9 @@ def _dispatch(args, ws):
         return 0 if ok else 1
 
     if cmd == "morphism-check":
-        f = ws.resolve(args.map)
-        sx = ws.resolve(args.source_structure)
-        sy = ws.resolve(args.target_structure)
+        f = ws.resolve_as(args.map, "family_map")
+        sx = ws.resolve_as(args.source_structure, "structure")
+        sy = ws.resolve_as(args.target_structure, "structure")
         ok, failures = check_morphism(f, sx, sy)
         payload = {
             "command": cmd,
@@ -304,9 +308,9 @@ def _dispatch(args, ws):
         return 0 if ok else 1
 
     if cmd == "transfer":
-        pres = ws.resolve(args.presentation)
-        f = ws.resolve(args.map)
-        src = ws.resolve(args.structure)
+        pres = ws.resolve_as(args.presentation, "presentation")
+        f = ws.resolve_as(args.map, "family_map")
+        src = ws.resolve_as(args.structure, "structure")
         result, report = transfer(pres, f, args.direction, src)
         payload = formats.structure_to_json(result)
         payload["report"] = {
@@ -321,12 +325,12 @@ def _dispatch(args, ws):
         return 0
 
     if cmd == "factor":
-        g = ws.resolve(args.map_g)
-        sa = ws.resolve(args.structure_a)
-        sc = ws.resolve(args.structure_c)
-        i = ws.resolve(args.map_i)
-        p = ws.resolve(args.map_p)
-        b = ws.resolve(args.family_b)
+        g = ws.resolve_as(args.map_g, "family_map")
+        sa = ws.resolve_as(args.structure_a, "structure")
+        sc = ws.resolve_as(args.structure_c, "structure")
+        i = ws.resolve_as(args.map_i, "family_map")
+        p = ws.resolve_as(args.map_p, "family_map")
+        b = ws.resolve_as(args.family_b, "family")
         result, report = factor_algebra(g, sa, sc, b, i, p)
         payload = formats.structure_to_json(result)
         payload["report"] = {
@@ -337,7 +341,7 @@ def _dispatch(args, ws):
         return 0
 
     if cmd == "operad-to-prop":
-        operad = ws.resolve(args.operad)
+        operad = ws.resolve_as(args.operad, "operad")
         opp = prop_from_operad(operad, args.truncation, args.truncation)
         components = []
         for (out_key, in_key) in opp.support():
@@ -352,7 +356,7 @@ def _dispatch(args, ws):
                             "blocks": [list(k.rep.entries) for k in tup],
                             "dims": {str(n): sub.carrier.dim(n) for n in sub.carrier.degrees()},
                         }
-                        for tup, sub in comp.summands
+                        for tup, sub in comp.layout.pieces
                     ],
                 }
             )
@@ -361,8 +365,8 @@ def _dispatch(args, ws):
         return 0
 
     if cmd == "round-trip":
-        operad = ws.resolve(args.operad)
-        family = ws.resolve(args.family)
+        operad = ws.resolve_as(args.operad, "operad")
+        family = ws.resolve_as(args.family, "family")
         with open(_resolve_path(ws, args.algebra)) as handle:
             algebra_data = json.load(handle)
         alg = formats.operad_algebra_from_json(algebra_data, operad)

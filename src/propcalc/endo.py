@@ -69,6 +69,15 @@ class EndoElement:
         )
 
     @classmethod
+    def unit(cls, family, out_profile, in_profile, degree, j, r, c) -> "EndoElement":
+        """The element whose only nonzero entry is 1 at (r, c) of its degree-j block."""
+        src = family.space(in_profile).complex
+        tgt = family.space(out_profile).complex
+        m = linalg.zeros(tgt.dim(j + degree), src.dim(j))
+        m[r][c] = Fraction(1)
+        return cls.from_mats(family, out_profile, in_profile, degree, {j: m})
+
+    @classmethod
     def zero(cls, family, out_profile, in_profile, degree=0) -> "EndoElement":
         return cls.from_mats(family, out_profile, in_profile, degree, {})
 
@@ -154,13 +163,7 @@ def endo_component(family: ColoredFamily, out_profile, in_profile):
         cols = []
         index_lower = {trip: i for i, trip in enumerate(bases[k - 1])}
         for (j, r, c) in bases[k]:
-            f = EndoElement.from_mats(
-                family,
-                out_profile,
-                in_profile,
-                k,
-                {j: _unit_matrix(tgt.dim(j + k), src.dim(j), r, c)},
-            )
+            f = EndoElement.unit(family, out_profile, in_profile, k, j, r, c)
             df = f.boundary().chain
             col = [Fraction(0)] * dims[k - 1]
             for j2 in df.mats:
@@ -172,12 +175,6 @@ def endo_component(family: ColoredFamily, out_profile, in_profile):
             cols.append(col)
         boundary[k] = [[cols[j][i] for j in range(dims[k])] for i in range(dims[k - 1])]
     return ChainComplex(dims, boundary), bases
-
-
-def _unit_matrix(rows, cols, r, c):
-    m = linalg.zeros(rows, cols)
-    m[r][c] = Fraction(1)
-    return m
 
 
 def endo_vertical(f: EndoElement, g: EndoElement) -> EndoElement:
@@ -286,19 +283,6 @@ class FamilyMap:
         from propcalc.chains import classify_map
 
         return {c: classify_map(self.maps[c]) for c in self.source.palette.colors}
-
-
-def mixed_component_dims(f: FamilyMap, out_profile, in_profile):
-    """Dimensions of the mixed construction Hom(X_c, Y_d) per hom degree."""
-    src = f.source.space(in_profile).complex
-    tgt = f.target.space(out_profile).complex
-    dims = {}
-    top = tgt.top_degree if not tgt.is_zero() else 0
-    for k in range(0, top + 1):
-        d = sum(src.dim(j) * tgt.dim(j + k) for j in src.degrees())
-        if d:
-            dims[k] = d
-    return dims
 
 
 def relative_endo_membership(f: FamilyMap, phi_x: EndoElement, phi_y: EndoElement):

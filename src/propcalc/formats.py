@@ -552,6 +552,20 @@ _LOADERS = {
     "operad": operad_from_json,
 }
 
+# the class of the object each kind loads as
+_CLASSES = {
+    "palette": Palette,
+    "signature": Signature,
+    "complex": ChainComplex,
+    "chain_map": ChainMap,
+    "family": ColoredFamily,
+    "family_map": FamilyMap,
+    "presentation": PropPresentation,
+    "structure": AlgebraStructure,
+    "bimodule": ColoredBimodule,
+    "operad": ColoredOperad,
+}
+
 _DUMPERS = {
     Palette: palette_to_json,
     Signature: signature_to_json,
@@ -628,4 +642,11 @@ class Workspace:
             )
         obj = load_json(data)
         self._cache[path] = obj
+        return obj
+
+    def resolve_as(self, name_or_path, kind):
+        """resolve, checking that the file holds an object of the given kind."""
+        obj = self.resolve(name_or_path)
+        if not isinstance(obj, _CLASSES[kind]):
+            raise FormatError("%s: expected kind=%r" % (name_or_path, kind))
         return obj

@@ -7,9 +7,10 @@ least one vertex (the non-unital convention: identity-like behavior is a unary
 generator, not a bare wire).
 
 Equality in the free PROP is decided by a canonical form: iterative partition
-refinement on (generator, port structure, leg labels) followed by
-lexicographic minimization over the remaining symmetry.  Graphs are isomorphic
-respecting all decorations iff their canonical certificates are identical.
+refinement on (generator, port structure, leg labels), which separates every
+vertex because each connected part keeps a labelled leg.  Graphs are
+isomorphic respecting all decorations iff their canonical certificates are
+identical.
 """
 
 from __future__ import annotations
@@ -155,25 +156,7 @@ class PropGraph:
             raise GraphError("output leg labels must be a bijection onto 1..m")
         if not free_in or not free_out:
             raise GraphError("graphs must keep non-empty leg profiles")
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        n_v = len(self.vertices)
-        adj = {v: [] for v in range(n_v)}
-        indeg = {v: 0 for v in range(n_v)}
-        for (u, _p), (v, _q) in self.edges:
-            adj[u].append(v)
-            indeg[v] += 1
-        queue = [v for v in range(n_v) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != n_v:
+        if not _is_acyclic(n_v, self.edges):
             raise GraphError("graph has a directed cycle")
 
     def in_profile(self) -> Profile:
@@ -309,25 +292,20 @@ class PropGraph:
             colors = {v: (compressed[v][0], new_colors[v]) for v in range(n_v)}
 
     def canonical(self):
-        """Return (certificate, order) minimizing the certificate.
+        """Return (certificate, order): the certificate with vertices in the
+        order of their refined cells.
 
         order[i] = original index of the vertex placed at canonical position i.
+        Every connected part keeps a labelled leg and ports are ordered, so
+        refinement separates all vertices; a cell with two vertices is an
+        error.
         """
-        n_v = len(self.vertices)
         colors = self._refined_partition()
-        cells = {}
-        for v in range(n_v):
-            cells.setdefault(colors[v], []).append(v)
-        cell_list = [sorted(cells[c]) for c in sorted(cells, key=repr)]
-        best = None
-        best_order = None
-        for arrangement in itertools.product(*(itertools.permutations(c) for c in cell_list)):
-            order = [v for cell in arrangement for v in cell]
-            cert = self.certificate_for_order(order)
-            if best is None or cert < best:
-                best = cert
-                best_order = order
-        return best, best_order
+        order = sorted(range(len(self.vertices)), key=lambda v: repr(colors[v]))
+        for v, w in zip(order, order[1:]):
+            if colors[v] == colors[w]:
+                raise GraphError("partition refinement left vertices %d and %d in one cell" % (v, w))
+        return self.certificate_for_order(order), order
 
 
 def canonical_graph(g: PropGraph):
@@ -426,25 +404,28 @@ def _legless_check(signature, combo, edges):
             raise GraphError("port reuse")
         used_out.add((u, p))
         used_in.add((v, q))
-    adj = {}
-    indeg = {}
-    for (u, _), (v, _) in edges:
-        adj.setdefault(u, []).append(v)
-        indeg[v] = indeg.get(v, 0) + 1
-    verts = set(range(len(combo)))
-    queue = [v for v in verts if indeg.get(v, 0) == 0]
+    if not _is_acyclic(len(combo), edges):
+        raise GraphError("cycle")
+    return True
+
+
+def _is_acyclic(n_vertices, edges) -> bool:
+    """Kahn's algorithm on vertices 0..n_vertices-1 and edges ((u, p), (v, q))."""
+    adj = {v: [] for v in range(n_vertices)}
+    indeg = {v: 0 for v in range(n_vertices)}
+    for (u, _p), (v, _q) in edges:
+        adj[u].append(v)
+        indeg[v] += 1
+    queue = [v for v in range(n_vertices) if indeg[v] == 0]
     seen = 0
-    indeg = dict(indeg)
     while queue:
         v = queue.pop()
         seen += 1
-        for w in adj.get(v, []):
+        for w in adj[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    if seen != len(verts):
-        raise GraphError("cycle")
-    return True
+    return seen == n_vertices
 
 
 def _wirings(in_ports, out_ports, n_edges, work, work_cap):

@@ -9,7 +9,6 @@ runs produce identical output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 Matrix = list  # list[list[Fraction]]
 
@@ -34,10 +33,6 @@ def shape(m: Matrix) -> tuple:
 
 def copy(m: Matrix) -> Matrix:
     return [row[:] for row in m]
-
-
-def to_fractions(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -76,11 +71,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: list) -> list:
     return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    r, c = shape(a)
-    return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
 def is_zero(a: Matrix) -> bool:
@@ -210,16 +200,6 @@ def inverse(a: Matrix):
     if cert is not None or rank(a) != n:
         raise ValueError("matrix not invertible")
     return x
-
-
-def column_space_projector(cols: list, dim: int):
-    """Given spanning column vectors in Q^dim, return (pivots of the span)."""
-    if not cols:
-        return []
-    m = [[col[i] for col in cols] for i in range(dim)]
-    work = copy(m)
-    pivots, _ = row_echelon(work)
-    return [cols[p] for p in pivots]
 
 
 def quotient_by_rowspace(rows: Matrix, dim: int):

@@ -17,8 +17,10 @@ from fractions import Fraction
 from propcalc import linalg
 from propcalc.bimodules import (
     BimoduleComponent,
+    SumPiece,
     box_dot_many,
-    placements,
+    merge_keys as merge_in_keys,
+    sum_components,
 )
 from propcalc.chains import ChainComplex, ChainMap, TensorSpace
 from propcalc.endo import ColoredFamily, EndoElement, endo_horizontal, endo_permute, endo_vertical
@@ -48,14 +50,6 @@ def color_key(palette, color) -> OrbitKey:
 def profile_key(palette, colors) -> OrbitKey:
     k, _ = canonicalize_profile(Profile(palette, list(colors)))
     return k
-
-
-def merge_in_keys(palette, keys) -> OrbitKey:
-    entries = []
-    for k in keys:
-        entries.extend(k.rep.entries)
-    entries.sort(key=palette.order)
-    return OrbitKey(Profile(palette, entries))
 
 
 class ColoredOperad:
@@ -350,8 +344,15 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
 # the forgetful functor from PROP-like data
 
 
-class PropDataError(ValueError):
-    pass
+class EndoHomComponent(BimoduleComponent):
+    """Hom(X_rep, X_d) as a component; bases[k] lists the (j, row, col)
+    coordinates of degree k, as endo_component returns them."""
+
+    __slots__ = ("bases",)
+
+    def __init__(self, out_key, in_key, carrier, in_gens, bases):
+        super().__init__(out_key, in_key, carrier, {}, in_gens)
+        self.bases = bases
 
 
 class EndoPropData:
@@ -362,7 +363,7 @@ class EndoPropData:
         self.palette = family.palette
 
     def component(self, d, in_key):
-        """BimoduleComponent view of Hom(X_rep, X_d) with the right action."""
+        """Component view of Hom(X_rep, X_d) with the right action."""
         from propcalc.endo import endo_component
 
         out_profile = Profile(self.palette, [d])
@@ -376,23 +377,12 @@ class EndoPropData:
                 basis = bases[k]
                 cols = []
                 for (j, r, c) in basis:
-                    el = EndoElement.from_mats(
-                        self.family,
-                        out_profile,
-                        in_key.rep,
-                        k,
-                        {j: _unit(self.family, out_profile, in_key.rep, k, j, r, c)},
-                    )
+                    el = EndoElement.unit(self.family, out_profile, in_key.rep, k, j, r, c)
                     moved = endo_permute(Permutation.identity(1), s, el)
                     cols.append(_coords_of(moved, bases[k], k))
                 mats[k] = [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))]
             in_gens[s.images] = ChainMap(hom, hom, mats, check=False)
-        out_gens = {}
-        comp = BimoduleComponent(
-            color_key(self.palette, d), in_key, hom, out_gens, in_gens
-        )
-        comp.summands = {"bases": bases}
-        return comp
+        return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases)
 
     def rho(self, d, in_key, b_keys):
         """The operad structure map on basis elements, as one exact matrix."""
@@ -412,9 +402,9 @@ class EndoPropData:
         concat_profile = Profile(self.palette, concat_entries)
         _, transport = canonicalize_profile(concat_profile)
         mats = {}
-        p_bases = p_comp.summands["bases"]
-        q_bases = [q.summands["bases"] for q in q_comps]
-        t_bases = target.summands["bases"]
+        p_bases = p_comp.bases
+        q_bases = [q.bases for q in q_comps]
+        t_bases = target.bases
         for n in space.complex.degrees():
             rows = target.carrier.dim(n)
             cols = space.dim(n)
@@ -453,19 +443,8 @@ class EndoPropData:
         return ChainMap(space.complex, target.carrier, mats, check=False)
 
 
-def _unit(family, out_profile, in_profile, k, j, r, c):
-    src = family.space(in_profile).complex
-    tgt = family.space(out_profile).complex
-    m = linalg.zeros(tgt.dim(j + k), src.dim(j))
-    m[r][c] = F(1)
-    return m
-
-
 def _element_from_basis(family, out_profile, in_profile, bases, k, flat_idx):
-    j, r, c = bases[k][flat_idx]
-    return EndoElement.from_mats(
-        family, out_profile, in_profile, k, {j: _unit(family, out_profile, in_profile, k, j, r, c)}
-    )
+    return EndoElement.unit(family, out_profile, in_profile, k, *bases[k][flat_idx])
 
 
 def _coords_of(el: EndoElement, basis, k):
@@ -512,21 +491,6 @@ class TruncationExceeded(OperadError):
     pass
 
 
-class OPropComponent:
-    """One multi-output component: direct sum over ordered key tuples of the
-    iterated induced representations of operad components."""
-
-    __slots__ = ("out_key", "in_key", "summands", "offsets", "carrier", "bim")
-
-    def __init__(self, out_key, in_key, summands, offsets, carrier, bim):
-        self.out_key = out_key
-        self.in_key = in_key
-        self.summands = summands  # list of (key tuple, box_dot component)
-        self.offsets = offsets
-        self.carrier = carrier
-        self.bim = bim  # BimoduleComponent of the direct sum
-
-
 class OPropData:
     """PROP components generated by a colored operad, with the structure map
     rho induced from gamma through the placement model."""
@@ -559,28 +523,17 @@ class OPropData:
                     in_key = merge_in_keys(palette, tup)
                     buckets.setdefault(in_key, []).append(tup)
                 for in_key, tuples in buckets.items():
-                    summands = []
-                    for tup in sorted(tuples, key=repr):
-                        factors = [
-                            self.operad.component(c, k) for c, k in zip(rep, tup)
-                        ]
-                        comp = box_dot_many(palette, factors)
-                        summands.append((tup, comp))
-                    from propcalc.bimodules import _collect_direct_sum
-
-                    bim = _collect_direct_sum(
-                        palette, [(tup, comp) for tup, comp in summands]
-                    )
-                    if bim is None:
-                        continue
-                    self._components[(out_key, in_key)] = OPropComponent(
-                        out_key,
-                        in_key,
-                        summands,
-                        bim.summands["offsets"],
-                        bim.carrier,
-                        bim,
-                    )
+                    pieces = [
+                        SumPiece(
+                            tup,
+                            box_dot_many(
+                                palette,
+                                [self.operad.component(c, k) for c, k in zip(rep, tup)],
+                            ),
+                        )
+                        for tup in sorted(tuples, key=repr)
+                    ]
+                    self._components[(out_key, in_key)] = sum_components(pieces)
 
     def support(self):
         return sorted(self._components, key=lambda kk: (kk[0], kk[1]))
@@ -591,11 +544,7 @@ class OPropData:
     # single-output view (the forgetful interface)
 
     def component(self, d, in_key):
-        comp = self._components.get((color_key(self.palette, d), in_key))
-        if comp is None:
-            return None
-        # single-output components have exactly one summand, the operad component
-        return comp.bim
+        return self._components.get((color_key(self.palette, d), in_key))
 
     def rho(self, d, in_key, b_keys):
         """Structure map on basis columns, through horizontal + vertical."""
@@ -634,18 +583,12 @@ class OPropData:
         target = self._components.get((out_key, in_key))
         if target is None:
             return {}
-        u_summand, (u_out_place, u_in_place), u_tensor_idx = self._locate(
-            upper, u_deg, u_index
-        )
-        v_summand, (v_out_place, v_in_place), v_tensor_idx = self._locate(
-            lower, v_deg, v_index
-        )
-        u_tup, u_comp = upper.summands[u_summand]
-        v_tup, v_comp = lower.summands[v_summand]
+        (u_tup, u_comp), u_out_place, u_in_place, u_tensor_idx = _locate(upper, u_deg, u_index)
+        (v_tup, v_comp), v_out_place, v_in_place, v_tensor_idx = _locate(lower, v_deg, v_index)
         m_up = len(u_tup)
         mid_len = mid_key.length
-        u_degs, u_idxs = u_comp.summands["tensor"].unflatten(u_deg, u_tensor_idx)
-        v_degs, v_idxs = v_comp.summands["tensor"].unflatten(v_deg, v_tensor_idx)
+        u_degs, u_idxs = u_comp.layout.tensor.unflatten(u_deg, u_tensor_idx)
+        v_degs, v_idxs = v_comp.layout.tensor.unflatten(v_deg, v_tensor_idx)
         # middle position -> producing lower factor (each produces exactly one)
         producer = {}
         for pos in range(mid_len):
@@ -660,7 +603,7 @@ class OPropData:
         composed = []
         leg_targets = []  # per upper factor: global position of each concat leg
         for i in range(m_up):
-            c = out_key.rep.entries[self._out_position(u_out_place, i)]
+            c = out_key.rep.entries[_position_of_factor(u_out_place, i)]
             p_el = self.operad.element(
                 c,
                 u_tup[i],
@@ -705,17 +648,10 @@ class OPropData:
                 legs_global = []
             composed.append(el)
             leg_targets.append(legs_global)
-        t_tup = tuple(el.in_key for el in composed)
-        t_entry = None
-        t_index = None
-        for s_i, (tup, comp) in enumerate(target.summands):
-            if tup == t_tup:
-                t_entry = comp
-                t_index = s_i
-                break
-        if t_entry is None:
+        t_index = target.layout.find(tuple(el.in_key for el in composed))
+        if t_index is None:
             return {}
-        t_meta = t_entry.summands
+        t_layout = target.layout.pieces[t_index].component.layout
         t_out_place = u_out_place
         t_in_place = [None] * in_key.length
         for i in range(m_up):
@@ -731,7 +667,7 @@ class OPropData:
             images = [ascending.index(g) + 1 for g in leg_targets[i]]
             pi = Permutation(images)
             comp_i = self.operad.component(
-                out_key.rep.entries[self._out_position(u_out_place, i)], el.in_key
+                out_key.rep.entries[_position_of_factor(u_out_place, i)], el.in_key
             )
             m = comp_i.rho_in(pi.inverse()).mat(el.degree)
             twisted_coords.append((el.degree, linalg.mat_vec(m, el.coords)))
@@ -756,43 +692,26 @@ class OPropData:
             terms = nxt
         if not terms:
             return {}
-        t_space = t_meta["tensor"]
-        place_index = t_meta["index"].get((t_out_place, t_in_place))
-        if place_index is None:
+        if (t_out_place, t_in_place) not in t_layout.index:
             return {}
-        base_offset = target.offsets[t_index].get(total_deg, 0)
+        base_offset = target.layout.offsets[t_index].get(total_deg, 0)
         for coeff, idx_list in terms:
             degs = tuple(d for d, _ in idx_list)
             idxs = tuple(i for _, i in idx_list)
             if sum(degs) != total_deg:
                 continue
-            flat = t_space.flat_index(degs, idxs)
-            row = base_offset + place_index * t_space.complex.dim(total_deg) + flat
+            flat = t_layout.tensor.flat_index(degs, idxs)
+            row = base_offset + t_layout.flat(total_deg, t_out_place, t_in_place, flat)
             out[row] = out.get(row, F(0)) + coeff
         return out
 
-    def _locate(self, opp_comp, deg, flat_index):
-        """(summand number, (out placement, in placement), tensor index)."""
-        for s_i, ((tup, comp), off) in enumerate(zip(opp_comp.summands, opp_comp.offsets)):
-            base = comp.carrier.dim(deg)
-            start = off.get(deg, 0)
-            if start <= flat_index < start + base:
-                inner = flat_index - start
-                meta = comp.summands
-                t_dim = meta["tensor"].complex.dim(deg)
-                place_i = inner // t_dim
-                tensor_i = inner % t_dim
-                n_ins = len(meta["ins"])
-                out_place = meta["outs"][place_i // n_ins]
-                in_place = meta["ins"][place_i % n_ins]
-                return s_i, (out_place, in_place), tensor_i
-        raise IndexError("flat index out of range")
 
-    def _out_position(self, out_place, factor):
-        for pos, f in enumerate(out_place):
-            if f == factor:
-                return pos
-        raise IndexError("factor not placed")
+def _locate(comp, deg, flat):
+    """(piece, out placement, in placement, tensor index) of a basis vector of
+    a free PROP component."""
+    i, inner = comp.layout.locate(deg, flat)
+    piece = comp.layout.pieces[i]
+    return (piece,) + piece.component.layout.locate(deg, inner)
 
 
 def _unit_coords(dim, i):
@@ -934,18 +853,16 @@ def operad_algebra_to_prop_algebra(alg: OperadAlgebra, opp: OPropData):
         values = []
         for deg in comp.carrier.degrees():
             for flat in range(comp.carrier.dim(deg)):
-                values.append(_phi_basis_value(alg, opp, comp, deg, flat))
+                values.append(_phi_basis_value(alg, comp, deg, flat))
         out[(out_key, in_key)] = values
     return out
 
 
-def _phi_basis_value(alg, opp, comp, deg, flat):
+def _phi_basis_value(alg, comp, deg, flat):
     family = alg.family
     palette = family.palette
-    s_i, (out_place, in_place), tensor_i = opp._locate(comp, deg, flat)
-    tup, sub = comp.summands[s_i]
-    meta = sub.summands
-    degs, idxs = meta["tensor"].unflatten(deg, tensor_i)
+    (tup, sub), out_place, in_place, tensor_i = _locate(comp, deg, flat)
+    degs, idxs = sub.layout.tensor.unflatten(deg, tensor_i)
     out_rep = comp.out_key.rep
     in_rep = comp.in_key.rep
     factors = []
@@ -981,7 +898,7 @@ def _position_of_factor(place, factor):
     for pos, f in enumerate(place):
         if f == factor:
             return pos
-    raise IndexError
+    raise IndexError("factor not placed")
 
 
 def prop_algebra_to_operad_algebra(values, opp: OPropData, family: ColoredFamily) -> dict:
@@ -1145,7 +1062,7 @@ def tautological_endo_algebra(operad: ColoredOperad, family: ColoredFamily) -> O
     values = {}
     for (d, in_key) in operad.support():
         comp = data.component(d, in_key)
-        bases = comp.summands["bases"]
+        bases = comp.bases
         vals = []
         out_profile = Profile(family.palette, [d])
         for k in comp.carrier.degrees():

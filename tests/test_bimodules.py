@@ -9,6 +9,7 @@ from propcalc.bimodules import (
     BimoduleComponent,
     BimoduleError,
     ColoredBimodule,
+    InducedLayout,
     box_dot,
     box_dot_many,
     box_h,
@@ -382,18 +383,18 @@ def flatten_nested(palette, nested, parts):
     (x, y, z).  Returns per-degree permutation matrices.
     """
     flat = box_dot_many(palette, list(parts))
-    meta_o = nested.summands
-    inner = meta_o["factors"][0] if meta_o["factors"][0].summands and "outs" in (meta_o["factors"][0].summands or {}) else meta_o["factors"][1]
-    outer_first = inner is meta_o["factors"][0]
-    inner_meta = inner.summands
+    meta_o = nested.layout
+    inner = meta_o.factors[0] if isinstance(meta_o.factors[0].layout, InducedLayout) else meta_o.factors[1]
+    outer_first = inner is meta_o.factors[0]
+    inner_meta = inner.layout
     mats = {}
     for n in nested.carrier.degrees():
         m = linalg.zeros(flat.carrier.dim(n), nested.carrier.dim(n))
-        outer_tensor = meta_o["tensor"]
+        outer_tensor = meta_o.tensor
         base = outer_tensor.complex
-        for s_out_i, ao in enumerate(meta_o["outs"]):
-            for s_in_i, ai in enumerate(meta_o["ins"]):
-                s_idx = s_out_i * len(meta_o["ins"]) + s_in_i
+        for s_out_i, ao in enumerate(meta_o.outs):
+            for s_in_i, ai in enumerate(meta_o.ins):
+                s_idx = s_out_i * len(meta_o.ins) + s_in_i
                 for flat_b in range(base.dim(n)):
                     col = s_idx * base.dim(n) + flat_b
                     comp_deg, idxs = outer_tensor.unflatten(n, flat_b)
@@ -403,13 +404,13 @@ def flatten_nested(palette, nested, parts):
                     else:
                         inner_deg, inner_idx = comp_deg[1], idxs[1]
                         other_deg, other_idx = comp_deg[0], idxs[0]
-                    inner_tensor = inner_meta["tensor"]
+                    inner_tensor = inner_meta.tensor
                     ibase = inner_tensor.complex
                     inner_summand = inner_idx // ibase.dim(inner_deg)
                     inner_flat = inner_idx % ibase.dim(inner_deg)
-                    n_inner_ins = len(inner_meta["ins"])
-                    iao = inner_meta["outs"][inner_summand // n_inner_ins]
-                    iai = inner_meta["ins"][inner_summand % n_inner_ins]
+                    n_inner_ins = len(inner_meta.ins)
+                    iao = inner_meta.outs[inner_summand // n_inner_ins]
+                    iai = inner_meta.ins[inner_summand % n_inner_ins]
                     icomp, iidx = inner_tensor.unflatten(inner_deg, inner_flat)
                     # composed placements
                     comp_ao = _compose_placement(ao, iao, 0 if outer_first else 1)
@@ -417,9 +418,9 @@ def flatten_nested(palette, nested, parts):
                     if not outer_first:
                         comp_ao = _compose_placement_right(ao, iao)
                         comp_ai = _compose_placement_right(ai, iai)
-                    fm = flat.summands
-                    fs_idx = fm["index"][(comp_ao, comp_ai)]
-                    ftensor = fm["tensor"]
+                    fm = flat.layout
+                    fs_idx = fm.index[(comp_ao, comp_ai)]
+                    ftensor = fm.tensor
                     if outer_first:
                         fcomp = icomp + (other_deg,)
                         fidx = iidx + (other_idx,)
@@ -628,12 +629,12 @@ def test_box_v_associativity_intertwiner():
         # build the canonical map: lift a left class to ((X (x) Y) (x) Z),
         # expand the inner section, reassociate (identity on flat indices),
         # and project down the right tower.
-        meta_l = left.summands
-        meta_r = right.summands
-        sect_outer = meta_l["sect"]
-        proj_inner_r = meta_r["proj"]
-        space_l = meta_l["space"]  # [(XY)/~, Z]
-        space_r = meta_r["space"]  # [X, (YZ)/~]
+        meta_l = left.layout
+        meta_r = right.layout
+        sect_outer = meta_l.sect
+        proj_inner_r = meta_r.proj
+        space_l = meta_l.space  # [(XY)/~, Z]
+        space_r = meta_r.space  # [X, (YZ)/~]
         xyz = TensorSpace([x.carrier, y.carrier, z.carrier])
         # expand: ((XY)/~ (x) Z) -> (X (x) Y (x) Z)
         expand = assemble_tensor_map(
@@ -643,7 +644,7 @@ def test_box_v_associativity_intertwiner():
                 (
                     TensorSpace([xy.carrier]),
                     TensorSpace([x.carrier, y.carrier]),
-                    xy.summands["sect"],
+                    xy.layout.sect,
                 ),
                 (TensorSpace([z.carrier]), TensorSpace([z.carrier]), ChainMap.identity(z.carrier)),
             ],
@@ -657,7 +658,7 @@ def test_box_v_associativity_intertwiner():
                 (
                     TensorSpace([y.carrier, z.carrier]),
                     TensorSpace([yz.carrier]),
-                    yz.summands["proj"],
+                    yz.layout.proj,
                 ),
             ],
         )

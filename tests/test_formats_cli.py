@@ -184,6 +184,23 @@ def test_cli_check_valid_and_invalid(tmp_path):
     assert "group law" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim-free", "{x}", "c", "c", "1"],
+        ["eq", "{x}", "mu2", "mu2"],
+        ["box-v", "{x}", "{x}"],
+        ["algebra-check", "{x}"],
+    ],
+)
+def test_cli_wrong_kind_of_file_exit_2(tmp_path, argv):
+    path = write(tmp_path, "q.json", base_field_complex())
+    code, out = run_cli([arg.format(x=path) for arg in argv])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_cli_homology_classify_path(tmp_path):
     from propcalc.chains import disc_complex, direct_sum
 

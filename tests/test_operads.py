@@ -85,7 +85,7 @@ def test_oprop_dims_group_algebra():
     comp = opp.opp_component(k2, k3)
     assert comp.carrier.dim(0) == 24
     # each of the two composition summands has induced dimension 12
-    dims = [sub.carrier.dim(0) for _, sub in comp.summands]
+    dims = [sub.carrier.dim(0) for _, sub in comp.layout.pieces]
     assert dims == [12, 12]
 
 

@@ -114,8 +114,8 @@ def test_induced_vertical_zero_on_middle_mismatch():
     comp = r.component(k2, k2)
     m = rdata.compose_map(k2, k2, k2).mat(0)
     # build the explicit mismatch: upper in-placement (0,1), lower out-placement (1,0)
-    meta = comp.summands["pieces"][0][1].summands
-    outs, ins, index = meta["outs"], meta["ins"], meta["index"]
+    meta = comp.layout.pieces[0].component.layout
+    outs, ins, index = meta.outs, meta.ins, meta.index
     u = index[(outs[0], ins[0])]
     mismatching = [a for a in outs if a != ins[0]][0]
     v = index[(mismatching, ins[0])]
@@ -167,14 +167,13 @@ def test_induced_horizontal_well_defined_on_classes():
     k1 = key(PAL1, "x")
     comp = r.component(k1, k1)
     twisted_any = False
-    for (meta, piece) in comp.summands["pieces"]:
-        mid = meta[1]
+    for mid, piece in comp.layout.pieces:
         gens = stabilizer_generators(mid)
         if not gens:
             continue
-        sm = piece.summands
-        space, sect, proj = sm["space"], sm["sect"], sm["proj"]
-        left, right = sm["left"], sm["right"]
+        sm = piece.layout
+        space, sect, proj = sm.space, sm.sect, sm.proj
+        left, right = sm.left, sm.right
         ls, rs = TensorSpace([left.carrier]), TensorSpace([right.carrier])
         g = gens[0]
         rel = assemble_tensor_map(
@@ -183,12 +182,11 @@ def test_induced_horizontal_well_defined_on_classes():
         twisted_sect = rel.compose(sect)
         # still a section: proj o twisted = id
         assert proj.compose(twisted_sect) == ChainMap.identity(piece.carrier)
-        old = sm["sect"]
-        sm["sect"] = twisted_sect
+        piece.layout = sm._replace(sect=twisted_sect)
         try:
             _, rdata2 = induce_horizontal_on_boxv(hp, hq, module=r)
         finally:
-            sm["sect"] = old
+            piece.layout = sm
         twisted_any = True
         for pair in rdata.hcomp:
             assert rdata.compose_map(*pair) == rdata2.compose_map(*pair)
