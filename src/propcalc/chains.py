@@ -14,6 +14,7 @@ builds on it, so multi-factor associativity is the identity on indices.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from propcalc import linalg
@@ -45,12 +46,12 @@ class ChainComplex:
         if boundary:
             for n, mat in dict(boundary).items():
                 n = int(n)
-                mat = [[Fraction(x) for x in row] for row in mat]
+                mat = linalg.fraction_rows(mat)
                 rows = len(mat)
                 cols = len(mat[0]) if mat else 0
                 expected = (self.dims.get(n - 1, 0), self.dims.get(n, 0))
                 if 0 in expected:
-                    if any(x != 0 for row in mat for x in row):
+                    if not linalg.is_zero(mat):
                         raise ChainError("nonzero boundary on a zero space in degree %d" % n)
                     continue
                 if (rows, cols) != expected:
@@ -180,10 +181,10 @@ class ChainMap:
         clean = {}
         for j, m in dict(mats).items():
             j = int(j)
-            m = [[Fraction(x) for x in row] for row in m]
+            m = linalg.fraction_rows(m)
             expected = (target.dim(j + self.degree), source.dim(j))
             if 0 in expected:
-                if any(x != 0 for row in m for x in row):
+                if not linalg.is_zero(m):
                     raise ChainError("nonzero matrix on a zero space in degree %d" % j)
                 continue
             rows = len(m)
@@ -416,34 +417,50 @@ class TensorSpace:
             d = self.dim(n)
             if d:
                 dims[n] = d
+        # per factor and degree: the nonzero (row, entry) pairs of each boundary column
+        columns = [{v: _columns(d) for v, d in f.boundary.items()} for f in self.factors]
         bnd = {}
         for n in range(1, top + 1):
             if not dims.get(n) or not dims.get(n - 1):
                 continue
             m = linalg.zeros(dims[n - 1], dims[n])
+            src_off = self.offsets(n)
+            tgt_off = self.offsets(n - 1)
             for comp in self.compositions(n):
+                sizes = [f.dim(v) for f, v in zip(self.factors, comp)]
                 for slot, factor in enumerate(self.factors):
-                    if comp[slot] == 0 or factor.dim(comp[slot] - 1) == 0:
+                    v = comp[slot]
+                    if v not in columns[slot]:
                         continue
-                    lower = list(comp)
-                    lower[slot] -= 1
-                    lower = tuple(lower)
-                    sign = ONE if sum(comp[:slot]) % 2 == 0 else -ONE
-                    dmat = factor.d(comp[slot])
-                    ranges = [range(f.dim(v)) for f, v in zip(self.factors, comp)]
-                    for idxs in itertools.product(*ranges):
-                        col = self.flat_index(comp, idxs)
-                        i_src = idxs[slot]
-                        for i_tgt in range(factor.dim(comp[slot] - 1)):
-                            val = dmat[i_tgt][i_src]
-                            if val == 0:
-                                continue
-                            tidx = list(idxs)
-                            tidx[slot] = i_tgt
-                            m[self.flat_index(lower, tuple(tidx))][col] += sign * val
+                    lower = comp[:slot] + (v - 1,) + comp[slot + 1 :]
+                    odd = sum(comp[:slot]) % 2
+                    # the block is 1_outer (x) d_v (x) 1_inner
+                    outer = math.prod(sizes[:slot])
+                    inner = math.prod(sizes[slot + 1 :])
+                    n_src = sizes[slot]
+                    n_tgt = factor.dim(v - 1)
+                    c0 = src_off[comp]
+                    r0 = tgt_off[lower]
+                    for i, entries in enumerate(columns[slot][v]):
+                        for t, val in entries:
+                            x = -val if odd else val
+                            for p in range(outer):
+                                col = c0 + (p * n_src + i) * inner
+                                row = r0 + (p * n_tgt + t) * inner
+                                for s in range(inner):
+                                    m[row + s][col + s] = x
             if not linalg.is_zero(m):
                 bnd[n] = m
         return ChainComplex(dims, bnd)
+
+
+def _columns(m):
+    """The nonzero (row, entry) pairs of each column of m."""
+    cols = [[] for _ in range(len(m[0]) if m else 0)]
+    for r, row in enumerate(m):
+        for j, x in linalg.nonzeros(row):
+            cols[j].append((r, x))
+    return cols
 
 
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
@@ -464,6 +481,20 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
     if sum(widths_src) != len(src_space.factors) or sum(widths_tgt) != len(tgt_space.factors):
         raise ChainError("group widths do not cover the tensor factors")
     total_deg = sum(g[2].degree for g in groups)
+    # per group: degree -> source index -> [(target composition, target indices, entry)]
+    images = []
+    for gsrc, gtgt, f in groups:
+        by_degree = {}
+        for deg, fmat in f.mats.items():
+            cols = [[] for _ in range(len(fmat[0]))]
+            for r, row in enumerate(fmat):
+                entries = linalg.nonzeros(row)
+                if entries:
+                    tcomp, tidx = gtgt.unflatten(deg + f.degree, r)
+                    for j, x in entries:
+                        cols[j].append((tcomp, tidx, x))
+            by_degree[deg] = cols
+        images.append(by_degree)
     mats = {}
     for n in src_space.complex.degrees():
         rows = tgt_space.dim(n + total_deg)
@@ -471,8 +502,7 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
         if rows == 0 or cols == 0:
             continue
         big = linalg.zeros(rows, cols)
-        for comp, idxs in src_space.basis(n):
-            col = src_space.flat_index(comp, idxs)
+        for col, (comp, idxs) in enumerate(src_space.basis(n)):
             # cut into groups
             pieces = []
             pos = 0
@@ -485,29 +515,20 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
                     before = sum(sum(pieces[i][0]) for i in range(j))
                     if before % 2:
                         sign = -sign
-            terms = [(tuple(), tuple(), Fraction(sign))]
-            for (sub_comp, sub_idx), (gsrc, gtgt, f) in zip(pieces, groups):
-                sub_deg = sum(sub_comp)
-                fmat = f.mat(sub_deg)
-                if not fmat or not fmat[0]:
-                    terms = []
-                    break
-                src_flat = gsrc.flat_index(sub_comp, sub_idx)
-                col_entries = [
-                    (r, fmat[r][src_flat]) for r in range(len(fmat)) if fmat[r][src_flat] != 0
-                ]
+            terms = [(tuple(), tuple(), ONE if sign > 0 else -ONE)]
+            for (sub_comp, sub_idx), (gsrc, gtgt, f), by_degree in zip(pieces, groups, images):
+                image = by_degree.get(sum(sub_comp))
+                col_entries = image[gsrc.flat_index(sub_comp, sub_idx)] if image else ()
                 if not col_entries:
                     terms = []
                     break
-                tdeg = sub_deg + f.degree
-                nxt = []
-                for r, val in col_entries:
-                    tcomp, tidx = gtgt.unflatten(tdeg, r)
-                    for acc_comp, acc_idx, coeff in terms:
-                        nxt.append((acc_comp + tcomp, acc_idx + tidx, coeff * val))
-                terms = nxt
+                terms = [
+                    (acc_comp + tcomp, acc_idx + tidx, coeff * val)
+                    for tcomp, tidx, val in col_entries
+                    for acc_comp, acc_idx, coeff in terms
+                ]
             for acc_comp, acc_idx, coeff in terms:
-                big[tgt_space.flat_index(acc_comp, acc_idx)][col] += coeff
+                big[tgt_space.flat_index(acc_comp, acc_idx)][col] = coeff
         if not linalg.is_zero(big):
             mats[n] = big
     return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
@@ -541,8 +562,7 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
         if src_space.dim(n) == 0:
             continue
         big = linalg.zeros(tgt_space.dim(n), src_space.dim(n))
-        for comp, idxs in src_space.basis(n):
-            col = src_space.flat_index(comp, idxs)
+        for col, (comp, idxs) in enumerate(src_space.basis(n)):
             tcomp = [0] * k
             tidx = [0] * k
             for i in range(k):
@@ -553,7 +573,7 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
                 for j in range(i + 1, k):
                     if perm(i + 1) > perm(j + 1) and comp[i] % 2 and comp[j] % 2:
                         sign = -sign
-            big[tgt_space.flat_index(tuple(tcomp), tuple(tidx))][col] = Fraction(sign)
+            big[tgt_space.flat_index(tuple(tcomp), tuple(tidx))][col] = ONE if sign > 0 else -ONE
         mats[n] = big
     return ChainMap(src_space.complex, tgt_space.complex, mats, 0, check=False)
 
@@ -837,42 +857,50 @@ class LiftProblem:
         offsets = {}
         nvars = 0
         for j, r, c in blocks:
-            offsets[j] = nvars
+            offsets[j] = (nvars, r, c)
             nvars += r * c
         rows = []
         rhs_col = []
         for terms, rhs, er, ec in self.equations:
+            # per term: the nonzero (p, L[a][p]) of each row a of L and (q, R[q][b])
+            # of each column b of R; None stands for an identity
+            sparse_terms = []
+            for coeff, L, j, R in terms:
+                if j not in offsets:
+                    continue
+                base, vr, vc = offsets[j]
+                if L is None:
+                    l_rows = [[(a, ONE)] if a < vr else [] for a in range(er)]
+                else:
+                    l_rows = [[(p, x) for p, x in linalg.nonzeros(L[a]) if p < vr] for a in range(er)]
+                if R is None:
+                    r_cols = [[(b, ONE)] if b < vc else [] for b in range(ec)]
+                else:
+                    r_cols = [[] for _ in range(ec)]
+                    for q in range(vc):
+                        for b, x in linalg.nonzeros(R[q][:ec]):
+                            r_cols[b].append((q, x))
+                sparse_terms.append((coeff, base, vc, l_rows, r_cols))
             for a in range(er):
                 for b in range(ec):
-                    row = [ZERO] * nvars
-                    nonzero = False
-                    for coeff, L, j, R in terms:
-                        if j not in offsets:
-                            continue
-                        _, vr, vc = next(bl for bl in blocks if bl[0] == j)
-                        base = offsets[j]
-                        for p in range(vr):
-                            lv = L[a][p] if L is not None else (ONE if a == p else ZERO)
-                            if lv == 0:
-                                continue
-                            for qcol in range(vc):
-                                rv = R[qcol][b] if R is not None else (ONE if qcol == b else ZERO)
-                                if rv == 0:
-                                    continue
-                                row[base + p * vc + qcol] += coeff * lv * rv
-                                nonzero = True
+                    row = {}
+                    for coeff, base, vc, l_rows, r_cols in sparse_terms:
+                        for p, lv in l_rows[a]:
+                            c_lv = coeff * lv
+                            for qcol, rv in r_cols[b]:
+                                k = base + p * vc + qcol
+                                row[k] = row[k] + c_lv * rv if k in row else c_lv * rv
                     rowrhs = rhs[a][b]
-                    if nonzero or rowrhs != 0:
+                    if row or rowrhs != 0:
                         rows.append(row)
                         rhs_col.append([rowrhs])
         if not rows:
             return ChainMap(self.source, self.target, {}, self.degree, check=False)
-        x, cert = linalg.solve(rows, rhs_col)
+        x, cert = linalg.solve([linalg.densify(row, nvars) for row in rows], rhs_col)
         if x is None:
             raise Unsolvable("constraint system inconsistent", certificate=cert)
         mats = {}
-        for j, r, c in blocks:
-            base = offsets[j]
+        for j, (base, r, c) in offsets.items():
             mats[j] = [[x[base + p * c + qcol][0] for qcol in range(c)] for p in range(r)]
         return ChainMap(self.source, self.target, mats, self.degree, check=False)
 

@@ -1,19 +1,48 @@
-"""Exact dense linear algebra over Q.
+"""Exact linear algebra over Q: dense interface, sparse elimination.
 
 Matrices are lists of lists of Fraction, rows = target dimension, columns =
-source dimension, acting on column vectors.  Everything here is deterministic:
-pivots are chosen first-nonzero, free variables are set to zero, so repeated
-runs produce identical output.
+source dimension, acting on column vectors.  Inside, products and elimination
+touch only the nonzero entries: rows become {column: entry} dicts.  The pivots
+are the ones dense Gauss-Jordan elimination picks, and since the reduced row
+echelon form is unique for a fixed column order, so are the results.
+Everything here is deterministic: pivots are chosen first-nonzero, free
+variables are set to zero, so repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_not
 
 Matrix = list  # list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FRACTION_ONLY = frozenset([Fraction])
+
+
+def nonzeros(row) -> list:
+    """(column, entry) for each nonzero entry of a dense row, in column order."""
+    # the shared ZERO is skipped without a Fraction comparison
+    return [(j, row[j]) for j in compress(range(len(row)), map(is_not, row, repeat(ZERO))) if row[j]]
+
+
+def is_zero_row(row) -> bool:
+    # list.count compares by identity before calling Fraction.__eq__
+    return row.count(ZERO) == len(row)
+
+
+def fraction_rows(m: Matrix) -> Matrix:
+    """A copy of m with Fraction entries; a row of Fractions is copied, not rebuilt."""
+    return [row[:] if _FRACTION_ONLY.issuperset(map(type, row)) else [Fraction(x) for x in row] for row in m]
+
+
+def densify(row: dict, n_cols: int) -> list:
+    out = [ZERO] * n_cols
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -36,16 +65,24 @@ def copy(m: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = copy(a)
+    for row, brow in zip(out, b):
+        for j, y in nonzeros(brow):
+            row[j] = row[j] + y
+    return out
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = copy(a)
+    for row, brow in zip(out, b):
+        for j, y in nonzeros(brow):
+            row[j] = row[j] - y
+    return out
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
     c = Fraction(c)
-    return [[c * x for x in row] for row in a]
+    return [densify({j: c * x for j, x in nonzeros(row)}, len(row)) for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -54,33 +91,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError("matrix shape mismatch: %dx%d @ %dx%d" % (ra, ca, rb, cb))
-    out = zeros(ra, cb)
-    for i in range(ra):
-        arow = a[i]
-        orow = out[i]
-        for k in range(ca):
-            x = arow[k]
-            if x == 0:
-                continue
-            brow = b[k]
-            for j in range(cb):
-                if brow[j] != 0:
-                    orow[j] += x * brow[j]
+    b_rows = [nonzeros(row) for row in b]
+    out = []
+    for arow in a:
+        acc = {}
+        for k, x in nonzeros(arow):
+            for j, y in b_rows[k]:
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(densify(acc, cb))
     return out
 
 
 def mat_vec(a: Matrix, v: list) -> list:
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+    return [sum((x * v[j] for j, x in nonzeros(row)), ZERO) for row in a]
 
 
 def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return all(map(is_zero_row, a))
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if shape(a) != shape(b):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    # list equality compares entry by entry, by identity first
+    return shape(a) == shape(b) and a == b
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -105,40 +137,71 @@ def row_echelon(m: Matrix):
 
     Returns (pivot_cols, free_cols).  Pivot choice is the first row with a
     nonzero entry in the current column, rows are normalized to pivot 1.
+    The elimination runs on {column: entry} rows; the reduced rows are
+    written back into m densely.
     """
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
+    n_cols = len(m[0]) if m else 0
+    rows = [dict(nonzeros(row)) for row in m]
+    pivots = _eliminate(rows, n_cols)
+    m[:] = [densify(row, n_cols) for row in rows]
+    return pivots
+
+
+def _eliminate(rows, n_cols):
+    """Gauss-Jordan elimination of dict rows in place; returns (pivot_cols, free_cols)."""
+    n_rows = len(rows)
+    holders = {}  # column -> indices of the rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
     pivot_cols = []
     free_cols = []
     piv_r = 0
     for piv_c in range(n_cols):
-        found = -1
-        for i_row in range(piv_r, n_rows):
-            if m[i_row][piv_c] != 0:
-                found = i_row
-                break
+        column = holders.get(piv_c, ())
+        found = min((i for i in column if i >= piv_r), default=-1)
         if found < 0:
             free_cols.append(piv_c)
             continue
         if found != piv_r:
-            m[piv_r], m[found] = m[found], m[piv_r]
-        fp = m[piv_r][piv_c]
+            _swap(rows, holders, piv_r, found)
+        prow = rows[piv_r]
+        fp = prow[piv_c]
         if fp != 1:
-            m[piv_r] = [x / fp for x in m[piv_r]]
-        for r in range(n_rows):
+            for j, x in prow.items():
+                prow[j] = x / fp
+        for r in list(column):
             if r == piv_r:
                 continue
-            fr = m[r][piv_c]
-            if fr == 0:
-                continue
-            prow = m[piv_r]
-            m[r] = [x - fr * p for x, p in zip(m[r], prow)]
+            row = rows[r]
+            fr = row[piv_c]
+            for j, p in prow.items():
+                if j in row:
+                    x = row[j] - fr * p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        holders[j].discard(r)
+                else:
+                    row[j] = -fr * p
+                    holders.setdefault(j, set()).add(r)
         pivot_cols.append(piv_c)
         piv_r += 1
         if piv_r == n_rows:
             free_cols.extend(range(piv_c + 1, n_cols))
             break
     return pivot_cols, free_cols
+
+
+def _swap(rows, holders, a: int, b: int):
+    for i in (a, b):
+        for j in rows[i]:
+            holders[j].discard(i)
+    rows[a], rows[b] = rows[b], rows[a]
+    for i in (a, b):
+        for j in rows[i]:
+            holders[j].add(i)
 
 
 def rank(m: Matrix) -> int:
@@ -158,14 +221,15 @@ def kernel_basis(m: Matrix) -> list:
         return [[ONE if i == j else ZERO for i in range(c)] for j in range(c)]
     work = copy(m)
     pivots, frees = row_echelon(work)
-    basis = []
-    for fc in frees:
-        v = [ZERO] * c
+    basis = [[ZERO] * c for _ in frees]
+    by_free = dict(zip(frees, basis))
+    for fc, v in by_free.items():
         v[fc] = ONE
-        # pivot rows are normalized; back-substitute
-        for r_i, pc in enumerate(pivots):
-            v[pc] = -work[r_i][fc]
-        basis.append(v)
+    # pivot rows are normalized; back-substitute
+    for r_i, pc in enumerate(pivots):
+        for fc, x in nonzeros(work[r_i]):
+            if fc in by_free:
+                by_free[fc][pc] = -x
     return basis
 
 
@@ -212,7 +276,7 @@ def quotient_by_rowspace(rows: Matrix, dim: int):
     """
     if dim == 0:
         return zeros(0, 0), zeros(0, 0)
-    work = [row[:] for row in rows if any(x != 0 for x in row)]
+    work = [row[:] for row in rows if not is_zero_row(row)]
     if not work:
         return identity(dim), identity(dim)
     pivots, frees = row_echelon(work)
@@ -222,10 +286,11 @@ def quotient_by_rowspace(rows: Matrix, dim: int):
     # of the reduced row entries.
     for qi, fc in enumerate(frees):
         proj[qi][fc] = ONE
+    free_index = {fc: qi for qi, fc in enumerate(frees)}
     for r_i, pc in enumerate(pivots):
-        for qi, fc in enumerate(frees):
-            if work[r_i][fc] != 0:
-                proj[qi][pc] = -work[r_i][fc]
+        for fc, x in nonzeros(work[r_i]):
+            if fc in free_index:
+                proj[free_index[fc]][pc] = -x
     sect = zeros(dim, q)
     for qi, fc in enumerate(frees):
         sect[fc][qi] = ONE

@@ -24,7 +24,6 @@ from propcalc.bimodules import (
 )
 from propcalc.chains import ChainComplex, ChainMap, TensorSpace
 from propcalc.endo import ColoredFamily, EndoElement, endo_horizontal, endo_permute, endo_vertical
-from propcalc.graphs import koszul_reorder_sign
 from propcalc.profiles import (
     OrbitKey,
     Palette,
@@ -565,146 +564,6 @@ class OPropData:
         mats = {n: gm.mat(n) for n in space.complex.degrees() if gm.mat(n) and gm.mat(n)[0]}
         return ChainMap(space.complex, target.carrier, mats, check=False)
 
-    # full vertical composition via gamma, on a single summand basis vector
-
-    def vertical_basis(self, out_key, mid_key, in_key, u_index, v_index, u_deg, v_deg):
-        """Compose basis elements of O_prop(out;mid) and O_prop(mid;in).
-
-        Returns a dict {target flat index: coefficient} in the (out;in)
-        component at degree u_deg + v_deg, or None if a needed gamma instance
-        leaves the truncation.  The composite grafts every middle position:
-        produced by one lower factor, consumed by one upper factor; each upper
-        factor's gamma composite is then twisted by the residual permutation
-        reconciling the gamma normal form with the global leg positions, and
-        placed canonically.
-        """
-        upper = self._components[(out_key, mid_key)]
-        lower = self._components[(mid_key, in_key)]
-        target = self._components.get((out_key, in_key))
-        if target is None:
-            return {}
-        (u_tup, u_comp), u_out_place, u_in_place, u_tensor_idx = _locate(upper, u_deg, u_index)
-        (v_tup, v_comp), v_out_place, v_in_place, v_tensor_idx = _locate(lower, v_deg, v_index)
-        m_up = len(u_tup)
-        mid_len = mid_key.length
-        u_degs, u_idxs = u_comp.layout.tensor.unflatten(u_deg, u_tensor_idx)
-        v_degs, v_idxs = v_comp.layout.tensor.unflatten(v_deg, v_tensor_idx)
-        # middle position -> producing lower factor (each produces exactly one)
-        producer = {}
-        for pos in range(mid_len):
-            producer[pos] = v_out_place[pos]
-        # global in position lists per lower factor (ascending = its rep order)
-        lower_global = [[] for _ in range(len(v_tup))]
-        for g, f in enumerate(v_in_place):
-            lower_global[f].append(g)
-        blocks = [[] for _ in range(m_up)]
-        for pos in range(mid_len):
-            blocks[u_in_place[pos]].append(pos)
-        composed = []
-        leg_targets = []  # per upper factor: global position of each concat leg
-        for i in range(m_up):
-            c = out_key.rep.entries[_position_of_factor(u_out_place, i)]
-            p_el = self.operad.element(
-                c,
-                u_tup[i],
-                u_degs[i],
-                _unit_coords(
-                    self.operad.component(c, u_tup[i]).carrier.dim(u_degs[i]), u_idxs[i]
-                ),
-            )
-            q_els = []
-            concat_globals = []
-            for pos in blocks[i]:
-                j = producer[pos]
-                qc = mid_key.rep.entries[pos]
-                q_els.append(
-                    self.operad.element(
-                        qc,
-                        v_tup[j],
-                        v_degs[j],
-                        _unit_coords(
-                            self.operad.component(qc, v_tup[j]).carrier.dim(v_degs[j]),
-                            v_idxs[j],
-                        ),
-                    )
-                )
-                concat_globals.extend(lower_global[j])
-            if sum(q.in_key.length for q in q_els) > self.operad.max_arity:
-                return None
-            el = compose_elements(p_el, q_els)
-            # gamma's normal form orders legs by the lex-least transport of the
-            # concatenated input profile; recover each leg's global position
-            concat_entries = []
-            for q in q_els:
-                concat_entries.extend(q.in_key.rep.entries)
-            if concat_entries:
-                _, t_block = canonicalize_profile(
-                    Profile(self.palette, concat_entries)
-                )
-                legs_global = [
-                    concat_globals[t_block(ell) - 1] for ell in range(1, len(concat_entries) + 1)
-                ]
-            else:
-                legs_global = []
-            composed.append(el)
-            leg_targets.append(legs_global)
-        t_index = target.layout.find(tuple(el.in_key for el in composed))
-        if t_index is None:
-            return {}
-        t_layout = target.layout.pieces[t_index].component.layout
-        t_out_place = u_out_place
-        t_in_place = [None] * in_key.length
-        for i in range(m_up):
-            for g in leg_targets[i]:
-                t_in_place[g] = i
-        t_in_place = tuple(t_in_place)
-        # residual per-factor twist: canonical placement orders factor i's legs
-        # by ascending global position; gamma's normal form listed them in
-        # legs_global order
-        twisted_coords = []
-        for i, el in enumerate(composed):
-            ascending = sorted(leg_targets[i])
-            images = [ascending.index(g) + 1 for g in leg_targets[i]]
-            pi = Permutation(images)
-            comp_i = self.operad.component(
-                out_key.rep.entries[_position_of_factor(u_out_place, i)], el.in_key
-            )
-            m = comp_i.rho_in(pi.inverse()).mat(el.degree)
-            twisted_coords.append((el.degree, linalg.mat_vec(m, el.coords)))
-        total_deg = u_deg + v_deg
-        out = {}
-        # Koszul sign for regrouping (u_1..u_m, v_1..v_k) into
-        # (u_1, its q's, u_2, its q's, ...)
-        letter_degrees = list(u_degs) + list(v_degs)
-        new_order = []
-        for i in range(m_up):
-            new_order.append(i)
-            for pos in blocks[i]:
-                new_order.append(m_up + producer[pos])
-        sign = koszul_reorder_sign(letter_degrees, new_order)
-        terms = [(F(sign), [])]
-        for deg, coords in twisted_coords:
-            nxt = []
-            for coeff, idx_list in terms:
-                for i, c in enumerate(coords):
-                    if c != 0:
-                        nxt.append((coeff * c, idx_list + [(deg, i)]))
-            terms = nxt
-        if not terms:
-            return {}
-        if (t_out_place, t_in_place) not in t_layout.index:
-            return {}
-        base_offset = target.layout.offsets[t_index].get(total_deg, 0)
-        for coeff, idx_list in terms:
-            degs = tuple(d for d, _ in idx_list)
-            idxs = tuple(i for _, i in idx_list)
-            if sum(degs) != total_deg:
-                continue
-            flat = t_layout.tensor.flat_index(degs, idxs)
-            row = base_offset + t_layout.flat(total_deg, t_out_place, t_in_place, flat)
-            out[row] = out.get(row, F(0)) + coeff
-        return out
-
 
 def _locate(comp, deg, flat):
     """(piece, out placement, in placement, tensor index) of a basis vector of
@@ -843,10 +702,6 @@ def operad_algebra_to_prop_algebra(alg: OperadAlgebra, opp: OPropData):
     Returns dict (out_key, in_key) -> list of EndoElement per basis column
     (per degree, degree-major).
     """
-    from propcalc.chains import factor_permutation_map
-
-    family = alg.family
-    palette = family.palette
     out = {}
     for (out_key, in_key) in opp.support():
         comp = opp.opp_component(out_key, in_key)
@@ -860,7 +715,6 @@ def operad_algebra_to_prop_algebra(alg: OperadAlgebra, opp: OPropData):
 
 def _phi_basis_value(alg, comp, deg, flat):
     family = alg.family
-    palette = family.palette
     (tup, sub), out_place, in_place, tensor_i = _locate(comp, deg, flat)
     degs, idxs = sub.layout.tensor.unflatten(deg, tensor_i)
     out_rep = comp.out_key.rep

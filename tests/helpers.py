@@ -165,3 +165,164 @@ def inclusion_from_field(palette):
     fam_y = field_plus_disc_family(palette)
     inc = ChainMap(fam_x.complexes["c"], fam_y.complexes["c"], {0: [[1], [0]]})
     return FamilyMap(fam_x, fam_y, {"c": inc})
+
+
+# -- dense references for the exact kernel ------------------------------------
+# The dense Gauss-Jordan algorithms that propcalc's linalg and TensorSpace used
+# before they worked on nonzeros only; the kernel tests hold the sparse code to
+# them entry by entry.
+
+
+def dense_row_echelon(m):
+    """In-place dense Gauss-Jordan; returns (pivot_cols, free_cols)."""
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivot_cols = []
+    free_cols = []
+    piv_r = 0
+    for piv_c in range(n_cols):
+        found = -1
+        for i_row in range(piv_r, n_rows):
+            if m[i_row][piv_c] != 0:
+                found = i_row
+                break
+        if found < 0:
+            free_cols.append(piv_c)
+            continue
+        if found != piv_r:
+            m[piv_r], m[found] = m[found], m[piv_r]
+        fp = m[piv_r][piv_c]
+        if fp != 1:
+            m[piv_r] = [x / fp for x in m[piv_r]]
+        for r in range(n_rows):
+            if r == piv_r:
+                continue
+            fr = m[r][piv_c]
+            if fr == 0:
+                continue
+            prow = m[piv_r]
+            m[r] = [x - fr * p for x, p in zip(m[r], prow)]
+        pivot_cols.append(piv_c)
+        piv_r += 1
+        if piv_r == n_rows:
+            free_cols.extend(range(piv_c + 1, n_cols))
+            break
+    return pivot_cols, free_cols
+
+
+def dense_rank(m):
+    if not m or not m[0]:
+        return 0
+    pivots, _ = dense_row_echelon([row[:] for row in m])
+    return len(pivots)
+
+
+def dense_kernel_basis(m):
+    c = len(m[0]) if m else 0
+    if c == 0:
+        return []
+    if not m:
+        return [[F(int(i == j)) for i in range(c)] for j in range(c)]
+    work = [row[:] for row in m]
+    pivots, frees = dense_row_echelon(work)
+    basis = []
+    for fc in frees:
+        v = [F(0)] * c
+        v[fc] = F(1)
+        for r_i, pc in enumerate(pivots):
+            v[pc] = -work[r_i][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(a, rhs):
+    c = len(a[0]) if a else 0
+    rhs_c = len(rhs[0]) if rhs else 0
+    aug = [a[i][:] + list(rhs[i]) for i in range(len(a))]
+    pivots, _ = dense_row_echelon(aug)
+    n_piv_in_a = sum(1 for p in pivots if p < c)
+    for i in range(n_piv_in_a, len(pivots)):
+        return None, (i, aug[i])
+    x = [[F(0)] * rhs_c for _ in range(c)]
+    for r_i in range(n_piv_in_a):
+        for j in range(rhs_c):
+            x[pivots[r_i]][j] = aug[r_i][c + j]
+    return x, None
+
+
+def dense_quotient_by_rowspace(rows, dim):
+    if dim == 0:
+        return [], []
+    identity = [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
+    work = [row[:] for row in rows if any(x != 0 for x in row)]
+    if not work:
+        return identity, [row[:] for row in identity]
+    pivots, frees = dense_row_echelon(work)
+    proj = [[F(0)] * dim for _ in frees]
+    for qi, fc in enumerate(frees):
+        proj[qi][fc] = F(1)
+    for r_i, pc in enumerate(pivots):
+        for qi, fc in enumerate(frees):
+            if work[r_i][fc] != 0:
+                proj[qi][pc] = -work[r_i][fc]
+    sect = [[F(0)] * len(frees) for _ in range(dim)]
+    for qi, fc in enumerate(frees):
+        sect[fc][qi] = F(1)
+    return proj, sect
+
+
+def dense_tensor_boundary(space):
+    """Boundary matrices of a TensorSpace's complex, built densely from its
+    basis convention: d(x_1 .. x_k) = sum_s (-1)^{|x_1|+..+|x_{s-1}|} x_1 .. dx_s .. x_k."""
+    out = {}
+    for n in range(1, sum(f.top_degree for f in space.factors) + 1):
+        rows, cols = space.dim(n - 1), space.dim(n)
+        if not rows or not cols:
+            continue
+        m = [[F(0)] * cols for _ in range(rows)]
+        for col, (comp, idxs) in enumerate(space.basis(n)):
+            for slot, factor in enumerate(space.factors):
+                if comp[slot] == 0 or factor.dim(comp[slot] - 1) == 0:
+                    continue
+                lower = comp[:slot] + (comp[slot] - 1,) + comp[slot + 1 :]
+                sign = -1 if sum(comp[:slot]) % 2 else 1
+                dmat = factor.d(comp[slot])
+                for i_tgt in range(factor.dim(comp[slot] - 1)):
+                    val = dmat[i_tgt][idxs[slot]]
+                    if val != 0:
+                        tidx = idxs[:slot] + (i_tgt,) + idxs[slot + 1 :]
+                        m[space.flat_index(lower, tidx)][col] += sign * val
+        if any(x != 0 for row in m for x in row):
+            out[n] = m
+    return out
+
+
+def random_rank_deficient(rng, rows, cols, density):
+    """A rows x cols rational matrix of rank below min(rows, cols), with about
+    the given share of nonzero entries, some zero rows and some zero columns.
+
+    Its rows are combinations of a few sparse random rows, so the rank is at
+    most that number."""
+    k = max(1, min(rows, cols) // 2 - 1)
+    dead_cols = set(rng.sample(range(cols), cols // 8))
+    live = [j for j in range(cols) if j not in dead_cols]
+    per_row = max(1, round(density * cols))
+
+    def entry():
+        return F(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3, 7]))
+
+    seeds = []
+    for _ in range(k):
+        row = [F(0)] * cols
+        for j in rng.sample(live, min(len(live), per_row)):
+            row[j] = entry()
+        seeds.append(row)
+    m = []
+    for _ in range(rows):
+        row = [F(0)] * cols
+        if rng.random() > 0.15:
+            for s in rng.sample(seeds, min(len(seeds), rng.choice([1, 1, 2]))):
+                c = entry()
+                row = [x + c * y for x, y in zip(row, s)]
+        m.append(row)
+    return m

@@ -25,6 +25,8 @@ from propcalc.chains import (
 )
 from propcalc.profiles import Permutation
 
+from helpers import dense_tensor_boundary
+
 F = Fraction
 
 
@@ -58,6 +60,65 @@ def random_complex(rng, max_deg=3, max_dim=3):
 def test_d_squared_checked():
     with pytest.raises(ChainError):
         ChainComplex({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]})
+
+
+def test_d_squared_checked_on_fraction_boundaries():
+    # rows that already hold Fractions are copied, not rebuilt, and still checked
+    with pytest.raises(ChainError):
+        ChainComplex({0: 2, 1: 2, 2: 1}, {1: [[F(1), F(0)], [F(0), F(0)]], 2: [[F(1, 2)], [F(0)]]})
+    ChainComplex({0: 2, 1: 2, 2: 1}, {1: [[F(1), F(0)], [F(0), F(0)]], 2: [[F(0)], [F(1, 2)]]})
+
+
+def test_degree_zero_map_checked_against_differentials():
+    x = disc_complex()
+    with pytest.raises(ChainError):
+        ChainMap(x, x, {0: [[F(1)]], 1: [[F(2)]]})
+    with pytest.raises(ChainError):
+        ChainMap(x, x, {1: [[F(1)]]})
+    assert ChainMap(x, x, {0: [[F(2)]], 1: [[F(2)]]}).mat(1) == [[F(2)]]
+
+
+def test_constructors_copy_their_matrices():
+    d = [[F(1), F(-1)]]
+    x = ChainComplex({0: 1, 1: 2}, {1: d})
+    m = [[F(1), F(0)], [F(0), F(1)]]
+    f = ChainMap(x, x, {1: m, 0: [[F(1)]]})
+    d[0][0] = F(5)
+    d.append([F(7), F(7)])
+    m[0][1] = F(3)
+    m[1] = [F(9), F(9)]
+    assert x.d(1) == [[F(1), F(-1)]]
+    assert f.mat(1) == [[F(1), F(0)], [F(0), F(1)]]
+
+
+def test_constructors_coerce_ints_and_strings():
+    x = ChainComplex({0: 1, 1: 2}, {1: [[1, "1/2"]]})
+    f = ChainMap(x, x, {1: [["1/2", 0], [0, "1/2"]], 0: [["1/2"]]})
+    for row in x.d(1) + f.mat(1) + f.mat(0):
+        assert all(type(v) is Fraction for v in row)
+    assert x.d(1) == [[F(1), F(1, 2)]]
+    assert f.mat(1) == [[F(1, 2), F(0)], [F(0), F(1, 2)]]
+    # a row mixing Fractions and ints is coerced as a whole
+    y = ChainComplex({0: 1, 1: 2}, {1: [[F(1), 2]]})
+    assert [type(v) for v in y.d(1)[0]] == [Fraction, Fraction]
+
+
+def test_four_factor_tensor_space_matches_dense_construction():
+    rng = random.Random(7)
+    for _ in range(2):
+        d1 = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(2)] for _ in range(3)]
+        x = ChainComplex({0: 3, 1: 2}, {1: d1})
+        space = TensorSpace([x] * 4)
+        assert space.complex.total_dim() == 625
+        expected = dense_tensor_boundary(space)
+        assert sorted(space.complex.boundary) == sorted(expected)
+        for n, m in expected.items():
+            assert space.complex.d(n) == m
+    # factors of different shapes, with zero spaces in the middle degrees
+    y = ChainComplex({0: 1, 2: 2, 3: 1}, {3: [[F(1)], [F(-2)]]})
+    space = TensorSpace([x, y, disc_complex()])
+    for n, m in dense_tensor_boundary(space).items():
+        assert space.complex.d(n) == m
 
 
 def test_degree_zero_no_outgoing():
@@ -317,6 +378,37 @@ def test_solver_substitution_property():
         rhs = linalg.mat_mul(L, phi0)
         sol = solve_constrained_lift(src, tgt, 0, [([(F(1), L, 0, None)], rhs)])
         assert linalg.mat_eq(linalg.mat_mul(L, sol.mat(0)), rhs)
+
+
+def test_solver_sums_terms_on_the_same_unknown():
+    # coeff_1 L_1 phi R_1 + coeff_2 L_2 phi R_2 + coeff_3 phi = rhs, with entries
+    # of several terms landing on the same unknown
+    rng = random.Random(9)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        src = ChainComplex({0: cols})
+        tgt = ChainComplex({0: rows})
+        er, ec = rng.randint(1, 3), rng.randint(1, 3)
+        terms = []
+        for _ in range(2):
+            L = [[F(rng.randint(-2, 2)) for _ in range(rows)] for _ in range(er)]
+            R = [[F(rng.randint(-2, 2)) for _ in range(ec)] for _ in range(cols)]
+            terms.append((F(rng.choice([-2, 1, 3]), rng.choice([1, 2])), L, 0, R))
+        if er <= rows and ec <= cols:
+            terms.append((F(1, 2), None, 0, None))
+
+        def apply(phi):
+            total = linalg.zeros(er, ec)
+            for coeff, L, _, R in terms:
+                left = L if L is not None else [[F(int(i == p)) for p in range(rows)] for i in range(er)]
+                right = R if R is not None else [[F(int(q == b)) for b in range(ec)] for q in range(cols)]
+                total = linalg.mat_add(total, linalg.mat_scale(coeff, linalg.mat_mul(linalg.mat_mul(left, phi), right)))
+            return total
+
+        phi0 = [[F(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        rhs = apply(phi0)
+        sol = solve_constrained_lift(src, tgt, 0, [(terms, rhs)])
+        assert apply(sol.mat(0)) == rhs
 
 
 def test_equivariant_average_swap():

@@ -160,65 +160,6 @@ def test_truncation_exceeded_is_explicit():
         opp.rho(color, k2, (k2, k2))
 
 
-def test_vertical_basis_trivial_operad_places_legs():
-    operad = trivial_operad(2)
-    opp = prop_from_operad(operad, 2, 2)
-    color = "x"
-    k2 = profile_key(operad.palette, [color, color])
-    comp = opp.opp_component(k2, k2)
-    # compose two (2,2) basis elements through the middle
-    for u in range(comp.carrier.dim(0)):
-        for v in range(comp.carrier.dim(0)):
-            image = opp.vertical_basis(k2, k2, k2, u, v, 0, 0)
-            assert image is not None
-            # trivial operad: every composite is a single basis vector
-            assert sum(1 for c in image.values() if c != 0) in (0, 1)
-            for c in image.values():
-                assert c == 1
-
-
-def test_vertical_basis_associativity_trivial():
-    operad = trivial_operad(3)
-    opp = prop_from_operad(operad, 2, 3)
-    color = "x"
-    k2 = profile_key(operad.palette, [color, color])
-    comp = opp.opp_component(k2, k2)
-    dim = comp.carrier.dim(0)
-
-    def mat_of_vertical(out_key, mid_key, in_key):
-        rows = opp.opp_component(out_key, in_key).carrier.dim(0)
-        cols_u = opp.opp_component(out_key, mid_key).carrier.dim(0)
-        cols_v = opp.opp_component(mid_key, in_key).carrier.dim(0)
-        m = linalg.zeros(rows, cols_u * cols_v)
-        for u in range(cols_u):
-            for v in range(cols_v):
-                image = opp.vertical_basis(out_key, mid_key, in_key, u, v, 0, 0)
-                for r, c in image.items():
-                    m[r][u * cols_v + v] = c
-        return m
-
-    m = mat_of_vertical(k2, k2, k2)
-    # associativity: compose three (2,2) elements both ways
-    for u in range(dim):
-        for v in range(dim):
-            uv = opp.vertical_basis(k2, k2, k2, u, v, 0, 0)
-            for w in range(dim):
-                vw = opp.vertical_basis(k2, k2, k2, v, w, 0, 0)
-                lhs = {}
-                for r1, c1 in uv.items():
-                    img = opp.vertical_basis(k2, k2, k2, r1, w, 0, 0)
-                    for r2, c2 in img.items():
-                        lhs[r2] = lhs.get(r2, F(0)) + c1 * c2
-                rhs = {}
-                for r1, c1 in vw.items():
-                    img = opp.vertical_basis(k2, k2, k2, u, r1, 0, 0)
-                    for r2, c2 in img.items():
-                        rhs[r2] = rhs.get(r2, F(0)) + c1 * c2
-                lhs = {k: x for k, x in lhs.items() if x}
-                rhs = {k: x for k, x in rhs.items() if x}
-                assert lhs == rhs
-
-
 def square_zero_algebra(operad):
     """Q[x]/(x^2) as an algebra over the associative operad."""
     palette = operad.palette
