@@ -486,14 +486,8 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
     for gsrc, gtgt, f in groups:
         by_degree = {}
         for deg, fmat in f.mats.items():
-            cols = [[] for _ in range(len(fmat[0]))]
-            for r, row in enumerate(fmat):
-                entries = linalg.nonzeros(row)
-                if entries:
-                    tcomp, tidx = gtgt.unflatten(deg + f.degree, r)
-                    for j, x in entries:
-                        cols[j].append((tcomp, tidx, x))
-            by_degree[deg] = cols
+            tdeg = deg + f.degree
+            by_degree[deg] = [[gtgt.unflatten(tdeg, r) + (x,) for r, x in col] for col in _columns(fmat)]
         images.append(by_degree)
     mats = {}
     for n in src_space.complex.degrees():
@@ -872,14 +866,11 @@ class LiftProblem:
                 if L is None:
                     l_rows = [[(a, ONE)] if a < vr else [] for a in range(er)]
                 else:
-                    l_rows = [[(p, x) for p, x in linalg.nonzeros(L[a]) if p < vr] for a in range(er)]
+                    l_rows = [linalg.nonzeros(L[a][:vr]) for a in range(er)]
                 if R is None:
                     r_cols = [[(b, ONE)] if b < vc else [] for b in range(ec)]
                 else:
-                    r_cols = [[] for _ in range(ec)]
-                    for q in range(vc):
-                        for b, x in linalg.nonzeros(R[q][:ec]):
-                            r_cols[b].append((q, x))
+                    r_cols = _columns([row[:ec] for row in R[:vc]])
                 sparse_terms.append((coeff, base, vc, l_rows, r_cols))
             for a in range(er):
                 for b in range(ec):
