@@ -417,6 +417,8 @@ class TensorSpace:
             d = self.dim(n)
             if d:
                 dims[n] = d
+        if top == 0:
+            return ChainComplex(dims)
         # per factor and degree: the nonzero (row, entry) pairs of each boundary column
         columns = [{v: _columns(d) for v, d in f.boundary.items()} for f in self.factors]
         bnd = {}

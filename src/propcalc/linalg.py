@@ -12,8 +12,6 @@ variables are set to zero, so repeated runs produce identical output.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import is_not
 
 Matrix = list  # list[list[Fraction]]
 
@@ -25,7 +23,7 @@ _FRACTION_ONLY = frozenset([Fraction])
 def nonzeros(row) -> list:
     """(column, entry) for each nonzero entry of a dense row, in column order."""
     # the shared ZERO is skipped without a Fraction comparison
-    return [(j, row[j]) for j in compress(range(len(row)), map(is_not, row, repeat(ZERO))) if row[j]]
+    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
 
 
 def is_zero_row(row) -> bool:
