@@ -32,8 +32,12 @@ def is_zero_row(row) -> bool:
 
 
 def fraction_rows(m: Matrix) -> Matrix:
-    """A copy of m with Fraction entries; a row of Fractions is copied, not rebuilt."""
-    return [row[:] if _FRACTION_ONLY.issuperset(map(type, row)) else [Fraction(x) for x in row] for row in m]
+    """A copy of m as lists of Fractions; a row of Fractions is copied, not rebuilt."""
+    out = []
+    for row in m:
+        row = list(row)
+        out.append(row if _FRACTION_ONLY.issuperset(map(type, row)) else [Fraction(x) for x in row])
+    return out
 
 
 def densify(row: dict, n_cols: int) -> list:

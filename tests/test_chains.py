@@ -101,6 +101,9 @@ def test_constructors_coerce_ints_and_strings():
     # a row mixing Fractions and ints is coerced as a whole
     y = ChainComplex({0: 1, 1: 2}, {1: [[F(1), 2]]})
     assert [type(v) for v in y.d(1)[0]] == [Fraction, Fraction]
+    # rows given as tuples are stored as lists
+    z = ChainComplex({0: 1, 1: 2}, {1: [(F(1), F(2))]})
+    assert z.d(1) == [[F(1), F(2)]] and z == y
 
 
 def test_four_factor_tensor_space_matches_dense_construction():
