@@ -117,23 +117,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return shape(a) == shape(b) and a == b
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row index (i,j) flattens to i*rows(b)+j."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    out = zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for k in range(ca):
-            x = a[i][k]
-            if x == 0:
-                continue
-            for j in range(rb):
-                for l in range(cb):
-                    if b[j][l] != 0:
-                        out[i * rb + j][k * cb + l] = x * b[j][l]
-    return out
-
-
 def row_echelon(m: Matrix):
     """In-place forward elimination.
 

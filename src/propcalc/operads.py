@@ -70,6 +70,7 @@ class ColoredOperad:
                 raise OperadError("component exceeds the declared arity bound")
             self.components[(d, in_key)] = comp
         self.gamma = dict(gamma)
+        self._spaces = {}
 
     def component(self, d, in_key):
         return self.components.get((d, in_key))
@@ -77,19 +78,24 @@ class ColoredOperad:
     def support(self):
         return sorted(self.components, key=lambda k: (k[0], k[1]))
 
+    def space(self, d, in_key, b_keys) -> TensorSpace:
+        """The tensor of the carriers at (d, in_key) and at the inputs b_keys."""
+        key = (d, in_key, tuple(b_keys))
+        if key not in self._spaces:
+            comps = [self.component(d, in_key)]
+            comps += [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
+            self._spaces[key] = TensorSpace(
+                [comp.carrier if comp else ChainComplex({}) for comp in comps]
+            )
+        return self._spaces[key]
+
     def gamma_map(self, d, in_key, b_keys):
         key = (d, in_key, tuple(b_keys))
         if key in self.gamma:
             return self.gamma[key]
-        p = self.component(d, in_key)
-        qs = [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
-        merged = merge_in_keys(self.palette, b_keys)
-        target = self.component(d, merged)
-        factors = [p.carrier if p else ChainComplex({})]
-        factors += [q.carrier if q else ChainComplex({}) for q in qs]
-        src = TensorSpace(factors).complex
+        target = self.component(d, merge_in_keys(self.palette, b_keys))
         tgt = target.carrier if target else ChainComplex({})
-        return ChainMap.zero(src, tgt)
+        return ChainMap.zero(self.space(d, in_key, b_keys).complex, tgt)
 
     def compose(self, d, in_key, b_keys, p_vec_chain):
         """Apply gamma as stored; p_vec_chain is the tensor input ChainMap column."""
@@ -98,19 +104,32 @@ class ColoredOperad:
     # -- element-level operations -------------------------------------------
 
     def element(self, d, in_key, degree, coords):
-        return OperadElement(self, d, in_key, degree, [F(x) for x in coords])
+        comp = self.component(d, in_key)
+        if comp is None:
+            raise OperadError("no component at %r" % ((d, in_key),))
+        coords = [F(x) for x in coords]
+        if len(coords) != comp.carrier.dim(degree):
+            raise OperadError(
+                "%d coordinates for a component of dimension %d in degree %d"
+                % (len(coords), comp.carrier.dim(degree), degree)
+            )
+        return OperadElement(self, d, in_key, degree, coords)
+
+    def unit(self, d, in_key, degree, i) -> "OperadElement":
+        """The i-th basis element of the component at (d, in_key) in a degree."""
+        coords = [linalg.ZERO] * self.component(d, in_key).carrier.dim(degree)
+        coords[i] = linalg.ONE
+        return OperadElement(self, d, in_key, degree, coords)
 
     def basis_elements(self, d, in_key):
         comp = self.component(d, in_key)
-        out = []
         if comp is None:
-            return out
-        for k in comp.carrier.degrees():
-            for i in range(comp.carrier.dim(k)):
-                coords = [F(0)] * comp.carrier.dim(k)
-                coords[i] = F(1)
-                out.append(self.element(d, in_key, k, coords))
-        return out
+            return []
+        return [
+            self.unit(d, in_key, k, i)
+            for k in comp.carrier.degrees()
+            for i in range(comp.carrier.dim(k))
+        ]
 
     def validate(self, sample_cap=3):
         """Equivariance and associativity of gamma on in-truncation instances.
@@ -302,7 +321,11 @@ class OperadElement:
 
 
 def compose_elements(p: OperadElement, q_els) -> OperadElement:
-    """gamma(p; q_1..q_n) with inputs aligned to the representative positions."""
+    """gamma(p; q_1..q_n) with inputs aligned to the representative positions.
+
+    Only the nonzero coordinates are combined: each nonzero coordinate of the
+    tensor of the factors adds its multiple of one column of gamma.
+    """
     operad = p.operad
     in_key = p.in_key
     if len(q_els) != in_key.length:
@@ -311,31 +334,25 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
         if q.d != c:
             raise OperadError("input color mismatch: %r vs %r" % (q.d, c))
     b_keys = tuple(q.in_key for q in q_els)
-    gm = operad.gamma_map(p.d, in_key, b_keys)
-    # tensor input coordinates
-    space = TensorSpace(
-        [operad.component(p.d, in_key).carrier]
-        + [operad.component(q.d, q.in_key).carrier for q in q_els]
-    )
     total_deg = p.degree + sum(q.degree for q in q_els)
-    vec = [F(0)] * space.dim(total_deg)
-    comp_tuple = tuple([p.degree] + [q.degree for q in q_els])
-    all_coords = [p.coords] + [q.coords for q in q_els]
-    for idxs in itertools.product(*[range(len(c)) for c in all_coords]):
-        coeff = F(1)
-        for c_list, i in zip(all_coords, idxs):
-            coeff *= c_list[i]
-        if coeff == 0:
-            continue
-        vec[space.flat_index(comp_tuple, idxs)] += coeff
-    mat = gm.mat(total_deg)
     merged = merge_in_keys(operad.palette, b_keys)
     target = operad.component(p.d, merged)
-    tdim = target.carrier.dim(total_deg) if target else 0
-    if not mat or not mat[0]:
-        out = [F(0)] * tdim
-    else:
-        out = linalg.mat_vec(mat, vec)
+    out = [linalg.ZERO] * (target.carrier.dim(total_deg) if target else 0)
+    mat = operad.gamma_map(p.d, in_key, b_keys).mats.get(total_deg)
+    if mat is None:
+        return OperadElement(operad, p.d, merged, total_deg, out)
+    space = operad.space(p.d, in_key, b_keys)
+    comp_tuple = (p.degree,) + tuple(q.degree for q in q_els)
+    factors = [linalg.nonzeros(p.coords)] + [linalg.nonzeros(q.coords) for q in q_els]
+    for terms in itertools.product(*factors):
+        coeff = linalg.ONE
+        for _, x in terms:
+            coeff *= x
+        col = space.flat_index(comp_tuple, [i for i, _ in terms])
+        for r, row in enumerate(mat):
+            x = row[col]
+            if x is not linalg.ZERO and x:
+                out[r] += coeff * x
     return OperadElement(operad, p.d, merged, total_deg, out)
 
 
@@ -360,9 +377,17 @@ class EndoPropData:
     def __init__(self, family: ColoredFamily):
         self.family = family
         self.palette = family.palette
+        self._components = {}
 
     def component(self, d, in_key):
-        """Component view of Hom(X_rep, X_d) with the right action."""
+        """Component view of Hom(X_rep, X_d) with the right action, built once
+        per (d, in_key); None where the hom complex is zero."""
+        key = (d, in_key)
+        if key not in self._components:
+            self._components[key] = self._build_component(d, in_key)
+        return self._components[key]
+
+    def _build_component(self, d, in_key):
         from propcalc.endo import endo_component
 
         out_profile = Profile(self.palette, [d])
@@ -573,12 +598,6 @@ def _locate(comp, deg, flat):
     return (piece,) + piece.component.layout.locate(deg, inner)
 
 
-def _unit_coords(dim, i):
-    coords = [F(0)] * dim
-    coords[i] = F(1)
-    return coords
-
-
 def prop_from_operad(operad: ColoredOperad, max_out: int, max_in: int) -> OPropData:
     """The free PROP on the operad, truncated to the given profile lengths."""
     if max_in > 0 and max_out > 0:
@@ -722,10 +741,7 @@ def _phi_basis_value(alg, comp, deg, flat):
     factors = []
     for i, k in enumerate(tup):
         c = out_rep.entries[_position_of_factor(out_place, i)]
-        el = alg.operad.element(
-            c, k, degs[i], _unit_coords(alg.operad.component(c, k).carrier.dim(degs[i]), idxs[i])
-        )
-        factors.append(alg.value(el))
+        factors.append(alg.value(alg.operad.unit(c, k, degs[i], idxs[i])))
     h = None
     for v in factors:
         h = v if h is None else endo_horizontal(h, v)

@@ -1,8 +1,11 @@
 """Shared random generators for the test suites (seeded, deterministic)."""
 
+import itertools
 import random
 from fractions import Fraction
 
+from propcalc.bimodules import merge_keys
+from propcalc.chains import TensorSpace
 from propcalc.graphs import Generator, Signature
 from propcalc.exprs import (
     GenExpr,
@@ -11,6 +14,7 @@ from propcalc.exprs import (
     RightActExpr,
     VCompExpr,
 )
+from propcalc.operads import OperadElement
 from propcalc.profiles import Palette, Permutation, Profile
 
 F = Fraction
@@ -165,6 +169,21 @@ def inclusion_from_field(palette):
     fam_y = field_plus_disc_family(palette)
     inc = ChainMap(fam_x.complexes["c"], fam_y.complexes["c"], {0: [[1], [0]]})
     return FamilyMap(fam_x, fam_y, {"c": inc})
+
+
+def kron(a, b):
+    """Kronecker product of dense matrices; row index (i,j) flattens to i*rows(b)+j."""
+    rb, cb = len(b), len(b[0]) if b else 0
+    out = [[F(0)] * ((len(a[0]) if a else 0) * cb) for _ in range(len(a) * rb)]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x == 0:
+                continue
+            for j in range(rb):
+                for l in range(cb):
+                    if b[j][l] != 0:
+                        out[i * rb + j][k * cb + l] = x * b[j][l]
+    return out
 
 
 # -- dense references for the exact kernel ------------------------------------
@@ -326,3 +345,39 @@ def random_rank_deficient(rng, rows, cols, density):
                 row = [x + c * y for x, y in zip(row, s)]
         m.append(row)
     return m
+
+
+# -- dense reference for operad composition ------------------------------------
+
+
+def dense_compose_elements(p, q_els):
+    """gamma(p; q_1..q_n) as propcalc's operads computed it before it worked on
+    nonzeros: the dense tensor vector over every coordinate combination, then
+    the whole gamma matrix applied to it."""
+    operad = p.operad
+    b_keys = tuple(q.in_key for q in q_els)
+    gm = operad.gamma_map(p.d, p.in_key, b_keys)
+    space = TensorSpace(
+        [operad.component(p.d, p.in_key).carrier]
+        + [operad.component(q.d, q.in_key).carrier for q in q_els]
+    )
+    total_deg = p.degree + sum(q.degree for q in q_els)
+    vec = [F(0)] * space.dim(total_deg)
+    comp_tuple = tuple([p.degree] + [q.degree for q in q_els])
+    all_coords = [p.coords] + [q.coords for q in q_els]
+    for idxs in itertools.product(*[range(len(c)) for c in all_coords]):
+        coeff = F(1)
+        for c_list, i in zip(all_coords, idxs):
+            coeff *= c_list[i]
+        if coeff == 0:
+            continue
+        vec[space.flat_index(comp_tuple, idxs)] += coeff
+    mat = gm.mat(total_deg)
+    merged = merge_keys(operad.palette, b_keys)
+    target = operad.component(p.d, merged)
+    tdim = target.carrier.dim(total_deg) if target else 0
+    if not mat or not mat[0]:
+        out = [F(0)] * tdim
+    else:
+        out = [sum((x * v for x, v in zip(row, vec)), F(0)) for row in mat]
+    return OperadElement(operad, p.d, merged, total_deg, out)

@@ -21,6 +21,7 @@ from helpers import (
     homotopy_assoc_presentation,
     inclusion_from_field,
     interchange_quadruple,
+    kron,
     projection_to_field,
     random_signature,
 )
@@ -148,8 +149,8 @@ def test_criterion_3_coinvariants_oracle():
             a = x.rho_in(g).mat(0)
             b = y.rho_out(g).mat(0)
             rel = linalg.mat_sub(
-                linalg.kron(a, linalg.identity(dy)),
-                linalg.kron(linalg.identity(dx), b),
+                kron(a, linalg.identity(dy)),
+                kron(linalg.identity(dx), b),
             )
             for j in range(dim):
                 rows.append([rel[i][j] for i in range(dim)])
@@ -159,7 +160,7 @@ def test_criterion_3_coinvariants_oracle():
         elems = stabilizer_elements(mid)
         for g in elems:
             total = linalg.mat_add(
-                total, linalg.kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0))
+                total, kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0))
             )
         oracle_b = linalg.rank(linalg.mat_scale(F(1, len(elems)), total))
         if got != oracle_a or got != oracle_b:
@@ -263,7 +264,7 @@ def test_criterion_5_path_object_contract():
 def _local_kron_many(mats):
     out = [[F(1)]]
     for m in mats:
-        out = linalg.kron(out, m)
+        out = kron(out, m)
     return out
 
 
@@ -293,8 +294,8 @@ def test_criterion_6_transfer_witness():
     m2 = mu2.mat(0)
     i0 = iota.mat(0)
     # (mu2 (x) iota) and (iota (x) mu2) on the degree-0 part of X (x) X (x) X:
-    left = linalg.mat_mul(m2, linalg.kron(m2, i0))
-    right = linalg.mat_mul(m2, linalg.kron(i0, m2))
+    left = linalg.mat_mul(m2, kron(m2, i0))
+    right = linalg.mat_mul(m2, kron(i0, m2))
     assoc0 = linalg.mat_sub(left, right)
     dmu3_0 = linalg.mat_mul(d1, mu3.mat(0))
     if not linalg.mat_eq(assoc0, dmu3_0):
@@ -324,8 +325,8 @@ def test_criterion_6_transfer_witness():
     iotab = st_y2.assignment["iota"].chain
     mu3b = st_y2.assignment["mu3"].chain
     d1b = y2.d(1)
-    leftb = linalg.mat_mul(mu2b.mat(0), linalg.kron(mu2b.mat(0), iotab.mat(0)))
-    rightb = linalg.mat_mul(mu2b.mat(0), linalg.kron(iotab.mat(0), mu2b.mat(0)))
+    leftb = linalg.mat_mul(mu2b.mat(0), kron(mu2b.mat(0), iotab.mat(0)))
+    rightb = linalg.mat_mul(mu2b.mat(0), kron(iotab.mat(0), mu2b.mat(0)))
     if not linalg.mat_eq(linalg.mat_sub(leftb, rightb), linalg.mat_mul(d1b, mu3b.mat(0))):
         ok = False
     report(6, "transfer along projection and inclusion, verified directly", ok)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import kron
 from propcalc import linalg
 from propcalc.bimodules import (
     BimoduleComponent,
@@ -227,11 +228,11 @@ def random_rep_component(rng, out_key, in_key, dim=None, graded=False):
         out_gens = {}
         for s in stabilizer_generators(out_key):
             m = out_mats[s.images]
-            out_gens[s.images] = linalg.kron(m, linalg.identity(dims[1]))
+            out_gens[s.images] = kron(m, linalg.identity(dims[1]))
         in_gens = {}
         for s in stabilizer_generators(in_key):
             m = in_mats[s.images]
-            in_gens[s.images] = linalg.kron(linalg.identity(dims[0]), m)
+            in_gens[s.images] = kron(linalg.identity(dims[0]), m)
         return make_component(out_key, in_key, carrier, out_gens, in_gens)
     d = dims[0] if dims else rng.randint(1, 2)
     carrier_dims = {0: d}
@@ -248,8 +249,8 @@ def classical_tensor_over_group_dim(x, y, mid_key):
     for g in stabilizer_elements(mid_key):
         a = x.rho_in(g).mat(0)
         b = y.rho_out(g).mat(0)
-        rel = linalg.mat_sub(linalg.kron(a, linalg.identity(y.carrier.dim(0))),
-                             linalg.kron(linalg.identity(x.carrier.dim(0)), b))
+        rel = linalg.mat_sub(kron(a, linalg.identity(y.carrier.dim(0))),
+                             kron(linalg.identity(x.carrier.dim(0)), b))
         for j in range(dim):
             rows.append([rel[i][j] for i in range(dim)])
     if not rows:
@@ -265,7 +266,7 @@ def averaging_rank(x, y, mid_key):
     for g in elems:
         a = x.rho_in(g.inverse()).mat(0)
         b = y.rho_out(g).mat(0)
-        total = linalg.mat_add(total, linalg.kron(a, b))
+        total = linalg.mat_add(total, kron(a, b))
     total = linalg.mat_scale(F(1, len(elems)), total)
     return linalg.rank(total)
 
@@ -745,7 +746,7 @@ def test_multicolor_middle_averaging_cross_check():
         for g in elems:
             total = linalg.mat_add(
                 total,
-                linalg.kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0)),
+                kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0)),
             )
         avg_rank = linalg.rank(linalg.mat_scale(F(1, len(elems)), total))
         assert comp.carrier.dim(0) == avg_rank

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_permutation
+from helpers import kron, random_permutation
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex
 from propcalc.endo import (
@@ -128,7 +128,7 @@ def test_horizontal_kronecker_degree_zero():
     f = EndoElement.from_mats(fam, prof("a"), prof("a"), 0, {0: [[1, 2], [3, 4]]})
     g = EndoElement.from_mats(fam, prof("b"), prof("b"), 0, {0: [[5, 6], [7, 8]]})
     fg = endo_horizontal(f, g)
-    assert fg.chain.mat(0) == linalg.kron(f.chain.mat(0), g.chain.mat(0))
+    assert fg.chain.mat(0) == kron(f.chain.mat(0), g.chain.mat(0))
 
 
 def test_horizontal_koszul_sign_odd_odd():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import dense_compose_elements
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement
@@ -11,6 +12,7 @@ from propcalc.operads import (
     ColoredOperad,
     EndoPropData,
     OperadAlgebra,
+    OperadError,
     TruncationExceeded,
     associative_operad,
     check_unit_identity,
@@ -36,6 +38,21 @@ def test_trivial_operad_valid():
 def test_associative_operad_valid():
     operad = associative_operad(3)
     assert operad.validate() == []
+
+
+def test_element_rejects_wrong_length_and_missing_component():
+    operad = associative_operad(3)
+    k2 = profile_key(operad.palette, ["x", "x"])
+    # O(2) = Q[Sigma_2] has dimension 2 in degree 0
+    assert operad.element("x", k2, 0, [1, 0]).coords == [F(1), F(0)]
+    for coords in ([1], [1, 0, 0], []):
+        with pytest.raises(OperadError):
+            operad.element("x", k2, 0, coords)
+    # no carrier in degree 1, and no component of color y
+    with pytest.raises(OperadError):
+        operad.element("x", k2, 1, [1, 0])
+    with pytest.raises(OperadError):
+        operad.element("y", k2, 0, [1, 0])
 
 
 def test_endo_operad_of_point_is_scalar():
@@ -65,6 +82,94 @@ def test_endo_operad_gamma_associative_random():
         )
         operad = endomorphism_operad(fam, 2)
         assert operad.validate() == []
+
+
+def _graded_family():
+    palette = Palette(["a", "b"])
+    return ColoredFamily(
+        palette, {"a": ChainComplex({0: 1, 1: 1}), "b": ChainComplex({0: 1})}
+    )
+
+
+def _random_coords(rng, dim, zero):
+    """Rational coordinates, about 40 % of them zero; all zero when asked,
+    otherwise at least one nonzero."""
+    coords = [F(0)] * dim
+    if zero or not dim:
+        return coords
+
+    def entry():
+        return F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+
+    for i in range(dim):
+        if rng.random() >= 0.4:
+            coords[i] = entry()
+    if not any(coords):
+        coords[rng.randrange(dim)] = entry()
+    return coords
+
+
+def test_compose_elements_matches_dense_reference():
+    """Composites on nonzeros equal the dense tensor-vector composition, for
+    random coordinates in every degree, all-zero factors, and input keys whose
+    gamma is not stored."""
+    rng = random.Random(7)
+    nonzero = absent = 0
+    for operad in (endomorphism_operad(_graded_family(), 2), associative_operad(3)):
+        support = operad.support()
+        for (d, in_key) in support:
+            colors = (d,) + tuple(in_key.rep.entries)
+            options = [[k for (c, k) in support if c == e] for e in in_key.rep.entries]
+            for b_keys in itertools.product(*options):
+                stored = (d, in_key, b_keys) in operad.gamma
+                absent += not stored
+                keys = (in_key,) + b_keys
+                carriers = [operad.component(c, k).carrier for c, k in zip(colors, keys)]
+                for degs in itertools.product(*[x.degrees() for x in carriers]):
+                    # trial 0 zeroes the first factor, trial 1 the last one
+                    for trial in range(5 if stored else 1):
+                        zero_at = {0: 0, 1: len(colors) - 1}.get(trial)
+                        els = [
+                            operad.element(c, k, deg, _random_coords(rng, x.dim(deg), i == zero_at))
+                            for i, (c, k, deg, x) in enumerate(zip(colors, keys, degs, carriers))
+                        ]
+                        got = compose_elements(els[0], els[1:])
+                        assert got == dense_compose_elements(els[0], els[1:])
+                        nonzero += any(got.coords)
+    assert absent > 0
+    assert nonzero >= 200
+
+
+def test_basis_elements_are_the_units_in_degree_major_order():
+    operad = endomorphism_operad(_graded_family(), 2)
+    for (d, in_key) in operad.support():
+        carrier = operad.component(d, in_key).carrier
+        slots = [(k, i) for k in carrier.degrees() for i in range(carrier.dim(k))]
+        units = [operad.unit(d, in_key, k, i) for k, i in slots]
+        assert [(el.degree, el.coords) for el in units] == [
+            (k, [F(int(j == i)) for j in range(carrier.dim(k))]) for k, i in slots
+        ]
+        assert operad.basis_elements(d, in_key) == units
+
+
+def test_endo_prop_component_is_built_once_per_key():
+    fam = _graded_family()
+    data = EndoPropData(fam)
+    seen = 0
+    for d in fam.palette.colors:
+        for n in (1, 2):
+            for combo in itertools.combinations_with_replacement(fam.palette.colors, n):
+                in_key = profile_key(fam.palette, combo)
+                comp = data.component(d, in_key)
+                assert data.component(d, in_key) is comp
+                fresh = EndoPropData(fam).component(d, in_key)
+                assert comp.carrier == fresh.carrier
+                assert comp.in_gens.keys() == fresh.in_gens.keys()
+                for s, m in comp.in_gens.items():
+                    assert m.mats == fresh.in_gens[s].mats
+                assert comp.bases == fresh.bases
+                seen += bool(comp.in_gens)
+    assert seen > 0
 
 
 def test_prop_from_operad_single_output_identity():
