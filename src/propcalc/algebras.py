@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from propcalc import linalg
-from propcalc.chains import ChainMap, LiftProblem, Unsolvable, boundary_of_map
+from propcalc.chains import Unsolvable, solve_constrained_lift
 from propcalc.endo import (
     ColoredFamily,
     EndoElement,
-    EndoError,
     FamilyMap,
     endo_horizontal,
     endo_permute,
@@ -161,46 +159,71 @@ def check_morphism(f: FamilyMap, structure_x: AlgebraStructure, structure_y: Alg
 # transfer
 
 
-def _require_entrywise(f: FamilyMap, flag: str):
-    bad = []
-    for color, flags in f.classify().items():
-        if not flags[flag]:
-            bad.append(color)
-    return bad
+def _require_entrywise(f: FamilyMap, flag: str, message: str):
+    bad = [color for color, flags in f.classify().items() if not flags[flag]]
+    if bad:
+        raise AlgebraError(message % (bad,))
 
 
-def _d_constraint_terms(unknown_src, unknown_tgt, degree, rhs_chain):
-    """Equations for D(phi) = rhs on a degree-`degree` unknown phi."""
-    sign = -ONE if degree % 2 else ONE
-    equations = []
-    for j in unknown_src.degrees():
-        rows = unknown_tgt.dim(j + degree - 1)
-        cols = unknown_src.dim(j)
-        if rows == 0 or cols == 0:
-            continue
-        terms = []
-        if unknown_tgt.dim(j + degree):
-            terms.append((ONE, unknown_tgt.d(j + degree), j, None))
-        if unknown_src.dim(j - 1):
-            terms.append((-sign, None, j - 1, unknown_src.d(j)))
-        equations.append((terms, rhs_chain.mat(j)))
-    return equations
+def _require_family(family: ColoredFamily, expected: ColoredFamily, message: str):
+    """Raise unless the families carry equal complexes at every color."""
+    if family.palette != expected.palette or any(
+        family.complexes[c] != expected.complexes[c] for c in expected.palette.colors
+    ):
+        raise AlgebraError(message)
 
 
-def _solve_generator(gen_name, src_space, tgt_space, degree, equations):
-    try:
-        prob = LiftProblem(src_space, tgt_space, degree)
-        for terms, rhs in equations:
-            prob.add_equation(terms, rhs)
-        return prob.solve()
-    except Unsolvable as exc:
-        raise TransferError(
-            gen_name,
-            "lift system inconsistent; re-examine the map classification "
-            "(acyclic fibration/cofibration entrywise) and the triangular "
-            "quasi-free differential",
-            certificate=exc.certificate,
-        )
+def _lift(presentation: PropPresentation, family: ColoredFamily, into=(), out_of=()):
+    """Solve for a structure on `family`, generator by generator in increasing degree.
+
+    Each generator g gets the D-constraint D(phi) = phi(dg), then one morphism
+    square per (f, structure) in `into`, phi o f_c = f_d o lambda(g) with phi on
+    f's target, then one per pair in `out_of`, f_d o phi = lambda(g) o f_c with
+    phi on f's source.
+    """
+    assignment = {}
+    for name in presentation.generators_by_degree():
+        gen = presentation.signature[name]
+        k = gen.degree
+        src = family.space(gen.in_profile).complex
+        tgt = family.space(gen.out_profile).complex
+        rhs_d = evaluate_combination(
+            presentation.delta(name),
+            assignment,
+            family,
+            EndoElement.zero(family, gen.out_profile, gen.in_profile, k - 1),
+        ).chain
+        sign = -ONE if k % 2 else ONE
+        equations = []
+        for j in src.degrees():
+            terms = []
+            if tgt.dim(j + k):
+                terms.append((ONE, tgt.d(j + k), j, None))
+            if src.dim(j - 1):
+                terms.append((-sign, None, j - 1, src.d(j)))
+            equations.append((terms, rhs_d.mat(j)))
+        for f, structure in into:
+            f_in = f.profile_map(gen.in_profile)
+            rhs = f.profile_map(gen.out_profile).compose(structure.assignment[name].chain)
+            for j in f_in.source.degrees():
+                equations.append(([(ONE, None, j, f_in.mat(j))], rhs.mat(j)))
+        for f, structure in out_of:
+            f_out = f.profile_map(gen.out_profile)
+            rhs = structure.assignment[name].chain.compose(f.profile_map(gen.in_profile))
+            for j in src.degrees():
+                equations.append(([(ONE, f_out.mat(j + k), j, None)], rhs.mat(j)))
+        try:
+            chain = solve_constrained_lift(src, tgt, k, equations)
+        except Unsolvable as exc:
+            raise TransferError(
+                name,
+                "lift system inconsistent; re-examine the map classification "
+                "(acyclic fibration/cofibration entrywise) and the triangular "
+                "quasi-free differential",
+                certificate=exc.certificate,
+            )
+        assignment[name] = EndoElement(family, gen.out_profile, gen.in_profile, chain)
+    return AlgebraStructure(presentation, family, assignment)
 
 
 def transfer(presentation: PropPresentation, f: FamilyMap, direction: str, source: AlgebraStructure):
@@ -225,85 +248,26 @@ def transfer(presentation: PropPresentation, f: FamilyMap, direction: str, sourc
             "checks reported, no guarantee applies"
         )
     if direction == "alongAcyclicFibration":
-        bad = _require_entrywise(f, "acyclicFibration")
-        if bad:
-            raise AlgebraError(
-                "map is not an entrywise acyclic fibration at colors %r" % (bad,)
-            )
-        if source.family is not f.target:
-            # allow structural equality
-            if any(
-                source.family.complexes[c].dims != f.target.complexes[c].dims
-                for c in f.target.palette.colors
-            ):
-                raise AlgebraError("source structure must live on the map target")
-        new_family = f.source
+        _require_entrywise(
+            f, "acyclicFibration", "map is not an entrywise acyclic fibration at colors %r"
+        )
+        _require_family(source.family, f.target, "source structure must live on the map target")
+        result = _lift(presentation, f.source, out_of=[(f, source)])
+        morphism_pair = (result, source)
     elif direction == "alongAcyclicCofibration":
-        bad = _require_entrywise(f, "acyclicCofibration")
-        if bad:
-            raise AlgebraError(
-                "map is not an entrywise acyclic cofibration at colors %r" % (bad,)
-            )
-        if source.family is not f.source:
-            if any(
-                source.family.complexes[c].dims != f.source.complexes[c].dims
-                for c in f.source.palette.colors
-            ):
-                raise AlgebraError("source structure must live on the map source")
-        new_family = f.target
+        _require_entrywise(
+            f, "acyclicCofibration", "map is not an entrywise acyclic cofibration at colors %r"
+        )
+        _require_family(source.family, f.source, "source structure must live on the map source")
+        result = _lift(presentation, f.target, into=[(f, source)])
+        morphism_pair = (source, result)
     else:
         raise AlgebraError(
             "direction must be 'alongAcyclicFibration' or 'alongAcyclicCofibration'"
         )
 
-    new_assignment = {}
-    for name in presentation.generators_by_degree():
-        gen = presentation.signature[name]
-        out_space = new_family.space(gen.out_profile).complex
-        in_space = new_family.space(gen.in_profile).complex
-        rhs_d = evaluate_combination(
-            presentation.delta(name),
-            new_assignment,
-            new_family,
-            EndoElement.zero(new_family, gen.out_profile, gen.in_profile, gen.degree - 1),
-        )
-        equations = _d_constraint_terms(in_space, out_space, gen.degree, rhs_d.chain)
-        given = source.assignment[name]
-        if direction == "alongAcyclicFibration":
-            # f_d o phi = lambda_Y(g) o f_c
-            f_out = f.profile_map(gen.out_profile)
-            f_in = f.profile_map(gen.in_profile)
-            rhs_m = given.chain.compose(f_in)
-            for j in in_space.degrees():
-                rows = f_out.target.dim(j + gen.degree)
-                cols = in_space.dim(j)
-                if rows == 0 or cols == 0:
-                    continue
-                equations.append(
-                    ([(ONE, f_out.mat(j + gen.degree), j, None)], rhs_m.mat(j))
-                )
-        else:
-            # phi o f_c = f_d o lambda_X(g)
-            f_out = f.profile_map(gen.out_profile)
-            f_in = f.profile_map(gen.in_profile)
-            rhs_m = f_out.compose(given.chain)
-            for j in f_in.source.degrees():
-                rows = out_space.dim(j + gen.degree)
-                cols = f_in.source.dim(j)
-                if rows == 0 or cols == 0:
-                    continue
-                equations.append(([(ONE, None, j, f_in.mat(j))], rhs_m.mat(j)))
-        chain = _solve_generator(name, in_space, out_space, gen.degree, equations)
-        new_assignment[name] = EndoElement(
-            new_family, gen.out_profile, gen.in_profile, chain
-        )
-
-    result = AlgebraStructure(presentation, new_family, new_assignment)
     algebra_report = check_algebra(result)
-    if direction == "alongAcyclicFibration":
-        ok, morphism_failures = check_morphism(f, result, source)
-    else:
-        ok, morphism_failures = check_morphism(f, source, result)
+    ok, morphism_failures = check_morphism(f, *morphism_pair)
     report["algebra_failures"] = algebra_report
     report["morphism_ok"] = ok
     report["morphism_failures"] = morphism_failures
@@ -336,59 +300,25 @@ def factor_algebra(
     failures = validate_presentation(presentation)
     if failures:
         raise AlgebraError("presentation invalid: %s" % "; ".join(failures))
-    bad = _require_entrywise(i, "acyclicCofibration")
-    if bad:
-        raise AlgebraError("i is not an entrywise acyclic cofibration at %r" % (bad,))
-    bad = _require_entrywise(p, "fibration")
-    if bad:
-        raise AlgebraError("p is not an entrywise fibration at %r" % (bad,))
+    _require_entrywise(i, "acyclicCofibration", "i is not an entrywise acyclic cofibration at %r")
+    _require_entrywise(p, "fibration", "p is not an entrywise fibration at %r")
+    _require_family(lambda_a.family, i.source, "structure A must live on the source of i")
+    _require_family(lambda_c.family, p.target, "structure C must live on the target of p")
+    for end in (i.target, p.source):
+        _require_family(b_family, end, "family B must be the target of i and the source of p")
     for c in g.source.palette.colors:
         if p.maps[c].compose(i.maps[c]) != g.maps[c]:
             raise AlgebraError("p o i differs from g at color %r" % (c,))
 
-    new_assignment = {}
-    report = {"notes": []}
-    for name in presentation.generators_by_degree():
-        gen = presentation.signature[name]
-        out_space = b_family.space(gen.out_profile).complex
-        in_space = b_family.space(gen.in_profile).complex
-        rhs_d = evaluate_combination(
-            presentation.delta(name),
-            new_assignment,
-            b_family,
-            EndoElement.zero(b_family, gen.out_profile, gen.in_profile, gen.degree - 1),
-        )
-        equations = _d_constraint_terms(in_space, out_space, gen.degree, rhs_d.chain)
-        i_out = i.profile_map(gen.out_profile)
-        i_in = i.profile_map(gen.in_profile)
-        p_out = p.profile_map(gen.out_profile)
-        p_in = p.profile_map(gen.in_profile)
-        # beta o i_c = i_d o lambda_A(g)
-        rhs1 = i_out.compose(lambda_a.assignment[name].chain)
-        for j in i_in.source.degrees():
-            rows = out_space.dim(j + gen.degree)
-            cols = i_in.source.dim(j)
-            if rows == 0 or cols == 0:
-                continue
-            equations.append(([(ONE, None, j, i_in.mat(j))], rhs1.mat(j)))
-        # p_d o beta = lambda_C(g) o p_c
-        rhs2 = lambda_c.assignment[name].chain.compose(p_in)
-        for j in in_space.degrees():
-            rows = p_out.target.dim(j + gen.degree)
-            cols = in_space.dim(j)
-            if rows == 0 or cols == 0:
-                continue
-            equations.append(([(ONE, p_out.mat(j + gen.degree), j, None)], rhs2.mat(j)))
-        chain = _solve_generator(name, in_space, out_space, gen.degree, equations)
-        new_assignment[name] = EndoElement(
-            b_family, gen.out_profile, gen.in_profile, chain
-        )
-    result = AlgebraStructure(presentation, b_family, new_assignment)
+    result = _lift(presentation, b_family, into=[(i, lambda_a)], out_of=[(p, lambda_c)])
     ok_i, fail_i = check_morphism(i, lambda_a, result)
     ok_p, fail_p = check_morphism(p, result, lambda_c)
-    report["algebra_failures"] = check_algebra(result)
-    report["i_morphism_ok"] = ok_i
-    report["p_morphism_ok"] = ok_p
+    report = {
+        "notes": [],
+        "algebra_failures": check_algebra(result),
+        "i_morphism_ok": ok_i,
+        "p_morphism_ok": ok_p,
+    }
     if not ok_i or not ok_p or any(r[0] == "differential" for r in report["algebra_failures"]):
         raise TransferError("<factorization>", "post-verification failed")
     return result, report

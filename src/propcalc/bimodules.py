@@ -37,12 +37,10 @@ from propcalc.profiles import (
     Palette,
     Permutation,
     Profile,
-    ProfileError,
     apply_permutation,
     canonicalize_profile,
     stabilizer_elements,
     stabilizer_generators,
-    stabilizer_order,
     word_in_block_transpositions,
 )
 

@@ -32,12 +32,11 @@ from propcalc.exprs import (
     parse,
     validate_presentation,
 )
-from propcalc.formats import FormatError, Workspace, dumps, to_json
+from propcalc.formats import FormatError, Workspace, dumps
 from propcalc.graphs import GraphError, ResourceCapExceeded, free_component_dim
 from propcalc.operads import (
     OperadError,
     algebra_round_trip,
-    check_unit_identity,
     prop_from_operad,
 )
 from propcalc.profiles import PaletteError, Profile, ProfileError

@@ -14,7 +14,6 @@ from fractions import Fraction
 from propcalc import linalg
 from propcalc.chains import (
     ChainComplex,
-    ChainError,
     ChainMap,
     TensorSpace,
     assemble_tensor_map,
@@ -160,21 +159,33 @@ def endo_component(family: ColoredFamily, out_profile, in_profile):
     for k in sorted(dims):
         if k == 0 or (k - 1) not in dims:
             continue
-        cols = []
-        index_lower = {trip: i for i, trip in enumerate(bases[k - 1])}
-        for (j, r, c) in bases[k]:
-            f = EndoElement.unit(family, out_profile, in_profile, k, j, r, c)
-            df = f.boundary().chain
-            col = [Fraction(0)] * dims[k - 1]
-            for j2 in df.mats:
-                m = df.mats[j2]
-                for r2 in range(len(m)):
-                    for c2 in range(len(m[0])):
-                        if m[r2][c2]:
-                            col[index_lower[(j2, r2, c2)]] = m[r2][c2]
-            cols.append(col)
+        read = hom_coordinates(bases[k - 1])
+        cols = [
+            read(EndoElement.unit(family, out_profile, in_profile, k, j, r, c).boundary().chain)
+            for (j, r, c) in bases[k]
+        ]
         boundary[k] = [[cols[j][i] for j in range(dims[k])] for i in range(dims[k - 1])]
     return ChainComplex(dims, boundary), bases
+
+
+def hom_coordinates(basis):
+    """The reader from a map's matrices to its coordinates in `basis`, a list
+    of (j, row, col) triples as endo_component returns them.
+
+    The index is built once here; each read walks the nonzero entries only.
+    """
+    index = {trip: i for i, trip in enumerate(basis)}
+    size = len(basis)
+
+    def read(chain: ChainMap):
+        coords = [linalg.ZERO] * size
+        for j, m in chain.mats.items():
+            for r, row in enumerate(m):
+                for c, x in linalg.nonzeros(row):
+                    coords[index[(j, r, c)]] = x
+        return coords
+
+    return read
 
 
 def endo_vertical(f: EndoElement, g: EndoElement) -> EndoElement:

@@ -24,7 +24,6 @@ import re
 from fractions import Fraction
 
 from propcalc.graphs import (
-    GraphError,
     PropGraph,
     Signature,
     canonical_graph,

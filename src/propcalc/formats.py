@@ -18,14 +18,7 @@ from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
 from propcalc.exprs import PropPresentation, parse
 from propcalc.graphs import Generator, PropGraph, Signature
 from propcalc.operads import ColoredOperad, merge_in_keys, profile_key
-from propcalc.profiles import (
-    OrbitKey,
-    Palette,
-    Permutation,
-    Profile,
-    canonicalize_profile,
-    stabilizer_generators,
-)
+from propcalc.profiles import Palette, Profile, canonicalize_profile
 
 
 class FormatError(ValueError):

@@ -23,7 +23,15 @@ from propcalc.bimodules import (
     sum_components,
 )
 from propcalc.chains import ChainComplex, ChainMap, TensorSpace
-from propcalc.endo import ColoredFamily, EndoElement, endo_horizontal, endo_permute, endo_vertical
+from propcalc.endo import (
+    ColoredFamily,
+    EndoElement,
+    endo_component,
+    endo_horizontal,
+    endo_permute,
+    endo_vertical,
+    hom_coordinates,
+)
 from propcalc.profiles import (
     OrbitKey,
     Palette,
@@ -97,10 +105,6 @@ class ColoredOperad:
         tgt = target.carrier if target else ChainComplex({})
         return ChainMap.zero(self.space(d, in_key, b_keys).complex, tgt)
 
-    def compose(self, d, in_key, b_keys, p_vec_chain):
-        """Apply gamma as stored; p_vec_chain is the tensor input ChainMap column."""
-        return self.gamma_map(d, in_key, b_keys).compose(p_vec_chain)
-
     # -- element-level operations -------------------------------------------
 
     def element(self, d, in_key, degree, coords):
@@ -131,7 +135,7 @@ class ColoredOperad:
             for i in range(comp.carrier.dim(k))
         ]
 
-    def validate(self, sample_cap=3):
+    def validate(self):
         """Equivariance and associativity of gamma on in-truncation instances.
 
         Exhaustive over the stored keys whose arity data stays within the
@@ -388,8 +392,6 @@ class EndoPropData:
         return self._components[key]
 
     def _build_component(self, d, in_key):
-        from propcalc.endo import endo_component
-
         out_profile = Profile(self.palette, [d])
         hom, bases = endo_component(self.family, out_profile, in_key.rep)
         if hom.is_zero():
@@ -399,11 +401,11 @@ class EndoPropData:
             mats = {}
             for k in hom.degrees():
                 basis = bases[k]
+                read = hom_coordinates(basis)
                 cols = []
                 for (j, r, c) in basis:
                     el = EndoElement.unit(self.family, out_profile, in_key.rep, k, j, r, c)
-                    moved = endo_permute(Permutation.identity(1), s, el)
-                    cols.append(_coords_of(moved, bases[k], k))
+                    cols.append(read(endo_permute(Permutation.identity(1), s, el).chain))
                 mats[k] = [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))]
             in_gens[s.images] = ChainMap(hom, hom, mats, check=False)
         return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases)
@@ -435,6 +437,7 @@ class EndoPropData:
             if rows == 0 or cols == 0:
                 continue
             big = linalg.zeros(rows, cols)
+            read = hom_coordinates(t_bases[n])
             for comp_tuple, idxs in space.basis(n):
                 col = space.flat_index(comp_tuple, idxs)
                 p_el = _element_from_basis(
@@ -459,27 +462,14 @@ class EndoPropData:
                 normalized = endo_permute(
                     Permutation.identity(1), transport, composite
                 )
-                coords = _coords_of(normalized, t_bases.get(n, []), n)
-                for r, val in enumerate(coords):
-                    if val != 0:
-                        big[r][col] = val
+                for r, val in linalg.nonzeros(read(normalized.chain)):
+                    big[r][col] = val
             mats[n] = big
         return ChainMap(space.complex, target.carrier, mats, check=False)
 
 
 def _element_from_basis(family, out_profile, in_profile, bases, k, flat_idx):
     return EndoElement.unit(family, out_profile, in_profile, k, *bases[k][flat_idx])
-
-
-def _coords_of(el: EndoElement, basis, k):
-    coords = [F(0)] * len(basis)
-    index = {trip: i for i, trip in enumerate(basis)}
-    for j, m in el.chain.mats.items():
-        for r in range(len(m)):
-            for c in range(len(m[0])):
-                if m[r][c] != 0:
-                    coords[index[(j, r, c)]] = m[r][c]
-    return coords
 
 
 def forget_to_operad(prop_data, max_arity: int) -> ColoredOperad:

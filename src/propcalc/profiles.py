@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 
 class PaletteError(ValueError):

@@ -273,6 +273,88 @@ def test_transfer_rejects_invalid_presentation():
         transfer(pres, FamilyMap.identity(fam), "alongAcyclicFibration", st)
 
 
+def structure_on_zero_differential_twin():
+    """The structure transferred to Q[0] + D, and the same matrices on a family
+    with the same dims but zero differential: equal shapes, other complexes."""
+    pres = homotopy_assoc_presentation()
+    palette = pres.signature.palette
+    st_x, _ = transfer(pres, projection_to_field(palette), "alongAcyclicFibration", ground_field_structure(pres))
+    twin = ColoredFamily(palette, {"c": ChainComplex(st_x.family.complexes["c"].dims)})
+    assignment = {
+        name: EndoElement.from_mats(twin, el.out_profile, el.in_profile, el.degree, el.chain.mats)
+        for name, el in st_x.assignment.items()
+    }
+    return pres, st_x, AlgebraStructure(pres, twin, assignment)
+
+
+@pytest.mark.parametrize(
+    "direction, message",
+    [
+        ("alongAcyclicFibration", "source structure must live on the map target"),
+        ("alongAcyclicCofibration", "source structure must live on the map source"),
+    ],
+)
+def test_transfer_rejects_structure_on_family_with_other_differential(direction, message):
+    # comparing dims only, the first two cases transferred without complaint
+    # and the third, whose disc sits on the other coordinate, was unsolvable
+    pres, st_x, st_twin = structure_on_zero_differential_twin()
+    swapped = ColoredFamily(
+        pres.signature.palette, {"c": ChainComplex({0: 2, 1: 1}, {1: [[1], [0]]})}
+    )
+    for map_family, source in ((st_x.family, st_twin), (st_twin.family, st_x), (swapped, st_x)):
+        with pytest.raises(AlgebraError) as exc:
+            transfer(pres, FamilyMap.identity(map_family), direction, source)
+        assert str(exc.value) == message
+
+
+def test_factor_algebra_rejects_wrong_families():
+    pres, st_x, st_twin = structure_on_zero_differential_twin()
+    ident = FamilyMap.identity(st_x.family)
+    b_family, i, p = mapping_path_factorization(ident)
+    out, _ = factor_algebra(ident, st_x, st_x, b_family, i, p)
+    assert check_algebra(out) == []
+    cases = [
+        ((ident, st_twin, st_x, b_family, i, p), "structure A must live on the source of i"),
+        ((ident, st_x, st_twin, b_family, i, p), "structure C must live on the target of p"),
+        ((ident, st_x, st_x, st_x.family, i, p), "family B must be the target of i and the source of p"),
+        # B is i's target but not p's source: the composite p o i used to
+        # raise "composition shape mismatch"
+        ((ident, st_x, st_x, b_family, i, ident), "family B must be the target of i and the source of p"),
+    ]
+    for args, message in cases:
+        with pytest.raises(AlgebraError) as exc:
+            factor_algebra(*args)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pinned_by", ["i", "p"])
+def test_factor_algebra_each_square_pins_the_disc(pinned_by):
+    # The unary generator u scales the disc of B = Q[0] + D by 2, and the
+    # D-constraint leaves u free on the disc.  With i: Q[0] -> B and p = id,
+    # only the square with p pins it; with i = id and p: B -> Q[0], only the
+    # square with i does.
+    palette = Palette(["c"])
+    c = Profile(palette, ["c"])
+    pres = PropPresentation(Signature(palette, [Generator("u", c, c, 0)]))
+    if pinned_by == "p":
+        i = inclusion_from_field(palette)
+        p = FamilyMap.identity(i.target)
+    else:
+        p = projection_to_field(palette)
+        i = FamilyMap.identity(p.source)
+    fam_b = i.target
+    scaled = EndoElement.from_mats(fam_b, c, c, 0, {0: [[1, 0], [0, 2]], 1: [[2]]})
+    st_b = AlgebraStructure(pres, fam_b, {"u": scaled})
+    assert check_algebra(st_b) == []
+    unit = lambda fam: AlgebraStructure(pres, fam, {"u": EndoElement.identity(fam, c)})
+    st_a = st_b if pinned_by == "i" else unit(i.source)
+    st_c = st_b if pinned_by == "p" else unit(p.target)
+    g = i if pinned_by == "p" else p
+    out, report = factor_algebra(g, st_a, st_c, fam_b, i, p)
+    assert report["i_morphism_ok"] and report["p_morphism_ok"]
+    assert out.assignment["u"] == scaled
+
+
 def test_factor_algebra_trivial_factorization():
     pres = homotopy_assoc_presentation()
     st = ground_field_structure(pres)
@@ -575,7 +657,8 @@ def test_factor_through_path_space_randomized():
 
 
 def invalid_structure_on_field_plus_disc():
-    """A structure whose mu3 compatibility fails: D(mu3) != associator."""
+    """A structure whose mu2 and mu3 compatibilities fail: mu2 is no chain
+    map and D(mu3) != associator."""
     pres = homotopy_assoc_presentation()
     st_y = ground_field_structure(pres)
     palette = pres.signature.palette
@@ -603,13 +686,13 @@ def invalid_structure_on_field_plus_disc():
 
 def test_transfer_unsolvable_on_invalid_source():
     # transferring an invalid structure along the identity forces the
-    # inconsistent system: phi(mu3) pinned by the morphism square cannot also
-    # satisfy D(phi) = the nonzero associator
+    # inconsistent system: phi(mu2) pinned by the morphism square cannot also
+    # satisfy D(phi) = 0, and the solver stops at mu2, before mu3
     pres, st_bad = invalid_structure_on_field_plus_disc()
     ident = FamilyMap.identity(st_bad.family)
     with pytest.raises(TransferError) as exc:
         transfer(pres, ident, "alongAcyclicFibration", st_bad)
-    assert exc.value.generator == "mu3" or exc.value.certificate is not None
+    assert exc.value.generator == "mu2" and exc.value.certificate is not None
 
 
 def test_interchange_evaluation_graded_kappa_randomized():

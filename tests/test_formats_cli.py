@@ -263,6 +263,21 @@ def test_cli_transfer_unsolvable_inputs_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_transfer_structure_on_other_family_exit_2(tmp_path):
+    # same dims as the map's target but another differential: an input error,
+    # not an unsolvable system
+    from test_algebras import structure_on_zero_differential_twin
+
+    pres, st_x, st_twin = structure_on_zero_differential_twin()
+    ident = FamilyMap.identity(st_x.family)
+    pres_p = write(tmp_path, "pres.json", pres)
+    st_p = write(tmp_path, "twin.json", st_twin)
+    f_p = write(tmp_path, "ident.json", ident)
+    code, out = run_cli(["transfer", pres_p, f_p, "alongAcyclicFibration", st_p])
+    assert code == 2
+    assert out == "error: source structure must live on the map target\n"
+
+
 def test_cli_operad_to_prop_and_round_trip(tmp_path):
     operad = associative_operad(3)
     op_p = write(tmp_path, "ass.json", operad)
