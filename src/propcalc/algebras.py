@@ -173,6 +173,20 @@ def _require_family(family: ColoredFamily, expected: ColoredFamily, message: str
         raise AlgebraError(message)
 
 
+def _require_presentation(structure: AlgebraStructure, presentation: PropPresentation, message: str):
+    """Raise unless the structure was made for the presentation's generators:
+    the same names, profiles and degrees."""
+
+    def shapes(pres):
+        return {
+            name: (gen.out_profile, gen.in_profile, gen.degree)
+            for name, gen in pres.signature.generators.items()
+        }
+
+    if shapes(structure.presentation) != shapes(presentation):
+        raise AlgebraError(message)
+
+
 def _lift(presentation: PropPresentation, family: ColoredFamily, into=(), out_of=()):
     """Solve for a structure on `family`, generator by generator in increasing degree.
 
@@ -247,6 +261,7 @@ def transfer(presentation: PropPresentation, f: FamilyMap, direction: str, sourc
             "presentation has strict relations: transfer attempted, relation "
             "checks reported, no guarantee applies"
         )
+    _require_presentation(source, presentation, "source structure is for another presentation")
     if direction == "alongAcyclicFibration":
         _require_entrywise(
             f, "acyclicFibration", "map is not an entrywise acyclic fibration at colors %r"
@@ -300,12 +315,15 @@ def factor_algebra(
     failures = validate_presentation(presentation)
     if failures:
         raise AlgebraError("presentation invalid: %s" % "; ".join(failures))
+    _require_presentation(lambda_c, presentation, "structures A and C must share one presentation")
     _require_entrywise(i, "acyclicCofibration", "i is not an entrywise acyclic cofibration at %r")
     _require_entrywise(p, "fibration", "p is not an entrywise fibration at %r")
     _require_family(lambda_a.family, i.source, "structure A must live on the source of i")
     _require_family(lambda_c.family, p.target, "structure C must live on the target of p")
     for end in (i.target, p.source):
         _require_family(b_family, end, "family B must be the target of i and the source of p")
+    _require_family(lambda_a.family, g.source, "structure A must live on the source of g")
+    _require_family(lambda_c.family, g.target, "structure C must live on the target of g")
     for c in g.source.palette.colors:
         if p.maps[c].compose(i.maps[c]) != g.maps[c]:
             raise AlgebraError("p o i differs from g at color %r" % (c,))

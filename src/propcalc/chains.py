@@ -421,6 +421,8 @@ class TensorSpace:
             return ChainComplex(dims)
         # per factor and degree: the nonzero (row, entry) pairs of each boundary column
         columns = [{v: _columns(d) for v, d in f.boundary.items()} for f in self.factors]
+        if not any(columns):
+            return ChainComplex(dims)
         bnd = {}
         for n in range(1, top + 1):
             if not dims.get(n) or not dims.get(n - 1):

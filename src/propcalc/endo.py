@@ -38,9 +38,6 @@ class ColoredFamily:
                 raise EndoError("family misses color %r" % (c,))
         self._spaces = {}
 
-    def complex_at(self, color) -> ChainComplex:
-        return self.complexes[color]
-
     def space(self, profile: Profile) -> TensorSpace:
         key = profile.entries
         if key not in self._spaces:

@@ -383,9 +383,6 @@ class PropPresentation:
         """Generator names sorted by (degree, name); the transfer solve order."""
         return sorted(self.signature.generators, key=lambda n: (self.signature[n].degree, n))
 
-    def is_free(self):
-        return not any(self.differential.values()) and not self.relations
-
 
 def differentiate_expression(e: Expression, presentation: PropPresentation):
     """Leibniz expansion: substitute the presentation differential one occurrence at a time.

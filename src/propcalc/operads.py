@@ -30,7 +30,6 @@ from propcalc.endo import (
     endo_horizontal,
     endo_permute,
     endo_vertical,
-    hom_coordinates,
 )
 from propcalc.profiles import (
     OrbitKey,
@@ -366,17 +365,37 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
 
 class EndoHomComponent(BimoduleComponent):
     """Hom(X_rep, X_d) as a component; bases[k] lists the (j, row, col)
-    coordinates of degree k, as endo_component returns them."""
+    coordinates of degree k, as endo_component returns them, and index[k]
+    maps each triple back to its position in bases[k]."""
 
-    __slots__ = ("bases",)
+    __slots__ = ("bases", "index")
 
-    def __init__(self, out_key, in_key, carrier, in_gens, bases):
+    def __init__(self, out_key, in_key, carrier, in_gens, bases, index):
         super().__init__(out_key, in_key, carrier, {}, in_gens)
         self.bases = bases
+        self.index = index
+
+
+def _shuffle(space: TensorSpace, comp, idxs, perm: Permutation):
+    """The basis vector of `space` that the Koszul shuffle moving factor slot i
+    to slot perm(i) (as factor_permutation_map does) sends onto +-(comp, idxs):
+    its flat index and the sign, -1 per inverted pair of odd-degree factors."""
+    images = perm.images
+    comp = [comp[t - 1] for t in images]
+    idxs = [idxs[t - 1] for t in images]
+    odd = [t for t, v in zip(images, comp) if v % 2]
+    inversions = sum(1 for a, s in enumerate(odd) for t in odd[a + 1 :] if s > t)
+    return space.flat_index(comp, idxs), -linalg.ONE if inversions % 2 else linalg.ONE
 
 
 class EndoPropData:
-    """Endomorphism PROP over a colored family, exposed for the operad functor."""
+    """Endomorphism PROP over a colored family, exposed for the operad functor.
+
+    A matrix unit composed with tensors and Koszul-signed shuffles of matrix
+    units is zero or plus or minus one matrix unit, so the stabilizer actions
+    and rho are signed matchings of basis triples, computed here by index
+    arithmetic on the (j, row, col) triples.
+    """
 
     def __init__(self, family: ColoredFamily):
         self.family = family
@@ -392,27 +411,38 @@ class EndoPropData:
         return self._components[key]
 
     def _build_component(self, d, in_key):
-        out_profile = Profile(self.palette, [d])
-        hom, bases = endo_component(self.family, out_profile, in_key.rep)
+        hom, bases = endo_component(self.family, Profile(self.palette, [d]), in_key.rep)
         if hom.is_zero():
             return None
+        index = {k: {t: i for i, t in enumerate(basis)} for k, basis in bases.items()}
+        # the unit at (j, r, c) composed with the shuffle by s is +-(j, r, c'),
+        # with c' the source column that s moves onto c
+        space = self.family.space(in_key.rep)
+        sources = {j: space.basis(j) for j in space.complex.degrees()}
         in_gens = {}
         for s in stabilizer_generators(in_key):
+            moved = {j: [_shuffle(space, cp, ix, s) for cp, ix in vecs] for j, vecs in sources.items()}
             mats = {}
-            for k in hom.degrees():
-                basis = bases[k]
-                read = hom_coordinates(basis)
-                cols = []
-                for (j, r, c) in basis:
-                    el = EndoElement.unit(self.family, out_profile, in_key.rep, k, j, r, c)
-                    cols.append(read(endo_permute(Permutation.identity(1), s, el).chain))
-                mats[k] = [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))]
+            for k, basis in bases.items():
+                m = linalg.zeros(len(basis), len(basis))
+                for col, (j, r, c) in enumerate(basis):
+                    c2, sign = moved[j][c]
+                    m[index[k][(j, r, c2)]][col] = sign
+                mats[k] = m
             in_gens[s.images] = ChainMap(hom, hom, mats, check=False)
-        return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases)
+        return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases, index)
 
     def rho(self, d, in_key, b_keys):
-        """The operad structure map on basis elements, as one exact matrix."""
-        out_profile = Profile(self.palette, [d])
+        """The operad structure map on basis elements, as one exact matrix.
+
+        The column of p (x) q_1 (x) ... (x) q_n, on units (j_i, r_i, c_i) of
+        degree k_i, is zero unless p reads at its source column c_p the output
+        (j_1 + k_1, ..., j_n + k_n; r_1, ..., r_n) of the q_i.  Then it is the
+        unit at (j_1 + ... + j_n, r_p, c') of the merged component, where c'
+        is the source of the q_i concatenated and moved by the transport onto
+        the merged representative, with the Koszul signs of the horizontal fold
+        and of that shuffle.
+        """
         p_comp = self.component(d, in_key)
         q_comps = [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
         if p_comp is None or any(q is None for q in q_comps):
@@ -425,46 +455,52 @@ class EndoPropData:
         concat_entries = []
         for bk in b_keys:
             concat_entries.extend(bk.rep.entries)
-        concat_profile = Profile(self.palette, concat_entries)
-        _, transport = canonicalize_profile(concat_profile)
+        _, transport = canonicalize_profile(Profile(self.palette, concat_entries))
         mats = {}
-        p_bases = p_comp.bases
-        q_bases = [q.bases for q in q_comps]
-        t_bases = target.bases
         for n in space.complex.degrees():
             rows = target.carrier.dim(n)
             cols = space.dim(n)
-            if rows == 0 or cols == 0:
-                continue
-            big = linalg.zeros(rows, cols)
-            read = hom_coordinates(t_bases[n])
-            for comp_tuple, idxs in space.basis(n):
-                col = space.flat_index(comp_tuple, idxs)
-                p_el = _element_from_basis(
-                    self.family, out_profile, in_key.rep, p_bases, comp_tuple[0], idxs[0]
-                )
-                q_els = []
-                for qi, (qc, bk) in enumerate(zip(in_key.rep.entries, b_keys)):
-                    q_els.append(
-                        _element_from_basis(
-                            self.family,
-                            Profile(self.palette, [qc]),
-                            bk.rep,
-                            q_bases[qi],
-                            comp_tuple[qi + 1],
-                            idxs[qi + 1],
-                        )
-                    )
-                h = q_els[0]
-                for q in q_els[1:]:
-                    h = endo_horizontal(h, q)
-                composite = endo_vertical(p_el, h)
-                normalized = endo_permute(
-                    Permutation.identity(1), transport, composite
-                )
-                for r, val in linalg.nonzeros(read(normalized.chain)):
-                    big[r][col] = val
-            mats[n] = big
+            if rows and cols:
+                mats[n] = linalg.zeros(rows, cols)
+        fam = self.family
+        out_dim = fam.complexes[d].dim
+        middle = fam.space(in_key.rep)
+        merged_space = fam.space(merged.rep)
+        # per q_i: (degree, position, source degree, row, source composition, source indices)
+        units = []
+        for q, bk in zip(q_comps, b_keys):
+            src = fam.space(bk.rep)
+            sources = {j: src.basis(j) for j in src.complex.degrees()}
+            units.append(
+                [(k, pos, j, r) + sources[j][c] for k, basis in q.bases.items() for pos, (j, r, c) in enumerate(basis)]
+            )
+        for combo in itertools.product(*units):
+            sign = 1
+            src_deg = q_deg = 0
+            q_comp, q_pos, mid_comp, mid_idx = [], [], [], []
+            src_comp, src_idx = (), ()
+            for k, pos, j, r, comp, idxs in combo:
+                # endo_horizontal's left fold: (-1)^(k_i (j_1 + ... + j_{i-1}))
+                if k % 2 and src_deg % 2:
+                    sign = -sign
+                src_deg += j
+                q_deg += k
+                q_comp.append(k)
+                q_pos.append(pos)
+                mid_comp.append(j + k)
+                mid_idx.append(r)
+                src_comp += comp
+                src_idx += idxs
+            c_p = middle.flat_index(mid_comp, mid_idx)
+            j_p = sum(mid_comp)
+            c_t, shuffle_sign = _shuffle(merged_space, src_comp, src_idx, transport)
+            value = shuffle_sign if sign > 0 else -shuffle_sign
+            q_comp, q_pos = tuple(q_comp), tuple(q_pos)
+            for k_p, p_index in p_comp.index.items():
+                n = k_p + q_deg
+                for r_p in range(out_dim(j_p + k_p)):
+                    col = space.flat_index((k_p,) + q_comp, (p_index[(j_p, r_p, c_p)],) + q_pos)
+                    mats[n][target.index[n][(src_deg, r_p, c_t)]][col] = value
         return ChainMap(space.complex, target.carrier, mats, check=False)
 
 

@@ -15,7 +15,13 @@ from propcalc.exprs import (
     VCompExpr,
 )
 from propcalc.operads import OperadElement
-from propcalc.profiles import Palette, Permutation, Profile
+from propcalc.profiles import (
+    Palette,
+    Permutation,
+    Profile,
+    canonicalize_profile,
+    stabilizer_generators,
+)
 
 F = Fraction
 
@@ -107,7 +113,15 @@ def interchange_quadruple(sig, rng, depth=1):
 # -- associative-up-to-homotopy setup (one color) -----------------------------
 
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex, direct_sum, disc_complex
-from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
+from propcalc.endo import (
+    ColoredFamily,
+    EndoElement,
+    FamilyMap,
+    endo_horizontal,
+    endo_permute,
+    endo_vertical,
+    hom_coordinates,
+)
 from propcalc.exprs import PropPresentation, parse
 
 
@@ -381,3 +395,72 @@ def dense_compose_elements(p, q_els):
     else:
         out = [sum((x * v for x, v in zip(row, vec)), F(0)) for row in mat]
     return OperadElement(operad, p.d, merged, total_deg, out)
+
+
+# -- per-tuple reference for the endomorphism PROP -----------------------------
+
+
+def unit_element(family, d, in_key, bases, k, flat):
+    return EndoElement.unit(family, Profile(family.palette, [d]), in_key.rep, k, *bases[k][flat])
+
+
+def reference_in_gens(data, d, in_key):
+    """The stabilizer actions of EndoPropData.component(d, in_key) as propcalc
+    built them before it matched basis triples: each unit is permuted with
+    endo_permute and read back in coordinates."""
+    comp = data.component(d, in_key)
+    in_gens = {}
+    for s in stabilizer_generators(in_key):
+        mats = {}
+        for k in comp.carrier.degrees():
+            basis = comp.bases[k]
+            read = hom_coordinates(basis)
+            cols = [
+                read(endo_permute(Permutation.identity(1), s, unit_element(data.family, d, in_key, comp.bases, k, i)).chain)
+                for i in range(len(basis))
+            ]
+            mats[k] = [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))]
+        in_gens[s.images] = ChainMap(comp.carrier, comp.carrier, mats, check=False)
+    return in_gens
+
+
+def reference_rho(data, d, in_key, b_keys):
+    """EndoPropData.rho as propcalc built it before it matched basis triples:
+    every tensor basis tuple composed as EndoElements with endo_horizontal,
+    endo_vertical and endo_permute, and read back in coordinates."""
+    fam = data.family
+    p_comp = data.component(d, in_key)
+    q_comps = [data.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
+    if p_comp is None or any(q is None for q in q_comps):
+        return None
+    merged = merge_keys(fam.palette, b_keys)
+    target = data.component(d, merged)
+    if target is None:
+        return None
+    space = TensorSpace([p_comp.carrier] + [q.carrier for q in q_comps])
+    concat_entries = [c for bk in b_keys for c in bk.rep.entries]
+    _, transport = canonicalize_profile(Profile(fam.palette, concat_entries))
+    mats = {}
+    for n in space.complex.degrees():
+        rows = target.carrier.dim(n)
+        cols = space.dim(n)
+        if rows == 0 or cols == 0:
+            continue
+        big = [[F(0)] * cols for _ in range(rows)]
+        read = hom_coordinates(target.bases[n])
+        for comp_tuple, idxs in space.basis(n):
+            col = space.flat_index(comp_tuple, idxs)
+            p_el = unit_element(fam, d, in_key, p_comp.bases, comp_tuple[0], idxs[0])
+            q_els = [
+                unit_element(fam, qc, bk, q.bases, comp_tuple[i + 1], idxs[i + 1])
+                for i, (qc, bk, q) in enumerate(zip(in_key.rep.entries, b_keys, q_comps))
+            ]
+            h = q_els[0]
+            for q in q_els[1:]:
+                h = endo_horizontal(h, q)
+            normalized = endo_permute(Permutation.identity(1), transport, endo_vertical(p_el, h))
+            for r, val in enumerate(read(normalized.chain)):
+                if val:
+                    big[r][col] = val
+        mats[n] = big
+    return ChainMap(space.complex, target.carrier, mats, check=False)

@@ -327,6 +327,54 @@ def test_factor_algebra_rejects_wrong_families():
         assert str(exc.value) == message
 
 
+def mu2_only_structure(palette):
+    """The multiplication of Q[0], as a structure for the presentation with
+    mu2 alone."""
+    c = lambda *xs: Profile(palette, xs)
+    pres = PropPresentation(Signature(palette, [Generator("mu2", c("c"), c("c", "c"), 0)]))
+    fam = ColoredFamily(palette, {"c": base_field_complex()})
+    mu2 = EndoElement.from_mats(fam, c("c"), c("c", "c"), 0, {0: [[1]]})
+    return AlgebraStructure(pres, fam, {"mu2": mu2})
+
+
+@pytest.mark.parametrize(
+    "direction, make_map",
+    [("alongAcyclicFibration", projection_to_field), ("alongAcyclicCofibration", inclusion_from_field)],
+)
+def test_transfer_rejects_structure_for_another_presentation(direction, make_map):
+    # a structure without iota given with the A-infinity presentation ended in
+    # KeyError: 'iota'; the other way round in a misleading morphism error
+    ainf = homotopy_assoc_presentation()
+    palette = ainf.signature.palette
+    mu2_only = mu2_only_structure(palette)
+    cases = [(ainf, mu2_only), (mu2_only.presentation, ground_field_structure(ainf))]
+    for pres, structure in cases:
+        with pytest.raises(AlgebraError) as exc:
+            transfer(pres, make_map(palette), direction, structure)
+        assert str(exc.value) == "source structure is for another presentation"
+
+
+def test_factor_algebra_rejects_wrong_presentation_and_ends_of_g():
+    pres = homotopy_assoc_presentation()
+    palette = pres.signature.palette
+    st = ground_field_structure(pres)
+    mu2_only = mu2_only_structure(palette)
+    ident = FamilyMap.identity(st.family)
+    b_family, i, p = mapping_path_factorization(ident)
+    cases = [
+        # C without iota ended in KeyError: 'iota'
+        ((ident, st, mu2_only, b_family, i, p), "structures A and C must share one presentation"),
+        ((ident, mu2_only, st, b_family, i, p), "structures A and C must share one presentation"),
+        # g = Q[0] + D --> Q[0] and Q[0] --> Q[0] + D: one end of g is off
+        ((projection_to_field(palette), st, st, b_family, i, p), "structure A must live on the source of g"),
+        ((inclusion_from_field(palette), st, st, b_family, i, p), "structure C must live on the target of g"),
+    ]
+    for args, message in cases:
+        with pytest.raises(AlgebraError) as exc:
+            factor_algebra(*args)
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("pinned_by", ["i", "p"])
 def test_factor_algebra_each_square_pins_the_disc(pinned_by):
     # The unary generator u scales the disc of B = Q[0] + D by 2, and the

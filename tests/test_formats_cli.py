@@ -278,6 +278,31 @@ def test_cli_transfer_structure_on_other_family_exit_2(tmp_path):
     assert out == "error: source structure must live on the map target\n"
 
 
+@pytest.mark.parametrize("command", ["transfer", "factor"])
+def test_cli_structure_for_another_presentation_exit_2(tmp_path, command):
+    # a structure with mu2 alone, given with the A-infinity presentation (or
+    # with an A-infinity structure A), ended in a KeyError: 'iota' traceback
+    from test_algebras import mapping_path_factorization, mu2_only_structure
+
+    pres = homotopy_assoc_presentation()
+    st = ground_field_structure(pres)
+    mu2_only = mu2_only_structure(pres.signature.palette)
+    ident = FamilyMap.identity(st.family)
+    if command == "transfer":
+        argv = [write(tmp_path, "pres.json", pres), write(tmp_path, "ident.json", ident),
+                "alongAcyclicFibration", write(tmp_path, "mu2.json", mu2_only)]
+        message = "source structure is for another presentation"
+    else:
+        b_family, i, p = mapping_path_factorization(ident)
+        argv = [write(tmp_path, "g.json", ident), write(tmp_path, "a.json", st),
+                write(tmp_path, "c.json", mu2_only), write(tmp_path, "i.json", i),
+                write(tmp_path, "p.json", p), write(tmp_path, "b.json", b_family)]
+        message = "structures A and C must share one presentation"
+    code, out = run_cli([command] + argv)
+    assert code == 2
+    assert out == "error: %s\n" % message
+
+
 def test_cli_operad_to_prop_and_round_trip(tmp_path):
     operad = associative_operad(3)
     op_p = write(tmp_path, "ass.json", operad)

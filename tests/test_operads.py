@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_compose_elements
+from helpers import dense_compose_elements, reference_in_gens, reference_rho
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement
@@ -170,6 +170,65 @@ def test_endo_prop_component_is_built_once_per_key():
                 assert comp.bases == fresh.bases
                 seen += bool(comp.in_gens)
     assert seen > 0
+
+
+def _negatives(chain_map):
+    return sum(1 for m in chain_map.mats.values() for row in m for x in row if x < 0)
+
+
+@pytest.mark.parametrize(
+    "dims, arity, negatives",
+    [
+        # the families of the operads benchmark, all in degree 0
+        ({"a": {0: 1}, "b": {0: 1}}, 2, (0, 0)),
+        ({"a": {0: 1}, "b": {0: 2}}, 2, (0, 0)),
+        ({"a": {0: 2}, "b": {0: 1}}, 2, (0, 0)),
+        # two odd factors sit in source degree 2, and the hom complex is
+        # truncated to degrees >= 0: an odd pair swaps only where a color
+        # has a class of degree >= 2
+        ({"a": {0: 1, 1: 1}, "b": {0: 2, 1: 1}}, 2, (0, 0)),
+        ({"a": {0: 1, 1: 1, 2: 1}}, 2, (1, 1)),
+        ({"a": {0: 1, 1: 1, 2: 1}}, 3, (7, 3)),
+    ],
+    ids=["e11", "e12", "e21", "a11-b21", "a111-arity2", "a111-arity3"],
+)
+def test_endo_prop_matchings_equal_the_per_tuple_reference(dims, arity, negatives):
+    """rho on every gamma key and every stabilizer action equal, entry for
+    entry, the units composed through EndoElements; the Koszul signs give the
+    stated number of -1 entries (in gamma, in the actions)."""
+    palette = Palette(sorted(dims))
+    fam = ColoredFamily(palette, {c: ChainComplex(dims[c]) for c in palette.colors})
+    data, reference = EndoPropData(fam), EndoPropData(fam)
+    keys = [
+        profile_key(palette, combo)
+        for n in range(1, arity + 1)
+        for combo in itertools.combinations_with_replacement(palette.colors, n)
+    ]
+    found = [0, 0]
+    compared = 0
+    for d in palette.colors:
+        for in_key in keys:
+            comp = data.component(d, in_key)
+            if comp is None:
+                continue
+            want = reference_in_gens(reference, d, in_key)
+            assert comp.in_gens.keys() == want.keys()
+            for s, m in comp.in_gens.items():
+                assert m.mats == want[s].mats
+                found[1] += _negatives(m)
+            for b_keys in itertools.product(keys, repeat=in_key.length):
+                if sum(k.length for k in b_keys) > arity:
+                    continue
+                got = data.rho(d, in_key, b_keys)
+                want = reference_rho(reference, d, in_key, b_keys)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.source == want.source and got.target == want.target
+                    assert got.mats == want.mats
+                    found[0] += _negatives(got)
+                    compared += 1
+    assert compared > 0
+    assert tuple(found) == negatives
 
 
 def test_prop_from_operad_single_output_identity():
