@@ -138,9 +138,8 @@ def _place(m, r0: int, c0: int, block):
     """Write the nonzero entries of block into m with its corner at (r0, c0)."""
     for i, block_row in enumerate(block):
         row = m[r0 + i]
-        for j, x in enumerate(block_row):
-            if x != 0:
-                row[c0 + j] = x
+        for j, x in linalg.nonzeros(block_row):
+            row[c0 + j] = x
 
 
 def direct_sum(*complexes) -> ChainComplex:

@@ -8,7 +8,6 @@ output is deterministic: canonical JSON (sorted keys) or stable text lines.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from propcalc import formats
@@ -366,9 +365,7 @@ def _dispatch(args, ws):
     if cmd == "round-trip":
         operad = ws.resolve_as(args.operad, "operad")
         family = ws.resolve_as(args.family, "family")
-        with open(_resolve_path(ws, args.algebra)) as handle:
-            algebra_data = json.load(handle)
-        alg = formats.operad_algebra_from_json(algebra_data, operad)
+        alg = formats.operad_algebra_from_json(ws.read_json(args.algebra), operad)
         if alg.family.palette != family.palette or any(
             alg.family.complexes[c].dims != family.complexes[c].dims
             for c in family.palette.colors
@@ -385,18 +382,6 @@ def _dispatch(args, ws):
         return 0 if ok else 1
 
     raise FormatError("unknown command %r" % cmd)
-
-
-def _resolve_path(ws, name):
-    import os
-
-    if os.path.exists(name):
-        return name
-    if ws.directory:
-        for cand in (os.path.join(ws.directory, name), os.path.join(ws.directory, name + ".json")):
-            if os.path.exists(cand):
-                return cand
-    raise FormatError("no such file: %r" % name)
 
 
 def _relabel(g, order):

@@ -9,7 +9,9 @@ file is byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from propcalc.algebras import AlgebraStructure
 from propcalc.bimodules import BimoduleComponent, ColoredBimodule
@@ -17,6 +19,7 @@ from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
 from propcalc.exprs import PropPresentation, parse
 from propcalc.graphs import Generator, PropGraph, Signature
+from propcalc.linalg import ZERO
 from propcalc.operads import ColoredOperad, merge_in_keys, profile_key
 from propcalc.profiles import Palette, Profile, canonicalize_profile
 
@@ -26,27 +29,84 @@ class FormatError(ValueError):
 
 
 def rational_str(x) -> str:
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+# "p/q" in ASCII digits with no leading zero in q: int() reads both parts as
+# Fraction(str) would; every other string takes the Fraction(str) path
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
 
 
 def parse_rational(s) -> Fraction:
     try:
+        m = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
+        if m:
+            return Fraction(int(m[1]), int(m[2]))
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError("bad rational %r: %s" % (s, exc))
 
 
+# Most entries of the sparse matrices propcalc writes are the shared ZERO;
+# matrix_to_json and matrix_from_json pass it without a Fraction operation.
 def matrix_to_json(m):
-    return [[rational_str(x) for x in row] for row in m]
+    return [["0/1" if x is ZERO else rational_str(x) for x in row] for row in m]
 
 
 def matrix_from_json(rows):
-    return [[parse_rational(x) for x in row] for row in rows]
+    return [[ZERO if x == "0/1" else parse_rational(x) for x in row] for row in rows]
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
+    out = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, out, newline):
+    """Append the canonical JSON of obj to out; newline starts obj's own lines.
+
+    The isinstance tests run in json's order (bool before int, a tuple is a
+    list).  Anything else, empty containers and dicts with a non-str key
+    included, goes to json itself, indented to its depth: a JSON string
+    never holds a raw newline.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        sep = "," + inner
+        if set(map(type, obj)) == {str}:
+            # a row of a rational matrix
+            out.append("[" + inner + sep.join(map(encode_basestring_ascii, obj)) + newline + "]")
+            return
+        out.append("[")
+        for i, x in enumerate(obj):
+            out.append(sep if i else inner)
+            _emit(x, out, inner)
+        out.append(newline + "]")
+    elif isinstance(obj, dict) and set(map(type, obj)) == {str}:
+        inner = newline + "  "
+        sep = "," + inner
+        out.append("{")
+        for i, k in enumerate(sorted(obj)):
+            out.append((sep if i else inner) + encode_basestring_ascii(k) + ": ")
+            _emit(obj[k], out, inner)
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 # -- per-kind encoders ---------------------------------------------------------
@@ -601,14 +661,15 @@ class Workspace:
     """Named bindings loaded from a directory of JSON files.
 
     References resolve by name (without the .json suffix); every load is
-    validated.  Files are read lazily and cached.
+    validated.  Files are read lazily, and each name is loaded once.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self._cache = {}
 
-    def resolve(self, name_or_path):
+    def read_json(self, name_or_path):
+        """The decoded JSON of a file, named by path or by workspace name."""
         import os
 
         if os.path.exists(name_or_path):
@@ -623,19 +684,23 @@ class Workspace:
                 raise FormatError("cannot resolve %r in workspace" % name_or_path)
         else:
             raise FormatError("no such file: %r" % name_or_path)
-        if path in self._cache:
-            return self._cache[path]
         try:
-            with open(path) as handle:
-                data = json.load(handle)
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)
         except json.JSONDecodeError as exc:
             raise FormatError(
                 "%s: JSON parse error at line %d column %d: %s"
                 % (path, exc.lineno, exc.colno, exc.msg)
             )
-        obj = load_json(data)
-        self._cache[path] = obj
-        return obj
+        except UnicodeDecodeError as exc:
+            raise FormatError("%s: not UTF-8 text: %s" % (path, exc.reason))
+        except OSError as exc:
+            raise FormatError("%s: cannot read: %s" % (path, exc.strerror or exc))
+
+    def resolve(self, name_or_path):
+        if name_or_path not in self._cache:
+            self._cache[name_or_path] = load_json(self.read_json(name_or_path))
+        return self._cache[name_or_path]
 
     def resolve_as(self, name_or_path, kind):
         """resolve, checking that the file holds an object of the given kind."""

@@ -1,0 +1,228 @@
+"""Write the golden CLI corpus.
+
+    PYTHONPATH=src python3 tests/golden/record.py
+
+rewrites `tests/golden/inputs/` and `tests/golden/cases.json` from the code
+on the path: small input files for every CLI command, then the exit code and
+stdout of each case in both `--report text` and `--report json`.  Every case
+runs with the inputs directory as the working directory, so that paths in
+error messages are relative.  `tests/test_golden.py` replays the corpus.
+Re-record only for an intended change of output, and say so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import shutil
+import sys
+from contextlib import redirect_stdout
+from fractions import Fraction as F
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+INPUTS = os.path.join(HERE, "inputs")
+CASES = os.path.join(HERE, "cases.json")
+sys.path.insert(0, os.path.dirname(HERE))
+
+from helpers import (  # noqa: E402
+    ground_field_structure,
+    homotopy_assoc_presentation,
+    inclusion_from_field,
+    projection_to_field,
+)
+from propcalc import formats  # noqa: E402
+from propcalc.bimodules import ColoredBimodule  # noqa: E402
+from propcalc.chains import ChainComplex, ChainMap, base_field_complex  # noqa: E402
+from propcalc.cli import run  # noqa: E402
+from propcalc.endo import FamilyMap  # noqa: E402
+from propcalc.exprs import PropPresentation, parse  # noqa: E402
+from propcalc.formats import dumps, to_json  # noqa: E402
+from propcalc.graphs import Generator, Signature  # noqa: E402
+from propcalc.operads import associative_operad, trivial_operad  # noqa: E402
+from propcalc.profiles import Palette, Profile  # noqa: E402
+
+# (case name, argv without --report); file names are relative to INPUTS
+COMMANDS = [
+    ("check-complex", ["check", "q.json"]),
+    ("check-operad", ["check", "op.json"]),
+    ("check-bimodule-bad-action", ["check", "bad_bimodule.json"]),
+    ("check-operad-bad-gamma", ["check", "bad_op.json"]),
+    ("check-presentation-bad-differential", ["check", "bad_pres.json"]),
+    ("check-missing-file", ["check", "missing.json"]),
+    ("check-malformed-json", ["check", "truncated.json"]),
+    ("check-directory", ["check", "subdir"]),
+    ("check-not-utf8", ["check", "not_utf8.json"]),
+    ("check-in-subdirectory", ["check", "subdir/x.json"]),
+    ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
+    ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
+    ("normalize-parse-error", ["normalize", "sig.json", "mu2 o $"]),
+    ("eq-equal", ["eq", "sig.json", "mu2 o (mu2 * iota)", "mu2 o (mu2 * iota)"]),
+    ("eq-distinct", ["eq", "sig.json", "mu2 o (mu2 * iota)", "mu2 o (iota * mu2)"]),
+    ("eq-wrong-kind", ["eq", "q.json", "mu2", "mu2"]),
+    ("dim-free", ["dim-free", "binary.json", "c", "c,c,c", "2"]),
+    ("dim-free-default-cap", ["--max-vertices", "2", "dim-free", "binary.json", "c", "c,c"]),
+    ("box-v", ["box-v", "p.json", "q_bimodule.json"]),
+    ("box-h", ["box-h", "p.json", "q_bimodule.json"]),
+    ("box-v-signs", ["box-v", "sign_a.json", "sign_a.json"]),
+    ("box-h-actions", ["box-h", "perm_a.json", "p.json"]),
+    ("box-v-wrong-kind", ["box-v", "q.json", "q.json"]),
+    ("homology", ["homology", "x.json"]),
+    ("homology-fractions", ["homology", "frac.json"]),
+    ("classify-chain-map", ["classify", "frac_map.json"]),
+    ("classify-family-map", ["classify", "proj.json"]),
+    ("classify-wrong-kind", ["classify", "q.json"]),
+    ("path-object", ["path-object", "frac.json"]),
+    ("algebra-check-pass", ["algebra-check", "st.json"]),
+    ("algebra-check-fail", ["algebra-check", "bad_st.json"]),
+    ("algebra-check-wrong-kind", ["algebra-check", "q.json"]),
+    ("morphism-check-pass", ["morphism-check", "proj.json", "stx.json", "st.json"]),
+    ("morphism-check-fail", ["morphism-check", "proj.json", "stx.json", "st_scaled.json"]),
+    ("transfer-fibration", ["transfer", "pres.json", "proj.json", "alongAcyclicFibration", "st.json"]),
+    ("transfer-cofibration", ["transfer", "pres.json", "incl.json", "alongAcyclicCofibration", "st.json"]),
+    ("transfer-wrong-map-class", ["transfer", "pres.json", "incl.json", "alongAcyclicFibration", "st.json"]),
+    ("transfer-unsolvable", ["transfer", "pres.json", "ident_x.json", "alongAcyclicFibration", "bad_st.json"]),
+    ("factor", ["factor", "ident.json", "st.json", "st.json", "ident.json", "ident.json", "fam.json"]),
+    ("factor-wrong-kind", ["factor", "ident.json", "st.json", "st.json", "ident.json", "ident.json", "q.json"]),
+    ("operad-to-prop", ["operad-to-prop", "ass.json", "3"]),
+    ("round-trip", ["round-trip", "ass.json", "fam_sq.json", "alg.json"]),
+    ("round-trip-malformed-algebra", ["round-trip", "ass.json", "fam_sq.json", "truncated.json"]),
+    ("round-trip-missing-algebra", ["round-trip", "ass.json", "fam_sq.json", "missing.json"]),
+]
+
+
+def write_inputs():
+    from test_algebras import invalid_structure_on_field_plus_disc
+    from test_bimodules import key, make_component, perm_matrix_rep, sign_rep
+    from test_operads import square_zero_algebra
+
+    from propcalc.algebras import transfer
+    from propcalc.chains import direct_sum, disc_complex
+
+    objects = {}
+    pres = homotopy_assoc_presentation()
+    st = ground_field_structure(pres)
+    objects["pres"] = pres
+    objects["sig"] = pres.signature
+    objects["st"] = st
+    proj = projection_to_field(pres.signature.palette)
+    objects["proj"] = proj
+    objects["incl"] = inclusion_from_field(pres.signature.palette)
+    objects["stx"], _ = transfer(pres, proj, "alongAcyclicFibration", st)
+    scaled = ground_field_structure(pres)
+    scaled.assignment["mu2"] = scaled.assignment["mu2"].scale(F(-3, 2))
+    objects["st_scaled"] = scaled
+    _, bad_st = invalid_structure_on_field_plus_disc()
+    objects["bad_st"] = bad_st
+    objects["ident_x"] = FamilyMap.identity(bad_st.family)
+    objects["ident"] = FamilyMap.identity(st.family)
+    objects["fam"] = st.family
+
+    palette = Palette(["c"])
+    objects["binary"] = Signature(
+        palette, [Generator("mu", Profile(palette, ["c"]), Profile(palette, ["c", "c"]), 0)]
+    )
+    objects["q"] = base_field_complex()
+    objects["x"] = direct_sum(base_field_complex(), disc_complex())
+    frac = ChainComplex({0: 2, 1: 1}, {1: [[F(1, 2)], [F(-3)]]})
+    objects["frac"] = frac
+    objects["frac_map"] = ChainMap(
+        frac, frac, {0: [[F(-2, 3), F(0)], [F(0), F(-2, 3)]], 1: [[F(-2, 3)]]}
+    )
+    objects["bad_pres"] = PropPresentation(
+        pres.signature, {"mu2": [(F(1), parse("mu2 o (mu2 * iota)", pres.signature))]}
+    )
+
+    two = Palette(["a", "b"])
+    ka, kb, kaa = key(two, "a"), key(two, "b"), key(two, "a", "a")
+    objects["p"] = ColoredBimodule(two, {(ka, kb): make_component(ka, kb, ChainComplex({0: 1}))})
+    objects["q_bimodule"] = ColoredBimodule(
+        two, {(kb, ka): make_component(kb, ka, ChainComplex({0: 1}))}
+    )
+    objects["sign_a"] = ColoredBimodule(
+        two,
+        {
+            (ka, ka): make_component(ka, ka, ChainComplex({0: 1, 1: 1}, {1: [[F(-5, 7)]]})),
+            (kaa, ka): make_component(kaa, ka, ChainComplex({0: 1}), out_mats=sign_rep(kaa)),
+        },
+    )
+    objects["perm_a"] = ColoredBimodule(
+        two,
+        {(kaa, kaa): make_component(
+            kaa, kaa, ChainComplex({0: 2}),
+            out_mats=perm_matrix_rep(kaa, "out"), in_mats=perm_matrix_rep(kaa, "in"),
+        )},
+    )
+
+    objects["op"] = trivial_operad(2)
+    ass = associative_operad(3)
+    objects["ass"] = ass
+    alg = square_zero_algebra(ass)
+    objects["fam_sq"] = alg.family
+
+    shutil.rmtree(INPUTS, ignore_errors=True)
+    os.makedirs(os.path.join(INPUTS, "subdir"))
+    for name, obj in objects.items():
+        _write(name + ".json", dumps(to_json(obj)))
+    _write("alg.json", dumps(formats.operad_algebra_to_json(alg)))
+    _write("subdir/x.json", dumps(to_json(objects["x"])))
+
+    bad_bimodule = {
+        "kind": "bimodule",
+        "palette": {"kind": "palette", "colors": ["a"]},
+        "components": [
+            {
+                "out": ["a", "a"],
+                "in": ["a"],
+                "carrier": {"kind": "complex", "dims": {"0": 1}, "boundary": {}},
+                "out_actions": [{"perm": [2, 1], "mats": {"0": [["2/1"]]}}],
+                "in_actions": [],
+            }
+        ],
+    }
+    _write("bad_bimodule.json", dumps(bad_bimodule))
+    bad_op = to_json(objects["op"])
+    bad_op["gamma"][0]["mats"]["0"] = [["2/1"]]
+    _write("bad_op.json", dumps(bad_op))
+    _write("truncated.json", '{"kind": "operad_algebra", ')
+    with open(os.path.join(INPUTS, "not_utf8.json"), "wb") as handle:
+        handle.write(b"\xff\xfe{")
+
+
+def _write(name, text):
+    with open(os.path.join(INPUTS, name), "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def run_case(argv):
+    """(exit code, stdout) of the CLI on argv, run inside INPUTS."""
+    cwd = os.getcwd()
+    buf = io.StringIO()
+    os.chdir(INPUTS)
+    try:
+        with redirect_stdout(buf):
+            code = run(argv)
+    finally:
+        os.chdir(cwd)
+    return code, buf.getvalue()
+
+
+def main():
+    write_inputs()
+    cases = []
+    for name, command in COMMANDS:
+        for report in ("text", "json"):
+            case_id, argv = "%s-%s" % (name, report), ["--report", report] + command
+            try:
+                code, out = run_case(argv)
+            except Exception as exc:  # a traceback at the CLI: left out, and reported
+                print("%s: %s: %s" % (case_id, type(exc).__name__, exc), file=sys.stderr)
+                continue
+            cases.append({"id": case_id, "argv": argv, "exit": code, "stdout": out})
+    with open(CASES, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(json.dumps(cases, indent=1, sort_keys=True) + "\n")
+    print("%d cases written to %s" % (len(cases), CASES))
+
+
+if __name__ == "__main__":
+    main()

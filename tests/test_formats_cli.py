@@ -122,7 +122,19 @@ def run_cli(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = run(argv)
-    return code, buf.getvalue()
+    out = buf.getvalue()
+    if argv[:2] == ["--report", "json"]:
+        # every JSON report is the stdlib's canonical encoding of its payload
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    return code, out
+
+
+def assert_one_error_line(code, out, *fragments):
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out
+    for fragment in fragments:
+        assert fragment in lines[0]
 
 
 def write(tmp_path, name, obj):
@@ -195,10 +207,7 @@ def test_cli_check_valid_and_invalid(tmp_path):
 )
 def test_cli_wrong_kind_of_file_exit_2(tmp_path, argv):
     path = write(tmp_path, "q.json", base_field_complex())
-    code, out = run_cli([arg.format(x=path) for arg in argv])
-    assert code == 2
-    lines = out.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert_one_error_line(*run_cli([arg.format(x=path) for arg in argv]))
 
 
 def test_cli_homology_classify_path(tmp_path):
@@ -435,3 +444,31 @@ def test_cli_transfer_unsolvable_exit_1(tmp_path):
     code, out = run_cli(["transfer", pres_p, f_p, "alongAcyclicFibration", st_p])
     assert code == 1
     assert "UNSOLVABLE" in out
+
+
+def test_cli_round_trip_malformed_algebra_exit_2(tmp_path):
+    # round-trip read its algebra file with a bare json.load, so a malformed
+    # file ended in a JSONDecodeError traceback
+    operad = associative_operad(2)
+    from test_operads import square_zero_algebra
+
+    op_p = write(tmp_path, "op.json", operad)
+    fam_p = write(tmp_path, "fam.json", square_zero_algebra(operad).family)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "operad_algebra", ')
+    code, out = run_cli(["round-trip", op_p, fam_p, str(bad)])
+    assert_one_error_line(code, out, str(bad), "JSON parse error at line 1 column 28")
+
+
+def test_cli_check_directory_exit_2(tmp_path):
+    # a directory ended in an IsADirectoryError traceback
+    code, out = run_cli(["check", str(tmp_path)])
+    assert_one_error_line(code, out, str(tmp_path), "cannot read")
+
+
+def test_cli_check_not_utf8_exit_2(tmp_path):
+    # bytes that are not UTF-8 ended in a UnicodeDecodeError traceback
+    bad = tmp_path / "bytes.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out = run_cli(["check", str(bad)])
+    assert_one_error_line(code, out, str(bad), "not UTF-8")
