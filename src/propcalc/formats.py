@@ -59,6 +59,14 @@ def matrix_from_json(rows):
     return [[ZERO if x == "0/1" else parse_rational(x) for x in row] for row in rows]
 
 
+# dumps writes a matrix row in pieces of _ROW_PIECE entries: with short entries
+# such as "0/1" a piece stays within Python's small-object allocator (512
+# bytes).  Whole rows of a wide matrix, all held until the final join, would
+# grow the C heap by about the size of the document, and how much of that the
+# process gives back then depends on what it allocated before.
+_ROW_PIECE = 16
+
+
 def dumps(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
     out = []
@@ -89,8 +97,11 @@ def _emit(obj, out, newline):
         inner = newline + "  "
         sep = "," + inner
         if set(map(type, obj)) == {str}:
-            # a row of a rational matrix
-            out.append("[" + inner + sep.join(map(encode_basestring_ascii, obj)) + newline + "]")
+            # a row of a rational matrix, in pieces of _ROW_PIECE entries
+            items = list(map(encode_basestring_ascii, obj))
+            for i in range(0, len(items), _ROW_PIECE):
+                out.append((sep if i else "[" + inner) + sep.join(items[i : i + _ROW_PIECE]))
+            out.append(newline + "]")
             return
         out.append("[")
         for i, x in enumerate(obj):

@@ -64,6 +64,8 @@ EDGE_CASES = [
     [Pair(2, "b"), ()],
     {"nested": {"deeper": {"deepest": [[{"k": "v"}]]}}},
     ["only", "strings", "here"],
+    # rows on both sides of the piece length dumps writes them in
+    [[str(i - n) for i in range(n)] for n in (formats._ROW_PIECE, formats._ROW_PIECE + 1, 3 * formats._ROW_PIECE)],
     ["strings", 1, "then int"],
     1.5,
     {"f": [0.1, -2.0, 1e300]},
