@@ -327,12 +327,17 @@ def coinvariant_quotient(space: ChainComplex, relation_maps):
         dim = space.dim(n)
         rows = []
         for m in relation_maps:
-            mat = m.mat(n)
-            for j in range(dim):
-                row = [ -mat[i][j] for i in range(dim) ]
-                row[j] += ONE
-                if any(x != 0 for x in row):
-                    rows.append(row)
+            # column j of id - m, built from the nonzeros of m's column j
+            for j, column in enumerate(zip(*m.mat(n))):
+                entries = linalg.nonzeros(column)
+                diagonal = ONE - column[j]
+                if not diagonal and all(i == j for i, _ in entries):
+                    continue
+                row = [linalg.ZERO] * dim
+                for i, x in entries:
+                    row[i] = -x
+                row[j] = diagonal if diagonal else linalg.ZERO
+                rows.append(row)
         proj, sect = linalg.quotient_by_rowspace(rows, dim)
         projs[n] = proj
         sects[n] = sect

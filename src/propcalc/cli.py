@@ -8,6 +8,7 @@ output is deterministic: canonical JSON (sorted keys) or stable text lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from propcalc import formats
@@ -57,7 +58,14 @@ INPUT_ERRORS = (
 )
 
 
+@functools.cache
 def build_parser():
+    """The CLI's one parser, built on the first call and shared after it.
+
+    parse_args leaves the parser as it found it: defaults go into a fresh
+    namespace, and the terminal width is read only when usage or help is
+    printed.  So run() reuses it, and a caller must not change it.
+    """
     p = argparse.ArgumentParser(
         prog="propcalc",
         description="Exact computer algebra for colored PROPs over rational chain complexes.",
@@ -148,6 +156,11 @@ def emit(args, payload, text_lines):
             sys.stdout.write(line + "\n")
 
 
+def emit_document(args, payload, text_doc):
+    """Like emit, for a command whose text report is the JSON document text_doc."""
+    sys.stdout.write(dumps(payload if args.report == "json" else text_doc))
+
+
 def run(argv=None):
     args = build_parser().parse_args(argv)
     ws = Workspace(args.workspace)
@@ -198,7 +211,7 @@ def _dispatch(args, ws):
         cert, order = g.canonical()
         graph_json = formats.graph_to_json(_relabel(g, order))
         payload = {"command": cmd, "ok": True, "graph": graph_json}
-        emit(args, payload, [dumps(graph_json).strip()])
+        emit_document(args, payload, graph_json)
         return 0
 
     if cmd == "eq":
@@ -227,7 +240,7 @@ def _dispatch(args, ws):
         right = ws.resolve_as(args.right, "bimodule")
         product = box_v(left, right) if cmd == "box-v" else box_h(left, right)
         payload = formats.bimodule_to_json(product)
-        emit(args, payload, [dumps(payload).strip()])
+        emit_document(args, payload, payload)
         return 0
 
     if cmd == "homology":
@@ -269,7 +282,7 @@ def _dispatch(args, ws):
             "d0": {str(j): formats.matrix_to_json(m) for j, m in sorted(d0.mats.items())},
             "d1": {str(j): formats.matrix_to_json(m) for j, m in sorted(d1.mats.items())},
         }
-        emit(args, payload, [dumps(payload).strip()])
+        emit_document(args, payload, payload)
         return 0
 
     if cmd == "algebra-check":
@@ -319,7 +332,7 @@ def _dispatch(args, ws):
                 str(n) for k, n, _ in report["algebra_failures"] if k == "relation"
             ],
         }
-        emit(args, payload, [dumps(payload).strip()])
+        emit_document(args, payload, payload)
         return 0
 
     if cmd == "factor":
@@ -335,7 +348,7 @@ def _dispatch(args, ws):
             "i_morphism_ok": report["i_morphism_ok"],
             "p_morphism_ok": report["p_morphism_ok"],
         }
-        emit(args, payload, [dumps(payload).strip()])
+        emit_document(args, payload, payload)
         return 0
 
     if cmd == "operad-to-prop":
@@ -359,7 +372,7 @@ def _dispatch(args, ws):
                 }
             )
         payload = {"command": cmd, "ok": True, "kind": "prop_components", "components": components}
-        emit(args, payload, [dumps(payload).strip()])
+        emit_document(args, payload, payload)
         return 0
 
     if cmd == "round-trip":

@@ -79,9 +79,8 @@ def _emit(obj, out, newline):
     """Append the canonical JSON of obj to out; newline starts obj's own lines.
 
     The isinstance tests run in json's order (bool before int, a tuple is a
-    list).  Anything else, empty containers and dicts with a non-str key
-    included, goes to json itself, indented to its depth: a JSON string
-    never holds a raw newline.
+    list).  Anything else, dicts with a non-str key included, goes to json
+    itself, indented to its depth: a JSON string never holds a raw newline.
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -93,7 +92,11 @@ def _emit(obj, out, newline):
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
+    elif isinstance(obj, (list, tuple)) and not obj:
+        out.append("[]")
+    elif isinstance(obj, dict) and not obj:
+        out.append("{}")
+    elif isinstance(obj, (list, tuple)):
         inner = newline + "  "
         sep = "," + inner
         if set(map(type, obj)) == {str}:

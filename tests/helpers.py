@@ -304,6 +304,35 @@ def dense_quotient_by_rowspace(rows, dim):
     return proj, sect
 
 
+def reference_coinvariant_quotient(space, relation_maps):
+    """bimodules.coinvariant_quotient as it was before its relation rows were
+    built from nonzeros: each row negates every entry of a column of m."""
+    from propcalc import linalg
+
+    projs, sects, dims = {}, {}, {}
+    for n in space.degrees():
+        dim = space.dim(n)
+        rows = []
+        for m in relation_maps:
+            mat = m.mat(n)
+            for j in range(dim):
+                row = [-mat[i][j] for i in range(dim)]
+                row[j] += F(1)
+                if any(x != 0 for x in row):
+                    rows.append(row)
+        projs[n], sects[n] = linalg.quotient_by_rowspace(rows, dim)
+        if projs[n]:
+            dims[n] = len(projs[n])
+    boundary = {}
+    for n in sorted(dims):
+        if dims.get(n - 1):
+            boundary[n] = linalg.mat_mul(projs[n - 1], linalg.mat_mul(space.d(n), sects[n]))
+    quotient = ChainComplex(dims, boundary)
+    proj = ChainMap(space, quotient, {n: projs[n] for n in dims}, check=False)
+    sect = ChainMap(quotient, space, {n: sects[n] for n in dims}, check=False)
+    return quotient, proj, sect
+
+
 def dense_tensor_boundary(space):
     """Boundary matrices of a TensorSpace's complex, built densely from its
     basis convention: d(x_1 .. x_k) = sum_s (-1)^{|x_1|+..+|x_{s-1}|} x_1 .. dx_s .. x_k."""

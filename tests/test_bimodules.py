@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import kron
+from helpers import kron, reference_coinvariant_quotient
 from propcalc import linalg
 from propcalc.bimodules import (
     BimoduleComponent,
@@ -16,12 +16,13 @@ from propcalc.bimodules import (
     box_h,
     box_v,
     change_colors,
+    coinvariant_quotient,
     component_at,
     induced_dim_law,
     placements,
     tensor_over_sigma,
 )
-from propcalc.chains import ChainComplex, ChainMap, TensorSpace, base_field_complex
+from propcalc.chains import ChainComplex, ChainMap, TensorSpace, assemble_tensor_map, base_field_complex
 from propcalc.profiles import (
     OrbitKey,
     Palette,
@@ -284,6 +285,43 @@ def test_coinvariants_against_independent_routes():
         expected = classical_tensor_over_group_dim(x, y, mid)
         assert comp.carrier.dim(0) == expected
         assert averaging_rank(x, y, mid) == expected
+
+
+def test_coinvariant_quotient_matches_reference():
+    """The relation rows built from nonzeros give bit for bit the quotient,
+    proj and sect of the old rows, which negated every entry."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        mid = key(PAL1, *(["x"] * rng.randint(1, 3)))
+        x = random_rep_component(rng, key(PAL1, "x"), mid, graded=True)
+        y = random_rep_component(rng, mid, key(PAL1, "x"), graded=True)
+        gens = stabilizer_generators(mid)
+        space = TensorSpace([x.carrier, y.carrier])
+        xs, ys = TensorSpace([x.carrier]), TensorSpace([y.carrier])
+        diagonal = [
+            assemble_tensor_map(space, space, [(xs, xs, x.rho_in(g.inverse())), (ys, ys, y.rho_out(g))])
+            for g in gens
+        ]
+        cases += [(x.carrier, [x.rho_in(g) for g in gens]), (space.complex, diagonal)]
+    # maps that are not signed permutations: column 0 of the shear has a 1 on
+    # the diagonal and another nonzero entry, and is its only relation
+    shear = [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
+    involution = [[F(1, 2), F(3, 4)], [F(1), F(-1, 2)]]
+    for mat in (shear, involution):
+        carrier = ChainComplex({0: len(mat), 1: len(mat)})
+        cases.append((carrier, [ChainMap(carrier, carrier, {0: mat, 1: mat})]))
+    entries = set()
+    for carrier, relations in cases:
+        for m in relations:
+            entries.update(v for mat in m.mats.values() for row in mat for v in row)
+        got = coinvariant_quotient(carrier, relations)
+        want = reference_coinvariant_quotient(carrier, relations)
+        assert got[0].dims == want[0].dims and got[0] == want[0]
+        assert got[1].mats == want[1].mats
+        assert got[2].mats == want[2].mats
+    # sign actions give -1 entries, permutation and regular actions 0 and 1
+    assert {F(-1), F(0), F(1)} <= entries
 
 
 def test_coinvariants_residual_action_well_defined_and_lawful():

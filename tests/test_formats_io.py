@@ -63,6 +63,10 @@ EDGE_CASES = [
     Pair(1, "a"),
     [Pair(2, "b"), ()],
     {"nested": {"deeper": {"deepest": [[{"k": "v"}]]}}},
+    # empty containers at depth 2 and deeper
+    {"a": {"b": [], "c": {}}},
+    [(), [[]], {}],
+    {"x": [{"y": {"z": [[], {}]}}], "boundary": {}},
     ["only", "strings", "here"],
     # rows on both sides of the piece length dumps writes them in
     [[str(i - n) for i in range(n)] for n in (formats._ROW_PIECE, formats._ROW_PIECE + 1, 3 * formats._ROW_PIECE)],
