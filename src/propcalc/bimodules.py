@@ -548,47 +548,6 @@ def box_dot(palette, x: BimoduleComponent, y: BimoduleComponent) -> BimoduleComp
     return box_dot_many(palette, [x, y])
 
 
-def induced_dim_law(palette, factors) -> bool:
-    """[G:H] prod dims by explicit coset enumeration equals the built dimension."""
-    comp = box_dot_many(palette, factors)
-    merged_out = comp.out_key
-    merged_in = comp.in_key
-    index = _coset_count(palette, [f.out_key for f in factors], merged_out) * _coset_count(
-        palette, [f.in_key for f in factors], merged_in
-    )
-    prod = 1
-    for f in factors:
-        prod *= f.carrier.total_dim()
-    return comp.carrier.total_dim() == index * prod
-
-
-def _coset_count(palette, keys, merged) -> int:
-    """#G / #H by enumerating the subgroup embedding through a transport."""
-    concat_entries = []
-    for k in keys:
-        concat_entries.extend(k.rep.entries)
-    concat = Profile(palette, concat_entries)
-    _, transport = canonicalize_profile(concat)
-    g_elems = stabilizer_elements(merged)
-    h_embedded = set()
-    blocks = [stabilizer_elements(k) for k in keys]
-    for combo in itertools.product(*blocks):
-        acc = None
-        for piece in combo:
-            acc = piece if acc is None else acc.block_sum(piece)
-        emb = transport.inverse() * acc * transport
-        h_embedded.add(emb.images)
-    seen = set()
-    count = 0
-    for g in g_elems:
-        if g.images in seen:
-            continue
-        count += 1
-        for h in h_embedded:
-            seen.add((g * Permutation(h)).images)
-    return count
-
-
 def box_h(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
     """Horizontal product: one induced summand per ordered pair of orbit splittings."""
     if p.palette != q.palette:

@@ -37,12 +37,26 @@ class ColoredFamily:
             if c not in self.complexes:
                 raise EndoError("family misses color %r" % (c,))
         self._spaces = {}
+        self._shuffles = {}
 
     def space(self, profile: Profile) -> TensorSpace:
         key = profile.entries
         if key not in self._spaces:
             self._spaces[key] = TensorSpace([self.complexes[c] for c in key])
         return self._spaces[key]
+
+    def shuffle(self, profile: Profile, sigma: Permutation) -> ChainMap:
+        """X_profile -> X_{sigma profile}, factor i to slot sigma(i), Koszul
+        signs; built once per (profile, sigma)."""
+        key = (profile.entries, sigma.images)
+        if key not in self._shuffles:
+            self._shuffles[key] = factor_permutation_map(
+                [self.complexes[c] for c in profile.entries],
+                sigma,
+                src_space=self.space(profile),
+                tgt_space=self.space(apply_permutation(sigma, profile, "left")),
+            )
+        return self._shuffles[key]
 
 
 class EndoElement:
@@ -214,30 +228,22 @@ def endo_horizontal(f: EndoElement, g: EndoElement) -> EndoElement:
     return EndoElement(fam, out_p, in_p, chain)
 
 
-def _left_shuffle(family, profile, sigma) -> ChainMap:
-    """X_profile -> X_{sigma profile}, factor i to slot sigma(i), Koszul signs."""
-    factors = [family.complexes[c] for c in profile.entries]
-    src = family.space(profile)
-    tgt = family.space(apply_permutation(sigma, profile, "left"))
-    return factor_permutation_map(factors, sigma, src_space=src, tgt_space=tgt)
-
-
 def endo_permute(sigma: Permutation, tau: Permutation, f: EndoElement) -> EndoElement:
-    """The bimodule structure map (sigma; tau): element at (d; c) to (sigma d; c tau)."""
+    """The bimodule structure map (sigma; tau): element at (d; c) to (sigma d; c tau).
+
+    The shuffles come from the family's cache; an identity side is skipped.
+    """
     if sigma.n != len(f.out_profile) or tau.n != len(f.in_profile):
         raise EndoError("permutation lengths do not match the profiles")
     fam = f.family
-    out_p = apply_permutation(sigma, f.out_profile, "left")
-    in_p = apply_permutation(tau, f.in_profile, "right")
-    l_sigma = _left_shuffle(fam, f.out_profile, sigma)
-    # X_{c tau} -> X_c: source factor i carries color c_{tau(i)} and lands in slot tau(i)
-    l_tau = factor_permutation_map(
-        [fam.complexes[c] for c in in_p.entries],
-        tau,
-        src_space=fam.space(in_p),
-        tgt_space=fam.space(f.in_profile),
-    )
-    chain = l_sigma.compose(f.chain).compose(l_tau)
+    out_p, in_p, chain = f.out_profile, f.in_profile, f.chain
+    if not tau.is_identity():
+        # X_{c tau} -> X_c: source factor i carries color c_{tau(i)} and lands in slot tau(i)
+        in_p = apply_permutation(tau, f.in_profile, "right")
+        chain = chain.compose(fam.shuffle(in_p, tau))
+    if not sigma.is_identity():
+        out_p = apply_permutation(sigma, f.out_profile, "left")
+        chain = fam.shuffle(f.out_profile, sigma).compose(chain)
     return EndoElement(fam, out_p, in_p, chain)
 
 

@@ -314,17 +314,6 @@ def canonical_graph(g: PropGraph):
     return cert
 
 
-def graphs_isomorphic_brute_force(g1: PropGraph, g2: PropGraph) -> bool:
-    """Exhaustive isomorphism oracle over all vertex bijections (test use)."""
-    if len(g1.vertices) != len(g2.vertices):
-        return False
-    base = g2.certificate_for_order(list(range(len(g2.vertices))))
-    for order in itertools.permutations(range(len(g1.vertices))):
-        if g1.certificate_for_order(list(order)) == base:
-            return True
-    return False
-
-
 def koszul_reorder_sign(degrees, order) -> int:
     """Sign for reordering graded letters; order[i] = original index at new slot i."""
     pos = [0] * len(order)

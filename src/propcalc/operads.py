@@ -26,6 +26,7 @@ from propcalc.chains import ChainComplex, ChainMap, TensorSpace
 from propcalc.endo import (
     ColoredFamily,
     EndoElement,
+    EndoError,
     endo_component,
     endo_horizontal,
     endo_permute,
@@ -209,18 +210,59 @@ class ColoredOperad:
         return failures
 
     def _validate_associativity(self):
+        """gamma(gamma(p; q); r) = gamma(p; gamma(q_1; r-block_1), ...) on the
+        first units of every aligned instance within the truncation.
+
+        Instances share their factors: `memo` lives for this call and holds the
+        first unit of each (color, in_key) and each composition of first units,
+        keyed (color, in_key, input keys).  Both routes are still compared per
+        instance.
+        """
+        memo = {}
+
+        def first_unit(d, in_key):
+            # every stored component has a nonzero carrier
+            key = (d, in_key)
+            if key not in memo:
+                memo[key] = self.unit(d, in_key, self.component(d, in_key).carrier.degrees()[0], 0)
+            return memo[key]
+
+        def composite(d, in_key, b_keys):
+            key = (d, in_key, b_keys)
+            if key not in memo:
+                memo[key] = compose_elements(
+                    first_unit(d, in_key),
+                    [first_unit(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)],
+                )
+            return memo[key]
+
         failures = []
         for (d, in_key) in self.support():
-            n = in_key.length
+            p = first_unit(d, in_key)
             for b_keys in self._aligned_tuples(in_key):
                 merged = merge_in_keys(self.palette, b_keys)
+                # rep position j of `merged` is concat position t(j), which lies
+                # in the block of input owners[j - 1]
+                concat_entries = [c for bk in b_keys for c in bk.rep.entries]
+                owner = [i for i, bk in enumerate(b_keys) for _ in range(bk.length)]
+                _, t = canonicalize_profile(Profile(self.palette, concat_entries))
+                owners = [owner[t(j) - 1] for j in range(1, merged.length + 1)]
                 for r_choice in self._aligned_tuples(merged):
-                    total = sum(k.length for k in r_choice)
-                    if total > self.max_arity:
-                        continue
-                    fail = self._check_assoc_instance(d, in_key, b_keys, r_choice)
-                    if fail:
-                        failures.append(fail)
+                    # route 1: (p o q) o r
+                    r_els = [first_unit(c, rk) for c, rk in zip(merged.rep.entries, r_choice)]
+                    route1 = compose_elements(composite(d, in_key, b_keys), r_els)
+                    # route 2: p o (q_i o r-block_i)
+                    blocks = [[] for _ in b_keys]
+                    for i, rk in zip(owners, r_choice):
+                        blocks[i].append(rk)
+                    inner = [
+                        composite(c, bk, tuple(block))
+                        for c, bk, block in zip(in_key.rep.entries, b_keys, blocks)
+                    ]
+                    if route1 != compose_elements(p, inner):
+                        failures.append(
+                            "gamma not associative at %r" % ((d, in_key, b_keys, r_choice),)
+                        )
         return failures
 
     def _aligned_tuples(self, in_key):
@@ -238,51 +280,6 @@ class ColoredOperad:
             if sum(k.length for k in combo) <= self.max_arity:
                 out.append(tuple(combo))
         return out
-
-    def _check_assoc_instance(self, d, in_key, b_keys, r_choice):
-        p_candidates = self.basis_elements(d, in_key)[:1]
-        if not p_candidates:
-            return None
-        p = p_candidates[0]
-        q_els = []
-        for c, bk in zip(in_key.rep.entries, b_keys):
-            basis = self.basis_elements(c, bk)
-            if not basis:
-                return None
-            q_els.append(basis[0])
-        merged = merge_in_keys(self.palette, b_keys)
-        r_els = []
-        for c, rk in zip(merged.rep.entries, r_choice):
-            basis = self.basis_elements(c, rk)
-            if not basis:
-                return None
-            r_els.append(basis[0])
-        # route 1: (p o q) o r
-        pq = compose_elements(p, q_els)
-        route1 = compose_elements(pq, r_els)
-        # route 2: p o (q_i o r-block_i); blocks follow the merge transport
-        concat_entries = []
-        for bk in b_keys:
-            concat_entries.extend(bk.rep.entries)
-        _, t = canonicalize_profile(Profile(self.palette, concat_entries))
-        # rep position j of `merged` corresponds to concat position t(j)
-        owner = []
-        pos = 0
-        for i, bk in enumerate(b_keys):
-            for _ in range(bk.length):
-                owner.append(i)
-                pos += 1
-        blocks = [[] for _ in b_keys]
-        for j in range(1, merged.length + 1):
-            concat_pos = t(j) - 1
-            blocks[owner[concat_pos]].append(r_els[j - 1])
-        inner = []
-        for q_el, block in zip(q_els, blocks):
-            inner.append(compose_elements(q_el, block))
-        route2 = compose_elements(p, inner)
-        if route1 != route2:
-            return "gamma not associative at %r" % ((d, in_key, b_keys, r_choice),)
-        return None
 
 
 class OperadElement:
@@ -675,20 +672,40 @@ class OperadAlgebra:
         self.operad = operad
         self.family = family
         self.values = dict(values)
+        for (d, in_key), vals in self.values.items():
+            comp = operad.component(d, in_key)
+            if comp is None:
+                raise OperadError("algebra value for a missing component %r" % ((d, in_key),))
+            degrees = [k for k in comp.carrier.degrees() for _ in range(comp.carrier.dim(k))]
+            if len(vals) != len(degrees):
+                raise OperadError(
+                    "algebra at %r needs %d basis values, got %d"
+                    % ((d, in_key), len(degrees), len(vals))
+                )
+            out_profile = Profile(family.palette, [d])
+            for k, v in zip(degrees, vals):
+                if v.out_profile != out_profile or v.in_profile != in_key.rep or v.degree != k:
+                    raise EndoError("endo element shape mismatch")
 
     def value(self, element: OperadElement) -> EndoElement:
+        """The sum of the stored basis values over the nonzero coordinates; a
+        coefficient of 1 takes the stored value itself."""
         comp = self.operad.component(element.d, element.in_key)
-        out_profile = Profile(self.family.palette, [element.d])
-        total = EndoElement.zero(
-            self.family, out_profile, element.in_key.rep, element.degree
-        )
         basis = self.values[(element.d, element.in_key)]
         offset = 0
         for k in comp.carrier.degrees():
-            for i in range(comp.carrier.dim(k)):
-                if k == element.degree and element.coords[i] != 0:
-                    total = total.add(basis[offset].scale(element.coords[i]))
-                offset += 1
+            if k == element.degree:
+                break
+            offset += comp.carrier.dim(k)
+        total = None
+        for i, x in linalg.nonzeros(element.coords):
+            v = basis[offset + i]
+            if x != 1:
+                v = v.scale(x)
+            total = v if total is None else total.add(v)
+        if total is None:
+            out_profile = Profile(self.family.palette, [element.d])
+            return EndoElement.zero(self.family, out_profile, element.in_key.rep, element.degree)
         return total
 
     def check(self):

@@ -63,9 +63,10 @@ class Palette:
 
 
 class Profile:
-    """Non-empty sequence of colors from one palette.  Immutable, structural equality."""
+    """Non-empty sequence of colors from one palette.  Immutable, structural
+    equality; the hash is computed once, since profiles key most caches."""
 
-    __slots__ = ("palette", "entries")
+    __slots__ = ("palette", "entries", "_hash")
 
     def __init__(self, palette: Palette, entries):
         entries = tuple(entries)
@@ -76,6 +77,8 @@ class Profile:
                 raise ProfileError("entry %r not in palette %r" % (c, palette.colors))
         self.palette = palette
         self.entries = entries
+        # equal palettes have equal colors; hashing those skips Palette.__hash__
+        self._hash = hash((palette.colors, entries))
 
     def __len__(self):
         return len(self.entries)
@@ -87,14 +90,14 @@ class Profile:
         return self.entries[i]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Profile)
             and self.palette == other.palette
             and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.palette, self.entries))
+        return self._hash
 
     def __repr__(self):
         return "Profile(%s)" % (",".join(str(c) for c in self.entries))
@@ -190,7 +193,7 @@ def apply_permutation(sigma: Permutation, p: Profile, side: str = "left") -> Pro
 class OrbitKey:
     """Canonical representative of a profile orbit: entries sorted by palette order."""
 
-    __slots__ = ("rep", "block_sizes")
+    __slots__ = ("rep", "block_sizes", "_hash")
 
     def __init__(self, rep: Profile):
         orders = [rep.palette.order(c) for c in rep.entries]
@@ -201,16 +204,17 @@ class OrbitKey:
         for _, grp in itertools.groupby(rep.entries):
             sizes.append(len(list(grp)))
         self.block_sizes = tuple(sizes)
+        self._hash = hash(("orbit", rep))
 
     @property
     def length(self):
         return len(self.rep)
 
     def __eq__(self, other):
-        return isinstance(other, OrbitKey) and self.rep == other.rep
+        return self is other or (isinstance(other, OrbitKey) and self.rep == other.rep)
 
     def __hash__(self):
-        return hash(("orbit", self.rep))
+        return self._hash
 
     def __lt__(self, other):
         me = tuple(self.rep.palette.order(c) for c in self.rep.entries)

@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from propcalc.bimodules import merge_keys
+from propcalc.bimodules import box_dot_many, merge_keys
 from propcalc.chains import TensorSpace
 from propcalc.graphs import Generator, Signature
 from propcalc.exprs import (
@@ -14,12 +14,14 @@ from propcalc.exprs import (
     RightActExpr,
     VCompExpr,
 )
-from propcalc.operads import OperadElement
+from propcalc.operads import OperadElement, compose_elements
 from propcalc.profiles import (
     Palette,
     Permutation,
     Profile,
+    apply_permutation,
     canonicalize_profile,
+    stabilizer_elements,
     stabilizer_generators,
 )
 
@@ -112,7 +114,14 @@ def interchange_quadruple(sig, rng, depth=1):
 
 # -- associative-up-to-homotopy setup (one color) -----------------------------
 
-from propcalc.chains import ChainComplex, ChainMap, base_field_complex, direct_sum, disc_complex
+from propcalc.chains import (
+    ChainComplex,
+    ChainMap,
+    base_field_complex,
+    direct_sum,
+    disc_complex,
+    factor_permutation_map,
+)
 from propcalc.endo import (
     ColoredFamily,
     EndoElement,
@@ -493,3 +502,135 @@ def reference_rho(data, d, in_key, b_keys):
                     big[r][col] = val
         mats[n] = big
     return ChainMap(space.complex, target.carrier, mats, check=False)
+
+
+# -- oracles for graphs and induced products -----------------------------------
+
+
+def graphs_isomorphic_brute_force(g1, g2) -> bool:
+    """Exhaustive isomorphism oracle over all vertex bijections."""
+    if len(g1.vertices) != len(g2.vertices):
+        return False
+    base = g2.certificate_for_order(list(range(len(g2.vertices))))
+    for order in itertools.permutations(range(len(g1.vertices))):
+        if g1.certificate_for_order(list(order)) == base:
+            return True
+    return False
+
+
+def induced_dim_law(palette, factors) -> bool:
+    """[G:H] prod dims by explicit coset enumeration equals the built dimension."""
+    comp = box_dot_many(palette, factors)
+    index = coset_count(palette, [f.out_key for f in factors], comp.out_key) * coset_count(
+        palette, [f.in_key for f in factors], comp.in_key
+    )
+    prod = 1
+    for f in factors:
+        prod *= f.carrier.total_dim()
+    return comp.carrier.total_dim() == index * prod
+
+
+def coset_count(palette, keys, merged) -> int:
+    """#G / #H by enumerating the subgroup embedding through a transport."""
+    concat = Profile(palette, [c for k in keys for c in k.rep.entries])
+    _, transport = canonicalize_profile(concat)
+    h_embedded = set()
+    for combo in itertools.product(*[stabilizer_elements(k) for k in keys]):
+        acc = None
+        for piece in combo:
+            acc = piece if acc is None else acc.block_sum(piece)
+        h_embedded.add((transport.inverse() * acc * transport).images)
+    seen = set()
+    count = 0
+    for g in stabilizer_elements(merged):
+        if g.images in seen:
+            continue
+        count += 1
+        for h in h_embedded:
+            seen.add((g * Permutation(h)).images)
+    return count
+
+
+# -- per-instance references for the operad checks -----------------------------
+
+
+def reference_validate_associativity(operad):
+    """The associativity failures of ColoredOperad.validate as propcalc found
+    them before instances shared their factors: each instance builds its basis
+    elements and all of its compositions afresh."""
+    failures = []
+    for (d, in_key) in operad.support():
+        for b_keys in operad._aligned_tuples(in_key):
+            merged = merge_keys(operad.palette, b_keys)
+            for r_choice in operad._aligned_tuples(merged):
+                if sum(k.length for k in r_choice) > operad.max_arity:
+                    continue
+                fail = _reference_assoc_instance(operad, d, in_key, b_keys, r_choice)
+                if fail:
+                    failures.append(fail)
+    return failures
+
+
+def _reference_assoc_instance(operad, d, in_key, b_keys, r_choice):
+    p_candidates = operad.basis_elements(d, in_key)[:1]
+    if not p_candidates:
+        return None
+    p = p_candidates[0]
+    q_els = []
+    for c, bk in zip(in_key.rep.entries, b_keys):
+        basis = operad.basis_elements(c, bk)
+        if not basis:
+            return None
+        q_els.append(basis[0])
+    merged = merge_keys(operad.palette, b_keys)
+    r_els = []
+    for c, rk in zip(merged.rep.entries, r_choice):
+        basis = operad.basis_elements(c, rk)
+        if not basis:
+            return None
+        r_els.append(basis[0])
+    route1 = compose_elements(compose_elements(p, q_els), r_els)
+    concat_entries = []
+    for bk in b_keys:
+        concat_entries.extend(bk.rep.entries)
+    _, t = canonicalize_profile(Profile(operad.palette, concat_entries))
+    owner = []
+    for i, bk in enumerate(b_keys):
+        owner.extend([i] * bk.length)
+    blocks = [[] for _ in b_keys]
+    for j in range(1, merged.length + 1):
+        blocks[owner[t(j) - 1]].append(r_els[j - 1])
+    inner = [compose_elements(q_el, block) for q_el, block in zip(q_els, blocks)]
+    route2 = compose_elements(p, inner)
+    if route1 != route2:
+        return "gamma not associative at %r" % ((d, in_key, b_keys, r_choice),)
+    return None
+
+
+def reference_value(alg, element):
+    """OperadAlgebra.value as propcalc computed it before it read the stored
+    values directly: a zero element plus one scaled value per nonzero
+    coordinate."""
+    comp = alg.operad.component(element.d, element.in_key)
+    out_profile = Profile(alg.family.palette, [element.d])
+    total = EndoElement.zero(alg.family, out_profile, element.in_key.rep, element.degree)
+    basis = alg.values[(element.d, element.in_key)]
+    offset = 0
+    for k in comp.carrier.degrees():
+        for i in range(comp.carrier.dim(k)):
+            if k == element.degree and element.coords[i] != 0:
+                total = total.add(basis[offset].scale(element.coords[i]))
+            offset += 1
+    return total
+
+
+def reference_endo_permute(sigma, tau, f):
+    """endo_permute as propcalc computed it before the family cached its
+    shuffles: both Koszul shuffles built afresh and composed, identities
+    included."""
+    fam = f.family
+    out_p = apply_permutation(sigma, f.out_profile, "left")
+    in_p = apply_permutation(tau, f.in_profile, "right")
+    l_sigma = factor_permutation_map([fam.complexes[c] for c in f.out_profile.entries], sigma)
+    l_tau = factor_permutation_map([fam.complexes[c] for c in in_p.entries], tau)
+    return EndoElement(fam, out_p, in_p, l_sigma.compose(f.chain).compose(l_tau))

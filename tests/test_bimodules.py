@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import kron, reference_coinvariant_quotient
+from helpers import induced_dim_law, kron, reference_coinvariant_quotient
 from propcalc import linalg
 from propcalc.bimodules import (
     BimoduleComponent,
@@ -18,7 +18,6 @@ from propcalc.bimodules import (
     change_colors,
     coinvariant_quotient,
     component_at,
-    induced_dim_law,
     placements,
     tensor_over_sigma,
 )
@@ -763,8 +762,6 @@ def test_graded_coinvariants_and_box_dot():
     ind = box_dot(PAL1, x, z)
     assert ind.validate() == []
     # induced dims: out (x,x) merged with (x): G_out = Sigma_2 x ... the law
-    from propcalc.bimodules import induced_dim_law
-
     assert induced_dim_law(PAL1, [x, z])
 
 

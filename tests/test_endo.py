@@ -1,11 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import kron, random_permutation
+from helpers import kron, random_permutation, reference_endo_permute
 from propcalc import linalg
-from propcalc.chains import ChainComplex, ChainMap, base_field_complex
+from propcalc.chains import ChainComplex, ChainMap, base_field_complex, factor_permutation_map
 from propcalc.endo import (
     ColoredFamily,
     EndoElement,
@@ -337,3 +338,48 @@ def test_endo_prop_axioms_random_suite():
             endo_permute(Permutation([1]), Permutation([1]), g),
         )
         assert fg2 == fg
+
+
+def graded_family():
+    """Odd-degree classes in both colors, so that Koszul shuffles have -1 entries."""
+    return ColoredFamily(
+        PAL,
+        {"a": ChainComplex({0: 1, 1: 1}, {1: [[F(1)]]}), "b": ChainComplex({0: 1, 1: 2})},
+    )
+
+
+def test_shuffle_cache_matches_fresh_koszul_map():
+    fam = graded_family()
+    negative = 0
+    for entries in (("a", "a", "a"), ("a", "b", "a"), ("b", "a", "a")):
+        profile = prof(*entries)
+        for images in itertools.permutations((1, 2, 3)):
+            sigma = Permutation(images)
+            cached = fam.shuffle(profile, sigma)
+            assert fam.shuffle(prof(*entries), Permutation(images)) is cached
+            fresh = factor_permutation_map([fam.complexes[c] for c in entries], sigma)
+            assert cached.source.dims == fresh.source.dims
+            assert cached.target.dims == fresh.target.dims
+            assert cached.degree == fresh.degree == 0
+            assert cached.mats == fresh.mats
+            negative += sum(x == -1 for m in cached.mats.values() for row in m for x in row)
+    assert negative > 0
+
+
+def test_endo_permute_matches_fresh_composition_identities_included():
+    rng = random.Random(17)
+    fam = graded_family()
+    out_p = prof("a", "a")
+    in_p = prof("a", "b", "a")
+    for degree in (0, 1):
+        f = random_element(rng, fam, out_p, in_p, degree)
+        assert not f.is_zero()
+        for s_images in itertools.permutations((1, 2)):
+            for t_images in itertools.permutations((1, 2, 3)):
+                sigma, tau = Permutation(s_images), Permutation(t_images)
+                got = endo_permute(sigma, tau, f)
+                want = reference_endo_permute(sigma, tau, f)
+                assert got.out_profile == want.out_profile
+                assert got.in_profile == want.in_profile
+                assert got.chain.degree == want.chain.degree
+                assert got.chain.mats == want.chain.mats

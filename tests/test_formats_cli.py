@@ -472,3 +472,22 @@ def test_cli_check_not_utf8_exit_2(tmp_path):
     bad.write_bytes(b"\xff\xfe{")
     code, out = run_cli(["check", str(bad)])
     assert_one_error_line(code, out, str(bad), "not UTF-8")
+
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+
+
+def test_cli_round_trip_value_of_wrong_degree_exit_2(tmp_path):
+    # the first value of the algebra claims degree 1 where its basis element
+    # has degree 0; the algebra is rejected before any value is evaluated
+    with open(os.path.join(GOLDEN_INPUTS, "alg.json"), encoding="utf-8") as handle:
+        alg = json.load(handle)
+    first = alg["values"][0]["values"][0]
+    first["degree"] = 1
+    del first["mats"]
+    bad = tmp_path / "alg_degree.json"
+    bad.write_text(json.dumps(alg))
+    code, out = run_cli(
+        ["--workspace", GOLDEN_INPUTS, "round-trip", "ass.json", "fam_sq.json", str(bad)]
+    )
+    assert_one_error_line(code, out, "endo element shape mismatch")

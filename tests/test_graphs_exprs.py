@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import (
+    graphs_isomorphic_brute_force,
     interchange_quadruple,
     random_expression,
     random_permutation,
@@ -34,7 +35,6 @@ from propcalc.graphs import (
     canonical_graph,
     enumerate_graphs,
     free_component_dim,
-    graphs_isomorphic_brute_force,
 )
 from propcalc.profiles import Palette, Permutation, Profile
 

@@ -4,10 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_compose_elements, reference_in_gens, reference_rho
+from helpers import (
+    dense_compose_elements,
+    reference_in_gens,
+    reference_rho,
+    reference_validate_associativity,
+    reference_value,
+)
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap
-from propcalc.endo import ColoredFamily, EndoElement
+from propcalc.endo import ColoredFamily, EndoElement, EndoError
 from propcalc.operads import (
     ColoredOperad,
     EndoPropData,
@@ -472,3 +478,103 @@ def test_unit_identity_compares_nontrivial_gammas():
     opp = prop_from_operad(operad, 1, 2)
     back = forget_to_operad(opp, 2)
     assert set(back.gamma) == set(operad.gamma)
+
+
+# -- the caches of validate and OperadAlgebra.value against per-instance paths --
+
+
+def benchmark_endo_operads():
+    """The endomorphism operads of the three 2-color families the operads
+    benchmark checks, at arity 2."""
+    palette = Palette(["a", "b"])
+    return [
+        endomorphism_operad(
+            ColoredFamily(palette, {"a": ChainComplex({0: i}), "b": ChainComplex({0: j})}), 2
+        )
+        for i, j in ((1, 1), (1, 2), (2, 1))
+    ]
+
+
+def corrupt_inner_gamma(operad):
+    """Send gamma(id_2; id_1, id_1) of associative_operad to the swap instead of
+    id_2.  In the instance (x, [x,x], ([x,x], [x]), ([x], [x], [x])) only the
+    inner composition gamma(q_1; r-block_1) reads this column."""
+    one = profile_key(operad.palette, ["x"])
+    two = profile_key(operad.palette, ["x", "x"])
+    key = ("x", two, (one, one))
+    gm = operad.gamma[key]
+    m = [list(row) for row in gm.mat(0)]
+    assert m[0][0] == 1 and m[1][0] == 0
+    m[0][0], m[1][0] = F(0), F(1)
+    operad.gamma[key] = ChainMap(gm.source, gm.target, {0: m}, check=False)
+    return ("x", two, (two, one), (one, one, one))
+
+
+def test_validate_memo_matches_per_instance_reference():
+    for operad in benchmark_endo_operads():
+        assert operad.validate() == []
+        assert reference_validate_associativity(operad) == []
+    operad = associative_operad(3)
+    assert operad.validate() == []
+    assert reference_validate_associativity(operad) == []
+    # a corruption made after a first validate is seen: the memo lives for one call
+    inner_only = corrupt_inner_gamma(operad)
+    failures = operad.validate()
+    assert failures == operad._validate_equivariance() + reference_validate_associativity(operad)
+    assert "gamma not associative at %r" % (inner_only,) in failures
+
+
+def test_algebra_value_matches_zero_plus_add_reference():
+    palette = Palette(["a", "b"])
+    fam = ColoredFamily(palette, {"a": ChainComplex({0: 1, 1: 1}), "b": ChainComplex({0: 2})})
+    operad = endomorphism_operad(fam, 2)
+    alg = tautological_endo_algebra(operad, fam)
+    rng = random.Random(23)
+    several = 0
+    for (d, in_key) in operad.support():
+        comp = operad.component(d, in_key)
+        offset = 0
+        for k in comp.carrier.degrees():
+            dim = comp.carrier.dim(k)
+            cases = [[0] * dim, [rng.choice([-2, -1, 2, F(1, 3)]) for _ in range(dim)]]
+            cases += [[rng.choice([0, 0, 1, -1, F(5, 2)]) for _ in range(dim)] for _ in range(3)]
+            for coords in cases:
+                el = operad.element(d, in_key, k, coords)
+                got = alg.value(el)
+                want = reference_value(alg, el)
+                assert got == want
+                assert (got.out_profile, got.in_profile, got.degree) == (
+                    want.out_profile,
+                    want.in_profile,
+                    want.degree,
+                )
+                if sum(1 for x in coords if x not in (0, 1)) >= 2:
+                    several += 1
+            for i in range(dim):
+                # a coefficient of 1 takes the stored value itself
+                assert alg.value(operad.unit(d, in_key, k, i)) is alg.values[(d, in_key)][offset + i]
+            offset += dim
+    assert several > 0
+
+
+def test_operad_algebra_rejects_values_of_the_wrong_shape():
+    operad = associative_operad(3)
+    alg = square_zero_algebra(operad)
+    fam = alg.family
+    palette = operad.palette
+    key = ("x", profile_key(palette, ["x", "x"]))
+    vals = alg.values[key]
+    v = vals[0]
+    wrong = [
+        EndoElement.zero(fam, v.out_profile, v.in_profile, 1),
+        EndoElement.zero(fam, Profile(palette, ["x", "x"]), v.in_profile, 0),
+        EndoElement.zero(fam, v.out_profile, Profile(palette, ["x"]), 0),
+    ]
+    for w in wrong:
+        with pytest.raises(EndoError, match="endo element shape mismatch"):
+            OperadAlgebra(operad, fam, {**alg.values, key: [w] + vals[1:]})
+    with pytest.raises(OperadError, match="needs 2 basis values, got 1"):
+        OperadAlgebra(operad, fam, {**alg.values, key: vals[:1]})
+    missing = ("x", profile_key(palette, ["x"] * 4))
+    with pytest.raises(OperadError, match="missing component"):
+        OperadAlgebra(operad, fam, {**alg.values, missing: vals})
