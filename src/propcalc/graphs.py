@@ -336,6 +336,12 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
 
     Complete and duplicate-free; output sorted by certificate.  Raises
     ResourceCapExceeded when the wiring search would exceed work_cap steps.
+
+    Every graph built is valid by construction, so none is checked:
+    `_wirings` pairs ports of equal color, each input port at most once and
+    each output port at most once; `_leg_assignments` labels the unwired
+    ports by a color-preserving bijection onto 1..n; profiles are non-empty,
+    so legs remain on both sides; and wirings with a cycle are skipped.
     """
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
@@ -364,38 +370,19 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
                 for p in range(1, len(gens[v].out_profile) + 1)
             ]
             for wiring in _wirings(in_ports, out_ports, n_edges, work, work_cap):
-                edges = [((u, p), (v, q)) for (u, p), (v, q) in wiring]
-                try:
-                    skeleton = _legless_check(signature, combo, edges)
-                except GraphError:
+                if not _is_acyclic(count, wiring):
                     continue
-                free_in = [ip for ip in in_ports if (ip[0], ip[1]) not in {e[1] for e in edges}]
-                free_out = [op for op in out_ports if (op[0], op[1]) not in {e[0] for e in edges}]
+                wired_out = {e[0] for e in wiring}
+                wired_in = {e[1] for e in wiring}
+                free_in = [ip for ip in in_ports if ip[:2] not in wired_in]
+                free_out = [op for op in out_ports if op[:2] not in wired_out]
                 for in_legs in _leg_assignments(free_in, in_profile, work, work_cap):
                     for out_legs in _leg_assignments(free_out, out_profile, work, work_cap):
-                        g = PropGraph(signature, combo, edges, in_legs, out_legs, check=False)
-                        try:
-                            g._validate()
-                        except GraphError:
-                            continue
+                        g = PropGraph(signature, combo, wiring, in_legs, out_legs, check=False)
                         cert, _ = g.canonical()
                         if cert not in found:
                             found[cert] = g
     return [found[c] for c in sorted(found)]
-
-
-def _legless_check(signature, combo, edges):
-    # quick structural sanity before assigning legs: port reuse and cycles
-    used_out = set()
-    used_in = set()
-    for (u, p), (v, q) in edges:
-        if (u, p) in used_out or (v, q) in used_in:
-            raise GraphError("port reuse")
-        used_out.add((u, p))
-        used_in.add((v, q))
-    if not _is_acyclic(len(combo), edges):
-        raise GraphError("cycle")
-    return True
 
 
 def _is_acyclic(n_vertices, edges) -> bool:
@@ -429,8 +416,8 @@ def _wirings(in_ports, out_ports, n_edges, work, work_cap):
         if len(acc) + remaining_ports < n_edges:
             return
         if i == len(in_ports):
-            if len(acc) == n_edges:
-                results.append(list(acc))
+            # the pruning above and the guard below leave exactly n_edges edges
+            results.append(list(acc))
             return
         v, q, color = in_ports[i]
         # leave this port as a leg
@@ -452,7 +439,7 @@ def _wirings(in_ports, out_ports, n_edges, work, work_cap):
 
 def _leg_assignments(free_ports, profile, work, work_cap):
     """All leg labelings: bijections label -> port with matching colors."""
-    if len(free_ports) != len(profile):
+    if sorted(color for _, _, color in free_ports) != sorted(profile.entries):
         return
     by_color = {}
     for v, q, color in free_ports:
@@ -460,17 +447,8 @@ def _leg_assignments(free_ports, profile, work, work_cap):
     label_slots = {}
     for label, color in enumerate(profile.entries, start=1):
         label_slots.setdefault(color, []).append(label)
-    if set(by_color) != set(label_slots):
-        return
-    for color in by_color:
-        if len(by_color[color]) != len(label_slots[color]):
-            return
     colors = sorted(by_color)
-    per_color_perms = []
-    for color in colors:
-        ports = by_color[color]
-        per_color_perms.append(list(itertools.permutations(ports)))
-    for chosen in itertools.product(*per_color_perms):
+    for chosen in itertools.product(*(itertools.permutations(by_color[c]) for c in colors)):
         work[0] += 1
         if work[0] > work_cap:
             raise ResourceCapExceeded("leg assignment exceeded %d steps" % work_cap)

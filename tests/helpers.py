@@ -6,7 +6,15 @@ from fractions import Fraction
 
 from propcalc.bimodules import box_dot_many, merge_keys
 from propcalc.chains import TensorSpace
-from propcalc.graphs import Generator, Signature
+from propcalc.graphs import (
+    Generator,
+    GraphError,
+    PropGraph,
+    Signature,
+    _is_acyclic,
+    _leg_assignments,
+    _wirings,
+)
 from propcalc.exprs import (
     GenExpr,
     HCompExpr,
@@ -551,7 +559,133 @@ def coset_count(palette, keys, merged) -> int:
     return count
 
 
+def reference_enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=2_000_000):
+    """enumerate_graphs as propcalc ran it while it still checked each wiring
+    for port reuse and each leg assignment with PropGraph._validate."""
+    if max_vertices < 1:
+        raise GraphError("max_vertices must be >= 1")
+    n_in = len(in_profile)
+    n_out = len(out_profile)
+    found = {}
+    work = [0]
+
+    names = signature.names()
+    for count in range(1, max_vertices + 1):
+        for combo in itertools.combinations_with_replacement(names, count):
+            gens = [signature[name] for name in combo]
+            total_in = sum(len(g.in_profile) for g in gens)
+            total_out = sum(len(g.out_profile) for g in gens)
+            n_edges = total_in - n_in
+            if n_edges < 0 or total_out - n_out != n_edges:
+                continue
+            in_ports = [
+                (v, q, gens[v].in_profile[q - 1])
+                for v in range(count)
+                for q in range(1, len(gens[v].in_profile) + 1)
+            ]
+            out_ports = [
+                (v, p, gens[v].out_profile[p - 1])
+                for v in range(count)
+                for p in range(1, len(gens[v].out_profile) + 1)
+            ]
+            for wiring in _wirings(in_ports, out_ports, n_edges, work, work_cap):
+                edges = [((u, p), (v, q)) for (u, p), (v, q) in wiring]
+                try:
+                    _reference_legless_check(signature, combo, edges)
+                except GraphError:
+                    continue
+                free_in = [ip for ip in in_ports if (ip[0], ip[1]) not in {e[1] for e in edges}]
+                free_out = [op for op in out_ports if (op[0], op[1]) not in {e[0] for e in edges}]
+                for in_legs in _leg_assignments(free_in, in_profile, work, work_cap):
+                    for out_legs in _leg_assignments(free_out, out_profile, work, work_cap):
+                        g = PropGraph(signature, combo, edges, in_legs, out_legs, check=False)
+                        try:
+                            g._validate()
+                        except GraphError:
+                            continue
+                        cert, _ = g.canonical()
+                        if cert not in found:
+                            found[cert] = g
+    return [found[c] for c in sorted(found)]
+
+
+def _reference_legless_check(signature, combo, edges):
+    # quick structural sanity before assigning legs: port reuse and cycles
+    used_out = set()
+    used_in = set()
+    for (u, p), (v, q) in edges:
+        if (u, p) in used_out or (v, q) in used_in:
+            raise GraphError("port reuse")
+        used_out.add((u, p))
+        used_in.add((v, q))
+    if not _is_acyclic(len(combo), edges):
+        raise GraphError("cycle")
+    return True
+
+
 # -- per-instance references for the operad checks -----------------------------
+
+
+def reference_validate_equivariance(operad):
+    """The equivariance failures of ColoredOperad.validate as propcalc found
+    them before the checks shared first units: the first unit of each input
+    is taken from a fresh basis_elements list for every basis element p."""
+    failures = []
+    for (d, in_key, b_keys) in sorted(operad.gamma, key=repr):
+        comp = operad.component(d, in_key)
+        if comp is None:
+            continue
+        n = in_key.length
+        sizes = [k.length for k in b_keys]
+        starts = [0] * n
+        acc = 0
+        for j, s in enumerate(sizes):
+            starts[j] = acc
+            acc += s
+        total = acc
+        concat_w = []
+        for bk in b_keys:
+            concat_w.extend(bk.rep.entries)
+        _, t_w = canonicalize_profile(Profile(operad.palette, concat_w))
+        for tau in stabilizer_elements(in_key):
+            if tau.is_identity():
+                continue
+            images = [0] * total
+            pos = 0
+            for i in range(1, n + 1):
+                src_block = tau(i)
+                for l in range(1, sizes[src_block - 1] + 1):
+                    images[pos] = starts[src_block - 1] + l
+                    pos += 1
+            delta = Permutation(images)
+            concat_wp = []
+            for i in range(1, n + 1):
+                concat_wp.extend(b_keys[tau(i) - 1].rep.entries)
+            _, t_wp = canonicalize_profile(Profile(operad.palette, concat_wp))
+            u = t_w.inverse() * delta * t_wp
+            for p_el in operad.basis_elements(d, in_key):
+                q_els = []
+                ok = True
+                for c, bk in zip(in_key.rep.entries, b_keys):
+                    basis = operad.basis_elements(c, bk)
+                    if not basis:
+                        ok = False
+                        break
+                    q_els.append(basis[0])
+                if not ok:
+                    continue
+                lhs = compose_elements(
+                    p_el.act_right(tau),
+                    [q_els[tau(i) - 1] for i in range(1, n + 1)],
+                )
+                rhs = compose_elements(p_el, q_els).act_right(u)
+                if lhs != rhs:
+                    failures.append(
+                        "gamma not equivariant at %r" % ((d, in_key, b_keys, tau.images),)
+                    )
+                    break
+    return failures
+
 
 
 def reference_validate_associativity(operad):

@@ -9,6 +9,7 @@ from helpers import (
     random_expression,
     random_permutation,
     random_signature,
+    reference_enumerate_graphs,
 )
 from propcalc.exprs import (
     GenExpr,
@@ -344,6 +345,105 @@ def test_max_vertices_validated():
     c = lambda *xs: Profile(PAL1, xs)
     with pytest.raises(GraphError):
         enumerate_graphs(sig, c("c"), c("c"), 0)
+
+
+def test_enumerate_matches_the_checked_reference():
+    """The enumerator without per-graph checks returns what the checked one
+    returned, and every graph it returns is valid with the asked profiles."""
+    rng = random.Random(41)
+    cap = 3_000
+    found = capped = 0
+    for _ in range(150):
+        sig = random_signature(rng)
+        colors = sig.palette.colors
+        out_p = Profile(sig.palette, [rng.choice(colors) for _ in range(rng.randint(1, 3))])
+        in_p = Profile(sig.palette, [rng.choice(colors) for _ in range(rng.randint(1, 3))])
+        max_v = rng.randint(1, 3)
+        try:
+            want = reference_enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
+        except ResourceCapExceeded:
+            capped += 1
+            with pytest.raises(ResourceCapExceeded):
+                enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
+            continue
+        got = enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
+        assert [canonical_graph(g) for g in got] == [canonical_graph(g) for g in want]
+        for g in got:
+            g._validate()
+            assert (g.out_profile(), g.in_profile()) == (out_p, in_p)
+        found += len(got)
+    assert found > 1_000 and 0 < capped < 20
+
+
+# -- graphs the constructor rejects ------------------------------------------------
+
+
+def two_color_sig():
+    pal = Palette(["a", "b"])
+    p = lambda *xs: Profile(pal, xs)
+    return Signature(
+        pal,
+        [
+            Generator("mu", p("a"), p("a", "a"), 0),
+            Generator("w", p("a", "a"), p("a"), 0),
+            Generator("f", p("b"), p("a"), 0),
+        ],
+    )
+
+
+BAD_GRAPHS = [
+    # (vertices, edges, in_legs, out_legs, message)
+    (["mu"], [((0, 1), (1, 1))], {(0, 1): 1, (0, 2): 2}, {(0, 1): 1}, "edge endpoint out of range"),
+    (
+        ["mu", "mu"],
+        [((0, 2), (1, 1))],
+        {(0, 1): 1, (0, 2): 2, (1, 2): 3},
+        {(1, 1): 1},
+        "output port 2 out of range on vertex 0",
+    ),
+    (
+        ["mu", "mu"],
+        [((0, 1), (1, 3))],
+        {(0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4},
+        {(1, 1): 1},
+        "input port 3 out of range on vertex 1",
+    ),
+    (
+        ["f", "mu"],
+        [((0, 1), (1, 1))],
+        {(0, 1): 1, (1, 2): 2},
+        {(1, 1): 1},
+        "edge color mismatch",
+    ),
+    (
+        ["w", "mu"],
+        [((0, 1), (1, 1)), ((0, 1), (1, 2))],
+        {(0, 1): 1},
+        {(0, 2): 1, (1, 1): 2},
+        r"output port \(0,1\) used twice",
+    ),
+    (
+        ["mu", "mu", "mu"],
+        [((0, 1), (2, 1)), ((1, 1), (2, 1))],
+        {(0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5},
+        {(2, 1): 1},
+        r"input port \(2,1\) used twice",
+    ),
+    (["mu"], [], {(0, 1): 1}, {(0, 1): 1}, "input leg order must cover exactly"),
+    (["mu"], [], {(0, 1): 1, (0, 2): 2}, {}, "output leg order must cover exactly"),
+    (["mu"], [], {(0, 1): 1, (0, 2): 3}, {(0, 1): 1}, r"input leg labels must be a bijection onto 1\.\.n"),
+    (["mu"], [], {(0, 1): 1, (0, 2): 2}, {(0, 1): 2}, r"output leg labels must be a bijection onto 1\.\.m"),
+    (["w", "mu"], [((0, 1), (1, 1)), ((0, 2), (1, 2)), ((1, 1), (0, 1))], {}, {}, "non-empty leg profiles"),
+    (["w", "mu"], [((0, 1), (1, 1)), ((1, 1), (0, 1))], {(1, 2): 1}, {(0, 2): 1}, "directed cycle"),
+    ([], [], {}, {}, "at least one vertex"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, in_legs, out_legs, message", BAD_GRAPHS)
+def test_prop_graph_rejects_invalid_structure(vertices, edges, in_legs, out_legs, message):
+    sig = two_color_sig()
+    with pytest.raises(GraphError, match=message):
+        PropGraph(sig, vertices, edges, in_legs, out_legs)
 
 
 # -- presentations ----------------------------------------------------------------

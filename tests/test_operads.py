@@ -9,9 +9,10 @@ from helpers import (
     reference_in_gens,
     reference_rho,
     reference_validate_associativity,
+    reference_validate_equivariance,
     reference_value,
 )
-from propcalc import linalg
+from propcalc import linalg, operads
 from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement, EndoError
 from propcalc.operads import (
@@ -520,8 +521,43 @@ def test_validate_memo_matches_per_instance_reference():
     # a corruption made after a first validate is seen: the memo lives for one call
     inner_only = corrupt_inner_gamma(operad)
     failures = operad.validate()
-    assert failures == operad._validate_equivariance() + reference_validate_associativity(operad)
+    assert failures == operad._validate_equivariance({}) + reference_validate_associativity(operad)
     assert "gamma not associative at %r" % (inner_only,) in failures
+
+
+def test_validate_equivariance_matches_per_basis_element_reference():
+    for operad in benchmark_endo_operads():
+        assert operad._validate_equivariance({}) == reference_validate_equivariance(operad) == []
+    operad = associative_operad(3)
+    assert operad._validate_equivariance({}) == reference_validate_equivariance(operad) == []
+    # let the swap act on O(2) as the identity: gamma stays, equivariance fails
+    comp = operad.component("x", profile_key(operad.palette, ["x", "x"]))
+    (swap,) = comp.in_gens
+    comp.in_gens[swap] = ChainMap.identity(comp.carrier)
+    failures = operad._validate_equivariance({})
+    assert failures and failures == reference_validate_equivariance(operad)
+    assert operad.validate() == failures + reference_validate_associativity(operad)
+
+
+def test_validate_equivariance_builds_each_first_unit_once(monkeypatch):
+    palette = Palette(["a", "b"])
+    fam = ColoredFamily(palette, {"a": ChainComplex({0: 1}), "b": ChainComplex({0: 2})})
+    operad = endomorphism_operad(fam, 2)
+    calls = {"unit": 0, "compose": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(ColoredOperad, "unit", counting("unit", ColoredOperad.unit))
+    monkeypatch.setattr(operads, "compose_elements", counting("compose", operads.compose_elements))
+    assert operad._validate_equivariance({}) == []
+    # the per-basis-element lists built 384 units for these 120 compositions
+    assert calls["compose"] == 120
+    assert calls["unit"] < calls["compose"]
 
 
 def test_algebra_value_matches_zero_plus_add_reference():
