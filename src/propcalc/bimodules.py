@@ -18,7 +18,9 @@ g.(rH, w) = (r'H, h.w).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,6 +47,12 @@ from propcalc.profiles import (
 )
 
 ONE = Fraction(1)
+
+# BimoduleComponent.validate checks a group law on the full multiplication
+# table up to this many elements, and on sampled pairs beyond
+_GROUP_TABLE_CAP = 48
+_GROUP_LAW_SAMPLES = 20
+_GROUP_LAW_SEED = 0
 
 
 class BimoduleError(ValueError):
@@ -94,30 +102,34 @@ class BimoduleComponent:
         return self.carrier.total_dim()
 
     def rho_out(self, sigma: Permutation) -> ChainMap:
-        """Action of (sigma; 1) for sigma in the out stabilizer."""
+        """Action of (sigma; 1) for sigma in the out stabilizer: the product of
+        the generator maps of its word, a generator's own map for a generator."""
         word = word_in_block_transpositions(self.out_key, sigma)
-        m = ChainMap.identity(self.carrier)
-        for s in word:
+        if not word:
+            return ChainMap.identity(self.carrier)
+        m = self.out_gens[word[0].images]
+        for s in word[1:]:
             m = m.compose(self.out_gens[s.images])
         return m
 
     def rho_in(self, tau: Permutation) -> ChainMap:
         """Action of (1; tau) for tau in the in stabilizer (contravariant side)."""
         word = word_in_block_transpositions(self.in_key, tau)
-        m = ChainMap.identity(self.carrier)
-        for s in word:
+        if not word:
+            return ChainMap.identity(self.carrier)
+        m = self.in_gens[word[0].images]
+        for s in word[1:]:
             m = self.in_gens[s.images].compose(m)
         return m
 
     def rho(self, sigma: Permutation, tau: Permutation) -> ChainMap:
         return self.rho_out(sigma).compose(self.rho_in(tau))
 
-    def validate(self, group_order_cap=48, rng=None, samples=20):
-        """Check the action axioms; exhaustive when the stabilizers are small.
-
-        Verifies: actions are chain maps, the group laws hold (full
-        multiplication tables up to group_order_cap, sampled otherwise), and
-        the two sides commute.
+    def validate(self):
+        """Check the action axioms: the generator actions are chain maps; the
+        group law on the full table up to 48 elements, sampled beyond; the two
+        sides commute on generators, which span both actions.  Each element's
+        action is built at most once per call.
         """
         failures = []
         for mats in (self.out_gens, self.in_gens):
@@ -132,33 +144,33 @@ class BimoduleComponent:
                             "action %r does not commute with the differential" % (images,)
                         )
                         break
-        out_elems = stabilizer_elements(self.out_key)
-        in_elems = stabilizer_elements(self.in_key)
-
-        def pairs(elems):
-            if len(elems) <= group_order_cap:
-                return itertools.product(elems, elems)
-            rng2 = rng
-            if rng2 is None:
-                import random as _random
-
-                rng2 = _random.Random(0)
-            return [(rng2.choice(elems), rng2.choice(elems)) for _ in range(samples)]
-
-        for g, h in pairs(out_elems):
-            if self.rho_out(g).compose(self.rho_out(h)) != self.rho_out(g * h):
+        # memos that live for this call only: a process-wide one grows with
+        # every component ever validated
+        rho_out = functools.cache(self.rho_out)
+        rho_in = functools.cache(self.rho_in)
+        for g, h in _table_pairs(stabilizer_elements(self.out_key)):
+            if rho_out(g).compose(rho_out(h)) != rho_out(g * h):
                 failures.append("out-action group law fails at %r, %r" % (g.images, h.images))
                 break
-        for g, h in pairs(in_elems):
-            if self.rho_in(h).compose(self.rho_in(g)) != self.rho_in(g * h):
+        for g, h in _table_pairs(stabilizer_elements(self.in_key)):
+            if rho_in(h).compose(rho_in(g)) != rho_in(g * h):
                 failures.append("in-action group law fails at %r, %r" % (g.images, h.images))
                 break
-        for g in out_elems[: min(len(out_elems), 8)]:
-            for h in in_elems[: min(len(in_elems), 8)]:
-                if self.rho_out(g).compose(self.rho_in(h)) != self.rho_in(h).compose(self.rho_out(g)):
-                    failures.append("out/in actions do not commute")
-                    break
+        outs = [self.out_gens[s.images] for s in stabilizer_generators(self.out_key)]
+        ins = [self.in_gens[s.images] for s in stabilizer_generators(self.in_key)]
+        if any(a.compose(b) != b.compose(a) for a in outs for b in ins):
+            failures.append("out/in actions do not commute")
         return failures
+
+
+def _table_pairs(elems):
+    """The pairs on which validate checks a group law: the full table up to
+    _GROUP_TABLE_CAP elements, else _GROUP_LAW_SAMPLES pairs drawn with a
+    generator seeded by _GROUP_LAW_SEED."""
+    if len(elems) <= _GROUP_TABLE_CAP:
+        return itertools.product(elems, elems)
+    rng = random.Random(_GROUP_LAW_SEED)
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(_GROUP_LAW_SAMPLES)]
 
 
 class CoinvariantLayout(NamedTuple):
@@ -514,24 +526,29 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
             layout.tensor, layout.tensor, [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
         )
 
+    def copy_offsets(out_place, in_place):
+        return layout.copy_offsets(layout.index[(out_place, in_place)])
+
     def action_blocks(side, sigma):
-        perm_positions = (
-            [sigma(i + 1) - 1 for i in range(sigma.n)]
-            if side == "out"
-            else [sigma.inverse()(i + 1) - 1 for i in range(sigma.n)]
-        )
-        for (ao, ai), src in layout.index.items():
-            if side == "out":
+        """(decoration, target offsets, source offsets) per copy.  A placement
+        moves on one side only, so each moved placement's decoration is built
+        once and shared by the copies of all its partner placements."""
+        if side == "out":
+            perm_positions = [sigma(i + 1) - 1 for i in range(sigma.n)]
+            for ao in layout.outs:
                 new_a = _moved_placement(ao, perm_positions)
                 tw = _twists(ao, new_a, perm_positions, len(factors))
-                tgt = layout.index[(new_a, ai)]
                 dec = decorated([f.rho_out(t) for f, t in zip(factors, tw)])
-            else:
+                for ai in layout.ins:
+                    yield dec, copy_offsets(new_a, ai), copy_offsets(ao, ai)
+        else:
+            perm_positions = [sigma.inverse()(i + 1) - 1 for i in range(sigma.n)]
+            for ai in layout.ins:
                 new_a = _moved_placement(ai, perm_positions)
                 tw = _twists(ai, new_a, perm_positions, len(factors))
-                tgt = layout.index[(ao, new_a)]
                 dec = decorated([f.rho_in(t.inverse()) for f, t in zip(factors, tw)])
-            yield dec, layout.copy_offsets(tgt), layout.copy_offsets(src)
+                for ao in layout.outs:
+                    yield dec, copy_offsets(ao, new_a), copy_offsets(ao, ai)
 
     out_gens = {
         s.images: place_blocks(carrier, carrier, action_blocks("out", s))

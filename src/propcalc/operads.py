@@ -165,9 +165,14 @@ class ColoredOperad:
             for bk in b_keys:
                 concat_w.extend(bk.rep.entries)
             _, t_w = canonicalize_profile(Profile(self.palette, concat_w))
+            # the basis of p and gamma(p; q) do not depend on tau; built at the
+            # first tau that needs them, so a trivial stabilizer builds nothing
+            p_pairs = None
             for tau in stabilizer_elements(in_key):
                 if tau.is_identity():
                     continue
+                if p_pairs is None:
+                    p_pairs = [(p_el, compose_elements(p_el, q_els)) for p_el in self.basis_elements(d, in_key)]
                 # delta: position s of the permuted arrangement (block i holds
                 # the inputs of q_{tau(i)}) to block tau(i) of the standard one
                 images = [0] * total
@@ -183,13 +188,12 @@ class ColoredOperad:
                     concat_wp.extend(b_keys[tau(i) - 1].rep.entries)
                 _, t_wp = canonicalize_profile(Profile(self.palette, concat_wp))
                 u = t_w.inverse() * delta * t_wp
-                for p_el in self.basis_elements(d, in_key):
+                for p_el, composite in p_pairs:
                     lhs = compose_elements(
                         p_el.act_right(tau),
                         [q_els[tau(i) - 1] for i in range(1, n + 1)],
                     )
-                    rhs = compose_elements(p_el, q_els).act_right(u)
-                    if lhs != rhs:
+                    if lhs != composite.act_right(u):
                         failures.append(
                             "gamma not equivariant at %r"
                             % ((d, in_key, b_keys, tau.images),)

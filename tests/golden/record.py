@@ -47,6 +47,7 @@ COMMANDS = [
     ("check-complex", ["check", "q.json"]),
     ("check-operad", ["check", "op.json"]),
     ("check-bimodule-bad-action", ["check", "bad_bimodule.json"]),
+    ("check-bimodule-noncommuting", ["check", "noncommuting_bimodule.json"]),
     ("check-operad-bad-gamma", ["check", "bad_op.json"]),
     ("check-presentation-bad-differential", ["check", "bad_pres.json"]),
     ("check-missing-file", ["check", "missing.json"]),
@@ -93,7 +94,7 @@ COMMANDS = [
 
 def write_inputs():
     from test_algebras import invalid_structure_on_field_plus_disc
-    from test_bimodules import key, make_component, perm_matrix_rep, sign_rep
+    from test_bimodules import key, make_component, noncommuting_component, perm_matrix_rep, sign_rep
     from test_operads import square_zero_algebra
 
     from propcalc.algebras import transfer
@@ -152,6 +153,11 @@ def write_inputs():
             kaa, kaa, ChainComplex({0: 2}),
             out_mats=perm_matrix_rep(kaa, "out"), in_mats=perm_matrix_rep(kaa, "in"),
         )},
+    )
+
+    noncommuting = noncommuting_component()
+    objects["noncommuting_bimodule"] = ColoredBimodule(
+        Palette(["x"]), {(noncommuting.out_key, noncommuting.in_key): noncommuting}
     )
 
     objects["op"] = trivial_operad(2)

@@ -4,8 +4,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from propcalc.bimodules import box_dot_many, merge_keys
-from propcalc.chains import TensorSpace
+from propcalc import linalg
+from propcalc.bimodules import (
+    InducedLayout,
+    _moved_placement,
+    _twists,
+    box_dot_many,
+    merge_keys,
+    placements,
+)
+from propcalc.chains import TensorSpace, assemble_tensor_map, place_blocks
 from propcalc.graphs import (
     Generator,
     GraphError,
@@ -31,6 +39,7 @@ from propcalc.profiles import (
     canonicalize_profile,
     stabilizer_elements,
     stabilizer_generators,
+    word_in_block_transpositions,
 )
 
 F = Fraction
@@ -621,6 +630,126 @@ def _reference_legless_check(signature, combo, edges):
     if not _is_acyclic(len(combo), edges):
         raise GraphError("cycle")
     return True
+
+
+# -- references for the Young actions of a bimodule component -----------------
+
+
+def reference_rho_out(comp, sigma):
+    """BimoduleComponent.rho_out as propcalc computed it before actions folded
+    from the first generator: a dense identity composed with every generator
+    map of the word."""
+    m = ChainMap.identity(comp.carrier)
+    for s in word_in_block_transpositions(comp.out_key, sigma):
+        m = m.compose(comp.out_gens[s.images])
+    return m
+
+
+def reference_rho_in(comp, tau):
+    """BimoduleComponent.rho_in as propcalc computed it before actions folded
+    from the first generator."""
+    m = ChainMap.identity(comp.carrier)
+    for s in word_in_block_transpositions(comp.in_key, tau):
+        m = comp.in_gens[s.images].compose(m)
+    return m
+
+
+def reference_validate_component(comp):
+    """The failures of BimoduleComponent.validate as propcalc found them
+    before it built each action once per call: every table pair rebuilds its
+    three actions, and out/in commutation is tested only on the first 8
+    elements of each stabilizer in lex order, appending its message once per
+    failing out element."""
+    failures = []
+    for mats in (comp.out_gens, comp.in_gens):
+        for images, m in mats.items():
+            for n in comp.carrier.degrees():
+                if n == 0:
+                    continue
+                lhs = linalg.mat_mul(comp.carrier.d(n), m.mat(n))
+                rhs = linalg.mat_mul(m.mat(n - 1), comp.carrier.d(n))
+                if not linalg.mat_eq(lhs, rhs):
+                    failures.append("action %r does not commute with the differential" % (images,))
+                    break
+    out_elems = stabilizer_elements(comp.out_key)
+    in_elems = stabilizer_elements(comp.in_key)
+
+    def pairs(elems):
+        if len(elems) <= 48:
+            return itertools.product(elems, elems)
+        rng = random.Random(0)
+        return [(rng.choice(elems), rng.choice(elems)) for _ in range(20)]
+
+    for g, h in pairs(out_elems):
+        lhs = reference_rho_out(comp, g).compose(reference_rho_out(comp, h))
+        if lhs != reference_rho_out(comp, g * h):
+            failures.append("out-action group law fails at %r, %r" % (g.images, h.images))
+            break
+    for g, h in pairs(in_elems):
+        lhs = reference_rho_in(comp, h).compose(reference_rho_in(comp, g))
+        if lhs != reference_rho_in(comp, g * h):
+            failures.append("in-action group law fails at %r, %r" % (g.images, h.images))
+            break
+    for g in out_elems[:8]:
+        for h in in_elems[:8]:
+            a, b = reference_rho_out(comp, g), reference_rho_in(comp, h)
+            if a.compose(b) != b.compose(a):
+                failures.append("out/in actions do not commute")
+                break
+    return failures
+
+
+def reference_box_dot_gens(palette, factors):
+    """The generator actions (out_gens, in_gens) of box_dot_many(palette,
+    factors) as propcalc built them before decorations were shared: the
+    twists and the decoration are rebuilt for every (out placement, in
+    placement) pair, from reference_rho_out and reference_rho_in."""
+    out_keys = [f.out_key for f in factors]
+    in_keys = [f.in_key for f in factors]
+    merged_out = merge_keys(palette, out_keys)
+    merged_in = merge_keys(palette, in_keys)
+    layout = InducedLayout.of(
+        factors,
+        placements(palette, out_keys, merged_out),
+        placements(palette, in_keys, merged_in),
+        TensorSpace([f.carrier for f in factors]),
+    )
+    carrier = direct_sum(*[layout.tensor.complex] * len(layout.index))
+    factor_spaces = [TensorSpace([f.carrier]) for f in factors]
+
+    def decorated(maps):
+        return assemble_tensor_map(
+            layout.tensor, layout.tensor, [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
+        )
+
+    def action_blocks(side, sigma):
+        perm_positions = (
+            [sigma(i + 1) - 1 for i in range(sigma.n)]
+            if side == "out"
+            else [sigma.inverse()(i + 1) - 1 for i in range(sigma.n)]
+        )
+        for (ao, ai), src in layout.index.items():
+            if side == "out":
+                new_a = _moved_placement(ao, perm_positions)
+                tw = _twists(ao, new_a, perm_positions, len(factors))
+                tgt = layout.index[(new_a, ai)]
+                dec = decorated([reference_rho_out(f, t) for f, t in zip(factors, tw)])
+            else:
+                new_a = _moved_placement(ai, perm_positions)
+                tw = _twists(ai, new_a, perm_positions, len(factors))
+                tgt = layout.index[(ao, new_a)]
+                dec = decorated([reference_rho_in(f, t.inverse()) for f, t in zip(factors, tw)])
+            yield dec, layout.copy_offsets(tgt), layout.copy_offsets(src)
+
+    out_gens = {
+        s.images: place_blocks(carrier, carrier, action_blocks("out", s))
+        for s in stabilizer_generators(merged_out)
+    }
+    in_gens = {
+        s.images: place_blocks(carrier, carrier, action_blocks("in", s))
+        for s in stabilizer_generators(merged_in)
+    }
+    return out_gens, in_gens
 
 
 # -- per-instance references for the operad checks -----------------------------

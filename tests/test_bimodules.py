@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import induced_dim_law, kron, reference_coinvariant_quotient
+from helpers import (
+    induced_dim_law,
+    kron,
+    reference_box_dot_gens,
+    reference_coinvariant_quotient,
+    reference_rho_in,
+    reference_rho_out,
+    reference_validate_component,
+)
 from propcalc import linalg
 from propcalc.bimodules import (
     BimoduleComponent,
@@ -115,6 +123,180 @@ def test_component_validate_rejects_bad_action():
     bad = make_component(kd, kc, carrier, out_mats={(2, 1): [[F(2)]]})
     failures = bad.validate()
     assert any("group law" in f for f in failures)
+
+
+def noncommuting_component():
+    """Q^5 with S_5 permuting coordinates on the out side and the in generator
+    acting by diag(1, -1, -1, -1, -1): both actions are lawful, but they do
+    not commute, and (1 2) is the out generator that shows it."""
+    kd = key(PAL1, *"xxxxx")
+    kc = key(PAL1, "x", "x")
+    diag = [[F(1) if i == j == 0 else F(-1) if i == j else F(0) for j in range(5)] for i in range(5)]
+    return make_component(
+        kd, kc, ChainComplex({0: 5}), out_mats=perm_matrix_rep(kd, "out"), in_mats={(2, 1): diag}
+    )
+
+
+def test_component_validate_rejects_noncommuting_actions():
+    comp = noncommuting_component()
+    assert comp.validate() == ["out/in actions do not commute"]
+
+
+def young_rep(rng, k, side, natural):
+    """Generator matrices of a representation of the Young subgroup of k: the
+    natural permutation action on Q^n (natural) or the trivial one on Q,
+    twisted by the sign character of a random set of colour blocks."""
+    signs = {c: rng.choice([F(1), F(-1)]) for c in k.rep.entries}
+    perms = perm_matrix_rep(k, side) if natural else None
+    out = {}
+    for s in stabilizer_generators(k):
+        color = k.rep.entries[next(i for i, x in enumerate(s.images) if x != i + 1)]
+        out[s.images] = linalg.mat_scale(signs[color], perms[s.images] if natural else [[F(1)]])
+    return out
+
+
+def random_young_component(rng, out_key, in_key, max_dim=8):
+    """Random lawful component over degrees 0 and 1 with zero differential:
+    in each degree an out representation tensored with an in representation,
+    so the two sides commute; sign twists put -1 entries in both degrees."""
+    dims, out_mats, in_mats = {}, {}, {}
+    for j in (0, 1):
+        out_natural = out_key.length > 1 and rng.random() < 0.6
+        a = out_key.length if out_natural else 1
+        in_natural = in_key.length > 1 and a * in_key.length <= max_dim and rng.random() < 0.6
+        b = in_key.length if in_natural else 1
+        dims[j] = a * b
+        out_mats[j] = {g: kron(m, linalg.identity(b)) for g, m in young_rep(rng, out_key, "out", out_natural).items()}
+        in_mats[j] = {g: kron(linalg.identity(a), m) for g, m in young_rep(rng, in_key, "in", in_natural).items()}
+    carrier = ChainComplex(dims)
+
+    def gens(mats, group_key):
+        return {
+            s.images: ChainMap(carrier, carrier, {j: mats[j][s.images] for j in (0, 1)}, check=False)
+            for s in stabilizer_generators(group_key)
+        }
+
+    return BimoduleComponent(out_key, in_key, carrier, gens(out_mats, out_key), gens(in_mats, in_key))
+
+
+def random_young_key(rng, palette, max_length):
+    return key(palette, *[rng.choice(palette.colors) for _ in range(rng.randint(1, max_length))])
+
+
+def with_generator(comp, side, images, degree, m):
+    """A copy of comp whose side generator `images` has matrix m in one degree."""
+    gens = {"out": dict(comp.out_gens), "in": dict(comp.in_gens)}
+    mats = dict(gens[side][images].mats)
+    mats[degree] = m
+    gens[side][images] = ChainMap(comp.carrier, comp.carrier, mats, check=False)
+    return BimoduleComponent(comp.out_key, comp.in_key, comp.carrier, gens["out"], gens["in"])
+
+
+def test_rho_of_a_generator_is_its_stored_map():
+    rng = random.Random(31)
+    for _ in range(20):
+        comp = random_young_component(rng, random_young_key(rng, PAL, 5), random_young_key(rng, PAL, 3))
+        for s in stabilizer_generators(comp.out_key):
+            assert comp.rho_out(s) is comp.out_gens[s.images]
+        for s in stabilizer_generators(comp.in_key):
+            assert comp.rho_in(s) is comp.in_gens[s.images]
+        ident = ChainMap.identity(comp.carrier)
+        assert comp.rho_out(Permutation.identity(comp.out_key.length)).mats == ident.mats
+        assert comp.rho_in(Permutation.identity(comp.in_key.length)).mats == ident.mats
+        for g in stabilizer_elements(comp.out_key)[:30]:
+            assert comp.rho_out(g).mats == reference_rho_out(comp, g).mats
+        for h in stabilizer_elements(comp.in_key)[:30]:
+            assert comp.rho_in(h).mats == reference_rho_in(comp, h).mats
+
+
+def commute_everywhere(comp):
+    """Exhaustive oracle: every out element's action commutes with every in
+    element's action."""
+    outs = [reference_rho_out(comp, g) for g in stabilizer_elements(comp.out_key)]
+    ins = [reference_rho_in(comp, h) for h in stabilizer_elements(comp.in_key)]
+    return all(a.compose(b) == b.compose(a) for a in outs for b in ins)
+
+
+COMMUTE = "out/in actions do not commute"
+
+
+def assert_validate_matches_reference(comp):
+    """validate agrees with the reference except that it tests commutation on
+    generators, which is exact, and reports a failure once."""
+    failures = comp.validate()
+    reference = reference_validate_component(comp)
+    assert [f for f in failures if f != COMMUTE] == [f for f in reference if f != COMMUTE]
+    assert failures.count(COMMUTE) == (0 if commute_everywhere(comp) else 1)
+    if COMMUTE in reference:
+        assert COMMUTE in failures
+    return failures
+
+
+def test_validate_matches_reference_on_valid_broken_and_noncommuting_components():
+    rng = random.Random(32)
+    seen = {"law": 0, "commute": 0, "sampled": 0}
+    # every fourth out key has 120 or 144 elements, so validate samples its table
+    big = [key(PAL, *"aaaaa"), key(PAL, *"aaaabbb")]
+    for trial in range(36):
+        out_key = big[trial % 8 // 4] if trial % 4 == 0 else random_young_key(rng, PAL, 5)
+        in_key = random_young_key(rng, PAL, 3)
+        comp = random_young_component(rng, out_key, in_key)
+        assert assert_validate_matches_reference(comp) == []
+        seen["sampled"] += len(stabilizer_elements(out_key)) > 48
+        out_gens = stabilizer_generators(out_key)
+        in_gens = stabilizer_generators(in_key)
+        if out_gens:
+            # a generator scaled by 2 is no involution: the out group law fails
+            s = rng.choice(out_gens)
+            j = rng.choice([0, 1])
+            broken = with_generator(comp, "out", s.images, j, linalg.mat_scale(F(2), comp.out_gens[s.images].mat(j)))
+            failures = assert_validate_matches_reference(broken)
+            seen["law"] += any("group law" in f for f in failures)
+        if in_gens and comp.carrier.dim(0) > 1:
+            # a sign on all but the first coordinate keeps the in generator an
+            # involution but need not commute with the out side
+            n = comp.carrier.dim(0)
+            diag = [[F(1) if i == c == 0 else F(-1) if i == c else F(0) for c in range(n)] for i in range(n)]
+            mixed = with_generator(comp, "in", rng.choice(in_gens).images, 0, diag)
+            failures = assert_validate_matches_reference(mixed)
+            seen["commute"] += COMMUTE in failures
+    assert all(seen.values()), seen
+    # validate and the exhaustive oracle flag the repro; the reference's 8 x 8 prefix does not
+    assert assert_validate_matches_reference(noncommuting_component()) == [COMMUTE]
+    assert COMMUTE not in reference_validate_component(noncommuting_component())
+
+
+def test_validate_sampled_path_builds_only_sampled_actions(monkeypatch):
+    comp = noncommuting_component()
+    calls = []
+    rho_out = BimoduleComponent.rho_out
+
+    def counting(self, sigma):
+        calls.append(sigma)
+        return rho_out(self, sigma)
+
+    monkeypatch.setattr(BimoduleComponent, "rho_out", counting)
+    assert comp.validate() == [COMMUTE]
+    # 120 elements: 20 sampled pairs name at most 60 distinct elements, each built once
+    assert len(calls) == len(set(calls)) <= 60
+
+
+def test_box_dot_generators_match_per_pair_reference():
+    rng = random.Random(33)
+    for n_factors, max_length in ((2, 2), (2, 2), (2, 3), (3, 1), (3, 2)):
+        for _ in range(3):
+            factors = [
+                random_young_component(
+                    rng, random_young_key(rng, PAL, max_length), random_young_key(rng, PAL, max_length), max_dim=2
+                )
+                for _ in range(n_factors)
+            ]
+            comp = box_dot_many(PAL, factors)
+            out_gens, in_gens = reference_box_dot_gens(PAL, factors)
+            assert set(comp.out_gens) == set(out_gens) and set(comp.in_gens) == set(in_gens)
+            for ours, theirs in ((comp.out_gens, out_gens), (comp.in_gens, in_gens)):
+                for images, m in theirs.items():
+                    assert ours[images].mats == m.mats
 
 
 def test_component_at_zero():

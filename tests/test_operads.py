@@ -539,10 +539,8 @@ def test_validate_equivariance_matches_per_basis_element_reference():
     assert operad.validate() == failures + reference_validate_associativity(operad)
 
 
-def test_validate_equivariance_builds_each_first_unit_once(monkeypatch):
-    palette = Palette(["a", "b"])
-    fam = ColoredFamily(palette, {"a": ChainComplex({0: 1}), "b": ChainComplex({0: 2})})
-    operad = endomorphism_operad(fam, 2)
+def count_units_and_compositions(monkeypatch):
+    """Counts of ColoredOperad.unit and compose_elements calls, kept up to date."""
     calls = {"unit": 0, "compose": 0}
 
     def counting(name, f):
@@ -554,10 +552,33 @@ def test_validate_equivariance_builds_each_first_unit_once(monkeypatch):
 
     monkeypatch.setattr(ColoredOperad, "unit", counting("unit", ColoredOperad.unit))
     monkeypatch.setattr(operads, "compose_elements", counting("compose", operads.compose_elements))
+    return calls
+
+
+def test_validate_equivariance_builds_each_first_unit_once(monkeypatch):
+    palette = Palette(["a", "b"])
+    fam = ColoredFamily(palette, {"a": ChainComplex({0: 1}), "b": ChainComplex({0: 2})})
+    operad = endomorphism_operad(fam, 2)
+    calls = count_units_and_compositions(monkeypatch)
     assert operad._validate_equivariance({}) == []
     # the per-basis-element lists built 384 units for these 120 compositions
     assert calls["compose"] == 120
     assert calls["unit"] < calls["compose"]
+
+
+def test_validate_equivariance_builds_p_and_its_composite_once_per_key(monkeypatch):
+    operad = associative_operad(3)
+    calls = count_units_and_compositions(monkeypatch)
+    assert operad._validate_equivariance({}) == []
+    # per basis element p: gamma(p; q) once, and one lhs per non-identity tau
+    expected = 0
+    for (d, in_key, b_keys) in operad.gamma:
+        order = len(stabilizer_elements(in_key))
+        if order > 1 and all(operad.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)):
+            expected += order * operad.component(d, in_key).carrier.total_dim()
+    assert calls["compose"] == expected == 48
+    # rebuilding p's units and gamma(p; q) for every non-identity tau made 39 units and 72 compositions
+    assert calls["unit"] == 15
 
 
 def test_algebra_value_matches_zero_plus_add_reference():
