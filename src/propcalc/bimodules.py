@@ -520,8 +520,14 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
     carrier = direct_sum(*[layout.tensor.complex] * len(layout.index))
 
     factor_spaces = [TensorSpace([f.carrier]) for f in factors]
+    identity = ChainMap.identity(layout.tensor.complex)
 
-    def decorated(maps):
+    def decorated(side, twists):
+        """The tensor of the factors' actions of the twists on one side; when
+        every twist is the identity, the one identity of this call."""
+        if all(t.is_identity() for t in twists):
+            return identity
+        maps = [f.rho_out(t) if side == "out" else f.rho_in(t) for f, t in zip(factors, twists)]
         return assemble_tensor_map(
             layout.tensor, layout.tensor, [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
         )
@@ -538,7 +544,7 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
             for ao in layout.outs:
                 new_a = _moved_placement(ao, perm_positions)
                 tw = _twists(ao, new_a, perm_positions, len(factors))
-                dec = decorated([f.rho_out(t) for f, t in zip(factors, tw)])
+                dec = decorated(side, tw)
                 for ai in layout.ins:
                     yield dec, copy_offsets(new_a, ai), copy_offsets(ao, ai)
         else:
@@ -546,7 +552,7 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
             for ai in layout.ins:
                 new_a = _moved_placement(ai, perm_positions)
                 tw = _twists(ai, new_a, perm_positions, len(factors))
-                dec = decorated([f.rho_in(t.inverse()) for f, t in zip(factors, tw)])
+                dec = decorated(side, [t.inverse() for t in tw])
                 for ao in layout.outs:
                     yield dec, copy_offsets(ao, new_a), copy_offsets(ao, ai)
 

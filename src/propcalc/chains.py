@@ -8,7 +8,10 @@ products follow the Koszul convention:
     switch(x (x) y) = (-1)^{|x||y|} y (x) x
 
 Multi-factor tensors use one flat basis convention (TensorSpace); every module
-builds on it, so multi-factor associativity is the identity on indices.
+builds on it, so multi-factor associativity is the identity on indices.  A
+one-factor TensorSpace's complex is its factor itself.  assemble_tensor_map
+fills a tensor of maps block by block, one Kronecker product of the groups'
+sub-blocks per pair of target and source compositions.
 """
 
 from __future__ import annotations
@@ -322,7 +325,10 @@ class TensorSpace:
     """Flat tensor product of several complexes with one global basis convention.
 
     Degree-n basis: for each composition (n_1..n_k) of n with nonzero blocks
-    (tuple-lex ascending), all index tuples (i_1..i_k) row-major.
+    (tuple-lex ascending), all index tuples (i_1..i_k) row-major.  A
+    one-factor space has its factor's basis, so its complex is the factor
+    itself, not a copy.  A product of several factors builds its complex once,
+    as sparse boundary rows, and checks d o d = 0 on them.
     """
 
     __slots__ = ("factors", "complex", "_comp_cache", "_off_cache")
@@ -331,7 +337,7 @@ class TensorSpace:
         self.factors = list(factors)
         self._comp_cache = {}
         self._off_cache = {}
-        self.complex = self._build()
+        self.complex = self.factors[0] if len(self.factors) == 1 else self._build()
 
     def compositions(self, n: int):
         if n in self._comp_cache:
@@ -422,11 +428,12 @@ class TensorSpace:
         columns = [{v: _columns(d) for v, d in f.boundary.items()} for f in self.factors]
         if not any(columns):
             return ChainComplex(dims)
+        # degree -> {row: {column: entry}}, nonzero entries only
         bnd = {}
         for n in range(1, top + 1):
             if not dims.get(n) or not dims.get(n - 1):
                 continue
-            m = linalg.zeros(dims[n - 1], dims[n])
+            rows = {}
             src_off = self.offsets(n)
             tgt_off = self.offsets(n - 1)
             for comp in self.compositions(n):
@@ -451,10 +458,32 @@ class TensorSpace:
                                 col = c0 + (p * n_src + i) * inner
                                 row = r0 + (p * n_tgt + t) * inner
                                 for s in range(inner):
-                                    m[row + s][col + s] = x
-            if not linalg.is_zero(m):
-                bnd[n] = m
-        return ChainComplex(dims, bnd)
+                                    if row + s in rows:
+                                        rows[row + s][col + s] = x
+                                    else:
+                                        rows[row + s] = {col + s: x}
+            if rows:
+                bnd[n] = rows
+        for n in bnd:
+            if n - 1 in bnd and not _sparse_product_is_zero(bnd[n - 1], bnd[n]):
+                raise ChainError("d o d != 0 out of degree %d" % n)
+        dense = {
+            n: [linalg.densify(rows.get(r, {}), dims[n]) for r in range(dims[n - 1])]
+            for n, rows in bnd.items()
+        }
+        return ChainComplex(dims, dense, check=False)
+
+
+def _sparse_product_is_zero(a, b) -> bool:
+    """Is a @ b zero, for matrices given as {row: {column: entry}}?"""
+    for row in a.values():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _columns(m):
@@ -470,6 +499,30 @@ def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     return TensorSpace([x, y]).complex
 
 
+def _block_entries(gsrc: TensorSpace, gtgt: TensorSpace, f: ChainMap):
+    """f cut into the blocks of the two spaces' compositions.
+
+    Source composition -> [(target composition, its block dimension, the
+    nonzero (row, column, entry) of the block, indices local to the block)].
+    """
+    out = {}
+    for deg, m in f.mats.items():
+        cols = [(p, i) for p in gsrc.compositions(deg) for i in range(gsrc.block_dim(p))]
+        by_source = {}
+        for q, r0 in gtgt.offsets(deg + f.degree).items():
+            for r in range(r0, r0 + gtgt.block_dim(q)):
+                for c, x in linalg.nonzeros(m[r]):
+                    p, i = cols[c]
+                    by_target = by_source.setdefault(p, {})
+                    if q in by_target:
+                        by_target[q].append((r - r0, i, x))
+                    else:
+                        by_target[q] = [(r - r0, i, x)]
+        for p, by_target in by_source.items():
+            out[p] = [(q, gtgt.block_dim(q), entries) for q, entries in by_target.items()]
+    return out
+
+
 def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) -> ChainMap:
     """Tensor of maps acting on grouped runs of factors, with Koszul signs.
 
@@ -478,55 +531,68 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
     factors) and f: gsrc.complex -> gtgt.complex is a ChainMap.  On a basis
     vector whose i-th group carries total degree n_i the assembled map gets
     the sign (-1)^{sum_{i<j} |f_j| n_i}.
+
+    The map is filled block by block: the block at a (target composition,
+    source composition) pair is the signed Kronecker product of the groups'
+    nonzero sub-blocks, row-major with the first group outermost, so the
+    strides are the groups' block dimensions.
     """
     widths_src = [len(g[0].factors) for g in groups]
     widths_tgt = [len(g[1].factors) for g in groups]
     if sum(widths_src) != len(src_space.factors) or sum(widths_tgt) != len(tgt_space.factors):
         raise ChainError("group widths do not cover the tensor factors")
     total_deg = sum(g[2].degree for g in groups)
-    # per group: degree -> source index -> [(target composition, target indices, entry)]
-    images = []
-    for gsrc, gtgt, f in groups:
-        by_degree = {}
-        for deg, fmat in f.mats.items():
-            tdeg = deg + f.degree
-            by_degree[deg] = [[gtgt.unflatten(tdeg, r) + (x,) for r, x in col] for col in _columns(fmat)]
-        images.append(by_degree)
+    blocks = [_block_entries(gsrc, gtgt, f) for gsrc, gtgt, f in groups]
+    odd = [f.degree % 2 for _, _, f in groups]
     mats = {}
     for n in src_space.complex.degrees():
         rows = tgt_space.dim(n + total_deg)
-        cols = src_space.dim(n)
-        if rows == 0 or cols == 0:
+        if rows == 0:
             continue
-        big = linalg.zeros(rows, cols)
-        for col, (comp, idxs) in enumerate(src_space.basis(n)):
-            # cut into groups
-            pieces = []
+        tgt_off = tgt_space.offsets(n + total_deg)
+        big = None
+        for comp, c0 in src_space.offsets(n).items():
+            # the Kronecker product of the groups' sub-blocks, one group at a time
+            terms = None
+            negative = False
+            before = 0
             pos = 0
-            for w in widths_src:
-                pieces.append((comp[pos : pos + w], idxs[pos : pos + w]))
-                pos += w
-            sign = 1
-            for j, (gsrc, gtgt, f) in enumerate(groups):
-                if f.degree % 2:
-                    before = sum(sum(pieces[i][0]) for i in range(j))
-                    if before % 2:
-                        sign = -sign
-            terms = [(tuple(), tuple(), ONE if sign > 0 else -ONE)]
-            for (sub_comp, sub_idx), (gsrc, gtgt, f), by_degree in zip(pieces, groups, images):
-                image = by_degree.get(sum(sub_comp))
-                col_entries = image[gsrc.flat_index(sub_comp, sub_idx)] if image else ()
-                if not col_entries:
+            for g, width in enumerate(widths_src):
+                piece = comp[pos : pos + width]
+                pos += width
+                sub = blocks[g].get(piece)
+                if not sub:
                     terms = []
                     break
+                if odd[g] and before % 2:
+                    negative = not negative
+                before += sum(piece)
+                if terms is None:
+                    terms = [(q, entries) for q, _, entries in sub]
+                    continue
+                stride = groups[g][0].block_dim(piece)
                 terms = [
-                    (acc_comp + tcomp, acc_idx + tidx, coeff * val)
-                    for tcomp, tidx, val in col_entries
-                    for acc_comp, acc_idx, coeff in terms
+                    (
+                        acc_comp + q,
+                        [
+                            (r * q_dim + sr, c * stride + sc, x * sx)
+                            for r, c, x in acc
+                            for sr, sc, sx in entries
+                        ],
+                    )
+                    for acc_comp, acc in terms
+                    for q, q_dim, entries in sub
                 ]
-            for acc_comp, acc_idx, coeff in terms:
-                big[tgt_space.flat_index(acc_comp, acc_idx)][col] = coeff
-        if not linalg.is_zero(big):
+            if terms is None:
+                # no groups: the identity of the ground field
+                terms = [((), [(0, 0, ONE)])]
+            for tcomp, entries in terms:
+                if big is None:
+                    big = linalg.zeros(rows, src_space.dim(n))
+                r0 = tgt_off[tcomp]
+                for r, c, x in entries:
+                    big[r0 + r][c0 + c] = -x if negative else x
+        if big is not None:
             mats[n] = big
     return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
 

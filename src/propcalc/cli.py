@@ -378,7 +378,7 @@ def _dispatch(args, ws):
     if cmd == "round-trip":
         operad = ws.resolve_as(args.operad, "operad")
         family = ws.resolve_as(args.family, "family")
-        alg = formats.operad_algebra_from_json(ws.read_json(args.algebra), operad)
+        alg = formats.operad_algebra_from_json(ws.read_json(args.algebra), operad, ws.families)
         if alg.family.palette != family.palette or any(
             alg.family.complexes[c].dims != family.complexes[c].dims
             for c in family.palette.colors

@@ -231,14 +231,23 @@ def family_to_json(fam: ColoredFamily):
     }
 
 
-def family_from_json(data):
+def family_from_json(data, families=None):
+    """The family of `data`.  families maps the JSON text of each family
+    loaded so far to its ColoredFamily (a Workspace keeps one), and equal text
+    loads as that one object, with its tensor space and shuffle caches; a
+    family that fails to load is not kept, so it fails the same way each time."""
     _expect_kind(data, "family")
+    families = {} if families is None else families
+    key = json.dumps(data)
+    if key in families:
+        return families[key]
     palette = palette_from_json(data["palette"])
     complexes = {c: complex_from_json(x) for c, x in data.get("complexes", {}).items()}
     try:
-        return ColoredFamily(palette, complexes)
+        families[key] = ColoredFamily(palette, complexes)
     except Exception as exc:
         raise FormatError("invalid family: %s" % exc)
+    return families[key]
 
 
 def family_map_to_json(f: FamilyMap):
@@ -253,10 +262,10 @@ def family_map_to_json(f: FamilyMap):
     }
 
 
-def family_map_from_json(data):
+def family_map_from_json(data, families=None):
     _expect_kind(data, "family_map")
-    source = family_from_json(data["source"])
-    target = family_from_json(data["target"])
+    source = family_from_json(data["source"], families)
+    target = family_from_json(data["target"], families)
     maps = {}
     for c, mats in data.get("maps", {}).items():
         try:
@@ -325,10 +334,10 @@ def structure_to_json(s: AlgebraStructure):
     }
 
 
-def structure_from_json(data):
+def structure_from_json(data, families=None):
     _expect_kind(data, "structure")
     pres = presentation_from_json(data["presentation"])
-    fam = family_from_json(data["family"])
+    fam = family_from_json(data["family"], families)
     assignment = {}
     for name, spec in data.get("assignment", {}).items():
         if name not in pres.signature:
@@ -571,11 +580,11 @@ def operad_algebra_to_json(alg):
     }
 
 
-def operad_algebra_from_json(data, operad):
+def operad_algebra_from_json(data, operad, families=None):
     _expect_kind(data, "operad_algebra")
     from propcalc.operads import OperadAlgebra
 
-    family = family_from_json(data["family"])
+    family = family_from_json(data["family"], families)
     values = {}
     for entry in data.get("values", []):
         d = entry["out_color"]
@@ -655,12 +664,20 @@ def _expect_kind(data, kind):
         raise FormatError("expected kind=%r, found %r" % (kind, data.get("kind")))
 
 
-def load_json(data):
+# the kinds whose loaders read a family, and take the families argument
+_FAMILY_KINDS = frozenset(["family", "family_map", "structure"])
+
+
+def load_json(data, families=None):
+    """The object of `data`; families is passed to the loaders that read a
+    family (see family_from_json)."""
     if not isinstance(data, dict) or "kind" not in data:
         raise FormatError("missing 'kind' field")
     kind = data["kind"]
     if kind not in _LOADERS:
         raise FormatError("unknown kind %r" % kind)
+    if kind in _FAMILY_KINDS:
+        return _LOADERS[kind](data, families)
     return _LOADERS[kind](data)
 
 
@@ -675,12 +692,17 @@ class Workspace:
     """Named bindings loaded from a directory of JSON files.
 
     References resolve by name (without the .json suffix); every load is
-    validated.  Files are read lazily, and each name is loaded once.
+    validated.  Files are read lazily, and each name is loaded once.  Equal
+    families, wherever they appear, load as one ColoredFamily (`families`,
+    keyed by the family's JSON text), so a structure and a family map over
+    one family share its tensor spaces.  A Workspace lives for one CLI run,
+    and these caches with it.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self._cache = {}
+        self.families = {}
 
     def read_json(self, name_or_path):
         """The decoded JSON of a file, named by path or by workspace name."""
@@ -713,7 +735,7 @@ class Workspace:
 
     def resolve(self, name_or_path):
         if name_or_path not in self._cache:
-            self._cache[name_or_path] = load_json(self.read_json(name_or_path))
+            self._cache[name_or_path] = load_json(self.read_json(name_or_path), self.families)
         return self._cache[name_or_path]
 
     def resolve_as(self, name_or_path, kind):

@@ -13,7 +13,7 @@ from propcalc.bimodules import (
     merge_keys,
     placements,
 )
-from propcalc.chains import TensorSpace, assemble_tensor_map, place_blocks
+from propcalc.chains import ChainError, TensorSpace, place_blocks
 from propcalc.graphs import (
     Generator,
     GraphError,
@@ -385,6 +385,64 @@ def dense_tensor_boundary(space):
     return out
 
 
+def reference_assemble_tensor_map(src_space, tgt_space, groups):
+    """assemble_tensor_map as propcalc built it before it worked block by
+    block: every source basis vector is cut into the groups' pieces, each
+    piece's image is read off its group's map through flat_index and
+    unflatten, and the images are multiplied out with the Koszul sign."""
+    widths_src = [len(g[0].factors) for g in groups]
+    widths_tgt = [len(g[1].factors) for g in groups]
+    if sum(widths_src) != len(src_space.factors) or sum(widths_tgt) != len(tgt_space.factors):
+        raise ChainError("group widths do not cover the tensor factors")
+    total_deg = sum(g[2].degree for g in groups)
+    images = []
+    for gsrc, gtgt, f in groups:
+        by_degree = {}
+        for deg, fmat in f.mats.items():
+            tdeg = deg + f.degree
+            cols = [[] for _ in range(len(fmat[0]))]
+            for r, row in enumerate(fmat):
+                for c, x in enumerate(row):
+                    if x != 0:
+                        cols[c].append(gtgt.unflatten(tdeg, r) + (x,))
+            by_degree[deg] = cols
+        images.append(by_degree)
+    mats = {}
+    for n in src_space.complex.degrees():
+        rows = tgt_space.dim(n + total_deg)
+        cols = src_space.dim(n)
+        if rows == 0 or cols == 0:
+            continue
+        big = linalg.zeros(rows, cols)
+        for col, (comp, idxs) in enumerate(src_space.basis(n)):
+            pieces = []
+            pos = 0
+            for w in widths_src:
+                pieces.append((comp[pos : pos + w], idxs[pos : pos + w]))
+                pos += w
+            sign = 1
+            for j, (gsrc, gtgt, f) in enumerate(groups):
+                if f.degree % 2 and sum(sum(pieces[i][0]) for i in range(j)) % 2:
+                    sign = -sign
+            terms = [((), (), F(sign))]
+            for (sub_comp, sub_idx), (gsrc, gtgt, f), by_degree in zip(pieces, groups, images):
+                image = by_degree.get(sum(sub_comp))
+                col_entries = image[gsrc.flat_index(sub_comp, sub_idx)] if image else ()
+                if not col_entries:
+                    terms = []
+                    break
+                terms = [
+                    (acc_comp + tcomp, acc_idx + tidx, coeff * val)
+                    for tcomp, tidx, val in col_entries
+                    for acc_comp, acc_idx, coeff in terms
+                ]
+            for acc_comp, acc_idx, coeff in terms:
+                big[tgt_space.flat_index(acc_comp, acc_idx)][col] = coeff
+        if not linalg.is_zero(big):
+            mats[n] = big
+    return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
+
+
 def random_rank_deficient(rng, rows, cols, density):
     """A rows x cols rational matrix of rank below min(rows, cols), with about
     the given share of nonzero entries, some zero rows and some zero columns.
@@ -703,7 +761,8 @@ def reference_box_dot_gens(palette, factors):
     """The generator actions (out_gens, in_gens) of box_dot_many(palette,
     factors) as propcalc built them before decorations were shared: the
     twists and the decoration are rebuilt for every (out placement, in
-    placement) pair, from reference_rho_out and reference_rho_in."""
+    placement) pair, from reference_rho_out, reference_rho_in and
+    reference_assemble_tensor_map, identity twists included."""
     out_keys = [f.out_key for f in factors]
     in_keys = [f.in_key for f in factors]
     merged_out = merge_keys(palette, out_keys)
@@ -718,7 +777,7 @@ def reference_box_dot_gens(palette, factors):
     factor_spaces = [TensorSpace([f.carrier]) for f in factors]
 
     def decorated(maps):
-        return assemble_tensor_map(
+        return reference_assemble_tensor_map(
             layout.tensor, layout.tensor, [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
         )
 

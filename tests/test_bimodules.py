@@ -299,6 +299,49 @@ def test_box_dot_generators_match_per_pair_reference():
                     assert ours[images].mats == m.mats
 
 
+def test_box_dot_shares_one_identity_decoration(monkeypatch):
+    """A moved placement whose twists are all the identity is decorated with
+    the call's one identity, and only the others are assembled; both kinds
+    agree with the per-pair reference, which assembles every decoration."""
+    import propcalc.bimodules as bimodules
+
+    assembled, twist_lists = [], []
+    real_assemble, real_twists = bimodules.assemble_tensor_map, bimodules._twists
+
+    def counting_assemble(*args):
+        assembled.append(args)
+        return real_assemble(*args)
+
+    def recording_twists(*args):
+        twist_lists.append(real_twists(*args))
+        return twist_lists[-1]
+
+    monkeypatch.setattr(bimodules, "assemble_tensor_map", counting_assemble)
+    monkeypatch.setattr(bimodules, "_twists", recording_twists)
+    rng = random.Random(34)
+    shared = built = 0
+    for n_factors, max_length in ((2, 2), (2, 3), (3, 1), (3, 2)):
+        for _ in range(3):
+            factors = [
+                random_young_component(
+                    rng, random_young_key(rng, PAL, max_length), random_young_key(rng, PAL, max_length), max_dim=2
+                )
+                for _ in range(n_factors)
+            ]
+            del assembled[:], twist_lists[:]
+            comp = box_dot_many(PAL, factors)
+            identities = sum(all(t.is_identity() for t in tw) for tw in twist_lists)
+            assert len(assembled) == len(twist_lists) - identities
+            shared += identities
+            built += len(assembled)
+            out_gens, in_gens = reference_box_dot_gens(PAL, factors)
+            for ours, theirs in ((comp.out_gens, out_gens), (comp.in_gens, in_gens)):
+                assert set(ours) == set(theirs)
+                for images, m in theirs.items():
+                    assert ours[images].mats == m.mats
+    assert shared and built, (shared, built)
+
+
 def test_component_at_zero():
     mod = ColoredBimodule(PAL1, {})
     carrier, structure = component_at(

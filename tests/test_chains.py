@@ -10,6 +10,7 @@ from propcalc.chains import (
     ChainMap,
     TensorSpace,
     Unsolvable,
+    assemble_tensor_map,
     base_field_complex,
     boundary_of_map,
     classify_map,
@@ -25,7 +26,7 @@ from propcalc.chains import (
 )
 from propcalc.profiles import Permutation
 
-from helpers import dense_tensor_boundary
+from helpers import dense_tensor_boundary, reference_assemble_tensor_map
 
 F = Fraction
 
@@ -192,6 +193,108 @@ def test_tensor_maps_koszul_sign():
     fg = tensor_maps(f, g)
     # source basis in degree 1: x1 (x) x0; sign = (-1)^{|g| * 1} = -1
     assert fg.mat(1) == [[F(-1)]]
+
+
+def test_one_factor_tensor_space_is_its_factor():
+    rng = random.Random(5)
+    for x in [ChainComplex({}), base_field_complex(), disc_complex()] + [random_complex(rng) for _ in range(10)]:
+        space = TensorSpace([x])
+        assert space.complex is x
+        assert [space.dim(n) for n in range(5)] == [x.dim(n) for n in range(5)]
+
+
+def test_tensor_space_checks_d_squared_of_its_product():
+    # y was built unchecked and has d o d != 0 out of degree 2
+    y = ChainComplex({0: 1, 1: 1, 2: 1}, {1: [[1]], 2: [[1]]}, check=False)
+    with pytest.raises(ChainError) as own:
+        ChainComplex(y.dims, y.boundary)
+    assert str(own.value) == "d o d != 0 out of degree 2"
+    for x, degree in ((base_field_complex(), 2), (ChainComplex({1: 2}), 3), (disc_complex(), 2)):
+        for factors in ([x, y], [y, x]):
+            with pytest.raises(ChainError) as raised:
+                TensorSpace(factors)
+            assert str(raised.value) == "d o d != 0 out of degree %d" % degree
+    # a zero factor leaves nothing to check
+    assert TensorSpace([ChainComplex({}), y]).complex.is_zero()
+
+
+def test_random_tensor_spaces_match_dense_construction():
+    rng = random.Random(8)
+    for _ in range(60):
+        factors = [random_complex(rng, max_deg=2, max_dim=2) for _ in range(rng.randint(2, 3))]
+        space = TensorSpace(factors)
+        expected = dense_tensor_boundary(space)
+        assert sorted(space.complex.boundary) == sorted(expected)
+        for n, m in expected.items():
+            assert space.complex.d(n) == m
+        assert space.complex.dims == {n: space.dim(n) for n in range(7) if space.dim(n)}
+
+
+def random_map(rng, source, target, degree):
+    """A degree-`degree` map of random entries, with some zero entries and
+    now and then a zero map."""
+    if rng.random() < 0.05:
+        return ChainMap.zero(source, target, degree)
+    mats = {}
+    for j in source.degrees():
+        rows, cols = target.dim(j + degree), source.dim(j)
+        if rows and cols:
+            mats[j] = [
+                [F(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.7 else F(0) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+    return ChainMap(source, target, mats, degree, check=False)
+
+
+def random_carrier(rng):
+    """A nonzero complex in degrees 0-2, now and then the zero complex."""
+    if rng.random() < 0.03:
+        return ChainComplex({})
+    x = ChainComplex({})
+    while x.is_zero():
+        x = random_complex(rng, max_deg=2, max_dim=2)
+    return x
+
+
+def test_assemble_tensor_map_matches_reference():
+    rng = random.Random(12)
+    cases = signed = zero_factor = zero_map = 0
+    while cases < 300:
+        groups = []
+        for _ in range(rng.randint(1, 3)):
+            src = [random_carrier(rng) for _ in range(rng.randint(1, 2))]
+            tgt = [random_carrier(rng) for _ in range(rng.randint(1, 2))]
+            gsrc, gtgt = TensorSpace(src), TensorSpace(tgt)
+            groups.append((gsrc, gtgt, random_map(rng, gsrc.complex, gtgt.complex, rng.randint(0, 1))))
+        src_space = TensorSpace([x for g in groups for x in g[0].factors])
+        tgt_space = TensorSpace([x for g in groups for x in g[1].factors])
+        if src_space.complex.total_dim() > 120 or tgt_space.complex.total_dim() > 120:
+            continue
+        cases += 1
+        ours = assemble_tensor_map(src_space, tgt_space, groups)
+        theirs = reference_assemble_tensor_map(src_space, tgt_space, groups)
+        assert ours.degree == theirs.degree == sum(g[2].degree for g in groups)
+        assert ours.source is src_space.complex and ours.target is tgt_space.complex
+        assert sorted(ours.mats) == sorted(theirs.mats)
+        for n, m in theirs.mats.items():
+            assert ours.mats[n] == m
+        zero_factor += any(x.is_zero() for x in src_space.factors + tgt_space.factors)
+        zero_map += any(g[2].is_zero() for g in groups)
+        # a -1 Koszul sign: an odd map after a group whose source has odd degrees
+        signed += not ours.is_zero() and any(
+            groups[j][2].degree % 2 and any(n % 2 for g in groups[:j] for n in g[0].complex.degrees())
+            for j in range(1, len(groups))
+        )
+    assert signed >= 15 and zero_factor >= 10 and zero_map >= 20, (signed, zero_factor, zero_map)
+
+
+def test_assemble_tensor_map_rejects_uncovered_factors():
+    x = disc_complex()
+    xs = TensorSpace([x])
+    identity = ChainMap.identity(x)
+    for src, tgt in ((TensorSpace([x, x]), TensorSpace([x])), (TensorSpace([x]), TensorSpace([x, x]))):
+        with pytest.raises(ChainError, match="^group widths do not cover the tensor factors$"):
+            assemble_tensor_map(src, tgt, [(xs, xs, identity)])
 
 
 def test_homology_disc_and_zero():

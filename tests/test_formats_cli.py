@@ -17,7 +17,7 @@ from propcalc import formats
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex
 from propcalc.cli import run
 from propcalc.endo import ColoredFamily, FamilyMap
-from propcalc.formats import FormatError, dumps, load_json, to_json
+from propcalc.formats import FormatError, Workspace, dumps, load_json, to_json
 from propcalc.graphs import Generator, Signature
 from propcalc.operads import associative_operad, trivial_operad
 from propcalc.profiles import Palette, Profile
@@ -491,3 +491,88 @@ def test_cli_round_trip_value_of_wrong_degree_exit_2(tmp_path):
         ["--workspace", GOLDEN_INPUTS, "round-trip", "ass.json", "fam_sq.json", str(bad)]
     )
     assert_one_error_line(code, out, "endo element shape mismatch")
+
+
+# -- families shared within one Workspace ---------------------------------------
+
+
+def test_workspace_loads_equal_families_as_one_object():
+    ws = Workspace(GOLDEN_INPUTS)
+    st, stx, proj = ws.resolve("st.json"), ws.resolve("stx.json"), ws.resolve("proj.json")
+    assert st.family is proj.target
+    assert stx.family is proj.source
+    assert proj.source is not proj.target
+    # the shared family carries one cache of tensor spaces
+    profile = st.presentation.signature["mu2"].in_profile
+    assert st.family.space(profile) is proj.target.space(profile)
+
+
+def test_workspaces_do_not_share_families():
+    first, second = Workspace(GOLDEN_INPUTS), Workspace(GOLDEN_INPUTS)
+    a, b = first.resolve("st.json").family, second.resolve("st.json").family
+    assert a is not b
+    assert formats.family_to_json(a) == formats.family_to_json(b)
+
+
+def two_color_family_json():
+    return {
+        "kind": "family",
+        "palette": {"kind": "palette", "colors": ["a", "b"]},
+        "complexes": {
+            "a": {"kind": "complex", "dims": {"0": 1, "1": 1}, "boundary": {"1": [["1/1"]]}},
+            "b": {"kind": "complex", "dims": {"0": 2}, "boundary": {}},
+        },
+    }
+
+
+def test_families_that_differ_are_not_merged(tmp_path):
+    base = two_color_family_json()
+    one_entry = two_color_family_json()
+    one_entry["complexes"]["a"]["boundary"]["1"] = [["2/1"]]
+    palette_order = two_color_family_json()
+    palette_order["palette"]["colors"] = ["b", "a"]
+    for name, data in (("base", base), ("copy", base), ("entry", one_entry), ("order", palette_order)):
+        (tmp_path / (name + ".json")).write_text(dumps(data))
+    ws = Workspace(str(tmp_path))
+    fams = {name: ws.resolve(name) for name in ("base", "copy", "entry", "order")}
+    assert fams["base"] is fams["copy"]
+    assert len({id(f) for f in fams.values()}) == 3
+    assert fams["entry"].complexes["a"].d(1) == [[F(2)]]
+    assert fams["order"].palette.colors == ("b", "a")
+    # a family map from one to the other keeps both
+    (tmp_path / "map.json").write_text(
+        dumps(
+            {
+                "kind": "family_map",
+                "source": base,
+                "target": one_entry,
+                "maps": {"a": {"0": [["2/1"]], "1": [["1/1"]]}, "b": {"0": [["1/1", "0/1"], ["0/1", "1/1"]]}},
+            }
+        )
+    )
+    f = ws.resolve("map")
+    assert f.source is fams["base"] and f.target is fams["entry"]
+
+
+def test_bad_family_fails_the_same_way_each_time(tmp_path):
+    bad = two_color_family_json()
+    # d o d != 0 out of degree 2
+    bad["complexes"]["a"] = {
+        "kind": "complex",
+        "dims": {"0": 1, "1": 1, "2": 1},
+        "boundary": {"1": [["1/1"]], "2": [["1/1"]]},
+    }
+    (tmp_path / "bad_fam.json").write_text(dumps(bad))
+    (tmp_path / "bad_map.json").write_text(
+        dumps({"kind": "family_map", "source": bad, "target": bad, "maps": {}})
+    )
+    message = "invalid complex: d o d != 0 out of degree 2"
+    ws = Workspace(str(tmp_path))
+    for name in ("bad_fam", "bad_map", "bad_fam", "bad_map"):
+        with pytest.raises(FormatError) as raised:
+            ws.resolve(name)
+        assert str(raised.value) == message
+    assert ws.families == {}
+    for argv in (["check", "bad_fam.json"], ["check", "bad_map.json"], ["classify", "bad_map.json"]):
+        code, out = run_cli(["--workspace", str(tmp_path)] + argv)
+        assert (code, out) == (2, "error: %s\n" % message)
