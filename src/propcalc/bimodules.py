@@ -132,18 +132,14 @@ class BimoduleComponent:
         action is built at most once per call.
         """
         failures = []
-        for mats in (self.out_gens, self.in_gens):
-            for images, m in mats.items():
-                for n in self.carrier.degrees():
-                    if n == 0:
-                        continue
-                    lhs = linalg.mat_mul(self.carrier.d(n), m.mat(n))
-                    rhs = linalg.mat_mul(m.mat(n - 1), self.carrier.d(n))
-                    if not linalg.mat_eq(lhs, rhs):
+        if self.carrier.boundary:
+            d = ChainMap(self.carrier, self.carrier, self.carrier.boundary, -1, check=False)
+            for mats in (self.out_gens, self.in_gens):
+                for images, m in mats.items():
+                    if d.compose(m) != m.compose(d):
                         failures.append(
                             "action %r does not commute with the differential" % (images,)
                         )
-                        break
         # memos that live for this call only: a process-wide one grows with
         # every component ever validated
         rho_out = functools.cache(self.rho_out)
@@ -340,9 +336,8 @@ def coinvariant_quotient(space: ChainComplex, relation_maps):
         rows = []
         for m in relation_maps:
             # column j of id - m, built from the nonzeros of m's column j
-            for j, column in enumerate(zip(*m.mat(n))):
-                entries = linalg.nonzeros(column)
-                diagonal = ONE - column[j]
+            for j, entries in enumerate(m.columns(n)):
+                diagonal = ONE - next((x for i, x in entries if i == j), linalg.ZERO)
                 if not diagonal and all(i == j for i, _ in entries):
                     continue
                 row = [linalg.ZERO] * dim

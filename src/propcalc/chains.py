@@ -12,6 +12,14 @@ builds on it, so multi-factor associativity is the identity on indices.  A
 one-factor TensorSpace's complex is its factor itself.  assemble_tensor_map
 fills a tensor of maps block by block, one Kronecker product of the groups'
 sub-blocks per pair of target and source compositions.
+
+A ChainMap is stored in one of two kinds.  A general map keeps one dense
+matrix per degree.  A degree-0 signed permutation keeps, per degree, the
+target index and the sign of each source basis vector; identity,
+factor_permutation_map, and compose, place_blocks and assemble_tensor_map
+on such records make records by index arithmetic, and the dense matrices are
+built only when .mats is read.  Nothing tests a dense map for the signed
+form except signed_permutation_form, which only the bimodule loader calls.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import math
 from fractions import Fraction
 
 from propcalc import linalg
-from propcalc.linalg import ZERO, ONE
+from propcalc.linalg import MINUS_ONE, ONE, ZERO
 
 
 class ChainError(ValueError):
@@ -172,14 +180,20 @@ class ChainMap:
     Degree-0 maps are validated to commute with the differentials when
     check=True; nonzero-degree data is shape-checked only (it is hom-complex
     data, not necessarily a cycle there).
+
+    perm is None for a general map.  For a signed permutation (built by
+    signed_permutation) it maps each degree of the source to (targets, negs):
+    source basis vector i goes to target basis vector targets[i], negated
+    when negs[i]; mats is then built on first reading.
     """
 
-    __slots__ = ("source", "target", "degree", "mats")
+    __slots__ = ("source", "target", "degree", "perm", "mats")
 
     def __init__(self, source, target, mats, degree=0, check=True):
         self.source = source
         self.target = target
         self.degree = int(degree)
+        self.perm = None
         clean = {}
         for j, m in dict(mats).items():
             j = int(j)
@@ -200,6 +214,25 @@ class ChainMap:
         self.mats = clean
         if check and self.degree == 0:
             self._check_chain()
+
+    @classmethod
+    def signed_permutation(cls, source, target, perm) -> "ChainMap":
+        """The degree-0 map of the record perm (see the class docstring), with
+        an entry for every degree of source; source and target have equal dims."""
+        f = object.__new__(cls)
+        f.source = source
+        f.target = target
+        f.degree = 0
+        f.perm = perm
+        return f
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the mats of a signed permutation,
+        # built on first reading
+        if name != "mats" or self.perm is None:
+            raise AttributeError(name)
+        self.mats = _signed_mats(self.source, self.target, self.perm)
+        return self.mats
 
     def _check_chain(self):
         for j in self.source.degrees():
@@ -225,22 +258,49 @@ class ChainMap:
 
     @classmethod
     def identity(cls, x: ChainComplex) -> "ChainMap":
-        return cls(x, x, {n: linalg.identity(x.dim(n)) for n in x.dims}, check=False)
+        perm = {n: (list(range(d)), [False] * d) for n, d in x.dims.items()}
+        return cls.signed_permutation(x, x, perm)
 
     @classmethod
     def zero(cls, source, target, degree=0) -> "ChainMap":
         return cls(source, target, {}, degree, check=False)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
-        """self o other; composition of homs carries no Koszul sign."""
+        """self o other; composition of homs carries no Koszul sign.  A signed
+        permutation on either side moves rows or columns instead of multiplying."""
         if self.source.dims != other.target.dims:
             raise ChainError("composition shape mismatch")
+        a_perm, b_perm = self.perm, other.perm
+        if a_perm is not None and b_perm is not None:
+            perm = {}
+            for n, (ts, negs) in b_perm.items():
+                a_ts, a_negs = a_perm[n]
+                perm[n] = ([a_ts[t] for t in ts], [a_negs[t] != neg for t, neg in zip(ts, negs)])
+            return ChainMap.signed_permutation(other.source, self.target, perm)
         mats = {}
-        for j in other.source.degrees():
-            a = self.mat(j + other.degree)
-            b = other.mat(j)
-            if a and b and a[0] and b[0]:
-                mats[j] = linalg.mat_mul(a, b)
+        if a_perm is not None:
+            # row i of other's matrix becomes row targets[i]
+            for j, b in other.mats.items():
+                ts, negs = a_perm[j + other.degree]
+                out = [None] * len(b)
+                for row, t, neg in zip(b, ts, negs):
+                    out[t] = [x if x is ZERO else -x for x in row] if neg else row
+                mats[j] = out
+        elif b_perm is not None:
+            # column targets[i] of self's matrix becomes column i
+            for j, (ts, negs) in b_perm.items():
+                a = self.mats.get(j)
+                if a is not None:
+                    mats[j] = [
+                        [row[t] if not neg or row[t] is ZERO else -row[t] for t, neg in zip(ts, negs)]
+                        for row in a
+                    ]
+        else:
+            for j in other.source.degrees():
+                a = self.mat(j + other.degree)
+                b = other.mat(j)
+                if a and b and a[0] and b[0]:
+                    mats[j] = linalg.mat_mul(a, b)
         return ChainMap(other.source, self.target, mats, self.degree + other.degree, check=False)
 
     def add(self, other: "ChainMap") -> "ChainMap":
@@ -263,12 +323,20 @@ class ChainMap:
     def sub(self, other: "ChainMap") -> "ChainMap":
         return self.add(other.scale(-1))
 
+    def columns(self, j: int):
+        """The nonzero (row, entry) pairs of each column of the degree-j matrix."""
+        if self.perm is None:
+            return _columns(self.mat(j))
+        return [[(t, MINUS_ONE if neg else ONE)] for t, neg in zip(*self.perm[j])]
+
     def is_zero(self) -> bool:
         return all(linalg.is_zero(m) for m in self.mats.values())
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return NotImplemented
+        if self.perm is not None and other.perm is not None:
+            return self.perm == other.perm
         if self.degree != other.degree:
             return False
         for j in set(self.mats) | set(other.mats):
@@ -280,21 +348,80 @@ class ChainMap:
         return "ChainMap(degree=%d, degrees=%s)" % (self.degree, sorted(self.mats))
 
 
+def signed_permutation_form(f: ChainMap) -> ChainMap:
+    """f as a signed-permutation record when it is one, else f itself.
+
+    It is one when it has degree 0, source and target have equal dims, and
+    in every degree each row and each column holds exactly one nonzero entry,
+    which is 1 or -1.
+    """
+    if f.degree or f.source.dims != f.target.dims or len(f.mats) != len(f.source.dims):
+        return f
+    perm = {}
+    for n, m in f.mats.items():
+        targets = [None] * len(m)
+        negs = [False] * len(m)
+        for r, row in enumerate(m):
+            entries = linalg.nonzeros(row)
+            if len(entries) != 1:
+                return f
+            c, x = entries[0]
+            if targets[c] is not None or (x != ONE and x != MINUS_ONE):
+                return f
+            targets[c] = r
+            negs[c] = x < 0
+        perm[n] = (targets, negs)
+    return ChainMap.signed_permutation(f.source, f.target, perm)
+
+
 def place_blocks(source: ChainComplex, target: ChainComplex, blocks) -> ChainMap:
     """Degree-0 map source -> target assembled from blocks (f, row_offsets, col_offsets).
 
     In degree n the matrix of f sits at rows row_offsets[n] and columns
     col_offsets[n] (offsets as from sum_offsets; a missing degree starts at
     0).  The blocks must not overlap; they are read once, so a generator
-    keeps only one block alive at a time.
+    keeps only one block alive at a time.  Signed-permutation blocks that
+    cover every column make a signed permutation.
     """
     mats = {}
+    # the record of the signed-permutation blocks
+    perm = {n: ([None] * d, [False] * d) for n, d in source.dims.items()}
+    signed = source.dims == target.dims
     for f, rows, cols in blocks:
-        for n, m in f.mats.items():
-            if n not in mats:
-                mats[n] = linalg.zeros(target.dim(n), source.dim(n))
-            _place(mats[n], rows.get(n, 0), cols.get(n, 0), m)
+        if f.perm is None:
+            signed = False
+            for n, m in f.mats.items():
+                if n not in mats:
+                    mats[n] = linalg.zeros(target.dim(n), source.dim(n))
+                _place(mats[n], rows.get(n, 0), cols.get(n, 0), m)
+            continue
+        for n, (ts, negs) in f.perm.items():
+            r0, c0 = rows.get(n, 0), cols.get(n, 0)
+            targets, signs = perm[n]
+            targets[c0 : c0 + len(ts)] = [r0 + t for t in ts]
+            signs[c0 : c0 + len(ts)] = negs
+    if signed and all(None not in targets for targets, _ in perm.values()):
+        return ChainMap.signed_permutation(source, target, perm)
+    for n, m in _signed_mats(source, target, perm).items():
+        if n not in mats:
+            mats[n] = m
+        else:
+            _place(mats[n], 0, 0, m)
     return ChainMap(source, target, mats, check=False)
+
+
+def _signed_mats(source, target, perm):
+    """The dense matrices of a signed-permutation record; a target of None
+    marks a zero column."""
+    mats = {}
+    for n, (targets, negs) in perm.items():
+        if any(t is not None for t in targets):
+            m = linalg.zeros(target.dim(n), source.dim(n))
+            for i, (t, neg) in enumerate(zip(targets, negs)):
+                if t is not None:
+                    m[t][i] = MINUS_ONE if neg else ONE
+            mats[n] = m
+    return mats
 
 
 def boundary_of_map(f: ChainMap) -> ChainMap:
@@ -535,12 +662,15 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
     The map is filled block by block: the block at a (target composition,
     source composition) pair is the signed Kronecker product of the groups'
     nonzero sub-blocks, row-major with the first group outermost, so the
-    strides are the groups' block dimensions.
+    strides are the groups' block dimensions.  When every group is one factor
+    carrying a signed permutation, so is the result, built by index arithmetic.
     """
     widths_src = [len(g[0].factors) for g in groups]
     widths_tgt = [len(g[1].factors) for g in groups]
     if sum(widths_src) != len(src_space.factors) or sum(widths_tgt) != len(tgt_space.factors):
         raise ChainError("group widths do not cover the tensor factors")
+    if all(w == 1 for w in widths_src + widths_tgt) and all(g[2].perm is not None for g in groups):
+        return _assemble_signed(src_space, tgt_space, [f.perm for _, _, f in groups])
     total_deg = sum(g[2].degree for g in groups)
     blocks = [_block_entries(gsrc, gtgt, f) for gsrc, gtgt, f in groups]
     odd = [f.degree % 2 for _, _, f in groups]
@@ -597,6 +727,28 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
     return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
 
 
+def _assemble_signed(src_space: TensorSpace, tgt_space: TensorSpace, perms) -> ChainMap:
+    """The tensor of one signed permutation per factor: degree 0, so no Koszul
+    sign, and each composition block maps onto the same composition's block."""
+    perm = {}
+    for n in src_space.complex.degrees():
+        tgt_off = tgt_space.offsets(n)
+        targets = []
+        negs = []
+        for comp in src_space.compositions(n):
+            ts, signs = [0], [False]
+            for factor_perm, v in zip(perms, comp):
+                f_ts, f_negs = factor_perm[v]
+                size = len(f_ts)
+                ts = [t * size + u for t in ts for u in f_ts]
+                signs = [x != y for x in signs for y in f_negs]
+            off = tgt_off[comp]
+            targets += [off + t for t in ts]
+            negs += signs
+        perm[n] = (targets, negs)
+    return ChainMap.signed_permutation(src_space.complex, tgt_space.complex, perm)
+
+
 def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g with the Koszul sign (-1)^{|g| |x|}."""
     src = TensorSpace([f.source, g.source])
@@ -610,35 +762,39 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
     """Signed permutation of tensor factors: slot i moves to slot perm(i).
 
     Sign: Koszul, (-1) for every inversion of odd-degree letters.  perm is a
-    Permutation on 1..k.
+    Permutation on 1..k.  The result is a signed-permutation record.
     """
     k = len(factors)
+    images = [perm(i + 1) - 1 for i in range(k)]
     if src_space is None:
         src_space = TensorSpace(list(factors))
-    permuted = [None] * k
-    for i in range(k):
-        permuted[perm(i + 1) - 1] = factors[i]
     if tgt_space is None:
+        permuted = [None] * k
+        for i in range(k):
+            permuted[images[i]] = factors[i]
         tgt_space = TensorSpace(permuted)
-    mats = {}
+    record = {}
     for n in src_space.complex.degrees():
-        if src_space.dim(n) == 0:
-            continue
-        big = linalg.zeros(tgt_space.dim(n), src_space.dim(n))
-        for col, (comp, idxs) in enumerate(src_space.basis(n)):
+        tgt_off = tgt_space.offsets(n)
+        targets = []
+        negs = []
+        for comp in src_space.compositions(n):
             tcomp = [0] * k
-            tidx = [0] * k
+            sizes = [0] * k
             for i in range(k):
-                tcomp[perm(i + 1) - 1] = comp[i]
-                tidx[perm(i + 1) - 1] = idxs[i]
-            sign = 1
+                tcomp[images[i]] = comp[i]
+                sizes[images[i]] = factors[i].dim(comp[i])
+            # factor i's index steps by the row-major stride of its target slot
+            flat = [tgt_off[tuple(tcomp)]]
             for i in range(k):
-                for j in range(i + 1, k):
-                    if perm(i + 1) > perm(j + 1) and comp[i] % 2 and comp[j] % 2:
-                        sign = -sign
-            big[tgt_space.flat_index(tuple(tcomp), tuple(tidx))][col] = ONE if sign > 0 else -ONE
-        mats[n] = big
-    return ChainMap(src_space.complex, tgt_space.complex, mats, 0, check=False)
+                step = math.prod(sizes[images[i] + 1 :])
+                flat = [a + x * step for a in flat for x in range(sizes[images[i]])]
+            odd = [images[i] for i in range(k) if comp[i] % 2]
+            inversions = sum(1 for a, s in enumerate(odd) for t in odd[a + 1 :] if s > t)
+            targets += flat
+            negs += [inversions % 2 == 1] * len(flat)
+        record[n] = (targets, negs)
+    return ChainMap.signed_permutation(src_space.complex, tgt_space.complex, record)
 
 
 # ---------------------------------------------------------------------------

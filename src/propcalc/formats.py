@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 from propcalc.algebras import AlgebraStructure
 from propcalc.bimodules import BimoduleComponent, ColoredBimodule
-from propcalc.chains import ChainComplex, ChainMap
+from propcalc.chains import ChainComplex, ChainMap, signed_permutation_form
 from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
 from propcalc.exprs import PropPresentation, parse
 from propcalc.graphs import Generator, PropGraph, Signature
@@ -393,6 +393,16 @@ def bimodule_to_json(mod: ColoredBimodule):
     }
 
 
+def _action_from_json(carrier, act):
+    """A generator action {"perm": ..., "mats": ...} as a map of the carrier."""
+    return ChainMap(
+        carrier,
+        carrier,
+        {int(j): matrix_from_json(m) for j, m in act.get("mats", {}).items()},
+        check=False,
+    )
+
+
 def bimodule_from_json(data, validate_actions=True):
     _expect_kind(data, "bimodule")
     palette = palette_from_json(data["palette"])
@@ -411,22 +421,15 @@ def bimodule_from_json(data, validate_actions=True):
                 % (entry["out"], entry["in"])
             )
         carrier = complex_from_json(entry["carrier"])
-        out_gens = {}
-        for act in entry.get("out_actions", []):
-            out_gens[tuple(act["perm"])] = ChainMap(
-                carrier,
-                carrier,
-                {int(j): matrix_from_json(m) for j, m in act.get("mats", {}).items()},
-                check=False,
-            )
-        in_gens = {}
-        for act in entry.get("in_actions", []):
-            in_gens[tuple(act["perm"])] = ChainMap(
-                carrier,
-                carrier,
-                {int(j): matrix_from_json(m) for j, m in act.get("mats", {}).items()},
-                check=False,
-            )
+        # a signed-permutation action is kept as one, so products move indices
+        out_gens = {
+            tuple(act["perm"]): signed_permutation_form(_action_from_json(carrier, act))
+            for act in entry.get("out_actions", [])
+        }
+        in_gens = {
+            tuple(act["perm"]): signed_permutation_form(_action_from_json(carrier, act))
+            for act in entry.get("in_actions", [])
+        }
         try:
             comp = BimoduleComponent(kd, kc, carrier, out_gens, in_gens)
         except Exception as exc:
@@ -506,14 +509,9 @@ def operad_from_json(data, validate=False):
         if list(in_key.rep.entries) != list(entry["in"]):
             raise FormatError("operad component inputs must be sorted: %r" % entry["in"])
         carrier = complex_from_json(entry["carrier"])
-        in_gens = {}
-        for act in entry.get("in_actions", []):
-            in_gens[tuple(act["perm"])] = ChainMap(
-                carrier,
-                carrier,
-                {int(j): matrix_from_json(m) for j, m in act.get("mats", {}).items()},
-                check=False,
-            )
+        in_gens = {
+            tuple(act["perm"]): _action_from_json(carrier, act) for act in entry.get("in_actions", [])
+        }
         from propcalc.operads import color_key
 
         try:
@@ -530,20 +528,14 @@ def operad_from_json(data, validate=False):
         comp = operad.component(d, in_key)
         if comp is None:
             raise FormatError("gamma references a missing component")
-        src_factors = [comp.carrier]
-        for c, bk in zip(in_key.rep.entries, b_keys):
-            qc = operad.component(c, bk)
-            if qc is None:
-                raise FormatError("gamma references a missing input component")
-            src_factors.append(qc.carrier)
-        from propcalc.chains import TensorSpace
-
+        if any(operad.component(c, bk) is None for c, bk in zip(in_key.rep.entries, b_keys)):
+            raise FormatError("gamma references a missing input component")
         merged = merge_in_keys(palette, b_keys)
         target = operad.component(d, merged)
         if target is None:
             raise FormatError("gamma targets a missing component")
         operad.gamma[(d, in_key, b_keys)] = ChainMap(
-            TensorSpace(src_factors).complex,
+            operad.space(d, in_key, b_keys).complex,
             target.carrier,
             {int(j): matrix_from_json(m) for j, m in entry.get("mats", {}).items()},
             check=False,

@@ -17,6 +17,7 @@ Matrix = list  # list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 _FRACTION_ONLY = frozenset([Fraction])
 
 

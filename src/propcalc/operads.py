@@ -407,21 +407,22 @@ class EndoPropData:
         if hom.is_zero():
             return None
         index = {k: {t: i for i, t in enumerate(basis)} for k, basis in bases.items()}
-        # the unit at (j, r, c) composed with the shuffle by s is +-(j, r, c'),
-        # with c' the source column that s moves onto c
-        space = self.family.space(in_key.rep)
-        sources = {j: space.basis(j) for j in space.complex.degrees()}
         in_gens = {}
         for s in stabilizer_generators(in_key):
-            moved = {j: [_shuffle(space, cp, ix, s) for cp, ix in vecs] for j, vecs in sources.items()}
-            mats = {}
+            # the unit at (j, r, c) composed with the shuffle by s is +-(j, r, c'),
+            # with c' the source column that s moves onto c: the inverse shuffle
+            # sends c to +-c'
+            moved = self.family.shuffle(in_key.rep, s.inverse()).perm
+            perm = {}
             for k, basis in bases.items():
-                m = linalg.zeros(len(basis), len(basis))
-                for col, (j, r, c) in enumerate(basis):
-                    c2, sign = moved[j][c]
-                    m[index[k][(j, r, c2)]][col] = sign
-                mats[k] = m
-            in_gens[s.images] = ChainMap(hom, hom, mats, check=False)
+                targets = []
+                negs = []
+                for j, r, c in basis:
+                    columns, signs = moved[j]
+                    targets.append(index[k][(j, r, columns[c])])
+                    negs.append(signs[c])
+                perm[k] = (targets, negs)
+            in_gens[s.images] = ChainMap.signed_permutation(hom, hom, perm)
         return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases, index)
 
     def rho(self, d, in_key, b_keys):
@@ -888,11 +889,10 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
         carrier = ChainComplex({0: len(elems)})
         in_gens = {}
         for s in stabilizer_generators(k):
-            m = linalg.zeros(len(elems), len(elems))
-            for i, g in enumerate(elems):
-                target = s.inverse() * g
-                m[basis_cache[n][target.images]][i] = F(1)
-            in_gens[s.images] = ChainMap(carrier, carrier, {0: m}, check=False)
+            targets = [basis_cache[n][(s.inverse() * g).images] for g in elems]
+            in_gens[s.images] = ChainMap.signed_permutation(
+                carrier, carrier, {0: (targets, [False] * len(elems))}
+            )
         components[(color, k)] = BimoduleComponent(
             color_key(palette, color), k, carrier, {}, in_gens
         )

@@ -443,6 +443,35 @@ def reference_assemble_tensor_map(src_space, tgt_space, groups):
     return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
 
 
+def reference_factor_permutation_map(factors, perm):
+    """factor_permutation_map as propcalc built it before signed-permutation
+    records: a dense matrix filled one source basis vector at a time through
+    flat_index, with the Koszul sign counted pair by pair."""
+    k = len(factors)
+    src_space = TensorSpace(list(factors))
+    permuted = [None] * k
+    for i in range(k):
+        permuted[perm(i + 1) - 1] = factors[i]
+    tgt_space = TensorSpace(permuted)
+    mats = {}
+    for n in src_space.complex.degrees():
+        big = linalg.zeros(tgt_space.dim(n), src_space.dim(n))
+        for col, (comp, idxs) in enumerate(src_space.basis(n)):
+            tcomp = [0] * k
+            tidx = [0] * k
+            for i in range(k):
+                tcomp[perm(i + 1) - 1] = comp[i]
+                tidx[perm(i + 1) - 1] = idxs[i]
+            sign = 1
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if perm(i + 1) > perm(j + 1) and comp[i] % 2 and comp[j] % 2:
+                        sign = -sign
+            big[tgt_space.flat_index(tuple(tcomp), tuple(tidx))][col] = F(sign)
+        mats[n] = big
+    return ChainMap(src_space.complex, tgt_space.complex, mats, 0, check=False)
+
+
 def random_rank_deficient(rng, rows, cols, density):
     """A rows x cols rational matrix of rank below min(rows, cols), with about
     the given share of nonzero entries, some zero rows and some zero columns.

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from helpers import (
     reference_rho_out,
     reference_validate_component,
 )
-from propcalc import linalg
+from propcalc import formats, linalg
 from propcalc.bimodules import (
     BimoduleComponent,
     BimoduleError,
@@ -29,7 +31,14 @@ from propcalc.bimodules import (
     placements,
     tensor_over_sigma,
 )
-from propcalc.chains import ChainComplex, ChainMap, TensorSpace, assemble_tensor_map, base_field_complex
+from propcalc.chains import (
+    ChainComplex,
+    ChainMap,
+    TensorSpace,
+    assemble_tensor_map,
+    base_field_complex,
+    signed_permutation_form,
+)
 from propcalc.profiles import (
     OrbitKey,
     Palette,
@@ -114,6 +123,21 @@ def test_component_validate_small_groups():
     carrier = ChainComplex({0: 2})
     comp = make_component(kd, kc, carrier, out_mats=perm_matrix_rep(kd, "out"))
     assert comp.validate() == []
+
+
+def test_validate_rejects_actions_that_do_not_commute_with_d():
+    """On the disc, a generator acting by 1 in degree 0 and -1 in degree 1
+    (a signed permutation) or by 2 and 1 (a general map) is no chain map."""
+    disc = ChainComplex({0: 1, 1: 1}, {1: [[F(1)]]})
+    out_key, in_key = key(PAL1, "x", "x"), key(PAL1, "x")
+    s = stabilizer_generators(out_key)[0].images
+    for mats, signed in (({0: [[F(1)]], 1: [[F(-1)]]}, True), ({0: [[F(2)]], 1: [[F(1)]]}, False)):
+        action = signed_permutation_form(ChainMap(disc, disc, mats, check=False))
+        assert (action.perm is not None) == signed
+        comp = BimoduleComponent(out_key, in_key, disc, {s: action}, {})
+        failures = comp.validate()
+        assert "action %r does not commute with the differential" % (s,) in failures
+        assert failures == reference_validate_component(comp)
 
 
 def test_component_validate_rejects_bad_action():
@@ -528,6 +552,10 @@ def test_coinvariant_quotient_matches_reference():
             for g in gens
         ]
         cases += [(x.carrier, [x.rho_in(g) for g in gens]), (space.complex, diagonal)]
+    # the same relations as signed-permutation records, where they are ones
+    records = [(carrier, [signed_permutation_form(m) for m in relations]) for carrier, relations in cases]
+    assert sum(m.perm is not None for _, relations in records for m in relations) >= 60
+    cases += records
     # maps that are not signed permutations: column 0 of the shear has a 1 on
     # the diagonal and another nonzero entry, and is its only relation
     shear = [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
@@ -1010,3 +1038,68 @@ def test_multicolor_middle_averaging_cross_check():
             )
         avg_rank = linalg.rank(linalg.mat_scale(F(1, len(elems)), total))
         assert comp.carrier.dim(0) == avg_rank
+
+
+# -- general actions keep the dense path through load, validate and products ------
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+
+
+def involution_bimodule(graded=True, inward=True, color="a"):
+    """The component (c,c; c) on Q^2, in degrees 0 and 1 with d = id when
+    graded, whose S_2 generator acts by the involution [[1, 0], [1, -1]] (not
+    a signed permutation); when inward, also (c; c,c) with the same in action
+    and (c; c) = Q.  Loaded through the JSON reader."""
+    if graded:
+        carrier = ChainComplex({0: 2, 1: 2}, {1: [[F(1), F(0)], [F(0), F(1)]]})
+    else:
+        carrier = ChainComplex({0: 2})
+    involution = ChainMap(carrier, carrier, {n: [[F(1), F(0)], [F(1), F(-1)]] for n in carrier.degrees()})
+    one, two = key(PAL, color), key(PAL, color, color)
+    s = stabilizer_generators(two)[0].images
+    comps = [BimoduleComponent(two, one, carrier, {s: involution}, {})]
+    if inward:
+        comps.append(BimoduleComponent(one, two, carrier, {}, {s: involution}))
+        comps.append(BimoduleComponent(one, one, base_field_complex(), {}, {}))
+    module = ColoredBimodule(PAL, {(c.out_key, c.in_key): c for c in comps})
+    return formats.bimodule_from_json(formats.bimodule_to_json(module))
+
+
+def load_golden(name):
+    with open(os.path.join(GOLDEN_INPUTS, name), encoding="utf-8") as handle:
+        return formats.bimodule_from_json(json.load(handle))
+
+
+def all_gens(module):
+    return [m for comp in module.components.values() for m in list(comp.out_gens.values()) + list(comp.in_gens.values())]
+
+
+def test_general_actions_keep_the_dense_path_through_products():
+    general = involution_bimodule()
+    small = involution_bimodule(graded=False, inward=False)
+    small_b = involution_bimodule(graded=False, inward=False, color="b")
+    signed = load_golden("sign_a.json")
+    # the loader keeps the involution dense and makes the sign action a record
+    assert all_gens(general) and all(m.perm is None for m in all_gens(general))
+    assert all_gens(signed) and all(m.perm is not None for m in all_gens(signed))
+    assert any(neg for m in all_gens(signed) for _, negs in m.perm.values() for neg in negs)
+    for comp in general.components.values():
+        assert comp.validate() == reference_validate_component(comp) == []
+    products = [box_v(general, general), box_h(small, small_b), box_h(signed, small), box_h(small, signed)]
+    assert all(product.components for product in products)
+    for product in products:
+        for comp in product.components.values():
+            assert comp.validate() == reference_validate_component(comp) == []
+    # box_h's pieces, the mixed pairs included, against the per-pair reference
+    mixed = 0
+    for product in products[1:]:
+        for comp in product.components.values():
+            for piece in comp.layout.pieces:
+                factors = piece.component.layout.factors
+                mixed += len({m.perm is None for f in factors for m in list(f.out_gens.values()) + list(f.in_gens.values())}) == 2
+                out_gens, in_gens = reference_box_dot_gens(PAL, list(factors))
+                for ours, theirs in ((piece.component.out_gens, out_gens), (piece.component.in_gens, in_gens)):
+                    assert set(ours) == set(theirs)
+                    for images, m in theirs.items():
+                        assert ours[images].mats == m.mats
+    assert mixed >= 2, mixed

@@ -20,13 +20,16 @@ from propcalc.chains import (
     factor_permutation_map,
     homology_dims,
     path_object,
+    place_blocks,
+    signed_permutation_form,
     solve_constrained_lift,
+    sum_offsets,
     tensor,
     tensor_maps,
 )
 from propcalc.profiles import Permutation
 
-from helpers import dense_tensor_boundary, reference_assemble_tensor_map
+from helpers import dense_tensor_boundary, reference_assemble_tensor_map, reference_factor_permutation_map
 
 F = Fraction
 
@@ -295,6 +298,184 @@ def test_assemble_tensor_map_rejects_uncovered_factors():
     for src, tgt in ((TensorSpace([x, x]), TensorSpace([x])), (TensorSpace([x]), TensorSpace([x, x]))):
         with pytest.raises(ChainError, match="^group widths do not cover the tensor factors$"):
             assemble_tensor_map(src, tgt, [(xs, xs, identity)])
+
+
+# -- signed-permutation records against dense maps -------------------------------
+
+
+def random_signed(rng, source, target=None):
+    """A random signed-permutation record from source onto target (equal dims)
+    and the same map as a general ChainMap, its matrices written here."""
+    target = source if target is None else target
+    perm, mats = {}, {}
+    for n, d in source.dims.items():
+        targets = list(range(d))
+        rng.shuffle(targets)
+        negs = [rng.random() < 0.4 for _ in range(d)]
+        perm[n] = (targets, negs)
+        mats[n] = [[F(0)] * d for _ in range(d)]
+        for i, (t, neg) in enumerate(zip(targets, negs)):
+            mats[n][t][i] = F(-1) if neg else F(1)
+    return ChainMap.signed_permutation(source, target, perm), ChainMap(source, target, mats, check=False)
+
+
+def dense_copy(f):
+    """f as a general map with the same matrices."""
+    return ChainMap(f.source, f.target, f.mats, f.degree, check=False)
+
+
+def assert_same_entries(ours, theirs):
+    assert ours.degree == theirs.degree
+    assert sorted(ours.mats) == sorted(theirs.mats)
+    for n, m in theirs.mats.items():
+        assert ours.mats[n] == m
+
+
+def random_odd_complex(rng, max_dim=3):
+    """A random complex with a nonzero odd degree, so that records carry -1
+    entries where they meet Koszul signs."""
+    while True:
+        x = random_complex(rng, max_deg=3, max_dim=max_dim)
+        if any(n % 2 for n in x.dims):
+            return x
+
+
+def test_signed_compose_and_eq_match_dense_maps():
+    rng = random.Random(31)
+    negative = 0
+    for _ in range(250):
+        x = random_odd_complex(rng)
+        f, f_dense = random_signed(rng, x)
+        g, g_dense = random_signed(rng, x)
+        assert f.perm is not None and f_dense.perm is None
+        assert_same_entries(f, f_dense)
+        fg = f.compose(g)
+        assert fg.perm is not None
+        assert_same_entries(fg, f_dense.compose(g_dense))
+        assert (f == g) == (f_dense == g_dense)
+        assert f == f_dense and f_dense == f and fg == f_dense.compose(g_dense)
+        # one sign flipped
+        n = rng.choice(sorted(x.dims))
+        targets, negs = f.perm[n]
+        flipped = dict(f.perm)
+        flipped[n] = (targets, [not negs[0]] + negs[1:])
+        assert f != ChainMap.signed_permutation(x, x, flipped)
+        negative += any(any(negs) for _, negs in fg.perm.values())
+    assert negative >= 200, negative
+
+
+def test_signed_mixed_compose_matches_dense_maps():
+    rng = random.Random(32)
+    cases = 0
+    while cases < 250:
+        x = random_odd_complex(rng)
+        y = random_complex(rng, max_deg=3, max_dim=3)
+        if y.is_zero():
+            continue
+        cases += 1
+        f, f_dense = random_signed(rng, x)
+        k = rng.randint(0, 1)
+        into = random_map(rng, y, x, k)
+        out_of = random_map(rng, x, y, k)
+        for ours, theirs in ((f.compose(into), f_dense.compose(into)), (out_of.compose(f), out_of.compose(f_dense))):
+            assert ours.perm is None
+            assert_same_entries(ours, theirs)
+            assert ours == theirs
+
+
+def test_signed_place_blocks_matches_dense_blocks():
+    rng = random.Random(33)
+    kinds = {"record": 0, "mixed": 0, "partial": 0}
+    for case in range(240):
+        x = random_odd_complex(rng, max_dim=2)
+        count = rng.randint(1, 3)
+        total = direct_sum(*[x] * count)
+        offsets = sum_offsets([x] * count)
+        order = list(range(count))
+        rng.shuffle(order)
+        pairs = [random_signed(rng, x) for _ in range(count)]
+        kind = ("record", "mixed", "partial")[case % 3] if count > 1 else "record"
+        kinds[kind] += 1
+        if kind == "partial":
+            order, pairs = order[1:], pairs[1:]
+        records = [f_dense if kind == "mixed" and i == 0 else f for i, (f, f_dense) in enumerate(pairs)]
+        ours = place_blocks(total, total, ((f, offsets[t], offsets[i]) for i, (t, f) in enumerate(zip(order, records))))
+        theirs = place_blocks(total, total, [(f_dense, offsets[t], offsets[i]) for i, (t, (_, f_dense)) in enumerate(zip(order, pairs))])
+        assert theirs.perm is None
+        assert (ours.perm is not None) == (kind == "record")
+        assert_same_entries(ours, theirs)
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_signed_assemble_tensor_map_matches_reference():
+    rng = random.Random(34)
+    negative = 0
+    for _ in range(220):
+        factors = [random_odd_complex(rng, max_dim=2) for _ in range(rng.randint(1, 3))]
+        pairs = [random_signed(rng, x) for x in factors]
+        src_space = TensorSpace(factors)
+        tgt_space = TensorSpace(list(factors))
+        spaces = [TensorSpace([x]) for x in factors]
+        ours = assemble_tensor_map(src_space, tgt_space, [(s, s, f) for s, (f, _) in zip(spaces, pairs)])
+        theirs = reference_assemble_tensor_map(
+            src_space, tgt_space, [(s, s, f_dense) for s, (_, f_dense) in zip(spaces, pairs)]
+        )
+        assert ours.perm is not None
+        assert ours.source is src_space.complex and ours.target is tgt_space.complex
+        assert_same_entries(ours, theirs)
+        negative += any(any(negs) for _, negs in ours.perm.values())
+    assert negative >= 150, negative
+
+
+def test_factor_permutation_map_matches_reference():
+    rng = random.Random(35)
+    koszul = 0
+    for _ in range(220):
+        factors = [random_odd_complex(rng, max_dim=2) for _ in range(rng.randint(1, 3))]
+        images = list(range(1, len(factors) + 1))
+        rng.shuffle(images)
+        perm = Permutation(images)
+        ours = factor_permutation_map(factors, perm)
+        theirs = reference_factor_permutation_map(factors, perm)
+        assert ours.perm is not None
+        assert_same_entries(ours, theirs)
+        koszul += any(any(negs) for _, negs in ours.perm.values())
+    assert koszul >= 50, koszul
+
+
+def test_signed_permutation_form_keeps_near_misses_dense():
+    x = ChainComplex({0: 2, 1: 2})
+    ident = [[F(1), F(0)], [F(0), F(1)]]
+    f = signed_permutation_form(ChainMap(x, x, {0: [[0, -1], [1, 0]], 1: ident}, check=False))
+    assert f.perm == {0: ([1, 0], [False, True]), 1: ([0, 1], [False, False])}
+    near_misses = [
+        ChainMap(x, x, {0: [[1, 0], [-1, 0]], 1: ident}, check=False),  # two nonzeros in a column
+        ChainMap(x, x, {0: [[2, 0], [0, 1]], 1: ident}, check=False),  # an entry of 2
+        ChainMap(x, x, {0: [[1, 1], [0, 0]], 1: ident}, check=False),  # a repeated target row
+        ChainMap(x, x, {1: ident}, check=False),  # degree 0 missing from mats
+        ChainMap(x, ChainComplex({0: 2, 1: 2, 2: 1}), {0: ident, 1: ident}, check=False),  # target degree 2
+        ChainMap(x, ChainComplex({0: 3, 1: 2}), {0: ident + [[0, 0]], 1: ident}, check=False),  # 3 x 2
+        ChainMap(x, x, {0: ident}, 1, check=False),  # degree 1
+    ]
+    for g in near_misses:
+        assert signed_permutation_form(g) is g and g.perm is None
+
+
+def test_identity_builds_no_dense_matrix_until_read(monkeypatch):
+    x = ChainComplex({0: 2, 1: 3, 2: 1})
+    expected = {n: linalg.identity(d) for n, d in x.dims.items()}
+    built = []
+    real_zeros = linalg.zeros
+
+    def counting_zeros(rows, cols):
+        built.append((rows, cols))
+        return real_zeros(rows, cols)
+
+    monkeypatch.setattr(linalg, "zeros", counting_zeros)
+    ident = ChainMap.identity(x)
+    assert ident.compose(ident) == ident and ident.perm is not None and not built
+    assert ident.mats == expected
+    assert sorted(built) == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_homology_disc_and_zero():

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from helpers import (
     reference_value,
 )
 from propcalc import linalg, operads
+from propcalc.formats import operad_from_json
 from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement, EndoError
 from propcalc.operads import (
@@ -35,6 +38,17 @@ from propcalc.operads import (
 from propcalc.profiles import Palette, Permutation, Profile, stabilizer_elements
 
 F = Fraction
+
+
+def test_loaded_gamma_sources_are_the_operads_own_spaces():
+    """Each gamma map read from a file has the operad's cached tensor space as
+    its source, so compose_elements builds no second, equal space."""
+    for name in ("op.json", "ass.json"):
+        with open(os.path.join(os.path.dirname(__file__), "golden", "inputs", name), encoding="utf-8") as handle:
+            operad = operad_from_json(json.load(handle))
+        assert operad.gamma
+        for (d, in_key, b_keys), m in operad.gamma.items():
+            assert m.source is operad.space(d, in_key, b_keys).complex
 
 
 def test_trivial_operad_valid():
