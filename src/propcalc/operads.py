@@ -79,6 +79,10 @@ class ColoredOperad:
             self.components[(d, in_key)] = comp
         self.gamma = dict(gamma)
         self._spaces = {}
+        self._plans = {}
+        self._aligned = {}
+        # each component's input key as itself, so a merged key is looked up by identity
+        self._keys = {k: k for _, k in self.components}
 
     def component(self, d, in_key):
         return self.components.get((d, in_key))
@@ -96,6 +100,26 @@ class ColoredOperad:
                 [comp.carrier if comp else ChainComplex({}) for comp in comps]
             )
         return self._spaces[key]
+
+    def plan(self, d, in_key, b_keys):
+        """(gamma map, merged key, target component, tensor space, nonzero
+        columns of gamma per degree as {column: [(row, entry)]}) at (d, in_key,
+        b_keys); built on first use and again once gamma[key] is replaced."""
+        key = (d, in_key, b_keys)
+        gm = self.gamma.get(key)
+        plan = self._plans.get(key)
+        if plan is None or plan[0] is not gm:
+            merged = merge_in_keys(self.palette, b_keys)
+            merged = self._keys.get(merged, merged)
+            columns = {}
+            for n, mat in gm.mats.items() if gm is not None else ():
+                cols = columns[n] = {}
+                for r, row in enumerate(mat):
+                    for c, x in linalg.nonzeros(row):
+                        cols.setdefault(c, []).append((r, x))
+            space = self.space(d, in_key, b_keys) if columns else None
+            plan = self._plans[key] = (gm, merged, self.component(d, merged), space, columns)
+        return plan
 
     def gamma_map(self, d, in_key, b_keys):
         key = (d, in_key, tuple(b_keys))
@@ -251,20 +275,14 @@ class ColoredOperad:
         return failures
 
     def _aligned_tuples(self, in_key):
-        """Tuples of in-keys aligned to the representative positions, within support."""
-        options = []
-        for c in in_key.rep.entries:
-            opts = sorted(
-                {k for (dd, k) in self.components if dd == c}, key=lambda k: k
-            )
-            if not opts:
-                return []
-            options.append(opts)
-        out = []
-        for combo in itertools.product(*options):
-            if sum(k.length for k in combo) <= self.max_arity:
-                out.append(tuple(combo))
-        return out
+        """Tuples of in-keys aligned to the representative positions, within
+        support; memoized, as the components are fixed at construction."""
+        if in_key not in self._aligned:
+            options = [sorted(k for (dd, k) in self.components if dd == c) for c in in_key.rep.entries]
+            self._aligned[in_key] = [
+                combo for combo in itertools.product(*options) if sum(k.length for k in combo) <= self.max_arity
+            ]
+        return self._aligned[in_key]
 
 
 def _first_unit(operad, units, d, in_key):
@@ -319,7 +337,8 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
     """gamma(p; q_1..q_n) with inputs aligned to the representative positions.
 
     Only the nonzero coordinates are combined: each nonzero coordinate of the
-    tensor of the factors adds its multiple of one column of gamma.
+    tensor of the factors adds its multiple of one column of gamma, read
+    sparse from the operad's plan; a coefficient of 1 is not multiplied.
     """
     operad = p.operad
     in_key = p.in_key
@@ -328,26 +347,24 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
     for c, q in zip(in_key.rep.entries, q_els):
         if q.d != c:
             raise OperadError("input color mismatch: %r vs %r" % (q.d, c))
-    b_keys = tuple(q.in_key for q in q_els)
     total_deg = p.degree + sum(q.degree for q in q_els)
-    merged = merge_in_keys(operad.palette, b_keys)
-    target = operad.component(p.d, merged)
+    _, merged, target, space, columns = operad.plan(p.d, in_key, tuple(q.in_key for q in q_els))
     out = [linalg.ZERO] * (target.carrier.dim(total_deg) if target else 0)
-    mat = operad.gamma_map(p.d, in_key, b_keys).mats.get(total_deg)
-    if mat is None:
+    cols = columns.get(total_deg)
+    if not cols:
         return OperadElement(operad, p.d, merged, total_deg, out)
-    space = operad.space(p.d, in_key, b_keys)
+    one, zero = linalg.ONE, linalg.ZERO
     comp_tuple = (p.degree,) + tuple(q.degree for q in q_els)
     factors = [linalg.nonzeros(p.coords)] + [linalg.nonzeros(q.coords) for q in q_els]
     for terms in itertools.product(*factors):
-        coeff = linalg.ONE
+        coeff = one
         for _, x in terms:
-            coeff *= x
-        col = space.flat_index(comp_tuple, [i for i, _ in terms])
-        for r, row in enumerate(mat):
-            x = row[col]
-            if x is not linalg.ZERO and x:
-                out[r] += coeff * x
+            if x is not one:
+                coeff = x if coeff is one else coeff * x
+        for r, x in cols.get(space.flat_index(comp_tuple, [i for i, _ in terms]), ()):
+            if coeff is not one:
+                x = coeff * x
+            out[r] = x if out[r] is zero else out[r] + x
     return OperadElement(operad, p.d, merged, total_deg, out)
 
 
@@ -513,16 +530,11 @@ def forget_to_operad(prop_data, max_arity: int) -> ColoredOperad:
                 if comp is not None:
                     components[(d, in_key)] = comp
     operad = ColoredOperad(palette, max_arity, components, {})
-    for (d, in_key) in sorted(components, key=repr):
-        options = []
-        for c in in_key.rep.entries:
-            options.append(sorted({kk for (dd2, kk) in components if dd2 == c}, key=lambda k: k))
-        for b_keys in itertools.product(*options):
-            if sum(k.length for k in b_keys) > max_arity:
-                continue
-            rho = prop_data.rho(d, in_key, tuple(b_keys))
+    for (d, in_key) in sorted(operad.components, key=repr):
+        for b_keys in operad._aligned_tuples(in_key):
+            rho = prop_data.rho(d, in_key, b_keys)
             if rho is not None and not rho.is_zero():
-                operad.gamma[(d, in_key, tuple(b_keys))] = rho
+                operad.gamma[(d, in_key, b_keys)] = rho
     return operad
 
 
@@ -828,7 +840,8 @@ def algebra_round_trip(operad: ColoredOperad, alg: OperadAlgebra, max_in=None):
     if input_failures:
         return [("input", key, residual) for _, key, residual in input_failures]
     max_in = max_in or operad.max_arity
-    opp = prop_from_operad(operad, 2, max_in)
+    # Psi reads the single-output components only
+    opp = prop_from_operad(operad, 1, max_in)
     values = operad_algebra_to_prop_algebra(alg, opp)
     back = prop_algebra_to_operad_algebra(values, opp, alg.family)
     for (d, in_key) in operad.support():

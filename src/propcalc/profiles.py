@@ -299,11 +299,6 @@ def stabilizer_elements(key: OrbitKey):
     return out
 
 
-def orbit_object_count(key: OrbitKey) -> int:
-    """Number of distinct profiles in the orbit: n! / prod(block sizes!)."""
-    return math.factorial(key.length) // stabilizer_order(key)
-
-
 def in_stabilizer(key: OrbitKey, sigma: Permutation) -> bool:
     rep = key.rep.entries
     return all(rep[sigma(i) - 1] == rep[i - 1] for i in range(1, len(rep) + 1))

@@ -39,7 +39,12 @@ from propcalc.endo import FamilyMap  # noqa: E402
 from propcalc.exprs import PropPresentation, parse  # noqa: E402
 from propcalc.formats import dumps, to_json  # noqa: E402
 from propcalc.graphs import Generator, Signature  # noqa: E402
-from propcalc.operads import associative_operad, trivial_operad  # noqa: E402
+from propcalc.operads import (  # noqa: E402
+    OperadAlgebra,
+    associative_operad,
+    profile_key,
+    trivial_operad,
+)
 from propcalc.profiles import Palette, Profile  # noqa: E402
 
 # (case name, argv without --report); file names are relative to INPUTS
@@ -87,6 +92,7 @@ COMMANDS = [
     ("factor-wrong-kind", ["factor", "ident.json", "st.json", "st.json", "ident.json", "ident.json", "q.json"]),
     ("operad-to-prop", ["operad-to-prop", "ass.json", "3"]),
     ("round-trip", ["round-trip", "ass.json", "fam_sq.json", "alg.json"]),
+    ("round-trip-not-an-algebra", ["round-trip", "ass.json", "fam_sq.json", "alg_scaled.json"]),
     ("round-trip-malformed-algebra", ["round-trip", "ass.json", "fam_sq.json", "truncated.json"]),
     ("round-trip-missing-algebra", ["round-trip", "ass.json", "fam_sq.json", "missing.json"]),
 ]
@@ -171,6 +177,12 @@ def write_inputs():
     for name, obj in objects.items():
         _write(name + ".json", dumps(to_json(obj)))
     _write("alg.json", dumps(formats.operad_algebra_to_json(alg)))
+    # one structure value scaled by 2: no longer an algebra
+    key = ("x", profile_key(ass.palette, ["x", "x"]))
+    scaled_values = dict(alg.values)
+    scaled_values[key] = [scaled_values[key][0].scale(2)] + scaled_values[key][1:]
+    _write("alg_scaled.json", dumps(formats.operad_algebra_to_json(
+        OperadAlgebra(ass, alg.family, scaled_values))))
     _write("subdir/x.json", dumps(to_json(objects["x"])))
 
     bad_bimodule = {

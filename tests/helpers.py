@@ -1,6 +1,7 @@
 """Shared random generators for the test suites (seeded, deterministic)."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from propcalc.exprs import (
 )
 from propcalc.operads import OperadElement, compose_elements
 from propcalc.profiles import (
+    OrbitKey,
     Palette,
     Permutation,
     Profile,
@@ -39,10 +41,16 @@ from propcalc.profiles import (
     canonicalize_profile,
     stabilizer_elements,
     stabilizer_generators,
+    stabilizer_order,
     word_in_block_transpositions,
 )
 
 F = Fraction
+
+
+def orbit_object_count(key: OrbitKey) -> int:
+    """Number of distinct profiles in the orbit: n! / prod(block sizes!)."""
+    return math.factorial(key.length) // stabilizer_order(key)
 
 
 def random_signature(rng, max_colors=3, max_generators=4, max_arity=3, with_unaries=True):
@@ -536,6 +544,35 @@ def dense_compose_elements(p, q_els):
         out = [F(0)] * tdim
     else:
         out = [sum((x * v for x, v in zip(row, vec)), F(0)) for row in mat]
+    return OperadElement(operad, p.d, merged, total_deg, out)
+
+
+def reference_compose_elements(p, q_els):
+    """gamma(p; q_1..q_n) as propcalc's operads computed it before the operad
+    kept per-key column plans: the merged key canonicalized afresh, gamma and
+    the tensor space looked up by key, and every dense row of gamma scanned for
+    each nonzero term."""
+    operad = p.operad
+    b_keys = tuple(q.in_key for q in q_els)
+    total_deg = p.degree + sum(q.degree for q in q_els)
+    merged = merge_keys(operad.palette, b_keys)
+    target = operad.component(p.d, merged)
+    out = [linalg.ZERO] * (target.carrier.dim(total_deg) if target else 0)
+    mat = operad.gamma_map(p.d, p.in_key, b_keys).mats.get(total_deg)
+    if mat is None:
+        return OperadElement(operad, p.d, merged, total_deg, out)
+    space = operad.space(p.d, p.in_key, b_keys)
+    comp_tuple = (p.degree,) + tuple(q.degree for q in q_els)
+    factors = [linalg.nonzeros(p.coords)] + [linalg.nonzeros(q.coords) for q in q_els]
+    for terms in itertools.product(*factors):
+        coeff = linalg.ONE
+        for _, x in terms:
+            coeff *= x
+        col = space.flat_index(comp_tuple, [i for i, _ in terms])
+        for r, row in enumerate(mat):
+            x = row[col]
+            if x is not linalg.ZERO and x:
+                out[r] += coeff * x
     return OperadElement(operad, p.d, merged, total_deg, out)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     dense_compose_elements,
+    reference_compose_elements,
     reference_in_gens,
     reference_rho,
     reference_validate_associativity,
@@ -17,7 +18,7 @@ from helpers import (
 from propcalc import linalg, operads
 from propcalc.formats import operad_from_json
 from propcalc.chains import ChainComplex, ChainMap
-from propcalc.endo import ColoredFamily, EndoElement, EndoError
+from propcalc.endo import ColoredFamily, EndoElement, EndoError, endo_horizontal, endo_permute
 from propcalc.operads import (
     ColoredOperad,
     EndoPropData,
@@ -159,6 +160,87 @@ def test_compose_elements_matches_dense_reference():
                         nonzero += any(got.coords)
     assert absent > 0
     assert nonzero >= 200
+
+
+def _minus_one_columns(operad, key):
+    """Per block of factor degrees, the factor indices of each gamma column
+    holding a -1 entry."""
+    space = operad.space(*key)
+    found = {}
+    for n, mat in operad.gamma[key].mats.items():
+        for col in range(len(mat[0]) if mat else 0):
+            if any(row[col] == -1 for row in mat):
+                comp, idxs = space.unflatten(n, col)
+                found.setdefault(tuple(comp), []).append(idxs)
+    return found
+
+
+def test_compose_elements_matches_the_reference_entry_for_entry():
+    """Composites through the column plans equal the per-row reference on
+    seeded elements with several rational coordinates and on units, over
+    operads whose gamma has -1 Koszul entries; the composite carries the
+    merged component's own key object."""
+    rng = random.Random(14)
+    operads_ = [associative_operad(3), trivial_operad(3)]
+    for dims, arity in (
+        ({"a": {0: 1, 1: 1}, "b": {0: 1}}, 2),
+        ({"a": {0: 1, 1: 1}, "b": {0: 2, 1: 1}}, 2),
+        ({"a": {0: 1, 1: 1, 2: 1}}, 3),
+    ):
+        palette = Palette(sorted(dims))
+        fam = ColoredFamily(palette, {c: ChainComplex(dims[c]) for c in palette.colors})
+        operads_.append(endomorphism_operad(fam, arity))
+    compared = minus_one = scaled = 0
+    for operad in operads_:
+        own_keys = {k: k for (_, k) in operad.support()}
+        for key in sorted(operad.gamma, key=repr):
+            d, in_key, b_keys = key
+            keys = (in_key,) + b_keys
+            colors = (d,) + tuple(in_key.rep.entries)
+            carriers = [operad.component(c, k).carrier for c, k in zip(colors, keys)]
+            negative = _minus_one_columns(operad, key)
+            for degs in itertools.product(*[x.degrees() for x in carriers]):
+                # units, seeded coordinates, and seeded coordinates that are
+                # nonzero on a column holding -1
+                trials = [None] * 4 + negative.get(degs, [])
+                for trial, forced in enumerate(trials):
+                    if trial == 0:
+                        els = [
+                            operad.unit(c, k, deg, rng.randrange(x.dim(deg)))
+                            for c, k, deg, x in zip(colors, keys, degs, carriers)
+                        ]
+                    else:
+                        coords = [_random_coords(rng, x.dim(deg), False) for deg, x in zip(degs, carriers)]
+                        for i, j in enumerate(forced or ()):
+                            coords[i][j] = F(rng.choice([-2, 3, 7]), rng.choice([1, 5]))
+                        els = [operad.element(c, k, deg, xs) for c, k, deg, xs in zip(colors, keys, degs, coords)]
+                    got = compose_elements(els[0], els[1:])
+                    want = reference_compose_elements(els[0], els[1:])
+                    assert (got.d, got.in_key, got.degree) == (want.d, want.in_key, want.degree)
+                    assert got.coords == want.coords
+                    if operad.component(d, got.in_key) is not None:
+                        assert got.in_key is own_keys[got.in_key]
+                    compared += 1
+                    minus_one += forced is not None
+                    scaled += any(x not in (0, 1) for el in els for x in el.coords) and any(got.coords)
+    assert compared >= 2000
+    assert minus_one >= 7
+    assert scaled >= 600
+
+
+def test_compose_elements_reads_a_replaced_gamma():
+    """A gamma map replaced after a first composition is read by the next one."""
+    operad = associative_operad(3)
+    one = profile_key(operad.palette, ["x"])
+    two = profile_key(operad.palette, ["x", "x"])
+    p = operad.unit("x", two, 0, 0)
+    q_els = [operad.unit("x", one, 0, 0), operad.unit("x", one, 0, 0)]
+    before = compose_elements(p, q_els)
+    assert before.coords == [1, 0]
+    corrupt_inner_gamma(operad)
+    after = compose_elements(p, q_els)
+    assert after.coords == [0, 1]
+    assert after == reference_compose_elements(p, q_els)
 
 
 def test_basis_elements_are_the_units_in_degree_major_order():
@@ -442,6 +524,69 @@ def test_round_trip_tautological_two_colored():
     from propcalc.operads import algebra_round_trip
 
     assert algebra_round_trip(operad, alg) == []
+
+
+def _two_colored_tautological():
+    palette = Palette(["a", "b"])
+    fam = ColoredFamily(palette, {"a": ChainComplex({0: 2}), "b": ChainComplex({0: 1})})
+    operad = endomorphism_operad(fam, 2)
+    return operad, tautological_endo_algebra(operad, fam)
+
+
+@pytest.mark.parametrize("case", ["square_zero", "two_colored"])
+def test_phi_on_two_output_components_is_the_permuted_tensor(case):
+    """Phi at each basis column of a two-output component of the free PROP is
+    endo_permute(sigma, tau, lambda(x) (x) lambda(y)): sigma sends factor i's
+    output to its placed position, and tau sends each input position to its
+    slot in the factor-major concatenation of the factors' inputs."""
+    if case == "square_zero":
+        operad = associative_operad(3)
+        alg = square_zero_algebra(operad)
+        max_in, floors = 3, (28, 20)
+    else:
+        operad, alg = _two_colored_tautological()
+        max_in, floors = 2, (150, 100)
+    opp = prop_from_operad(operad, 2, max_in)
+    values = operads.operad_algebra_to_prop_algebra(alg, opp)
+    columns = moved = nonzero = 0
+    for (out_key, in_key) in opp.support():
+        if out_key.length != 2:
+            continue
+        comp = opp.opp_component(out_key, in_key)
+        flat_values = iter(values[(out_key, in_key)])
+        for deg in comp.carrier.degrees():
+            for flat in range(comp.carrier.dim(deg)):
+                i, inner = comp.layout.locate(deg, flat)
+                tup, sub = comp.layout.pieces[i]
+                out_place, in_place, tensor_i = sub.layout.locate(deg, inner)
+                degs, idxs = sub.layout.tensor.unflatten(deg, tensor_i)
+                colors = [out_key.rep.entries[out_place.index(f)] for f in range(2)]
+                x, y = (operad.unit(colors[f], tup[f], degs[f], idxs[f]) for f in range(2))
+                sigma = Permutation([out_place.index(f) + 1 for f in range(2)])
+                concat = sorted(range(len(in_place)), key=lambda pos: (in_place[pos], pos))
+                tau = Permutation([concat.index(pos) + 1 for pos in range(len(in_place))])
+                want = endo_permute(sigma, tau, endo_horizontal(alg.value(x), alg.value(y)))
+                assert want.out_profile == out_key.rep and want.in_profile == in_key.rep
+                assert next(flat_values) == want
+                columns += 1
+                moved += not (sigma.is_identity() and tau.is_identity())
+                nonzero += not want.chain.is_zero()
+        assert next(flat_values, None) is None
+    assert nonzero == columns >= floors[0] and moved >= floors[1]
+
+
+def test_round_trip_evaluates_phi_on_single_output_components_only(monkeypatch):
+    seen = []
+    phi = operads._phi_basis_value
+
+    def recording(alg, comp, deg, flat):
+        seen.append(comp.out_key.length)
+        return phi(alg, comp, deg, flat)
+
+    monkeypatch.setattr(operads, "_phi_basis_value", recording)
+    operad, alg = _two_colored_tautological()
+    assert operads.algebra_round_trip(operad, alg) == []
+    assert seen and set(seen) == {1}
 
 
 def test_oprop_dims_arity_four_partition_brute_force():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import orbit_object_count
 from propcalc.profiles import (
     Palette,
     PaletteError,
@@ -14,7 +15,6 @@ from propcalc.profiles import (
     canonicalize_profile,
     concat,
     in_stabilizer,
-    orbit_object_count,
     stabilizer_elements,
     stabilizer_generators,
     stabilizer_order,
