@@ -594,11 +594,14 @@ class TensorSpace:
         for n in bnd:
             if n - 1 in bnd and not _sparse_product_is_zero(bnd[n - 1], bnd[n]):
                 raise ChainError("d o d != 0 out of degree %d" % n)
-        dense = {
+        # fresh Fraction rows, no zero block: no copy or rescan in __init__
+        out = object.__new__(ChainComplex)
+        out.dims = dims
+        out.boundary = {
             n: [linalg.densify(rows.get(r, {}), dims[n]) for r in range(dims[n - 1])]
             for n, rows in bnd.items()
         }
-        return ChainComplex(dims, dense, check=False)
+        return out
 
 
 def _sparse_product_is_zero(a, b) -> bool:
@@ -1082,7 +1085,9 @@ class LiftProblem:
         rhs_col = []
         for terms, rhs, er, ec in self.equations:
             # per term: the nonzero (p, L[a][p]) of each row a of L and (q, R[q][b])
-            # of each column b of R; None stands for an identity
+            # of each column b of R; None stands for an identity, whose entries
+            # are the shared ONE, which is never multiplied; an entry whose terms
+            # cancel is dropped, as solve_rows takes no zero entries
             sparse_terms = []
             for coeff, L, j, R in terms:
                 if j not in offsets:
@@ -1102,22 +1107,27 @@ class LiftProblem:
                     row = {}
                     for coeff, base, vc, l_rows, r_cols in sparse_terms:
                         for p, lv in l_rows[a]:
-                            c_lv = coeff * lv
+                            c_lv = lv if coeff is ONE else coeff if lv is ONE else coeff * lv
                             for qcol, rv in r_cols[b]:
+                                y = c_lv if rv is ONE else rv if c_lv is ONE else c_lv * rv
                                 k = base + p * vc + qcol
-                                row[k] = row[k] + c_lv * rv if k in row else c_lv * rv
+                                if k in row:
+                                    y += row.pop(k)
+                                if y:
+                                    row[k] = y
                     rowrhs = rhs[a][b]
-                    if row or rowrhs != 0:
+                    if row or rowrhs:
                         rows.append(row)
                         rhs_col.append([rowrhs])
         if not rows:
             return ChainMap(self.source, self.target, {}, self.degree, check=False)
-        x, cert = linalg.solve([linalg.densify(row, nvars) for row in rows], rhs_col)
+        x, cert = linalg.solve_rows(rows, rhs_col, nvars)
         if x is None:
             raise Unsolvable("constraint system inconsistent", certificate=cert)
+        x = [entry for entry, in x]
         mats = {}
         for j, (base, r, c) in offsets.items():
-            mats[j] = [[x[base + p * c + qcol][0] for qcol in range(c)] for p in range(r)]
+            mats[j] = [x[base + p * c : base + (p + 1) * c] for p in range(r)]
         return ChainMap(self.source, self.target, mats, self.degree, check=False)
 
 

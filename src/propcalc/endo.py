@@ -36,19 +36,25 @@ class ColoredFamily:
         for c in palette.colors:
             if c not in self.complexes:
                 raise EndoError("family misses color %r" % (c,))
+        # spaces and shuffles are keyed by the first color of equal complex, so
+        # profiles whose complexes agree share them
+        self._first = {
+            c: next(b for b in palette.colors if self.complexes[b] == self.complexes[c])
+            for c in palette.colors
+        }
         self._spaces = {}
         self._shuffles = {}
 
     def space(self, profile: Profile) -> TensorSpace:
-        key = profile.entries
+        key = tuple(map(self._first.__getitem__, profile.entries))
         if key not in self._spaces:
             self._spaces[key] = TensorSpace([self.complexes[c] for c in key])
         return self._spaces[key]
 
     def shuffle(self, profile: Profile, sigma: Permutation) -> ChainMap:
         """X_profile -> X_{sigma profile}, factor i to slot sigma(i), Koszul
-        signs; built once per (profile, sigma)."""
-        key = (profile.entries, sigma.images)
+        signs; built once per (profile up to equal complexes, sigma)."""
+        key = (tuple(map(self._first.__getitem__, profile.entries)), sigma.images)
         if key not in self._shuffles:
             self._shuffles[key] = factor_permutation_map(
                 [self.complexes[c] for c in profile.entries],

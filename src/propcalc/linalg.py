@@ -2,7 +2,9 @@
 
 Matrices are lists of lists of Fraction, rows = target dimension, columns =
 source dimension, acting on column vectors.  Inside, products and elimination
-touch only the nonzero entries: rows become {column: entry} dicts.  The pivots
+touch only the nonzero entries: rows become {column: entry} dicts.  One
+solving routine, solve_rows, takes such dict rows directly (the lift solver
+builds its systems that way); solve is its dense wrapper.  The pivots
 are the ones dense Gauss-Jordan elimination picks, and since the reduced row
 echelon form is unique for a fixed column order, so are the results.
 Everything here is deterministic: pivots are chosen first-nonzero, free
@@ -226,19 +228,28 @@ def solve(a: Matrix, rhs: Matrix):
     where certificate = (row_index, residual_row) exhibits an inconsistent
     reduced row 0 = nonzero.
     """
-    r, c = shape(a)
-    rhs_r, rhs_c = shape(rhs) if rhs else (0, 0)
-    aug = [a[i][:] + list(rhs[i]) for i in range(r)]
-    pivots, _ = row_echelon(aug)
+    return solve_rows([dict(nonzeros(row)) for row in a], rhs, shape(a)[1])
+
+
+def solve_rows(rows, rhs, n_cols: int):
+    """solve() for {column: entry} rows over n_cols unknowns, holding no zero
+    entries, and their dense right-hand-side rows: the same x or certificate,
+    whose residual row is dense (unknowns, then rhs).  Reduces rows in place.
+    """
+    for row, b in zip(rows, rhs):
+        for j, y in enumerate(b):
+            if y is not ZERO and y:
+                row[n_cols + j] = y
+    rhs_c = len(rhs[0]) if rhs else 0
+    pivots, _ = _eliminate(rows, n_cols + rhs_c)
     # rows whose pivot lives in the rhs block are inconsistent
-    n_piv_in_a = sum(1 for p in pivots if p < c)
-    for i in range(n_piv_in_a, len(pivots)):
-        return None, (i, aug[i])
-    x = zeros(c, rhs_c)
-    for r_i in range(n_piv_in_a):
-        pc = pivots[r_i]
+    n_piv_in_a = sum(1 for p in pivots if p < n_cols)
+    if n_piv_in_a < len(pivots):
+        return None, (n_piv_in_a, densify(rows[n_piv_in_a], n_cols + rhs_c))
+    x = zeros(n_cols, rhs_c)
+    for row, pc in zip(rows, pivots):
         for j in range(rhs_c):
-            x[pc][j] = aug[r_i][c + j]
+            x[pc][j] = row.get(n_cols + j, ZERO)
     return x, None
 
 

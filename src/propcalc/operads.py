@@ -721,14 +721,22 @@ class OperadAlgebra:
         failures = []
         operad = self.operad
         units = {}
+        one = Permutation.identity(1)
         for (d, in_key, b_keys) in sorted(operad.gamma, key=repr):
             q_els = [_first_unit(operad, units, c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
-            if None in q_els:
+            basis = operad.basis_elements(d, in_key)
+            if None in q_els or not basis:
                 continue
-            for p_el in operad.basis_elements(d, in_key):
-                composite = compose_elements(p_el, q_els)
-                lhs = self.value(composite)
-                rhs = self._direct_value(p_el, q_els)
+            # lambda(p) o (lambda(q_1) (x) ... (x) lambda(q_n)), renormalized by the
+            # transport of the concatenated inputs; h and the transport are per key
+            h = self.value(q_els[0])
+            for q in q_els[1:]:
+                h = endo_horizontal(h, self.value(q))
+            concat = Profile(self.family.palette, [c for q in q_els for c in q.in_key.rep.entries])
+            _, transport = canonicalize_profile(concat)
+            for p_el in basis:
+                lhs = self.value(compose_elements(p_el, q_els))
+                rhs = endo_permute(one, transport, endo_vertical(self.value(p_el), h))
                 if lhs != rhs:
                     failures.append(
                         ("gamma", (d, in_key, tuple(b_keys)), lhs.sub(rhs))
@@ -738,28 +746,11 @@ class OperadAlgebra:
             for s in stabilizer_generators(in_key):
                 for el in operad.basis_elements(d, in_key):
                     lhs = self.value(el.act_right(s))
-                    rhs = endo_permute(
-                        Permutation.identity(1), s, self.value(el)
-                    )
+                    rhs = endo_permute(one, s, self.value(el))
                     if lhs != rhs:
                         failures.append(("equivariance", (d, in_key, s.images), lhs.sub(rhs)))
                         break
         return failures
-
-    def _direct_value(self, p_el, q_els):
-        """lambda(p) o (lambda(q_1) (x) ... (x) lambda(q_n)), renormalized."""
-        h = None
-        for q in q_els:
-            v = self.value(q)
-            h = v if h is None else endo_horizontal(h, v)
-        composite = endo_vertical(self.value(p_el), h)
-        concat_entries = []
-        for q in q_els:
-            concat_entries.extend(q.in_key.rep.entries)
-        _, transport = canonicalize_profile(
-            Profile(self.family.palette, concat_entries)
-        )
-        return endo_permute(Permutation.identity(1), transport, composite)
 
 
 def operad_algebra_to_prop_algebra(alg: OperadAlgebra, opp: OPropData):

@@ -32,7 +32,7 @@ class ProfileError(ValueError):
 class Palette:
     """Ordered finite set of distinct color symbols; declaration order is the total order."""
 
-    __slots__ = ("colors", "_index")
+    __slots__ = ("colors", "_index", "_canonical")
 
     def __init__(self, colors):
         colors = tuple(colors)
@@ -42,6 +42,7 @@ class Palette:
             raise PaletteError("palette has duplicate colors: %r" % (colors,))
         self.colors = colors
         self._index = {c: i for i, c in enumerate(colors)}
+        self._canonical = {}  # profile entries -> canonicalize_profile's (key, t)
 
     def order(self, color) -> int:
         try:
@@ -230,8 +231,12 @@ def canonicalize_profile(p: Profile):
 
     The greedy choice (smallest unused target position of the right color, in
     rep order) is lexicographically least because positions of distinct colors
-    never compete.
+    never compete.  Memoized per palette: equal profiles over one palette get
+    the same key and permutation objects, so keys compare by identity.
     """
+    memo = p.palette._canonical
+    if p.entries in memo:
+        return memo[p.entries]
     order = p.palette.order
     rep_entries = tuple(sorted(p.entries, key=order))
     rep = Profile(p.palette, rep_entries)
@@ -245,8 +250,8 @@ def canonicalize_profile(p: Profile):
         k = taken[c]
         images.append(positions[c][k])
         taken[c] = k + 1
-    t = Permutation(images)
-    return OrbitKey(rep), t
+    memo[p.entries] = OrbitKey(rep), Permutation(images)
+    return memo[p.entries]
 
 
 def _blocks(key: OrbitKey):

@@ -268,7 +268,7 @@ def dense_row_echelon(m):
             if fr == 0:
                 continue
             prow = m[piv_r]
-            m[r] = [x - fr * p for x, p in zip(m[r], prow)]
+            m[r] = [x - fr * p if p else x for x, p in zip(m[r], prow)]
         pivot_cols.append(piv_c)
         piv_r += 1
         if piv_r == n_rows:
@@ -1022,3 +1022,110 @@ def reference_endo_permute(sigma, tau, f):
     l_sigma = factor_permutation_map([fam.complexes[c] for c in f.out_profile.entries], sigma)
     l_tau = factor_permutation_map([fam.complexes[c] for c in in_p.entries], tau)
     return EndoElement(fam, out_p, in_p, l_sigma.compose(f.chain).compose(l_tau))
+
+
+# -- references for the memoized orbit keys, the algebra check and the lift solve
+
+
+def reference_canonicalize_profile(p):
+    """canonicalize_profile as propcalc computed it before it memoized per
+    palette: a fresh key and permutation on every call."""
+    order = p.palette.order
+    rep_entries = tuple(sorted(p.entries, key=order))
+    rep = Profile(p.palette, rep_entries)
+    positions = {}
+    for i, c in enumerate(p.entries, start=1):
+        positions.setdefault(c, []).append(i)
+    taken = {c: 0 for c in positions}
+    images = []
+    for c in rep_entries:
+        k = taken[c]
+        images.append(positions[c][k])
+        taken[c] = k + 1
+    return OrbitKey(rep), Permutation(images)
+
+
+def reference_algebra_check(alg):
+    """OperadAlgebra.check as propcalc computed it before it built the tensor of
+    the q-values and the transport once per gamma key: both per basis element."""
+    from propcalc.operads import _first_unit
+
+    failures = []
+    operad = alg.operad
+    units = {}
+    for (d, in_key, b_keys) in sorted(operad.gamma, key=repr):
+        q_els = [_first_unit(operad, units, c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
+        if None in q_els:
+            continue
+        for p_el in operad.basis_elements(d, in_key):
+            lhs = alg.value(compose_elements(p_el, q_els))
+            h = None
+            for q in q_els:
+                v = alg.value(q)
+                h = v if h is None else endo_horizontal(h, v)
+            composite = endo_vertical(alg.value(p_el), h)
+            concat_entries = [c for q in q_els for c in q.in_key.rep.entries]
+            _, transport = reference_canonicalize_profile(Profile(alg.family.palette, concat_entries))
+            rhs = endo_permute(Permutation.identity(1), transport, composite)
+            if lhs != rhs:
+                failures.append(("gamma", (d, in_key, tuple(b_keys)), lhs.sub(rhs)))
+                break
+    for (d, in_key) in operad.support():
+        for s in stabilizer_generators(in_key):
+            for el in operad.basis_elements(d, in_key):
+                lhs = alg.value(el.act_right(s))
+                rhs = endo_permute(Permutation.identity(1), s, alg.value(el))
+                if lhs != rhs:
+                    failures.append(("equivariance", (d, in_key, s.images), lhs.sub(rhs)))
+                    break
+    return failures
+
+
+def reference_lift_solve(prob):
+    """LiftProblem.solve as propcalc computed it before its rows went to the
+    sparse solve: dict rows densified for the dense reference solve, every
+    coefficient multiplied, entries read back one at a time."""
+    from propcalc.chains import Unsolvable, _columns
+
+    offsets = {}
+    nvars = 0
+    for j, r, c in prob.var_blocks():
+        offsets[j] = (nvars, r, c)
+        nvars += r * c
+    rows = []
+    rhs_col = []
+    for terms, rhs, er, ec in prob.equations:
+        sparse_terms = []
+        for coeff, L, j, R in terms:
+            if j not in offsets:
+                continue
+            base, vr, vc = offsets[j]
+            if L is None:
+                l_rows = [[(a, F(1))] if a < vr else [] for a in range(er)]
+            else:
+                l_rows = [linalg.nonzeros(L[a][:vr]) for a in range(er)]
+            if R is None:
+                r_cols = [[(b, F(1))] if b < vc else [] for b in range(ec)]
+            else:
+                r_cols = _columns([row[:ec] for row in R[:vc]])
+            sparse_terms.append((coeff, base, vc, l_rows, r_cols))
+        for a in range(er):
+            for b in range(ec):
+                row = {}
+                for coeff, base, vc, l_rows, r_cols in sparse_terms:
+                    for p, lv in l_rows[a]:
+                        for qcol, rv in r_cols[b]:
+                            k = base + p * vc + qcol
+                            row[k] = row.get(k, F(0)) + coeff * lv * rv
+                if row or rhs[a][b] != 0:
+                    rows.append(row)
+                    rhs_col.append([rhs[a][b]])
+    if not rows:
+        return ChainMap(prob.source, prob.target, {}, prob.degree, check=False)
+    x, cert = dense_solve([[row.get(k, F(0)) for k in range(nvars)] for row in rows], rhs_col)
+    if x is None:
+        raise Unsolvable("constraint system inconsistent", certificate=cert)
+    mats = {}
+    for j, (base, r, c) in offsets.items():
+        mats[j] = [[x[base + p * c + qcol][0] for qcol in range(c)] for p in range(r)]
+    return ChainMap(prob.source, prob.target, mats, prob.degree, check=False)

@@ -11,6 +11,7 @@ from helpers import (
     interchange_quadruple,
     projection_to_field,
     random_signature,
+    reference_lift_solve,
 )
 from propcalc import linalg
 from propcalc.algebras import (
@@ -26,6 +27,8 @@ from propcalc.algebras import (
 from propcalc.chains import (
     ChainComplex,
     ChainMap,
+    LiftProblem,
+    Unsolvable,
     base_field_complex,
     boundary_of_map,
     classify_map,
@@ -775,3 +778,43 @@ def test_interchange_evaluation_graded_kappa_randomized():
         vb = evaluate(rhs, st).scale(kappa(rhs))
         assert va == vb
         cases += 1
+
+
+LIFT_SUITE = [
+    test_transfer_along_projection,
+    test_transfer_along_inclusion,
+    test_factor_algebra_trivial_factorization,
+    test_factor_algebra_mapping_path_space,
+    test_transfer_randomized_never_unsolvable,
+    test_transfer_degree_one_generator_randomized,
+    test_factor_through_path_space_randomized,
+    test_transfer_unsolvable_on_invalid_source,
+]
+
+
+@pytest.mark.parametrize("suite_test", LIFT_SUITE, ids=lambda t: t.__name__)
+def test_lift_solve_matches_the_dense_reference_on_the_transfer_suite(monkeypatch, suite_test):
+    """Every lift system the suite's transfers and factorisations solve gives
+    the map the dense reference gives, or the same inconsistency certificate."""
+    solve = LiftProblem.solve
+    outcomes = []
+
+    def checked(prob):
+        try:
+            expected = reference_lift_solve(prob)
+        except Unsolvable as exc:
+            with pytest.raises(Unsolvable) as ours:
+                solve(prob)
+            assert ours.value.certificate == exc.certificate
+            outcomes.append("unsolvable")
+            raise ours.value
+        got = solve(prob)
+        assert (got.degree, got.source, got.target) == (expected.degree, expected.source, expected.target)
+        assert got.mats == expected.mats
+        outcomes.append("solved")
+        return got
+
+    monkeypatch.setattr(LiftProblem, "solve", checked)
+    suite_test()
+    assert "solved" in outcomes or outcomes == ["unsolvable"]
+    assert ("unsolvable" in outcomes) == (suite_test is test_transfer_unsolvable_on_invalid_source)

@@ -29,7 +29,12 @@ from propcalc.chains import (
 )
 from propcalc.profiles import Permutation
 
-from helpers import dense_tensor_boundary, reference_assemble_tensor_map, reference_factor_permutation_map
+from helpers import (
+    dense_tensor_boundary,
+    reference_assemble_tensor_map,
+    reference_factor_permutation_map,
+    reference_lift_solve,
+)
 
 F = Fraction
 
@@ -231,6 +236,25 @@ def test_random_tensor_spaces_match_dense_construction():
         for n, m in expected.items():
             assert space.complex.d(n) == m
         assert space.complex.dims == {n: space.dim(n) for n in range(7) if space.dim(n)}
+
+
+def test_built_tensor_complex_equals_the_checked_construction():
+    # TensorSpace hands its complex the boundary it built, without passing it
+    # through ChainComplex.__init__; the public, checked constructor must make
+    # the same complex from the same matrices
+    rng = random.Random(41)
+    negative = 0
+    for _ in range(40):
+        factors = [random_odd_complex(rng, max_dim=2) for _ in range(rng.randint(2, 3))]
+        built = TensorSpace(factors).complex
+        checked = ChainComplex(built.dims, {n: linalg.copy(m) for n, m in built.boundary.items()})
+        assert built == checked and checked == built
+        assert (built.dims, built.boundary) == (checked.dims, checked.boundary)
+        assert all(type(n) is int and type(d) is int for n, d in built.dims.items())
+        assert all(type(x) is Fraction for m in built.boundary.values() for row in m for x in row)
+        assert 0 not in built.boundary and not any(map(linalg.is_zero, built.boundary.values()))
+        negative += any(x == -1 for m in built.boundary.values() for row in m for x in row)
+    assert negative > 0
 
 
 def random_map(rng, source, target, degree):
@@ -696,6 +720,27 @@ def test_solver_sums_terms_on_the_same_unknown():
         rhs = apply(phi0)
         sol = solve_constrained_lift(src, tgt, 0, [(terms, rhs)])
         assert apply(sol.mat(0)) == rhs
+
+
+def test_solver_terms_that_cancel_leave_no_zero_entry():
+    # L phi + 0 phi - L phi = rhs: every entry cancels.  A zero rhs then constrains
+    # nothing, a nonzero one is inconsistent; a zero left in an equation row
+    # would be taken as a pivot
+    from propcalc.chains import LiftProblem
+
+    x = ChainComplex({0: 2})
+    L = [[F(1), F(2)], [F(0), F(1)]]
+    cancel = [(F(1), L, 0, None), (F(0), None, 0, None), (F(-1), L, 0, None)]
+    target = [[F(1), F(-1)], [F(3), F(1, 2)]]
+    sol = solve_constrained_lift(x, x, 0, [(cancel, linalg.zeros(2, 2)), ([(F(1), None, 0, None)], target)])
+    assert sol.mat(0) == target
+    prob = LiftProblem(x, x, 0)
+    prob.add_equation(cancel, target)
+    with pytest.raises(Unsolvable) as ours:
+        prob.solve()
+    with pytest.raises(Unsolvable) as reference:
+        reference_lift_solve(prob)
+    assert ours.value.certificate == reference.value.certificate == (0, [F(0)] * 4 + [F(1)])
 
 
 def test_equivariant_average_swap():

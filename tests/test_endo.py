@@ -383,3 +383,18 @@ def test_endo_permute_matches_fresh_composition_identities_included():
                 assert got.in_profile == want.in_profile
                 assert got.chain.degree == want.chain.degree
                 assert got.chain.mats == want.chain.mats
+
+
+def test_colors_with_equal_complexes_share_one_tensor_space_per_profile():
+    disc = ChainComplex({0: 1, 1: 1}, {1: [[1]]})
+    fam = ColoredFamily(PAL, {"a": disc, "b": ChainComplex({0: 1, 1: 1}, {1: [[1]]})})
+    spaces = [fam.space(prof(*entries)) for entries in (("a", "b"), ("a", "a"), ("b", "a"))]
+    assert spaces[0] is spaces[1] is spaces[2]
+    assert fam.space(prof("b")) is fam.space(prof("a"))
+    assert fam.shuffle(prof("a", "b"), Permutation((2, 1))) is fam.shuffle(prof("b", "a"), Permutation((2, 1)))
+    # complexes that differ, even only in the differential, keep their own spaces
+    for other in (ChainComplex({0: 1, 1: 1}), ChainComplex({0: 2})):
+        fam = ColoredFamily(PAL, {"a": disc, "b": other})
+        ab, aa, ba = (fam.space(prof(*entries)) for entries in (("a", "b"), ("a", "a"), ("b", "a")))
+        assert len({id(ab), id(aa), id(ba)}) == 3
+        assert ab.factors[0] is disc and ab.factors[1] is other

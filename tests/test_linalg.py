@@ -3,7 +3,8 @@
 The reduced row echelon form is unique for a fixed column order, so the
 elimination on nonzeros must reproduce the dense Gauss-Jordan results entry
 by entry: pivots, reduced rows, rank, kernel basis, solutions and the
-inconsistency certificate, and the quotient maps.
+inconsistency certificate (from the dense solve and from solve_rows, which
+takes {column: entry} rows), and the quotient maps.
 """
 
 import random
@@ -130,3 +131,65 @@ def test_rref_matches_sympy():
             [F(int(e.p), int(e.q)) for e in reduced.row(i)] for i in range(reduced.rows)
         ]
         assert work == expected
+
+
+def dict_rows(m):
+    return [dict(linalg.nonzeros(row)) for row in m]
+
+
+def test_solve_rows_matches_dense_reference_with_certificates():
+    # consistent and inconsistent systems, rows with a zero right-hand side and
+    # empty rows (some with a nonzero right-hand side, which is inconsistent)
+    rng = random.Random(7)
+    seen = {"solved": 0, "certificate": 0, "zero rhs": 0, "empty row": 0}
+    for m in cases(7):
+        rows, cols = len(m), len(m[0])
+        x0 = [[F(rng.randint(-2, 2))] for _ in range(cols)]
+        arbitrary = [[F(rng.choice([0, 0, 1, -3]), rng.choice([1, 2]))] for _ in range(rows)]
+        for rhs in (linalg.mat_mul(m, x0), arbitrary, linalg.zeros(rows, 1)):
+            expected = dense_solve(m, rhs)
+            sparse = dict_rows(m)
+            seen["zero rhs"] += sum(1 for b in rhs if b[0] == 0)
+            seen["empty row"] += sum(1 for row in sparse if not row)
+            x, cert = linalg.solve_rows(sparse, rhs, cols)
+            assert (x, cert) == expected
+            assert linalg.solve(m, rhs) == expected
+            if x is None:
+                seen["certificate"] += 1
+                i, residual = cert
+                assert len(residual) == cols + 1 and not any(residual[:cols]) and residual[cols]
+            else:
+                seen["solved"] += 1
+                assert all(type(v) is Fraction for row in x for v in row)
+                assert linalg.mat_mul(m, x) == rhs
+    assert all(seen.values()), seen
+
+
+def test_solve_rows_without_rows_or_unknowns():
+    # no rows: every unknown is free; rows of zero length: only the rhs decides
+    assert linalg.solve_rows([], [], 3) == ([[], [], []], None)
+    assert linalg.solve_rows([{}, {}], [[F(0)], [F(0)]], 2) == ([[F(0)], [F(0)]], None)
+    assert linalg.solve_rows([{}, {}], [[F(0)], [F(2)]], 0) == (None, (0, [F(1)])) == dense_solve([[], []], [[F(0)], [F(2)]])
+    assert linalg.solve_rows([{}, {1: F(2)}], [[F(0)], [F(4)]], 2) == ([[F(0)], [F(2)]], None)
+
+
+def test_solve_rows_matches_sympy_gauss_jordan():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8)
+    solved = inconsistent = 0
+    for rows, cols, density in ((8, 6, 0.4), (6, 9, 0.3), (10, 10, 0.2)):
+        for _ in range(4):
+            m = random_rank_deficient(rng, rows, cols, density)
+            x0 = [[F(rng.randint(-2, 2))] for _ in range(cols)]
+            for rhs in (linalg.mat_mul(m, x0), [[F(rng.randint(-2, 2))] for _ in range(rows)]):
+                x, cert = linalg.solve_rows(dict_rows(m), rhs, cols)
+                try:
+                    sol, params = sympy.Matrix(m).gauss_jordan_solve(sympy.Matrix(rhs))
+                except ValueError:  # sympy's "linear system has no solution"
+                    assert x is None and cert is not None
+                    inconsistent += 1
+                    continue
+                particular = sol.subs({t: 0 for t in params})
+                assert x == [[F(int(e.p), int(e.q))] for e in particular]
+                solved += 1
+    assert solved and inconsistent

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     dense_compose_elements,
     reference_compose_elements,
+    reference_algebra_check,
     reference_in_gens,
     reference_rho,
     reference_validate_associativity,
@@ -16,7 +17,7 @@ from helpers import (
     reference_value,
 )
 from propcalc import linalg, operads
-from propcalc.formats import operad_from_json
+from propcalc.formats import Workspace, operad_algebra_from_json, operad_from_json
 from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement, EndoError, endo_horizontal, endo_permute
 from propcalc.operads import (
@@ -511,6 +512,52 @@ def test_round_trip_flags_non_algebra():
     report = algebra_round_trip(operad, alg)
     assert report
     assert all(kind == "input" for kind, _, _ in report)
+
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+
+
+def _scaled(alg, times=2):
+    """alg with the first basis value of each component scaled, so that its
+    gamma-compatibility fails."""
+    values = {key: [vals[0].scale(times)] + vals[1:] for key, vals in alg.values.items()}
+    return OperadAlgebra(alg.operad, alg.family, values)
+
+
+def test_check_matches_the_per_element_reference():
+    """check() builds lambda(q_1) (x) ... (x) lambda(q_n) and the transport once
+    per gamma key; the reference builds both per basis element of p.  The
+    failures, with their residuals, must be identical."""
+    ws = Workspace(GOLDEN_INPUTS)
+    ass = ws.resolve_as("ass.json", "operad")
+    algebras = [operad_algebra_from_json(ws.read_json(name), ass, ws.families) for name in ("alg.json", "alg_scaled.json")]
+    for dims, arity in (({"a": {0: 2}, "b": {0: 1}}, 2), ({"a": {0: 1, 1: 1}, "b": {0: 1}}, 2)):
+        palette = Palette(sorted(dims))
+        fam = ColoredFamily(palette, {c: ChainComplex(dims[c]) for c in palette.colors})
+        operad = endomorphism_operad(fam, arity)
+        alg = tautological_endo_algebra(operad, fam)
+        algebras += [alg, _scaled(alg)]
+    algebras.append(_scaled(square_zero_algebra(associative_operad(3)), F(-1, 2)))
+    failing = 0
+    for alg in algebras:
+        ours, ref = alg.check(), reference_algebra_check(alg)
+        assert [(kind, at) for kind, at, _ in ours] == [(kind, at) for kind, at, _ in ref]
+        for (_, _, residual), (_, _, expected) in zip(ours, ref):
+            assert residual == expected and residual.degree == expected.degree
+        failing += bool(ours)
+    assert failing == 4
+
+
+def test_loaded_gamma_keys_are_the_component_keys():
+    ws = Workspace(GOLDEN_INPUTS)
+    for name in ("ass.json", "op.json"):
+        operad = ws.resolve_as(name, "operad")
+        own = {k: k for (_, k) in operad.support()}
+        assert operad.gamma
+        for d, in_key, b_keys in operad.gamma:
+            assert own[in_key] is in_key
+            assert all(own[bk] is bk for bk in b_keys)
+            assert operad.plan(d, in_key, b_keys)[1] is own[merge_in_keys(operad.palette, b_keys)]
 
 
 def test_round_trip_tautological_two_colored():

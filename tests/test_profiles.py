@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import orbit_object_count
+from helpers import orbit_object_count, reference_canonicalize_profile
 from propcalc.profiles import (
     Palette,
     PaletteError,
@@ -203,3 +203,35 @@ def test_block_sum_and_sign():
     assert s.block_sum(t).images == (2, 1, 3, 5, 4)
     assert s.sign() == -1
     assert (s * s).sign() == 1
+
+
+def test_canonicalize_profile_matches_the_unmemoized_reference():
+    """Random profiles over random palettes: the memoized (key, t) equals the
+    fresh reference, and an equal profile over the same palette object gets
+    the very same key and permutation objects back."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    palettes = st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True).map(Palette)
+
+    @st.composite
+    def palette_and_entries(draw):
+        palette = draw(palettes)
+        return palette, draw(st.lists(st.sampled_from(palette.colors), min_size=1, max_size=7))
+
+    @settings(max_examples=300, deadline=None)
+    @given(palette_and_entries())
+    def check(case):
+        palette, entries = case
+        key, t = canonicalize_profile(Profile(palette, entries))
+        ref_key, ref_t = reference_canonicalize_profile(Profile(palette, entries))
+        assert (key, t) == (ref_key, ref_t)
+        assert key.rep.entries == ref_key.rep.entries and key.rep.palette is palette
+        assert key.block_sizes == ref_key.block_sizes
+        again = canonicalize_profile(Profile(palette, list(entries)))
+        assert again[0] is key and again[1] is t
+        other = canonicalize_profile(Profile(Palette(palette.colors), entries))
+        assert other == (key, t) and other[0] is not key
+
+    check()
