@@ -5,8 +5,8 @@ Sigma-bimodules with their vertical/horizontal monoidal products, free and
 quasi-free PROPs as decorated directed acyclic graphs with a typed expression
 language, endomorphism PROPs over bounded chain complexes of Q-vector spaces,
 algebra checking, homotopy transfer along (co)fibrations, and the
-operad-to-PROP bridge.  All arithmetic is exact (fractions.Fraction); every
-operation is deterministic and pure.
+operad-to-PROP bridge.  All arithmetic is exact (ints and Fractions, see
+propcalc.linalg); every operation is deterministic and pure.
 """
 
 from propcalc.profiles import Palette, Profile, Permutation, OrbitKey, canonicalize_profile

@@ -11,8 +11,6 @@ differential is what makes the right-hand sides available when needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from propcalc.chains import Unsolvable, solve_constrained_lift
 from propcalc.endo import (
     ColoredFamily,
@@ -33,9 +31,8 @@ from propcalc.exprs import (
     VCompExpr,
     validate_presentation,
 )
+from propcalc.linalg import ONE
 from propcalc.profiles import Permutation
-
-ONE = Fraction(1)
 
 
 class AlgebraError(ValueError):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from propcalc import linalg
@@ -46,7 +45,6 @@ from propcalc.profiles import (
     word_in_block_transpositions,
 )
 
-ONE = Fraction(1)
 
 # BimoduleComponent.validate checks a group law on the full multiplication
 # table up to this many elements, and on sampled pairs beyond
@@ -337,7 +335,7 @@ def coinvariant_quotient(space: ChainComplex, relation_maps):
         for m in relation_maps:
             # column j of id - m, built from the nonzeros of m's column j
             for j, entries in enumerate(m.columns(n)):
-                diagonal = ONE - next((x for i, x in entries if i == j), linalg.ZERO)
+                diagonal = linalg.ONE - next((x for i, x in entries if i == j), linalg.ZERO)
                 if not diagonal and all(i == j for i, _ in entries):
                     continue
                 row = [linalg.ZERO] * dim

@@ -1,6 +1,6 @@
 """Bounded non-negatively graded chain complexes over Q, exactly.
 
-Boundary matrices are Fraction matrices acting on column vectors.  Tensor
+Boundary matrices are exact matrices (see linalg) acting on column vectors.  Tensor
 products follow the Koszul convention:
 
     d(x (x) y)      = dx (x) y + (-1)^|x| x (x) dy
@@ -57,7 +57,7 @@ class ChainComplex:
         if boundary:
             for n, mat in dict(boundary).items():
                 n = int(n)
-                mat = linalg.fraction_rows(mat)
+                mat = linalg.exact_rows(mat)
                 rows = len(mat)
                 cols = len(mat[0]) if mat else 0
                 expected = (self.dims.get(n - 1, 0), self.dims.get(n, 0))
@@ -197,7 +197,7 @@ class ChainMap:
         clean = {}
         for j, m in dict(mats).items():
             j = int(j)
-            m = linalg.fraction_rows(m)
+            m = linalg.exact_rows(m)
             expected = (target.dim(j + self.degree), source.dim(j))
             if 0 in expected:
                 if not linalg.is_zero(m):
@@ -594,7 +594,7 @@ class TensorSpace:
         for n in bnd:
             if n - 1 in bnd and not _sparse_product_is_zero(bnd[n - 1], bnd[n]):
                 raise ChainError("d o d != 0 out of degree %d" % n)
-        # fresh Fraction rows, no zero block: no copy or rescan in __init__
+        # fresh rows of exact scalars, no zero block: no copy or rescan in __init__
         out = object.__new__(ChainComplex)
         out.dims = dims
         out.boundary = {

@@ -9,8 +9,6 @@ Koszul tensor of maps, and permutations act through signed factor shuffles.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from propcalc import linalg
 from propcalc.chains import (
     ChainComplex,
@@ -90,7 +88,7 @@ class EndoElement:
         src = family.space(in_profile).complex
         tgt = family.space(out_profile).complex
         m = linalg.zeros(tgt.dim(j + degree), src.dim(j))
-        m[r][c] = Fraction(1)
+        m[r][c] = linalg.ONE
         return cls.from_mats(family, out_profile, in_profile, degree, {j: m})
 
     @classmethod

@@ -21,7 +21,6 @@ exact.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from propcalc.graphs import (
     PropGraph,
@@ -29,6 +28,7 @@ from propcalc.graphs import (
     canonical_graph,
     koszul_reorder_sign,
 )
+from propcalc.linalg import exact
 from propcalc.profiles import Permutation, Profile, concat
 
 
@@ -338,8 +338,8 @@ class GraphPolynomial:
         g = expr_to_graph(e)
         cert, order = g.canonical()
         kappa = koszul_reorder_sign(g.vertex_degrees(), order)
-        c = Fraction(coeff) * kappa
-        cur = self.terms.get(cert, Fraction(0)) + c
+        c = exact(coeff) * kappa
+        cur = self.terms.get(cert, 0) + c
         if cur:
             self.terms[cert] = cur
         else:
@@ -363,7 +363,7 @@ class PresentationError(ValueError):
 class PropPresentation:
     """Signature with a quasi-free differential and optional strict relations.
 
-    differential: dict generator name -> list of (Fraction, Expression), all
+    differential: dict generator name -> list of (exact scalar, Expression), all
     with the generator's profiles and degree one less.  relations: list of
     (Expression, Expression) pairs of equal profiles.
     """
@@ -371,7 +371,7 @@ class PropPresentation:
     def __init__(self, signature: Signature, differential=None, relations=None):
         self.signature = signature
         self.differential = {
-            name: [(Fraction(c), e) for c, e in terms]
+            name: [(exact(c), e) for c, e in terms]
             for name, terms in (differential or {}).items()
         }
         self.relations = list(relations or [])
@@ -399,7 +399,7 @@ def differentiate_expression(e: Expression, presentation: PropPresentation):
         ctor = VCompExpr if isinstance(e, VCompExpr) else HCompExpr
         for c, dl in differentiate_expression(e.left, presentation):
             out.append((c, ctor(dl, e.right)))
-        sign = Fraction(-1) if e.left.degree % 2 else Fraction(1)
+        sign = -1 if e.left.degree % 2 else 1
         for c, dr in differentiate_expression(e.right, presentation):
             out.append((sign * c, ctor(e.left, dr)))
         return out

@@ -19,7 +19,7 @@ from propcalc.chains import ChainComplex, ChainMap, signed_permutation_form
 from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
 from propcalc.exprs import PropPresentation, parse
 from propcalc.graphs import Generator, PropGraph, Signature
-from propcalc.linalg import ZERO
+from propcalc.linalg import ZERO, exact, quotient
 from propcalc.operads import ColoredOperad, merge_in_keys, profile_key
 from propcalc.profiles import Palette, Profile, canonicalize_profile
 
@@ -29,7 +29,7 @@ class FormatError(ValueError):
 
 
 def rational_str(x) -> str:
-    if not isinstance(x, Fraction):
+    if not isinstance(x, (int, Fraction)):  # an int is its own numerator
         x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
@@ -39,18 +39,18 @@ def rational_str(x) -> str:
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s):  # an exact scalar (see linalg)
     try:
         m = _PLAIN_RATIONAL.fullmatch(s) if type(s) is str else None
         if m:
-            return Fraction(int(m[1]), int(m[2]))
-        return Fraction(str(s))
+            return quotient(int(m[1]), int(m[2]))
+        return exact(Fraction(str(s)))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError("bad rational %r: %s" % (s, exc))
 
 
 # Most entries of the sparse matrices propcalc writes are the shared ZERO;
-# matrix_to_json and matrix_from_json pass it without a Fraction operation.
+# matrix_to_json and matrix_from_json pass it without parsing or formatting.
 def matrix_to_json(m):
     return [["0/1" if x is ZERO else rational_str(x) for x in row] for row in m]
 

@@ -1,45 +1,58 @@
 """Exact linear algebra over Q: dense interface, sparse elimination.
 
-Matrices are lists of lists of Fraction, rows = target dimension, columns =
-source dimension, acting on column vectors.  Inside, products and elimination
-touch only the nonzero entries: rows become {column: entry} dicts.  One
-solving routine, solve_rows, takes such dict rows directly (the lift solver
-builds its systems that way); solve is its dense wrapper.  The pivots
-are the ones dense Gauss-Jordan elimination picks, and since the reduced row
-echelon form is unique for a fixed column order, so are the results.
-Everything here is deterministic: pivots are chosen first-nonzero, free
-variables are set to zero, so repeated runs produce identical output.
+Matrices are lists of lists of exact scalars, rows = target dimension,
+columns = source dimension, acting on column vectors.  A scalar is an int
+when integral and a Fraction when not, never a float or a bool: exact()
+coerces inputs so, ints and Fractions mix exactly, and the one division,
+_eliminate's pivot normalisation, gives an int when both operands are ints
+and it is exact.  So integer matrices are eliminated in int arithmetic, and
+the kernel's results hold an int for every integral entry (elsewhere, Fraction
+arithmetic may leave integral Fractions).  Products and elimination touch only
+the nonzero entries: rows become {column: entry} dicts.  One solving routine,
+solve_rows, takes such dict rows directly (the lift solver builds its systems
+that way); solve is its dense wrapper.  The pivots are the ones dense
+Gauss-Jordan elimination picks, and since the reduced row echelon form is
+unique for a fixed column order, so are the results.  Everything here is
+deterministic: pivots are chosen first-nonzero, free variables are set to
+zero, so repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list  # list[list[Fraction]]
+Matrix = list  # list[list[int | Fraction]]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
-_FRACTION_ONLY = frozenset([Fraction])
+# small ints are shared objects, so `x is ZERO` and `c is ONE` test by identity
+ZERO = 0
+ONE = 1
+MINUS_ONE = -1
+_INT_ONLY = frozenset([int])
+
+
+def exact(x):
+    """x as an exact scalar: an int when x is integral, else a Fraction."""
+    x = x if type(x) is int else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def nonzeros(row) -> list:
     """(column, entry) for each nonzero entry of a dense row, in column order."""
-    # the shared ZERO is skipped without a Fraction comparison
+    # the shared ZERO is skipped by identity, without a comparison
     return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
 
 
 def is_zero_row(row) -> bool:
-    # list.count compares by identity before calling Fraction.__eq__
+    # list.count compares by identity first, and every int zero is the shared ZERO
     return row.count(ZERO) == len(row)
 
 
-def fraction_rows(m: Matrix) -> Matrix:
-    """A copy of m as lists of Fractions; a row of Fractions is copied, not rebuilt."""
+def exact_rows(m: Matrix) -> Matrix:
+    """A copy of m with exact() entries; a row of ints is copied, not rebuilt."""
     out = []
     for row in m:
         row = list(row)
-        out.append(row if _FRACTION_ONLY.issuperset(map(type, row)) else [Fraction(x) for x in row])
+        out.append(row if _INT_ONLY.issuperset(map(type, row)) else [exact(x) for x in row])
     return out
 
 
@@ -86,7 +99,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
+    c = exact(c)
     return [densify({j: c * x for j, x in nonzeros(row)}, len(row)) for row in a]
 
 
@@ -157,7 +170,7 @@ def _eliminate(rows, n_cols):
         fp = prow[piv_c]
         if fp != 1:
             for j, x in prow.items():
-                prow[j] = x / fp
+                prow[j] = quotient(x, fp)
         for r in list(column):
             if r == piv_r:
                 continue
@@ -179,7 +192,18 @@ def _eliminate(rows, n_cols):
         if piv_r == n_rows:
             free_cols.extend(range(piv_c + 1, n_cols))
             break
+    for row in rows:  # rational input may leave integral Fractions: make them ints
+        if not _INT_ONLY.issuperset(map(type, row.values())):
+            row.update({j: exact(x) for j, x in row.items()})
     return pivot_cols, free_cols
+
+
+def quotient(x, y):
+    """x / y exactly: an int when both are ints and y divides x."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return x / y
 
 
 def _swap(rows, holders, a: int, b: int):

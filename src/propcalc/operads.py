@@ -12,7 +12,6 @@ representative, so every element is kept in normal form.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from propcalc import linalg
 from propcalc.bimodules import (
@@ -42,7 +41,6 @@ from propcalc.profiles import (
     stabilizer_generators,
 )
 
-F = Fraction
 
 
 class OperadError(ValueError):
@@ -135,7 +133,7 @@ class ColoredOperad:
         comp = self.component(d, in_key)
         if comp is None:
             raise OperadError("no component at %r" % ((d, in_key),))
-        coords = [F(x) for x in coords]
+        coords = [linalg.exact(x) for x in coords]
         if len(coords) != comp.carrier.dim(degree):
             raise OperadError(
                 "%d coordinates for a component of dimension %d in degree %d"
@@ -871,7 +869,7 @@ def trivial_operad(max_arity=3, color="x") -> ColoredOperad:
                 + [components[(color, k)].carrier for k in b_keys]
             ).complex
             operad.gamma[(d, in_key, tuple(b_keys))] = ChainMap(
-                src, components[(color, merged)].carrier, {0: [[F(1)]]}, check=False
+                src, components[(color, merged)].carrier, {0: [[linalg.ONE]]}, check=False
             )
     return operad
 
@@ -934,7 +932,7 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
                     for l in range(1, sizes[blk - 1] + 1):
                         word.append(block_start[blk - 1] + rhos[blk - 1](l))
                 pi = Permutation(word)
-                big[index_out[pi.images]][col] = F(1)
+                big[index_out[pi.images]][col] = linalg.ONE
             operad.gamma[(color, in_key, b_keys)] = ChainMap(
                 src.complex, components[(color, merged)].carrier, {0: big}, check=False
             )

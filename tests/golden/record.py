@@ -86,9 +86,11 @@ COMMANDS = [
     ("morphism-check-fail", ["morphism-check", "proj.json", "stx.json", "st_scaled.json"]),
     ("transfer-fibration", ["transfer", "pres.json", "proj.json", "alongAcyclicFibration", "st.json"]),
     ("transfer-cofibration", ["transfer", "pres.json", "incl.json", "alongAcyclicCofibration", "st.json"]),
+    ("transfer-fibration-halved", ["transfer", "pres.json", "proj_half.json", "alongAcyclicFibration", "st.json"]),
     ("transfer-wrong-map-class", ["transfer", "pres.json", "incl.json", "alongAcyclicFibration", "st.json"]),
     ("transfer-unsolvable", ["transfer", "pres.json", "ident_x.json", "alongAcyclicFibration", "bad_st.json"]),
     ("factor", ["factor", "ident.json", "st.json", "st.json", "ident.json", "ident.json", "fam.json"]),
+    ("factor-fractions", ["factor", "ident.json", "st.json", "st.json", "ident_double.json", "ident_half.json", "fam.json"]),
     ("factor-wrong-kind", ["factor", "ident.json", "st.json", "st.json", "ident.json", "ident.json", "q.json"]),
     ("operad-to-prop", ["operad-to-prop", "ass.json", "3"]),
     ("round-trip", ["round-trip", "ass.json", "fam_sq.json", "alg.json"]),
@@ -124,6 +126,11 @@ def write_inputs():
     objects["ident_x"] = FamilyMap.identity(bad_st.family)
     objects["ident"] = FamilyMap.identity(st.family)
     objects["fam"] = st.family
+    # lift systems with 1/2 entries: the target basis of proj rescaled by 2,
+    # and the identity factored as (1/2) o 2
+    objects["proj_half"] = FamilyMap(proj.source, proj.target, {"c": proj.maps["c"].scale(F(1, 2))})
+    objects["ident_double"] = FamilyMap(st.family, st.family, {"c": objects["ident"].maps["c"].scale(2)})
+    objects["ident_half"] = FamilyMap(st.family, st.family, {"c": objects["ident"].maps["c"].scale(F(1, 2))})
 
     palette = Palette(["c"])
     objects["binary"] = Signature(

@@ -48,6 +48,12 @@ from propcalc.profiles import (
 F = Fraction
 
 
+def exact_scalar(x) -> bool:
+    """The scalar contract: an int when x is integral, a Fraction when it is
+    not, and never a bool or a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def orbit_object_count(key: OrbitKey) -> int:
     """Number of distinct profiles in the orbit: n! / prod(block sizes!)."""
     return math.factorial(key.length) // stabilizer_order(key)

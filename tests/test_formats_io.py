@@ -14,7 +14,7 @@ from typing import NamedTuple
 import pytest
 
 from golden.record import INPUTS
-from helpers import homotopy_assoc_presentation
+from helpers import exact_scalar, homotopy_assoc_presentation
 from propcalc import formats
 from propcalc.exprs import expr_to_graph, parse
 from propcalc.formats import FormatError, Workspace, dumps, parse_rational, rational_str, to_json
@@ -131,7 +131,7 @@ def test_parse_rational_matches_fraction_on_seeded_strings():
         d = rng.choice([1, rng.randint(1, 50), rng.randint(1, 2**90)])
         s = "%d/%d" % (n, d)
         assert parse_rational(s) == Fraction(s)
-        assert type(parse_rational(s)) is Fraction
+        assert exact_scalar(parse_rational(s))
 
 
 @pytest.mark.parametrize(

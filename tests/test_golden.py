@@ -6,7 +6,10 @@ emitter replaced json.dumps; only the exit-2 cases for a directory, a
 non-UTF-8 file and a malformed round-trip algebra were recorded after, as
 those commands ended in a traceback before, and the exit-2 case for a
 bimodule whose out and in actions do not commute, which `check` accepted
-before it compared the actions on generators.
+before it compared the actions on generators.  The transfer and factor cases
+whose maps carry 1/2 entries (transfer-fibration-halved, factor-fractions)
+were recorded before integral entries became ints, so they show the mixed
+int/Fraction path prints the same bytes.
 """
 
 import json

@@ -4,7 +4,9 @@ The reduced row echelon form is unique for a fixed column order, so the
 elimination on nonzeros must reproduce the dense Gauss-Jordan results entry
 by entry: pivots, reduced rows, rank, kernel basis, solutions and the
 inconsistency certificate (from the dense solve and from solve_rows, which
-takes {column: entry} rows), and the quotient maps.
+takes {column: entry} rows), and the quotient maps.  Small integer and mixed
+p/q matrices are run again with every entry a Fraction: both runs must agree
+with each other and with sympy, and hold an int for every integral entry.
 """
 
 import random
@@ -19,6 +21,7 @@ from helpers import (
     dense_rank,
     dense_row_echelon,
     dense_solve,
+    exact_scalar,
     random_rank_deficient,
 )
 
@@ -60,7 +63,7 @@ def test_row_echelon_matches_dense_reference():
         ours, ref = linalg.copy(m), linalg.copy(m)
         assert linalg.row_echelon(ours) == dense_row_echelon(ref)
         assert ours == ref
-        assert all(type(x) is Fraction for row in ours for x in row)
+        assert all(exact_scalar(x) for row in ours for x in row)
 
 
 def test_row_echelon_in_place_on_empty_and_zero_matrices():
@@ -160,7 +163,7 @@ def test_solve_rows_matches_dense_reference_with_certificates():
                 assert len(residual) == cols + 1 and not any(residual[:cols]) and residual[cols]
             else:
                 seen["solved"] += 1
-                assert all(type(v) is Fraction for row in x for v in row)
+                assert all(exact_scalar(v) for row in x for v in row)
                 assert linalg.mat_mul(m, x) == rhs
     assert all(seen.values()), seen
 
@@ -193,3 +196,129 @@ def test_solve_rows_matches_sympy_gauss_jordan():
                 assert x == [[F(int(e.p), int(e.q))] for e in particular]
                 solved += 1
     assert solved and inconsistent
+
+
+# -- the scalar contract: int entries against Fraction entries and sympy ---------
+
+
+def small_matrix(rng, rows, cols, mixed):
+    """randint(-3, 3) entries, some rows combinations of earlier ones; with
+    `mixed`, about a fifth of the entries are p/q instead, an int when integral."""
+    m = []
+    for _ in range(rows):
+        if len(m) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(m, 2)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [rng.randint(-3, 3) for _ in range(cols)]
+        if mixed:
+            row = [F(x, rng.randint(2, 4)) if rng.random() < 0.2 else x for x in row]
+        m.append([x.numerator if type(x) is F and x.denominator == 1 else x for x in row])
+    return m
+
+
+def as_fractions(m):
+    return [[F(x) for x in row] for row in m]
+
+
+def sympy_rows(matrix):
+    return [[F(int(e.p), int(e.q)) for e in matrix.row(i)] for i in range(matrix.rows)]
+
+
+def sympy_quotient(reduced, pivots, dim):
+    """proj and sect of quotient_by_rowspace, read off sympy's rref."""
+    frees = [j for j in range(dim) if j not in pivots]
+    proj = [[F(0)] * dim for _ in frees]
+    sect = [[F(0)] * len(frees) for _ in range(dim)]
+    for qi, fc in enumerate(frees):
+        proj[qi][fc] = F(1)
+        sect[fc][qi] = F(1)
+        for r, pc in enumerate(pivots):
+            proj[qi][pc] = -F(int(reduced[r, fc].p), int(reduced[r, fc].q))
+    return proj, sect
+
+
+def kernel_results(m, rhs):
+    """Every kernel entry point on m, each on a fresh copy."""
+    reduced = linalg.copy(m)
+    pivots, _ = linalg.row_echelon(reduced)
+    try:
+        inv = linalg.inverse(m) if len(m) == len(m[0]) else None
+    except ValueError:
+        inv = "singular"
+    return {
+        "row_echelon": (pivots, reduced),
+        "kernel_basis": linalg.kernel_basis(m),
+        "solve_rows": linalg.solve_rows([dict(linalg.nonzeros(row)) for row in m], rhs, len(m[0])),
+        "quotient_by_rowspace": linalg.quotient_by_rowspace(m, len(m[0])),
+        "inverse": inv,
+    }
+
+
+def scalars(tree):
+    if isinstance(tree, (list, tuple, dict)):
+        for part in tree.values() if isinstance(tree, dict) else tree:
+            yield from scalars(part)
+    elif tree is not None and not isinstance(tree, str):
+        yield tree
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["integers", "mixed"])
+def test_int_and_fraction_entries_agree_with_each_other_and_with_sympy(mixed, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    divisions = {"exact": 0, "inexact": 0}
+    quotient = linalg.quotient
+
+    def counted(x, y):
+        q = quotient(x, y)
+        if type(x) is int and type(y) is int and abs(y) > 1:
+            divisions["exact" if type(q) is int else "inexact"] += 1
+        return q
+
+    monkeypatch.setattr(linalg, "quotient", counted)
+    rng = random.Random(61 + mixed)
+    singular = 0
+    for rows, cols in [(3, 3), (4, 4), (5, 5), (4, 6), (6, 4), (3, 7), (7, 5), (8, 8)]:
+        for _ in range(8):
+            m = small_matrix(rng, rows, cols, mixed)
+            rhs = [[rng.randint(-3, 3), rng.randint(-1, 1)] for _ in range(rows)]
+            ours = kernel_results(m, rhs)
+            from_fractions = kernel_results(as_fractions(m), as_fractions(rhs))
+            assert ours == from_fractions
+            assert all(map(exact_scalar, scalars([ours, from_fractions])))
+
+            reduced, sym_pivots = sympy.Matrix(m).rref()
+            assert ours["row_echelon"] == (list(sym_pivots), sympy_rows(reduced))
+            assert ours["quotient_by_rowspace"] == sympy_quotient(reduced, sym_pivots, cols)
+            assert ours["kernel_basis"] == [sympy_rows(v.T)[0] for v in sympy.Matrix(m).nullspace()]
+            try:
+                sol, params = sympy.Matrix(m).gauss_jordan_solve(sympy.Matrix(rhs))
+                expected = (sympy_rows(sol.subs({t: 0 for t in params})), None)
+            except ValueError:  # sympy's "linear system has no solution"
+                expected = None
+            x, cert = ours["solve_rows"]
+            assert (x, cert) == expected if expected else (x is None and cert is not None)
+            if rows == cols:
+                if ours["inverse"] == "singular":
+                    singular += 1
+                    assert sympy.Matrix(m).det() == 0
+                else:
+                    assert ours["inverse"] == sympy_rows(sympy.Matrix(m).inv())
+    assert divisions["exact"] and divisions["inexact"] and singular, (divisions, singular)
+
+
+def test_constructors_and_scalings_never_store_bools_or_floats():
+    from propcalc.chains import ChainComplex, ChainMap
+
+    x = ChainComplex({0: 2, 1: 2}, {1: [[True, 0.5], [False, "3/6"]]})
+    assert x.d(1) == [[1, F(1, 2)], [0, F(1, 2)]]
+    f = ChainMap(x, x, {0: [[3.0, "0/3"], [False, "6/2"]], 1: [["9/3", -0.0], [False, 3]]})
+    assert f.mat(0) == f.mat(1) == [[3, 0], [0, 3]]
+    scaled = [f.scale(c).mat(0) for c in (True, 0.5, "1/2", F(4, 2))]
+    assert scaled == [[[3, 0], [0, 3]], [[F(3, 2), 0], [0, F(3, 2)]], [[F(3, 2), 0], [0, F(3, 2)]], [[6, 0], [0, 6]]]
+    for m in [x.d(1), f.mat(0), f.mat(1)] + scaled:
+        assert all(exact_scalar(v) for row in m for v in row), m
+    assert [type(linalg.exact(v)) for v in (True, 2.0, -0.0, "8/4", F(6, 3), 2**70)] == [int] * 6
+    assert [linalg.quotient(6, -3), linalg.quotient(-3, 6), linalg.quotient(F(1, 2), 2)] == [-2, F(-1, 2), F(1, 4)]
+    assert type(linalg.quotient(6, -3)) is int

@@ -19,7 +19,7 @@ from helpers import (
 from propcalc import linalg, operads
 from propcalc.formats import Workspace, operad_algebra_from_json, operad_from_json
 from propcalc.chains import ChainComplex, ChainMap
-from propcalc.endo import ColoredFamily, EndoElement, EndoError, endo_horizontal, endo_permute
+from propcalc.endo import ColoredFamily, EndoElement, EndoError, endo_horizontal, endo_permute, endo_vertical
 from propcalc.operads import (
     ColoredOperad,
     EndoPropData,
@@ -841,3 +841,69 @@ def test_operad_algebra_rejects_values_of_the_wrong_shape():
     missing = ("x", profile_key(palette, ["x"] * 4))
     with pytest.raises(OperadError, match="missing component"):
         OperadAlgebra(operad, fam, {**alg.values, missing: vals})
+
+
+# -- known defect: checks that compose only the first basis element of each input
+
+FIRST_UNIT_ONLY = (
+    "validate and OperadAlgebra.check compose only the first basis element of each "
+    "input, so gamma and algebra compatibility are not checked exhaustively"
+)
+
+
+def _plane_endo_operad():
+    """endomorphism_operad of one colour x carrying Q^2 in degree 0, at arity 1,
+    and its one composition key (x, [x], ([x],))."""
+    palette = Palette(["x"])
+    fam = ColoredFamily(palette, {"x": ChainComplex({0: 2})})
+    one = profile_key(palette, ["x"])
+    return endomorphism_operad(fam, 1), fam, one
+
+
+def _corrupted_plane_operad():
+    """The plane endomorphism operad with 1 added to entry [0][-1] of its gamma."""
+    operad, _, one = _plane_endo_operad()
+    key = ("x", one, (one,))
+    gm = operad.gamma[key]
+    m = [list(row) for row in gm.mat(0)]
+    m[0][-1] += 1
+    operad.gamma[key] = ChainMap(gm.source, gm.target, {0: m}, check=False)
+    return operad, one
+
+
+def _scaled_plane_algebra():
+    """The tautological algebra of the plane endomorphism operad with the value
+    of basis element 1 scaled by 2."""
+    operad, fam, one = _plane_endo_operad()
+    values = dict(tautological_endo_algebra(operad, fam).values)
+    values[("x", one)] = [v.scale(2) if i == 1 else v for i, v in enumerate(values[("x", one)])]
+    return OperadAlgebra(operad, fam, values), one
+
+
+def test_first_unit_defect_repros_break_the_identities():
+    operad, one = _corrupted_plane_operad()
+    basis = operad.basis_elements("x", one)
+    broken = [
+        (p, q, r) for p, q, r in itertools.product(basis, repeat=3)
+        if compose_elements(compose_elements(p, [q]), [r]) != compose_elements(p, [compose_elements(q, [r])])
+    ]
+    assert (len(broken), len(basis) ** 3) == (6, 64)
+    alg, one = _scaled_plane_algebra()
+    basis = alg.operad.basis_elements("x", one)
+    broken = [
+        (p, q) for p, q in itertools.product(basis, repeat=2)
+        if alg.value(compose_elements(p, [q])) != endo_vertical(alg.value(p), alg.value(q))
+    ]
+    assert (len(broken), len(basis) ** 2) == (2, 16)
+
+
+@pytest.mark.xfail(strict=True, reason=FIRST_UNIT_ONLY)
+def test_validate_rejects_gamma_that_breaks_associativity_off_the_first_units():
+    operad, _ = _corrupted_plane_operad()
+    assert operad.validate() != []
+
+
+@pytest.mark.xfail(strict=True, reason=FIRST_UNIT_ONLY)
+def test_algebra_check_rejects_a_value_scaled_off_the_first_unit():
+    alg, _ = _scaled_plane_algebra()
+    assert alg.check() != []
