@@ -212,17 +212,18 @@ def _lift(presentation: PropPresentation, family: ColoredFamily, into=(), out_of
                 terms.append((ONE, tgt.d(j + k), j, None))
             if src.dim(j - 1):
                 terms.append((-sign, None, j - 1, src.d(j)))
-            equations.append((terms, rhs_d.mat(j)))
+            equations.append((terms, rhs_d.block(j), src.dim(j)))
         for f, structure in into:
             f_in = f.profile_map(gen.in_profile)
             rhs = f.profile_map(gen.out_profile).compose(structure.assignment[name].chain)
             for j in f_in.source.degrees():
-                equations.append(([(ONE, None, j, f_in.mat(j))], rhs.mat(j)))
+                terms = [(ONE, None, j, f_in.block(j))]
+                equations.append((terms, rhs.block(j), f_in.source.dim(j)))
         for f, structure in out_of:
             f_out = f.profile_map(gen.out_profile)
             rhs = structure.assignment[name].chain.compose(f.profile_map(gen.in_profile))
             for j in src.degrees():
-                equations.append(([(ONE, f_out.mat(j + k), j, None)], rhs.mat(j)))
+                equations.append(([(ONE, f_out.block(j + k), j, None)], rhs.block(j), src.dim(j)))
         try:
             chain = solve_constrained_lift(src, tgt, k, equations)
         except Unsolvable as exc:

@@ -131,7 +131,9 @@ class BimoduleComponent:
         """
         failures = []
         if self.carrier.boundary:
-            d = ChainMap(self.carrier, self.carrier, self.carrier.boundary, -1, check=False)
+            d = ChainMap(
+                self.carrier, self.carrier, self.carrier.boundary, -1, check=False, sparse=True
+            )
             for mats in (self.out_gens, self.in_gens):
                 for images, m in mats.items():
                     if d.compose(m) != m.compose(d):
@@ -334,7 +336,7 @@ def coinvariant_quotient(space: ChainComplex, relation_maps):
         rows = []
         for m in relation_maps:
             # column j of id - m, built from the nonzeros of m's column j
-            for j, entries in enumerate(m.columns(n)):
+            for j, entries in enumerate(linalg.columns(m.rows.get(n, ()), dim)):
                 diagonal = linalg.ONE - next((x for i, x in entries if i == j), linalg.ZERO)
                 if not diagonal and all(i == j for i, _ in entries):
                     continue
@@ -344,17 +346,17 @@ def coinvariant_quotient(space: ChainComplex, relation_maps):
                 row[j] = diagonal if diagonal else linalg.ZERO
                 rows.append(row)
         proj, sect = linalg.quotient_by_rowspace(rows, dim)
-        projs[n] = proj
-        sects[n] = sect
         if proj:
+            projs[n] = linalg.to_rows(proj)
+            sects[n] = linalg.to_rows(sect)
             dims[n] = len(proj)
     boundary = {}
     for n in sorted(dims):
-        if dims.get(n) and dims.get(n - 1):
+        if dims.get(n - 1):
             boundary[n] = linalg.mat_mul(projs[n - 1], linalg.mat_mul(space.d(n), sects[n]))
-    quotient = ChainComplex(dims, boundary)
-    proj_map = ChainMap(space, quotient, {n: projs[n] for n in dims}, check=False)
-    sect_map = ChainMap(quotient, space, {n: sects[n] for n in dims}, check=False)
+    quotient = ChainComplex(dims, boundary, sparse=True)
+    proj_map = ChainMap(space, quotient, projs, check=False, sparse=True)
+    sect_map = ChainMap(quotient, space, sects, check=False, sparse=True)
     return quotient, proj_map, sect_map
 
 
@@ -845,7 +847,6 @@ def induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
             _fill_boxh_vertical(
                 p_data, q_data, upper, lower, target, space, mats
             )
-            mats = {n: m for n, m in mats.items() if not linalg.is_zero(m)}
             vcomp[(kd, kb, kc)] = ChainMap(
                 space.complex, target.carrier, mats, check=False
             )
@@ -891,6 +892,7 @@ def _fill_boxh_vertical_piece(upper, lower, target, vc_p, vc_q, space, mats):
     q2 = l_tensor.factors[1]
     tp_space = TensorSpace([p1, p2])
     tq_space = TensorSpace([q1, q2])
+    p_mats, q_mats = vc_p.mats, vc_q.mats
     for ao_u in ue.outs:
         for mid_a in ue.ins:
             if mid_a not in le.outs:
@@ -916,9 +918,9 @@ def _fill_boxh_vertical_piece(upper, lower, target, vc_p, vc_q, space, mats):
                                 sign = -1 if (dx2 % 2 and dy1 % 2) else 1
                                 pcol = tp_space.flat_index((dx1, dy1), (i1, j1))
                                 qcol = tq_space.flat_index((dx2, dy2), (i2, j2))
-                                mp = vc_p.mat(dx1 + dy1)
-                                mq = vc_q.mat(dx2 + dy2)
-                                if not mp or not mp[0] or not mq or not mq[0]:
+                                mp = p_mats.get(dx1 + dy1)
+                                mq = q_mats.get(dx2 + dy2)
+                                if mp is None or mq is None:
                                     continue
                                 for rp in range(len(mp)):
                                     a = mp[rp][pcol]
@@ -961,7 +963,6 @@ def induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None)
                 for n in space.complex.degrees()
             }
             _fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats)
-            mats = {n: m for n, m in mats.items() if not linalg.is_zero(m)}
             hcomp[(key1, key2)] = ChainMap(space.complex, target.carrier, mats, check=False)
     return r, HPropData(r, hcomp)
 
@@ -1005,14 +1006,16 @@ def _fill_boxv_piece(first, second, target, h_p, h_q, space, mats):
     xp_space = TensorSpace([sp1.factors[0], sp2.factors[0]])
     yq_space = TensorSpace([sp1.factors[1], sp2.factors[1]])
     tgt_space = te.space  # TensorSpace([P(kd,mid), Q(mid,kc)])
+    sect1, sect2, proj = e1.sect.mats, e2.sect.mats, te.proj.mats
+    p_mats, q_mats = h_p.mats, h_q.mats
     for d1 in c1.carrier.degrees():
-        v1 = e1.sect.mat(d1)
+        v1 = sect1.get(d1, ())
         for d2 in c2.carrier.degrees():
-            v2 = e2.sect.mat(d2)
+            v2 = sect2.get(d2, ())
             n = d1 + d2
             if space.complex.dim(n) == 0:
                 continue
-            pm = te.proj.mat(n)
+            pm = proj.get(n, ())
             for b1 in range(c1.carrier.dim(d1)):
                 for b2 in range(c2.carrier.dim(d2)):
                     col = space.flat_index(
@@ -1032,9 +1035,9 @@ def _fill_boxv_piece(first, second, target, h_p, h_q, space, mats):
                             sign = -1 if (dy1 % 2 and dx2 % 2) else 1
                             pcol = xp_space.flat_index((dx1, dx2), (i1, i2))
                             qcol = yq_space.flat_index((dy1, dy2), (j1, j2))
-                            mp = h_p.mat(dx1 + dx2)
-                            mq = h_q.mat(dy1 + dy2)
-                            if not mp or not mp[0] or not mq or not mq[0]:
+                            mp = p_mats.get(dx1 + dx2)
+                            mq = q_mats.get(dy1 + dy2)
+                            if mp is None or mq is None:
                                 continue
                             for rp in range(len(mp)):
                                 ap = mp[rp][pcol]

@@ -1,7 +1,7 @@
 """Bounded non-negatively graded chain complexes over Q, exactly.
 
-Boundary matrices are exact matrices (see linalg) acting on column vectors.  Tensor
-products follow the Koszul convention:
+Boundaries and maps act on column vectors.  Tensor products follow the Koszul
+convention:
 
     d(x (x) y)      = dx (x) y + (-1)^|x| x (x) dy
     (f (x) g)(x,y)  = (-1)^{|g||x|} f(x) (x) g(y)
@@ -13,13 +13,16 @@ one-factor TensorSpace's complex is its factor itself.  assemble_tensor_map
 fills a tensor of maps block by block, one Kronecker product of the groups'
 sub-blocks per pair of target and source compositions.
 
-A ChainMap is stored in one of two kinds.  A general map keeps one dense
-matrix per degree.  A degree-0 signed permutation keeps, per degree, the
-target index and the sign of each source basis vector; identity,
-factor_permutation_map, and compose, place_blocks and assemble_tensor_map
-on such records make records by index arithmetic, and the dense matrices are
-built only when .mats is read.  Nothing tests a dense map for the signed
-form except signed_permutation_form, which only the bimodule loader calls.
+A complex's boundary and a map's matrices have one storage: per degree, a
+list with one {column: entry} dict per row, holding only the nonzero exact
+scalars, in the row form of linalg; a degree whose matrix is zero is not
+stored.  Composition is linalg.mat_mul on it.  A signed permutation (an
+identity, factor_permutation_map, a bimodule action) is an ordinary map with
+one entry of 1 or -1 per row, so composing, placing and tensoring it touch
+only those entries.  The public constructors take dense lists of lists and
+coerce them; the builders here hand over fresh rows (sparse=True), which are
+not copied and never changed afterwards.  ChainMap.mat and .mats, and
+ChainComplex.d_mat, build dense matrices for callers that index entries.
 """
 
 from __future__ import annotations
@@ -36,12 +39,35 @@ class ChainError(ValueError):
     pass
 
 
+def _coerce(blocks, expected_shape, zero_name, shape_name):
+    """Dense per-degree matrices as rows of exact scalars, shape-checked; a
+    zero matrix is dropped."""
+    out = {}
+    for j, m in dict(blocks).items():
+        j = int(j)
+        rows = linalg.to_rows(m)
+        expected = expected_shape(j)
+        if 0 in expected:
+            if any(rows):
+                raise ChainError("nonzero %s on a zero space in degree %d" % (zero_name, j))
+            continue
+        shape = (len(m), len(m[0]) if m else 0)
+        if shape != expected:
+            raise ChainError(
+                "%s in degree %d has shape %r, expected %r" % (shape_name, j, shape, expected)
+            )
+        if any(rows):
+            out[j] = rows
+    return out
+
+
 class ChainComplex:
-    """dims: degree -> dimension (finite support, degrees >= 0); boundary[n]: X_n -> X_{n-1}."""
+    """dims: degree -> dimension (finite support, degrees >= 0); boundary[n]: X_n -> X_{n-1},
+    as rows (see the module docstring)."""
 
     __slots__ = ("dims", "boundary")
 
-    def __init__(self, dims, boundary=None, check=True):
+    def __init__(self, dims, boundary=None, check=True, sparse=False):
         clean = {}
         for n, d in dict(dims).items():
             n = int(n)
@@ -53,26 +79,15 @@ class ChainComplex:
             if d:
                 clean[n] = d
         self.dims = clean
-        bnd = {}
-        if boundary:
-            for n, mat in dict(boundary).items():
-                n = int(n)
-                mat = linalg.exact_rows(mat)
-                rows = len(mat)
-                cols = len(mat[0]) if mat else 0
-                expected = (self.dims.get(n - 1, 0), self.dims.get(n, 0))
-                if 0 in expected:
-                    if not linalg.is_zero(mat):
-                        raise ChainError("nonzero boundary on a zero space in degree %d" % n)
-                    continue
-                if (rows, cols) != expected:
-                    raise ChainError(
-                        "boundary in degree %d has shape %r, expected %r"
-                        % (n, (rows, cols), expected)
-                    )
-                if not linalg.is_zero(mat):
-                    bnd[n] = mat
-        self.boundary = bnd
+        if sparse:
+            self.boundary = {n: rows for n, rows in boundary.items() if any(rows)}
+        else:
+            self.boundary = _coerce(
+                boundary or {},
+                lambda n: (clean.get(n - 1, 0), clean.get(n, 0)),
+                "boundary",
+                "boundary",
+            )
         if check:
             self._check()
 
@@ -81,18 +96,21 @@ class ChainComplex:
             raise ChainError("degree 0 has no outgoing boundary")
         for n in self.boundary:
             if n - 1 in self.boundary:
-                comp = linalg.mat_mul(self.boundary[n - 1], self.boundary[n])
-                if not linalg.is_zero(comp):
+                if any(linalg.mat_mul(self.boundary[n - 1], self.boundary[n])):
                     raise ChainError("d o d != 0 out of degree %d" % n)
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
     def d(self, n: int):
-        """Boundary X_n -> X_{n-1}, zero matrix when absent."""
+        """Boundary X_n -> X_{n-1} as rows, empty rows when absent."""
         if n in self.boundary:
             return self.boundary[n]
-        return linalg.zeros(self.dim(n - 1), self.dim(n))
+        return [{} for _ in range(self.dim(n - 1))]
+
+    def d_mat(self, n: int):
+        """Boundary X_n -> X_{n-1} as a dense matrix."""
+        return linalg.to_dense(self.d(n), self.dim(n))
 
     @property
     def top_degree(self) -> int:
@@ -110,9 +128,7 @@ class ChainComplex:
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
-        if self.dims != other.dims:
-            return False
-        return all(linalg.mat_eq(self.d(n), other.d(n)) for n in self.dims if n >= 1)
+        return self.dims == other.dims and self.boundary == other.boundary
 
     def __repr__(self):
         top = self.top_degree
@@ -145,14 +161,6 @@ def sum_offsets(complexes):
     return offsets
 
 
-def _place(m, r0: int, c0: int, block):
-    """Write the nonzero entries of block into m with its corner at (r0, c0)."""
-    for i, block_row in enumerate(block):
-        row = m[r0 + i]
-        for j, x in linalg.nonzeros(block_row):
-            row[c0 + j] = x
-
-
 def direct_sum(*complexes) -> ChainComplex:
     """Direct sum, summands in order; sum_offsets gives where each one starts.
 
@@ -165,213 +173,120 @@ def direct_sum(*complexes) -> ChainComplex:
     for x in complexes:
         for n in x.degrees():
             dims[n] = dims.get(n, 0) + x.dim(n)
-    bnd = {}
-    for x, off in zip(complexes, offsets):
-        for n, d in x.boundary.items():
-            if n not in bnd:
-                bnd[n] = linalg.zeros(dims[n - 1], dims[n])
-            _place(bnd[n], off.get(n - 1, 0), off.get(n, 0), d)
-    return ChainComplex(dims, bnd)
+    # block diagonal: the rows of each summand in turn, columns shifted
+    bnd = {
+        n: [
+            {off.get(n, 0) + j: v for j, v in row.items()}
+            for x, off in zip(complexes, offsets)
+            for row in x.d(n)
+        ]
+        for n in dims
+        if n - 1 in dims
+    }
+    return ChainComplex(dims, bnd, sparse=True)
 
 
 class ChainMap:
-    """Degree-k map of complexes; mats[j]: X_j -> Y_{j+k}.
+    """Degree-k map of complexes; rows[j]: X_j -> Y_{j+k}, as rows (see the
+    module docstring), only for the degrees where it is nonzero.
 
     Degree-0 maps are validated to commute with the differentials when
     check=True; nonzero-degree data is shape-checked only (it is hom-complex
-    data, not necessarily a cycle there).
-
-    perm is None for a general map.  For a signed permutation (built by
-    signed_permutation) it maps each degree of the source to (targets, negs):
-    source basis vector i goes to target basis vector targets[i], negated
-    when negs[i]; mats is then built on first reading.
+    data, not necessarily a cycle there).  mats is given dense, or as rows
+    when sparse=True.
     """
 
-    __slots__ = ("source", "target", "degree", "perm", "mats")
+    __slots__ = ("source", "target", "degree", "rows")
 
-    def __init__(self, source, target, mats, degree=0, check=True):
+    def __init__(self, source, target, mats, degree=0, check=True, sparse=False):
         self.source = source
         self.target = target
         self.degree = int(degree)
-        self.perm = None
-        clean = {}
-        for j, m in dict(mats).items():
-            j = int(j)
-            m = linalg.exact_rows(m)
-            expected = (target.dim(j + self.degree), source.dim(j))
-            if 0 in expected:
-                if not linalg.is_zero(m):
-                    raise ChainError("nonzero matrix on a zero space in degree %d" % j)
-                continue
-            rows = len(m)
-            cols = len(m[0]) if m else 0
-            if (rows, cols) != expected:
-                raise ChainError(
-                    "map in degree %d has shape %r, expected %r" % (j, (rows, cols), expected)
-                )
-            if not linalg.is_zero(m):
-                clean[j] = m
-        self.mats = clean
+        if sparse:
+            self.rows = {j: rows for j, rows in mats.items() if any(rows)}
+        else:
+            self.rows = _coerce(
+                mats,
+                lambda j: (target.dim(j + self.degree), source.dim(j)),
+                "matrix",
+                "map",
+            )
         if check and self.degree == 0:
             self._check_chain()
 
-    @classmethod
-    def signed_permutation(cls, source, target, perm) -> "ChainMap":
-        """The degree-0 map of the record perm (see the class docstring), with
-        an entry for every degree of source; source and target have equal dims."""
-        f = object.__new__(cls)
-        f.source = source
-        f.target = target
-        f.degree = 0
-        f.perm = perm
-        return f
-
-    def __getattr__(self, name):
-        # reached only for an unset slot: the mats of a signed permutation,
-        # built on first reading
-        if name != "mats" or self.perm is None:
-            raise AttributeError(name)
-        self.mats = _signed_mats(self.source, self.target, self.perm)
-        return self.mats
-
     def _check_chain(self):
         for j in self.source.degrees():
-            if j == 0:
-                continue
-            rows = self.target.dim(j - 1)
-            cols = self.source.dim(j)
-            if rows == 0 or cols == 0:
-                continue
-            lhs = linalg.zeros(rows, cols)
-            if self.target.dim(j):
-                lhs = linalg.mat_mul(self.target.d(j), self.mat(j))
-            rhs = linalg.zeros(rows, cols)
-            if self.source.dim(j - 1):
-                rhs = linalg.mat_mul(self.mat(j - 1), self.source.d(j))
-            if not linalg.mat_eq(lhs, rhs):
-                raise ChainError("not a chain map in degree %d" % j)
+            if j and self.target.dim(j - 1):
+                lhs = linalg.mat_mul(self.target.d(j), self.block(j))
+                rhs = linalg.mat_mul(self.block(j - 1), self.source.d(j))
+                if lhs != rhs:
+                    raise ChainError("not a chain map in degree %d" % j)
+
+    def block(self, j: int):
+        """The degree-j rows, empty rows when the block is zero."""
+        if j in self.rows:
+            return self.rows[j]
+        return [{} for _ in range(self.target.dim(j + self.degree))]
 
     def mat(self, j: int):
-        if j in self.mats:
-            return self.mats[j]
-        return linalg.zeros(self.target.dim(j + self.degree), self.source.dim(j))
+        """The degree-j matrix, dense and built on each call."""
+        return linalg.to_dense(self.block(j), self.source.dim(j))
+
+    @property
+    def mats(self):
+        """The dense matrix of every degree where the map is nonzero, built on each reading."""
+        return {j: linalg.to_dense(rows, self.source.dim(j)) for j, rows in self.rows.items()}
 
     @classmethod
     def identity(cls, x: ChainComplex) -> "ChainMap":
-        perm = {n: (list(range(d)), [False] * d) for n, d in x.dims.items()}
-        return cls.signed_permutation(x, x, perm)
+        rows = {n: [{i: ONE} for i in range(d)] for n, d in x.dims.items()}
+        return cls(x, x, rows, check=False, sparse=True)
 
     @classmethod
     def zero(cls, source, target, degree=0) -> "ChainMap":
-        return cls(source, target, {}, degree, check=False)
+        return cls(source, target, {}, degree, check=False, sparse=True)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
-        """self o other; composition of homs carries no Koszul sign.  A signed
-        permutation on either side moves rows or columns instead of multiplying."""
+        """self o other; composition of homs carries no Koszul sign."""
         if self.source.dims != other.target.dims:
             raise ChainError("composition shape mismatch")
-        a_perm, b_perm = self.perm, other.perm
-        if a_perm is not None and b_perm is not None:
-            perm = {}
-            for n, (ts, negs) in b_perm.items():
-                a_ts, a_negs = a_perm[n]
-                perm[n] = ([a_ts[t] for t in ts], [a_negs[t] != neg for t, neg in zip(ts, negs)])
-            return ChainMap.signed_permutation(other.source, self.target, perm)
         mats = {}
-        if a_perm is not None:
-            # row i of other's matrix becomes row targets[i]
-            for j, b in other.mats.items():
-                ts, negs = a_perm[j + other.degree]
-                out = [None] * len(b)
-                for row, t, neg in zip(b, ts, negs):
-                    out[t] = [x if x is ZERO else -x for x in row] if neg else row
-                mats[j] = out
-        elif b_perm is not None:
-            # column targets[i] of self's matrix becomes column i
-            for j, (ts, negs) in b_perm.items():
-                a = self.mats.get(j)
-                if a is not None:
-                    mats[j] = [
-                        [row[t] if not neg or row[t] is ZERO else -row[t] for t, neg in zip(ts, negs)]
-                        for row in a
-                    ]
-        else:
-            for j in other.source.degrees():
-                a = self.mat(j + other.degree)
-                b = other.mat(j)
-                if a and b and a[0] and b[0]:
-                    mats[j] = linalg.mat_mul(a, b)
-        return ChainMap(other.source, self.target, mats, self.degree + other.degree, check=False)
+        for j, b in other.rows.items():
+            a = self.rows.get(j + other.degree)
+            if a is not None:
+                mats[j] = linalg.mat_mul(a, b)
+        degree = self.degree + other.degree
+        return ChainMap(other.source, self.target, mats, degree, check=False, sparse=True)
 
     def add(self, other: "ChainMap") -> "ChainMap":
         if self.degree != other.degree:
             raise ChainError("degree mismatch")
-        mats = {}
-        for j in set(self.mats) | set(other.mats):
-            mats[j] = linalg.mat_add(self.mat(j), other.mat(j))
-        return ChainMap(self.source, self.target, mats, self.degree, check=False)
+        mats = dict(self.rows)
+        for j, b in other.rows.items():
+            mats[j] = linalg.mat_add(mats[j], b) if j in mats else b
+        return ChainMap(self.source, self.target, mats, self.degree, check=False, sparse=True)
 
     def scale(self, c) -> "ChainMap":
-        return ChainMap(
-            self.source,
-            self.target,
-            {j: linalg.mat_scale(c, m) for j, m in self.mats.items()},
-            self.degree,
-            check=False,
-        )
+        mats = {j: linalg.mat_scale(c, m) for j, m in self.rows.items()}
+        return ChainMap(self.source, self.target, mats, self.degree, check=False, sparse=True)
 
     def sub(self, other: "ChainMap") -> "ChainMap":
-        return self.add(other.scale(-1))
-
-    def columns(self, j: int):
-        """The nonzero (row, entry) pairs of each column of the degree-j matrix."""
-        if self.perm is None:
-            return _columns(self.mat(j))
-        return [[(t, MINUS_ONE if neg else ONE)] for t, neg in zip(*self.perm[j])]
+        return self.add(other.scale(MINUS_ONE))
 
     def is_zero(self) -> bool:
-        return all(linalg.is_zero(m) for m in self.mats.values())
+        return not self.rows
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return NotImplemented
-        if self.perm is not None and other.perm is not None:
-            return self.perm == other.perm
-        if self.degree != other.degree:
-            return False
-        for j in set(self.mats) | set(other.mats):
-            if not linalg.mat_eq(self.mat(j), other.mat(j)):
-                return False
-        return True
+        return (
+            self.degree == other.degree
+            and self.rows == other.rows
+            and all(self.source.dim(j) == other.source.dim(j) for j in self.rows)
+        )
 
     def __repr__(self):
-        return "ChainMap(degree=%d, degrees=%s)" % (self.degree, sorted(self.mats))
-
-
-def signed_permutation_form(f: ChainMap) -> ChainMap:
-    """f as a signed-permutation record when it is one, else f itself.
-
-    It is one when it has degree 0, source and target have equal dims, and
-    in every degree each row and each column holds exactly one nonzero entry,
-    which is 1 or -1.
-    """
-    if f.degree or f.source.dims != f.target.dims or len(f.mats) != len(f.source.dims):
-        return f
-    perm = {}
-    for n, m in f.mats.items():
-        targets = [None] * len(m)
-        negs = [False] * len(m)
-        for r, row in enumerate(m):
-            entries = linalg.nonzeros(row)
-            if len(entries) != 1:
-                return f
-            c, x = entries[0]
-            if targets[c] is not None or (x != ONE and x != MINUS_ONE):
-                return f
-            targets[c] = r
-            negs[c] = x < 0
-        perm[n] = (targets, negs)
-    return ChainMap.signed_permutation(f.source, f.target, perm)
+        return "ChainMap(degree=%d, degrees=%s)" % (self.degree, sorted(self.rows))
 
 
 def place_blocks(source: ChainComplex, target: ChainComplex, blocks) -> ChainMap:
@@ -380,68 +295,39 @@ def place_blocks(source: ChainComplex, target: ChainComplex, blocks) -> ChainMap
     In degree n the matrix of f sits at rows row_offsets[n] and columns
     col_offsets[n] (offsets as from sum_offsets; a missing degree starts at
     0).  The blocks must not overlap; they are read once, so a generator
-    keeps only one block alive at a time.  Signed-permutation blocks that
-    cover every column make a signed permutation.
+    keeps only one block alive at a time.
     """
     mats = {}
-    # the record of the signed-permutation blocks
-    perm = {n: ([None] * d, [False] * d) for n, d in source.dims.items()}
-    signed = source.dims == target.dims
-    for f, rows, cols in blocks:
-        if f.perm is None:
-            signed = False
-            for n, m in f.mats.items():
-                if n not in mats:
-                    mats[n] = linalg.zeros(target.dim(n), source.dim(n))
-                _place(mats[n], rows.get(n, 0), cols.get(n, 0), m)
-            continue
-        for n, (ts, negs) in f.perm.items():
-            r0, c0 = rows.get(n, 0), cols.get(n, 0)
-            targets, signs = perm[n]
-            targets[c0 : c0 + len(ts)] = [r0 + t for t in ts]
-            signs[c0 : c0 + len(ts)] = negs
-    if signed and all(None not in targets for targets, _ in perm.values()):
-        return ChainMap.signed_permutation(source, target, perm)
-    for n, m in _signed_mats(source, target, perm).items():
-        if n not in mats:
-            mats[n] = m
-        else:
-            _place(mats[n], 0, 0, m)
-    return ChainMap(source, target, mats, check=False)
-
-
-def _signed_mats(source, target, perm):
-    """The dense matrices of a signed-permutation record; a target of None
-    marks a zero column."""
-    mats = {}
-    for n, (targets, negs) in perm.items():
-        if any(t is not None for t in targets):
-            m = linalg.zeros(target.dim(n), source.dim(n))
-            for i, (t, neg) in enumerate(zip(targets, negs)):
-                if t is not None:
-                    m[t][i] = MINUS_ONE if neg else ONE
-            mats[n] = m
-    return mats
+    for f, row_offsets, col_offsets in blocks:
+        for n, block in f.rows.items():
+            out = mats.get(n)
+            if out is None:
+                out = mats[n] = [None] * target.dim(n)
+            r0, c0 = row_offsets.get(n, 0), col_offsets.get(n, 0)
+            for i, row in enumerate(block, r0):
+                if not row:
+                    continue
+                if c0:
+                    shifted = {}
+                    for j, x in row.items():
+                        shifted[c0 + j] = x
+                    row = shifted
+                # a block's row is shared, never updated in place
+                out[i] = row if out[i] is None else {**out[i], **row}
+    mats = {n: [{} if row is None else row for row in rows] for n, rows in mats.items()}
+    return ChainMap(source, target, mats, check=False, sparse=True)
 
 
 def boundary_of_map(f: ChainMap) -> ChainMap:
     """Hom-complex differential D(f) = d o f - (-1)^{|f|} f o d."""
     k = f.degree
-    sign = -ONE if k % 2 else ONE
     mats = {}
     for j in f.source.degrees():
-        rows = f.target.dim(j + k - 1)
-        cols = f.source.dim(j)
-        if rows == 0 or cols == 0:
-            continue
-        left = linalg.zeros(rows, cols)
-        if f.target.dim(j + k):
-            left = linalg.mat_mul(f.target.d(j + k), f.mat(j))
-        right = linalg.zeros(rows, cols)
-        if f.source.dim(j - 1):
-            right = linalg.mat_mul(f.mat(j - 1), f.source.d(j))
-        mats[j] = linalg.mat_sub(left, linalg.mat_scale(sign, right))
-    return ChainMap(f.source, f.target, mats, k - 1, check=False)
+        if f.target.dim(j + k - 1):
+            left = linalg.mat_mul(f.target.d(j + k), f.block(j))
+            right = linalg.mat_mul(f.block(j - 1), f.source.d(j))
+            mats[j] = linalg.mat_add(left, right if k % 2 else linalg.mat_scale(MINUS_ONE, right))
+    return ChainMap(f.source, f.target, mats, k - 1, check=False, sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +341,16 @@ class TensorSpace:
     (tuple-lex ascending), all index tuples (i_1..i_k) row-major.  A
     one-factor space has its factor's basis, so its complex is the factor
     itself, not a copy.  A product of several factors builds its complex once,
-    as sparse boundary rows, and checks d o d = 0 on them.
+    as boundary rows, and checks d o d = 0 on them.
     """
 
-    __slots__ = ("factors", "complex", "_comp_cache", "_off_cache")
+    __slots__ = ("factors", "complex", "_comp_cache", "_off_cache", "_pos_cache")
 
     def __init__(self, factors):
         self.factors = list(factors)
         self._comp_cache = {}
         self._off_cache = {}
+        self._pos_cache = {}
         self.complex = self.factors[0] if len(self.factors) == 1 else self._build()
 
     def compositions(self, n: int):
@@ -518,19 +405,24 @@ class TensorSpace:
             pos = pos * f.dim(n) + i
         return off + pos
 
+    def positions(self, n: int):
+        """(composition, index inside its block) of every degree-n basis vector."""
+        if n not in self._pos_cache:
+            self._pos_cache[n] = [
+                (c, i) for c in self.compositions(n) for i in range(self.block_dim(c))
+            ]
+        return self._pos_cache[n]
+
     def unflatten(self, n: int, flat: int):
-        off_map = self.offsets(n)
-        for c in self.compositions(n):
-            b = self.block_dim(c)
-            off = off_map[c]
-            if off <= flat < off + b:
-                rem = flat - off
-                idxs = []
-                for f, v in zip(reversed(self.factors), reversed(c)):
-                    idxs.append(rem % f.dim(v))
-                    rem //= f.dim(v)
-                return c, tuple(reversed(idxs))
-        raise IndexError("flat index %d out of range in degree %d" % (flat, n))
+        positions = self.positions(n)
+        if not 0 <= flat < len(positions):
+            raise IndexError("flat index %d out of range in degree %d" % (flat, n))
+        c, rem = positions[flat]
+        idxs = []
+        for f, v in zip(reversed(self.factors), reversed(c)):
+            idxs.append(rem % f.dim(v))
+            rem //= f.dim(v)
+        return c, tuple(reversed(idxs))
 
     def basis(self, n: int):
         out = []
@@ -552,15 +444,16 @@ class TensorSpace:
         if top == 0:
             return ChainComplex(dims)
         # per factor and degree: the nonzero (row, entry) pairs of each boundary column
-        columns = [{v: _columns(d) for v, d in f.boundary.items()} for f in self.factors]
+        columns = [
+            {v: linalg.columns(d, f.dim(v)) for v, d in f.boundary.items()} for f in self.factors
+        ]
         if not any(columns):
             return ChainComplex(dims)
-        # degree -> {row: {column: entry}}, nonzero entries only
         bnd = {}
         for n in range(1, top + 1):
             if not dims.get(n) or not dims.get(n - 1):
                 continue
-            rows = {}
+            rows = [{} for _ in range(dims[n - 1])]
             src_off = self.offsets(n)
             tgt_off = self.offsets(n - 1)
             for comp in self.compositions(n):
@@ -585,44 +478,10 @@ class TensorSpace:
                                 col = c0 + (p * n_src + i) * inner
                                 row = r0 + (p * n_tgt + t) * inner
                                 for s in range(inner):
-                                    if row + s in rows:
-                                        rows[row + s][col + s] = x
-                                    else:
-                                        rows[row + s] = {col + s: x}
-            if rows:
-                bnd[n] = rows
-        for n in bnd:
-            if n - 1 in bnd and not _sparse_product_is_zero(bnd[n - 1], bnd[n]):
-                raise ChainError("d o d != 0 out of degree %d" % n)
-        # fresh rows of exact scalars, no zero block: no copy or rescan in __init__
-        out = object.__new__(ChainComplex)
-        out.dims = dims
-        out.boundary = {
-            n: [linalg.densify(rows.get(r, {}), dims[n]) for r in range(dims[n - 1])]
-            for n, rows in bnd.items()
-        }
-        return out
-
-
-def _sparse_product_is_zero(a, b) -> bool:
-    """Is a @ b zero, for matrices given as {row: {column: entry}}?"""
-    for row in a.values():
-        acc = {}
-        for k, x in row.items():
-            for j, y in b.get(k, {}).items():
-                acc[j] = acc[j] + x * y if j in acc else x * y
-        if any(acc.values()):
-            return False
-    return True
-
-
-def _columns(m):
-    """The nonzero (row, entry) pairs of each column of m."""
-    cols = [[] for _ in range(len(m[0]) if m else 0)]
-    for r, row in enumerate(m):
-        for j, x in linalg.nonzeros(row):
-            cols[j].append((r, x))
-    return cols
+                                    rows[row + s][col + s] = x
+            bnd[n] = rows
+        # the constructor checks d o d = 0 through linalg.mat_mul
+        return ChainComplex(dims, bnd, sparse=True)
 
 
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
@@ -636,18 +495,19 @@ def _block_entries(gsrc: TensorSpace, gtgt: TensorSpace, f: ChainMap):
     nonzero (row, column, entry) of the block, indices local to the block)].
     """
     out = {}
-    for deg, m in f.mats.items():
-        cols = [(p, i) for p in gsrc.compositions(deg) for i in range(gsrc.block_dim(p))]
+    for deg, m in f.rows.items():
+        cols = gsrc.positions(deg)
         by_source = {}
-        for q, r0 in gtgt.offsets(deg + f.degree).items():
-            for r in range(r0, r0 + gtgt.block_dim(q)):
-                for c, x in linalg.nonzeros(m[r]):
-                    p, i = cols[c]
-                    by_target = by_source.setdefault(p, {})
-                    if q in by_target:
-                        by_target[q].append((r - r0, i, x))
-                    else:
-                        by_target[q] = [(r - r0, i, x)]
+        for row, (q, r) in zip(m, gtgt.positions(deg + f.degree)):
+            for c, x in row.items():
+                p, i = cols[c]
+                by_target = by_source.get(p)
+                if by_target is None:
+                    by_source[p] = {q: [(r, i, x)]}
+                elif q in by_target:
+                    by_target[q].append((r, i, x))
+                else:
+                    by_target[q] = [(r, i, x)]
         for p, by_target in by_source.items():
             out[p] = [(q, gtgt.block_dim(q), entries) for q, entries in by_target.items()]
     return out
@@ -665,21 +525,18 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
     The map is filled block by block: the block at a (target composition,
     source composition) pair is the signed Kronecker product of the groups'
     nonzero sub-blocks, row-major with the first group outermost, so the
-    strides are the groups' block dimensions.  When every group is one factor
-    carrying a signed permutation, so is the result, built by index arithmetic.
+    strides are the groups' block dimensions.
     """
     widths_src = [len(g[0].factors) for g in groups]
     widths_tgt = [len(g[1].factors) for g in groups]
     if sum(widths_src) != len(src_space.factors) or sum(widths_tgt) != len(tgt_space.factors):
         raise ChainError("group widths do not cover the tensor factors")
-    if all(w == 1 for w in widths_src + widths_tgt) and all(g[2].perm is not None for g in groups):
-        return _assemble_signed(src_space, tgt_space, [f.perm for _, _, f in groups])
     total_deg = sum(g[2].degree for g in groups)
     blocks = [_block_entries(gsrc, gtgt, f) for gsrc, gtgt, f in groups]
     odd = [f.degree % 2 for _, _, f in groups]
     mats = {}
     for n in src_space.complex.degrees():
-        rows = tgt_space.dim(n + total_deg)
+        rows = tgt_space.complex.dim(n + total_deg)
         if rows == 0:
             continue
         tgt_off = tgt_space.offsets(n + total_deg)
@@ -721,35 +578,13 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
                 terms = [((), [(0, 0, ONE)])]
             for tcomp, entries in terms:
                 if big is None:
-                    big = linalg.zeros(rows, src_space.dim(n))
+                    big = [{} for _ in range(rows)]
                 r0 = tgt_off[tcomp]
                 for r, c, x in entries:
                     big[r0 + r][c0 + c] = -x if negative else x
         if big is not None:
             mats[n] = big
-    return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
-
-
-def _assemble_signed(src_space: TensorSpace, tgt_space: TensorSpace, perms) -> ChainMap:
-    """The tensor of one signed permutation per factor: degree 0, so no Koszul
-    sign, and each composition block maps onto the same composition's block."""
-    perm = {}
-    for n in src_space.complex.degrees():
-        tgt_off = tgt_space.offsets(n)
-        targets = []
-        negs = []
-        for comp in src_space.compositions(n):
-            ts, signs = [0], [False]
-            for factor_perm, v in zip(perms, comp):
-                f_ts, f_negs = factor_perm[v]
-                size = len(f_ts)
-                ts = [t * size + u for t in ts for u in f_ts]
-                signs = [x != y for x in signs for y in f_negs]
-            off = tgt_off[comp]
-            targets += [off + t for t in ts]
-            negs += signs
-        perm[n] = (targets, negs)
-    return ChainMap.signed_permutation(src_space.complex, tgt_space.complex, perm)
+    return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False, sparse=True)
 
 
 def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -765,7 +600,7 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
     """Signed permutation of tensor factors: slot i moves to slot perm(i).
 
     Sign: Koszul, (-1) for every inversion of odd-degree letters.  perm is a
-    Permutation on 1..k.  The result is a signed-permutation record.
+    Permutation on 1..k.  Each row of the result holds one entry, 1 or -1.
     """
     k = len(factors)
     images = [perm(i + 1) - 1 for i in range(k)]
@@ -776,11 +611,11 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
         for i in range(k):
             permuted[images[i]] = factors[i]
         tgt_space = TensorSpace(permuted)
-    record = {}
-    for n in src_space.complex.degrees():
+    mats = {}
+    for n, dim in src_space.complex.dims.items():
         tgt_off = tgt_space.offsets(n)
-        targets = []
-        negs = []
+        rows = [None] * dim
+        col = 0
         for comp in src_space.compositions(n):
             tcomp = [0] * k
             sizes = [0] * k
@@ -794,10 +629,12 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
                 flat = [a + x * step for a in flat for x in range(sizes[images[i]])]
             odd = [images[i] for i in range(k) if comp[i] % 2]
             inversions = sum(1 for a, s in enumerate(odd) for t in odd[a + 1 :] if s > t)
-            targets += flat
-            negs += [inversions % 2 == 1] * len(flat)
-        record[n] = (targets, negs)
-    return ChainMap.signed_permutation(src_space.complex, tgt_space.complex, record)
+            sign = MINUS_ONE if inversions % 2 else ONE
+            for t in flat:
+                rows[t] = {col: sign}
+                col += 1
+        mats[n] = rows
+    return ChainMap(src_space.complex, tgt_space.complex, mats, check=False, sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -809,15 +646,15 @@ def cycle_space_basis(x: ChainComplex, n: int):
         return []
     if n == 0 or x.dim(n - 1) == 0:
         return [[ONE if i == j else ZERO for i in range(x.dim(n))] for j in range(x.dim(n))]
-    return linalg.kernel_basis(x.d(n))
+    return linalg.kernel_basis(x.d_mat(n))
 
 
 def homology_dims(x: ChainComplex):
     """Exact Betti numbers per degree via rank-nullity."""
     out = {}
     for n in x.degrees():
-        dn_rank = linalg.rank(x.d(n)) if n >= 1 and x.dim(n - 1) else 0
-        dnp_rank = linalg.rank(x.d(n + 1)) if x.dim(n + 1) else 0
+        dn_rank = linalg.rank(x.d_mat(n)) if n >= 1 and x.dim(n - 1) else 0
+        dnp_rank = linalg.rank(x.d_mat(n + 1)) if x.dim(n + 1) else 0
         h = x.dim(n) - dn_rank - dnp_rank
         if h:
             out[n] = h
@@ -827,11 +664,8 @@ def homology_dims(x: ChainComplex):
 def _homology_data(x: ChainComplex, n: int):
     """(cycle basis columns, image relation rows) for H_n."""
     cycles = cycle_space_basis(x, n)
-    img_rows = []
-    if x.dim(n + 1):
-        d = x.d(n + 1)
-        for j in range(x.dim(n + 1)):
-            img_rows.append([d[i][j] for i in range(x.dim(n))])
+    columns = linalg.columns(x.d(n + 1), x.dim(n + 1))
+    img_rows = [linalg.densify(dict(col), x.dim(n)) for col in columns]
     return cycles, img_rows
 
 
@@ -847,27 +681,28 @@ def induced_homology_iso(f: ChainMap) -> bool:
             [list(r) for r in img_t], f.target.dim(n)
         )
         # matrix of H_n(f): columns = classes of f(cycle basis), rows = quotient coords
-        h_s = f.source.dim(n) - linalg.rank(f.source.d(n)) - (
-            linalg.rank(f.source.d(n + 1)) if f.source.dim(n + 1) else 0
+        h_s = f.source.dim(n) - linalg.rank(f.source.d_mat(n)) - (
+            linalg.rank(f.source.d_mat(n + 1)) if f.source.dim(n + 1) else 0
         ) if f.source.dim(n) else 0
-        h_t = f.target.dim(n) - linalg.rank(f.target.d(n)) - (
-            linalg.rank(f.target.d(n + 1)) if f.target.dim(n + 1) else 0
+        h_t = f.target.dim(n) - linalg.rank(f.target.d_mat(n)) - (
+            linalg.rank(f.target.d_mat(n + 1)) if f.target.dim(n + 1) else 0
         ) if f.target.dim(n) else 0
         if h_s != h_t:
             return False
         if h_s == 0:
             continue
         cols = []
-        fm = f.mat(n)
+        fm = f.block(n)
+        proj_rows = linalg.to_rows(proj_t)
         for v in cyc_s:
-            fv = linalg.mat_vec(fm, v)
-            cols.append(linalg.mat_vec(proj_t, fv))
+            cols.append(linalg.mat_vec(proj_rows, linalg.mat_vec(fm, v)))
         # quotient coords of source cycles modulo source boundaries: build the
         # matrix of H(f) on a homology basis of the source
         proj_s, _ = linalg.quotient_by_rowspace(
             [list(r) for r in img_s], f.source.dim(n)
         )
-        src_classes = [linalg.mat_vec(proj_s, v) for v in cyc_s]
+        proj_rows = linalg.to_rows(proj_s)
+        src_classes = [linalg.mat_vec(proj_rows, v) for v in cyc_s]
         # pick a basis of the source homology among the cycle classes
         span = []
         chosen = []
@@ -952,7 +787,7 @@ def path_object(x: ChainComplex):
         for i in range(n0):
             cut[i][i] = ONE
             cut[i][n0 + i] = -ONE
-        d1x = x.d(1)
+        d1x = x.d_mat(1)
         for i in range(n0):
             for j in range(n1):
                 cut[i][2 * n0 + j] = -d1x[i][j]
@@ -1046,15 +881,15 @@ class LiftProblem:
 
     Each constraint is sum_t coeff_t * L_t o phi_{j + shift_t} o R_t = RHS, one
     equation block per degree j of a declared probe complex.  Constraints are
-    entered in the already-instantiated per-degree matrix form through
-    add_equation.
+    entered in the already-instantiated per-degree form through add_equation,
+    every matrix as rows (see the module docstring).
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, degree: int):
         self.source = source
         self.target = target
         self.degree = int(degree)
-        self.equations = []  # (terms, rhs_matrix, rows, cols); terms = (coeff, L, j, R)
+        self.equations = []  # (terms, rhs_rows, rows, cols); terms = (coeff, L, j, R)
 
     def var_blocks(self):
         """Degrees j carrying unknown entries, with shapes."""
@@ -1066,13 +901,15 @@ class LiftProblem:
                 out.append((j, rows, cols))
         return out
 
-    def add_equation(self, terms, rhs):
-        """terms: list of (coeff, L, j, R); equation sum coeff * L @ phi_j @ R = rhs."""
-        rows = len(rhs)
-        cols = len(rhs[0]) if rhs else 0
-        if rows == 0 or cols == 0:
-            return
-        self.equations.append((terms, rhs, rows, cols))
+    def add_equation(self, terms, rhs, cols):
+        """terms: list of (coeff, L, j, R); equation sum coeff * L @ phi_j @ R = rhs.
+
+        L, R and rhs are rows, L or R None for an identity; L has as many
+        columns as phi_j has rows, R as many rows as phi_j has columns, and
+        R and rhs have cols columns.
+        """
+        if len(rhs) and cols:
+            self.equations.append((terms, rhs, len(rhs), cols))
 
     def solve(self) -> ChainMap:
         blocks = self.var_blocks()
@@ -1096,13 +933,14 @@ class LiftProblem:
                 if L is None:
                     l_rows = [[(a, ONE)] if a < vr else [] for a in range(er)]
                 else:
-                    l_rows = [linalg.nonzeros(L[a][:vr]) for a in range(er)]
+                    l_rows = [list(row.items()) for row in L]
                 if R is None:
                     r_cols = [[(b, ONE)] if b < vc else [] for b in range(ec)]
                 else:
-                    r_cols = _columns([row[:ec] for row in R[:vc]])
+                    r_cols = linalg.columns(R, ec)
                 sparse_terms.append((coeff, base, vc, l_rows, r_cols))
             for a in range(er):
+                rhs_row = rhs[a]
                 for b in range(ec):
                     row = {}
                     for coeff, base, vc, l_rows, r_cols in sparse_terms:
@@ -1115,32 +953,33 @@ class LiftProblem:
                                     y += row.pop(k)
                                 if y:
                                     row[k] = y
-                    rowrhs = rhs[a][b]
-                    if row or rowrhs:
+                    if row or b in rhs_row:
                         rows.append(row)
-                        rhs_col.append([rowrhs])
+                        rhs_col.append([rhs_row.get(b, ZERO)])
         if not rows:
-            return ChainMap(self.source, self.target, {}, self.degree, check=False)
+            return ChainMap.zero(self.source, self.target, self.degree)
         x, cert = linalg.solve_rows(rows, rhs_col, nvars)
         if x is None:
             raise Unsolvable("constraint system inconsistent", certificate=cert)
-        x = [entry for entry, in x]
         mats = {}
         for j, (base, r, c) in offsets.items():
-            mats[j] = [x[base + p * c : base + (p + 1) * c] for p in range(r)]
-        return ChainMap(self.source, self.target, mats, self.degree, check=False)
+            mats[j] = [
+                {q: v for q, (v,) in enumerate(x[base + p * c : base + (p + 1) * c]) if v}
+                for p in range(r)
+            ]
+        return ChainMap(self.source, self.target, mats, self.degree, check=False, sparse=True)
 
 
 def solve_constrained_lift(source, target, degree, equations) -> ChainMap:
     """Solve for an unknown degree-`degree` map subject to affine constraints.
 
-    equations: list of (terms, rhs) as in LiftProblem.add_equation.  Raises
-    Unsolvable with an inconsistency certificate when no solution exists; free
-    variables are set to 0 for determinism.
+    equations: list of (terms, rhs, cols) as in LiftProblem.add_equation.
+    Raises Unsolvable with an inconsistency certificate when no solution
+    exists; free variables are set to 0 for determinism.
     """
     prob = LiftProblem(source, target, degree)
-    for terms, rhs in equations:
-        prob.add_equation(terms, rhs)
+    for terms, rhs, cols in equations:
+        prob.add_equation(terms, rhs, cols)
     return prob.solve()
 
 

@@ -278,9 +278,9 @@ def _dispatch(args, ws):
             "command": cmd,
             "ok": True,
             "path": formats.complex_to_json(p),
-            "s": {str(j): formats.matrix_to_json(m) for j, m in sorted(s.mats.items())},
-            "d0": {str(j): formats.matrix_to_json(m) for j, m in sorted(d0.mats.items())},
-            "d1": {str(j): formats.matrix_to_json(m) for j, m in sorted(d1.mats.items())},
+            "s": formats.mats_to_json(s),
+            "d0": formats.mats_to_json(d0),
+            "d1": formats.mats_to_json(d1),
         }
         emit_document(args, payload, payload)
         return 0

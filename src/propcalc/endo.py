@@ -87,9 +87,10 @@ class EndoElement:
         """The element whose only nonzero entry is 1 at (r, c) of its degree-j block."""
         src = family.space(in_profile).complex
         tgt = family.space(out_profile).complex
-        m = linalg.zeros(tgt.dim(j + degree), src.dim(j))
-        m[r][c] = linalg.ONE
-        return cls.from_mats(family, out_profile, in_profile, degree, {j: m})
+        rows = [{} for _ in range(tgt.dim(j + degree))]
+        rows[r][c] = linalg.ONE
+        chain = ChainMap(src, tgt, {j: rows}, degree, check=False, sparse=True)
+        return cls(family, out_profile, in_profile, chain)
 
     @classmethod
     def zero(cls, family, out_profile, in_profile, degree=0) -> "EndoElement":
@@ -175,12 +176,13 @@ def endo_component(family: ColoredFamily, out_profile, in_profile):
         if k == 0 or (k - 1) not in dims:
             continue
         read = hom_coordinates(bases[k - 1])
-        cols = [
-            read(EndoElement.unit(family, out_profile, in_profile, k, j, r, c).boundary().chain)
-            for (j, r, c) in bases[k]
-        ]
-        boundary[k] = [[cols[j][i] for j in range(dims[k])] for i in range(dims[k - 1])]
-    return ChainComplex(dims, boundary), bases
+        rows = [{} for _ in range(dims[k - 1])]
+        for col, (j, r, c) in enumerate(bases[k]):
+            unit = EndoElement.unit(family, out_profile, in_profile, k, j, r, c)
+            for i, x in linalg.nonzeros(read(unit.boundary().chain)):
+                rows[i][col] = x
+        boundary[k] = rows
+    return ChainComplex(dims, boundary, sparse=True), bases
 
 
 def hom_coordinates(basis):
@@ -194,9 +196,9 @@ def hom_coordinates(basis):
 
     def read(chain: ChainMap):
         coords = [linalg.ZERO] * size
-        for j, m in chain.mats.items():
-            for r, row in enumerate(m):
-                for c, x in linalg.nonzeros(row):
+        for j, rows in chain.rows.items():
+            for r, row in enumerate(rows):
+                for c, x in row.items():
                     coords[index[(j, r, c)]] = x
         return coords
 

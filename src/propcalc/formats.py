@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 from propcalc.algebras import AlgebraStructure
 from propcalc.bimodules import BimoduleComponent, ColoredBimodule
-from propcalc.chains import ChainComplex, ChainMap, signed_permutation_form
+from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
 from propcalc.exprs import PropPresentation, parse
 from propcalc.graphs import Generator, PropGraph, Signature
@@ -49,10 +49,22 @@ def parse_rational(s):  # an exact scalar (see linalg)
         raise FormatError("bad rational %r: %s" % (s, exc))
 
 
-# Most entries of the sparse matrices propcalc writes are the shared ZERO;
-# matrix_to_json and matrix_from_json pass it without parsing or formatting.
-def matrix_to_json(m):
-    return [["0/1" if x is ZERO else rational_str(x) for x in row] for row in m]
+# Most entries of the matrices propcalc reads and writes are zero:
+# matrix_to_json formats only the entries of {column: entry} rows, and
+# matrix_from_json passes "0/1" without parsing it.
+def matrix_to_json(rows, n_cols):
+    out = []
+    for row in rows:
+        line = ["0/1"] * n_cols
+        for j, x in row.items():
+            line[j] = rational_str(x)
+        out.append(line)
+    return out
+
+
+def mats_to_json(f: ChainMap):
+    """The matrices of a map, per degree where it is nonzero."""
+    return {str(j): matrix_to_json(rows, f.source.dim(j)) for j, rows in sorted(f.rows.items())}
 
 
 def matrix_from_json(rows):
@@ -180,7 +192,9 @@ def complex_to_json(x: ChainComplex):
     return {
         "kind": "complex",
         "dims": {str(n): d for n, d in sorted(x.dims.items())},
-        "boundary": {str(n): matrix_to_json(m) for n, m in sorted(x.boundary.items())},
+        "boundary": {
+            str(n): matrix_to_json(rows, x.dim(n)) for n, rows in sorted(x.boundary.items())
+        },
     }
 
 
@@ -202,7 +216,7 @@ def chain_map_to_json(f: ChainMap):
         "source": complex_to_json(f.source),
         "target": complex_to_json(f.target),
         "degree": f.degree,
-        "mats": {str(j): matrix_to_json(m) for j, m in sorted(f.mats.items())},
+        "mats": mats_to_json(f),
     }
 
 
@@ -256,7 +270,7 @@ def family_map_to_json(f: FamilyMap):
         "source": family_to_json(f.source),
         "target": family_to_json(f.target),
         "maps": {
-            c: {str(j): matrix_to_json(m) for j, m in sorted(f.maps[c].mats.items())}
+            c: mats_to_json(f.maps[c])
             for c in sorted(f.maps)
         },
     }
@@ -327,7 +341,7 @@ def structure_to_json(s: AlgebraStructure):
         "assignment": {
             name: {
                 "degree": el.degree,
-                "mats": {str(j): matrix_to_json(m) for j, m in sorted(el.chain.mats.items())},
+                "mats": mats_to_json(el.chain),
             }
             for name, el in sorted(s.assignment.items())
         },
@@ -373,14 +387,14 @@ def bimodule_to_json(mod: ColoredBimodule):
                 "out_actions": [
                     {
                         "perm": list(images),
-                        "mats": {str(j): matrix_to_json(m) for j, m in sorted(cm.mats.items())},
+                        "mats": mats_to_json(cm),
                     }
                     for images, cm in sorted(comp.out_gens.items())
                 ],
                 "in_actions": [
                     {
                         "perm": list(images),
-                        "mats": {str(j): matrix_to_json(m) for j, m in sorted(cm.mats.items())},
+                        "mats": mats_to_json(cm),
                     }
                     for images, cm in sorted(comp.in_gens.items())
                 ],
@@ -403,7 +417,7 @@ def _action_from_json(carrier, act):
     )
 
 
-def bimodule_from_json(data, validate_actions=True):
+def bimodule_from_json(data):
     _expect_kind(data, "bimodule")
     palette = palette_from_json(data["palette"])
     components = {}
@@ -421,26 +435,24 @@ def bimodule_from_json(data, validate_actions=True):
                 % (entry["out"], entry["in"])
             )
         carrier = complex_from_json(entry["carrier"])
-        # a signed-permutation action is kept as one, so products move indices
         out_gens = {
-            tuple(act["perm"]): signed_permutation_form(_action_from_json(carrier, act))
+            tuple(act["perm"]): _action_from_json(carrier, act)
             for act in entry.get("out_actions", [])
         }
         in_gens = {
-            tuple(act["perm"]): signed_permutation_form(_action_from_json(carrier, act))
+            tuple(act["perm"]): _action_from_json(carrier, act)
             for act in entry.get("in_actions", [])
         }
         try:
             comp = BimoduleComponent(kd, kc, carrier, out_gens, in_gens)
         except Exception as exc:
             raise FormatError("invalid component: %s" % exc)
-        if validate_actions:
-            failures = comp.validate()
-            if failures:
-                raise FormatError(
-                    "component at %r/%r violates: %s"
-                    % (entry["out"], entry["in"], "; ".join(failures))
-                )
+        failures = comp.validate()
+        if failures:
+            raise FormatError(
+                "component at %r/%r violates: %s"
+                % (entry["out"], entry["in"], "; ".join(failures))
+            )
         components[(kd, kc)] = comp
     try:
         return ColoredBimodule(palette, components)
@@ -470,7 +482,7 @@ def operad_to_json(op: ColoredOperad):
                 "in_actions": [
                     {
                         "perm": list(images),
-                        "mats": {str(j): matrix_to_json(m) for j, m in sorted(cm.mats.items())},
+                        "mats": mats_to_json(cm),
                     }
                     for images, cm in sorted(comp.in_gens.items())
                 ],
@@ -484,7 +496,7 @@ def operad_to_json(op: ColoredOperad):
                 "out_color": d,
                 "in": list(in_key.rep.entries),
                 "blocks": [list(k.rep.entries) for k in b_keys],
-                "mats": {str(j): matrix_to_json(m) for j, m in sorted(gm.mats.items())},
+                "mats": mats_to_json(gm),
             }
         )
     return {
@@ -496,7 +508,7 @@ def operad_to_json(op: ColoredOperad):
     }
 
 
-def operad_from_json(data, validate=False):
+def operad_from_json(data):
     _expect_kind(data, "operad")
     palette = palette_from_json(data["palette"])
     max_arity = int(data["max_arity"])
@@ -540,10 +552,6 @@ def operad_from_json(data, validate=False):
             {int(j): matrix_from_json(m) for j, m in entry.get("mats", {}).items()},
             check=False,
         )
-    if validate:
-        failures = operad.validate()
-        if failures:
-            raise FormatError("operad violates: %s" % "; ".join(failures))
     return operad
 
 
@@ -557,9 +565,7 @@ def operad_algebra_to_json(alg):
                 "values": [
                     {
                         "degree": el.degree,
-                        "mats": {
-                            str(j): matrix_to_json(m) for j, m in sorted(el.chain.mats.items())
-                        },
+                        "mats": mats_to_json(el.chain),
                     }
                     for el in alg.values[(d, in_key)]
                 ],

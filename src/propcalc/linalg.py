@@ -1,18 +1,21 @@
-"""Exact linear algebra over Q: dense interface, sparse elimination.
+"""Exact linear algebra over Q: sparse rows for products, dense for elimination.
 
-Matrices are lists of lists of exact scalars, rows = target dimension,
-columns = source dimension, acting on column vectors.  A scalar is an int
-when integral and a Fraction when not, never a float or a bool: exact()
-coerces inputs so, ints and Fractions mix exactly, and the one division,
-_eliminate's pivot normalisation, gives an int when both operands are ints
-and it is exact.  So integer matrices are eliminated in int arithmetic, and
-the kernel's results hold an int for every integral entry (elsewhere, Fraction
-arithmetic may leave integral Fractions).  Products and elimination touch only
-the nonzero entries: rows become {column: entry} dicts.  One solving routine,
-solve_rows, takes such dict rows directly (the lift solver builds its systems
-that way); solve is its dense wrapper.  The pivots are the ones dense
-Gauss-Jordan elimination picks, and since the reduced row echelon form is
-unique for a fixed column order, so are the results.  Everything here is
+A matrix acts on column vectors, rows = target dimension, columns = source
+dimension.  Products take it as a list of rows, each a {column: entry} dict
+holding only the nonzero entries: mat_mul, mat_add and mat_scale work on that
+form and give it back, and the chain complexes and maps of chains store it.
+The elimination routines (row_echelon, rank, kernel_basis, solve, inverse,
+quotient_by_rowspace) take and give dense lists of lists; to_rows and
+to_dense convert between the two.  A scalar is an int when integral and a
+Fraction when not, never a float or a bool: exact() coerces inputs so, ints
+and Fractions mix exactly, the one division, _eliminate's pivot
+normalisation, gives an int when both operands are ints and it is exact, and
+the row product, sum and scale turn an integral Fraction result into an int.
+Elimination also runs on dict rows, with a column-to-rows index.  One
+solving routine, solve_rows, takes such rows directly (the lift solver builds
+its systems that way); solve is its dense wrapper.  The pivots are the ones
+dense Gauss-Jordan elimination picks, and since the reduced row echelon form
+is unique for a fixed column order, so are the results.  Everything here is
 deterministic: pivots are chosen first-nonzero, free variables are set to
 zero, so repeated runs produce identical output.
 """
@@ -47,13 +50,18 @@ def is_zero_row(row) -> bool:
     return row.count(ZERO) == len(row)
 
 
-def exact_rows(m: Matrix) -> Matrix:
-    """A copy of m with exact() entries; a row of ints is copied, not rebuilt."""
+def to_rows(m: Matrix) -> list:
+    """The {column: entry} rows of a dense matrix, its entries made exact."""
     out = []
     for row in m:
-        row = list(row)
-        out.append(row if _INT_ONLY.issuperset(map(type, row)) else [exact(x) for x in row])
+        if not _INT_ONLY.issuperset(map(type, row)):
+            row = list(map(exact, row))
+        out.append({j: x for j, x in enumerate(row) if x})
     return out
+
+
+def to_dense(rows, n_cols: int) -> Matrix:
+    return [densify(row, n_cols) for row in rows]
 
 
 def densify(row: dict, n_cols: int) -> list:
@@ -61,6 +69,15 @@ def densify(row: dict, n_cols: int) -> list:
     for j, x in row.items():
         out[j] = x
     return out
+
+
+def columns(rows, n_cols: int) -> list:
+    """The nonzero (row, entry) pairs of each column, rows ascending."""
+    cols = [[] for _ in range(n_cols)]
+    for r, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j].append((r, x))
+    return cols
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -82,55 +99,55 @@ def copy(m: Matrix) -> Matrix:
     return [row[:] for row in m]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    out = copy(a)
-    for row, brow in zip(out, b):
-        for j, y in nonzeros(brow):
-            row[j] = row[j] + y
+def _tidy(acc: dict) -> dict:
+    """acc without its zero entries, an integral Fraction made an int."""
+    if _INT_ONLY.issuperset(map(type, acc.values())):
+        return {j: x for j, x in acc.items() if x}
+    return {j: x.numerator if x.denominator == 1 else x for j, x in acc.items() if x}
+
+
+def mat_add(a, b) -> list:
+    """a + b for {column: entry} rows of equal shape."""
+    out = []
+    for arow, brow in zip(a, b):
+        acc = dict(arow)
+        for j, y in brow.items():
+            acc[j] = acc[j] + y if j in acc else y
+        out.append(_tidy(acc))
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    out = copy(a)
-    for row, brow in zip(out, b):
-        for j, y in nonzeros(brow):
-            row[j] = row[j] - y
-    return out
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
+def mat_scale(c, a) -> list:
+    """c * a for {column: entry} rows."""
     c = exact(c)
-    return [densify({j: c * x for j, x in nonzeros(row)}, len(row)) for row in a]
+    if not c:
+        return [{} for _ in a]
+    return [_tidy({j: c * x for j, x in row.items()}) for row in a]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b with a: k x m, b: m x n."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError("matrix shape mismatch: %dx%d @ %dx%d" % (ra, ca, rb, cb))
-    b_rows = [nonzeros(row) for row in b]
+def mat_mul(a, b) -> list:
+    """a @ b for {column: entry} rows: the columns of a index the rows of b.
+
+    A row of a that is one entry 1 at k gives row k of b itself, not a copy:
+    rows are never changed once built.
+    """
     out = []
     for arow in a:
+        if len(arow) == 1:
+            ((k, x),) = arow.items()
+            out.append(b[k] if x is ONE else _tidy({j: x * y for j, y in b[k].items()}))
+            continue
         acc = {}
-        for k, x in nonzeros(arow):
-            for j, y in b_rows[k]:
+        for k, x in arow.items():
+            for j, y in b[k].items():
                 acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append(densify(acc, cb))
+        out.append(_tidy(acc))
     return out
 
 
-def mat_vec(a: Matrix, v: list) -> list:
-    return [sum((x * v[j] for j, x in nonzeros(row)), ZERO) for row in a]
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(map(is_zero_row, a))
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    # list equality compares entry by entry, by identity first
-    return shape(a) == shape(b) and a == b
+def mat_vec(a, v: list) -> list:
+    """a @ v for {column: entry} rows and a dense vector."""
+    return [sum((x * v[j] for j, x in row.items()), ZERO) for row in a]
 
 
 def row_echelon(m: Matrix):

@@ -110,10 +110,10 @@ class ColoredOperad:
             merged = merge_in_keys(self.palette, b_keys)
             merged = self._keys.get(merged, merged)
             columns = {}
-            for n, mat in gm.mats.items() if gm is not None else ():
+            for n, rows in gm.rows.items() if gm is not None else ():
                 cols = columns[n] = {}
-                for r, row in enumerate(mat):
-                    for c, x in linalg.nonzeros(row):
+                for r, row in enumerate(rows):
+                    for c, x in row.items():
                         cols.setdefault(c, []).append((r, x))
             space = self.space(d, in_key, b_keys) if columns else None
             plan = self._plans[key] = (gm, merged, self.component(d, merged), space, columns)
@@ -158,11 +158,17 @@ class ColoredOperad:
         ]
 
     def validate(self):
-        """Equivariance and associativity of gamma on in-truncation instances.
+        """Equivariance and associativity of gamma, on first basis elements.
 
-        Exhaustive over the stored keys whose arity data stays within the
-        truncation; associativity instances whose inner composites leave the
-        truncation are skipped (they are not desk-checkable data).
+        Not exhaustive: every input is the first basis vector of its
+        component's lowest degree (_first_unit).  Equivariance is checked at
+        every stored gamma key, for every basis element p of the outer
+        component and every non-identity tau of its stabilizer, with those
+        first units as the inputs q.  Associativity is checked at every
+        component, every aligned tuple of inputs and every aligned tuple of
+        their inputs within the truncation, with p, every q and every r the
+        first units; instances that leave the truncation are skipped.  gamma
+        is multilinear, so a defect that spares the first units goes unseen.
         """
         units = {}
         return self._validate_equivariance(units) + self._validate_associativity(units)
@@ -308,7 +314,7 @@ class OperadElement:
     def act_right(self, tau: Permutation) -> "OperadElement":
         """Right action by an element of the stabilizer (normal form kept)."""
         comp = self.operad.component(self.d, self.in_key)
-        m = comp.rho_in(tau).mat(self.degree)
+        m = comp.rho_in(tau).block(self.degree)
         return OperadElement(
             self.operad, self.d, self.in_key, self.degree, linalg.mat_vec(m, self.coords)
         )
@@ -426,18 +432,16 @@ class EndoPropData:
         for s in stabilizer_generators(in_key):
             # the unit at (j, r, c) composed with the shuffle by s is +-(j, r, c'),
             # with c' the source column that s moves onto c: the inverse shuffle
-            # sends c to +-c'
-            moved = self.family.shuffle(in_key.rep, s.inverse()).perm
-            perm = {}
+            # sends c to +-c', the one entry of its column c
+            shuffle = self.family.shuffle(in_key.rep, s.inverse())
+            moved = {j: linalg.columns(rows, len(rows)) for j, rows in shuffle.rows.items()}
+            mats = {}
             for k, basis in bases.items():
-                targets = []
-                negs = []
-                for j, r, c in basis:
-                    columns, signs = moved[j]
-                    targets.append(index[k][(j, r, columns[c])])
-                    negs.append(signs[c])
-                perm[k] = (targets, negs)
-            in_gens[s.images] = ChainMap.signed_permutation(hom, hom, perm)
+                rows = mats[k] = [None] * len(basis)
+                for i, (j, r, c) in enumerate(basis):
+                    ((target, sign),) = moved[j][c]
+                    rows[index[k][(j, r, target)]] = {i: sign}
+            in_gens[s.images] = ChainMap(hom, hom, mats, check=False, sparse=True)
         return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases, index)
 
     def rho(self, d, in_key, b_keys):
@@ -615,8 +619,7 @@ class OPropData:
             return None
         space = TensorSpace([p_bim.carrier] + [q.carrier for q in q_bims])
         gm = self.operad.gamma_map(d, in_key, tuple(b_keys))
-        mats = {n: gm.mat(n) for n in space.complex.degrees() if gm.mat(n) and gm.mat(n)[0]}
-        return ChainMap(space.complex, target.carrier, mats, check=False)
+        return ChainMap(space.complex, target.carrier, gm.rows, check=False, sparse=True)
 
 
 def _locate(comp, deg, flat):
@@ -891,10 +894,10 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
         carrier = ChainComplex({0: len(elems)})
         in_gens = {}
         for s in stabilizer_generators(k):
-            targets = [basis_cache[n][(s.inverse() * g).images] for g in elems]
-            in_gens[s.images] = ChainMap.signed_permutation(
-                carrier, carrier, {0: (targets, [False] * len(elems))}
-            )
+            rows = [None] * len(elems)
+            for i, g in enumerate(elems):
+                rows[basis_cache[n][(s.inverse() * g).images]] = {i: linalg.ONE}
+            in_gens[s.images] = ChainMap(carrier, carrier, {0: rows}, check=False, sparse=True)
         components[(color, k)] = BimoduleComponent(
             color_key(palette, color), k, carrier, {}, in_gens
         )

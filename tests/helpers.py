@@ -240,6 +240,32 @@ def kron(a, b):
     return out
 
 
+def dense_mul(a, b):
+    """a @ b for dense matrices, by the definition."""
+    cols = len(b[0]) if b else 0
+    return [[sum((x * b[k][j] for k, x in enumerate(row) if x), F(0)) for j in range(cols)] for row in a]
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def dense_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
+
+
+def dense_is_zero(m):
+    return all(x == 0 for row in m for x in row)
+
+
 # -- dense references for the exact kernel ------------------------------------
 # The dense Gauss-Jordan algorithms that propcalc's linalg and TensorSpace used
 # before they worked on nonzeros only; the kernel tests hold the sparse code to
@@ -366,7 +392,7 @@ def reference_coinvariant_quotient(space, relation_maps):
     boundary = {}
     for n in sorted(dims):
         if dims.get(n - 1):
-            boundary[n] = linalg.mat_mul(projs[n - 1], linalg.mat_mul(space.d(n), sects[n]))
+            boundary[n] = dense_mul(projs[n - 1], dense_mul(space.d_mat(n), sects[n]))
     quotient = ChainComplex(dims, boundary)
     proj = ChainMap(space, quotient, {n: projs[n] for n in dims}, check=False)
     sect = ChainMap(quotient, space, {n: sects[n] for n in dims}, check=False)
@@ -388,7 +414,7 @@ def dense_tensor_boundary(space):
                     continue
                 lower = comp[:slot] + (comp[slot] - 1,) + comp[slot + 1 :]
                 sign = -1 if sum(comp[:slot]) % 2 else 1
-                dmat = factor.d(comp[slot])
+                dmat = factor.d_mat(comp[slot])
                 for i_tgt in range(factor.dim(comp[slot] - 1)):
                     val = dmat[i_tgt][idxs[slot]]
                     if val != 0:
@@ -452,7 +478,7 @@ def reference_assemble_tensor_map(src_space, tgt_space, groups):
                 ]
             for acc_comp, acc_idx, coeff in terms:
                 big[tgt_space.flat_index(acc_comp, acc_idx)][col] = coeff
-        if not linalg.is_zero(big):
+        if not dense_is_zero(big):
             mats[n] = big
     return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
 
@@ -484,6 +510,44 @@ def reference_factor_permutation_map(factors, perm):
             big[tgt_space.flat_index(tuple(tcomp), tuple(tidx))][col] = F(sign)
         mats[n] = big
     return ChainMap(src_space.complex, tgt_space.complex, mats, 0, check=False)
+
+
+def is_signed_permutation(f):
+    """Is f a degree-0 map between complexes of equal dims whose every row and
+    every column holds exactly one nonzero entry, 1 or -1?"""
+    if f.degree or f.source.dims != f.target.dims:
+        return False
+    for n, d in f.source.dims.items():
+        m = f.mat(n)
+        if sorted(c for row in m for c, x in enumerate(row) if x != 0) != list(range(d)):
+            return False
+        if any(sorted(abs(x) for x in row if x != 0) != [1] for row in m):
+            return False
+    return True
+
+
+def reference_compose(f, g):
+    """f o g as dense matrix products, degree by degree."""
+    mats = {}
+    for j in g.source.degrees():
+        if f.target.dim(j + g.degree + f.degree):
+            prod = dense_mul(f.mat(j + g.degree), g.mat(j))
+            if not dense_is_zero(prod):
+                mats[j] = prod
+    return ChainMap(g.source, f.target, mats, f.degree + g.degree, check=False)
+
+
+def reference_place_blocks(source, target, blocks):
+    """place_blocks filled entry by entry into dense zero matrices."""
+    mats = {n: [[F(0)] * source.dim(n) for _ in range(target.dim(n))] for n in source.degrees()}
+    for f, rows, cols in blocks:
+        for n in f.source.degrees():
+            for i, row in enumerate(f.mat(n)):
+                for j, x in enumerate(row):
+                    if x != 0:
+                        mats[n][rows.get(n, 0) + i][cols.get(n, 0) + j] = x
+    mats = {n: m for n, m in mats.items() if not dense_is_zero(m)}
+    return ChainMap(source, target, mats, check=False)
 
 
 def random_rank_deficient(rng, rows, cols, density):
@@ -796,9 +860,9 @@ def reference_validate_component(comp):
             for n in comp.carrier.degrees():
                 if n == 0:
                     continue
-                lhs = linalg.mat_mul(comp.carrier.d(n), m.mat(n))
-                rhs = linalg.mat_mul(m.mat(n - 1), comp.carrier.d(n))
-                if not linalg.mat_eq(lhs, rhs):
+                lhs = dense_mul(comp.carrier.d_mat(n), m.mat(n))
+                rhs = dense_mul(m.mat(n - 1), comp.carrier.d_mat(n))
+                if lhs != rhs:
                     failures.append("action %r does not commute with the differential" % (images,))
                     break
     out_elems = stabilizer_elements(comp.out_key)
@@ -1089,9 +1153,10 @@ def reference_algebra_check(alg):
 
 def reference_lift_solve(prob):
     """LiftProblem.solve as propcalc computed it before its rows went to the
-    sparse solve: dict rows densified for the dense reference solve, every
-    coefficient multiplied, entries read back one at a time."""
-    from propcalc.chains import Unsolvable, _columns
+    sparse solve: each equation's row-form matrices densified, every
+    coefficient multiplied, entries read back one at a time, and the system
+    solved densely."""
+    from propcalc.chains import Unsolvable
 
     offsets = {}
     nvars = 0
@@ -1101,29 +1166,26 @@ def reference_lift_solve(prob):
     rows = []
     rhs_col = []
     for terms, rhs, er, ec in prob.equations:
-        sparse_terms = []
+        rhs = linalg.to_dense(rhs, ec)
+        dense_terms = []
         for coeff, L, j, R in terms:
             if j not in offsets:
                 continue
             base, vr, vc = offsets[j]
-            if L is None:
-                l_rows = [[(a, F(1))] if a < vr else [] for a in range(er)]
-            else:
-                l_rows = [linalg.nonzeros(L[a][:vr]) for a in range(er)]
-            if R is None:
-                r_cols = [[(b, F(1))] if b < vc else [] for b in range(ec)]
-            else:
-                r_cols = _columns([row[:ec] for row in R[:vc]])
-            sparse_terms.append((coeff, base, vc, l_rows, r_cols))
+            L = [[F(int(a == p)) for p in range(vr)] for a in range(er)] if L is None else linalg.to_dense(L, vr)
+            R = [[F(int(q == b)) for b in range(ec)] for q in range(vc)] if R is None else linalg.to_dense(R, ec)
+            l_rows = [[(p, x) for p, x in enumerate(L[a]) if x != 0] for a in range(er)]
+            r_cols = [[(q, R[q][b]) for q in range(vc) if R[q][b] != 0] for b in range(ec)]
+            dense_terms.append((coeff, base, vc, l_rows, r_cols))
         for a in range(er):
             for b in range(ec):
                 row = {}
-                for coeff, base, vc, l_rows, r_cols in sparse_terms:
+                for coeff, base, vc, l_rows, r_cols in dense_terms:
                     for p, lv in l_rows[a]:
                         for qcol, rv in r_cols[b]:
                             k = base + p * vc + qcol
                             row[k] = row.get(k, F(0)) + coeff * lv * rv
-                if row or rhs[a][b] != 0:
+                if any(v != 0 for v in row.values()) or rhs[a][b] != 0:
                     rows.append(row)
                     rhs_col.append([rhs[a][b]])
     if not rows:

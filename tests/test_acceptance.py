@@ -17,6 +17,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dense_add,
+    dense_mul,
+    dense_scale,
+    dense_sub,
     ground_field_structure,
     homotopy_assoc_presentation,
     inclusion_from_field,
@@ -148,7 +152,7 @@ def test_criterion_3_coinvariants_oracle():
         for g in stabilizer_elements(mid):
             a = x.rho_in(g).mat(0)
             b = y.rho_out(g).mat(0)
-            rel = linalg.mat_sub(
+            rel = dense_sub(
                 kron(a, linalg.identity(dy)),
                 kron(linalg.identity(dx), b),
             )
@@ -159,10 +163,10 @@ def test_criterion_3_coinvariants_oracle():
         total = linalg.zeros(dim, dim)
         elems = stabilizer_elements(mid)
         for g in elems:
-            total = linalg.mat_add(
+            total = dense_add(
                 total, kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0))
             )
-        oracle_b = linalg.rank(linalg.mat_scale(F(1, len(elems)), total))
+        oracle_b = linalg.rank(dense_scale(F(1, len(elems)), total))
         if got != oracle_a or got != oracle_b:
             ok = False
             break
@@ -289,16 +293,16 @@ def test_criterion_6_transfer_witness():
     # degrees 0 and 1, mu3 has degree 1, so D(mu3)_0 = d o mu3_0 and
     # lambda(d mu3)_0 = mu2 (mu2 (x) iota)_0 - mu2 (iota (x) mu2)_0 on the
     # degree-0 cube basis.
-    d1 = x.d(1)
+    d1 = x.d_mat(1)
     n0 = x.dim(0)
     m2 = mu2.mat(0)
     i0 = iota.mat(0)
     # (mu2 (x) iota) and (iota (x) mu2) on the degree-0 part of X (x) X (x) X:
-    left = linalg.mat_mul(m2, kron(m2, i0))
-    right = linalg.mat_mul(m2, kron(i0, m2))
-    assoc0 = linalg.mat_sub(left, right)
-    dmu3_0 = linalg.mat_mul(d1, mu3.mat(0))
-    if not linalg.mat_eq(assoc0, dmu3_0):
+    left = dense_mul(m2, kron(m2, i0))
+    right = dense_mul(m2, kron(i0, m2))
+    assoc0 = dense_sub(left, right)
+    dmu3_0 = dense_mul(d1, mu3.mat(0))
+    if assoc0 != dmu3_0:
         ok = False
     # morphism squares at every generator, locally: f_d o phi = phi_Y o f_c
     fm = f.maps["c"].mat(0)
@@ -308,9 +312,9 @@ def test_criterion_6_transfer_witness():
         phi_y = st_y.assignment[name].chain
         f_in = _local_kron_many([fm] * len(gen.in_profile))
         if gen.degree == 0:
-            lhs = linalg.mat_mul(fm, phi_x.mat(0))
-            rhs = linalg.mat_mul(phi_y.mat(0), f_in)
-            if not linalg.mat_eq(lhs, rhs):
+            lhs = dense_mul(fm, phi_x.mat(0))
+            rhs = dense_mul(phi_y.mat(0), f_in)
+            if lhs != rhs:
                 ok = False
     if rep1["algebra_failures"] or not rep1["morphism_ok"]:
         ok = False
@@ -324,10 +328,10 @@ def test_criterion_6_transfer_witness():
     mu2b = st_y2.assignment["mu2"].chain
     iotab = st_y2.assignment["iota"].chain
     mu3b = st_y2.assignment["mu3"].chain
-    d1b = y2.d(1)
-    leftb = linalg.mat_mul(mu2b.mat(0), kron(mu2b.mat(0), iotab.mat(0)))
-    rightb = linalg.mat_mul(mu2b.mat(0), kron(iotab.mat(0), mu2b.mat(0)))
-    if not linalg.mat_eq(linalg.mat_sub(leftb, rightb), linalg.mat_mul(d1b, mu3b.mat(0))):
+    d1b = y2.d_mat(1)
+    leftb = dense_mul(mu2b.mat(0), kron(mu2b.mat(0), iotab.mat(0)))
+    rightb = dense_mul(mu2b.mat(0), kron(iotab.mat(0), mu2b.mat(0)))
+    if dense_sub(leftb, rightb) != dense_mul(d1b, mu3b.mat(0)):
         ok = False
     report(6, "transfer along projection and inclusion, verified directly", ok)
 
@@ -413,9 +417,9 @@ def test_criterion_7_splitsquare_equivalence():
         for name, gen in sorted(sig.generators.items()):
             f_out = _local_kron_many([f.maps[c].mat(0) for c in gen.out_profile.entries])
             f_in = _local_kron_many([f.maps[c].mat(0) for c in gen.in_profile.entries])
-            lhs = linalg.mat_mul(f_out, st_x.assignment[name].chain.mat(0))
-            rhs = linalg.mat_mul(st_y.assignment[name].chain.mat(0), f_in)
-            if not linalg.mat_eq(lhs, rhs):
+            lhs = dense_mul(f_out, st_x.assignment[name].chain.mat(0))
+            rhs = dense_mul(st_y.assignment[name].chain.mat(0), f_in)
+            if lhs != rhs:
                 direct = False
                 break
         if got != direct:

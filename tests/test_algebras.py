@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dense_vec,
     field_plus_disc_family,
     ground_field_structure,
     homotopy_assoc_presentation,
@@ -464,8 +465,8 @@ def mapping_path_factorization(g: FamilyMap):
             for vec in embed_n:
                 av = vec[: a.dim(n)]
                 pv = vec[a.dim(n) :]
-                da = linalg.mat_vec(a.d(n), av) if a.dim(n - 1) else []
-                dp = linalg.mat_vec(pc.d(n), pv) if pc.dim(n - 1) else []
+                da = dense_vec(a.d_mat(n), av) if a.dim(n - 1) else []
+                dp = dense_vec(pc.d_mat(n), pv) if pc.dim(n - 1) else []
                 full = list(da) + list(dp)
                 sol, cert = linalg.solve(lo_mat, [[v] for v in full])
                 assert cert is None
@@ -493,8 +494,8 @@ def mapping_path_factorization(g: FamilyMap):
             cols = []
             for j in range(a.dim(n)):
                 avec = [F(1) if i == j else F(0) for i in range(a.dim(n))]
-                gv = linalg.mat_vec(g.maps[color].mat(n), avec) if c.dim(n) else []
-                sv = linalg.mat_vec(s.mat(n), gv) if pc.dim(n) else []
+                gv = dense_vec(g.maps[color].mat(n), avec) if c.dim(n) else []
+                sv = dense_vec(s.mat(n), gv) if pc.dim(n) else []
                 full = avec + list(sv)
                 sol, cert = linalg.solve(lo_mat, [[v] for v in full])
                 assert cert is None

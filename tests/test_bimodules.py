@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dense_add,
+    dense_scale,
+    dense_sub,
     induced_dim_law,
+    is_signed_permutation,
     kron,
     reference_box_dot_gens,
     reference_coinvariant_quotient,
@@ -37,7 +41,6 @@ from propcalc.chains import (
     TensorSpace,
     assemble_tensor_map,
     base_field_complex,
-    signed_permutation_form,
 )
 from propcalc.profiles import (
     OrbitKey,
@@ -132,8 +135,8 @@ def test_validate_rejects_actions_that_do_not_commute_with_d():
     out_key, in_key = key(PAL1, "x", "x"), key(PAL1, "x")
     s = stabilizer_generators(out_key)[0].images
     for mats, signed in (({0: [[F(1)]], 1: [[F(-1)]]}, True), ({0: [[F(2)]], 1: [[F(1)]]}, False)):
-        action = signed_permutation_form(ChainMap(disc, disc, mats, check=False))
-        assert (action.perm is not None) == signed
+        action = ChainMap(disc, disc, mats, check=False)
+        assert is_signed_permutation(action) == signed
         comp = BimoduleComponent(out_key, in_key, disc, {s: action}, {})
         failures = comp.validate()
         assert "action %r does not commute with the differential" % (s,) in failures
@@ -175,7 +178,7 @@ def young_rep(rng, k, side, natural):
     out = {}
     for s in stabilizer_generators(k):
         color = k.rep.entries[next(i for i, x in enumerate(s.images) if x != i + 1)]
-        out[s.images] = linalg.mat_scale(signs[color], perms[s.images] if natural else [[F(1)]])
+        out[s.images] = dense_scale(signs[color], perms[s.images] if natural else [[F(1)]])
     return out
 
 
@@ -273,7 +276,7 @@ def test_validate_matches_reference_on_valid_broken_and_noncommuting_components(
             # a generator scaled by 2 is no involution: the out group law fails
             s = rng.choice(out_gens)
             j = rng.choice([0, 1])
-            broken = with_generator(comp, "out", s.images, j, linalg.mat_scale(F(2), comp.out_gens[s.images].mat(j)))
+            broken = with_generator(comp, "out", s.images, j, dense_scale(F(2), comp.out_gens[s.images].mat(j)))
             failures = assert_validate_matches_reference(broken)
             seen["law"] += any("group law" in f for f in failures)
         if in_gens and comp.carrier.dim(0) > 1:
@@ -382,7 +385,7 @@ def test_component_at_trivial_action_transports_identically():
     carrier, structure = component_at(mod, kd.rep, kc.rep)
     for imgs in itertools.permutations([1, 2]):
         m = structure(Permutation(imgs), Permutation([1]))
-        assert linalg.mat_eq(m.mat(0), linalg.identity(3))
+        assert m.mat(0) == linalg.identity(3)
 
 
 def test_component_at_sign_action():
@@ -399,7 +402,7 @@ def test_component_at_functoriality_random():
     rng = random.Random(0)
     kd = key(PAL, "a", "a", "b")
     kc = key(PAL, "b", "b")
-    neg3 = {s.images: linalg.mat_scale(F(-1), linalg.identity(3)) for s in stabilizer_generators(kc)}
+    neg3 = {s.images: dense_scale(F(-1), linalg.identity(3)) for s in stabilizer_generators(kc)}
     comp = make_component(
         kd,
         kc,
@@ -498,7 +501,7 @@ def classical_tensor_over_group_dim(x, y, mid_key):
     for g in stabilizer_elements(mid_key):
         a = x.rho_in(g).mat(0)
         b = y.rho_out(g).mat(0)
-        rel = linalg.mat_sub(kron(a, linalg.identity(y.carrier.dim(0))),
+        rel = dense_sub(kron(a, linalg.identity(y.carrier.dim(0))),
                              kron(linalg.identity(x.carrier.dim(0)), b))
         for j in range(dim):
             rows.append([rel[i][j] for i in range(dim)])
@@ -515,8 +518,8 @@ def averaging_rank(x, y, mid_key):
     for g in elems:
         a = x.rho_in(g.inverse()).mat(0)
         b = y.rho_out(g).mat(0)
-        total = linalg.mat_add(total, kron(a, b))
-    total = linalg.mat_scale(F(1, len(elems)), total)
+        total = dense_add(total, kron(a, b))
+    total = dense_scale(F(1, len(elems)), total)
     return linalg.rank(total)
 
 
@@ -552,10 +555,8 @@ def test_coinvariant_quotient_matches_reference():
             for g in gens
         ]
         cases += [(x.carrier, [x.rho_in(g) for g in gens]), (space.complex, diagonal)]
-    # the same relations as signed-permutation records, where they are ones
-    records = [(carrier, [signed_permutation_form(m) for m in relations]) for carrier, relations in cases]
-    assert sum(m.perm is not None for _, relations in records for m in relations) >= 60
-    cases += records
+    # most relations are signed permutations
+    assert sum(is_signed_permutation(m) for _, relations in cases for m in relations) >= 60
     # maps that are not signed permutations: column 0 of the shear has a 1 on
     # the diagonal and another nonzero entry, and is its only relation
     shear = [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
@@ -994,7 +995,7 @@ def graded_component(out_key, in_key, sign_out=False, sign_in=False, n=1):
     carrier = ChainComplex({0: n, 1: n}, {1: linalg.identity(n)})
 
     def mats(flag):
-        m = linalg.mat_scale(F(-1) if flag else F(1), linalg.identity(n))
+        m = dense_scale(F(-1) if flag else F(1), linalg.identity(n))
         return ChainMap(carrier, carrier, {0: m, 1: m}, check=False)
 
     out_gens = {s.images: mats(sign_out) for s in stabilizer_generators(out_key)}
@@ -1032,11 +1033,11 @@ def test_multicolor_middle_averaging_cross_check():
         total = linalg.zeros(dim_x * dim_y, dim_x * dim_y)
         elems = stabilizer_elements(mid)
         for g in elems:
-            total = linalg.mat_add(
+            total = dense_add(
                 total,
                 kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0)),
             )
-        avg_rank = linalg.rank(linalg.mat_scale(F(1, len(elems)), total))
+        avg_rank = linalg.rank(dense_scale(F(1, len(elems)), total))
         assert comp.carrier.dim(0) == avg_rank
 
 
@@ -1074,15 +1075,15 @@ def all_gens(module):
     return [m for comp in module.components.values() for m in list(comp.out_gens.values()) + list(comp.in_gens.values())]
 
 
-def test_general_actions_keep_the_dense_path_through_products():
+def test_general_and_signed_actions_match_references_through_products():
     general = involution_bimodule()
     small = involution_bimodule(graded=False, inward=False)
     small_b = involution_bimodule(graded=False, inward=False, color="b")
     signed = load_golden("sign_a.json")
-    # the loader keeps the involution dense and makes the sign action a record
-    assert all_gens(general) and all(m.perm is None for m in all_gens(general))
-    assert all_gens(signed) and all(m.perm is not None for m in all_gens(signed))
-    assert any(neg for m in all_gens(signed) for _, negs in m.perm.values() for neg in negs)
+    # the involution is a general map, the sign action a signed permutation with -1 entries
+    assert all_gens(general) and not any(map(is_signed_permutation, all_gens(general)))
+    assert all_gens(signed) and all(map(is_signed_permutation, all_gens(signed)))
+    assert any(x == -1 for m in all_gens(signed) for mat in m.mats.values() for row in mat for x in row)
     for comp in general.components.values():
         assert comp.validate() == reference_validate_component(comp) == []
     products = [box_v(general, general), box_h(small, small_b), box_h(signed, small), box_h(small, signed)]
@@ -1096,7 +1097,7 @@ def test_general_actions_keep_the_dense_path_through_products():
         for comp in product.components.values():
             for piece in comp.layout.pieces:
                 factors = piece.component.layout.factors
-                mixed += len({m.perm is None for f in factors for m in list(f.out_gens.values()) + list(f.in_gens.values())}) == 2
+                mixed += len({is_signed_permutation(m) for f in factors for m in list(f.out_gens.values()) + list(f.in_gens.values())}) == 2
                 out_gens, in_gens = reference_box_dot_gens(PAL, list(factors))
                 for ours, theirs in ((piece.component.out_gens, out_gens), (piece.component.in_gens, in_gens)):
                     assert set(ours) == set(theirs)

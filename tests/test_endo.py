@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import kron, random_permutation, reference_endo_permute
+from helpers import dense_mul, dense_scale, kron, random_permutation, reference_endo_permute
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex, factor_permutation_map
 from propcalc.endo import (
@@ -84,7 +84,7 @@ def test_hom_differential_squares_to_zero():
         hom, _ = endo_component(fam, prof("a", "b"), prof("b"))
         for n in hom.degrees():
             if hom.dim(n) and hom.dim(n - 2):
-                assert linalg.is_zero(linalg.mat_mul(hom.d(n - 1), hom.d(n)))
+                assert not any(linalg.mat_mul(hom.d(n - 1), hom.d(n)))
 
 
 def test_vertical_identity():
@@ -102,7 +102,7 @@ def test_vertical_is_matrix_product_in_degree_zero():
     f = EndoElement.from_mats(fam, prof("a"), prof("b"), 0, {0: [[1, 2], [3, 4]]})
     g = EndoElement.from_mats(fam, prof("b"), prof("a"), 0, {0: [[0, 1], [1, 0]]})
     fg = endo_vertical(f, g)
-    assert fg.chain.mat(0) == linalg.mat_mul(f.chain.mat(0), g.chain.mat(0))
+    assert fg.chain.mat(0) == dense_mul(f.chain.mat(0), g.chain.mat(0))
 
 
 def test_vertical_middle_mismatch():
@@ -274,7 +274,7 @@ def random_invertible_family_map(rng, fam):
         x = fam.complexes[c]
         # one global scaling per color commutes with the differential and is invertible
         scale = F(rng.choice([1, 2, 3]))
-        mats = {j: linalg.mat_scale(scale, linalg.identity(x.dim(j))) for j in x.degrees()}
+        mats = {j: dense_scale(scale, linalg.identity(x.dim(j))) for j in x.degrees()}
         maps[c] = ChainMap(x, x, mats)
     return FamilyMap(fam, fam, maps)
 

@@ -537,7 +537,7 @@ def test_families_that_differ_are_not_merged(tmp_path):
     fams = {name: ws.resolve(name) for name in ("base", "copy", "entry", "order")}
     assert fams["base"] is fams["copy"]
     assert len({id(f) for f in fams.values()}) == 3
-    assert fams["entry"].complexes["a"].d(1) == [[F(2)]]
+    assert fams["entry"].complexes["a"].d_mat(1) == [[F(2)]]
     assert fams["order"].palette.colors == ("b", "a")
     # a family map from one to the other keeps both
     (tmp_path / "map.json").write_text(

@@ -15,7 +15,7 @@ import pytest
 
 from golden.record import INPUTS
 from helpers import exact_scalar, homotopy_assoc_presentation
-from propcalc import formats
+from propcalc import formats, linalg
 from propcalc.exprs import expr_to_graph, parse
 from propcalc.formats import FormatError, Workspace, dumps, parse_rational, rational_str, to_json
 from propcalc.operads import associative_operad
@@ -112,7 +112,7 @@ def test_dumps_seeded_rational_matrices_match_json():
              for _ in range(cols)]
             for _ in range(rows)
         ]
-        payload = {"kind": "x", "mats": {str(j): formats.matrix_to_json(m) for j in range(2)}}
+        payload = {"kind": "x", "mats": {str(j): formats.matrix_to_json(linalg.to_rows(m), cols) for j in range(2)}}
         assert dumps(payload) == oracle(payload)
 
 

@@ -17,6 +17,7 @@ import pytest
 from propcalc import linalg
 from helpers import (
     dense_kernel_basis,
+    dense_mul,
     dense_quotient_by_rowspace,
     dense_rank,
     dense_row_echelon,
@@ -79,7 +80,7 @@ def test_rank_and_kernel_match_dense_reference():
         basis = linalg.kernel_basis(m)
         assert basis == dense_kernel_basis(m)
         for v in basis:
-            assert all(x == 0 for x in linalg.mat_vec(m, v))
+            assert all(x == 0 for x in linalg.mat_vec(linalg.to_rows(m), v))
 
 
 def test_solve_matches_dense_reference_with_certificates():
@@ -89,7 +90,7 @@ def test_solve_matches_dense_reference_with_certificates():
         rows, cols = len(m), len(m[0])
         # a consistent right-hand side (an image) and an arbitrary one
         x0 = [[F(rng.randint(-2, 2)) for _ in range(2)] for _ in range(cols)]
-        for rhs in (linalg.mat_mul(m, x0), [[F(rng.randint(-3, 3)), F(0)] for _ in range(rows)]):
+        for rhs in (dense_mul(m, x0), [[F(rng.randint(-3, 3)), F(0)] for _ in range(rows)]):
             ours = linalg.solve(m, rhs)
             assert ours == dense_solve(m, rhs)
             x, cert = ours
@@ -98,7 +99,7 @@ def test_solve_matches_dense_reference_with_certificates():
                 i, residual = cert
                 assert all(v == 0 for v in residual[:cols]) and any(v != 0 for v in residual[cols:])
             else:
-                assert linalg.mat_mul(m, x) == rhs
+                assert dense_mul(m, x) == rhs
     assert inconsistent > 0
 
 
@@ -108,7 +109,7 @@ def test_quotient_by_rowspace_matches_dense_reference():
         proj, sect = linalg.quotient_by_rowspace(m, dim)
         assert (proj, sect) == dense_quotient_by_rowspace(m, dim)
         if proj:
-            assert linalg.mat_mul(proj, sect) == linalg.identity(len(proj))
+            assert dense_mul(proj, sect) == linalg.identity(len(proj))
 
 
 def test_mat_mul_matches_the_definition():
@@ -120,7 +121,9 @@ def test_mat_mul_matches_the_definition():
             [sum((a[i][k] * b[k][j] for k in range(cols) if a[i][k] and b[k][j]), F(0)) for j in range(rows)]
             for i in range(rows)
         ]
-        assert linalg.mat_mul(a, b) == expected
+        product = linalg.mat_mul(linalg.to_rows(a), linalg.to_rows(b))
+        assert linalg.to_dense(product, rows) == expected
+        assert all(x != 0 and exact_scalar(x) for row in product for x in row.values())
 
 
 def test_rref_matches_sympy():
@@ -149,7 +152,7 @@ def test_solve_rows_matches_dense_reference_with_certificates():
         rows, cols = len(m), len(m[0])
         x0 = [[F(rng.randint(-2, 2))] for _ in range(cols)]
         arbitrary = [[F(rng.choice([0, 0, 1, -3]), rng.choice([1, 2]))] for _ in range(rows)]
-        for rhs in (linalg.mat_mul(m, x0), arbitrary, linalg.zeros(rows, 1)):
+        for rhs in (dense_mul(m, x0), arbitrary, linalg.zeros(rows, 1)):
             expected = dense_solve(m, rhs)
             sparse = dict_rows(m)
             seen["zero rhs"] += sum(1 for b in rhs if b[0] == 0)
@@ -164,7 +167,7 @@ def test_solve_rows_matches_dense_reference_with_certificates():
             else:
                 seen["solved"] += 1
                 assert all(exact_scalar(v) for row in x for v in row)
-                assert linalg.mat_mul(m, x) == rhs
+                assert dense_mul(m, x) == rhs
     assert all(seen.values()), seen
 
 
@@ -184,7 +187,7 @@ def test_solve_rows_matches_sympy_gauss_jordan():
         for _ in range(4):
             m = random_rank_deficient(rng, rows, cols, density)
             x0 = [[F(rng.randint(-2, 2))] for _ in range(cols)]
-            for rhs in (linalg.mat_mul(m, x0), [[F(rng.randint(-2, 2))] for _ in range(rows)]):
+            for rhs in (dense_mul(m, x0), [[F(rng.randint(-2, 2))] for _ in range(rows)]):
                 x, cert = linalg.solve_rows(dict_rows(m), rhs, cols)
                 try:
                     sol, params = sympy.Matrix(m).gauss_jordan_solve(sympy.Matrix(rhs))
@@ -312,13 +315,28 @@ def test_constructors_and_scalings_never_store_bools_or_floats():
     from propcalc.chains import ChainComplex, ChainMap
 
     x = ChainComplex({0: 2, 1: 2}, {1: [[True, 0.5], [False, "3/6"]]})
-    assert x.d(1) == [[1, F(1, 2)], [0, F(1, 2)]]
+    assert x.d(1) == [{0: 1, 1: F(1, 2)}, {1: F(1, 2)}]
+    assert x.d_mat(1) == [[1, F(1, 2)], [0, F(1, 2)]]
     f = ChainMap(x, x, {0: [[3.0, "0/3"], [False, "6/2"]], 1: [["9/3", -0.0], [False, 3]]})
     assert f.mat(0) == f.mat(1) == [[3, 0], [0, 3]]
     scaled = [f.scale(c).mat(0) for c in (True, 0.5, "1/2", F(4, 2))]
     assert scaled == [[[3, 0], [0, 3]], [[F(3, 2), 0], [0, F(3, 2)]], [[F(3, 2), 0], [0, F(3, 2)]], [[6, 0], [0, 6]]]
-    for m in [x.d(1), f.mat(0), f.mat(1)] + scaled:
+    assert f.rows == {0: [{0: 3}, {1: 3}], 1: [{0: 3}, {1: 3}]}
+    for m in [x.d_mat(1), f.mat(0), f.mat(1)] + scaled:
         assert all(exact_scalar(v) for row in m for v in row), m
     assert [type(linalg.exact(v)) for v in (True, 2.0, -0.0, "8/4", F(6, 3), 2**70)] == [int] * 6
     assert [linalg.quotient(6, -3), linalg.quotient(-3, 6), linalg.quotient(F(1, 2), 2)] == [-2, F(-1, 2), F(1, 4)]
     assert type(linalg.quotient(6, -3)) is int
+
+
+def test_row_products_sums_and_scalings_make_integral_fractions_ints():
+    half = F(1, 2)
+    scaled = linalg.mat_scale(half, [{0: 2, 1: 3}])
+    product = linalg.mat_mul([{0: half}], [{0: 2}])
+    total = linalg.mat_add([{0: half}], [{0: half}])
+    assert scaled == [{0: 1, 1: F(3, 2)}] and product == [{0: 1}] and total == [{0: 1}]
+    assert [type(x) for row in scaled + product + total for x in row.values()] == [int, F, int, int]
+    # entries that cancel are dropped, not stored as zeros
+    assert linalg.mat_add([{0: half, 1: 1}], [{0: -half}]) == [{1: 1}]
+    assert linalg.mat_mul([{0: 1, 1: 1}], [{0: half}, {0: -half}]) == [{}]
+    assert linalg.mat_scale(0, [{0: half}]) == [{}]
