@@ -14,6 +14,11 @@ representative to the factors, with monotone within-factor order.  A Young
 element then permutes placements and twists decorations by the unique
 block-internal corrections, which is exactly the classical coset formula
 g.(rH, w) = (r'H, h.w).
+
+The transported compositions (vertical on box_h, horizontal on box_v) are
+sums of kernel maps iota o (f (x) g) o switch o split, with a projection to
+the coinvariants before iota on box_v; split reads (p1 (x) q1) (x) (p2 (x)
+q2) off two basis pieces and the switch moves q1 past p2, Koszul-signed.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from propcalc.chains import (
     TensorSpace,
     assemble_tensor_map,
     direct_sum,
+    factor_permutation_map,
     place_blocks,
     sum_offsets,
 )
@@ -200,11 +206,6 @@ class InducedLayout(NamedTuple):
         n_ins = len(ins)
         index = {(ao, ai): a * n_ins + b for a, ao in enumerate(outs) for b, ai in enumerate(ins)}
         return cls(tuple(factors), tuple(outs), tuple(ins), tensor, index)
-
-    def flat(self, n: int, out_place, in_place, tensor_flat: int) -> int:
-        """Degree-n carrier index of tensor basis vector tensor_flat in the copy
-        of the placement pair."""
-        return self.index[(out_place, in_place)] * self.tensor.complex.dim(n) + tensor_flat
 
     def copy_offsets(self, copy: int):
         """Per-degree first carrier index of the given copy."""
@@ -821,238 +822,135 @@ class HPropData:
         return ChainMap.zero(src, tgt)
 
 
-def induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
-    """Vertical composition on P box_h Q, summandwise along matching middles.
+def _switched_tensor(f: ChainMap, g: ChainMap, first: TensorSpace, second: TensorSpace, target: TensorSpace):
+    """The shared core (f (x) g) o switch of the transported compositions.
 
-    The composite of basis elements is zero unless the two middle splittings
-    agree (same orbit pair and same placement); otherwise it composes the P
-    and Q decorations with the Koszul switch sign.  Returns (module, VPropData).
+    On first (x) second = a (x) b (x) c (x) d, the switch sends a (x) b (x) c
+    (x) d to a (x) c (x) b (x) d with the Koszul sign, then f: a (x) c and
+    g: b (x) d map into the two factors of target.  Returns the TensorSpace
+    over [a, b, c, d] and the map.
     """
-    p, q = p_data.module, q_data.module
-    r = box_h(p, q)
+    a, b = first.factors
+    c, d = second.factors
+    space, switched = TensorSpace([a, b, c, d]), TensorSpace([a, c, b, d])
+    switch = factor_permutation_map(space.factors, Permutation([1, 3, 2, 4]), space, switched)
+    fg = assemble_tensor_map(
+        switched,
+        target,
+        [(TensorSpace([a, c]), TensorSpace([f.target]), f), (TensorSpace([b, d]), TensorSpace([g.target]), g)],
+    )
+    return space, fg.compose(switch)
+
+
+def _shifted(offsets, extra):
+    return {n: offsets.get(n, 0) + extra.get(n, 0) for n in offsets.keys() | extra.keys()}
+
+
+def _copy_projection(carrier: ChainComplex, layout: InducedLayout, piece_offsets, pair) -> ChainMap:
+    """carrier -> layout.tensor: the coordinates of the copy of the placement
+    pair, in the induced piece that starts at piece_offsets."""
+    cols = _shifted(piece_offsets, layout.copy_offsets(layout.index[pair]))
+    tensor = layout.tensor.complex
+    return place_blocks(carrier, tensor, [(ChainMap.identity(tensor), {}, cols)])
+
+
+def induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
+    """Vertical composition on P box_h Q.  Returns (module, VPropData).
+
+    An upper copy (out placement, middle placement) of a piece P(kd1,kb1) .
+    Q(kd2,kb2) and a lower copy (that middle placement, in placement) of
+    P(kb1,kc1) . Q(kb2,kc2) compose to iota_t o (vcomp_P (x) vcomp_Q) o
+    switch o split: split projects onto the copies as p1 (x) q1 (x) p2 (x) q2,
+    and iota_t includes the result as the copy (out placement, in placement)
+    of the target piece.  Copies whose middle placements differ compose to
+    zero; a triple whose target is zero gets no map.
+    """
+    r = box_h(p_data.module, q_data.module)
     vcomp = {}
-    keys = set(r.components)
-    for (kd, kb) in keys:
-        for (kb2, kc) in keys:
-            if kb2 != kb:
-                continue
-            upper = r.component(kd, kb)
-            lower = r.component(kb, kc)
+    for (kd, kb), upper in r.components.items():
+        for (kb2, kc), lower in r.components.items():
             target = r.component(kd, kc)
-            space = TensorSpace([upper.carrier, lower.carrier])
-            mats = {
-                n: linalg.zeros(target.carrier.dim(n), space.complex.dim(n))
-                for n in space.complex.degrees()
-            }
-            _fill_boxh_vertical(
-                p_data, q_data, upper, lower, target, space, mats
-            )
-            vcomp[(kd, kb, kc)] = ChainMap(
-                space.complex, target.carrier, mats, check=False
-            )
+            if kb2 == kb and target is not None:
+                space = TensorSpace([upper.carrier, lower.carrier])
+                terms = _boxh_vertical_terms(p_data, q_data, space, upper, lower, target)
+                vcomp[(kd, kb, kc)] = place_blocks(space.complex, target.carrier, terms)
     return r, VPropData(r, vcomp)
 
 
-def _fill_boxh_vertical(p_data, q_data, upper, lower, target, space, mats):
-    up, low, tgt = upper.layout, lower.layout, target.layout
-    for u_piece, u_off in zip(up.pieces, up.offsets):
+def _boxh_vertical_terms(p_data, q_data, space, upper, lower, target):
+    """The terms as place_blocks blocks; each reads its own pair of copies, so
+    no two share an entry."""
+    us, ls = TensorSpace([upper.carrier]), TensorSpace([lower.carrier])
+    tgt = target.layout
+    for u_piece, u_off in zip(upper.layout.pieces, upper.layout.offsets):
         (kd1, kb1), (kd2, kb2) = u_piece.key
-        for l_piece, l_off in zip(low.pieces, low.offsets):
-            (kb1p, kc1), (kb2p, kc2) = l_piece.key
-            if kb1p != kb1 or kb2p != kb2:
-                continue
-            t = tgt.find(((kd1, kc1), (kd2, kc2)))
+        for l_piece, l_off in zip(lower.layout.pieces, lower.layout.offsets):
+            (kb1_, kc1), (kb2_, kc2) = l_piece.key
+            t = tgt.find(((kd1, kc1), (kd2, kc2))) if (kb1_, kb2_) == (kb1, kb2) else None
             if t is None:
                 continue
             vc_p = p_data.compose_map(kd1, kb1, kc1)
             vc_q = q_data.compose_map(kd2, kb2, kc2)
-            if vc_p.is_zero() and vc_q.is_zero():
+            if vc_p.is_zero() or vc_q.is_zero():
                 continue
-            _fill_boxh_vertical_piece(
-                (u_piece.component.layout, u_off),
-                (l_piece.component.layout, l_off),
-                (tgt.pieces[t].component.layout, tgt.offsets[t]),
-                vc_p,
-                vc_q,
-                space,
-                mats,
-            )
-
-
-def _fill_boxh_vertical_piece(upper, lower, target, vc_p, vc_q, space, mats):
-    """Add the composites of one (upper piece, lower piece) pair; each of
-    upper, lower, target is (InducedLayout, per-degree offset of the piece)."""
-    (ue, u_off), (le, l_off), (te, t_off) = upper, lower, target
-    u_tensor = ue.tensor
-    l_tensor = le.tensor
-    t_tensor = te.tensor
-    p1 = u_tensor.factors[0]
-    q1 = u_tensor.factors[1]
-    p2 = l_tensor.factors[0]
-    q2 = l_tensor.factors[1]
-    tp_space = TensorSpace([p1, p2])
-    tq_space = TensorSpace([q1, q2])
-    p_mats, q_mats = vc_p.mats, vc_q.mats
-    for ao_u in ue.outs:
-        for mid_a in ue.ins:
-            if mid_a not in le.outs:
-                continue
-            for ai_l in le.ins:
-                for du in u_tensor.complex.degrees():
-                    u_start = u_off.get(du, 0) + ue.flat(du, ao_u, mid_a, 0)
-                    for dl in l_tensor.complex.degrees():
-                        n = du + dl
-                        if space.complex.dim(n) == 0:
-                            continue
-                        l_start = l_off.get(dl, 0) + le.flat(dl, mid_a, ai_l, 0)
-                        t_start = t_off.get(n, 0) + te.flat(n, ao_u, ai_l, 0)
-                        for (cu, iu) in u_tensor.basis(du):
-                            u_global = u_start + u_tensor.flat_index(cu, iu)
-                            for (cl, il) in l_tensor.basis(dl):
-                                l_global = l_start + l_tensor.flat_index(cl, il)
-                                col = space.flat_index((du, dl), (u_global, l_global))
-                                dx1, dx2 = cu
-                                dy1, dy2 = cl
-                                i1, i2 = iu
-                                j1, j2 = il
-                                sign = -1 if (dx2 % 2 and dy1 % 2) else 1
-                                pcol = tp_space.flat_index((dx1, dy1), (i1, j1))
-                                qcol = tq_space.flat_index((dx2, dy2), (i2, j2))
-                                mp = p_mats.get(dx1 + dy1)
-                                mq = q_mats.get(dx2 + dy2)
-                                if mp is None or mq is None:
-                                    continue
-                                for rp in range(len(mp)):
-                                    a = mp[rp][pcol]
-                                    if a == 0:
-                                        continue
-                                    for rq in range(len(mq)):
-                                        b = mq[rq][qcol]
-                                        if b == 0:
-                                            continue
-                                        # rows live in P(kd1,kc1) at degree dx1+dy1, Q part likewise
-                                        trow = t_tensor.flat_index((dx1 + dy1, dx2 + dy2), (rp, rq))
-                                        mats[n][t_start + trow][col] += sign * a * b
+            ue, le = u_piece.component.layout, l_piece.component.layout
+            te = tgt.pieces[t].component.layout
+            four, core = _switched_tensor(vc_p, vc_q, ue.tensor, le.tensor, te.tensor)
+            for ao, mid, ai in itertools.product(ue.outs, ue.ins, le.ins):
+                halves = [
+                    (us, ue.tensor, _copy_projection(upper.carrier, ue, u_off, (ao, mid))),
+                    (ls, le.tensor, _copy_projection(lower.carrier, le, l_off, (mid, ai))),
+                ]
+                rows = _shifted(tgt.offsets[t], te.copy_offsets(te.index[(ao, ai)]))
+                yield core.compose(assemble_tensor_map(space, four, halves)), rows, {}
 
 
 def induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None):
-    """Horizontal composition on P box_v Q: switch, compose in P and Q, project
-    back to the middle coinvariants.  Returns (module, HPropData).
+    """Horizontal composition on P box_v Q.  Returns (module, HPropData).
 
-    `module` may supply a prebuilt box_v(P, Q); the construction only depends
-    on it through projections onto the middle coinvariants, never on the
-    choice of sections (section-independence is what makes the map well
-    defined on classes).
+    Middle pieces P(kd1,kb1) (x)_S Q(kb1,kc1) and P(kd2,kb2) (x)_S Q(kb2,kc2)
+    compose to iota_t o proj_t o (hcomp_P (x) hcomp_Q) o switch o split:
+    split lifts the classes through the sections as x1 (x) y1 (x) x2 (x) y2,
+    and proj_t and iota_t take the result to the target piece's coinvariants.
+
+    `module` may supply a prebuilt box_v(P, Q); the result does not depend on
+    the choice of its sections, which is what makes it well defined on classes.
     """
-    p, q = p_data.module, q_data.module
-    r = module if module is not None else box_v(p, q)
+    r = module if module is not None else box_v(p_data.module, q_data.module)
     hcomp = {}
     keys = sorted(r.components, key=lambda kk: (kk[0], kk[1]))
-    for key1 in keys:
-        for key2 in keys:
-            c1 = r.component(*key1)
-            c2 = r.component(*key2)
-            merged_out = merge_keys(r.palette, [key1[0], key2[0]])
-            merged_in = merge_keys(r.palette, [key1[1], key2[1]])
-            target = r.component(merged_out, merged_in)
-            if target is None:
-                continue
+    for key1, key2 in itertools.product(keys, keys):
+        merged_out = merge_keys(r.palette, [key1[0], key2[0]])
+        merged_in = merge_keys(r.palette, [key1[1], key2[1]])
+        target = r.component(merged_out, merged_in)
+        if target is not None:
+            c1, c2 = r.component(*key1), r.component(*key2)
             space = TensorSpace([c1.carrier, c2.carrier])
-            mats = {
-                n: linalg.zeros(target.carrier.dim(n), space.complex.dim(n))
-                for n in space.complex.degrees()
-            }
-            _fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats)
-            hcomp[(key1, key2)] = ChainMap(space.complex, target.carrier, mats, check=False)
+            terms = _boxv_horizontal_terms(p_data, q_data, space, c1, c2, target)
+            hcomp[(key1, key2)] = place_blocks(space.complex, target.carrier, terms)
     return r, HPropData(r, hcomp)
 
 
-def _fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats):
-    lay1, lay2, tgt = c1.layout, c2.layout, target.layout
-    for piece1, off1 in zip(lay1.pieces, lay1.offsets):
-        for piece2, off2 in zip(lay2.pieces, lay2.offsets):
+def _boxv_horizontal_terms(p_data, q_data, space, c1, c2, target):
+    """The terms as place_blocks blocks, one per pair of middle pieces, so no
+    two share an entry."""
+    s1, s2 = TensorSpace([c1.carrier]), TensorSpace([c2.carrier])
+    tgt = target.layout
+    for piece1, off1 in zip(c1.layout.pieces, c1.layout.offsets):
+        for piece2, off2 in zip(c2.layout.pieces, c2.layout.offsets):
             t = tgt.find(merge_keys(p_data.module.palette, [piece1.key, piece2.key]))
             if t is None:
                 continue
-            e1 = piece1.component.layout
-            e2 = piece2.component.layout
-            h_p = p_data.compose_map(
-                (e1.left.out_key, e1.left.in_key), (e2.left.out_key, e2.left.in_key)
-            )
-            h_q = q_data.compose_map(
-                (e1.right.out_key, e1.right.in_key), (e2.right.out_key, e2.right.in_key)
-            )
+            e1, e2 = piece1.component.layout, piece2.component.layout
+            h_p = p_data.compose_map((e1.left.out_key, e1.left.in_key), (e2.left.out_key, e2.left.in_key))
+            h_q = q_data.compose_map((e1.right.out_key, e1.right.in_key), (e2.right.out_key, e2.right.in_key))
             if h_p.is_zero() or h_q.is_zero():
                 continue
-            _fill_boxv_piece(
-                (piece1.component, off1),
-                (piece2.component, off2),
-                (tgt.pieces[t].component.layout, tgt.offsets[t]),
-                h_p,
-                h_q,
-                space,
-                mats,
-            )
-
-
-def _fill_boxv_piece(first, second, target, h_p, h_q, space, mats):
-    """Add the composites of one pair of middle pieces; first and second are
-    (piece component, its per-degree offset), target is (CoinvariantLayout,
-    per-degree offset)."""
-    (c1, off1), (c2, off2), (te, t_off) = first, second, target
-    e1, e2 = c1.layout, c2.layout
-    sp1 = e1.space  # TensorSpace([x1, y1])
-    sp2 = e2.space
-    xp_space = TensorSpace([sp1.factors[0], sp2.factors[0]])
-    yq_space = TensorSpace([sp1.factors[1], sp2.factors[1]])
-    tgt_space = te.space  # TensorSpace([P(kd,mid), Q(mid,kc)])
-    sect1, sect2, proj = e1.sect.mats, e2.sect.mats, te.proj.mats
-    p_mats, q_mats = h_p.mats, h_q.mats
-    for d1 in c1.carrier.degrees():
-        v1 = sect1.get(d1, ())
-        for d2 in c2.carrier.degrees():
-            v2 = sect2.get(d2, ())
-            n = d1 + d2
-            if space.complex.dim(n) == 0:
-                continue
-            pm = proj.get(n, ())
-            for b1 in range(c1.carrier.dim(d1)):
-                for b2 in range(c2.carrier.dim(d2)):
-                    col = space.flat_index(
-                        (d1, d2), (off1.get(d1, 0) + b1, off2.get(d2, 0) + b2)
-                    )
-                    # expand representatives
-                    for r1 in range(len(v1)):
-                        a1 = v1[r1][b1]
-                        if a1 == 0:
-                            continue
-                        (dx1, dy1), (i1, j1) = sp1.unflatten(d1, r1)
-                        for r2 in range(len(v2)):
-                            a2 = v2[r2][b2]
-                            if a2 == 0:
-                                continue
-                            (dx2, dy2), (i2, j2) = sp2.unflatten(d2, r2)
-                            sign = -1 if (dy1 % 2 and dx2 % 2) else 1
-                            pcol = xp_space.flat_index((dx1, dx2), (i1, i2))
-                            qcol = yq_space.flat_index((dy1, dy2), (j1, j2))
-                            mp = p_mats.get(dx1 + dx2)
-                            mq = q_mats.get(dy1 + dy2)
-                            if mp is None or mq is None:
-                                continue
-                            for rp in range(len(mp)):
-                                ap = mp[rp][pcol]
-                                if ap == 0:
-                                    continue
-                                for rq in range(len(mq)):
-                                    aq = mq[rq][qcol]
-                                    if aq == 0:
-                                        continue
-                                    traw = tgt_space.flat_index(
-                                        (dx1 + dx2, dy1 + dy2), (rp, rq)
-                                    )
-                                    for rt in range(len(pm)):
-                                        c = pm[rt][traw]
-                                        if c == 0:
-                                            continue
-                                        row = t_off.get(n, 0) + rt
-                                        mats[n][row][col] += sign * a1 * a2 * ap * aq * c
+            te = tgt.pieces[t].component.layout
+            four, core = _switched_tensor(h_p, h_q, e1.space, e2.space, te.space)
+            halves = [
+                (s1, e1.space, place_blocks(c1.carrier, e1.space.complex, [(e1.sect, {}, off1)])),
+                (s2, e2.space, place_blocks(c2.carrier, e2.space.complex, [(e2.sect, {}, off2)])),
+            ]
+            term = te.proj.compose(core).compose(assemble_tensor_map(space, four, halves))
+            yield term, tgt.offsets[t], {}

@@ -45,6 +45,9 @@ def _coerce(blocks, expected_shape, zero_name, shape_name):
     out = {}
     for j, m in dict(blocks).items():
         j = int(j)
+        # a dict or a string would be read by its keys or its characters
+        if not isinstance(m, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in m):
+            raise ChainError("%s in degree %d is not a list of rows, each a list" % (shape_name, j))
         rows = linalg.to_rows(m)
         expected = expected_shape(j)
         if 0 in expected:
@@ -294,8 +297,9 @@ def place_blocks(source: ChainComplex, target: ChainComplex, blocks) -> ChainMap
 
     In degree n the matrix of f sits at rows row_offsets[n] and columns
     col_offsets[n] (offsets as from sum_offsets; a missing degree starts at
-    0).  The blocks must not overlap; they are read once, so a generator
-    keeps only one block alive at a time.
+    0).  No two blocks may hold an entry at the same place, though their
+    rows or columns may overlap; they are read once, so a generator keeps
+    only one block alive at a time.
     """
     mats = {}
     for f, row_offsets, col_offsets in blocks:
@@ -661,59 +665,25 @@ def homology_dims(x: ChainComplex):
     return out
 
 
-def _homology_data(x: ChainComplex, n: int):
-    """(cycle basis columns, image relation rows) for H_n."""
-    cycles = cycle_space_basis(x, n)
-    columns = linalg.columns(x.d(n + 1), x.dim(n + 1))
-    img_rows = [linalg.densify(dict(col), x.dim(n)) for col in columns]
-    return cycles, img_rows
-
-
 def induced_homology_iso(f: ChainMap) -> bool:
-    """True iff the degree-0 chain map f induces isomorphisms on all homology."""
+    """True iff the degree-0 chain map f induces isomorphisms on all homology.
+
+    That holds exactly when the Betti numbers agree and in each degree n the
+    classes of f(Z_n) in Y_n / B_n span H_n(Y): proj . f . Z_n has rank h_n,
+    with proj the quotient of Y_n by the boundaries.
+    """
     if f.degree != 0:
         raise ChainError("homology comparison needs a degree-0 map")
-    degrees = set(f.source.dims) | set(f.target.dims)
-    for n in sorted(degrees):
-        cyc_s, img_s = _homology_data(f.source, n)
-        cyc_t, img_t = _homology_data(f.target, n)
-        proj_t, _ = linalg.quotient_by_rowspace(
-            [list(r) for r in img_t], f.target.dim(n)
-        )
-        # matrix of H_n(f): columns = classes of f(cycle basis), rows = quotient coords
-        h_s = f.source.dim(n) - linalg.rank(f.source.d_mat(n)) - (
-            linalg.rank(f.source.d_mat(n + 1)) if f.source.dim(n + 1) else 0
-        ) if f.source.dim(n) else 0
-        h_t = f.target.dim(n) - linalg.rank(f.target.d_mat(n)) - (
-            linalg.rank(f.target.d_mat(n + 1)) if f.target.dim(n + 1) else 0
-        ) if f.target.dim(n) else 0
-        if h_s != h_t:
-            return False
-        if h_s == 0:
-            continue
-        cols = []
-        fm = f.block(n)
-        proj_rows = linalg.to_rows(proj_t)
-        for v in cyc_s:
-            cols.append(linalg.mat_vec(proj_rows, linalg.mat_vec(fm, v)))
-        # quotient coords of source cycles modulo source boundaries: build the
-        # matrix of H(f) on a homology basis of the source
-        proj_s, _ = linalg.quotient_by_rowspace(
-            [list(r) for r in img_s], f.source.dim(n)
-        )
-        proj_rows = linalg.to_rows(proj_s)
-        src_classes = [linalg.mat_vec(proj_rows, v) for v in cyc_s]
-        # pick a basis of the source homology among the cycle classes
-        span = []
-        chosen = []
-        for i, cls in enumerate(src_classes):
-            test = span + [cls]
-            m = [list(r) for r in test]
-            if linalg.rank(m) > len(span):
-                span.append(cls)
-                chosen.append(i)
-        hf = [[cols[i][r] for i in chosen] for r in range(len(cols[0]) if cols else 0)]
-        if linalg.rank(hf) != h_s:
+    betti = homology_dims(f.source)
+    if betti != homology_dims(f.target):
+        return False
+    for n, h in betti.items():
+        dim = f.target.dim(n)
+        columns = linalg.columns(f.target.d(n + 1), f.target.dim(n + 1))
+        boundaries = [linalg.densify(dict(col), dim) for col in columns]
+        proj = linalg.to_rows(linalg.quotient_by_rowspace(boundaries, dim)[0])
+        images = [linalg.mat_vec(proj, linalg.mat_vec(f.block(n), z)) for z in cycle_space_basis(f.source, n)]
+        if linalg.rank(images) != h:
             return False
     return True
 

@@ -68,6 +68,8 @@ def mats_to_json(f: ChainMap):
 
 
 def matrix_from_json(rows):
+    if type(rows) is not list or not all(type(row) is list for row in rows):
+        raise FormatError("a matrix must be a list of rows, each a list of rationals")
     return [[ZERO if x == "0/1" else parse_rational(x) for x in row] for row in rows]
 
 

@@ -389,18 +389,6 @@ class EndoHomComponent(BimoduleComponent):
         self.index = index
 
 
-def _shuffle(space: TensorSpace, comp, idxs, perm: Permutation):
-    """The basis vector of `space` that the Koszul shuffle moving factor slot i
-    to slot perm(i) (as factor_permutation_map does) sends onto +-(comp, idxs):
-    its flat index and the sign, -1 per inverted pair of odd-degree factors."""
-    images = perm.images
-    comp = [comp[t - 1] for t in images]
-    idxs = [idxs[t - 1] for t in images]
-    odd = [t for t, v in zip(images, comp) if v % 2]
-    inversions = sum(1 for a, s in enumerate(odd) for t in odd[a + 1 :] if s > t)
-    return space.flat_index(comp, idxs), -linalg.ONE if inversions % 2 else linalg.ONE
-
-
 class EndoPropData:
     """Endomorphism PROP over a colored family, exposed for the operad functor.
 
@@ -467,17 +455,16 @@ class EndoPropData:
         concat_entries = []
         for bk in b_keys:
             concat_entries.extend(bk.rep.entries)
-        _, transport = canonicalize_profile(Profile(self.palette, concat_entries))
-        mats = {}
-        for n in space.complex.degrees():
-            rows = target.carrier.dim(n)
-            cols = space.dim(n)
-            if rows and cols:
-                mats[n] = linalg.zeros(rows, cols)
+        concat = Profile(self.palette, concat_entries)
+        _, transport = canonicalize_profile(concat)
+        mats = {n: [{} for _ in range(target.carrier.dim(n))] for n in space.complex.degrees()}
         fam = self.family
         out_dim = fam.complexes[d].dim
         middle = fam.space(in_key.rep)
-        merged_space = fam.space(merged.rep)
+        # row s of the shuffle X_merged -> X_concat by the transport holds the
+        # one merged basis vector sent onto +-s, with its Koszul sign
+        concat_space = fam.space(concat)
+        shuffle = fam.shuffle(merged.rep, transport).rows
         # per q_i: (degree, position, source degree, row, source composition, source indices)
         units = []
         for q, bk in zip(q_comps, b_keys):
@@ -505,7 +492,7 @@ class EndoPropData:
                 src_idx += idxs
             c_p = middle.flat_index(mid_comp, mid_idx)
             j_p = sum(mid_comp)
-            c_t, shuffle_sign = _shuffle(merged_space, src_comp, src_idx, transport)
+            ((c_t, shuffle_sign),) = shuffle[src_deg][concat_space.flat_index(src_comp, src_idx)].items()
             value = shuffle_sign if sign > 0 else -shuffle_sign
             q_comp, q_pos = tuple(q_comp), tuple(q_pos)
             for k_p, p_index in p_comp.index.items():
@@ -513,7 +500,7 @@ class EndoPropData:
                 for r_p in range(out_dim(j_p + k_p)):
                     col = space.flat_index((k_p,) + q_comp, (p_index[(j_p, r_p, c_p)],) + q_pos)
                     mats[n][target.index[n][(src_deg, r_p, c_t)]][col] = value
-        return ChainMap(space.complex, target.carrier, mats, check=False)
+        return ChainMap(space.complex, target.carrier, mats, check=False, sparse=True)
 
 
 def _element_from_basis(family, out_profile, in_profile, bases, k, flat_idx):
@@ -917,9 +904,7 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
                 [components[(color, in_key)].carrier]
                 + [components[(color, k)].carrier for k in b_keys]
             )
-            rows = len(elems_out)
-            cols = src.dim(0)
-            big = linalg.zeros(rows, cols)
+            rows = [{} for _ in elems_out]
             block_start = [0] * n
             acc = 0
             for i, s in enumerate(sizes):
@@ -935,9 +920,9 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
                     for l in range(1, sizes[blk - 1] + 1):
                         word.append(block_start[blk - 1] + rhos[blk - 1](l))
                 pi = Permutation(word)
-                big[index_out[pi.images]][col] = linalg.ONE
+                rows[index_out[pi.images]][col] = linalg.ONE
             operad.gamma[(color, in_key, b_keys)] = ChainMap(
-                src.complex, components[(color, merged)].carrier, {0: big}, check=False
+                src.complex, components[(color, merged)].carrier, {0: rows}, check=False, sparse=True
             )
     return operad
 

@@ -75,6 +75,8 @@ COMMANDS = [
     ("box-v-wrong-kind", ["box-v", "q.json", "q.json"]),
     ("homology", ["homology", "x.json"]),
     ("homology-fractions", ["homology", "frac.json"]),
+    ("homology-object-rows", ["homology", "rows_object.json"]),
+    ("homology-string-rows", ["homology", "rows_string.json"]),
     ("classify-chain-map", ["classify", "frac_map.json"]),
     ("classify-family-map", ["classify", "proj.json"]),
     ("classify-wrong-kind", ["classify", "q.json"]),
@@ -209,6 +211,12 @@ def write_inputs():
     bad_op = to_json(objects["op"])
     bad_op["gamma"][0]["mats"]["0"] = [["2/1"]]
     _write("bad_op.json", dumps(bad_op))
+    # boundary rows written as JSON objects, and as strings: a matrix is a list of lists
+    rows = {"kind": "complex", "dims": {"0": 2, "1": 2}, "boundary": {"1": None}}
+    rows["boundary"]["1"] = [{"0": "3", "1": "4"}, {"0": "2", "1": "9"}]
+    _write("rows_object.json", dumps(rows))
+    rows["boundary"]["1"] = ["34", "29"]
+    _write("rows_string.json", dumps(rows))
     _write("truncated.json", '{"kind": "operad_algebra", ')
     with open(os.path.join(INPUTS, "not_utf8.json"), "wb") as handle:
         handle.write(b"\xff\xfe{")

@@ -94,6 +94,18 @@ def test_degree_zero_map_checked_against_differentials():
     assert ChainMap(x, x, {0: [[F(2)]], 1: [[F(2)]]}).mat(1) == [[F(2)]]
 
 
+def test_constructors_reject_rows_that_are_not_lists():
+    # a {column: entry} dict would be read by its keys, a string by its characters
+    x = ChainComplex({0: 2})
+    with pytest.raises(ChainError, match="^map in degree 0 is not a list of rows, each a list$"):
+        ChainMap(x, x, {0: [{0: 5, 1: 0}, {0: 0, 1: 7}]})
+    with pytest.raises(ChainError, match="^boundary in degree 1 is not a list of rows"):
+        ChainComplex({0: 2, 1: 2}, {1: ["34", "29"]})
+    with pytest.raises(ChainError, match="^boundary in degree 1 is not a list of rows"):
+        ChainComplex({0: 2, 1: 2}, {1: {0: [3, 4], 1: [2, 9]}})
+    assert ChainMap(x, x, {0: [[5, 0], [0, 7]]}).mat(0) == [[5, 0], [0, 7]]
+
+
 def test_constructors_copy_their_matrices():
     d = [[F(1), F(-1)]]
     x = ChainComplex({0: 1, 1: 2}, {1: d})
@@ -587,6 +599,80 @@ def test_classify_non_qiso():
     flags = classify_map(f)
     assert not flags["quasiIso"]
     assert flags["cofibration"]
+
+
+def _random_chain_map(sympy, rng, x, y):
+    """A random integer combination of a sympy nullspace basis of the
+    equations d f_n = f_{n-1} d for degree-0 maps x -> y."""
+    slots = [(n, i, j) for n in x.degrees() for i in range(y.dim(n)) for j in range(x.dim(n))]
+    index = {slot: k for k, slot in enumerate(slots)}
+    equations = []
+    for n in x.degrees():
+        dy, dx = y.d_mat(n), x.d_mat(n)
+        for i in range(y.dim(n - 1) if n else 0):
+            for j in range(x.dim(n)):
+                row = [0] * len(slots)
+                for k in range(y.dim(n)):
+                    row[index[(n, k, j)]] += dy[i][k]
+                for k in range(x.dim(n - 1)):
+                    row[index[(n - 1, i, k)]] -= dx[k][j]
+                equations.append(row)
+    if equations:
+        basis = [list(v) for v in sympy.Matrix(equations).nullspace()]
+    else:
+        basis = [[int(k == m) for k in range(len(slots))] for m in range(len(slots))]
+    # a few basis vectors only, so that many maps lose homology
+    picked = [(rng.randint(-2, 2), v) for v in rng.sample(basis, rng.randint(0, len(basis)))]
+    values = [sum((c * F(str(v[k])) for c, v in picked), F(0)) for k in range(len(slots))]
+    mats = {n: linalg.zeros(y.dim(n), x.dim(n)) for n in x.degrees()}
+    for (n, i, j), v in zip(slots, values):
+        mats[n][i][j] = v
+    return ChainMap(x, y, mats)
+
+
+def _cone_is_acyclic(sympy, f):
+    """f is a quasi-isomorphism iff its mapping cone, x_{n-1} + y_n with
+    D = [[-d, 0], [f, d]], is acyclic: dim = rank D_n + rank D_{n+1}."""
+    x, y = f.source, f.target
+
+    def rank(n):
+        rows, cols = x.dim(n - 2) + y.dim(n - 1), x.dim(n - 1) + y.dim(n)
+        if not rows or not cols or n < 1:
+            return 0
+        m = sympy.zeros(rows, cols)
+        if n >= 2:
+            for i, row in enumerate(x.d_mat(n - 1)):
+                for j, v in enumerate(row):
+                    m[i, j] = -v
+        for i, row in enumerate(f.mat(n - 1)):
+            for j, v in enumerate(row):
+                m[x.dim(n - 2) + i, j] = v
+        for i, row in enumerate(y.d_mat(n)):
+            for j, v in enumerate(row):
+                m[x.dim(n - 2) + i, x.dim(n - 1) + j] = v
+        return m.rank()
+
+    top = max(x.top_degree, y.top_degree) + 2
+    return all(x.dim(n - 1) + y.dim(n) == rank(n) + rank(n + 1) for n in range(top + 1))
+
+
+def test_induced_homology_iso_against_a_mapping_cone_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(18)
+    counts = {"qiso": 0, "same betti, not qiso": 0, "other betti": 0}
+    for case in range(120):
+        x = random_complex(rng, max_deg=2, max_dim=3)
+        y = x if case % 2 else random_complex(rng, max_deg=2, max_dim=3)
+        f = _random_chain_map(sympy, rng, x, y)
+        expected = _cone_is_acyclic(sympy, f)
+        assert classify_map(f)["quasiIso"] == expected, case
+        if expected:
+            counts["qiso"] += 1
+        elif homology_dims(x) == homology_dims(y):
+            counts["same betti, not qiso"] += 1
+        else:
+            counts["other betti"] += 1
+    assert min(counts.values()) >= 10, counts
 
 
 def test_path_object_zero():

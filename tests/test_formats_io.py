@@ -88,7 +88,7 @@ def test_dumps_edge_cases_match_json(obj):
 def test_dumps_to_json_of_every_kind_matches_json():
     ws = Workspace(INPUTS)
     skip = {"truncated.json", "not_utf8.json", "bad_bimodule.json", "noncommuting_bimodule.json", "alg.json",
-            "alg_scaled.json"}
+            "alg_scaled.json", "rows_object.json", "rows_string.json"}
     objects = [Palette(["a", "b"])]
     objects += [ws.resolve(n) for n in sorted(os.listdir(INPUTS)) if n.endswith(".json") and n not in skip]
     sig = homotopy_assoc_presentation().signature
@@ -147,6 +147,18 @@ def test_parse_rational_error_text_is_kept():
     with pytest.raises(FormatError) as exc:
         parse_rational("²/3")
     assert str(exc.value) == "bad rational '²/3': Invalid literal for Fraction: '²/3'"
+
+
+def test_matrix_rows_must_be_lists():
+    # rows written as JSON objects were read by their keys, string rows by
+    # their characters; a complex with the first boundary below is acyclic
+    for rows in ([{"0": "3", "1": "4"}, {"0": "2", "1": "9"}], ["34", "29"], {"0": ["3", "4"]}, "34"):
+        with pytest.raises(FormatError, match="^a matrix must be a list of rows, each a list of rationals$"):
+            formats.matrix_from_json(rows)
+        data = {"kind": "complex", "dims": {"0": 2, "1": 2}, "boundary": {"1": rows}}
+        with pytest.raises(FormatError):
+            formats.complex_from_json(data)
+    assert formats.matrix_from_json([["3", "4"], ["2", "9/1"]]) == [[3, 4], [2, 9]]
 
 
 # -- properties -----------------------------------------------------------------

@@ -6,7 +6,9 @@ emitter replaced json.dumps; only the exit-2 cases for a directory, a
 non-UTF-8 file and a malformed round-trip algebra were recorded after, as
 those commands ended in a traceback before, and the exit-2 case for a
 bimodule whose out and in actions do not commute, which `check` accepted
-before it compared the actions on generators.  The transfer and factor cases
+before it compared the actions on generators, and the two exit-2 cases for
+boundary rows written as JSON objects or as strings, which `homology` read
+by their keys or characters before.  The transfer and factor cases
 whose maps carry 1/2 entries (transfer-fibration-halved, factor-fractions)
 were recorded before integral entries became ints, so they show the mixed
 int/Fraction path prints the same bytes.
@@ -33,7 +35,7 @@ with open(CASES, encoding="utf-8") as _handle:
 
 # input files that are not canonical files, or do not load, on purpose
 NOT_CANONICAL = {"truncated.json", "not_utf8.json"}
-NOT_LOADABLE = {"bad_bimodule.json", "noncommuting_bimodule.json"}
+NOT_LOADABLE = {"bad_bimodule.json", "noncommuting_bimodule.json", "rows_object.json", "rows_string.json"}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])

@@ -1,13 +1,16 @@
 """Vertical composition on box_h and horizontal composition on box_v."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import reference_induce_horizontal_on_boxv, reference_induce_vertical_on_boxh
 from test_bimodules import key, make_component, sign_rep
-from propcalc import linalg
+from propcalc import bimodules, linalg
 from propcalc.bimodules import (
+    BimoduleComponent,
     ColoredBimodule,
     HPropData,
     VPropData,
@@ -15,9 +18,16 @@ from propcalc.bimodules import (
     box_v,
     induce_horizontal_on_boxv,
     induce_vertical_on_boxh,
+    merge_keys,
     tensor_over_sigma,
 )
-from propcalc.chains import ChainComplex, ChainMap, TensorSpace, assemble_tensor_map
+from propcalc.chains import (
+    ChainComplex,
+    ChainMap,
+    TensorSpace,
+    assemble_tensor_map,
+    factor_permutation_map,
+)
 from propcalc.profiles import Palette, Permutation, stabilizer_generators
 
 F = Fraction
@@ -252,3 +262,152 @@ def _check_horizontal_associativity(lengths):
     )
     route2 = m_1_23.compose(second)
     assert route1 == route2
+
+
+def test_induced_vertical_skips_a_zero_target():
+    # R(xx, xxx) and R(xxx, xx) exist but R(xx, xx) and R(xxx, xxx) are zero,
+    # so neither composable triple has a target
+    x, xx = key(PAL1, "x"), key(PAL1, "x", "x")
+    one = ChainComplex({0: 1})
+    p = ColoredBimodule(
+        PAL1, {(x, xx): make_component(x, xx, one), (xx, x): make_component(xx, x, one)}
+    )
+    q = ColoredBimodule(PAL1, {(x, x): make_component(x, x, one)})
+    r, rdata = induce_vertical_on_boxh(VPropData(p, {}), VPropData(q, {}))
+    k2, k3 = key(PAL1, "x", "x"), key(PAL1, "x", "x", "x")
+    assert set(r.components) == {(k2, k3), (k3, k2)}
+    assert rdata.vcomp == {}
+    assert rdata.compose_map(k2, k3, k2).is_zero()
+    assert rdata.validate() == []
+
+
+def _entries(maps):
+    return sum(len(row) for m in maps for rows in m.rows.values() for row in rows)
+
+
+@pytest.mark.parametrize("style", ["trivial", "sign"])
+def test_transported_compositions_match_references_on_scalar_configurations(style):
+    for p_lengths, q_lengths in (((1,), (1,)), ((1, 2), (1,)), ((1, 2), (1, 2))):
+        vp, vq = scalar_vprop(p_lengths, style), scalar_vprop(q_lengths, style)
+        _, ours = induce_vertical_on_boxh(vp, vq)
+        _, ref = reference_induce_vertical_on_boxh(vp, vq)
+        assert ours.vcomp == ref.vcomp and _entries(ours.vcomp.values())
+    for lengths in ((1,), (1, 2), (1, 2, 3)):
+        hp, hq = scalar_hprop(lengths, style), scalar_hprop(lengths, style)
+        r, ours = induce_horizontal_on_boxv(hp, hq)
+        _, ref = reference_induce_horizontal_on_boxv(hp, hq, module=r)
+        assert ours.hcomp == ref.hcomp
+
+
+# -- seeded graded cases: carriers in degrees 0-2 with boundaries, two colors
+
+
+def _random_carrier(rng, max_odd):
+    dims = {0: rng.randint(1, 2), 1: rng.randint(0, max_odd), 2: rng.randint(0, 1)}
+    boundary = {}
+    if dims[1]:
+        boundary[1] = [[rng.randint(-2, 2) for _ in range(dims[1])] for _ in range(dims[0])]
+        kernel = linalg.kernel_basis(boundary[1])
+        if dims[2] and kernel:
+            scale = rng.choice([1, -1, 2])
+            boundary[2] = [[scale * x] for x in kernel[0]]
+    return ChainComplex(dims, boundary)
+
+
+def _random_module(rng, palette, keys, density, max_odd):
+    """Components at random orbit pairs, each side acting trivially or by the
+    sign of the permutation."""
+    comps = {}
+    for a, b in itertools.product(keys, keys):
+        if rng.random() < density:
+            carrier = _random_carrier(rng, max_odd)
+            acts = [ChainMap.identity(carrier), ChainMap.identity(carrier).scale(-1)]
+            out_act, in_act = rng.choice(acts), rng.choice(acts)
+            comps[(a, b)] = BimoduleComponent(
+                a,
+                b,
+                carrier,
+                {s.images: out_act for s in stabilizer_generators(a)},
+                {s.images: in_act for s in stabilizer_generators(b)},
+            )
+    return ColoredBimodule(palette, comps)
+
+
+def _random_map(rng, source, target):
+    mats = {
+        n: [[rng.choice([0, 0, 1, -1, 2]) for _ in range(source.dim(n))] for _ in range(target.dim(n))]
+        for n in source.degrees()
+        if target.dim(n)
+    }
+    return ChainMap(source, target, mats, check=False)
+
+
+def _random_vprop(rng, palette, keys, density):
+    mod = _random_module(rng, palette, keys, density, max_odd=1)
+    vcomp = {}
+    for (a, b), x in mod.components.items():
+        for (b2, c), y in mod.components.items():
+            target = mod.component(a, c)
+            if b2 == b and target is not None:
+                src = TensorSpace([x.carrier, y.carrier]).complex
+                vcomp[(a, b, c)] = _random_map(rng, src, target.carrier)
+    return VPropData(mod, vcomp)
+
+
+def _random_hprop(rng, palette, keys):
+    mod = _random_module(rng, palette, keys, 0.8, max_odd=2)
+    hcomp = {}
+    for k1, x in mod.components.items():
+        for k2, y in mod.components.items():
+            merged = [merge_keys(palette, [k1[i], k2[i]]) for i in (0, 1)]
+            target = mod.component(*merged)
+            if target is not None:
+                src = TensorSpace([x.carrier, y.carrier]).complex
+                hcomp[(k1, k2)] = _random_map(rng, src, target.carrier)
+    return HPropData(mod, hcomp)
+
+
+def test_transported_compositions_match_references_on_graded_cases(monkeypatch):
+    """24 seeded cases, one color (lengths 1-3) or two; random degree-0
+    compositions, neither chain maps nor equivariant, since the formulas do
+    not use either.  The switch signs of -1 that meet a nonzero column of
+    (f (x) g) o switch are counted, and so are the horizontal entries."""
+    minus_ones = {"vertical": 0, "horizontal": 0}
+    side = ["vertical"]
+    core = bimodules._switched_tensor
+
+    def counting(f, g, first, second, target):
+        four, mapped = core(f, g, first, second, target)
+        switch = factor_permutation_map(four.factors, Permutation([1, 3, 2, 4]), four)
+        for n, rows in switch.rows.items():
+            used = {c for row in mapped.rows.get(n, ()) for c in row}
+            minus_ones[side[0]] += sum(1 for row in rows for c, x in row.items() if x == -1 and c in used)
+        return four, mapped
+
+    monkeypatch.setattr(bimodules, "_switched_tensor", counting)
+    one, two = Palette(["x"]), Palette(["x", "y"])
+    vertical_entries = horizontal_entries = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        if seed % 2:
+            palette = two
+            v_keys = h_keys = [key(two, "x"), key(two, "y"), key(two, "x", "y")]
+        else:
+            palette = one
+            v_keys = [key(one, *"x" * n) for n in (1, 2)]
+            h_keys = [key(one, *"x" * n) for n in (1, 2, 3)]
+        side[0] = "vertical"
+        vp = _random_vprop(rng, palette, v_keys, 0.5)
+        vq = _random_vprop(rng, palette, v_keys, 0.3)
+        _, ours = induce_vertical_on_boxh(vp, vq)
+        _, ref = reference_induce_vertical_on_boxh(vp, vq)
+        assert ours.vcomp == ref.vcomp, seed
+        vertical_entries += _entries(ours.vcomp.values())
+        side[0] = "horizontal"
+        hp, hq = _random_hprop(rng, palette, h_keys), _random_hprop(rng, palette, h_keys)
+        r, ours = induce_horizontal_on_boxv(hp, hq)
+        _, ref = reference_induce_horizontal_on_boxv(hp, hq, module=r)
+        assert ours.hcomp == ref.hcomp, seed
+        horizontal_entries += _entries(ours.hcomp.values())
+    assert minus_ones["vertical"] and minus_ones["horizontal"]
+    assert vertical_entries and horizontal_entries
