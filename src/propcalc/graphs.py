@@ -260,36 +260,48 @@ class PropGraph:
         return (verts, edges, in_legs, out_legs)
 
     def _refined_partition(self):
+        """One sort key per vertex, equal exactly for vertices left in one cell.
+
+        Colours start as (generator, sorted in-legs, sorted out-legs) and are
+        refined by each vertex's sorted (direction, port, neighbour colour,
+        neighbour port) edges until the number of cells stops growing.  Each
+        colour is carried as its rank among the sorted colours of its round;
+        ranks are monotone, so every comparison is the one the nested colour
+        tuples would make.  The key is repr of the initial colour when no
+        round refines it, and str of the last rank otherwise: with distinct
+        ranks that sorts as repr of (rank, ...) does.
+        """
         n_v = len(self.vertices)
-        in_leg_by_vertex = {}
+        in_legs = [[] for _ in range(n_v)]
+        out_legs = [[] for _ in range(n_v)]
         for (v, q), label in self.in_legs.items():
-            in_leg_by_vertex.setdefault(v, []).append((q, label))
-        out_leg_by_vertex = {}
+            in_legs[v].append((q, label))
         for (v, p), label in self.out_legs.items():
-            out_leg_by_vertex.setdefault(v, []).append((p, label))
-        colors = {}
-        for v in range(n_v):
-            colors[v] = (
-                self.vertices[v],
-                tuple(sorted(in_leg_by_vertex.get(v, []))),
-                tuple(sorted(out_leg_by_vertex.get(v, []))),
+            out_legs[v].append((p, label))
+        adjacency = [[] for _ in range(n_v)]
+        for (u, p), (w, q) in self.edges:
+            adjacency[u].append(("out", p, w, q))
+            adjacency[w].append(("in", q, u, p))
+        initial = [
+            (name, tuple(sorted(ins)), tuple(sorted(outs)))
+            for name, ins, outs in zip(self.vertices, in_legs, out_legs)
+        ]
+        ranks, cells = _ranks(initial)
+        refined = False
+        # a partition into singletons cannot grow, so the round that would only confirm it is skipped
+        while cells < n_v:
+            new_ranks, new_cells = _ranks(
+                [
+                    (ranks[v], tuple(sorted([(d, p, ranks[w], q) for d, p, w, q in adjacency[v]])))
+                    for v in range(n_v)
+                ]
             )
-        while True:
-            new_colors = {}
-            for v in range(n_v):
-                nbrs = []
-                for (u, p), (w, q) in self.edges:
-                    if u == v:
-                        nbrs.append(("out", p, colors[w], q))
-                    if w == v:
-                        nbrs.append(("in", q, colors[u], p))
-                new_colors[v] = (colors[v], tuple(sorted(nbrs)))
-            # compress to ranks for stability
-            ranking = {c: i for i, c in enumerate(sorted(set(new_colors.values())))}
-            compressed = {v: (ranking[new_colors[v]],) for v in range(n_v)}
-            if len(set(compressed.values())) == len(set(colors.values())):
-                return colors
-            colors = {v: (compressed[v][0], new_colors[v]) for v in range(n_v)}
+            if new_cells == cells:
+                break
+            ranks, cells, refined = new_ranks, new_cells, True
+        if refined:
+            return [str(r) for r in ranks]
+        return [repr(c) for c in initial]
 
     def canonical(self):
         """Return (certificate, order): the certificate with vertices in the
@@ -300,12 +312,18 @@ class PropGraph:
         refinement separates all vertices; a cell with two vertices is an
         error.
         """
-        colors = self._refined_partition()
-        order = sorted(range(len(self.vertices)), key=lambda v: repr(colors[v]))
+        keys = self._refined_partition()
+        order = sorted(range(len(self.vertices)), key=keys.__getitem__)
         for v, w in zip(order, order[1:]):
-            if colors[v] == colors[w]:
+            if keys[v] == keys[w]:
                 raise GraphError("partition refinement left vertices %d and %d in one cell" % (v, w))
         return self.certificate_for_order(order), order
+
+
+def _ranks(colors):
+    """(rank of each colour among the sorted distinct colours, number of distinct colours)."""
+    ranking = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [ranking[c] for c in colors], len(ranking)
 
 
 def canonical_graph(g: PropGraph):
@@ -342,6 +360,21 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
     each output port at most once; `_leg_assignments` labels the unwired
     ports by a color-preserving bijection onto 1..n; profiles are non-empty,
     so legs remain on both sides; and wirings with a cycle are skipped.
+
+    Only one labelled copy of each isomorphism class is canonicalized
+    (isomorph rejection, McKay, J. Algorithms 26, 1998).  Within one
+    generator combination the group of permutations of equally named
+    vertices maps the enumerated (wiring, in-legs, out-legs) objects onto
+    themselves, and two of them are isomorphic iff one maps to the other.
+    The discovery order of `_discovery_order`, seeded with the vertices of
+    the in-legs and then of the out-legs in label order, is invariant under
+    that action.  It reaches every vertex: profiles are non-empty, so each
+    connected part has a source vertex whose input ports are legs.  Hence
+    only the identity fixes an object, and exactly one copy in each orbit
+    lists each name's vertices in increasing index order: that copy is the
+    one kept.  Every wiring and leg assignment is still generated and
+    counted toward work_cap, and the result is the same list of
+    certificates; the graphs returned are the orbit representatives.
     """
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
@@ -369,6 +402,7 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
                 for v in range(count)
                 for p in range(1, len(gens[v].out_profile) + 1)
             ]
+            repeats = len(set(combo)) < count
             for wiring in _wirings(in_ports, out_ports, n_edges, work, work_cap):
                 if not _is_acyclic(count, wiring):
                     continue
@@ -376,13 +410,51 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
                 wired_in = {e[1] for e in wiring}
                 free_in = [ip for ip in in_ports if ip[:2] not in wired_in]
                 free_out = [op for op in out_ports if op[:2] not in wired_out]
+                neighbours = _neighbours(count, wiring) if repeats else None
                 for in_legs in _leg_assignments(free_in, in_profile, work, work_cap):
+                    in_seeds = [v for v, _ in sorted(in_legs, key=in_legs.__getitem__)]
                     for out_legs in _leg_assignments(free_out, out_profile, work, work_cap):
+                        if neighbours is not None:
+                            seeds = in_seeds + [v for v, _ in sorted(out_legs, key=out_legs.__getitem__)]
+                            if not _increasing_per_name(combo, _discovery_order(neighbours, seeds)):
+                                continue
                         g = PropGraph(signature, combo, wiring, in_legs, out_legs, check=False)
                         cert, _ = g.canonical()
                         if cert not in found:
                             found[cert] = g
     return [found[c] for c in sorted(found)]
+
+
+def _neighbours(n_vertices, edges):
+    """Per vertex: its successors in output-port order, then its predecessors in input-port order."""
+    succ = [[] for _ in range(n_vertices)]
+    pred = [[] for _ in range(n_vertices)]
+    for (u, p), (v, q) in edges:
+        succ[u].append((p, v))
+        pred[v].append((q, u))
+    return [[w for _, w in sorted(s)] + [w for _, w in sorted(p)] for s, p in zip(succ, pred)]
+
+
+def _discovery_order(neighbours, seeds):
+    """Vertices in breadth-first discovery order from the seeds, taken in order."""
+    order = list(dict.fromkeys(seeds))
+    seen = set(order)
+    for v in order:  # grows while it is read: a breadth-first queue
+        for w in neighbours[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _increasing_per_name(names, order):
+    """Whether order lists the vertices of each name in increasing index order."""
+    last = {}
+    for v in order:
+        if last.get(names[v], -1) > v:
+            return False
+        last[names[v]] = v
+    return True
 
 
 def _is_acyclic(n_vertices, edges) -> bool:

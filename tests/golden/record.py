@@ -68,6 +68,8 @@ COMMANDS = [
     ("eq-wrong-kind", ["eq", "q.json", "mu2", "mu2"]),
     ("dim-free", ["dim-free", "binary.json", "c", "c,c,c", "2"]),
     ("dim-free-default-cap", ["--max-vertices", "2", "dim-free", "binary.json", "c", "c,c"]),
+    ("dim-free-equal-generators", ["dim-free", "binary.json", "c", "c,c,c,c", "3"]),
+    ("dim-free-mixed-generators", ["dim-free", "sig.json", "c", "c,c,c,c", "3"]),
     ("box-v", ["box-v", "p.json", "q_bimodule.json"]),
     ("box-h", ["box-h", "p.json", "q_bimodule.json"]),
     ("box-v-signs", ["box-v", "sign_a.json", "sign_a.json"]),

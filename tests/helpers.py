@@ -762,9 +762,49 @@ def coset_count(palette, keys, merged) -> int:
     return count
 
 
+def reference_canonical(g):
+    """PropGraph.canonical as propcalc ran it while refinement nested whole
+    colour tuples and scanned every edge once per vertex in each round."""
+    n_v = len(g.vertices)
+    in_leg_by_vertex = {}
+    for (v, q), label in g.in_legs.items():
+        in_leg_by_vertex.setdefault(v, []).append((q, label))
+    out_leg_by_vertex = {}
+    for (v, p), label in g.out_legs.items():
+        out_leg_by_vertex.setdefault(v, []).append((p, label))
+    colors = {}
+    for v in range(n_v):
+        colors[v] = (
+            g.vertices[v],
+            tuple(sorted(in_leg_by_vertex.get(v, []))),
+            tuple(sorted(out_leg_by_vertex.get(v, []))),
+        )
+    while True:
+        new_colors = {}
+        for v in range(n_v):
+            nbrs = []
+            for (u, p), (w, q) in g.edges:
+                if u == v:
+                    nbrs.append(("out", p, colors[w], q))
+                if w == v:
+                    nbrs.append(("in", q, colors[u], p))
+            new_colors[v] = (colors[v], tuple(sorted(nbrs)))
+        ranking = {c: i for i, c in enumerate(sorted(set(new_colors.values())))}
+        compressed = {v: (ranking[new_colors[v]],) for v in range(n_v)}
+        if len(set(compressed.values())) == len(set(colors.values())):
+            break
+        colors = {v: (compressed[v][0], new_colors[v]) for v in range(n_v)}
+    order = sorted(range(n_v), key=lambda v: repr(colors[v]))
+    for v, w in zip(order, order[1:]):
+        if colors[v] == colors[w]:
+            raise GraphError("partition refinement left vertices %d and %d in one cell" % (v, w))
+    return g.certificate_for_order(order), order
+
+
 def reference_enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=2_000_000):
     """enumerate_graphs as propcalc ran it while it still checked each wiring
-    for port reuse and each leg assignment with PropGraph._validate."""
+    for port reuse and each leg assignment with PropGraph._validate, and
+    canonicalized every labelled copy (with reference_canonical)."""
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
     n_in = len(in_profile)
@@ -806,10 +846,33 @@ def reference_enumerate_graphs(signature, out_profile, in_profile, max_vertices,
                             g._validate()
                         except GraphError:
                             continue
-                        cert, _ = g.canonical()
+                        cert, _ = reference_canonical(g)
                         if cert not in found:
                             found[cert] = g
     return [found[c] for c in sorted(found)]
+
+
+def labelled_objects(signature, out_profile, in_profile, max_vertices):
+    """Every (combination, wiring, in-legs, out-legs) enumerate_graphs walks,
+    with no work cap and no isomorph rejection; wirings with a cycle are left out."""
+    n_in = len(in_profile)
+    n_out = len(out_profile)
+    for count in range(1, max_vertices + 1):
+        for combo in itertools.combinations_with_replacement(signature.names(), count):
+            gens = [signature[name] for name in combo]
+            n_edges = sum(len(g.in_profile) for g in gens) - n_in
+            if n_edges < 0 or sum(len(g.out_profile) for g in gens) - n_out != n_edges:
+                continue
+            in_ports = [(v, q, c) for v, g in enumerate(gens) for q, c in enumerate(g.in_profile.entries, 1)]
+            out_ports = [(v, p, c) for v, g in enumerate(gens) for p, c in enumerate(g.out_profile.entries, 1)]
+            for wiring in _wirings(in_ports, out_ports, n_edges, [0], math.inf):
+                if not _is_acyclic(count, wiring):
+                    continue
+                free_in = [ip for ip in in_ports if ip[:2] not in {e[1] for e in wiring}]
+                free_out = [op for op in out_ports if op[:2] not in {e[0] for e in wiring}]
+                for in_legs in _leg_assignments(free_in, in_profile, [0], math.inf):
+                    for out_legs in _leg_assignments(free_out, out_profile, [0], math.inf):
+                        yield combo, wiring, in_legs, out_legs
 
 
 def _reference_legless_check(signature, combo, edges):

@@ -11,7 +11,9 @@ boundary rows written as JSON objects or as strings, which `homology` read
 by their keys or characters before.  The transfer and factor cases
 whose maps carry 1/2 entries (transfer-fibration-halved, factor-fractions)
 were recorded before integral entries became ints, so they show the mixed
-int/Fraction path prints the same bytes.
+int/Fraction path prints the same bytes.  The dim-free cases over repeated
+generators (dim-free-equal-generators, dim-free-mixed-generators) were
+recorded before enumerate_graphs canonicalized one labelled copy per class.
 """
 
 import json

@@ -1,14 +1,18 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import (
     graphs_isomorphic_brute_force,
     interchange_quadruple,
+    labelled_objects,
     random_expression,
     random_permutation,
     random_signature,
+    reference_canonical,
     reference_enumerate_graphs,
 )
 from propcalc.exprs import (
@@ -33,6 +37,8 @@ from propcalc.graphs import (
     PropGraph,
     ResourceCapExceeded,
     Signature,
+    _discovery_order,
+    _neighbours,
     canonical_graph,
     enumerate_graphs,
     free_component_dim,
@@ -347,9 +353,41 @@ def test_max_vertices_validated():
         enumerate_graphs(sig, c("c"), c("c"), 0)
 
 
+def _check_against_reference(sig, out_p, in_p, max_v, cap):
+    """Compare with the checked reference; the graphs found, or None when both cap."""
+    try:
+        want = reference_enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
+    except ResourceCapExceeded as exc:
+        with pytest.raises(ResourceCapExceeded) as raised:
+            enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
+        assert str(raised.value) == str(exc)
+        return None
+    got = enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
+    assert [reference_canonical(g)[0] for g in got] == [reference_canonical(g)[0] for g in want]
+    for g in got:
+        g._validate()
+        assert (g.out_profile(), g.in_profile()) == (out_p, in_p)
+    return got
+
+
+def _repeating_case(rng):
+    """A small signature (mostly one colour, at most two generators besides
+    unaries) and leg profiles under which a generator can occur four times."""
+    sig = random_signature(
+        rng, max_colors=rng.choice((1, 1, 2)), max_generators=2, max_arity=2,
+        with_unaries=rng.random() < 0.3,
+    )
+    colors = sig.palette.colors
+    out_p = Profile(sig.palette, [rng.choice(colors) for _ in range(rng.randint(1, 2))])
+    in_p = Profile(sig.palette, [rng.choice(colors) for _ in range(rng.randint(1, 5))])
+    return sig, out_p, in_p
+
+
 def test_enumerate_matches_the_checked_reference():
-    """The enumerator without per-graph checks returns what the checked one
-    returned, and every graph it returns is valid with the asked profiles."""
+    """The enumerator without per-graph checks or isomorphic copies returns
+    what the checked one returned, and every graph it returns is valid with
+    the asked profiles; that holds too where a generator occurs up to four
+    times, so that up to 4! labelled copies share one class."""
     rng = random.Random(41)
     cap = 3_000
     found = capped = 0
@@ -358,21 +396,93 @@ def test_enumerate_matches_the_checked_reference():
         colors = sig.palette.colors
         out_p = Profile(sig.palette, [rng.choice(colors) for _ in range(rng.randint(1, 3))])
         in_p = Profile(sig.palette, [rng.choice(colors) for _ in range(rng.randint(1, 3))])
-        max_v = rng.randint(1, 3)
-        try:
-            want = reference_enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
-        except ResourceCapExceeded:
+        got = _check_against_reference(sig, out_p, in_p, rng.randint(1, 3), cap)
+        if got is None:
             capped += 1
-            with pytest.raises(ResourceCapExceeded):
-                enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
-            continue
-        got = enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
-        assert [canonical_graph(g) for g in got] == [canonical_graph(g) for g in want]
-        for g in got:
-            g._validate()
-            assert (g.out_profile(), g.in_profile()) == (out_p, in_p)
-        found += len(got)
+        else:
+            found += len(got)
     assert found > 1_000 and 0 < capped < 20
+
+    rng = random.Random(43)
+    found = capped = 0
+    repeats = Counter()
+    for _ in range(150):
+        got = _check_against_reference(*_repeating_case(rng), 4, 5_000)
+        if got is None:
+            capped += 1
+            continue
+        found += len(got)
+        repeats.update(max(Counter(g.vertices).values()) for g in got)
+    assert found > 1_000 and 0 < capped < 40 and repeats[4] > 20
+
+
+def test_isomorph_rejection_keeps_one_copy_per_orbit(monkeypatch):
+    """Burnside's premise, counted: in each generator combination the
+    permutations of equal generators act freely on the labelled objects, so
+    there are (classes) x prod m_i! of them, and enumerate_graphs
+    canonicalizes exactly one of each class.  The discovery order the
+    representative rule reads reaches every vertex of every object."""
+    canonicalized = Counter()
+    canonical = PropGraph.canonical
+
+    def counted(g):
+        canonicalized[g.vertices] += 1
+        return canonical(g)
+
+    monkeypatch.setattr(PropGraph, "canonical", counted)
+    rng = random.Random(44)
+    combos = 0
+    while combos < 60:
+        sig, out_p, in_p = _repeating_case(rng)
+        canonicalized.clear()
+        try:
+            graphs = enumerate_graphs(sig, out_p, in_p, 4, work_cap=5_000)
+        except ResourceCapExceeded:
+            continue
+        classes = Counter(tuple(sorted(g.vertices)) for g in graphs)
+        assert canonicalized == classes
+        labelled = Counter()
+        for combo, wiring, in_legs, out_legs in labelled_objects(sig, out_p, in_p, 4):
+            labelled[combo] += 1
+            seeds = [v for v, _ in sorted(in_legs, key=in_legs.get)]
+            seeds += [v for v, _ in sorted(out_legs, key=out_legs.get)]
+            order = _discovery_order(_neighbours(len(combo), wiring), seeds)
+            assert sorted(order) == list(range(len(combo)))
+        assert set(labelled) == set(classes)
+        for combo, n_classes in classes.items():
+            group_order = math.prod(math.factorial(m) for m in Counter(combo).values())
+            assert labelled[combo] == n_classes * group_order
+        combos += sum(1 for combo in classes if len(set(combo)) < len(combo))
+
+
+def test_canonical_matches_the_reference():
+    """Refinement on integer ranks returns the (certificate, order) the nested
+    colour tuples returned: on enumerated graphs, on graphs of expressions,
+    and with the same message where refinement leaves a cell of two."""
+    rng = random.Random(45)
+    checked = 0
+    for _ in range(80):
+        sig, out_p, in_p = _repeating_case(rng)
+        try:
+            graphs = enumerate_graphs(sig, out_p, in_p, 4, work_cap=5_000)
+        except ResourceCapExceeded:
+            graphs = []
+        with_unaries = random_signature(rng)
+        graphs += [expr_to_graph(random_expression(with_unaries, rng, depth=3)) for _ in range(10)]
+        for g in graphs:
+            assert g.canonical() == reference_canonical(g)
+            checked += 1
+    assert checked > 1_500
+    # a 2-cycle of unaries has no leg, so refinement cannot split it
+    sig = one_color_sig()
+    g = PropGraph(
+        sig, ["i", "i", "i"], [((0, 1), (1, 1)), ((1, 1), (0, 1))], {(2, 1): 1}, {(2, 1): 1}, check=False
+    )
+    with pytest.raises(GraphError) as want:
+        reference_canonical(g)
+    with pytest.raises(GraphError) as got:
+        g.canonical()
+    assert str(got.value) == str(want.value) == "partition refinement left vertices 0 and 1 in one cell"
 
 
 # -- graphs the constructor rejects ------------------------------------------------
