@@ -338,19 +338,17 @@ def coinvariant_quotient(space: ChainComplex, relation_maps):
         for m in relation_maps:
             # column j of id - m, built from the nonzeros of m's column j
             for j, entries in enumerate(linalg.columns(m.rows.get(n, ()), dim)):
-                diagonal = linalg.ONE - next((x for i, x in entries if i == j), linalg.ZERO)
-                if not diagonal and all(i == j for i, _ in entries):
-                    continue
-                row = [linalg.ZERO] * dim
-                for i, x in entries:
-                    row[i] = -x
-                row[j] = diagonal if diagonal else linalg.ZERO
-                rows.append(row)
+                row = {i: -x for i, x in entries}
+                diagonal = linalg.ONE + row.get(j, linalg.ZERO)
+                if diagonal:
+                    row[j] = diagonal
+                else:
+                    del row[j]
+                if row:
+                    rows.append(row)
         proj, sect = linalg.quotient_by_rowspace(rows, dim)
         if proj:
-            projs[n] = linalg.to_rows(proj)
-            sects[n] = linalg.to_rows(sect)
-            dims[n] = len(proj)
+            projs[n], sects[n], dims[n] = proj, sect, len(proj)
     boundary = {}
     for n in sorted(dims):
         if dims.get(n - 1):

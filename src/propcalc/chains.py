@@ -16,13 +16,16 @@ sub-blocks per pair of target and source compositions.
 A complex's boundary and a map's matrices have one storage: per degree, a
 list with one {column: entry} dict per row, holding only the nonzero exact
 scalars, in the row form of linalg; a degree whose matrix is zero is not
-stored.  Composition is linalg.mat_mul on it.  A signed permutation (an
-identity, factor_permutation_map, a bimodule action) is an ordinary map with
-one entry of 1 or -1 per row, so composing, placing and tensoring it touch
-only those entries.  The public constructors take dense lists of lists and
-coerce them; the builders here hand over fresh rows (sparse=True), which are
-not copied and never changed afterwards.  ChainMap.mat and .mats, and
-ChainComplex.d_mat, build dense matrices for callers that index entries.
+stored.  Composition is linalg.mat_mul on it, and homology, classification
+and the lift solver hand it to linalg's elimination as it is.  A signed
+permutation (an identity, factor_permutation_map, a bimodule action) is an
+ordinary map with one entry of 1 or -1 per row, so composing, placing and
+tensoring it touch only those entries.  The public constructors take dense
+lists of lists, check that every row has the expected length and coerce
+them; the builders here hand over fresh rows (sparse=True), which are not
+copied and never changed afterwards.  ChainMap.mat and .mats, and
+ChainComplex.d_mat, build dense matrices for inspection; nothing in the
+program reads them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from fractions import Fraction
 
 from propcalc import linalg
-from propcalc.linalg import MINUS_ONE, ONE, ZERO
+from propcalc.linalg import MINUS_ONE, ONE
 
 
 class ChainError(ValueError):
@@ -59,6 +62,12 @@ def _coerce(blocks, expected_shape, zero_name, shape_name):
             raise ChainError(
                 "%s in degree %d has shape %r, expected %r" % (shape_name, j, shape, expected)
             )
+        for i, r in enumerate(m):
+            if len(r) != shape[1]:
+                raise ChainError(
+                    "%s in degree %d has row %d of length %d, expected %d"
+                    % (shape_name, j, i, len(r), shape[1])
+                )
         if any(rows):
             out[j] = rows
     return out
@@ -646,20 +655,17 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
 
 
 def cycle_space_basis(x: ChainComplex, n: int):
-    if x.dim(n) == 0:
-        return []
-    if n == 0 or x.dim(n - 1) == 0:
-        return [[ONE if i == j else ZERO for i in range(x.dim(n))] for j in range(x.dim(n))]
-    return linalg.kernel_basis(x.d_mat(n))
+    """The cycles Z_n as their inclusion into X_n: X_n rows over one column per
+    basis cycle (see linalg.kernel_basis)."""
+    return linalg.kernel_basis(x.d(n), x.dim(n))
 
 
 def homology_dims(x: ChainComplex):
     """Exact Betti numbers per degree via rank-nullity."""
+    ranks = {n: linalg.rank(rows, x.dim(n)) for n, rows in x.boundary.items()}
     out = {}
     for n in x.degrees():
-        dn_rank = linalg.rank(x.d_mat(n)) if n >= 1 and x.dim(n - 1) else 0
-        dnp_rank = linalg.rank(x.d_mat(n + 1)) if x.dim(n + 1) else 0
-        h = x.dim(n) - dn_rank - dnp_rank
+        h = x.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         if h:
             out[n] = h
     return out
@@ -678,12 +684,12 @@ def induced_homology_iso(f: ChainMap) -> bool:
     if betti != homology_dims(f.target):
         return False
     for n, h in betti.items():
-        dim = f.target.dim(n)
+        # the boundaries B_n are the columns of d_{n+1}
         columns = linalg.columns(f.target.d(n + 1), f.target.dim(n + 1))
-        boundaries = [linalg.densify(dict(col), dim) for col in columns]
-        proj = linalg.to_rows(linalg.quotient_by_rowspace(boundaries, dim)[0])
-        images = [linalg.mat_vec(proj, linalg.mat_vec(f.block(n), z)) for z in cycle_space_basis(f.source, n)]
-        if linalg.rank(images) != h:
+        proj, _ = linalg.quotient_by_rowspace([dict(col) for col in columns], f.target.dim(n))
+        images = linalg.mat_mul(proj, linalg.mat_mul(f.block(n), cycle_space_basis(f.source, n)))
+        # the cycles, the columns of images, number at most dim X_n
+        if linalg.rank(images, f.source.dim(n)) != h:
             return False
     return True
 
@@ -702,8 +708,7 @@ def classify_map(f: ChainMap):
     surj_all = True
     inj = True
     for n in degrees:
-        m = f.mat(n)
-        r = linalg.rank(m)
+        r = linalg.rank(f.block(n), f.source.dim(n))
         if r < f.target.dim(n):
             surj_all = False
             if n > 0:
@@ -730,7 +735,9 @@ def path_object(x: ChainComplex):
     P_n = X_n + X_n + X_{n+1} for n >= 1 with d(a, b, z) = (da, db, a - b - dz),
     and P_0 is the subspace of X_0 + X_0 + X_1 cut out by a - b - dz = 0 (the
     degree-0 correction that keeps s a quasi-isomorphism; without it H_0 would
-    double).  s(a) = (a, a, 0); d0, d1 are the projections.
+    double).  s(a) = (a, a, 0); d0, d1 are the projections.  On P_0, a = b + dz,
+    so (b, z) are its coordinates: P_0 = X_0 + X_1, d1 reads b and d0 reads
+    b + dz.
 
     Contract: d0 o s = d1 o s = id; s is a degreewise-injective
     quasi-isomorphism (acyclic cofibration); (d0, d1) is surjective in every
@@ -743,94 +750,34 @@ def path_object(x: ChainComplex):
         zid = ChainMap.zero(z, z)
         return z, zid, zid, zid
 
-    def full_dim(n):
-        return 2 * x.dim(n) + x.dim(n + 1)
-
-    # degree-0 subspace: kernel of [I, -I, -d_1] inside X_0 + X_0 + X_1
-    n0, n1 = x.dim(0), x.dim(1)
-    if n0 == 0:
-        kernel_cols = [
-            [ONE if i == j else ZERO for i in range(full_dim(0))] for j in range(full_dim(0))
-        ]
-    else:
-        cut = linalg.zeros(n0, full_dim(0))
-        for i in range(n0):
-            cut[i][i] = ONE
-            cut[i][n0 + i] = -ONE
-        d1x = x.d_mat(1)
-        for i in range(n0):
-            for j in range(n1):
-                cut[i][2 * n0 + j] = -d1x[i][j]
-        kernel_cols = linalg.kernel_basis(cut)  # vectors in the full degree-0 space
-    k0 = len(kernel_cols)
-    # embed: (k0 -> full), coords: solve embed @ c = v
-    embed0 = [[kernel_cols[j][i] for j in range(k0)] for i in range(full_dim(0))]
-
-    def coords0(vec):
-        sol, cert = linalg.solve(embed0, [[v] for v in vec])
-        if sol is None:
-            raise ChainError("vector not in the degree-0 path subspace")
-        return [row[0] for row in sol]
-
-    dims = {}
-    if k0:
-        dims[0] = k0
-    top = x.top_degree
-    for n in range(1, top + 1):
-        d = full_dim(n)
-        if d:
-            dims[n] = d
-
-    def full_boundary(n, a, b, z):
-        """(a, b, z) in degree n >= 1 -> full coordinates of the boundary."""
-        da = linalg.mat_vec(x.d(n), a) if x.dim(n - 1) else []
-        db = linalg.mat_vec(x.d(n), b) if x.dim(n - 1) else []
-        dz = linalg.mat_vec(x.d(n + 1), z) if x.dim(n + 1) and x.dim(n) else [ZERO] * x.dim(n)
-        third = [ai - bi - dzi for ai, bi, dzi in zip(a, b, dz)] if x.dim(n) else []
-        return da + db + third
-
+    dims = {0: x.dim(0) + x.dim(1)}
     boundary = {}
-    for n in range(1, top + 2):
-        if not dims.get(n) or not dims.get(n - 1):
-            continue
-        cols = []
-        for j in range(full_dim(n)):
-            a = [ONE if j == i else ZERO for i in range(x.dim(n))]
-            b = [ONE if j == x.dim(n) + i else ZERO for i in range(x.dim(n))]
-            z = [ONE if j == 2 * x.dim(n) + i else ZERO for i in range(x.dim(n + 1))]
-            vec = full_boundary(n, a, b, z)
-            cols.append(coords0(vec) if n == 1 else vec)
-        boundary[n] = [[cols[j][i] for j in range(len(cols))] for i in range(dims[n - 1])]
-    p = ChainComplex(dims, boundary)
+    for n in range(1, x.top_degree + 1):
+        dims[n] = 2 * x.dim(n) + x.dim(n + 1)
+        # (a, b, z) -> (da, db, a - b - dz), of which P_0 keeps (db, a - b - dz)
+        dim, d = x.dim(n), x.d(n)
+        rows = [] if n == 1 else list(d)
+        rows += [{dim + j: v for j, v in row.items()} for row in d]
+        for i, row in enumerate(x.d(n + 1)):
+            third = {i: ONE, dim + i: MINUS_ONE}
+            third.update((2 * dim + j, -v) for j, v in row.items())
+            rows.append(third)
+        boundary[n] = rows
+    p = ChainComplex(dims, boundary, sparse=True)
 
-    s_mats = {}
-    d0_mats = {}
-    d1_mats = {}
-    for n in x.degrees():
-        dim_x = x.dim(n)
-        if n == 0:
-            s_cols = [coords0([ONE if i == j else ZERO for i in range(n0)] +
-                              [ONE if i == j else ZERO for i in range(n0)] +
-                              [ZERO] * n1) for j in range(n0)]
-            s_mats[0] = [[s_cols[j][i] for j in range(n0)] for i in range(k0)]
-            d0_mats[0] = [[embed0[i][j] for j in range(k0)] for i in range(n0)]
-            d1_mats[0] = [[embed0[n0 + i][j] for j in range(k0)] for i in range(n0)]
+    s_mats, d0_mats, d1_mats = {}, {}, {}
+    for n, dim in x.dims.items():
+        ident = [{i: ONE} for i in range(dim)]
+        b = 0 if n == 0 else dim  # where the b block starts
+        s_mats[n] = ([] if n == 0 else ident) + ident + [{} for _ in range(x.dim(n + 1))]
+        d1_mats[n] = [{b + i: ONE} for i in range(dim)]
+        if n:
+            d0_mats[n] = ident
         else:
-            dim_p = dims.get(n, 0)
-            s_m = linalg.zeros(dim_p, dim_x)
-            d0_m = linalg.zeros(dim_x, dim_p)
-            d1_m = linalg.zeros(dim_x, dim_p)
-            for i in range(dim_x):
-                s_m[i][i] = ONE
-                s_m[dim_x + i][i] = ONE
-                d0_m[i][i] = ONE
-                d1_m[i][dim_x + i] = ONE
-            s_mats[n] = s_m
-            d0_mats[n] = d0_m
-            d1_mats[n] = d1_m
-    s = ChainMap(x, p, s_mats)
-    d0 = ChainMap(p, x, d0_mats)
-    d1 = ChainMap(p, x, d1_mats)
+            d0_mats[0] = [{i: ONE, **{dim + j: v for j, v in row.items()}} for i, row in enumerate(x.d(1))]
+    s = ChainMap(x, p, s_mats, sparse=True)
+    d0 = ChainMap(p, x, d0_mats, sparse=True)
+    d1 = ChainMap(p, x, d1_mats, sparse=True)
     return p, s, d0, d1
 
 
@@ -894,7 +841,7 @@ class LiftProblem:
             # per term: the nonzero (p, L[a][p]) of each row a of L and (q, R[q][b])
             # of each column b of R; None stands for an identity, whose entries
             # are the shared ONE, which is never multiplied; an entry whose terms
-            # cancel is dropped, as solve_rows takes no zero entries
+            # cancel is dropped, as solve takes no zero entries
             sparse_terms = []
             for coeff, L, j, R in terms:
                 if j not in offsets:
@@ -925,16 +872,16 @@ class LiftProblem:
                                     row[k] = y
                     if row or b in rhs_row:
                         rows.append(row)
-                        rhs_col.append([rhs_row.get(b, ZERO)])
+                        rhs_col.append({0: rhs_row[b]} if b in rhs_row else {})
         if not rows:
             return ChainMap.zero(self.source, self.target, self.degree)
-        x, cert = linalg.solve_rows(rows, rhs_col, nvars)
+        x, cert = linalg.solve(rows, rhs_col, nvars, 1)
         if x is None:
             raise Unsolvable("constraint system inconsistent", certificate=cert)
         mats = {}
         for j, (base, r, c) in offsets.items():
             mats[j] = [
-                {q: v for q, (v,) in enumerate(x[base + p * c : base + (p + 1) * c]) if v}
+                {q: v[0] for q, v in enumerate(x[base + p * c : base + (p + 1) * c]) if v}
                 for p in range(r)
             ]
         return ChainMap(self.source, self.target, mats, self.degree, check=False, sparse=True)
@@ -965,12 +912,8 @@ def equivariant_average(f: ChainMap, group_action_pairs) -> ChainMap:
         raise ChainError("empty group")
     total = None
     for src_g, tgt_g in group_action_pairs:
-        inv_mats = {}
-        for j in src_g.source.degrees():
-            m = src_g.mat(j)
-            if m and m[0]:
-                inv_mats[j] = linalg.inverse(m)
-        inv = ChainMap(src_g.source, src_g.source, inv_mats, check=False)
+        inv_mats = {j: linalg.inverse(src_g.block(j), d) for j, d in src_g.source.dims.items()}
+        inv = ChainMap(src_g.source, src_g.source, inv_mats, check=False, sparse=True)
         term = tgt_g.compose(f).compose(inv)
         total = term if total is None else total.add(term)
     return total.scale(Fraction(1, n))

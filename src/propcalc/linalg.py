@@ -1,21 +1,23 @@
-"""Exact linear algebra over Q: sparse rows for products, dense for elimination.
+"""Exact linear algebra over Q on sparse rows.
 
 A matrix acts on column vectors, rows = target dimension, columns = source
-dimension.  Products take it as a list of rows, each a {column: entry} dict
-holding only the nonzero entries: mat_mul, mat_add and mat_scale work on that
-form and give it back, and the chain complexes and maps of chains store it.
-The elimination routines (row_echelon, rank, kernel_basis, solve, inverse,
-quotient_by_rowspace) take and give dense lists of lists; to_rows and
-to_dense convert between the two.  A scalar is an int when integral and a
+dimension.  It is a list of rows, each a {column: entry} dict holding only
+the nonzero entries; where a routine needs the column count it takes it as
+an argument.  Every routine here takes and gives that form: the products
+mat_mul, mat_add and mat_scale, and the elimination routines row_echelon,
+rank, kernel_basis (the kernel as its inclusion map), solve, inverse and
+quotient_by_rowspace.  The chain complexes and maps of chains store it.
+Dense lists of lists are only read and written at the boundary: to_rows and
+to_dense convert a matrix, nonzeros reads a dense coordinate vector and
+mat_vec applies rows to one.  A scalar is an int when integral and a
 Fraction when not, never a float or a bool: exact() coerces inputs so, ints
-and Fractions mix exactly, the one division, _eliminate's pivot
+and Fractions mix exactly, the one division, row_echelon's pivot
 normalisation, gives an int when both operands are ints and it is exact, and
 the row product, sum and scale turn an integral Fraction result into an int.
-Elimination also runs on dict rows, with a column-to-rows index.  One
-solving routine, solve_rows, takes such rows directly (the lift solver builds
-its systems that way); solve is its dense wrapper.  The pivots are the ones
-dense Gauss-Jordan elimination picks, and since the reduced row echelon form
-is unique for a fixed column order, so are the results.  Everything here is
+row_echelon is the one elimination, Gauss-Jordan with a column-to-rows index,
+and solve the one solving routine.  The pivots are the ones dense
+Gauss-Jordan elimination picks, and since the reduced row echelon form is
+unique for a fixed column order, so are the results.  Everything here is
 deterministic: pivots are chosen first-nonzero, free variables are set to
 zero, so repeated runs produce identical output.
 """
@@ -43,11 +45,6 @@ def nonzeros(row) -> list:
     """(column, entry) for each nonzero entry of a dense row, in column order."""
     # the shared ZERO is skipped by identity, without a comparison
     return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
-
-
-def is_zero_row(row) -> bool:
-    # list.count compares by identity first, and every int zero is the shared ZERO
-    return row.count(ZERO) == len(row)
 
 
 def to_rows(m: Matrix) -> list:
@@ -78,25 +75,6 @@ def columns(rows, n_cols: int) -> list:
         for j, x in row.items():
             cols[j].append((r, x))
     return cols
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
-def shape(m: Matrix) -> tuple:
-    return (len(m), len(m[0]) if m else 0)
-
-
-def copy(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
 
 
 def _tidy(acc: dict) -> dict:
@@ -150,23 +128,15 @@ def mat_vec(a, v: list) -> list:
     return [sum((x * v[j] for j, x in row.items()), ZERO) for row in a]
 
 
-def row_echelon(m: Matrix):
-    """In-place forward elimination.
+def row_echelon(rows, n_cols: int):
+    """Gauss-Jordan elimination of {column: entry} rows over n_cols columns, in
+    place; returns (pivot_cols, free_cols).
 
-    Returns (pivot_cols, free_cols).  Pivot choice is the first row with a
-    nonzero entry in the current column, rows are normalized to pivot 1.
-    The elimination runs on {column: entry} rows; the reduced rows are
-    written back into m densely.
+    The rows hold no zero entries, and n_cols bounds their column indices.
+    Pivot choice is the first row with a nonzero entry in the current column,
+    pivot rows are normalized to 1 and come first, in pivot order; the other
+    rows end empty.  A column-to-rows index finds the rows to clear.
     """
-    n_cols = len(m[0]) if m else 0
-    rows = [dict(nonzeros(row)) for row in m]
-    pivots = _eliminate(rows, n_cols)
-    m[:] = [densify(row, n_cols) for row in rows]
-    return pivots
-
-
-def _eliminate(rows, n_cols):
-    """Gauss-Jordan elimination of dict rows in place; returns (pivot_cols, free_cols)."""
     n_rows = len(rows)
     holders = {}  # column -> indices of the rows with a nonzero entry there
     for i, row in enumerate(rows):
@@ -233,103 +203,78 @@ def _swap(rows, holders, a: int, b: int):
             holders[j].add(i)
 
 
-def rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    work = copy(m)
-    pivots, _ = row_echelon(work)
-    return len(pivots)
+def rank(rows, n_cols: int) -> int:
+    """The rank of {column: entry} rows over n_cols columns."""
+    return len(row_echelon([dict(row) for row in rows], n_cols)[0])
 
 
-def kernel_basis(m: Matrix) -> list:
-    """Column vectors spanning ker(m), free variables set to 1 one at a time."""
-    r, c = shape(m)
-    if c == 0:
-        return []
-    if r == 0:
-        return [[ONE if i == j else ZERO for i in range(c)] for j in range(c)]
-    work = copy(m)
-    pivots, frees = row_echelon(work)
-    basis = [[ZERO] * c for _ in frees]
-    by_free = dict(zip(frees, basis))
-    for fc, v in by_free.items():
-        v[fc] = ONE
-    # pivot rows are normalized; back-substitute
-    for r_i, pc in enumerate(pivots):
-        for fc, x in nonzeros(work[r_i]):
-            if fc in by_free:
-                by_free[fc][pc] = -x
-    return basis
+def kernel_basis(rows, n_cols: int) -> list:
+    """ker(rows) as its inclusion: n_cols rows over one column per free
+    variable, column k the kernel vector whose k-th free variable is 1 and
+    whose other free variables are 0.  The kernel is the dual of the quotient
+    by the row space, so the inclusion is quotient_by_rowspace's proj
+    transposed."""
+    proj, _ = quotient_by_rowspace(rows, n_cols)
+    return [dict(col) for col in columns(proj, n_cols)]
 
 
-def solve(a: Matrix, rhs: Matrix):
-    """Solve a @ x = rhs for x (rhs may have several columns).
+def solve(a, b, n_cols: int, b_cols: int):
+    """Solve a @ x = b for {column: entry} rows: a over n_cols unknowns, b
+    with as many rows over b_cols columns.
 
-    Returns (x, None) with free variables set to 0, or (None, certificate)
-    where certificate = (row_index, residual_row) exhibits an inconsistent
-    reduced row 0 = nonzero.
+    Returns (x, None), x as n_cols rows over b_cols columns with free
+    variables set to 0, or (None, certificate) where certificate =
+    (row_index, residual_row) exhibits an inconsistent reduced row 0 =
+    nonzero; the residual row is dense, the unknowns, then b.  Neither a nor
+    b is changed.
     """
-    return solve_rows([dict(nonzeros(row)) for row in a], rhs, shape(a)[1])
-
-
-def solve_rows(rows, rhs, n_cols: int):
-    """solve() for {column: entry} rows over n_cols unknowns, holding no zero
-    entries, and their dense right-hand-side rows: the same x or certificate,
-    whose residual row is dense (unknowns, then rhs).  Reduces rows in place.
-    """
-    for row, b in zip(rows, rhs):
-        for j, y in enumerate(b):
-            if y is not ZERO and y:
-                row[n_cols + j] = y
-    rhs_c = len(rhs[0]) if rhs else 0
-    pivots, _ = _eliminate(rows, n_cols + rhs_c)
-    # rows whose pivot lives in the rhs block are inconsistent
+    aug = []
+    for row, brow in zip(a, b):
+        row = dict(row)
+        for j, y in brow.items():
+            row[n_cols + j] = y
+        aug.append(row)
+    pivots, _ = row_echelon(aug, n_cols + b_cols)
+    # rows whose pivot lives in the b block are inconsistent
     n_piv_in_a = sum(1 for p in pivots if p < n_cols)
     if n_piv_in_a < len(pivots):
-        return None, (n_piv_in_a, densify(rows[n_piv_in_a], n_cols + rhs_c))
-    x = zeros(n_cols, rhs_c)
-    for row, pc in zip(rows, pivots):
-        for j in range(rhs_c):
-            x[pc][j] = row.get(n_cols + j, ZERO)
+        return None, (n_piv_in_a, densify(aug[n_piv_in_a], n_cols + b_cols))
+    x = [{} for _ in range(n_cols)]
+    for row, pc in zip(aug, pivots):
+        x[pc] = {j - n_cols: y for j, y in row.items() if j >= n_cols}
     return x, None
 
 
-def inverse(a: Matrix):
-    n, m = shape(a)
-    if n != m:
+def inverse(rows, n_cols: int) -> list:
+    """The inverse of a square matrix of {column: entry} rows, as rows;
+    ValueError when it is not square or not invertible."""
+    if len(rows) != n_cols:
         raise ValueError("not square")
-    x, cert = solve(a, identity(n))
-    if cert is not None or rank(a) != n:
+    x, cert = solve(rows, [{i: ONE} for i in range(n_cols)], n_cols, n_cols)
+    if cert is not None:
         raise ValueError("matrix not invertible")
     return x
 
 
-def quotient_by_rowspace(rows: Matrix, dim: int):
-    """Quotient of Q^dim by the span of the given row vectors.
+def quotient_by_rowspace(rows, dim: int):
+    """Quotient of Q^dim by the span of {column: entry} rows.
 
-    Returns (proj, sect): proj is (q x dim) mapping a vector to coordinates in
-    the quotient basis (the non-pivot coordinates), sect is (dim x q) picking
+    Returns (proj, sect) as rows: proj (q x dim) maps a vector to coordinates
+    in the quotient basis (the non-pivot coordinates), sect (dim x q) picks
     the canonical representative with pivot coordinates eliminated.
     proj @ sect = identity on the quotient.
     """
-    if dim == 0:
-        return zeros(0, 0), zeros(0, 0)
-    work = [row[:] for row in rows if not is_zero_row(row)]
-    if not work:
-        return identity(dim), identity(dim)
-    pivots, frees = row_echelon(work)
-    q = len(frees)
-    proj = zeros(q, dim)
+    work = [dict(row) for row in rows]
+    pivots, frees = row_echelon(work, dim)
     # class of e_j: if j free, coordinate j; if j pivot, e_j = -sum over frees
     # of the reduced row entries.
-    for qi, fc in enumerate(frees):
-        proj[qi][fc] = ONE
+    proj = [{fc: ONE} for fc in frees]
     free_index = {fc: qi for qi, fc in enumerate(frees)}
-    for r_i, pc in enumerate(pivots):
-        for fc, x in nonzeros(work[r_i]):
-            if fc in free_index:
+    for row, pc in zip(work, pivots):
+        for fc, x in row.items():
+            if fc != pc:
                 proj[free_index[fc]][pc] = -x
-    sect = zeros(dim, q)
+    sect = [{} for _ in range(dim)]
     for qi, fc in enumerate(frees):
-        sect[fc][qi] = ONE
+        sect[fc] = {qi: ONE}
     return proj, sect

@@ -79,6 +79,10 @@ COMMANDS = [
     ("homology-fractions", ["homology", "frac.json"]),
     ("homology-object-rows", ["homology", "rows_object.json"]),
     ("homology-string-rows", ["homology", "rows_string.json"]),
+    ("homology-short-row", ["homology", "short_row.json"]),
+    ("homology-long-row", ["homology", "long_row.json"]),
+    ("check-short-row", ["check", "short_row.json"]),
+    ("check-long-row", ["check", "long_row.json"]),
     ("classify-chain-map", ["classify", "frac_map.json"]),
     ("classify-family-map", ["classify", "proj.json"]),
     ("classify-wrong-kind", ["classify", "q.json"]),
@@ -219,6 +223,11 @@ def write_inputs():
     _write("rows_object.json", dumps(rows))
     rows["boundary"]["1"] = ["34", "29"]
     _write("rows_string.json", dumps(rows))
+    # a second boundary row shorter, and longer, than the first
+    rows["boundary"]["1"] = [["1", "0"], ["0"]]
+    _write("short_row.json", dumps(rows))
+    rows["boundary"]["1"] = [["1", "0"], ["0", "1", "5"]]
+    _write("long_row.json", dumps(rows))
     _write("truncated.json", '{"kind": "operad_algebra", ')
     with open(os.path.join(INPUTS, "not_utf8.json"), "wb") as handle:
         handle.write(b"\xff\xfe{")

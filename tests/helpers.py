@@ -14,7 +14,7 @@ from propcalc.bimodules import (
     merge_keys,
     placements,
 )
-from propcalc.chains import ChainError, TensorSpace, place_blocks
+from propcalc.chains import ZERO_COMPLEX, ChainError, TensorSpace, place_blocks
 from propcalc.graphs import (
     Generator,
     GraphError,
@@ -24,6 +24,7 @@ from propcalc.graphs import (
     _leg_assignments,
     _wirings,
 )
+from propcalc.linalg import ONE, ZERO
 from propcalc.exprs import (
     GenExpr,
     HCompExpr,
@@ -266,6 +267,18 @@ def dense_is_zero(m):
     return all(x == 0 for row in m for x in row)
 
 
+def zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def copy(m):
+    return [row[:] for row in m]
+
+
 # -- dense references for the exact kernel ------------------------------------
 # The dense Gauss-Jordan algorithms that propcalc's linalg and TensorSpace used
 # before they worked on nonzeros only; the kernel tests hold the sparse code to
@@ -373,8 +386,6 @@ def dense_quotient_by_rowspace(rows, dim):
 def reference_coinvariant_quotient(space, relation_maps):
     """bimodules.coinvariant_quotient as it was before its relation rows were
     built from nonzeros: each row negates every entry of a column of m."""
-    from propcalc import linalg
-
     projs, sects, dims = {}, {}, {}
     for n in space.degrees():
         dim = space.dim(n)
@@ -386,7 +397,7 @@ def reference_coinvariant_quotient(space, relation_maps):
                 row[j] += F(1)
                 if any(x != 0 for x in row):
                     rows.append(row)
-        projs[n], sects[n] = linalg.quotient_by_rowspace(rows, dim)
+        projs[n], sects[n] = dense_quotient_by_rowspace(rows, dim)
         if projs[n]:
             dims[n] = len(projs[n])
     boundary = {}
@@ -397,6 +408,119 @@ def reference_coinvariant_quotient(space, relation_maps):
     proj = ChainMap(space, quotient, {n: projs[n] for n in dims}, check=False)
     sect = ChainMap(quotient, space, {n: sects[n] for n in dims}, check=False)
     return quotient, proj, sect
+
+
+def reference_path_object(x):
+    """chains.path_object as it was before it built its maps as rows: the
+    degree-0 subspace by a dense kernel basis, coordinates by dense solves.
+
+    Path object P with X --s--> P --(d0,d1)--> X x X.
+
+    P_n = X_n + X_n + X_{n+1} for n >= 1 with d(a, b, z) = (da, db, a - b - dz),
+    and P_0 is the subspace of X_0 + X_0 + X_1 cut out by a - b - dz = 0 (the
+    degree-0 correction that keeps s a quasi-isomorphism; without it H_0 would
+    double).  s(a) = (a, a, 0); d0, d1 are the projections.
+
+    Contract: d0 o s = d1 o s = id; s is a degreewise-injective
+    quasi-isomorphism (acyclic cofibration); (d0, d1) is surjective in every
+    positive degree (fibration).  Full degree-0 surjectivity is unattainable:
+    boundaries of P must die under both projections, so the degree-0 image of
+    (d0, d1) has rank at most dim H_0(X) + rank(d1) < 2 dim X_0 in general.
+    """
+    if x.is_zero():
+        z = ZERO_COMPLEX
+        zid = ChainMap.zero(z, z)
+        return z, zid, zid, zid
+
+    def full_dim(n):
+        return 2 * x.dim(n) + x.dim(n + 1)
+
+    # degree-0 subspace: kernel of [I, -I, -d_1] inside X_0 + X_0 + X_1
+    n0, n1 = x.dim(0), x.dim(1)
+    if n0 == 0:
+        kernel_cols = [
+            [ONE if i == j else ZERO for i in range(full_dim(0))] for j in range(full_dim(0))
+        ]
+    else:
+        cut = zeros(n0, full_dim(0))
+        for i in range(n0):
+            cut[i][i] = ONE
+            cut[i][n0 + i] = -ONE
+        d1x = x.d_mat(1)
+        for i in range(n0):
+            for j in range(n1):
+                cut[i][2 * n0 + j] = -d1x[i][j]
+        kernel_cols = dense_kernel_basis(cut)  # vectors in the full degree-0 space
+    k0 = len(kernel_cols)
+    # embed: (k0 -> full), coords: solve embed @ c = v
+    embed0 = [[kernel_cols[j][i] for j in range(k0)] for i in range(full_dim(0))]
+
+    def coords0(vec):
+        sol, cert = dense_solve(embed0, [[v] for v in vec])
+        if sol is None:
+            raise ChainError("vector not in the degree-0 path subspace")
+        return [row[0] for row in sol]
+
+    dims = {}
+    if k0:
+        dims[0] = k0
+    top = x.top_degree
+    for n in range(1, top + 1):
+        d = full_dim(n)
+        if d:
+            dims[n] = d
+
+    def full_boundary(n, a, b, z):
+        """(a, b, z) in degree n >= 1 -> full coordinates of the boundary."""
+        da = linalg.mat_vec(x.d(n), a) if x.dim(n - 1) else []
+        db = linalg.mat_vec(x.d(n), b) if x.dim(n - 1) else []
+        dz = linalg.mat_vec(x.d(n + 1), z) if x.dim(n + 1) and x.dim(n) else [ZERO] * x.dim(n)
+        third = [ai - bi - dzi for ai, bi, dzi in zip(a, b, dz)] if x.dim(n) else []
+        return da + db + third
+
+    boundary = {}
+    for n in range(1, top + 2):
+        if not dims.get(n) or not dims.get(n - 1):
+            continue
+        cols = []
+        for j in range(full_dim(n)):
+            a = [ONE if j == i else ZERO for i in range(x.dim(n))]
+            b = [ONE if j == x.dim(n) + i else ZERO for i in range(x.dim(n))]
+            z = [ONE if j == 2 * x.dim(n) + i else ZERO for i in range(x.dim(n + 1))]
+            vec = full_boundary(n, a, b, z)
+            cols.append(coords0(vec) if n == 1 else vec)
+        boundary[n] = [[cols[j][i] for j in range(len(cols))] for i in range(dims[n - 1])]
+    p = ChainComplex(dims, boundary)
+
+    s_mats = {}
+    d0_mats = {}
+    d1_mats = {}
+    for n in x.degrees():
+        dim_x = x.dim(n)
+        if n == 0:
+            s_cols = [coords0([ONE if i == j else ZERO for i in range(n0)] +
+                              [ONE if i == j else ZERO for i in range(n0)] +
+                              [ZERO] * n1) for j in range(n0)]
+            s_mats[0] = [[s_cols[j][i] for j in range(n0)] for i in range(k0)]
+            d0_mats[0] = [[embed0[i][j] for j in range(k0)] for i in range(n0)]
+            d1_mats[0] = [[embed0[n0 + i][j] for j in range(k0)] for i in range(n0)]
+        else:
+            dim_p = dims.get(n, 0)
+            s_m = zeros(dim_p, dim_x)
+            d0_m = zeros(dim_x, dim_p)
+            d1_m = zeros(dim_x, dim_p)
+            for i in range(dim_x):
+                s_m[i][i] = ONE
+                s_m[dim_x + i][i] = ONE
+                d0_m[i][i] = ONE
+                d1_m[i][dim_x + i] = ONE
+            s_mats[n] = s_m
+            d0_mats[n] = d0_m
+            d1_mats[n] = d1_m
+    s = ChainMap(x, p, s_mats)
+    d0 = ChainMap(p, x, d0_mats)
+    d1 = ChainMap(p, x, d1_mats)
+    return p, s, d0, d1
 
 
 def dense_tensor_boundary(space):
@@ -453,7 +577,7 @@ def reference_assemble_tensor_map(src_space, tgt_space, groups):
         cols = src_space.dim(n)
         if rows == 0 or cols == 0:
             continue
-        big = linalg.zeros(rows, cols)
+        big = zeros(rows, cols)
         for col, (comp, idxs) in enumerate(src_space.basis(n)):
             pieces = []
             pos = 0
@@ -495,7 +619,7 @@ def reference_factor_permutation_map(factors, perm):
     tgt_space = TensorSpace(permuted)
     mats = {}
     for n in src_space.complex.degrees():
-        big = linalg.zeros(tgt_space.dim(n), src_space.dim(n))
+        big = zeros(tgt_space.dim(n), src_space.dim(n))
         for col, (comp, idxs) in enumerate(src_space.basis(n)):
             tcomp = [0] * k
             tidx = [0] * k
@@ -1295,7 +1419,7 @@ def reference_induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
                 continue
             space = TensorSpace([upper.carrier, lower.carrier])
             mats = {
-                n: linalg.zeros(target.carrier.dim(n), space.complex.dim(n))
+                n: zeros(target.carrier.dim(n), space.complex.dim(n))
                 for n in space.complex.degrees()
             }
             _reference_fill_boxh_vertical(
@@ -1415,7 +1539,7 @@ def reference_induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, mo
                 continue
             space = TensorSpace([c1.carrier, c2.carrier])
             mats = {
-                n: linalg.zeros(target.carrier.dim(n), space.complex.dim(n))
+                n: zeros(target.carrier.dim(n), space.complex.dim(n))
                 for n in space.complex.degrees()
             }
             _reference_fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats)

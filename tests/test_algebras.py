@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dense_kernel_basis,
+    dense_solve,
     dense_vec,
     field_plus_disc_family,
     ground_field_structure,
     homotopy_assoc_presentation,
+    identity,
     inclusion_from_field,
     interchange_quadruple,
     projection_to_field,
     random_signature,
     reference_lift_solve,
 )
-from propcalc import linalg
 from propcalc.algebras import (
     AlgebraError,
     AlgebraStructure,
@@ -443,10 +445,10 @@ def mapping_path_factorization(g: FamilyMap):
                 for r in range(c.dim(n))
             ]
             if not cut:
-                basis = linalg.identity(total)
+                basis = identity(total)
                 cols = [ [basis[i][k] for i in range(total)] for k in range(total) ]
             else:
-                cols = linalg.kernel_basis(cut)
+                cols = dense_kernel_basis(cut)
             embeds[n] = cols
             if cols:
                 dims[n] = len(cols)
@@ -468,7 +470,7 @@ def mapping_path_factorization(g: FamilyMap):
                 da = dense_vec(a.d_mat(n), av) if a.dim(n - 1) else []
                 dp = dense_vec(pc.d_mat(n), pv) if pc.dim(n - 1) else []
                 full = list(da) + list(dp)
-                sol, cert = linalg.solve(lo_mat, [[v] for v in full])
+                sol, cert = dense_solve(lo_mat, [[v] for v in full])
                 assert cert is None
                 cols_out.append([row[0] for row in sol])
             boundary[n] = [
@@ -497,7 +499,7 @@ def mapping_path_factorization(g: FamilyMap):
                 gv = dense_vec(g.maps[color].mat(n), avec) if c.dim(n) else []
                 sv = dense_vec(s.mat(n), gv) if pc.dim(n) else []
                 full = avec + list(sv)
-                sol, cert = linalg.solve(lo_mat, [[v] for v in full])
+                sol, cert = dense_solve(lo_mat, [[v] for v in full])
                 assert cert is None
                 cols.append([row[0] for row in sol])
             if cols:

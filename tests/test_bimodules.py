@@ -8,8 +8,10 @@ import pytest
 
 from helpers import (
     dense_add,
+    dense_rank,
     dense_scale,
     dense_sub,
+    identity,
     induced_dim_law,
     is_signed_permutation,
     kron,
@@ -18,8 +20,9 @@ from helpers import (
     reference_rho_in,
     reference_rho_out,
     reference_validate_component,
+    zeros,
 )
-from propcalc import formats, linalg
+from propcalc import formats
 from propcalc.bimodules import (
     BimoduleComponent,
     BimoduleError,
@@ -69,7 +72,7 @@ def perm_matrix_rep(group_key, side):
     gens = {}
     for s in stabilizer_generators(group_key):
         use = s if side == "out" else s.inverse()
-        m = linalg.zeros(n, n)
+        m = zeros(n, n)
         for i in range(1, n + 1):
             m[use(i) - 1][i - 1] = F(1)
         gens[s.images] = m
@@ -96,10 +99,10 @@ def make_component(out_key, in_key, carrier, out_mats=None, in_mats=None):
 
     out_gens = {}
     for s in stabilizer_generators(out_key):
-        out_gens[s.images] = to_chain((out_mats or {}).get(s.images, linalg.identity(carrier.dim(0))))
+        out_gens[s.images] = to_chain((out_mats or {}).get(s.images, identity(carrier.dim(0))))
     in_gens = {}
     for s in stabilizer_generators(in_key):
-        in_gens[s.images] = to_chain((in_mats or {}).get(s.images, linalg.identity(carrier.dim(0))))
+        in_gens[s.images] = to_chain((in_mats or {}).get(s.images, identity(carrier.dim(0))))
     return BimoduleComponent(out_key, in_key, carrier, out_gens, in_gens)
 
 
@@ -109,7 +112,7 @@ def regular_rep_mats(group_key, side):
     index = {g.images: i for i, g in enumerate(elems)}
     out = {}
     for s in stabilizer_generators(group_key):
-        m = linalg.zeros(len(elems), len(elems))
+        m = zeros(len(elems), len(elems))
         for i, g in enumerate(elems):
             target = (s * g) if side == "out" else (g * s)
             m[index[target.images]][i] = F(1)
@@ -193,8 +196,8 @@ def random_young_component(rng, out_key, in_key, max_dim=8):
         in_natural = in_key.length > 1 and a * in_key.length <= max_dim and rng.random() < 0.6
         b = in_key.length if in_natural else 1
         dims[j] = a * b
-        out_mats[j] = {g: kron(m, linalg.identity(b)) for g, m in young_rep(rng, out_key, "out", out_natural).items()}
-        in_mats[j] = {g: kron(linalg.identity(a), m) for g, m in young_rep(rng, in_key, "in", in_natural).items()}
+        out_mats[j] = {g: kron(m, identity(b)) for g, m in young_rep(rng, out_key, "out", out_natural).items()}
+        in_mats[j] = {g: kron(identity(a), m) for g, m in young_rep(rng, in_key, "in", in_natural).items()}
     carrier = ChainComplex(dims)
 
     def gens(mats, group_key):
@@ -385,7 +388,7 @@ def test_component_at_trivial_action_transports_identically():
     carrier, structure = component_at(mod, kd.rep, kc.rep)
     for imgs in itertools.permutations([1, 2]):
         m = structure(Permutation(imgs), Permutation([1]))
-        assert m.mat(0) == linalg.identity(3)
+        assert m.mat(0) == identity(3)
 
 
 def test_component_at_sign_action():
@@ -402,7 +405,7 @@ def test_component_at_functoriality_random():
     rng = random.Random(0)
     kd = key(PAL, "a", "a", "b")
     kc = key(PAL, "b", "b")
-    neg3 = {s.images: dense_scale(F(-1), linalg.identity(3)) for s in stabilizer_generators(kc)}
+    neg3 = {s.images: dense_scale(F(-1), identity(3)) for s in stabilizer_generators(kc)}
     comp = make_component(
         kd,
         kc,
@@ -480,11 +483,11 @@ def random_rep_component(rng, out_key, in_key, dim=None, graded=False):
         out_gens = {}
         for s in stabilizer_generators(out_key):
             m = out_mats[s.images]
-            out_gens[s.images] = kron(m, linalg.identity(dims[1]))
+            out_gens[s.images] = kron(m, identity(dims[1]))
         in_gens = {}
         for s in stabilizer_generators(in_key):
             m = in_mats[s.images]
-            in_gens[s.images] = kron(linalg.identity(dims[0]), m)
+            in_gens[s.images] = kron(identity(dims[0]), m)
         return make_component(out_key, in_key, carrier, out_gens, in_gens)
     d = dims[0] if dims else rng.randint(1, 2)
     carrier_dims = {0: d}
@@ -501,26 +504,26 @@ def classical_tensor_over_group_dim(x, y, mid_key):
     for g in stabilizer_elements(mid_key):
         a = x.rho_in(g).mat(0)
         b = y.rho_out(g).mat(0)
-        rel = dense_sub(kron(a, linalg.identity(y.carrier.dim(0))),
-                             kron(linalg.identity(x.carrier.dim(0)), b))
+        rel = dense_sub(kron(a, identity(y.carrier.dim(0))),
+                             kron(identity(x.carrier.dim(0)), b))
         for j in range(dim):
             rows.append([rel[i][j] for i in range(dim)])
     if not rows:
         return dim
-    return dim - linalg.rank(rows)
+    return dim - dense_rank(rows)
 
 
 def averaging_rank(x, y, mid_key):
     dim_x = x.carrier.dim(0)
     dim_y = y.carrier.dim(0)
-    total = linalg.zeros(dim_x * dim_y, dim_x * dim_y)
+    total = zeros(dim_x * dim_y, dim_x * dim_y)
     elems = stabilizer_elements(mid_key)
     for g in elems:
         a = x.rho_in(g.inverse()).mat(0)
         b = y.rho_out(g).mat(0)
         total = dense_add(total, kron(a, b))
     total = dense_scale(F(1, len(elems)), total)
-    return linalg.rank(total)
+    return dense_rank(total)
 
 
 def test_coinvariants_against_independent_routes():
@@ -681,7 +684,7 @@ def flatten_nested(palette, nested, parts):
     inner_meta = inner.layout
     mats = {}
     for n in nested.carrier.degrees():
-        m = linalg.zeros(flat.carrier.dim(n), nested.carrier.dim(n))
+        m = zeros(flat.carrier.dim(n), nested.carrier.dim(n))
         outer_tensor = meta_o.tensor
         base = outer_tensor.complex
         for s_out_i, ao in enumerate(meta_o.outs):
@@ -767,7 +770,7 @@ def test_box_dot_associativity_intertwiner():
         flat, mats = flatten_nested(PAL, nested_left, (x, y, z))
         for n, m in mats.items():
             # permutation matrix: invertible
-            assert linalg.rank(m) == flat3.carrier.dim(n)
+            assert dense_rank(m) == flat3.carrier.dim(n)
         # the intertwiner transports the generator actions
         inter = ChainMap(nested_left.carrier, flat.carrier, mats, check=False)
         for s in stabilizer_generators(flat3.out_key):
@@ -957,7 +960,7 @@ def test_box_v_associativity_intertwiner():
         inter = proj_inner_r.compose(contract).compose(expand).compose(sect_outer)
         for n in left.carrier.degrees():
             m = inter.mat(n)
-            assert linalg.rank(m) == left.carrier.dim(n)
+            assert dense_rank(m) == left.carrier.dim(n)
         # intertwines the outer actions
         for s in stabilizer_generators(k1):
             assert inter.compose(left.rho_out(s)) == right.rho_out(s).compose(inter)
@@ -992,10 +995,10 @@ def test_all_product_outputs_satisfy_group_laws():
 def graded_component(out_key, in_key, sign_out=False, sign_in=False, n=1):
     """Chain-valued component: identity differential disc, equal action in
     both degrees (so it commutes with d)."""
-    carrier = ChainComplex({0: n, 1: n}, {1: linalg.identity(n)})
+    carrier = ChainComplex({0: n, 1: n}, {1: identity(n)})
 
     def mats(flag):
-        m = dense_scale(F(-1) if flag else F(1), linalg.identity(n))
+        m = dense_scale(F(-1) if flag else F(1), identity(n))
         return ChainMap(carrier, carrier, {0: m, 1: m}, check=False)
 
     out_gens = {s.images: mats(sign_out) for s in stabilizer_generators(out_key)}
@@ -1030,14 +1033,14 @@ def test_multicolor_middle_averaging_cross_check():
         comp = tensor_over_sigma(x, y)
         dim_x = x.carrier.dim(0)
         dim_y = y.carrier.dim(0)
-        total = linalg.zeros(dim_x * dim_y, dim_x * dim_y)
+        total = zeros(dim_x * dim_y, dim_x * dim_y)
         elems = stabilizer_elements(mid)
         for g in elems:
             total = dense_add(
                 total,
                 kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0)),
             )
-        avg_rank = linalg.rank(dense_scale(F(1, len(elems)), total))
+        avg_rank = dense_rank(dense_scale(F(1, len(elems)), total))
         assert comp.carrier.dim(0) == avg_rank
 
 

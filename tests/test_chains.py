@@ -31,16 +31,22 @@ from propcalc.profiles import Permutation
 from helpers import (
     dense_add,
     dense_is_zero,
+    dense_kernel_basis,
     dense_mul,
+    dense_quotient_by_rowspace,
+    dense_rank,
     dense_scale,
     dense_tensor_boundary,
     exact_scalar,
+    identity,
     is_signed_permutation,
     reference_assemble_tensor_map,
     reference_compose,
     reference_factor_permutation_map,
     reference_lift_solve,
+    reference_path_object,
     reference_place_blocks,
+    zeros,
 )
 
 F = Fraction
@@ -60,9 +66,9 @@ def random_complex(rng, max_deg=3, max_dim=3):
         if (n - 1) in boundary:
             prev = boundary[n - 1]
             # columns of m must lie in ker(prev): project via solving
-            ker = linalg.kernel_basis(prev)
+            ker = dense_kernel_basis(prev)
             if not ker:
-                m = linalg.zeros(dims[n - 1], dims[n])
+                m = zeros(dims[n - 1], dims[n])
             else:
                 coords = [[F(rng.randint(-2, 2)) for _ in range(dims[n])] for _ in range(len(ker))]
                 m = dense_mul(
@@ -104,6 +110,22 @@ def test_constructors_reject_rows_that_are_not_lists():
     with pytest.raises(ChainError, match="^boundary in degree 1 is not a list of rows"):
         ChainComplex({0: 2, 1: 2}, {1: {0: [3, 4], 1: [2, 9]}})
     assert ChainMap(x, x, {0: [[5, 0], [0, 7]]}).mat(0) == [[5, 0], [0, 7]]
+
+
+def test_constructors_reject_ragged_rows():
+    # only the first row's length was checked: a short row read as zero-padded,
+    # a long row put an entry past the last column
+    for bad, length in (([[1, 0], [0]], 1), ([[1, 0], [0, 1, 5]], 3), ([[1, 0], []], 0)):
+        message = "^boundary in degree 1 has row 1 of length %d, expected 2$" % length
+        with pytest.raises(ChainError, match=message):
+            ChainComplex({0: 2, 1: 2}, {1: bad})
+        x = ChainComplex({0: 2})
+        with pytest.raises(ChainError, match=message.replace("boundary in degree 1", "map in degree 0")):
+            ChainMap(x, x, {0: bad})
+    # a long row in the boundary whose product the d o d check computes
+    with pytest.raises(ChainError, match="^boundary in degree 1 has row 1 of length 2, expected 1$"):
+        ChainComplex({0: 2, 1: 1, 2: 1}, {1: [[0], [0, 1]], 2: [[1]]})
+    assert ChainComplex({0: 2, 1: 2}, {1: [[1, 0], [0, 0]]}).d(1) == [{0: 1}, {}]
 
 
 def test_constructors_copy_their_matrices():
@@ -206,7 +228,7 @@ def test_symmetry_involution():
         sw_back = factor_permutation_map([y, x], Permutation([2, 1]))
         comp = sw_back.compose(sw)
         for n in comp.source.degrees():
-            assert comp.mat(n) == linalg.identity(comp.source.dim(n))
+            assert comp.mat(n) == identity(comp.source.dim(n))
 
 
 def test_tensor_maps_koszul_sign():
@@ -521,19 +543,14 @@ def test_signed_permutations_through_compose_add_place_and_tensor_match_dense_re
 
 def test_identity_builds_no_dense_matrix_until_read(monkeypatch):
     x = ChainComplex({0: 2, 1: 3, 2: 1})
-    expected = {n: linalg.identity(d) for n, d in x.dims.items()}
+    expected = {n: identity(d) for n, d in x.dims.items()}
     built = []
-    real_zeros, real_densify = linalg.zeros, linalg.densify
-
-    def counting_zeros(rows, cols):
-        built.append((rows, cols))
-        return real_zeros(rows, cols)
+    real_densify = linalg.densify
 
     def counting_densify(row, n_cols):
         built.append((1, n_cols))
         return real_densify(row, n_cols)
 
-    monkeypatch.setattr(linalg, "zeros", counting_zeros)
     monkeypatch.setattr(linalg, "densify", counting_densify)
     ident = ChainMap.identity(x)
     assert ident.compose(ident) == ident and not built
@@ -624,7 +641,7 @@ def _random_chain_map(sympy, rng, x, y):
     # a few basis vectors only, so that many maps lose homology
     picked = [(rng.randint(-2, 2), v) for v in rng.sample(basis, rng.randint(0, len(basis)))]
     values = [sum((c * F(str(v[k])) for c, v in picked), F(0)) for k in range(len(slots))]
-    mats = {n: linalg.zeros(y.dim(n), x.dim(n)) for n in x.degrees()}
+    mats = {n: zeros(y.dim(n), x.dim(n)) for n in x.degrees()}
     for (n, i, j), v in zip(slots, values):
         mats[n][i][j] = v
     return ChainMap(x, y, mats)
@@ -706,14 +723,14 @@ def path_contract(x):
         if n == 0:
             continue
         stacked = d0.mat(n) + d1.mat(n)
-        assert linalg.rank(stacked) == 2 * x.dim(n)
+        assert dense_rank(stacked) == 2 * x.dim(n)
     # cokernel of s is acyclic
     for n in p.degrees():
         rows = []
         sm = s.mat(n)
         for j in range(x.dim(n)):
             rows.append([sm[i][j] for i in range(p.dim(n))])
-        proj, _ = linalg.quotient_by_rowspace(rows, p.dim(n))
+        proj, _ = dense_quotient_by_rowspace(rows, p.dim(n))
     coker_dims = {}
     coker_bnd = {}
     projs = {}
@@ -722,7 +739,7 @@ def path_contract(x):
         sm = s.mat(n)
         for j in range(x.dim(n)):
             rows.append([sm[i][j] for i in range(p.dim(n))])
-        proj, sect = linalg.quotient_by_rowspace(rows, p.dim(n))
+        proj, sect = dense_quotient_by_rowspace(rows, p.dim(n))
         projs[n] = (proj, sect)
         if proj:
             coker_dims[n] = len(proj)
@@ -740,6 +757,34 @@ def test_path_object_contract_randomized():
     for _ in range(40):
         x = random_complex(rng)
         path_contract(x)
+
+
+def test_path_object_matches_the_dense_reference():
+    # seeded complexes, each also with every boundary halved, and fixed ones
+    # with X_0 = 0, with X_1 = 0 and with d_1 entries of 1/2
+    rng = random.Random(19)
+    xs = [
+        ChainComplex({1: 2, 2: 1}, {2: [[F(1, 2)], [F(-1)]]}),
+        ChainComplex({0: 2, 2: 1, 3: 1}, {3: [[F(1, 2)]]}),
+        ChainComplex({0: 2, 1: 1}, {1: [[F(1, 2)], [F(-3)]]}),
+        ChainComplex({0: 1, 1: 2, 2: 1}, {1: [[F(1, 2), F(1, 2)]], 2: [[F(1)], [F(-1)]]}),
+        ChainComplex({0: 3}),
+        ChainComplex({}),
+        disc_complex(),
+    ]
+    for _ in range(60):
+        x = random_complex(rng)
+        xs += [x, ChainComplex(x.dims, {n: dense_scale(F(1, 2), x.d_mat(n)) for n in x.boundary})]
+    seen = {"X_0 = 0": 0, "X_1 = 0": 0, "d_1 has 1/2": 0}
+    for x in xs:
+        ours, ref = path_object(x), reference_path_object(x)
+        assert ours[0] == ref[0]
+        for f, g in zip(ours[1:], ref[1:]):
+            assert (f.source, f.target, f.degree, f.rows) == (g.source, g.target, g.degree, g.rows)
+        seen["X_0 = 0"] += not x.is_zero() and not x.dim(0)
+        seen["X_1 = 0"] += not x.is_zero() and not x.dim(1)
+        seen["d_1 has 1/2"] += any(v == F(1, 2) for row in x.d(1) for v in row.values())
+    assert min(seen.values()) >= 3, seen
 
 
 def test_boundary_of_map_squares_to_zero():
@@ -777,7 +822,7 @@ def dense_lift(source, target, degree, equations):
 def test_solver_identity_lift():
     x = base_field_complex()
     sol = dense_lift(
-        x, x, 0, [([(F(1), linalg.identity(1), 0, None)], [[F(1)]])]
+        x, x, 0, [([(F(1), identity(1), 0, None)], [[F(1)]])]
     )
     assert sol.mat(0) == [[F(1)]]
 
@@ -800,8 +845,8 @@ def test_solver_inconsistent_certificate():
             x,
             0,
             [
-                ([(F(1), linalg.identity(1), 0, None)], [[F(0)]]),
-                ([(F(1), linalg.identity(1), 0, None)], [[F(1)]]),
+                ([(F(1), identity(1), 0, None)], [[F(0)]]),
+                ([(F(1), identity(1), 0, None)], [[F(1)]]),
             ],
         )
     assert exc.value.certificate is not None
@@ -838,7 +883,7 @@ def test_solver_sums_terms_on_the_same_unknown():
             terms.append((F(1, 2), None, 0, None))
 
         def apply(phi):
-            total = linalg.zeros(er, ec)
+            total = zeros(er, ec)
             for coeff, L, _, R in terms:
                 left = L if L is not None else [[F(int(i == p)) for p in range(rows)] for i in range(er)]
                 right = R if R is not None else [[F(int(q == b)) for b in range(ec)] for q in range(cols)]
@@ -861,7 +906,7 @@ def test_solver_terms_that_cancel_leave_no_zero_entry():
     L = [[F(1), F(2)], [F(0), F(1)]]
     cancel = [(F(1), L, 0, None), (F(0), None, 0, None), (F(-1), L, 0, None)]
     target = [[F(1), F(-1)], [F(3), F(1, 2)]]
-    sol = dense_lift(x, x, 0, [(cancel, linalg.zeros(2, 2)), ([(F(1), None, 0, None)], target)])
+    sol = dense_lift(x, x, 0, [(cancel, zeros(2, 2)), ([(F(1), None, 0, None)], target)])
     assert sol.mat(0) == target
     prob = LiftProblem(x, x, 0)
     prob.add_equation(row_terms(cancel), linalg.to_rows(target), 2)

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_mul, dense_scale, kron, random_permutation, reference_endo_permute
+from helpers import (
+    dense_mul,
+    dense_scale,
+    identity,
+    kron,
+    random_permutation,
+    reference_endo_permute,
+)
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex, factor_permutation_map
 from propcalc.endo import (
@@ -231,7 +238,10 @@ def test_membership_pushforward_through_invertible():
     push = f.profile_map(prof("a")).compose(phi_x.chain)
     f_in = f.profile_map(prof("a", "b"))
     inv = ChainMap(
-        f_in.target, f_in.source, {j: linalg.inverse(f_in.mat(j)) for j in f_in.mats}
+        f_in.target,
+        f_in.source,
+        {j: linalg.inverse(rows, f_in.source.dim(j)) for j, rows in f_in.rows.items()},
+        sparse=True,
     )
     phi_y = EndoElement(fam_y, prof("a"), prof("a", "b"), push.compose(inv))
     ok, _ = relative_endo_membership(f, phi_x, phi_y)
@@ -261,8 +271,9 @@ def matched_pair(rng, f, out_p, in_p, degree=0):
     inv = ChainMap(
         f_in.target,
         f_in.source,
-        {j: linalg.inverse(f_in.mat(j)) for j in f_in.mats},
+        {j: linalg.inverse(rows, f_in.source.dim(j)) for j, rows in f_in.rows.items()},
         check=False,
+        sparse=True,
     )
     phi_y = EndoElement(f.target, out_p, in_p, push.compose(inv))
     return phi_x, phi_y
@@ -274,7 +285,7 @@ def random_invertible_family_map(rng, fam):
         x = fam.complexes[c]
         # one global scaling per color commutes with the differential and is invertible
         scale = F(rng.choice([1, 2, 3]))
-        mats = {j: dense_scale(scale, linalg.identity(x.dim(j))) for j in x.degrees()}
+        mats = {j: dense_scale(scale, identity(x.dim(j))) for j in x.degrees()}
         maps[c] = ChainMap(x, x, mats)
     return FamilyMap(fam, fam, maps)
 

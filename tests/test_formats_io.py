@@ -88,7 +88,7 @@ def test_dumps_edge_cases_match_json(obj):
 def test_dumps_to_json_of_every_kind_matches_json():
     ws = Workspace(INPUTS)
     skip = {"truncated.json", "not_utf8.json", "bad_bimodule.json", "noncommuting_bimodule.json", "alg.json",
-            "alg_scaled.json", "rows_object.json", "rows_string.json"}
+            "alg_scaled.json", "rows_object.json", "rows_string.json", "short_row.json", "long_row.json"}
     objects = [Palette(["a", "b"])]
     objects += [ws.resolve(n) for n in sorted(os.listdir(INPUTS)) if n.endswith(".json") and n not in skip]
     sig = homotopy_assoc_presentation().signature
@@ -159,6 +159,19 @@ def test_matrix_rows_must_be_lists():
         with pytest.raises(FormatError):
             formats.complex_from_json(data)
     assert formats.matrix_from_json([["3", "4"], ["2", "9/1"]]) == [[3, 4], [2, 9]]
+
+
+def test_ragged_matrix_rows_are_rejected():
+    # a short row was read as zero-padded, a long one failed with an IndexError
+    for row, length in ((["0"], 1), (["0", "1", "5"], 3)):
+        data = {"kind": "complex", "dims": {"0": 2, "1": 2}, "boundary": {"1": [["1", "0"], row]}}
+        message = "^invalid complex: boundary in degree 1 has row 1 of length %d, expected 2$" % length
+        with pytest.raises(FormatError, match=message):
+            formats.complex_from_json(data)
+        x = {"kind": "complex", "dims": {"0": 2}, "boundary": {}}
+        data = {"kind": "chain_map", "source": x, "target": x, "mats": {"0": [["1", "0"], row]}}
+        with pytest.raises(FormatError, match=message.replace("complex", "chain map").replace("boundary in degree 1", "map in degree 0")):
+            formats.chain_map_from_json(data)
 
 
 # -- properties -----------------------------------------------------------------

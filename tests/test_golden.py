@@ -8,7 +8,10 @@ those commands ended in a traceback before, and the exit-2 case for a
 bimodule whose out and in actions do not commute, which `check` accepted
 before it compared the actions on generators, and the two exit-2 cases for
 boundary rows written as JSON objects or as strings, which `homology` read
-by their keys or characters before.  The transfer and factor cases
+by their keys or characters before, and the four exit-2 cases for a
+boundary whose second row is shorter or longer than its first, which
+`homology` read zero-padded or ended in a traceback on, and `check`
+accepted.  The transfer and factor cases
 whose maps carry 1/2 entries (transfer-fibration-halved, factor-fractions)
 were recorded before integral entries became ints, so they show the mixed
 int/Fraction path prints the same bytes.  The dim-free cases over repeated
@@ -37,7 +40,14 @@ with open(CASES, encoding="utf-8") as _handle:
 
 # input files that are not canonical files, or do not load, on purpose
 NOT_CANONICAL = {"truncated.json", "not_utf8.json"}
-NOT_LOADABLE = {"bad_bimodule.json", "noncommuting_bimodule.json", "rows_object.json", "rows_string.json"}
+NOT_LOADABLE = {
+    "bad_bimodule.json",
+    "noncommuting_bimodule.json",
+    "rows_object.json",
+    "rows_string.json",
+    "short_row.json",
+    "long_row.json",
+}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])

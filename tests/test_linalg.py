@@ -1,12 +1,13 @@
-"""The exact kernel against its dense reference and against sympy.
+"""The exact kernel on {column: entry} rows against its dense reference and sympy.
 
 The reduced row echelon form is unique for a fixed column order, so the
-elimination on nonzeros must reproduce the dense Gauss-Jordan results entry
-by entry: pivots, reduced rows, rank, kernel basis, solutions and the
-inconsistency certificate (from the dense solve and from solve_rows, which
-takes {column: entry} rows), and the quotient maps.  Small integer and mixed
+elimination on rows must reproduce the dense Gauss-Jordan results of
+tests/helpers.py entry by entry: pivots, reduced rows, rank, the kernel basis
+(the columns of the inclusion kernel_basis gives), solutions and the
+inconsistency certificate, and the quotient maps.  Small integer and mixed
 p/q matrices are run again with every entry a Fraction: both runs must agree
 with each other and with sympy, and hold an int for every integral entry.
+The solve_rows tests run solve on systems of rows with one right-hand column.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 
 from propcalc import linalg
 from helpers import (
+    copy,
     dense_kernel_basis,
     dense_mul,
     dense_quotient_by_rowspace,
@@ -24,6 +26,7 @@ from helpers import (
     dense_solve,
     exact_scalar,
     random_rank_deficient,
+    zeros,
 )
 
 F = Fraction
@@ -41,6 +44,9 @@ SHAPES = [
     (9, 1, 0.5),
 ]
 
+# dense matrices with their column counts: no rows, no columns, all-zero rows
+EDGES = [([], 0), ([], 3), ([[], []], 0), (zeros(3, 4), 4), ([[0, 0], [0, 3]], 2), ([[0, 5, 0]], 3)]
+
 
 def cases(seed, repeats=3):
     rng = random.Random(seed)
@@ -49,38 +55,55 @@ def cases(seed, repeats=3):
             yield random_rank_deficient(rng, rows, cols, density)
 
 
+def dict_rows(m):
+    """The {column: entry} rows of a dense matrix, entries kept as they are."""
+    return [dict(linalg.nonzeros(row)) for row in m]
+
+
+def transpose(vectors, n):
+    """The n x len(vectors) dense matrix whose columns are the vectors."""
+    return [[v[i] for v in vectors] for i in range(n)]
+
+
 def test_generated_matrices_are_rank_deficient_with_zero_rows_and_columns():
     for m in cases(0):
         smaller = min(len(m), len(m[0]))
         if smaller > 1:
             assert dense_rank(m) < smaller
     big = random_rank_deficient(random.Random(1), 40, 60, 0.02)
-    assert any(linalg.is_zero_row(row) for row in big)
+    assert any(not any(row) for row in big)
     assert any(all(row[j] == 0 for row in big) for j in range(60))
 
 
 def test_row_echelon_matches_dense_reference():
     for m in cases(1):
-        ours, ref = linalg.copy(m), linalg.copy(m)
-        assert linalg.row_echelon(ours) == dense_row_echelon(ref)
-        assert ours == ref
-        assert all(exact_scalar(x) for row in ours for x in row)
+        ours, ref = dict_rows(m), copy(m)
+        assert linalg.row_echelon(ours, len(m[0])) == dense_row_echelon(ref)
+        assert linalg.to_dense(ours, len(m[0])) == ref
+        assert all(x and exact_scalar(x) for row in ours for x in row.values())
 
 
 def test_row_echelon_in_place_on_empty_and_zero_matrices():
-    for m in ([], [[]], [[F(0)] * 4 for _ in range(3)], [[0, 0], [0, 3]]):
-        ours, ref = linalg.copy(m), linalg.copy(m)
-        assert linalg.row_echelon(ours) == dense_row_echelon(ref)
-        assert ours == ref
+    for m, cols in EDGES:
+        ours, ref = dict_rows(m), copy(m)
+        # a dense matrix without rows does not know its columns: all are free
+        expected = dense_row_echelon(ref) if m else ([], list(range(cols)))
+        assert linalg.row_echelon(ours, cols) == expected
+        assert linalg.to_dense(ours, cols) == ref
 
 
 def test_rank_and_kernel_match_dense_reference():
-    for m in cases(2):
-        assert linalg.rank(m) == dense_rank(m)
-        basis = linalg.kernel_basis(m)
-        assert basis == dense_kernel_basis(m)
-        for v in basis:
-            assert all(x == 0 for x in linalg.mat_vec(linalg.to_rows(m), v))
+    for m, cols in [(m, len(m[0])) for m in cases(2)] + EDGES:
+        rows = dict_rows(m)
+        assert linalg.rank(rows, cols) == dense_rank(m)
+        ref = dense_kernel_basis(m) if m else [[int(i == j) for i in range(cols)] for j in range(cols)]
+        inclusion = linalg.kernel_basis(rows, cols)
+        assert linalg.to_dense(inclusion, len(ref)) == transpose(ref, cols)
+        assert rows == dict_rows(m)  # the input is not changed
+        assert not any(linalg.mat_mul(rows, inclusion))
+    # no rows: the kernel is everything; no columns: it is zero
+    assert linalg.kernel_basis([], 2) == linalg.kernel_basis([{}, {}], 2) == [{0: 1}, {1: 1}]
+    assert linalg.kernel_basis([{}, {}], 0) == []
 
 
 def test_solve_matches_dense_reference_with_certificates():
@@ -91,25 +114,43 @@ def test_solve_matches_dense_reference_with_certificates():
         # a consistent right-hand side (an image) and an arbitrary one
         x0 = [[F(rng.randint(-2, 2)) for _ in range(2)] for _ in range(cols)]
         for rhs in (dense_mul(m, x0), [[F(rng.randint(-3, 3)), F(0)] for _ in range(rows)]):
-            ours = linalg.solve(m, rhs)
-            assert ours == dense_solve(m, rhs)
-            x, cert = ours
+            a, b = dict_rows(m), dict_rows(rhs)
+            x, cert = linalg.solve(a, b, cols, 2)
+            assert (a, b) == (dict_rows(m), dict_rows(rhs))  # the inputs are not changed
+            ref_x, ref_cert = dense_solve(m, rhs)
+            assert cert == ref_cert
             if x is None:
                 inconsistent += 1
                 i, residual = cert
                 assert all(v == 0 for v in residual[:cols]) and any(v != 0 for v in residual[cols:])
             else:
-                assert dense_mul(m, x) == rhs
+                assert linalg.to_dense(x, 2) == ref_x
+                assert linalg.mat_mul(a, x) == b
     assert inconsistent > 0
 
 
 def test_quotient_by_rowspace_matches_dense_reference():
-    for m in cases(4):
-        dim = len(m[0])
-        proj, sect = linalg.quotient_by_rowspace(m, dim)
-        assert (proj, sect) == dense_quotient_by_rowspace(m, dim)
-        if proj:
-            assert dense_mul(proj, sect) == linalg.identity(len(proj))
+    for m, dim in [(m, len(m[0])) for m in cases(4)] + EDGES:
+        proj, sect = linalg.quotient_by_rowspace(dict_rows(m), dim)
+        ref_proj, ref_sect = dense_quotient_by_rowspace(m, dim)
+        assert linalg.to_dense(proj, dim) == ref_proj
+        assert linalg.to_dense(sect, len(proj)) == ref_sect
+        assert linalg.mat_mul(proj, sect) == [{i: 1} for i in range(len(proj))]
+    # no rows: the quotient is everything; a full-rank row space leaves nothing
+    assert linalg.quotient_by_rowspace([], 2) == ([{0: 1}, {1: 1}], [{0: 1}, {1: 1}])
+    assert linalg.quotient_by_rowspace([], 0) == ([], [])
+    assert linalg.quotient_by_rowspace([{1: 2}, {0: 3}], 2) == ([], [{}, {}])
+
+
+def test_inverse_on_empty_singular_and_non_square_matrices():
+    # invertible matrices are checked against sympy with the scalar contract below
+    assert linalg.inverse([], 0) == []
+    assert linalg.inverse([{1: 2}, {0: F(1, 2)}], 2) == [{1: 2}, {0: F(1, 2)}]
+    for singular in ([{}], [{0: 1, 1: 2}, {0: 2, 1: 4}], [{0: 1}, {}]):
+        with pytest.raises(ValueError, match="^matrix not invertible$"):
+            linalg.inverse(singular, len(singular))
+    with pytest.raises(ValueError, match="^not square$"):
+        linalg.inverse([{0: 1, 1: 1}], 2)
 
 
 def test_mat_mul_matches_the_definition():
@@ -129,18 +170,14 @@ def test_mat_mul_matches_the_definition():
 def test_rref_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for m in cases(6, repeats=2):
-        work = linalg.copy(m)
-        pivots, _ = linalg.row_echelon(work)
+        work = dict_rows(m)
+        pivots, _ = linalg.row_echelon(work, len(m[0]))
         reduced, sym_pivots = sympy.Matrix(m).rref()
         assert tuple(pivots) == sym_pivots
         expected = [
             [F(int(e.p), int(e.q)) for e in reduced.row(i)] for i in range(reduced.rows)
         ]
-        assert work == expected
-
-
-def dict_rows(m):
-    return [dict(linalg.nonzeros(row)) for row in m]
+        assert linalg.to_dense(work, len(m[0])) == expected
 
 
 def test_solve_rows_matches_dense_reference_with_certificates():
@@ -152,31 +189,34 @@ def test_solve_rows_matches_dense_reference_with_certificates():
         rows, cols = len(m), len(m[0])
         x0 = [[F(rng.randint(-2, 2))] for _ in range(cols)]
         arbitrary = [[F(rng.choice([0, 0, 1, -3]), rng.choice([1, 2]))] for _ in range(rows)]
-        for rhs in (dense_mul(m, x0), arbitrary, linalg.zeros(rows, 1)):
-            expected = dense_solve(m, rhs)
+        for rhs in (dense_mul(m, x0), arbitrary, zeros(rows, 1)):
+            ref_x, ref_cert = dense_solve(m, rhs)
             sparse = dict_rows(m)
             seen["zero rhs"] += sum(1 for b in rhs if b[0] == 0)
             seen["empty row"] += sum(1 for row in sparse if not row)
-            x, cert = linalg.solve_rows(sparse, rhs, cols)
-            assert (x, cert) == expected
-            assert linalg.solve(m, rhs) == expected
+            x, cert = linalg.solve(sparse, dict_rows(rhs), cols, 1)
+            assert cert == ref_cert
             if x is None:
                 seen["certificate"] += 1
                 i, residual = cert
                 assert len(residual) == cols + 1 and not any(residual[:cols]) and residual[cols]
             else:
                 seen["solved"] += 1
-                assert all(exact_scalar(v) for row in x for v in row)
-                assert dense_mul(m, x) == rhs
+                assert linalg.to_dense(x, 1) == ref_x
+                assert all(v and exact_scalar(v) for row in x for v in row.values())
+                assert dense_mul(m, linalg.to_dense(x, 1)) == rhs
     assert all(seen.values()), seen
 
 
 def test_solve_rows_without_rows_or_unknowns():
     # no rows: every unknown is free; rows of zero length: only the rhs decides
-    assert linalg.solve_rows([], [], 3) == ([[], [], []], None)
-    assert linalg.solve_rows([{}, {}], [[F(0)], [F(0)]], 2) == ([[F(0)], [F(0)]], None)
-    assert linalg.solve_rows([{}, {}], [[F(0)], [F(2)]], 0) == (None, (0, [F(1)])) == dense_solve([[], []], [[F(0)], [F(2)]])
-    assert linalg.solve_rows([{}, {1: F(2)}], [[F(0)], [F(4)]], 2) == ([[F(0)], [F(2)]], None)
+    assert linalg.solve([], [], 3, 0) == ([{}, {}, {}], None)
+    assert linalg.solve([], [], 2, 1) == ([{}, {}], None)
+    assert linalg.solve([{}, {}], [{}, {}], 2, 1) == ([{}, {}], None)
+    assert linalg.solve([{}, {}], [{}, {0: F(2)}], 0, 1) == (None, (0, [F(1)])) == dense_solve([[], []], [[F(0)], [F(2)]])
+    assert linalg.solve([{}, {1: F(2)}], [{}, {0: F(4)}], 2, 1) == ([{}, {0: 2}], None)
+    # an all-zero right-hand side: the zero solution, whatever the rank
+    assert linalg.solve([{0: 1, 1: 1}, {0: 2, 1: 2}], [{}, {}], 2, 3) == ([{}, {}], None)
 
 
 def test_solve_rows_matches_sympy_gauss_jordan():
@@ -188,7 +228,7 @@ def test_solve_rows_matches_sympy_gauss_jordan():
             m = random_rank_deficient(rng, rows, cols, density)
             x0 = [[F(rng.randint(-2, 2))] for _ in range(cols)]
             for rhs in (dense_mul(m, x0), [[F(rng.randint(-2, 2))] for _ in range(rows)]):
-                x, cert = linalg.solve_rows(dict_rows(m), rhs, cols)
+                x, cert = linalg.solve(dict_rows(m), dict_rows(rhs), cols, 1)
                 try:
                     sol, params = sympy.Matrix(m).gauss_jordan_solve(sympy.Matrix(rhs))
                 except ValueError:  # sympy's "linear system has no solution"
@@ -196,7 +236,7 @@ def test_solve_rows_matches_sympy_gauss_jordan():
                     inconsistent += 1
                     continue
                 particular = sol.subs({t: 0 for t in params})
-                assert x == [[F(int(e.p), int(e.q))] for e in particular]
+                assert linalg.to_dense(x, 1) == [[F(int(e.p), int(e.q))] for e in particular]
                 solved += 1
     assert solved and inconsistent
 
@@ -243,18 +283,23 @@ def sympy_quotient(reduced, pivots, dim):
 
 
 def kernel_results(m, rhs):
-    """Every kernel entry point on m, each on a fresh copy."""
-    reduced = linalg.copy(m)
-    pivots, _ = linalg.row_echelon(reduced)
+    """Every kernel entry point on the rows of m, each on a fresh copy, the
+    results made dense."""
+    rows, cols = dict_rows(m), len(m[0])
+    reduced = dict_rows(m)
+    pivots, _ = linalg.row_echelon(reduced, cols)
     try:
-        inv = linalg.inverse(m) if len(m) == len(m[0]) else None
+        inv = linalg.to_dense(linalg.inverse(rows, cols), cols) if len(m) == cols else None
     except ValueError:
         inv = "singular"
+    x, cert = linalg.solve(rows, dict_rows(rhs), cols, len(rhs[0]))
+    proj, sect = linalg.quotient_by_rowspace(rows, cols)
+    inclusion = linalg.kernel_basis(rows, cols)
     return {
-        "row_echelon": (pivots, reduced),
-        "kernel_basis": linalg.kernel_basis(m),
-        "solve_rows": linalg.solve_rows([dict(linalg.nonzeros(row)) for row in m], rhs, len(m[0])),
-        "quotient_by_rowspace": linalg.quotient_by_rowspace(m, len(m[0])),
+        "row_echelon": (pivots, linalg.to_dense(reduced, cols)),
+        "kernel_basis": [linalg.densify(dict(col), cols) for col in linalg.columns(inclusion, len(proj))],
+        "solve": (x and linalg.to_dense(x, len(rhs[0])), cert),
+        "quotient_by_rowspace": (linalg.to_dense(proj, cols), linalg.to_dense(sect, len(proj))),
         "inverse": inv,
     }
 
@@ -300,7 +345,7 @@ def test_int_and_fraction_entries_agree_with_each_other_and_with_sympy(mixed, mo
                 expected = (sympy_rows(sol.subs({t: 0 for t in params})), None)
             except ValueError:  # sympy's "linear system has no solution"
                 expected = None
-            x, cert = ours["solve_rows"]
+            x, cert = ours["solve"]
             assert (x, cert) == expected if expected else (x is None and cert is not None)
             if rows == cols:
                 if ours["inverse"] == "singular":

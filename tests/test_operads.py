@@ -8,15 +8,16 @@ import pytest
 
 from helpers import (
     dense_compose_elements,
-    reference_compose_elements,
     reference_algebra_check,
+    reference_compose_elements,
     reference_in_gens,
     reference_rho,
     reference_validate_associativity,
     reference_validate_equivariance,
     reference_value,
+    zeros,
 )
-from propcalc import linalg, operads
+from propcalc import operads
 from propcalc.formats import Workspace, operad_algebra_from_json, operad_from_json
 from propcalc.chains import ChainComplex, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement, EndoError, endo_horizontal, endo_permute, endo_vertical
@@ -453,7 +454,7 @@ def square_zero_algebra(operad):
         space = fam.space(in_key.rep)
         for i in range(comp.carrier.dim(0)):
             sigma = elems[i]
-            rows = linalg.zeros(a.dim(0), space.complex.dim(0))
+            rows = zeros(a.dim(0), space.complex.dim(0))
             for comp_tuple, idxs in space.basis(0):
                 col = space.flat_index(comp_tuple, idxs)
                 ordered = [idxs[sigma(j) - 1] for j in range(1, n + 1)]
