@@ -4,28 +4,107 @@ Every serializable object carries a `kind` field.  Rationals are strings
 "p/q" in lowest terms with positive denominator; keys are emitted in sorted
 order with two-space indentation, so loading and re-serializing a canonical
 file is byte-identical.
+
+Loaders read every field through the readers _field, _list_of, _degree and
+_matrices, which check its exact JSON type: an integer is a JSON integer,
+never a boolean, a float or a numeric string, and a profile or a palette is
+a list of color strings.  A missing or mistyped field raises one FormatError
+that names the file kind and the field.  Values of the right type go to the
+domain constructors, whose own errors (ChainError, BimoduleError, ...) are
+input errors as well.  Matrix entries and differential coefficients are read
+by parse_rational, as before.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from propcalc.algebras import AlgebraStructure
 from propcalc.bimodules import BimoduleComponent, ColoredBimodule
-from propcalc.chains import ChainComplex, ChainMap
+from propcalc.chains import ChainComplex, ChainError, ChainMap
 from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
 from propcalc.exprs import PropPresentation, parse
 from propcalc.graphs import Generator, PropGraph, Signature
 from propcalc.linalg import ZERO, exact, quotient
-from propcalc.operads import ColoredOperad, merge_in_keys, profile_key
+from propcalc.operads import ColoredOperad, OperadAlgebra, color_key, merge_in_keys, profile_key
 from propcalc.profiles import Palette, Profile, canonicalize_profile
 
 
 class FormatError(ValueError):
     """Input error: malformed file or violated invariant, with a description."""
+
+
+# -- typed field readers -------------------------------------------------------
+
+_REQUIRED = object()
+
+# the JSON name of each type json.load returns
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a float", bool: "a boolean", type(None): "null"}
+
+
+def _mistyped(where, key, expected, value):
+    return FormatError(
+        "%s: field %r must be %s, found %s" % (where, key, expected, _JSON_TYPES[type(value)])
+    )
+
+
+def _expect_kind(data, kind):
+    if not isinstance(data, dict):
+        raise FormatError("expected an object with kind=%r" % kind)
+    if data.get("kind") != kind:
+        raise FormatError("expected kind=%r, found %r" % (kind, data.get("kind")))
+
+
+def _field(obj, key, typ, where, default=_REQUIRED):
+    """obj[key], of JSON type typ exactly (any type when typ is None); default
+    when key is absent, if one is given.  where names the file kind, and the
+    record within it."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise FormatError("%s: missing field %r" % (where, key))
+        return default
+    value = obj[key]
+    if typ is not None and type(value) is not typ:
+        raise _mistyped(where, key, _JSON_TYPES[typ], value)
+    return value
+
+
+def _list_of(obj, key, item, where, default=_REQUIRED):
+    """obj[key], a list whose items are all of JSON type item."""
+    value = _field(obj, key, None, where, default)
+    if value is default:
+        return value
+    if type(value) is not list:
+        raise _mistyped(where, key, "a list of %ss" % _JSON_TYPES[item].split()[1], value)
+    for x in value:
+        if type(x) is not item:
+            raise _mistyped(where, key, "a list of %ss" % _JSON_TYPES[item].split()[1], x)
+    return value
+
+
+def _degree(n, key, where):
+    """A key of the per-degree object at field key, as an int: the key must be
+    an int written as str() writes it ("0", "12", "-1")."""
+    try:
+        d = int(n)
+    except ValueError:
+        d = None
+    if d is None or str(d) != n:
+        raise FormatError("%s: field %r has key %r, which is not a degree" % (where, key, n))
+    return d
+
+
+def _matrices(obj, key, where):
+    """obj[key], rational matrices by degree, as {degree: rows}; {} when key
+    is absent."""
+    mats = _field(obj, key, dict, where, {})
+    return {_degree(n, key, where): matrix_from_json(m) for n, m in mats.items()}
 
 
 def rational_str(x) -> str:
@@ -146,10 +225,7 @@ def palette_to_json(p: Palette):
 
 def palette_from_json(data):
     _expect_kind(data, "palette")
-    try:
-        return Palette(data["colors"])
-    except Exception as exc:
-        raise FormatError("invalid palette: %s" % exc)
+    return Palette(_list_of(data, "colors", str, "palette"))
 
 
 def signature_to_json(sig: Signature):
@@ -170,24 +246,17 @@ def signature_to_json(sig: Signature):
 
 def signature_from_json(data):
     _expect_kind(data, "signature")
-    palette = palette_from_json(data["palette"])
-    gens = []
-    for g in data["generators"]:
-        try:
-            gens.append(
-                Generator(
-                    g["name"],
-                    Profile(palette, g["out"]),
-                    Profile(palette, g["in"]),
-                    g.get("degree", 0),
-                )
-            )
-        except Exception as exc:
-            raise FormatError("invalid generator %r: %s" % (g.get("name"), exc))
-    try:
-        return Signature(palette, gens)
-    except Exception as exc:
-        raise FormatError("invalid signature: %s" % exc)
+    palette = palette_from_json(_field(data, "palette", dict, "signature"))
+    gens = [
+        Generator(
+            _field(g, "name", str, "signature generator"),
+            Profile(palette, _list_of(g, "out", str, "signature generator")),
+            Profile(palette, _list_of(g, "in", str, "signature generator")),
+            _field(g, "degree", int, "signature generator", 0),
+        )
+        for g in _list_of(data, "generators", dict, "signature")
+    ]
+    return Signature(palette, gens)
 
 
 def complex_to_json(x: ChainComplex):
@@ -202,13 +271,15 @@ def complex_to_json(x: ChainComplex):
 
 def complex_from_json(data):
     _expect_kind(data, "complex")
+    dims = {}
+    for n, d in _field(data, "dims", dict, "complex", {}).items():
+        if type(d) is not int:
+            raise _mistyped("complex", "dims", "an object of integers by degree", d)
+        dims[_degree(n, "dims", "complex")] = d
+    boundary = _matrices(data, "boundary", "complex")
     try:
-        dims = {int(k): int(v) for k, v in data.get("dims", {}).items()}
-        boundary = {int(k): matrix_from_json(v) for k, v in data.get("boundary", {}).items()}
         return ChainComplex(dims, boundary)
-    except FormatError:
-        raise
-    except Exception as exc:
+    except ChainError as exc:
         raise FormatError("invalid complex: %s" % exc)
 
 
@@ -224,18 +295,12 @@ def chain_map_to_json(f: ChainMap):
 
 def chain_map_from_json(data):
     _expect_kind(data, "chain_map")
-    src = complex_from_json(data["source"])
-    tgt = complex_from_json(data["target"])
+    src = complex_from_json(_field(data, "source", dict, "chain_map"))
+    tgt = complex_from_json(_field(data, "target", dict, "chain_map"))
+    mats = _matrices(data, "mats", "chain_map")
     try:
-        return ChainMap(
-            src,
-            tgt,
-            {int(j): matrix_from_json(m) for j, m in data.get("mats", {}).items()},
-            data.get("degree", 0),
-        )
-    except FormatError:
-        raise
-    except Exception as exc:
+        return ChainMap(src, tgt, mats, _field(data, "degree", int, "chain_map", 0))
+    except ChainError as exc:
         raise FormatError("invalid chain map: %s" % exc)
 
 
@@ -255,14 +320,10 @@ def family_from_json(data, families=None):
     _expect_kind(data, "family")
     families = {} if families is None else families
     key = json.dumps(data)
-    if key in families:
-        return families[key]
-    palette = palette_from_json(data["palette"])
-    complexes = {c: complex_from_json(x) for c, x in data.get("complexes", {}).items()}
-    try:
-        families[key] = ColoredFamily(palette, complexes)
-    except Exception as exc:
-        raise FormatError("invalid family: %s" % exc)
+    if key not in families:
+        palette = palette_from_json(_field(data, "palette", dict, "family"))
+        complexes = _field(data, "complexes", dict, "family", {})
+        families[key] = ColoredFamily(palette, {c: complex_from_json(x) for c, x in complexes.items()})
     return families[key]
 
 
@@ -280,24 +341,20 @@ def family_map_to_json(f: FamilyMap):
 
 def family_map_from_json(data, families=None):
     _expect_kind(data, "family_map")
-    source = family_from_json(data["source"], families)
-    target = family_from_json(data["target"], families)
-    maps = {}
-    for c, mats in data.get("maps", {}).items():
-        try:
-            maps[c] = ChainMap(
-                source.complexes[c],
-                target.complexes[c],
-                {int(j): matrix_from_json(m) for j, m in mats.items()},
-            )
-        except FormatError:
-            raise
-        except Exception as exc:
-            raise FormatError("invalid family map at color %r: %s" % (c, exc))
-    try:
-        return FamilyMap(source, target, maps)
-    except Exception as exc:
-        raise FormatError("invalid family map: %s" % exc)
+    source = family_from_json(_field(data, "source", dict, "family_map"), families)
+    target = family_from_json(_field(data, "target", dict, "family_map"), families)
+    maps = _field(data, "maps", dict, "family_map", {})
+    for c in maps:
+        if c not in source.palette or c not in target.palette:
+            raise FormatError("family_map: field 'maps' names color %r, not in both palettes" % c)
+    return FamilyMap(
+        source,
+        target,
+        {
+            c: ChainMap(source.complexes[c], target.complexes[c], _matrices(maps, c, "family_map maps"))
+            for c in maps
+        },
+    )
 
 
 def presentation_to_json(p: PropPresentation):
@@ -314,25 +371,28 @@ def presentation_to_json(p: PropPresentation):
 
 def presentation_from_json(data):
     _expect_kind(data, "presentation")
-    sig = signature_from_json(data["signature"])
-    differential = {}
-    for name, terms in data.get("differential", {}).items():
-        parsed = []
-        for t in terms:
-            try:
-                parsed.append((parse_rational(t["coeff"]), parse(t["expr"], sig)))
-            except FormatError:
-                raise
-            except Exception as exc:
-                raise FormatError("invalid differential term for %r: %s" % (name, exc))
-        differential[name] = parsed
+    sig = signature_from_json(_field(data, "signature", dict, "presentation"))
+    terms = _field(data, "differential", dict, "presentation", {})
+    differential = {
+        name: [
+            (
+                parse_rational(_field(t, "coeff", None, "presentation term")),
+                parse(_field(t, "expr", str, "presentation term"), sig),
+            )
+            for t in _list_of(terms, name, dict, "presentation differential")
+        ]
+        for name in terms
+    }
     relations = []
-    for pair in data.get("relations", []):
-        try:
-            relations.append((parse(pair[0], sig), parse(pair[1], sig)))
-        except Exception as exc:
-            raise FormatError("invalid relation %r: %s" % (pair, exc))
+    for pair in _list_of(data, "relations", list, "presentation", ()):
+        if list(map(type, pair)) != [str, str]:
+            raise FormatError("presentation: field 'relations' must hold pairs of expression strings")
+        relations.append((parse(pair[0], sig), parse(pair[1], sig)))
     return PropPresentation(sig, differential, relations)
+
+
+def _element_to_json(el: EndoElement):
+    return {"degree": el.degree, "mats": mats_to_json(el.chain)}
 
 
 def structure_to_json(s: AlgebraStructure):
@@ -340,41 +400,30 @@ def structure_to_json(s: AlgebraStructure):
         "kind": "structure",
         "presentation": presentation_to_json(s.presentation),
         "family": family_to_json(s.family),
-        "assignment": {
-            name: {
-                "degree": el.degree,
-                "mats": mats_to_json(el.chain),
-            }
-            for name, el in sorted(s.assignment.items())
-        },
+        "assignment": {name: _element_to_json(el) for name, el in sorted(s.assignment.items())},
     }
 
 
 def structure_from_json(data, families=None):
     _expect_kind(data, "structure")
-    pres = presentation_from_json(data["presentation"])
-    fam = family_from_json(data["family"], families)
+    pres = presentation_from_json(_field(data, "presentation", dict, "structure"))
+    fam = family_from_json(_field(data, "family", dict, "structure"), families)
+    if fam.palette != pres.signature.palette:
+        raise FormatError("structure: presentation and family use different palettes")
+    specs = _field(data, "assignment", dict, "structure", {})
     assignment = {}
-    for name, spec in data.get("assignment", {}).items():
+    for name in specs:
         if name not in pres.signature:
             raise FormatError("assignment for unknown generator %r" % name)
-        gen = pres.signature[name]
-        try:
-            assignment[name] = EndoElement.from_mats(
-                fam,
-                gen.out_profile,
-                gen.in_profile,
-                spec.get("degree", gen.degree),
-                {int(j): matrix_from_json(m) for j, m in spec.get("mats", {}).items()},
-            )
-        except FormatError:
-            raise
-        except Exception as exc:
-            raise FormatError("invalid assignment for %r: %s" % (name, exc))
-    try:
-        return AlgebraStructure(pres, fam, assignment)
-    except Exception as exc:
-        raise FormatError("invalid structure: %s" % exc)
+        gen, spec = pres.signature[name], _field(specs, name, dict, "structure assignment")
+        assignment[name] = EndoElement.from_mats(
+            fam,
+            gen.out_profile,
+            gen.in_profile,
+            _field(spec, "degree", int, "structure assignment", gen.degree),
+            _matrices(spec, "mats", "structure assignment"),
+        )
+    return AlgebraStructure(pres, fam, assignment)
 
 
 def bimodule_to_json(mod: ColoredBimodule):
@@ -386,20 +435,8 @@ def bimodule_to_json(mod: ColoredBimodule):
                 "out": list(kd.rep.entries),
                 "in": list(kc.rep.entries),
                 "carrier": complex_to_json(comp.carrier),
-                "out_actions": [
-                    {
-                        "perm": list(images),
-                        "mats": mats_to_json(cm),
-                    }
-                    for images, cm in sorted(comp.out_gens.items())
-                ],
-                "in_actions": [
-                    {
-                        "perm": list(images),
-                        "mats": mats_to_json(cm),
-                    }
-                    for images, cm in sorted(comp.in_gens.items())
-                ],
+                "out_actions": _actions_to_json(comp.out_gens),
+                "in_actions": _actions_to_json(comp.in_gens),
             }
         )
     return {
@@ -409,46 +446,43 @@ def bimodule_to_json(mod: ColoredBimodule):
     }
 
 
-def _action_from_json(carrier, act):
-    """A generator action {"perm": ..., "mats": ...} as a map of the carrier."""
-    return ChainMap(
-        carrier,
-        carrier,
-        {int(j): matrix_from_json(m) for j, m in act.get("mats", {}).items()},
-        check=False,
-    )
+def _actions_to_json(gens):
+    return [{"perm": list(images), "mats": mats_to_json(cm)} for images, cm in sorted(gens.items())]
+
+
+def _actions(entry, key, carrier, kind):
+    """The generator actions [{"perm": ..., "mats": ...}] at entry[key], as
+    {one-line images: map of the carrier}."""
+    return {
+        tuple(_list_of(act, "perm", int, kind + " action")): ChainMap(
+            carrier, carrier, _matrices(act, "mats", kind + " action"), check=False
+        )
+        for act in _list_of(entry, key, dict, kind + " component", ())
+    }
 
 
 def bimodule_from_json(data):
     _expect_kind(data, "bimodule")
-    palette = palette_from_json(data["palette"])
+    palette = palette_from_json(_field(data, "palette", dict, "bimodule"))
     components = {}
-    for entry in data.get("components", []):
-        try:
-            out_prof = Profile(palette, entry["out"])
-            in_prof = Profile(palette, entry["in"])
-        except Exception as exc:
-            raise FormatError("invalid component profiles: %s" % exc)
-        kd, td = canonicalize_profile(out_prof)
-        kc, tc = canonicalize_profile(in_prof)
+    for entry in _list_of(data, "components", dict, "bimodule", ()):
+        out_prof = Profile(palette, _list_of(entry, "out", str, "bimodule component"))
+        in_prof = Profile(palette, _list_of(entry, "in", str, "bimodule component"))
+        kd, _ = canonicalize_profile(out_prof)
+        kc, _ = canonicalize_profile(in_prof)
         if kd.rep != out_prof or kc.rep != in_prof:
             raise FormatError(
                 "component profiles must be sorted representatives: %r / %r"
                 % (entry["out"], entry["in"])
             )
-        carrier = complex_from_json(entry["carrier"])
-        out_gens = {
-            tuple(act["perm"]): _action_from_json(carrier, act)
-            for act in entry.get("out_actions", [])
-        }
-        in_gens = {
-            tuple(act["perm"]): _action_from_json(carrier, act)
-            for act in entry.get("in_actions", [])
-        }
-        try:
-            comp = BimoduleComponent(kd, kc, carrier, out_gens, in_gens)
-        except Exception as exc:
-            raise FormatError("invalid component: %s" % exc)
+        carrier = complex_from_json(_field(entry, "carrier", dict, "bimodule component"))
+        comp = BimoduleComponent(
+            kd,
+            kc,
+            carrier,
+            _actions(entry, "out_actions", carrier, "bimodule"),
+            _actions(entry, "in_actions", carrier, "bimodule"),
+        )
         failures = comp.validate()
         if failures:
             raise FormatError(
@@ -456,10 +490,7 @@ def bimodule_from_json(data):
                 % (entry["out"], entry["in"], "; ".join(failures))
             )
         components[(kd, kc)] = comp
-    try:
-        return ColoredBimodule(palette, components)
-    except Exception as exc:
-        raise FormatError("invalid bimodule: %s" % exc)
+    return ColoredBimodule(palette, components)
 
 
 def graph_to_json(g: PropGraph):
@@ -481,13 +512,7 @@ def operad_to_json(op: ColoredOperad):
                 "out_color": d,
                 "in": list(k.rep.entries),
                 "carrier": complex_to_json(comp.carrier),
-                "in_actions": [
-                    {
-                        "perm": list(images),
-                        "mats": mats_to_json(cm),
-                    }
-                    for images, cm in sorted(comp.in_gens.items())
-                ],
+                "in_actions": _actions_to_json(comp.in_gens),
             }
         )
     gamma = []
@@ -512,46 +537,37 @@ def operad_to_json(op: ColoredOperad):
 
 def operad_from_json(data):
     _expect_kind(data, "operad")
-    palette = palette_from_json(data["palette"])
-    max_arity = int(data["max_arity"])
+    palette = palette_from_json(_field(data, "palette", dict, "operad"))
     components = {}
-    for entry in data.get("components", []):
-        d = entry["out_color"]
-        if d not in palette:
-            raise FormatError("unknown output color %r" % d)
-        in_key = profile_key(palette, entry["in"])
-        if list(in_key.rep.entries) != list(entry["in"]):
+    for entry in _list_of(data, "components", dict, "operad", ()):
+        d = _field(entry, "out_color", str, "operad component")
+        in_key = profile_key(palette, _list_of(entry, "in", str, "operad component"))
+        if list(in_key.rep.entries) != entry["in"]:
             raise FormatError("operad component inputs must be sorted: %r" % entry["in"])
-        carrier = complex_from_json(entry["carrier"])
-        in_gens = {
-            tuple(act["perm"]): _action_from_json(carrier, act) for act in entry.get("in_actions", [])
-        }
-        from propcalc.operads import color_key
-
-        try:
-            components[(d, in_key)] = BimoduleComponent(
-                color_key(palette, d), in_key, carrier, {}, in_gens
-            )
-        except Exception as exc:
-            raise FormatError("invalid operad component: %s" % exc)
-    operad = ColoredOperad(palette, max_arity, components, {})
-    for entry in data.get("gamma", []):
-        d = entry["out_color"]
-        in_key = profile_key(palette, entry["in"])
-        b_keys = tuple(profile_key(palette, blk) for blk in entry["blocks"])
+        carrier = complex_from_json(_field(entry, "carrier", dict, "operad component"))
+        components[(d, in_key)] = BimoduleComponent(
+            color_key(palette, d), in_key, carrier, {}, _actions(entry, "in_actions", carrier, "operad")
+        )
+    operad = ColoredOperad(palette, _field(data, "max_arity", int, "operad"), components, {})
+    for entry in _list_of(data, "gamma", dict, "operad", ()):
+        d = _field(entry, "out_color", str, "operad gamma")
+        in_key = profile_key(palette, _list_of(entry, "in", str, "operad gamma"))
+        blocks = _list_of(entry, "blocks", list, "operad gamma")
+        if len(blocks) != in_key.length or any(type(c) is not str for blk in blocks for c in blk):
+            raise FormatError("operad gamma: field 'blocks' must hold one list of color strings per input")
+        b_keys = tuple(profile_key(palette, blk) for blk in blocks)
         comp = operad.component(d, in_key)
         if comp is None:
             raise FormatError("gamma references a missing component")
         if any(operad.component(c, bk) is None for c, bk in zip(in_key.rep.entries, b_keys)):
             raise FormatError("gamma references a missing input component")
-        merged = merge_in_keys(palette, b_keys)
-        target = operad.component(d, merged)
+        target = operad.component(d, merge_in_keys(palette, b_keys))
         if target is None:
             raise FormatError("gamma targets a missing component")
         operad.gamma[(d, in_key, b_keys)] = ChainMap(
             operad.space(d, in_key, b_keys).complex,
             target.carrier,
-            {int(j): matrix_from_json(m) for j, m in entry.get("mats", {}).items()},
+            _matrices(entry, "mats", "operad gamma"),
             check=False,
         )
     return operad
@@ -564,13 +580,7 @@ def operad_algebra_to_json(alg):
             {
                 "out_color": d,
                 "in": list(in_key.rep.entries),
-                "values": [
-                    {
-                        "degree": el.degree,
-                        "mats": mats_to_json(el.chain),
-                    }
-                    for el in alg.values[(d, in_key)]
-                ],
+                "values": [_element_to_json(el) for el in alg.values[(d, in_key)]],
             }
         )
     return {
@@ -582,90 +592,51 @@ def operad_algebra_to_json(alg):
 
 def operad_algebra_from_json(data, operad, families=None):
     _expect_kind(data, "operad_algebra")
-    from propcalc.operads import OperadAlgebra
-
-    family = family_from_json(data["family"], families)
+    family = family_from_json(_field(data, "family", dict, "operad_algebra"), families)
     values = {}
-    for entry in data.get("values", []):
-        d = entry["out_color"]
-        in_key = profile_key(family.palette, entry["in"])
-        comp = operad.component(d, in_key)
-        if comp is None:
-            raise FormatError("algebra value for a missing component %r" % (entry["in"],))
-        vals = []
-        for v in entry["values"]:
-            vals.append(
-                EndoElement.from_mats(
-                    family,
-                    Profile(family.palette, [d]),
-                    in_key.rep,
-                    v.get("degree", 0),
-                    {int(j): matrix_from_json(m) for j, m in v.get("mats", {}).items()},
-                )
+    for entry in _list_of(data, "values", dict, "operad_algebra", ()):
+        d = _field(entry, "out_color", str, "operad_algebra value")
+        in_key = profile_key(family.palette, _list_of(entry, "in", str, "operad_algebra value"))
+        values[(d, in_key)] = [
+            EndoElement.from_mats(
+                family,
+                Profile(family.palette, [d]),
+                in_key.rep,
+                _field(v, "degree", int, "operad_algebra value", 0),
+                _matrices(v, "mats", "operad_algebra value"),
             )
-        expected = sum(comp.carrier.dim(k) for k in comp.carrier.degrees())
-        if len(vals) != expected:
-            raise FormatError(
-                "algebra at %r needs %d basis values, got %d"
-                % ((d, entry["in"]), expected, len(vals))
-            )
-        values[(d, in_key)] = vals
+            for v in _list_of(entry, "values", dict, "operad_algebra value")
+        ]
     return OperadAlgebra(operad, family, values)
 
 
 # -- dispatch -------------------------------------------------------------------
 
-_LOADERS = {
-    "palette": palette_from_json,
-    "signature": signature_from_json,
-    "complex": complex_from_json,
-    "chain_map": chain_map_from_json,
-    "family": family_from_json,
-    "family_map": family_map_from_json,
-    "presentation": presentation_from_json,
-    "structure": structure_from_json,
-    "bimodule": bimodule_from_json,
-    "operad": operad_from_json,
+
+class _Kind(NamedTuple):
+    """A file kind: the class it loads as, its dumper, and its loader (None
+    for a kind that is only written), which takes the families argument when
+    families is set."""
+
+    cls: type
+    dump: object
+    load: object = None
+    families: bool = False
+
+
+_KINDS = {
+    "palette": _Kind(Palette, palette_to_json, palette_from_json),
+    "signature": _Kind(Signature, signature_to_json, signature_from_json),
+    "complex": _Kind(ChainComplex, complex_to_json, complex_from_json),
+    "chain_map": _Kind(ChainMap, chain_map_to_json, chain_map_from_json),
+    "family": _Kind(ColoredFamily, family_to_json, family_from_json, True),
+    "family_map": _Kind(FamilyMap, family_map_to_json, family_map_from_json, True),
+    "presentation": _Kind(PropPresentation, presentation_to_json, presentation_from_json),
+    "structure": _Kind(AlgebraStructure, structure_to_json, structure_from_json, True),
+    "bimodule": _Kind(ColoredBimodule, bimodule_to_json, bimodule_from_json),
+    "operad": _Kind(ColoredOperad, operad_to_json, operad_from_json),
+    "graph": _Kind(PropGraph, graph_to_json),
 }
-
-# the class of the object each kind loads as
-_CLASSES = {
-    "palette": Palette,
-    "signature": Signature,
-    "complex": ChainComplex,
-    "chain_map": ChainMap,
-    "family": ColoredFamily,
-    "family_map": FamilyMap,
-    "presentation": PropPresentation,
-    "structure": AlgebraStructure,
-    "bimodule": ColoredBimodule,
-    "operad": ColoredOperad,
-}
-
-_DUMPERS = {
-    Palette: palette_to_json,
-    Signature: signature_to_json,
-    ChainComplex: complex_to_json,
-    ChainMap: chain_map_to_json,
-    ColoredFamily: family_to_json,
-    FamilyMap: family_map_to_json,
-    PropPresentation: presentation_to_json,
-    AlgebraStructure: structure_to_json,
-    ColoredBimodule: bimodule_to_json,
-    ColoredOperad: operad_to_json,
-    PropGraph: graph_to_json,
-}
-
-
-def _expect_kind(data, kind):
-    if not isinstance(data, dict):
-        raise FormatError("expected an object with kind=%r" % kind)
-    if data.get("kind") != kind:
-        raise FormatError("expected kind=%r, found %r" % (kind, data.get("kind")))
-
-
-# the kinds whose loaders read a family, and take the families argument
-_FAMILY_KINDS = frozenset(["family", "family_map", "structure"])
 
 
 def load_json(data, families=None):
@@ -673,18 +644,16 @@ def load_json(data, families=None):
     family (see family_from_json)."""
     if not isinstance(data, dict) or "kind" not in data:
         raise FormatError("missing 'kind' field")
-    kind = data["kind"]
-    if kind not in _LOADERS:
-        raise FormatError("unknown kind %r" % kind)
-    if kind in _FAMILY_KINDS:
-        return _LOADERS[kind](data, families)
-    return _LOADERS[kind](data)
+    kind = _KINDS.get(data["kind"]) if type(data["kind"]) is str else None
+    if kind is None or kind.load is None:
+        raise FormatError("unknown kind %r" % (data["kind"],))
+    return kind.load(data, families) if kind.families else kind.load(data)
 
 
 def to_json(obj):
-    for cls, dumper in _DUMPERS.items():
-        if isinstance(obj, cls):
-            return dumper(obj)
+    for kind in _KINDS.values():
+        if isinstance(obj, kind.cls):
+            return kind.dump(obj)
     raise FormatError("cannot serialize %r" % type(obj))
 
 
@@ -706,8 +675,6 @@ class Workspace:
 
     def read_json(self, name_or_path):
         """The decoded JSON of a file, named by path or by workspace name."""
-        import os
-
         if os.path.exists(name_or_path):
             path = name_or_path
         elif self.directory is not None:
@@ -730,6 +697,8 @@ class Workspace:
             )
         except UnicodeDecodeError as exc:
             raise FormatError("%s: not UTF-8 text: %s" % (path, exc.reason))
+        except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+            raise FormatError("%s: cannot decode JSON: %s" % (path, exc))
         except OSError as exc:
             raise FormatError("%s: cannot read: %s" % (path, exc.strerror or exc))
 
@@ -741,6 +710,6 @@ class Workspace:
     def resolve_as(self, name_or_path, kind):
         """resolve, checking that the file holds an object of the given kind."""
         obj = self.resolve(name_or_path)
-        if not isinstance(obj, _CLASSES[kind]):
+        if not isinstance(obj, _KINDS[kind].cls):
             raise FormatError("%s: expected kind=%r" % (name_or_path, kind))
         return obj

@@ -668,6 +668,9 @@ class OperadAlgebra:
         self.operad = operad
         self.family = family
         self.values = dict(values)
+        for key in operad.components:
+            if key not in self.values:
+                raise OperadError("algebra misses the values at component %r" % (key,))
         for (d, in_key), vals in self.values.items():
             comp = operad.component(d, in_key)
             if comp is None:

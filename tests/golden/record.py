@@ -54,6 +54,7 @@ COMMANDS = [
     ("check-bimodule-bad-action", ["check", "bad_bimodule.json"]),
     ("check-bimodule-noncommuting", ["check", "noncommuting_bimodule.json"]),
     ("check-operad-bad-gamma", ["check", "bad_op.json"]),
+    ("check-operad-arity-string", ["check", "arity_string.json"]),
     ("check-presentation-bad-differential", ["check", "bad_pres.json"]),
     ("check-missing-file", ["check", "missing.json"]),
     ("check-malformed-json", ["check", "truncated.json"]),
@@ -70,6 +71,7 @@ COMMANDS = [
     ("dim-free-default-cap", ["--max-vertices", "2", "dim-free", "binary.json", "c", "c,c"]),
     ("dim-free-equal-generators", ["dim-free", "binary.json", "c", "c,c,c,c", "3"]),
     ("dim-free-mixed-generators", ["dim-free", "sig.json", "c", "c,c,c,c", "3"]),
+    ("dim-free-generators-string", ["dim-free", "generators_string.json", "c", "c,c", "2"]),
     ("box-v", ["box-v", "p.json", "q_bimodule.json"]),
     ("box-h", ["box-h", "p.json", "q_bimodule.json"]),
     ("box-v-signs", ["box-v", "sign_a.json", "sign_a.json"]),
@@ -81,6 +83,7 @@ COMMANDS = [
     ("homology-string-rows", ["homology", "rows_string.json"]),
     ("homology-short-row", ["homology", "short_row.json"]),
     ("homology-long-row", ["homology", "long_row.json"]),
+    ("homology-dims-float", ["homology", "dims_float.json"]),
     ("check-short-row", ["check", "short_row.json"]),
     ("check-long-row", ["check", "long_row.json"]),
     ("classify-chain-map", ["classify", "frac_map.json"]),
@@ -228,6 +231,15 @@ def write_inputs():
     _write("short_row.json", dumps(rows))
     rows["boundary"]["1"] = [["1", "0"], ["0", "1", "5"]]
     _write("long_row.json", dumps(rows))
+    # fields of the wrong JSON type: generators as a string, a dimension as a
+    # float and an arity bound as a string
+    generators_string = to_json(objects["sig"])
+    generators_string["generators"] = "x"
+    _write("generators_string.json", dumps(generators_string))
+    _write("dims_float.json", dumps({"kind": "complex", "dims": {"0": 2.5}, "boundary": {}}))
+    arity_string = to_json(objects["op"])
+    arity_string["max_arity"] = "2"
+    _write("arity_string.json", dumps(arity_string))
     _write("truncated.json", '{"kind": "operad_algebra", ')
     with open(os.path.join(INPUTS, "not_utf8.json"), "wb") as handle:
         handle.write(b"\xff\xfe{")

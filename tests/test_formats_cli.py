@@ -474,6 +474,29 @@ def test_cli_check_not_utf8_exit_2(tmp_path):
     assert_one_error_line(code, out, str(bad), "not UTF-8")
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(
+            '{"kind": "complex", "dims": {"0": %s}}' % ("1" * 5000),
+            "integer string conversion",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+            ),
+        ),
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
+    ],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_cli_check_undecodable_json_exit_2(tmp_path, text, fragment):
+    # an integer of 5000 digits ended in a ValueError traceback, and nesting
+    # deeper than the interpreter's recursion limit in a RecursionError
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out = run_cli(["check", str(bad)])
+    assert_one_error_line(code, out, str(bad), "cannot decode JSON", fragment)
+
+
 GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 
 

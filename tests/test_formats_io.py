@@ -2,24 +2,31 @@
 
 `formats.dumps` must write exactly the bytes of json.dumps(obj,
 sort_keys=True, indent=2) plus a newline, and `formats.parse_rational` must
-give the value, or the error text, of Fraction(str(s)).
+give the value, or the error text, of Fraction(str(s)).  The loaders must
+turn a field of the wrong JSON type into one FormatError, and the CLI on
+mutated golden inputs must end in exit 0, 1 or 2, never in a traceback.
 """
 
+import io
 import json
 import os
 import random
+import shutil
+from contextlib import redirect_stdout
 from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
 
-from golden.record import INPUTS
+from golden.record import CASES, INPUTS
 from helpers import exact_scalar, homotopy_assoc_presentation
 from propcalc import formats, linalg
+from propcalc.cli import run
 from propcalc.exprs import expr_to_graph, parse
 from propcalc.formats import FormatError, Workspace, dumps, parse_rational, rational_str, to_json
 from propcalc.operads import associative_operad
 from propcalc.profiles import Palette
+from test_golden import NOT_CANONICAL, NOT_LOADABLE
 
 F = Fraction
 
@@ -87,8 +94,7 @@ def test_dumps_edge_cases_match_json(obj):
 
 def test_dumps_to_json_of_every_kind_matches_json():
     ws = Workspace(INPUTS)
-    skip = {"truncated.json", "not_utf8.json", "bad_bimodule.json", "noncommuting_bimodule.json", "alg.json",
-            "alg_scaled.json", "rows_object.json", "rows_string.json", "short_row.json", "long_row.json"}
+    skip = NOT_CANONICAL | NOT_LOADABLE | {"alg.json", "alg_scaled.json"}
     objects = [Palette(["a", "b"])]
     objects += [ws.resolve(n) for n in sorted(os.listdir(INPUTS)) if n.endswith(".json") and n not in skip]
     sig = homotopy_assoc_presentation().signature
@@ -98,7 +104,7 @@ def test_dumps_to_json_of_every_kind_matches_json():
 
     payloads.append(formats.operad_algebra_to_json(square_zero_algebra(associative_operad(2))))
     kinds = {p["kind"] for p in payloads}
-    assert kinds >= set(formats._LOADERS) | {"graph", "operad_algebra"}
+    assert kinds >= set(formats._KINDS) | {"operad_algebra"}
     for payload in payloads:
         assert dumps(payload) == oracle(payload)
 
@@ -172,6 +178,141 @@ def test_ragged_matrix_rows_are_rejected():
         data = {"kind": "chain_map", "source": x, "target": x, "mats": {"0": [["1", "0"], row]}}
         with pytest.raises(FormatError, match=message.replace("complex", "chain map").replace("boundary in degree 1", "map in degree 0")):
             formats.chain_map_from_json(data)
+
+
+# -- fail-closed loaders --------------------------------------------------------
+
+# (golden input, path to a field, the value put there, the one error line);
+# each entry ended in a traceback or was misread before the loaders checked
+# the JSON type of every field
+MALFORMED = [
+    # a traceback inside signature_from_json's own except handler
+    ("sig.json", ["generators"], "x", "signature: field 'generators' must be a list of objects, found a string"),
+    # dim-free ended in sorted() over names of mixed types
+    ("sig.json", ["generators", 0, "name"], 7, "signature generator: field 'name' must be a string, found an integer"),
+    # read as the profile ['c']
+    ("sig.json", ["generators", 0, "out"], "c", "signature generator: field 'out' must be a list of strings, found a string"),
+    # read as degrees 0 and 1
+    ("sig.json", ["generators", 1, "degree"], 0.5, "signature generator: field 'degree' must be an integer, found a float"),
+    ("sig.json", ["generators", 1, "degree"], True, "signature generator: field 'degree' must be an integer, found a boolean"),
+    # read as three colors
+    ("sig.json", ["palette", "colors"], "abc", "palette: field 'colors' must be a list of strings, found a string"),
+    # a TypeError in load_json's kind lookup
+    ("q.json", ["kind"], ["complex"], "unknown kind ['complex']"),
+    # read as 2
+    ("x.json", ["dims", "0"], 2.5, "complex: field 'dims' must be an object of integers by degree, found a float"),
+    # read as degrees 1 and 10
+    ("x.json", ["dims", " 1"], 1, "complex: field 'dims' has key ' 1', which is not a degree"),
+    ("x.json", ["boundary", "1_0"], [], "complex: field 'boundary' has key '1_0', which is not a degree"),
+    ("frac_map.json", ["degree"], "0", "chain_map: field 'degree' must be an integer, found a string"),
+    ("fam.json", ["complexes"], [], "family: field 'complexes' must be an object, found a list"),
+    ("proj.json", ["maps"], "x", "family_map: field 'maps' must be an object, found a string"),
+    ("pres.json", ["differential"], [], "presentation: field 'differential' must be an object, found a list"),
+    ("st.json", ["assignment"], [], "structure: field 'assignment' must be an object, found a list"),
+    # a second action keyed by the strings "2", "1" was ignored
+    ("sign_a.json", ["components", 1, "out_actions", 1], {"perm": ["2", "1"], "mats": {}},
+     "bimodule action: field 'perm' must be a list of integers, found a string"),
+    # read as 2
+    ("op.json", ["max_arity"], "2", "operad: field 'max_arity' must be an integer, found a string"),
+    ("op.json", ["max_arity"], 2.9, "operad: field 'max_arity' must be an integer, found a float"),
+    # a block beyond the inputs was dropped by zip
+    ("op.json", ["gamma", 0, "blocks", 1], ["x"],
+     "operad gamma: field 'blocks' must hold one list of color strings per input"),
+    ("alg.json", ["values"], "x", "operad_algebra: field 'values' must be a list of objects, found a string"),
+]
+
+
+def load_golden(name, data):
+    if name == "alg.json":
+        return formats.operad_algebra_from_json(data, Workspace(INPUTS).resolve("ass"))
+    return formats.load_json(data)
+
+
+@pytest.mark.parametrize("name, path, value, message", MALFORMED, ids=[m[3] for m in MALFORMED])
+def test_malformed_field_is_one_format_error(name, path, value, message):
+    with open(os.path.join(INPUTS, name), encoding="utf-8") as handle:
+        data = json.load(handle)
+    load_golden(name, data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if path[-1] == len(parent):
+        parent.append(value)
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(FormatError) as raised:
+        load_golden(name, data)
+    assert str(raised.value) == message
+
+
+def test_structure_over_a_family_of_another_palette_is_rejected():
+    # the assignment was read against the family's tensor spaces first, and
+    # the KeyError there was reported as "invalid assignment for 'iota': 'c'"
+    with open(os.path.join(INPUTS, "st.json"), encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["family"]["palette"]["colors"] = ["d"]
+    data["family"]["complexes"]["d"] = data["family"]["complexes"]["c"]
+    with pytest.raises(FormatError, match="^structure: presentation and family use different palettes$"):
+        formats.load_json(data)
+
+
+# a seeded mutation fuzz of the golden inputs: every run of the CLI on a
+# mutated file ends in exit 0, 1 or 2, with at most one error line
+FUZZ_VALUES = [None, 0, -1, 7, "x", "1/0", "-3", "0/1", "", [], {}, [[]], [1, 2], {"a": 1}, 2.5, True, 1000000]
+
+
+def _mutate(data, rng):
+    """Delete a key or a list item, duplicate a list item, or put a value of
+    FUZZ_VALUES somewhere in data."""
+    slots, stack = [], [data]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            keys = list(node)
+        elif isinstance(node, list):
+            keys = range(len(node))
+        else:
+            continue
+        for k in keys:
+            slots.append((node, k))
+            stack.append(node[k])
+    if not slots:
+        return
+    parent, key = rng.choice(slots)
+    op = rng.randrange(3)
+    if op == 0:
+        del parent[key]
+    elif op == 1 and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    else:
+        parent[key] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+
+
+def test_cli_on_mutated_golden_inputs_never_raises(tmp_path, monkeypatch):
+    with open(CASES, encoding="utf-8") as handle:
+        cases = json.load(handle)
+    work = tmp_path / "inputs"
+    shutil.copytree(INPUTS, work)
+    trials = []
+    for case in cases:
+        files = [a for a in case["argv"] if a.endswith(".json") and a not in NOT_CANONICAL and (work / a).is_file()]
+        trials += [(case["argv"], name) for name in files]
+    monkeypatch.chdir(work)
+    rng = random.Random(21)
+    for _ in range(300):
+        argv, name = rng.choice(trials)
+        original = (work / name).read_text(encoding="utf-8")
+        data = json.loads(original)
+        for _ in range(rng.randint(1, 2)):
+            _mutate(data, rng)
+        (work / name).write_text(json.dumps(data), encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run(argv)
+        (work / name).write_text(original, encoding="utf-8")
+        lines = out.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, data)
+        assert sum(line.startswith("error:") for line in lines) <= 1, (argv, data)
 
 
 # -- properties -----------------------------------------------------------------

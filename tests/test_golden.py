@@ -11,10 +11,15 @@ boundary rows written as JSON objects or as strings, which `homology` read
 by their keys or characters before, and the four exit-2 cases for a
 boundary whose second row is shorter or longer than its first, which
 `homology` read zero-padded or ended in a traceback on, and `check`
-accepted.  The transfer and factor cases
-whose maps carry 1/2 entries (transfer-fibration-halved, factor-fractions)
-were recorded before integral entries became ints, so they show the mixed
-int/Fraction path prints the same bytes.  The dim-free cases over repeated
+accepted.  The three exit-2 cases for fields of the wrong JSON type
+(dim-free-generators-string, homology-dims-float, check-operad-arity-string)
+were recorded after the loaders checked the type of every field: dim-free
+ended in a traceback on a signature whose generators are a string, homology
+read a dimension of 2.5 as 2, and check read an arity bound of "2" as 2.
+The transfer and factor cases whose maps carry 1/2 entries
+(transfer-fibration-halved, factor-fractions) were recorded before integral
+entries became ints, so they show the mixed int/Fraction path prints the
+same bytes.  The dim-free cases over repeated
 generators (dim-free-equal-generators, dim-free-mixed-generators) were
 recorded before enumerate_graphs canonicalized one labelled copy per class.
 """
@@ -47,6 +52,9 @@ NOT_LOADABLE = {
     "rows_string.json",
     "short_row.json",
     "long_row.json",
+    "generators_string.json",
+    "dims_float.json",
+    "arity_string.json",
 }
 
 

@@ -842,6 +842,9 @@ def test_operad_algebra_rejects_values_of_the_wrong_shape():
     missing = ("x", profile_key(palette, ["x"] * 4))
     with pytest.raises(OperadError, match="missing component"):
         OperadAlgebra(operad, fam, {**alg.values, missing: vals})
+    # an algebra without the values at one component ended in a KeyError in check
+    with pytest.raises(OperadError, match="^algebra misses the values at component"):
+        OperadAlgebra(operad, fam, {k: vs for k, vs in alg.values.items() if k != key})
 
 
 # -- known defect: checks that compose only the first basis element of each input
