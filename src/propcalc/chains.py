@@ -752,7 +752,8 @@ def path_object(x: ChainComplex):
 
     dims = {0: x.dim(0) + x.dim(1)}
     boundary = {}
-    for n in range(1, x.top_degree + 1):
+    # P_n is zero unless X_n or X_{n+1} is not, so only those degrees are built
+    for n in sorted({n for m in x.dims for n in (m - 1, m) if n >= 1}):
         dims[n] = 2 * x.dim(n) + x.dim(n + 1)
         # (a, b, z) -> (da, db, a - b - dz), of which P_0 keeps (db, a - b - dz)
         dim, d = x.dim(n), x.d(n)

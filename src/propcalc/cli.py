@@ -398,6 +398,7 @@ def _dispatch(args, ws):
 
 
 def _relabel(g, order):
+    """g with its vertices listed in `order`; a renumbering keeps a valid graph valid."""
     from propcalc.graphs import PropGraph
 
     pos = {old: new for new, old in enumerate(order)}
@@ -407,6 +408,7 @@ def _relabel(g, order):
         {((pos[u], p), (pos[v], q)) for (u, p), (v, q) in g.edges},
         {(pos[v], q): l for (v, q), l in g.in_legs.items()},
         {(pos[v], p): l for (v, p), l in g.out_legs.items()},
+        check=False,
     )
 
 

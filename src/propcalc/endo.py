@@ -34,6 +34,9 @@ class ColoredFamily:
         for c in palette.colors:
             if c not in self.complexes:
                 raise EndoError("family misses color %r" % (c,))
+        for c in self.complexes:
+            if c not in palette:
+                raise EndoError("family has a complex at color %r outside its palette" % (c,))
         # spaces and shuffles are keyed by the first color of equal complex, so
         # profiles whose complexes agree share them
         self._first = {

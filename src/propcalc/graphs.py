@@ -16,6 +16,8 @@ identical.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 from propcalc.profiles import (
     OrbitKey,
@@ -97,6 +99,19 @@ class PropGraph:
     edges: frozenset of ((u, p), (v, q)): output port p of u feeds input port
     q of v; ports are 1-based.
     in_legs / out_legs: dict (vertex, port) -> leg label.
+
+    The constructor validates by default.  The builders `from_generator`,
+    `horizontal`, `vertical`, `act_left` and `act_right` skip it: each turns
+    valid graphs into a valid graph, once its own operand check has passed
+    (matching palettes for `horizontal`, matching profiles for `vertical`,
+    the permutation size for `act_*`).  A generator is a valid graph since
+    profiles are non-empty; a disjoint union or a relabelling by a
+    permutation keeps ports, colours and leg bijections; and `vertical` sews
+    each output leg of the lower graph to the input leg of equal label and
+    colour above it, with every new edge pointing upward, so no cycle forms.
+    `horizontal` and `vertical` still validate when the operands hold two
+    signature objects, since the result reads the other operand's vertex
+    names in the first operand's signature.
     """
 
     __slots__ = ("signature", "vertices", "edges", "in_legs", "out_legs")
@@ -184,7 +199,7 @@ class PropGraph:
         g = signature[name]
         in_legs = {(0, q): q for q in range(1, len(g.in_profile) + 1)}
         out_legs = {(0, p): p for p in range(1, len(g.out_profile) + 1)}
-        return cls(signature, [name], [], in_legs, out_legs)
+        return cls(signature, [name], [], in_legs, out_legs, check=False)
 
     def horizontal(self, other: "PropGraph") -> "PropGraph":
         """Disjoint union; self's legs first, then other's (shifted)."""
@@ -203,7 +218,12 @@ class PropGraph:
         for (v, p), label in other.out_legs.items():
             out_legs[(v + shift, p)] = label + n_out
         return PropGraph(
-            self.signature, self.vertices + other.vertices, edges, in_legs, out_legs
+            self.signature,
+            self.vertices + other.vertices,
+            edges,
+            in_legs,
+            out_legs,
+            check=self.signature is not other.signature,
         )
 
     def vertical(self, other: "PropGraph") -> "PropGraph":
@@ -224,7 +244,12 @@ class PropGraph:
         in_legs = {(v + shift, q): label for (v, q), label in other.in_legs.items()}
         out_legs = dict(self.out_legs)
         return PropGraph(
-            self.signature, self.vertices + other.vertices, edges, in_legs, out_legs
+            self.signature,
+            self.vertices + other.vertices,
+            edges,
+            in_legs,
+            out_legs,
+            check=self.signature is not other.signature,
         )
 
     def act_left(self, sigma: Permutation) -> "PropGraph":
@@ -232,7 +257,7 @@ class PropGraph:
         if sigma.n != len(self.out_legs):
             raise GraphError("permutation size mismatch on output legs")
         out_legs = {port: sigma(label) for port, label in self.out_legs.items()}
-        return PropGraph(self.signature, self.vertices, self.edges, self.in_legs, out_legs)
+        return PropGraph(self.signature, self.vertices, self.edges, self.in_legs, out_legs, check=False)
 
     def act_right(self, tau: Permutation) -> "PropGraph":
         """Relabel input legs: label l becomes tau^-1(l)."""
@@ -240,7 +265,7 @@ class PropGraph:
             raise GraphError("permutation size mismatch on input legs")
         inv = tau.inverse()
         in_legs = {port: inv(label) for port, label in self.in_legs.items()}
-        return PropGraph(self.signature, self.vertices, self.edges, in_legs, self.out_legs)
+        return PropGraph(self.signature, self.vertices, self.edges, in_legs, self.out_legs, check=False)
 
     # -- canonical form ------------------------------------------------------
 
@@ -367,13 +392,16 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
     vertices maps the enumerated (wiring, in-legs, out-legs) objects onto
     themselves, and two of them are isomorphic iff one maps to the other.
     The discovery order of `_discovery_order`, seeded with the vertices of
-    the in-legs and then of the out-legs in label order, is invariant under
-    that action.  It reaches every vertex: profiles are non-empty, so each
-    connected part has a source vertex whose input ports are legs.  Hence
-    only the identity fixes an object, and exactly one copy in each orbit
-    lists each name's vertices in increasing index order: that copy is the
-    one kept.  Every wiring and leg assignment is still generated and
-    counted toward work_cap, and the result is the same list of
+    the in-legs in label order, is invariant under that action on (wiring,
+    in-legs) pairs.  It reaches every vertex: profiles are non-empty, so
+    each connected part has a source vertex whose input ports are legs.
+    Hence only the identity fixes a pair, and exactly one pair in each orbit
+    lists each name's vertices in increasing index order.  The action on
+    pairs is free, so each orbit of objects has exactly one copy over a kept
+    pair, whatever its out-legs: that copy is the one kept.  Every wiring
+    and in-leg assignment is still generated; a rejected in-leg assignment
+    counts its out-leg assignments without building them, so work_cap fires
+    at the same step with the same message.  The result is the same list of
     certificates; the graphs returned are the orbit representatives.
     """
     if max_vertices < 1:
@@ -410,14 +438,19 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
                 wired_in = {e[1] for e in wiring}
                 free_in = [ip for ip in in_ports if ip[:2] not in wired_in]
                 free_out = [op for op in out_ports if op[:2] not in wired_out]
-                neighbours = _neighbours(count, wiring) if repeats else None
+                if repeats:
+                    neighbours = _neighbours(count, wiring)
+                    n_out_legs = _leg_assignment_count(free_out, out_profile)
                 for in_legs in _leg_assignments(free_in, in_profile, work, work_cap):
-                    in_seeds = [v for v, _ in sorted(in_legs, key=in_legs.__getitem__)]
+                    if repeats:
+                        seeds = [v for v, _ in sorted(in_legs, key=in_legs.__getitem__)]
+                        if not _increasing_per_name(combo, _discovery_order(neighbours, seeds)):
+                            # the out-leg loop below would only count its steps
+                            work[0] += n_out_legs
+                            if work[0] > work_cap:
+                                raise ResourceCapExceeded("leg assignment exceeded %d steps" % work_cap)
+                            continue
                     for out_legs in _leg_assignments(free_out, out_profile, work, work_cap):
-                        if neighbours is not None:
-                            seeds = in_seeds + [v for v, _ in sorted(out_legs, key=out_legs.__getitem__)]
-                            if not _increasing_per_name(combo, _discovery_order(neighbours, seeds)):
-                                continue
                         g = PropGraph(signature, combo, wiring, in_legs, out_legs, check=False)
                         cert, _ = g.canonical()
                         if cert not in found:
@@ -529,6 +562,15 @@ def _leg_assignments(free_ports, profile, work, work_cap):
             for label, port in zip(label_slots[color], ports):
                 legs[port] = label
         yield legs
+
+
+def _leg_assignment_count(free_ports, profile):
+    """How many labelings _leg_assignments(free_ports, profile) yields:
+    prod over colours of (ports of that colour)!, or 0 when the colours differ."""
+    counts = Counter(color for _, _, color in free_ports)
+    if counts != Counter(profile.entries):
+        return 0
+    return math.prod(math.factorial(k) for k in counts.values())
 
 
 def free_component_dim(signature, out_profile, in_profile, max_vertices, work_cap=2_000_000):

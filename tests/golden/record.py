@@ -61,6 +61,7 @@ COMMANDS = [
     ("check-directory", ["check", "subdir"]),
     ("check-not-utf8", ["check", "not_utf8.json"]),
     ("check-in-subdirectory", ["check", "subdir/x.json"]),
+    ("check-family-stray-color", ["check", "fam_stray_color.json"]),
     ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
     ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
     ("normalize-parse-error", ["normalize", "sig.json", "mu2 o $"]),
@@ -90,6 +91,7 @@ COMMANDS = [
     ("classify-family-map", ["classify", "proj.json"]),
     ("classify-wrong-kind", ["classify", "q.json"]),
     ("path-object", ["path-object", "frac.json"]),
+    ("path-object-high-degree", ["path-object", "high_degree.json"]),
     ("algebra-check-pass", ["algebra-check", "st.json"]),
     ("algebra-check-fail", ["algebra-check", "bad_st.json"]),
     ("algebra-check-wrong-kind", ["algebra-check", "q.json"]),
@@ -240,6 +242,12 @@ def write_inputs():
     arity_string = to_json(objects["op"])
     arity_string["max_arity"] = "2"
     _write("arity_string.json", dumps(arity_string))
+    # a family with a complex at a color outside its palette
+    stray = to_json(objects["fam"])
+    stray["complexes"]["zz"] = {"kind": "complex", "dims": {"0": 3}}
+    _write("fam_stray_color.json", dumps(stray))
+    # one basis vector in degree 10^8: the path object lives in two degrees
+    _write("high_degree.json", dumps(to_json(ChainComplex({10**8: 1}))))
     _write("truncated.json", '{"kind": "operad_algebra", ')
     with open(os.path.join(INPUTS, "not_utf8.json"), "wb") as handle:
         handle.write(b"\xff\xfe{")

@@ -697,6 +697,23 @@ def test_path_object_zero():
     assert p.is_zero()
 
 
+def test_path_object_costs_nothing_for_empty_degrees():
+    """A complex living in degrees N and up has the path object of the same
+    complex moved down to degree 1, moved back up by N - 1; at N = 10^7 it is
+    built at once, where a loop over every degree below N would stall."""
+    n = 10**7
+
+    def shifted(by_degree):
+        return {k + n - 1: v for k, v in by_degree.items()}
+
+    for dims, boundary in (({1: 1}, {}), ({1: 1, 2: 1}, {2: [[F(-1, 2)]]})):
+        low = path_object(ChainComplex(dims, boundary))
+        high = path_object(ChainComplex(shifted(dims), shifted(boundary)))
+        assert (high[0].dims, high[0].boundary) == (shifted(low[0].dims), shifted(low[0].boundary))
+        for f, g in zip(high[1:], low[1:]):
+            assert f.rows == shifted(g.rows)
+
+
 def test_path_object_ground_field():
     x = base_field_complex()
     p, s, d0, d1 = path_object(x)

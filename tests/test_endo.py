@@ -74,6 +74,12 @@ def test_hom_dims_ground_field():
     assert hom.dims == {0: 1}
 
 
+def test_family_rejects_a_complex_outside_its_palette():
+    complexes = {"a": base_field_complex(), "b": base_field_complex(), "zz": ChainComplex({0: 3})}
+    with pytest.raises(EndoError, match="^family has a complex at color 'zz' outside its palette$"):
+        ColoredFamily(PAL, complexes)
+
+
 def test_hom_dims_two_step():
     fam = ColoredFamily(
         PAL, {"a": ChainComplex({0: 1, 1: 1}), "b": base_field_complex()}

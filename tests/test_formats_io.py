@@ -251,7 +251,7 @@ def test_structure_over_a_family_of_another_palette_is_rejected():
     with open(os.path.join(INPUTS, "st.json"), encoding="utf-8") as handle:
         data = json.load(handle)
     data["family"]["palette"]["colors"] = ["d"]
-    data["family"]["complexes"]["d"] = data["family"]["complexes"]["c"]
+    data["family"]["complexes"]["d"] = data["family"]["complexes"].pop("c")
     with pytest.raises(FormatError, match="^structure: presentation and family use different palettes$"):
         formats.load_json(data)
 

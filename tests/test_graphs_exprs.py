@@ -15,6 +15,7 @@ from helpers import (
     reference_canonical,
     reference_enumerate_graphs,
 )
+from propcalc.cli import _relabel as cli_relabel
 from propcalc.exprs import (
     GenExpr,
     GraphPolynomial,
@@ -294,6 +295,53 @@ def test_canonical_idempotent():
         assert order2 == list(range(len(g.vertices)))
 
 
+BUILDERS = ("from_generator", "horizontal", "vertical", "act_left", "act_right")
+
+
+def test_builders_keep_every_graph_valid(monkeypatch):
+    """The builders skip PropGraph._validate, since they turn valid graphs
+    into valid graphs: run it on every graph they return while graphs of
+    random expressions are built, and on each graph renumbered into its
+    canonical order as `normalize` writes it."""
+    built = Counter()
+
+    def checked(name, builder):
+        def build(*args):
+            g = builder(*args)
+            g._validate()
+            built[name] += 1
+            return g
+
+        return build
+
+    for name in BUILDERS:
+        build = checked(name, getattr(PropGraph, name))
+        monkeypatch.setattr(PropGraph, name, staticmethod(build) if name == "from_generator" else build)
+    rng = random.Random(46)
+    for _ in range(300):
+        sig = random_signature(rng)
+        g = expr_to_graph(random_expression(sig, rng, depth=rng.randint(1, 4)))
+        cli_relabel(g, g.canonical()[1])._validate()
+    assert min(built[name] for name in BUILDERS) > 50, built
+
+
+def test_builders_validate_operands_over_two_signatures():
+    """A graph over another signature with the same palette: its vertex names
+    mean other generators in the first operand's signature, so the result is
+    checked, as hand-built graphs are."""
+    c = lambda *xs: Profile(PAL1, xs)
+    first = one_color_sig()
+    other = Signature(
+        PAL1,
+        [Generator("mu", c("c"), c("c", "c", "c"), 0), Generator("v", c("c", "c"), c("c"), 0)],
+    )
+    mu = PropGraph.from_generator(first, "mu")
+    with pytest.raises(GraphError, match="unattached input ports"):
+        mu.horizontal(PropGraph.from_generator(other, "mu"))
+    with pytest.raises(GraphError, match="unknown generator 'v'"):
+        mu.vertical(PropGraph.from_generator(other, "v"))
+
+
 # -- enumeration ----------------------------------------------------------------
 
 
@@ -421,7 +469,8 @@ def test_isomorph_rejection_keeps_one_copy_per_orbit(monkeypatch):
     permutations of equal generators act freely on the labelled objects, so
     there are (classes) x prod m_i! of them, and enumerate_graphs
     canonicalizes exactly one of each class.  The discovery order the
-    representative rule reads reaches every vertex of every object."""
+    representative rule reads, seeded with the in-leg vertices alone,
+    reaches every vertex of every object."""
     canonicalized = Counter()
     canonical = PropGraph.canonical
 
@@ -445,7 +494,6 @@ def test_isomorph_rejection_keeps_one_copy_per_orbit(monkeypatch):
         for combo, wiring, in_legs, out_legs in labelled_objects(sig, out_p, in_p, 4):
             labelled[combo] += 1
             seeds = [v for v, _ in sorted(in_legs, key=in_legs.get)]
-            seeds += [v for v, _ in sorted(out_legs, key=out_legs.get)]
             order = _discovery_order(_neighbours(len(combo), wiring), seeds)
             assert sorted(order) == list(range(len(combo)))
         assert set(labelled) == set(classes)
@@ -453,6 +501,36 @@ def test_isomorph_rejection_keeps_one_copy_per_orbit(monkeypatch):
             group_order = math.prod(math.factorial(m) for m in Counter(combo).values())
             assert labelled[combo] == n_classes * group_order
         combos += sum(1 for combo in classes if len(set(combo)) < len(combo))
+
+
+def test_every_work_cap_fails_or_succeeds_as_the_reference_does():
+    """Every work_cap from 1 to the total work: both enumerators succeed
+    with equal certificates, or both raise the same message.  Some caps fall
+    inside the out-leg block of a rejected in-leg assignment, which
+    enumerate_graphs counts without building and so raises from itself."""
+    rng = random.Random(45)
+    cases = in_skipped_block = 0
+    while cases < 4:
+        sig, out_p, in_p = _repeating_case(rng)
+        try:
+            if not enumerate_graphs(sig, out_p, in_p, 4, work_cap=500):
+                continue
+        except ResourceCapExceeded:
+            continue
+        cases += 1
+        for cap in itertools.count(1):
+            try:
+                want = reference_enumerate_graphs(sig, out_p, in_p, 4, work_cap=cap)
+            except ResourceCapExceeded as exc:
+                with pytest.raises(ResourceCapExceeded) as raised:
+                    enumerate_graphs(sig, out_p, in_p, 4, work_cap=cap)
+                assert str(raised.value) == str(exc)
+                in_skipped_block += raised.traceback[-1].name == "enumerate_graphs"
+                continue
+            got = enumerate_graphs(sig, out_p, in_p, 4, work_cap=cap)
+            assert [reference_canonical(g)[0] for g in got] == [reference_canonical(g)[0] for g in want]
+            break
+    assert in_skipped_block > 100
 
 
 def test_canonical_matches_the_reference():
