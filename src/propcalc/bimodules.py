@@ -80,12 +80,25 @@ class BimoduleComponent:
         self.carrier = carrier
         self.out_gens = {tuple(k): v for k, v in out_gens.items()}
         self.in_gens = {tuple(k): v for k, v in in_gens.items()}
-        for s in stabilizer_generators(out_key):
+        out_generators = stabilizer_generators(out_key)
+        in_generators = stabilizer_generators(in_key)
+        for s in out_generators:
             if s.images not in self.out_gens:
                 raise BimoduleError("missing out-generator action %r" % (s.images,))
-        for s in stabilizer_generators(in_key):
+        for s in in_generators:
             if s.images not in self.in_gens:
                 raise BimoduleError("missing in-generator action %r" % (s.images,))
+        # every generator has its key, so a side holds other keys iff it holds more keys
+        for side, gens, generators in (
+            ("out", self.out_gens, out_generators),
+            ("in", self.in_gens, in_generators),
+        ):
+            if len(gens) > len(generators):
+                allowed = {s.images for s in generators}
+                extra = next(k for k in gens if k not in allowed)
+                raise BimoduleError(
+                    "%s-action given for %r, which is not a stabilizer generator" % (side, extra)
+                )
         self.layout = layout
 
     @classmethod

@@ -375,10 +375,13 @@ def koszul_reorder_sign(degrees, order) -> int:
 
 
 def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=2_000_000):
-    """All canonical graphs with the given leg profiles and at most max_vertices vertices.
+    """One graph per isomorphism class with the given leg profiles and at
+    most max_vertices vertices, in generation order.
 
-    Complete and duplicate-free; output sorted by certificate.  Raises
-    ResourceCapExceeded when the wiring search would exceed work_cap steps.
+    The graphs returned are orbit representatives, pairwise non-isomorphic,
+    and none is canonicalized: callers that need a canonical order sort by
+    `canonical_graph` themselves.  Raises ResourceCapExceeded when the
+    wiring search would exceed work_cap steps.
 
     Every graph built is valid by construction, so none is checked:
     `_wirings` pairs ports of equal color, each input port at most once and
@@ -386,29 +389,29 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
     ports by a color-preserving bijection onto 1..n; profiles are non-empty,
     so legs remain on both sides; and wirings with a cycle are skipped.
 
-    Only one labelled copy of each isomorphism class is canonicalized
-    (isomorph rejection, McKay, J. Algorithms 26, 1998).  Within one
-    generator combination the group of permutations of equally named
-    vertices maps the enumerated (wiring, in-legs, out-legs) objects onto
-    themselves, and two of them are isomorphic iff one maps to the other.
-    The discovery order of `_discovery_order`, seeded with the vertices of
-    the in-legs in label order, is invariant under that action on (wiring,
-    in-legs) pairs.  It reaches every vertex: profiles are non-empty, so
-    each connected part has a source vertex whose input ports are legs.
-    Hence only the identity fixes a pair, and exactly one pair in each orbit
-    lists each name's vertices in increasing index order.  The action on
-    pairs is free, so each orbit of objects has exactly one copy over a kept
-    pair, whatever its out-legs: that copy is the one kept.  Every wiring
-    and in-leg assignment is still generated; a rejected in-leg assignment
-    counts its out-leg assignments without building them, so work_cap fires
-    at the same step with the same message.  The result is the same list of
-    certificates; the graphs returned are the orbit representatives.
+    Exactly one labelled copy of each isomorphism class is kept (isomorph
+    rejection, McKay, J. Algorithms 26, 1998).  Within one generator
+    combination the group of permutations of equally named vertices maps
+    the enumerated (wiring, in-legs, out-legs) objects onto themselves, and
+    two of them are isomorphic iff one maps to the other; objects of
+    different combinations have different vertex multisets, so they are
+    never isomorphic.  The discovery order of `_discovery_order`, seeded
+    with the vertices of the in-legs in label order, is invariant under that
+    action on (wiring, in-legs) pairs.  It reaches every vertex: profiles
+    are non-empty, so each connected part has a source vertex whose input
+    ports are legs.  Hence only the identity fixes a pair, and exactly one
+    pair in each orbit lists each name's vertices in increasing index order.
+    The action on pairs is free, so each orbit of objects has exactly one
+    copy over a kept pair, whatever its out-legs: that copy is the one
+    kept.  Every wiring and in-leg assignment is still generated; a rejected
+    in-leg assignment counts its out-leg assignments without building them,
+    so work_cap fires at the same step with the same message.
     """
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
     n_in = len(in_profile)
     n_out = len(out_profile)
-    found = {}
+    found = []
     work = [0]
 
     names = signature.names()
@@ -451,11 +454,8 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
                                 raise ResourceCapExceeded("leg assignment exceeded %d steps" % work_cap)
                             continue
                     for out_legs in _leg_assignments(free_out, out_profile, work, work_cap):
-                        g = PropGraph(signature, combo, wiring, in_legs, out_legs, check=False)
-                        cert, _ = g.canonical()
-                        if cert not in found:
-                            found[cert] = g
-    return [found[c] for c in sorted(found)]
+                        found.append(PropGraph(signature, combo, wiring, in_legs, out_legs, check=False))
+    return found
 
 
 def _neighbours(n_vertices, edges):

@@ -62,6 +62,7 @@ COMMANDS = [
     ("check-not-utf8", ["check", "not_utf8.json"]),
     ("check-in-subdirectory", ["check", "subdir/x.json"]),
     ("check-family-stray-color", ["check", "fam_stray_color.json"]),
+    ("check-bimodule-extra-action", ["check", "sign_extra_action.json"]),
     ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
     ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
     ("normalize-parse-error", ["normalize", "sig.json", "mu2 o $"]),
@@ -246,6 +247,10 @@ def write_inputs():
     stray = to_json(objects["fam"])
     stray["complexes"]["zz"] = {"kind": "complex", "dims": {"0": 3}}
     _write("fam_stray_color.json", dumps(stray))
+    # an out-action on the identity, which is not a stabilizer generator
+    extra_action = to_json(objects["sign_a"])
+    extra_action["components"][1]["out_actions"].append({"perm": [1, 2], "mats": {"0": [["5/1"]]}})
+    _write("sign_extra_action.json", dumps(extra_action))
     # one basis vector in degree 10^8: the path object lives in two degrees
     _write("high_degree.json", dumps(to_json(ChainComplex({10**8: 1}))))
     _write("truncated.json", '{"kind": "operad_algebra", ')

@@ -172,6 +172,33 @@ def test_component_validate_rejects_noncommuting_actions():
     assert comp.validate() == ["out/in actions do not commute"]
 
 
+def test_component_rejects_action_keys_that_are_not_generators():
+    """An action on a permutation that is not a stabilizer generator is never
+    read, so validate could not see it: the identity given as 5 on either
+    side, or a 3-cycle, is refused, also when loaded from a file."""
+    kd, kc = key(PAL1, "x", "x"), key(PAL1, "x")
+    kddd = key(PAL1, "x", "x", "x")
+    carrier = ChainComplex({0: 1})
+    five = ChainMap(carrier, carrier, {0: [[F(5)]]})
+    comp = make_component(kd, kd, carrier, out_mats=sign_rep(kd))
+    with pytest.raises(BimoduleError, match=r"^out-action given for \(1, 2\), which is not a stabilizer generator$"):
+        BimoduleComponent(kd, kc, carrier, {**comp.out_gens, (1, 2): five}, {})
+    with pytest.raises(BimoduleError, match=r"^in-action given for \(1, 2\), which is not a stabilizer generator$"):
+        BimoduleComponent(kd, kd, carrier, comp.out_gens, {**comp.in_gens, (1, 2): five})
+    cycle = make_component(kddd, kc, carrier)
+    with pytest.raises(BimoduleError, match=r"for \(2, 3, 1\), which"):
+        BimoduleComponent(kddd, kc, carrier, {**cycle.out_gens, (2, 3, 1): five}, {})
+    # a missing generator is still reported first
+    with pytest.raises(BimoduleError, match=r"^missing out-generator action \(2, 1\)$"):
+        BimoduleComponent(kd, kc, carrier, {(1, 2): five}, {})
+
+    with open(os.path.join(GOLDEN_INPUTS, "sign_a.json"), encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["components"][1]["out_actions"].append({"perm": [1, 2], "mats": {"0": [["5/1"]]}})
+    with pytest.raises(BimoduleError, match=r"^out-action given for \(1, 2\)"):
+        formats.bimodule_from_json(data)
+
+
 def young_rep(rng, k, side, natural):
     """Generator matrices of a representation of the Young subgroup of k: the
     natural permutation action on Q^n (natural) or the trivial one on Q,

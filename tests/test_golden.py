@@ -22,11 +22,13 @@ entries became ints, so they show the mixed int/Fraction path prints the
 same bytes.  The dim-free cases over repeated
 generators (dim-free-equal-generators, dim-free-mixed-generators) were
 recorded before enumerate_graphs canonicalized one labelled copy per class.
-Two cases were recorded after the commands they run were mended:
+Three cases were recorded after the commands they run were mended:
 check-family-stray-color, for a family with a complex at a color outside its
-palette, which `check` accepted before, and path-object-high-degree, for a
+palette, which `check` accepted before; path-object-high-degree, for a
 complex in degree 10^8 alone, on which `path-object` looped through every
-degree below it.
+degree below it; and check-bimodule-extra-action, for a bimodule with an
+out-action on the identity, which is not a stabilizer generator, and which
+`check` accepted before.
 """
 
 import json
@@ -61,6 +63,7 @@ NOT_LOADABLE = {
     "dims_float.json",
     "arity_string.json",
     "fam_stray_color.json",
+    "sign_extra_action.json",
 }
 
 

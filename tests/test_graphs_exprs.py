@@ -401,6 +401,14 @@ def test_max_vertices_validated():
         enumerate_graphs(sig, c("c"), c("c"), 0)
 
 
+def _assert_same_classes(got, want):
+    """got holds one graph per class of the reference's sorted list want:
+    certificates pairwise distinct, and equal once sorted."""
+    certs = [reference_canonical(g)[0] for g in got]
+    assert len(set(certs)) == len(certs)
+    assert sorted(certs) == [reference_canonical(g)[0] for g in want]
+
+
 def _check_against_reference(sig, out_p, in_p, max_v, cap):
     """Compare with the checked reference; the graphs found, or None when both cap."""
     try:
@@ -411,7 +419,7 @@ def _check_against_reference(sig, out_p, in_p, max_v, cap):
         assert str(raised.value) == str(exc)
         return None
     got = enumerate_graphs(sig, out_p, in_p, max_v, work_cap=cap)
-    assert [reference_canonical(g)[0] for g in got] == [reference_canonical(g)[0] for g in want]
+    _assert_same_classes(got, want)
     for g in got:
         g._validate()
         assert (g.out_profile(), g.in_profile()) == (out_p, in_p)
@@ -464,32 +472,25 @@ def test_enumerate_matches_the_checked_reference():
     assert found > 1_000 and 0 < capped < 40 and repeats[4] > 20
 
 
-def test_isomorph_rejection_keeps_one_copy_per_orbit(monkeypatch):
+def test_isomorph_rejection_keeps_one_copy_per_orbit():
     """Burnside's premise, counted: in each generator combination the
     permutations of equal generators act freely on the labelled objects, so
-    there are (classes) x prod m_i! of them, and enumerate_graphs
-    canonicalizes exactly one of each class.  The discovery order the
+    there are (classes) x prod m_i! of them, and enumerate_graphs keeps
+    exactly one representative of each class the reference finds by
+    canonicalizing every labelled copy.  The discovery order the
     representative rule reads, seeded with the in-leg vertices alone,
     reaches every vertex of every object."""
-    canonicalized = Counter()
-    canonical = PropGraph.canonical
-
-    def counted(g):
-        canonicalized[g.vertices] += 1
-        return canonical(g)
-
-    monkeypatch.setattr(PropGraph, "canonical", counted)
     rng = random.Random(44)
     combos = 0
     while combos < 60:
         sig, out_p, in_p = _repeating_case(rng)
-        canonicalized.clear()
         try:
             graphs = enumerate_graphs(sig, out_p, in_p, 4, work_cap=5_000)
         except ResourceCapExceeded:
             continue
-        classes = Counter(tuple(sorted(g.vertices)) for g in graphs)
-        assert canonicalized == classes
+        kept = Counter(g.vertices for g in graphs)
+        classes = Counter(g.vertices for g in reference_enumerate_graphs(sig, out_p, in_p, 4, work_cap=5_000))
+        assert kept == classes
         labelled = Counter()
         for combo, wiring, in_legs, out_legs in labelled_objects(sig, out_p, in_p, 4):
             labelled[combo] += 1
@@ -528,9 +529,35 @@ def test_every_work_cap_fails_or_succeeds_as_the_reference_does():
                 in_skipped_block += raised.traceback[-1].name == "enumerate_graphs"
                 continue
             got = enumerate_graphs(sig, out_p, in_p, 4, work_cap=cap)
-            assert [reference_canonical(g)[0] for g in got] == [reference_canonical(g)[0] for g in want]
+            _assert_same_classes(got, want)
             break
     assert in_skipped_block > 100
+
+
+def test_enumerate_graphs_never_canonicalizes(monkeypatch):
+    """Isomorph rejection alone keeps one graph per class, so enumeration
+    runs with PropGraph.canonical raising; the number kept is the Burnside
+    count of the labelled objects, sum over combinations of labelled / prod m_i!."""
+    def refuse(g):
+        raise AssertionError("enumerate_graphs called PropGraph.canonical")
+
+    monkeypatch.setattr(PropGraph, "canonical", refuse)
+    rng = random.Random(46)
+    found = with_repeats = 0
+    while with_repeats < 20:
+        sig, out_p, in_p = _repeating_case(rng)
+        try:
+            graphs = enumerate_graphs(sig, out_p, in_p, 4, work_cap=5_000)
+        except ResourceCapExceeded:
+            continue
+        found += len(graphs)
+        labelled = Counter(combo for combo, *_ in labelled_objects(sig, out_p, in_p, 4))
+        burnside = Counter()
+        for combo, n in labelled.items():
+            burnside[combo] = n // math.prod(math.factorial(m) for m in Counter(combo).values())
+        assert Counter(g.vertices for g in graphs) == burnside
+        with_repeats += any(len(set(g.vertices)) < len(g.vertices) for g in graphs)
+    assert found > 500
 
 
 def test_canonical_matches_the_reference():
