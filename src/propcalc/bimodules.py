@@ -120,7 +120,14 @@ class BimoduleComponent:
 
     def rho_out(self, sigma: Permutation) -> ChainMap:
         """Action of (sigma; 1) for sigma in the out stabilizer: the product of
-        the generator maps of its word, a generator's own map for a generator."""
+        the generator maps of its word, a generator's own map for a generator.
+
+        A generator is looked up before any word is built: the constructor
+        keeps exactly the stabilizer generators as keys, and a generator's
+        word is itself, so the lookup returns what the word would."""
+        m = self.out_gens.get(sigma.images)
+        if m is not None:
+            return m
         word = word_in_block_transpositions(self.out_key, sigma)
         if not word:
             return ChainMap.identity(self.carrier)
@@ -130,7 +137,11 @@ class BimoduleComponent:
         return m
 
     def rho_in(self, tau: Permutation) -> ChainMap:
-        """Action of (1; tau) for tau in the in stabilizer (contravariant side)."""
+        """Action of (1; tau) for tau in the in stabilizer (contravariant side),
+        with the generator lookup first, as in rho_out."""
+        m = self.in_gens.get(tau.images)
+        if m is not None:
+            return m
         word = word_in_block_transpositions(self.in_key, tau)
         if not word:
             return ChainMap.identity(self.carrier)
@@ -492,7 +503,11 @@ def _moved_placement(assignment, perm_positions):
 
 
 def _twists(assignment, new_assignment, perm_positions, n_factors):
-    """Per-factor correction permutations pi_i with m'_i pi_i = sigma m_i."""
+    """Per-factor correction permutations pi_i with m'_i pi_i = sigma m_i.
+
+    Each is a permutation by construction, so it is built without the check:
+    perm_positions maps factor i's positions in the placement one to one onto
+    its positions in the moved placement."""
     old_blocks = _placement_blocks(assignment, n_factors)
     new_blocks = _placement_blocks(new_assignment, n_factors)
     twists = []
@@ -501,7 +516,7 @@ def _twists(assignment, new_assignment, perm_positions, n_factors):
         images = [0] * len(old_blocks[i])
         for ell, pos in enumerate(old_blocks[i]):
             images[ell] = new_index[perm_positions[pos]] + 1
-        twists.append(Permutation(images))
+        twists.append(Permutation._trusted(images))
     return twists
 
 

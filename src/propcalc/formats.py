@@ -156,24 +156,28 @@ def matrix_from_json(rows):
 # such as "0/1" a piece stays within Python's small-object allocator (512
 # bytes).  Whole rows of a wide matrix, all held until the final join, would
 # grow the C heap by about the size of the document, and how much of that the
-# process gives back then depends on what it allocated before.
+# process gives back then depends on what it allocated before.  A piece of
+# _ROW_PIECE zeros is one text per indentation depth, built once per dumps
+# call and appended wherever it recurs.
 _ROW_PIECE = 16
 
 
 def dumps(obj) -> str:
     """The bytes of json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
     out = []
-    _emit(obj, out, "\n")
+    _emit(obj, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out, newline):
+def _emit(obj, out, newline, zero_pieces):
     """Append the canonical JSON of obj to out; newline starts obj's own lines.
 
     The isinstance tests run in json's order (bool before int, a tuple is a
     list).  Anything else, dicts with a non-str key included, goes to json
     itself, indented to its depth: a JSON string never holds a raw newline.
+    zero_pieces maps newline to the texts of an all-zero row piece at that
+    depth, (first piece, later piece).
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -194,15 +198,22 @@ def _emit(obj, out, newline):
         sep = "," + inner
         if set(map(type, obj)) == {str}:
             # a row of a rational matrix, in pieces of _ROW_PIECE entries
-            items = list(map(encode_basestring_ascii, obj))
-            for i in range(0, len(items), _ROW_PIECE):
-                out.append((sep if i else "[" + inner) + sep.join(items[i : i + _ROW_PIECE]))
+            zero = zero_pieces.get(newline)
+            if zero is None:
+                text = sep.join(['"0/1"'] * _ROW_PIECE)
+                zero = zero_pieces[newline] = ("[" + inner + text, sep + text)
+            for i in range(0, len(obj), _ROW_PIECE):
+                piece = obj[i : i + _ROW_PIECE]
+                if piece.count("0/1") == _ROW_PIECE:
+                    out.append(zero[1] if i else zero[0])
+                else:
+                    out.append((sep if i else "[" + inner) + sep.join(map(encode_basestring_ascii, piece)))
             out.append(newline + "]")
             return
         out.append("[")
         for i, x in enumerate(obj):
             out.append(sep if i else inner)
-            _emit(x, out, inner)
+            _emit(x, out, inner, zero_pieces)
         out.append(newline + "]")
     elif isinstance(obj, dict) and set(map(type, obj)) == {str}:
         inner = newline + "  "
@@ -210,7 +221,7 @@ def _emit(obj, out, newline):
         out.append("{")
         for i, k in enumerate(sorted(obj)):
             out.append((sep if i else inner) + encode_basestring_ascii(k) + ": ")
-            _emit(obj[k], out, inner)
+            _emit(obj[k], out, inner, zero_pieces)
         out.append(newline + "}")
     else:
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
@@ -452,13 +463,18 @@ def _actions_to_json(gens):
 
 def _actions(entry, key, carrier, kind):
     """The generator actions [{"perm": ..., "mats": ...}] at entry[key], as
-    {one-line images: map of the carrier}."""
-    return {
-        tuple(_list_of(act, "perm", int, kind + " action")): ChainMap(
+    {one-line images: map of the carrier}; a perm listed twice is an error."""
+    actions = {}
+    for act in _list_of(entry, key, dict, kind + " component", ()):
+        perm = tuple(_list_of(act, "perm", int, kind + " action"))
+        if perm in actions:
+            raise FormatError(
+                "%s component: field %r lists perm %r twice" % (kind, key, list(perm))
+            )
+        actions[perm] = ChainMap(
             carrier, carrier, _matrices(act, "mats", kind + " action"), check=False
         )
-        for act in _list_of(entry, key, dict, kind + " component", ())
-    }
+    return actions
 
 
 def bimodule_from_json(data):

@@ -112,7 +112,13 @@ def concat(p: Profile, q: Profile) -> Profile:
 
 
 class Permutation:
-    """Bijection of {1..n} in one-line notation: images[i-1] = sigma(i)."""
+    """Bijection of {1..n} in one-line notation: images[i-1] = sigma(i).
+
+    Permutation(images) checks that images is a permutation of 1..n; file and
+    user input come in that way.  Products, inverses and the Young-group
+    builders below go through _trusted instead, which skips the check: their
+    images are permutations by construction.
+    """
 
     __slots__ = ("images",)
 
@@ -122,6 +128,13 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("not a permutation of 1..%d: %r" % (n, images))
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images) -> "Permutation":
+        """The permutation with these images (ints), without the check."""
+        sigma = object.__new__(cls)
+        sigma.images = tuple(images)
+        return sigma
 
     @property
     def n(self):
@@ -138,13 +151,13 @@ class Permutation:
         """(self * other)(i) = self(other(i))."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return Permutation(self.images[j - 1] for j in other.images)
+        return Permutation._trusted(self.images[j - 1] for j in other.images)
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
@@ -194,7 +207,7 @@ def apply_permutation(sigma: Permutation, p: Profile, side: str = "left") -> Pro
 class OrbitKey:
     """Canonical representative of a profile orbit: entries sorted by palette order."""
 
-    __slots__ = ("rep", "block_sizes", "_hash")
+    __slots__ = ("rep", "block_sizes", "_hash", "_generators")
 
     def __init__(self, rep: Profile):
         orders = [rep.palette.order(c) for c in rep.entries]
@@ -206,6 +219,7 @@ class OrbitKey:
             sizes.append(len(list(grp)))
         self.block_sizes = tuple(sizes)
         self._hash = hash(("orbit", rep))
+        self._generators = None  # stabilizer_generators' tuple, built on first use
 
     @property
     def length(self):
@@ -265,17 +279,24 @@ def _blocks(key: OrbitKey):
 
 
 def stabilizer_generators(key: OrbitKey, n: int = None):
-    """Generators (adjacent transpositions inside each color block) of the Young subgroup."""
+    """Generators (adjacent transpositions inside each color block) of the Young subgroup.
+
+    Built once per key object and kept on it, so the cache lives as long as
+    the key (keys are made per palette, so per run); each call returns a
+    fresh list of the same immutable permutations.
+    """
     length = key.length
     if n is not None and n != length:
         raise ProfileError("length %d does not match key length %d" % (n, length))
-    gens = []
-    for start, size in _blocks(key):
-        for i in range(start + 1, start + size):
-            images = list(range(1, length + 1))
-            images[i - 1], images[i] = images[i], images[i - 1]
-            gens.append(Permutation(images))
-    return gens
+    if key._generators is None:
+        gens = []
+        for start, size in _blocks(key):
+            for i in range(start + 1, start + size):
+                images = list(range(1, length + 1))
+                images[i - 1], images[i] = images[i], images[i - 1]
+                gens.append(Permutation._trusted(images))
+        key._generators = tuple(gens)
+    return list(key._generators)
 
 
 def stabilizer_order(key: OrbitKey) -> int:
@@ -300,7 +321,7 @@ def stabilizer_elements(key: OrbitKey):
         for (start, size, _), imgs in zip(per_block, chosen):
             for offset, img in enumerate(imgs):
                 images[start + offset] = img
-        out.append(Permutation(images))
+        out.append(Permutation._trusted(images))
     return out
 
 
@@ -334,5 +355,5 @@ def word_in_block_transpositions(key: OrbitKey, sigma: Permutation):
     for i in reversed(word_positions):
         images = list(range(1, length + 1))
         images[i], images[i + 1] = images[i + 1], images[i]
-        gens.append(Permutation(images))
+        gens.append(Permutation._trusted(images))
     return gens

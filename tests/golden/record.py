@@ -63,6 +63,7 @@ COMMANDS = [
     ("check-in-subdirectory", ["check", "subdir/x.json"]),
     ("check-family-stray-color", ["check", "fam_stray_color.json"]),
     ("check-bimodule-extra-action", ["check", "sign_extra_action.json"]),
+    ("check-bimodule-duplicate-action", ["check", "perm_a_duplicate_action.json"]),
     ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
     ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
     ("normalize-parse-error", ["normalize", "sig.json", "mu2 o $"]),
@@ -251,6 +252,12 @@ def write_inputs():
     extra_action = to_json(objects["sign_a"])
     extra_action["components"][1]["out_actions"].append({"perm": [1, 2], "mats": {"0": [["5/1"]]}})
     _write("sign_extra_action.json", dumps(extra_action))
+    # a second [2, 1] out-action, 7 times the identity, listed before perm_a's swap
+    duplicate_action = to_json(objects["perm_a"])
+    duplicate_action["components"][0]["out_actions"].insert(
+        0, {"perm": [2, 1], "mats": {"0": [["7/1", "0/1"], ["0/1", "7/1"]]}}
+    )
+    _write("perm_a_duplicate_action.json", dumps(duplicate_action))
     # one basis vector in degree 10^8: the path object lives in two degrees
     _write("high_degree.json", dumps(to_json(ChainComplex({10**8: 1}))))
     _write("truncated.json", '{"kind": "operad_algebra", ')

@@ -55,6 +55,25 @@ def exact_scalar(x) -> bool:
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
+def assert_checked(sigma):
+    """sigma is what the validating constructor builds from its images: a
+    permutation of 1..n, stored as a tuple of ints."""
+    assert type(sigma.images) is tuple and all(type(x) is int for x in sigma.images), sigma
+    assert sigma == Permutation(list(sigma.images))
+
+
+def young_keys(rng, palette, count, max_length=6, max_block=4):
+    """count seeded orbit keys of length up to max_length whose colour blocks
+    have at most max_block entries."""
+    keys = []
+    while len(keys) < count:
+        colors = [rng.choice(palette.colors) for _ in range(rng.randint(1, max_length))]
+        key, _ = canonicalize_profile(Profile(palette, colors))
+        if max(key.block_sizes) <= max_block:
+            keys.append(key)
+    return keys
+
+
 def orbit_object_count(key: OrbitKey) -> int:
     """Number of distinct profiles in the orbit: n! / prod(block sizes!)."""
     return math.factorial(key.length) // stabilizer_order(key)

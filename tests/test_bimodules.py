@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    assert_checked,
     dense_add,
     dense_rank,
     dense_scale,
@@ -20,9 +21,10 @@ from helpers import (
     reference_rho_in,
     reference_rho_out,
     reference_validate_component,
+    young_keys,
     zeros,
 )
-from propcalc import formats
+from propcalc import bimodules, formats
 from propcalc.bimodules import (
     BimoduleComponent,
     BimoduleError,
@@ -1134,3 +1136,46 @@ def test_general_and_signed_actions_match_references_through_products():
                     for images, m in theirs.items():
                         assert ours[images].mats == m.mats
     assert mixed >= 2, mixed
+
+
+def assert_rho_follows_the_words(comp):
+    """rho_out and rho_in on every stabilizer element are the product of the
+    generator maps along its word."""
+    for g in stabilizer_elements(comp.out_key):
+        assert comp.rho_out(g).mats == reference_rho_out(comp, g).mats, g
+    for h in stabilizer_elements(comp.in_key):
+        assert comp.rho_in(h).mats == reference_rho_in(comp, h).mats, h
+
+
+def test_young_shortcuts_match_the_checked_rules():
+    """rho_out and rho_in look a generator up before building a word, and
+    _twists skips the permutation check.  On box_dot_many results over seeded
+    keys (blocks up to 4, merged length up to 6) and on the golden bimodules
+    and their products, the actions equal the word rule and every twist is
+    what the check accepts.  The first factor acts by sign on the out side
+    only, so a lookup on the wrong side shows."""
+    rng = random.Random(24)
+    aa = key(PAL, "a", "a")
+    signed = make_component(aa, aa, ChainComplex({0: 1}), out_mats=sign_rep(aa))
+    cases = [[signed, signed]]
+    while len(cases) < 8:
+        keys = young_keys(rng, PAL, 4, max_length=3)
+        merged = [bimodules.merge_keys(PAL, keys[:2]), bimodules.merge_keys(PAL, keys[2:])]
+        if all(max(k.block_sizes) <= 4 for k in merged):
+            cases.append([random_young_component(rng, keys[i], keys[i + 2], max_dim=2) for i in (0, 1)])
+    for factors in cases:
+        comp = box_dot_many(PAL, factors)
+        assert_rho_follows_the_words(comp)
+        for places, merged in ((comp.layout.outs, comp.out_key), (comp.layout.ins, comp.in_key)):
+            for sigma in stabilizer_elements(merged):
+                perm_positions = [sigma(i + 1) - 1 for i in range(sigma.n)]
+                for a in places:
+                    moved = bimodules._moved_placement(a, perm_positions)
+                    for twist in bimodules._twists(a, moved, perm_positions, len(factors)):
+                        assert_checked(twist)
+
+    golden = [load_golden(name) for name in ("p.json", "q_bimodule.json", "sign_a.json", "perm_a.json")]
+    products = [box_h(golden[3], golden[0]), box_v(golden[2], golden[2]), box_h(golden[2], golden[3])]
+    for module in golden + products:
+        for comp in module.components.values():
+            assert_rho_follows_the_words(comp)

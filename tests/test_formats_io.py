@@ -78,6 +78,14 @@ EDGE_CASES = [
     # rows on both sides of the piece length dumps writes them in
     [[str(i - n) for i in range(n)] for n in (formats._ROW_PIECE, formats._ROW_PIECE + 1, 3 * formats._ROW_PIECE)],
     ["strings", 1, "then int"],
+    # all-zero pieces, written as one text per depth: whole zero rows, a zero
+    # piece then a nonzero one, zeros in the last partial piece only, the same
+    # rows at two depths, and a zero piece beside an int (the generic path)
+    [["0/1"] * n for n in (formats._ROW_PIECE, 2 * formats._ROW_PIECE, 2 * formats._ROW_PIECE + 1)],
+    [["0/1"] * formats._ROW_PIECE + ["1/2"] + ["0/1"] * (formats._ROW_PIECE - 1)],
+    [["1/1"] * formats._ROW_PIECE + ["0/1"] * 3],
+    {"a": [["0/1"] * 40, ["3/1"] + ["0/1"] * 40], "b": {"c": [["0/1"] * 40, ["3/1"] + ["0/1"] * 40]}},
+    ["0/1"] * formats._ROW_PIECE + [0],
     1.5,
     {"f": [0.1, -2.0, 1e300]},
     {2: "int key", 1: "other"},
@@ -243,6 +251,30 @@ def test_malformed_field_is_one_format_error(name, path, value, message):
     with pytest.raises(FormatError) as raised:
         load_golden(name, data)
     assert str(raised.value) == message
+
+
+def test_an_action_listed_twice_is_one_format_error():
+    """A perm listed twice in an action list is rejected, whether the copies
+    differ or not: read into a {perm: map} dict, the first copy was dropped
+    unread, so 7 times the identity put before perm_a's swap loaded as ok."""
+    with open(os.path.join(INPUTS, "perm_a.json"), encoding="utf-8") as handle:
+        perm_a = json.load(handle)
+    component = perm_a["components"][0]
+    seven = {"perm": [2, 1], "mats": {"0": [["7/1", "0/1"], ["0/1", "7/1"]]}}
+    data = json.loads(json.dumps(perm_a))
+    data["components"][0]["out_actions"].insert(0, seven)
+    with pytest.raises(FormatError, match=r"^bimodule component: field 'out_actions' lists perm \[2, 1\] twice$"):
+        formats.bimodule_from_json(data)
+    data = json.loads(json.dumps(perm_a))
+    data["components"][0]["in_actions"].append(component["in_actions"][0])
+    with pytest.raises(FormatError, match=r"^bimodule component: field 'in_actions' lists perm \[2, 1\] twice$"):
+        formats.bimodule_from_json(data)
+    with open(os.path.join(INPUTS, "ass.json"), encoding="utf-8") as handle:
+        ass = json.load(handle)
+    actions = ass["components"][2]["in_actions"]
+    actions.append(actions[0])
+    with pytest.raises(FormatError, match=r"^operad component: field 'in_actions' lists perm \[1, 3, 2\] twice$"):
+        formats.operad_from_json(ass)
 
 
 def test_structure_over_a_family_of_another_palette_is_rejected():

@@ -64,6 +64,7 @@ NOT_LOADABLE = {
     "arity_string.json",
     "fam_stray_color.json",
     "sign_extra_action.json",
+    "perm_a_duplicate_action.json",
 }
 
 

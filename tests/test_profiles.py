@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import orbit_object_count, reference_canonicalize_profile
+from helpers import assert_checked, orbit_object_count, reference_canonicalize_profile, young_keys
 from propcalc.profiles import (
     Palette,
     PaletteError,
@@ -195,6 +195,34 @@ def test_word_decomposition_rebuilds_element():
         assert acc == sigma
         for w in word:
             assert in_stabilizer(key, w)
+
+
+def test_young_group_builders_give_checked_permutations():
+    """Products, inverses, generators, elements and words skip the constructor's
+    check; on seeded keys (blocks up to 4, length up to 6) each of them is
+    what the check accepts, and each word multiplies out to its element.  The
+    generators are built once per key: changing the list one call returned
+    does not change the next call's."""
+    rng = random.Random(24)
+    for key in young_keys(rng, PAL, 40):
+        gens = stabilizer_generators(key)
+        kept = list(gens)
+        gens.reverse()
+        gens.append(Permutation.identity(key.length))
+        assert stabilizer_generators(key) == kept
+        elements = stabilizer_elements(key)
+        for g in kept + elements:
+            assert_checked(g)
+            assert_checked(g.inverse())
+        for g in elements:
+            for h in rng.sample(elements, min(len(elements), 12)):
+                assert_checked(g * h)
+            word = word_in_block_transpositions(key, g)
+            product = Permutation.identity(key.length)
+            for s in word:
+                assert_checked(s)
+                product = product * s
+            assert product == g
 
 
 def test_block_sum_and_sign():
