@@ -42,32 +42,28 @@ class ChainError(ValueError):
     pass
 
 
-def _coerce(blocks, expected_shape, zero_name, shape_name):
+def _coerce(blocks, expected_shape, name):
     """Dense per-degree matrices as rows of exact scalars, shape-checked; a
-    zero matrix is dropped."""
+    zero matrix is dropped.  An empty list is the (0, c) matrix for every c."""
     out = {}
     for j, m in dict(blocks).items():
         j = int(j)
         # a dict or a string would be read by its keys or its characters
         if not isinstance(m, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in m):
-            raise ChainError("%s in degree %d is not a list of rows, each a list" % (shape_name, j))
-        rows = linalg.to_rows(m)
+            raise ChainError("%s in degree %d is not a list of rows, each a list" % (name, j))
         expected = expected_shape(j)
-        if 0 in expected:
-            if any(rows):
-                raise ChainError("nonzero %s on a zero space in degree %d" % (zero_name, j))
-            continue
-        shape = (len(m), len(m[0]) if m else 0)
+        shape = (len(m), len(m[0]) if m else expected[1])
         if shape != expected:
             raise ChainError(
-                "%s in degree %d has shape %r, expected %r" % (shape_name, j, shape, expected)
+                "%s in degree %d has shape %r, expected %r" % (name, j, shape, expected)
             )
         for i, r in enumerate(m):
             if len(r) != shape[1]:
                 raise ChainError(
                     "%s in degree %d has row %d of length %d, expected %d"
-                    % (shape_name, j, i, len(r), shape[1])
+                    % (name, j, i, len(r), shape[1])
                 )
+        rows = linalg.to_rows(m)
         if any(rows):
             out[j] = rows
     return out
@@ -97,7 +93,6 @@ class ChainComplex:
             self.boundary = _coerce(
                 boundary or {},
                 lambda n: (clean.get(n - 1, 0), clean.get(n, 0)),
-                "boundary",
                 "boundary",
             )
         if check:
@@ -220,7 +215,6 @@ class ChainMap:
             self.rows = _coerce(
                 mats,
                 lambda j: (target.dim(j + self.degree), source.dim(j)),
-                "matrix",
                 "map",
             )
         if check and self.degree == 0:

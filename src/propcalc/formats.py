@@ -3,7 +3,9 @@
 Every serializable object carries a `kind` field.  Rationals are strings
 "p/q" in lowest terms with positive denominator; keys are emitted in sorted
 order with two-space indentation, so loading and re-serializing a canonical
-file is byte-identical.
+file is byte-identical.  The *_to_json encoders hand each matrix to the
+emitter as its {column: entry} rows (MatrixRows), and dumps writes the dense
+rows of "p/q" strings from them; json.dumps does not take such a document.
 
 Loaders read every field through the readers _field, _list_of, _degree and
 _matrices, which check its exact JSON type: an integer is a JSON integer,
@@ -128,17 +130,30 @@ def parse_rational(s):  # an exact scalar (see linalg)
         raise FormatError("bad rational %r: %s" % (s, exc))
 
 
-# Most entries of the matrices propcalc reads and writes are zero:
-# matrix_to_json formats only the entries of {column: entry} rows, and
+# Most entries of the matrices propcalc reads and writes are zero.  A matrix
+# reaches the emitter as its rows: matrix_to_json wraps the {column: entry}
+# rows of a map or a complex, shared and not copied, and dumps writes them as
+# dense rows of "p/q" strings, formatting only the entries the rows hold.
 # matrix_from_json passes "0/1" without parsing it.
+class MatrixRows:
+    """A rational matrix for dumps: its {column: entry} rows and its column
+    count.  Not a tuple or a list, so that json.dumps raises on it instead of
+    writing [rows, n_cols]."""
+
+    __slots__ = ("rows", "n_cols")
+
+    def __init__(self, rows, n_cols):
+        self.rows = rows
+        self.n_cols = n_cols
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixRows):
+            return NotImplemented
+        return self.n_cols == other.n_cols and self.rows == other.rows
+
+
 def matrix_to_json(rows, n_cols):
-    out = []
-    for row in rows:
-        line = ["0/1"] * n_cols
-        for j, x in row.items():
-            line[j] = rational_str(x)
-        out.append(line)
-    return out
+    return MatrixRows(rows, n_cols)
 
 
 def mats_to_json(f: ChainMap):
@@ -152,32 +167,34 @@ def matrix_from_json(rows):
     return [[ZERO if x == "0/1" else parse_rational(x) for x in row] for row in rows]
 
 
-# dumps writes a matrix row in pieces of _ROW_PIECE entries: with short entries
-# such as "0/1" a piece stays within Python's small-object allocator (512
-# bytes).  Whole rows of a wide matrix, all held until the final join, would
-# grow the C heap by about the size of the document, and how much of that the
-# process gives back then depends on what it allocated before.  A piece of
-# _ROW_PIECE zeros is one text per indentation depth, built once per dumps
-# call and appended wherever it recurs.
+# dumps writes a MatrixRows row by row, each row in texts of at most _ROW_PIECE
+# entries: with short entries such as "0/1" a text stays within Python's
+# small-object allocator (512 bytes).  Whole rows of a wide matrix, all held
+# until the final join, would grow the C heap by about the size of the
+# document, and how much of that the process gives back then depends on what
+# it allocated before.  A run of 1 to _ROW_PIECE zeros is one shared text per
+# indentation depth, built once per dumps call and appended wherever it
+# recurs.
 _ROW_PIECE = 16
 
 
 def dumps(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2) plus a newline."""
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) plus a newline,
+    where a MatrixRows is written as its list of dense rows."""
     out = []
     _emit(obj, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out, newline, zero_pieces):
+def _emit(obj, out, newline, zero_runs):
     """Append the canonical JSON of obj to out; newline starts obj's own lines.
 
     The isinstance tests run in json's order (bool before int, a tuple is a
     list).  Anything else, dicts with a non-str key included, goes to json
     itself, indented to its depth: a JSON string never holds a raw newline.
-    zero_pieces maps newline to the texts of an all-zero row piece at that
-    depth, (first piece, later piece).
+    zero_runs maps the newline of a matrix's rows to its zero texts (see
+    _emit_matrix).
     """
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
@@ -189,6 +206,8 @@ def _emit(obj, out, newline, zero_pieces):
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
+    elif type(obj) is MatrixRows:
+        _emit_matrix(obj, out, newline, zero_runs)
     elif isinstance(obj, (list, tuple)) and not obj:
         out.append("[]")
     elif isinstance(obj, dict) and not obj:
@@ -196,24 +215,10 @@ def _emit(obj, out, newline, zero_pieces):
     elif isinstance(obj, (list, tuple)):
         inner = newline + "  "
         sep = "," + inner
-        if set(map(type, obj)) == {str}:
-            # a row of a rational matrix, in pieces of _ROW_PIECE entries
-            zero = zero_pieces.get(newline)
-            if zero is None:
-                text = sep.join(['"0/1"'] * _ROW_PIECE)
-                zero = zero_pieces[newline] = ("[" + inner + text, sep + text)
-            for i in range(0, len(obj), _ROW_PIECE):
-                piece = obj[i : i + _ROW_PIECE]
-                if piece.count("0/1") == _ROW_PIECE:
-                    out.append(zero[1] if i else zero[0])
-                else:
-                    out.append((sep if i else "[" + inner) + sep.join(map(encode_basestring_ascii, piece)))
-            out.append(newline + "]")
-            return
         out.append("[")
         for i, x in enumerate(obj):
             out.append(sep if i else inner)
-            _emit(x, out, inner, zero_pieces)
+            _emit(x, out, inner, zero_runs)
         out.append(newline + "]")
     elif isinstance(obj, dict) and set(map(type, obj)) == {str}:
         inner = newline + "  "
@@ -221,10 +226,46 @@ def _emit(obj, out, newline, zero_pieces):
         out.append("{")
         for i, k in enumerate(sorted(obj)):
             out.append((sep if i else inner) + encode_basestring_ascii(k) + ": ")
-            _emit(obj[k], out, inner, zero_pieces)
+            _emit(obj[k], out, inner, zero_runs)
         out.append(newline + "}")
     else:
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+
+
+def _emit_matrix(m, out, newline, zero_runs):
+    """Append m as json writes its dense rows of "p/q" strings.
+
+    A row's entries go out in column order, each text led by its separator:
+    a run of k zeros is the shared text zeros[k] (1 <= k <= _ROW_PIECE), and
+    only a nonzero entry goes through rational_str.  The first text of a row
+    then has its comma replaced by the row's opening.
+    """
+    if not m.rows or not m.n_cols:  # no entries: [] or a list of []
+        _emit([[]] * len(m.rows), out, newline, zero_runs)
+        return
+    inner = newline + "  "
+    sep = "," + inner + "  "
+    zeros = zero_runs.get(inner)
+    if zeros is None:
+        zeros = zero_runs[inner] = [(sep + '"0/1"') * k for k in range(_ROW_PIECE + 1)]
+    full, quote, n_cols = zeros[_ROW_PIECE], sep + '"', m.n_cols
+    append = out.append
+    first, later = "[" + inner + "[", "," + inner + "["
+    for i, row in enumerate(m.rows):
+        start, col = len(out), 0
+        for j in sorted(row) + [n_cols]:  # n_cols closes the last run of zeros
+            gap = j - col
+            while gap > _ROW_PIECE:
+                append(full)
+                gap -= _ROW_PIECE
+            if gap:
+                append(zeros[gap])
+            if j < n_cols:
+                append(quote + rational_str(row[j]) + '"')
+            col = j + 1
+        out[start] = (later if i else first) + out[start][1:]
+        append(inner + "]")
+    append(newline + "]")
 
 
 # -- per-kind encoders ---------------------------------------------------------

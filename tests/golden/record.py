@@ -64,6 +64,9 @@ COMMANDS = [
     ("check-family-stray-color", ["check", "fam_stray_color.json"]),
     ("check-bimodule-extra-action", ["check", "sign_extra_action.json"]),
     ("check-bimodule-duplicate-action", ["check", "perm_a_duplicate_action.json"]),
+    ("check-zero-space-shape", ["check", "zero_space_shape.json"]),
+    ("check-zero-space-degree", ["check", "zero_space_degree.json"]),
+    ("check-zero-space-map", ["check", "zero_space_map.json"]),
     ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
     ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
     ("normalize-parse-error", ["normalize", "sig.json", "mu2 o $"]),
@@ -79,6 +82,8 @@ COMMANDS = [
     ("box-h", ["box-h", "p.json", "q_bimodule.json"]),
     ("box-v-signs", ["box-v", "sign_a.json", "sign_a.json"]),
     ("box-h-actions", ["box-h", "perm_a.json", "p.json"]),
+    ("box-h-wide", ["box-h", "wide.json", "q_bimodule.json"]),
+    ("box-v-wide", ["box-v", "wide.json", "q_bimodule.json"]),
     ("box-v-wrong-kind", ["box-v", "q.json", "q.json"]),
     ("homology", ["homology", "x.json"]),
     ("homology-fractions", ["homology", "frac.json"]),
@@ -168,6 +173,14 @@ def write_inputs():
     objects["q_bimodule"] = ColoredBimodule(
         two, {(kb, ka): make_component(kb, ka, ChainComplex({0: 1}))}
     )
+    # a carrier whose boundary is 34 columns wide: a row nonzero at columns 0,
+    # 15, 16, 31, 32 and 33, on both sides of each piece of 16 entries that
+    # dumps writes, and a zero row; its products with q_bimodule keep it
+    wide_row = [F(0)] * 34
+    for j, x in zip((0, 15, 16, 31, 32, 33), (F(1, 2), F(-3), F(5, 7), F(2**80), F(-1, 3), F(7))):
+        wide_row[j] = x
+    wide = ChainComplex({0: 2, 1: 34}, {1: [wide_row, [F(0)] * 34]})
+    objects["wide"] = ColoredBimodule(two, {(ka, kb): make_component(ka, kb, wide)})
     objects["sign_a"] = ColoredBimodule(
         two,
         {
@@ -258,6 +271,19 @@ def write_inputs():
         0, {"perm": [2, 1], "mats": {"0": [["7/1", "0/1"], ["0/1", "7/1"]]}}
     )
     _write("perm_a_duplicate_action.json", dumps(duplicate_action))
+    # all-zero matrices on zero spaces, of the wrong shape: a ragged boundary
+    # into degree 0 where it should be (0, 2), a boundary in a degree with no
+    # space on either side, and a ragged map into a zero space
+    _write("zero_space_shape.json", dumps(
+        {"kind": "complex", "dims": {"1": 2}, "boundary": {"1": [["0/1"], ["0/1", "0/1", "0/1"]]}}))
+    _write("zero_space_degree.json", dumps(
+        {"kind": "complex", "dims": {"0": 2}, "boundary": {"3": [["0/1", "0/1"]]}}))
+    _write("zero_space_map.json", dumps({
+        "kind": "chain_map",
+        "source": {"kind": "complex", "dims": {"0": 2}, "boundary": {}},
+        "target": {"kind": "complex", "dims": {"1": 1}, "boundary": {}},
+        "mats": {"0": [["0/1", "0/1"], ["0/1"]]},
+    }))
     # one basis vector in degree 10^8: the path object lives in two degrees
     _write("high_degree.json", dumps(to_json(ChainComplex({10**8: 1}))))
     _write("truncated.json", '{"kind": "operad_algebra", ')

@@ -1095,7 +1095,7 @@ def involution_bimodule(graded=True, inward=True, color="a"):
         comps.append(BimoduleComponent(one, two, carrier, {}, {s: involution}))
         comps.append(BimoduleComponent(one, one, base_field_complex(), {}, {}))
     module = ColoredBimodule(PAL, {(c.out_key, c.in_key): c for c in comps})
-    return formats.bimodule_from_json(formats.bimodule_to_json(module))
+    return formats.bimodule_from_json(json.loads(formats.dumps(formats.bimodule_to_json(module))))
 
 
 def load_golden(name):

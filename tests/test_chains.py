@@ -128,6 +128,27 @@ def test_constructors_reject_ragged_rows():
     assert ChainComplex({0: 2, 1: 2}, {1: [[1, 0], [0, 0]]}).d(1) == [{0: 1}, {}]
 
 
+def test_zero_matrices_on_zero_spaces_are_shape_checked():
+    # an all-zero matrix on a zero space was dropped before its shape or its
+    # rows were read, so each of these was accepted
+    with pytest.raises(ChainError, match=r"^boundary in degree 1 has shape \(2, 1\), expected \(0, 2\)$"):
+        ChainComplex({1: 2}, {1: [[0], [0, 0, 0]]})
+    with pytest.raises(ChainError, match=r"^boundary in degree 3 has shape \(1, 2\), expected \(0, 0\)$"):
+        ChainComplex({0: 2}, {3: [[0, 0]]})
+    x, zero = ChainComplex({0: 2}), ChainComplex({1: 1})
+    with pytest.raises(ChainError, match=r"^map in degree 0 has shape \(2, 2\), expected \(0, 2\)$"):
+        ChainMap(x, zero, {0: [[0, 0], [0]]})
+    with pytest.raises(ChainError, match="^map in degree 0 has row 1 of length 1, expected 0$"):
+        ChainMap(zero, x, {0: [[], [0]]})
+    with pytest.raises(ChainError, match=r"^map in degree 0 has shape \(0, 0\), expected \(2, 0\)$"):
+        ChainMap(zero, x, {0: []})
+    # an empty list is the (0, c) matrix, and r empty rows the (r, 0) one
+    assert ChainComplex({1: 2}, {1: []}).boundary == {}
+    assert ChainComplex({0: 2}, {3: []}).boundary == {}
+    assert ChainMap(x, zero, {0: []}).rows == {}
+    assert ChainMap(zero, x, {0: [[], []]}).rows == {}
+
+
 def test_constructors_copy_their_matrices():
     d = [[F(1), F(-1)]]
     x = ChainComplex({0: 1, 1: 2}, {1: d})

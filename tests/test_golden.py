@@ -28,7 +28,10 @@ palette, which `check` accepted before; path-object-high-degree, for a
 complex in degree 10^8 alone, on which `path-object` looped through every
 degree below it; and check-bimodule-extra-action, for a bimodule with an
 out-action on the identity, which is not a stabilizer generator, and which
-`check` accepted before.
+`check` accepted before.  The wide-matrix cases (box-h-wide, box-v-wide)
+were recorded before dumps wrote matrices from their sparse rows, and the
+three check-zero-space cases after an all-zero matrix on a zero space was
+shape-checked: `check` accepted each of them before.
 """
 
 import json
@@ -65,6 +68,9 @@ NOT_LOADABLE = {
     "fam_stray_color.json",
     "sign_extra_action.json",
     "perm_a_duplicate_action.json",
+    "zero_space_shape.json",
+    "zero_space_degree.json",
+    "zero_space_map.json",
 }
 
 
@@ -77,6 +83,17 @@ def test_corpus_covers_every_command_and_case():
     subcommands = set(build_parser()._subparsers._group_actions[0].choices)
     assert {next(a for a in argv if a in subcommands) for _, argv in COMMANDS} == subcommands
     assert len(GOLDEN) == 2 * len(COMMANDS)
+
+
+def test_corpus_writes_wide_matrix_rows():
+    # dumps writes a row in texts of at most 16 entries: these cases hold a
+    # 34-column row nonzero on both sides of each boundary, and a zero row
+    for case_id in ("box-h-wide-text", "box-h-wide-json", "box-v-wide-text", "box-v-wide-json"):
+        case = next(c for c in GOLDEN if c["id"] == case_id)
+        (component,) = json.loads(case["stdout"])["components"]
+        rows = component["carrier"]["boundary"]["1"]
+        assert [[j for j, x in enumerate(row) if x != "0/1"] for row in rows] == [[0, 15, 16, 31, 32, 33], []]
+        assert {len(row) for row in rows} == {34}
 
 
 def _canonical_inputs():
