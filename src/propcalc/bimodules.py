@@ -639,16 +639,11 @@ def change_colors(alpha, direction, module: ColoredBimodule, source_palette=None
         lengths_in = sorted({k[1].length for k in module.components})
         for lo in lengths_out:
             for li in lengths_in:
-                for combo_o in itertools.product(source_palette.colors, repeat=lo):
-                    d_prof = Profile(source_palette, combo_o)
-                    kd, _ = canonicalize_profile(d_prof)
-                    if kd.rep != d_prof:
-                        continue
-                    for combo_i in itertools.product(source_palette.colors, repeat=li):
-                        c_prof = Profile(source_palette, combo_i)
-                        kc, _ = canonicalize_profile(c_prof)
-                        if kc.rep != c_prof:
-                            continue
+                # the sorted color tuples are the orbit representatives
+                for combo_o in itertools.combinations_with_replacement(source_palette.colors, lo):
+                    kd, _ = canonicalize_profile(Profile(source_palette, combo_o))
+                    for combo_i in itertools.combinations_with_replacement(source_palette.colors, li):
+                        kc, _ = canonicalize_profile(Profile(source_palette, combo_i))
                         comp = _restricted_component(alpha, module, kd, kc)
                         if comp is not None:
                             out[(kd, kc)] = comp

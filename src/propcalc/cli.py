@@ -21,11 +21,12 @@ from propcalc.algebras import (
     transfer,
 )
 from propcalc.bimodules import BimoduleError, box_h, box_v
-from propcalc.chains import ChainError, classify_map, homology_dims, path_object
-from propcalc.endo import EndoError
+from propcalc.chains import ChainError, ChainMap, classify_map, homology_dims, path_object
+from propcalc.endo import EndoError, FamilyMap
 from propcalc.exprs import (
     ParseError,
     PresentationError,
+    PropPresentation,
     TypeMismatch,
     expr_to_graph,
     graphs_equal,
@@ -33,8 +34,9 @@ from propcalc.exprs import (
     validate_presentation,
 )
 from propcalc.formats import FormatError, Workspace, dumps
-from propcalc.graphs import GraphError, ResourceCapExceeded, free_component_dim
+from propcalc.graphs import GraphError, PropGraph, ResourceCapExceeded, free_component_dim
 from propcalc.operads import (
+    ColoredOperad,
     OperadError,
     algebra_round_trip,
     prop_from_operad,
@@ -187,9 +189,6 @@ def _dispatch(args, ws):
     if cmd == "check":
         obj = ws.resolve(args.file)
         extra = []
-        from propcalc.exprs import PropPresentation
-        from propcalc.operads import ColoredOperad
-
         if isinstance(obj, PropPresentation):
             extra = validate_presentation(obj)
         elif isinstance(obj, ColoredOperad):
@@ -252,9 +251,6 @@ def _dispatch(args, ws):
 
     if cmd == "classify":
         obj = ws.resolve(args.map)
-        from propcalc.chains import ChainMap
-        from propcalc.endo import FamilyMap
-
         if isinstance(obj, ChainMap):
             flags = classify_map(obj)
             payload = {"command": cmd, "ok": True, "flags": flags}
@@ -399,8 +395,6 @@ def _dispatch(args, ws):
 
 def _relabel(g, order):
     """g with its vertices listed in `order`; a renumbering keeps a valid graph valid."""
-    from propcalc.graphs import PropGraph
-
     pos = {old: new for new, old in enumerate(order)}
     return PropGraph(
         g.signature,

@@ -16,6 +16,7 @@ from propcalc.chains import (
     TensorSpace,
     assemble_tensor_map,
     boundary_of_map,
+    classify_map,
     factor_permutation_map,
 )
 from propcalc.profiles import Palette, Permutation, Profile, apply_permutation, concat
@@ -182,7 +183,7 @@ def endo_component(family: ColoredFamily, out_profile, in_profile):
         rows = [{} for _ in range(dims[k - 1])]
         for col, (j, r, c) in enumerate(bases[k]):
             unit = EndoElement.unit(family, out_profile, in_profile, k, j, r, c)
-            for i, x in linalg.nonzeros(read(unit.boundary().chain)):
+            for i, x in read(unit.boundary().chain).items():
                 rows[i][col] = x
         boundary[k] = rows
     return ChainComplex(dims, boundary, sparse=True), bases
@@ -190,20 +191,20 @@ def endo_component(family: ColoredFamily, out_profile, in_profile):
 
 def hom_coordinates(basis):
     """The reader from a map's matrices to its coordinates in `basis`, a list
-    of (j, row, col) triples as endo_component returns them.
+    of (j, row, col) triples as endo_component returns them: an {index: entry}
+    dict holding the nonzero coordinates only.
 
     The index is built once here; each read walks the nonzero entries only.
     """
     index = {trip: i for i, trip in enumerate(basis)}
-    size = len(basis)
 
     def read(chain: ChainMap):
-        coords = [linalg.ZERO] * size
-        for j, rows in chain.rows.items():
-            for r, row in enumerate(rows):
-                for c, x in row.items():
-                    coords[index[(j, r, c)]] = x
-        return coords
+        return {
+            index[(j, r, c)]: x
+            for j, rows in chain.rows.items()
+            for r, row in enumerate(rows)
+            for c, x in row.items()
+        }
 
     return read
 
@@ -303,8 +304,6 @@ class FamilyMap:
 
     def classify(self):
         """Model-structure flags per color."""
-        from propcalc.chains import classify_map
-
         return {c: classify_map(self.maps[c]) for c in self.source.palette.colors}
 
 

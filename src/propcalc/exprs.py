@@ -29,7 +29,7 @@ from propcalc.graphs import (
     koszul_reorder_sign,
 )
 from propcalc.linalg import exact
-from propcalc.profiles import Permutation, Profile, concat
+from propcalc.profiles import Permutation, Profile, apply_permutation, concat
 
 
 class ParseError(ValueError):
@@ -135,8 +135,6 @@ class LeftActExpr(Expression):
             )
         self.perm = perm
         self.body = body
-        from propcalc.profiles import apply_permutation
-
         self.out_profile = apply_permutation(perm, body.out_profile, "left")
         self.in_profile = body.in_profile
         self.degree = body.degree
@@ -162,8 +160,6 @@ class RightActExpr(Expression):
             )
         self.perm = perm
         self.body = body
-        from propcalc.profiles import apply_permutation
-
         self.out_profile = body.out_profile
         self.in_profile = apply_permutation(perm, body.in_profile, "right")
         self.degree = body.degree
@@ -184,30 +180,23 @@ def _pstr(p: Profile):
 
 # -- parser -------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<sym>[()\[\].*]))")
+_TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<sym>[()\[\].*])|(?P<bad>\S))")
 
 
 def _tokenize(text):
-    pos = 0
+    """(kind, value, position) per token, then ("eof", None, len(text)); a
+    token's position is that of the whitespace before it."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(
-                "unexpected character %r" % stripped[0],
-                pos + len(text[pos:]) - len(stripped),
-            )
-        if m.group("ident"):
-            kind = "o" if m.group("ident") == "o" else "ident"
-            out.append((kind, m.group("ident"), m.start()))
-        elif m.group("int"):
-            out.append(("int", int(m.group("int")), m.start()))
-        else:
-            out.append((m.group("sym"), m.group("sym"), m.start()))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % value, m.start(kind))
+        if kind == "int":
+            value = int(value)
+        elif kind == "sym" or value == "o":  # a symbol and the composition o are their own kinds
+            kind = value
+        out.append((kind, value, m.start()))
     out.append(("eof", None, len(text)))
     return out
 

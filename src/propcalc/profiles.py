@@ -278,7 +278,7 @@ def _blocks(key: OrbitKey):
     return out
 
 
-def stabilizer_generators(key: OrbitKey, n: int = None):
+def stabilizer_generators(key: OrbitKey):
     """Generators (adjacent transpositions inside each color block) of the Young subgroup.
 
     Built once per key object and kept on it, so the cache lives as long as
@@ -286,8 +286,6 @@ def stabilizer_generators(key: OrbitKey, n: int = None):
     fresh list of the same immutable permutations.
     """
     length = key.length
-    if n is not None and n != length:
-        raise ProfileError("length %d does not match key length %d" % (n, length))
     if key._generators is None:
         gens = []
         for start, size in _blocks(key):

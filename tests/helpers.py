@@ -491,9 +491,9 @@ def reference_path_object(x):
 
     def full_boundary(n, a, b, z):
         """(a, b, z) in degree n >= 1 -> full coordinates of the boundary."""
-        da = linalg.mat_vec(x.d(n), a) if x.dim(n - 1) else []
-        db = linalg.mat_vec(x.d(n), b) if x.dim(n - 1) else []
-        dz = linalg.mat_vec(x.d(n + 1), z) if x.dim(n + 1) and x.dim(n) else [ZERO] * x.dim(n)
+        da = dense_vec(x.d_mat(n), a) if x.dim(n - 1) else []
+        db = dense_vec(x.d_mat(n), b) if x.dim(n - 1) else []
+        dz = dense_vec(x.d_mat(n + 1), z) if x.dim(n + 1) and x.dim(n) else [ZERO] * x.dim(n)
         third = [ai - bi - dzi for ai, bi, dzi in zip(a, b, dz)] if x.dim(n) else []
         return da + db + third
 
@@ -727,6 +727,18 @@ def random_rank_deficient(rng, rows, cols, density):
 # -- dense reference for operad composition ------------------------------------
 
 
+def dense_coords(el):
+    """The coordinates of an operad element as a dense list over its
+    component's basis in its degree (empty where there is no component)."""
+    comp = el.operad.component(el.d, el.in_key)
+    return linalg.densify(el.coords, comp.carrier.dim(el.degree) if comp else 0)
+
+
+def sparse_element(operad, d, in_key, degree, dense):
+    """The operad element with the nonzero entries of a dense coordinate list."""
+    return OperadElement(operad, d, in_key, degree, {i: x for i, x in enumerate(dense) if x})
+
+
 def dense_compose_elements(p, q_els):
     """gamma(p; q_1..q_n) as propcalc's operads computed it before it worked on
     nonzeros: the dense tensor vector over every coordinate combination, then
@@ -741,7 +753,7 @@ def dense_compose_elements(p, q_els):
     total_deg = p.degree + sum(q.degree for q in q_els)
     vec = [F(0)] * space.dim(total_deg)
     comp_tuple = tuple([p.degree] + [q.degree for q in q_els])
-    all_coords = [p.coords] + [q.coords for q in q_els]
+    all_coords = [dense_coords(p)] + [dense_coords(q) for q in q_els]
     for idxs in itertools.product(*[range(len(c)) for c in all_coords]):
         coeff = F(1)
         for c_list, i in zip(all_coords, idxs):
@@ -757,7 +769,7 @@ def dense_compose_elements(p, q_els):
         out = [F(0)] * tdim
     else:
         out = [sum((x * v for x, v in zip(row, vec)), F(0)) for row in mat]
-    return OperadElement(operad, p.d, merged, total_deg, out)
+    return sparse_element(operad, p.d, merged, total_deg, out)
 
 
 def reference_compose_elements(p, q_els):
@@ -773,10 +785,10 @@ def reference_compose_elements(p, q_els):
     out = [linalg.ZERO] * (target.carrier.dim(total_deg) if target else 0)
     mat = operad.gamma_map(p.d, p.in_key, b_keys).mats.get(total_deg)
     if mat is None:
-        return OperadElement(operad, p.d, merged, total_deg, out)
+        return sparse_element(operad, p.d, merged, total_deg, out)
     space = operad.space(p.d, p.in_key, b_keys)
     comp_tuple = (p.degree,) + tuple(q.degree for q in q_els)
-    factors = [linalg.nonzeros(p.coords)] + [linalg.nonzeros(q.coords) for q in q_els]
+    factors = [sorted(p.coords.items())] + [sorted(q.coords.items()) for q in q_els]
     for terms in itertools.product(*factors):
         coeff = linalg.ONE
         for _, x in terms:
@@ -786,7 +798,7 @@ def reference_compose_elements(p, q_els):
             x = row[col]
             if x is not linalg.ZERO and x:
                 out[r] += coeff * x
-    return OperadElement(operad, p.d, merged, total_deg, out)
+    return sparse_element(operad, p.d, merged, total_deg, out)
 
 
 # -- per-tuple reference for the endomorphism PROP -----------------------------
@@ -811,7 +823,7 @@ def reference_in_gens(data, d, in_key):
                 read(endo_permute(Permutation.identity(1), s, unit_element(data.family, d, in_key, comp.bases, k, i)).chain)
                 for i in range(len(basis))
             ]
-            mats[k] = [[cols[j][i] for j in range(len(cols))] for i in range(len(basis))]
+            mats[k] = [[cols[j].get(i, ZERO) for j in range(len(cols))] for i in range(len(basis))]
         in_gens[s.images] = ChainMap(comp.carrier, comp.carrier, mats, check=False)
     return in_gens
 
@@ -851,9 +863,8 @@ def reference_rho(data, d, in_key, b_keys):
             for q in q_els[1:]:
                 h = endo_horizontal(h, q)
             normalized = endo_permute(Permutation.identity(1), transport, endo_vertical(p_el, h))
-            for r, val in enumerate(read(normalized.chain)):
-                if val:
-                    big[r][col] = val
+            for r, val in read(normalized.chain).items():
+                big[r][col] = val
         mats[n] = big
     return ChainMap(space.complex, target.carrier, mats, check=False)
 
@@ -1280,10 +1291,11 @@ def reference_value(alg, element):
     total = EndoElement.zero(alg.family, out_profile, element.in_key.rep, element.degree)
     basis = alg.values[(element.d, element.in_key)]
     offset = 0
+    coords = dense_coords(element)
     for k in comp.carrier.degrees():
         for i in range(comp.carrier.dim(k)):
-            if k == element.degree and element.coords[i] != 0:
-                total = total.add(basis[offset].scale(element.coords[i]))
+            if k == element.degree and coords[i] != 0:
+                total = total.add(basis[offset].scale(coords[i]))
             offset += 1
     return total
 

@@ -933,6 +933,45 @@ def test_change_colors_collapse_sums_preimages():
     assert comp.carrier.dim(0) == 5
 
 
+def test_change_colors_restricts_along_a_non_injective_map():
+    """Restriction along {a, b, c} -> {x, y} with a, b -> x: the support is,
+    in order, every pair of sorted source profiles whose image carries a
+    component, found by walking all color tuples; each restricted component
+    is valid and has the carrier of its image."""
+    rng = random.Random(31)
+    source = Palette(["a", "b", "c"])
+    target = Palette(["x", "y"])
+    alpha = {"a": "x", "b": "x", "c": "y"}
+    pairs = [(("x",), ("x", "y")), (("x", "x"), ("x",)), (("y",), ("x", "x")), (("x", "y"), ("y", "y"))]
+    mod = ColoredBimodule(
+        target,
+        {
+            (key(target, *o), key(target, *i)): random_rep_component(rng, key(target, *o), key(target, *i))
+            for o, i in pairs
+        },
+    )
+    restricted = change_colors(alpha, "restrict", mod, source_palette=source)
+    # the palette lists its colors in sorted order, so a representative is a sorted tuple
+    expected = []
+    for lo in sorted({len(o) for o, _ in pairs}):
+        for li in sorted({len(i) for _, i in pairs}):
+            for out_combo in itertools.product(source.colors, repeat=lo):
+                if list(out_combo) != sorted(out_combo):
+                    continue
+                for in_combo in itertools.product(source.colors, repeat=li):
+                    if list(in_combo) != sorted(in_combo):
+                        continue
+                    image = tuple(key(target, *[alpha[c] for c in combo]) for combo in (out_combo, in_combo))
+                    if image in mod.components:
+                        expected.append(((key(source, *out_combo), key(source, *in_combo)), image))
+    assert list(restricted.components) == [kk for kk, _ in expected]
+    assert len(expected) == 15  # 4 + 6 + 3 + 2 over the four components
+    for kk, image in expected:
+        comp = restricted.component(*kk)
+        assert comp.validate() == []
+        assert comp.carrier == mod.component(*image).carrier
+
+
 def test_box_v_associativity_intertwiner():
     """The canonical reassociation map between iterated coinvariant quotients
     is invertible and intertwines the residual actions."""

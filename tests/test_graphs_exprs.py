@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import string
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -26,6 +28,7 @@ from propcalc.exprs import (
     RightActExpr,
     TypeMismatch,
     VCompExpr,
+    _tokenize,
     differentiate_expression,
     expr_to_graph,
     graphs_equal,
@@ -111,6 +114,70 @@ def test_parse_errors_carry_position():
         parse("mu o (mu", sig)
     with pytest.raises(ParseError):
         parse("[1 1] . mu", sig)
+
+
+def reference_tokenize(text):
+    """The expression tokens read one character at a time from the grammar:
+    whitespace (str.isspace) is skipped; an ASCII letter or underscore starts
+    a name of ASCII letters, digits and underscores, the name "o" being the
+    composition; a run of Unicode decimal digits (category Nd) is an integer;
+    each of ( ) [ ] . * is a symbol; anything else is an error at its own
+    position.  A token's position is where the whitespace before it starts."""
+    name_start = set(string.ascii_letters + "_")
+    name_rest = name_start | set(string.digits)
+    out = []
+    i = 0
+    while True:
+        start = i
+        while i < len(text) and text[i].isspace():
+            i += 1
+        if i == len(text):
+            break
+        ch = text[i]
+        j = i + 1
+        if ch in name_start:
+            while j < len(text) and text[j] in name_rest:
+                j += 1
+            word = text[i:j]
+            out.append(("o" if word == "o" else "ident", word, start))
+        elif unicodedata.category(ch) == "Nd":
+            while j < len(text) and unicodedata.category(text[j]) == "Nd":
+                j += 1
+            out.append(("int", int(text[i:j]), start))
+        elif ch in "()[].*":
+            out.append((ch, ch, start))
+        else:
+            raise ParseError("unexpected character %r" % ch, i)
+        i = j
+    out.append(("eof", None, len(text)))
+    return out
+
+
+def test_tokenizer_matches_the_grammar_on_a_seeded_corpus():
+    """Tokens, positions and error texts agree with the character-by-character
+    reference on random strings over names, digits, symbols, ASCII and Unicode
+    spaces, Unicode digits and stray characters."""
+    alphabet = list("abo_xAZ019()[].* \t\n") + [
+        "\u00a0", "\u2003", "\u3000", "\x1c", "\x85",  # Unicode spaces
+        "\u0663", "\u0969", "\uff11",  # Unicode decimal digits
+        "$", "\u00e9", ",", "+", "\u2218", "\u00b2", "\u2167", "\u200b",  # stray characters
+    ]
+    rng = random.Random(26)
+    outcomes = Counter()
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        try:
+            want = reference_tokenize(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                _tokenize(text)
+            assert (str(got.value), got.value.pos) == (str(exc), exc.pos), text
+            outcomes["error"] += 1
+        else:
+            assert _tokenize(text) == want, text
+            outcomes["tokens"] += 1
+            outcomes["unicode"] += not text.isascii()
+    assert min(outcomes["error"], outcomes["tokens"], outcomes["unicode"]) > 1000
 
 
 def test_parse_precedence():

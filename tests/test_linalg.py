@@ -56,8 +56,9 @@ def cases(seed, repeats=3):
 
 
 def dict_rows(m):
-    """The {column: entry} rows of a dense matrix, entries kept as they are."""
-    return [dict(linalg.nonzeros(row)) for row in m]
+    """The {column: entry} rows of a dense matrix, entries kept as they are:
+    a Fraction stays a Fraction, unlike linalg.to_rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def transpose(vectors, n):

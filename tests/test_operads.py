@@ -8,6 +8,8 @@ import pytest
 
 from helpers import (
     dense_compose_elements,
+    dense_coords,
+    dense_vec,
     reference_algebra_check,
     reference_compose_elements,
     reference_in_gens,
@@ -15,6 +17,7 @@ from helpers import (
     reference_validate_associativity,
     reference_validate_equivariance,
     reference_value,
+    sparse_element,
     zeros,
 )
 from propcalc import operads
@@ -38,7 +41,7 @@ from propcalc.operads import (
     tautological_endo_algebra,
     trivial_operad,
 )
-from propcalc.profiles import Palette, Permutation, Profile, stabilizer_elements
+from propcalc.profiles import Palette, Permutation, Profile, stabilizer_elements, stabilizer_generators
 
 F = Fraction
 
@@ -67,8 +70,10 @@ def test_associative_operad_valid():
 def test_element_rejects_wrong_length_and_missing_component():
     operad = associative_operad(3)
     k2 = profile_key(operad.palette, ["x", "x"])
-    # O(2) = Q[Sigma_2] has dimension 2 in degree 0
-    assert operad.element("x", k2, 0, [1, 0]).coords == [F(1), F(0)]
+    # O(2) = Q[Sigma_2] has dimension 2 in degree 0; only nonzero entries are kept
+    assert operad.element("x", k2, 0, [1, 0]).coords == {0: F(1)}
+    assert operad.element("x", k2, 0, [F(0), F(3, 1)]).coords == {1: 3}
+    assert operad.element("x", k2, 0, [0, 1]) == operad.unit("x", k2, 0, 1)
     for coords in ([1], [1, 0, 0], []):
         with pytest.raises(OperadError):
             operad.element("x", k2, 0, coords)
@@ -159,7 +164,8 @@ def test_compose_elements_matches_dense_reference():
                         ]
                         got = compose_elements(els[0], els[1:])
                         assert got == dense_compose_elements(els[0], els[1:])
-                        nonzero += any(got.coords)
+                        assert all(got.coords.values())
+                        nonzero += bool(got.coords)
     assert absent > 0
     assert nonzero >= 200
 
@@ -224,7 +230,7 @@ def test_compose_elements_matches_the_reference_entry_for_entry():
                         assert got.in_key is own_keys[got.in_key]
                     compared += 1
                     minus_one += forced is not None
-                    scaled += any(x not in (0, 1) for el in els for x in el.coords) and any(got.coords)
+                    scaled += any(x not in (0, 1) for el in els for x in el.coords.values()) and bool(got.coords)
     assert compared >= 2000
     assert minus_one >= 7
     assert scaled >= 600
@@ -238,11 +244,54 @@ def test_compose_elements_reads_a_replaced_gamma():
     p = operad.unit("x", two, 0, 0)
     q_els = [operad.unit("x", one, 0, 0), operad.unit("x", one, 0, 0)]
     before = compose_elements(p, q_els)
-    assert before.coords == [1, 0]
+    assert before.coords == {0: 1}
     corrupt_inner_gamma(operad)
     after = compose_elements(p, q_els)
-    assert after.coords == [0, 1]
+    assert after.coords == {1: 1}
     assert after == reference_compose_elements(p, q_els)
+
+
+def test_composite_entries_that_cancel_are_dropped():
+    """gamma replaced by a map with two equal columns, applied to p = e_0 - e_1,
+    gives the zero element: no coordinates, equal to the element read from a
+    dense list of zeros."""
+    operad = associative_operad(3)
+    one = profile_key(operad.palette, ["x"])
+    two = profile_key(operad.palette, ["x", "x"])
+    key = ("x", two, (one, one))
+    gm = operad.gamma[key]
+    assert gm.source.dims == gm.target.dims == {0: 2}
+    operad.gamma[key] = ChainMap(gm.source, gm.target, {0: [[1, 1], [2, 2]]})
+    q_els = [operad.unit("x", one, 0, 0)] * 2
+    got = compose_elements(operad.element("x", two, 0, [1, -1]), q_els)
+    assert got.coords == {}
+    assert got == operad.element("x", two, 0, [0, 0])
+    assert compose_elements(operad.unit("x", two, 0, 0), q_els).coords == {0: 1, 1: 2}
+
+
+def test_act_right_by_every_stabilizer_element_matches_the_dense_product():
+    """p.tau for every tau of the stabilizer, generator or not, is the dense
+    matrix of rho_in(tau) applied to p's dense coordinates, with no zero kept."""
+    rng = random.Random(29)
+    fam = ColoredFamily(Palette(["a"]), {"a": ChainComplex({0: 1, 1: 1, 2: 1})})
+    non_generators = signs = 0
+    for operad in (associative_operad(3), endomorphism_operad(fam, 3)):
+        for (d, in_key) in operad.support():
+            comp = operad.component(d, in_key)
+            generators = {s.images for s in stabilizer_generators(in_key)}
+            for tau in stabilizer_elements(in_key):
+                non_generators += tau.images not in generators
+                for k in comp.carrier.degrees():
+                    m = comp.rho_in(tau).mat(k)
+                    signs += any(x < 0 for row in m for x in row)
+                    for _ in range(3):
+                        p = operad.element(d, in_key, k, _random_coords(rng, comp.carrier.dim(k), False))
+                        got = p.act_right(tau)
+                        assert got == sparse_element(operad, d, in_key, k, dense_vec(m, dense_coords(p)))
+                        assert got.coords and all(got.coords.values())
+    # the identity and the non-generators of S_2 and S_3, in each operad
+    assert non_generators == 2 * (1 + 1 + 4)
+    assert signs > 0
 
 
 def test_basis_elements_are_the_units_in_degree_major_order():
@@ -251,9 +300,7 @@ def test_basis_elements_are_the_units_in_degree_major_order():
         carrier = operad.component(d, in_key).carrier
         slots = [(k, i) for k in carrier.degrees() for i in range(carrier.dim(k))]
         units = [operad.unit(d, in_key, k, i) for k, i in slots]
-        assert [(el.degree, el.coords) for el in units] == [
-            (k, [F(int(j == i)) for j in range(carrier.dim(k))]) for k, i in slots
-        ]
+        assert [(el.degree, el.coords) for el in units] == [(k, {i: F(1)}) for k, i in slots]
         assert operad.basis_elements(d, in_key) == units
 
 
