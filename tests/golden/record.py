@@ -113,6 +113,7 @@ COMMANDS = [
     ("factor-fractions", ["factor", "ident.json", "st.json", "st.json", "ident_double.json", "ident_half.json", "fam.json"]),
     ("factor-wrong-kind", ["factor", "ident.json", "st.json", "st.json", "ident.json", "ident.json", "q.json"]),
     ("operad-to-prop", ["operad-to-prop", "ass.json", "3"]),
+    ("operad-to-prop-5", ["operad-to-prop", "ass.json", "5"]),
     ("round-trip", ["round-trip", "ass.json", "fam_sq.json", "alg.json"]),
     ("round-trip-not-an-algebra", ["round-trip", "ass.json", "fam_sq.json", "alg_scaled.json"]),
     ("round-trip-malformed-algebra", ["round-trip", "ass.json", "fam_sq.json", "truncated.json"]),
