@@ -46,6 +46,7 @@ from propcalc.profiles import (
     Profile,
     apply_permutation,
     canonicalize_profile,
+    orbit_key,
     stabilizer_elements,
     stabilizer_generators,
     word_in_block_transpositions,
@@ -446,12 +447,14 @@ def box_v(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
 
 
 def merge_keys(palette, keys) -> OrbitKey:
-    """Orbit of the concatenation of the keys' representatives."""
+    """Orbit of the concatenation of the keys' representatives: the
+    palette's one key on it (orbit_key), so every order and every split of
+    one orbit gives the same key object."""
     entries = []
     for k in keys:
         entries.extend(k.rep.entries)
     entries.sort(key=palette.order)
-    return OrbitKey(Profile(palette, entries))
+    return orbit_key(palette, tuple(entries))
 
 
 def placements(palette, factor_keys, merged: OrbitKey):

@@ -73,7 +73,7 @@ class ChainComplex:
     """dims: degree -> dimension (finite support, degrees >= 0); boundary[n]: X_n -> X_{n-1},
     as rows (see the module docstring)."""
 
-    __slots__ = ("dims", "boundary")
+    __slots__ = ("dims", "boundary", "_key")
 
     def __init__(self, dims, boundary=None, check=True, sparse=False):
         clean = {}
@@ -95,6 +95,7 @@ class ChainComplex:
                 lambda n: (clean.get(n - 1, 0), clean.get(n, 0)),
                 "boundary",
             )
+        self._key = None  # value_key's tuple, built on first use
         if check:
             self._check()
 
@@ -108,6 +109,19 @@ class ChainComplex:
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
+
+    def value_key(self):
+        """A hashable value of the complex, its dims and boundary entries:
+        equal for equal complexes.  Built once, as a complex is never changed."""
+        if self._key is None:
+            self._key = (
+                tuple(sorted(self.dims.items())),
+                tuple(
+                    (n, tuple(tuple(sorted(row.items())) for row in rows))
+                    for n, rows in sorted(self.boundary.items())
+                ),
+            )
+        return self._key
 
     def d(self, n: int):
         """Boundary X_n -> X_{n-1} as rows, empty rows when absent."""
@@ -493,6 +507,18 @@ class TensorSpace:
 
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     return TensorSpace([x, y]).complex
+
+
+def shared_space(spaces: dict, factors) -> TensorSpace:
+    """The TensorSpace of the factors, kept in `spaces`, a table its caller
+    owns and keys by the factors' values (ChainComplex.value_key): factors
+    equal in dims and boundary entries share one space, with its offset and
+    position caches, whether or not they are the same objects."""
+    key = tuple(f.value_key() for f in factors)
+    space = spaces.get(key)
+    if space is None:
+        space = spaces[key] = TensorSpace(factors)
+    return space
 
 
 def _block_entries(gsrc: TensorSpace, gtgt: TensorSpace, f: ChainMap):

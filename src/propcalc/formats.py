@@ -532,6 +532,10 @@ def bimodule_from_json(data):
                 "component profiles must be sorted representatives: %r / %r"
                 % (entry["out"], entry["in"])
             )
+        if (kd, kc) in components:
+            raise FormatError(
+                "bimodule: field 'components' lists out %r, in %r twice" % (entry["out"], entry["in"])
+            )
         carrier = complex_from_json(_field(entry, "carrier", dict, "bimodule component"))
         comp = BimoduleComponent(
             kd,
@@ -601,6 +605,10 @@ def operad_from_json(data):
         in_key = profile_key(palette, _list_of(entry, "in", str, "operad component"))
         if list(in_key.rep.entries) != entry["in"]:
             raise FormatError("operad component inputs must be sorted: %r" % entry["in"])
+        if (d, in_key) in components:
+            raise FormatError(
+                "operad: field 'components' lists out_color %r, in %r twice" % (d, entry["in"])
+            )
         carrier = complex_from_json(_field(entry, "carrier", dict, "operad component"))
         components[(d, in_key)] = BimoduleComponent(
             color_key(palette, d), in_key, carrier, {}, _actions(entry, "in_actions", carrier, "operad")
@@ -613,6 +621,11 @@ def operad_from_json(data):
         if len(blocks) != in_key.length or any(type(c) is not str for blk in blocks for c in blk):
             raise FormatError("operad gamma: field 'blocks' must hold one list of color strings per input")
         b_keys = tuple(profile_key(palette, blk) for blk in blocks)
+        if (d, in_key, b_keys) in operad.gamma:
+            raise FormatError(
+                "operad: field 'gamma' lists out_color %r, in %r, blocks %r twice"
+                % (d, entry["in"], blocks)
+            )
         comp = operad.component(d, in_key)
         if comp is None:
             raise FormatError("gamma references a missing component")
@@ -654,6 +667,10 @@ def operad_algebra_from_json(data, operad, families=None):
     for entry in _list_of(data, "values", dict, "operad_algebra", ()):
         d = _field(entry, "out_color", str, "operad_algebra value")
         in_key = profile_key(family.palette, _list_of(entry, "in", str, "operad_algebra value"))
+        if (d, in_key) in values:
+            raise FormatError(
+                "operad_algebra: field 'values' lists out_color %r, in %r twice" % (d, entry["in"])
+            )
         values[(d, in_key)] = [
             EndoElement.from_mats(
                 family,

@@ -21,7 +21,7 @@ from propcalc.bimodules import (
     merge_keys as merge_in_keys,
     sum_components,
 )
-from propcalc.chains import ChainComplex, ChainMap, TensorSpace
+from propcalc.chains import ChainComplex, ChainMap, TensorSpace, shared_space
 from propcalc.endo import (
     ColoredFamily,
     EndoElement,
@@ -76,11 +76,9 @@ class ColoredOperad:
                 raise OperadError("component exceeds the declared arity bound")
             self.components[(d, in_key)] = comp
         self.gamma = dict(gamma)
-        self._spaces = {}
+        self._spaces = {}  # shared_space's table
         self._plans = {}
         self._aligned = {}
-        # each component's input key as itself, so a merged key is looked up by identity
-        self._keys = {k: k for _, k in self.components}
 
     def component(self, d, in_key):
         return self.components.get((d, in_key))
@@ -89,15 +87,16 @@ class ColoredOperad:
         return sorted(self.components, key=lambda k: (k[0], k[1]))
 
     def space(self, d, in_key, b_keys) -> TensorSpace:
-        """The tensor of the carriers at (d, in_key) and at the inputs b_keys."""
-        key = (d, in_key, tuple(b_keys))
-        if key not in self._spaces:
-            comps = [self.component(d, in_key)]
-            comps += [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
-            self._spaces[key] = TensorSpace(
-                [comp.carrier if comp else ChainComplex({}) for comp in comps]
-            )
-        return self._spaces[key]
+        """The tensor of the carriers at (d, in_key) and at the inputs b_keys.
+
+        Taken from the operad's table of spaces, keyed by the carriers'
+        values (shared_space): gamma keys whose carriers are equal in dims
+        and boundary entries share one space, a missing component counting
+        as the zero complex.
+        """
+        comps = [self.component(d, in_key)]
+        comps += [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
+        return shared_space(self._spaces, [comp.carrier if comp else ChainComplex({}) for comp in comps])
 
     def plan(self, d, in_key, b_keys):
         """(gamma map, merged key, tensor space, nonzero columns of gamma per
@@ -108,7 +107,6 @@ class ColoredOperad:
         plan = self._plans.get(key)
         if plan is None or plan[0] is not gm:
             merged = merge_in_keys(self.palette, b_keys)
-            merged = self._keys.get(merged, merged)
             columns = {}
             for n, rows in gm.rows.items() if gm is not None else ():
                 cols = columns[n] = {}
@@ -409,6 +407,7 @@ class EndoPropData:
         self.family = family
         self.palette = family.palette
         self._components = {}
+        self._spaces = {}  # shared_space's table
 
     def component(self, d, in_key):
         """Component view of Hom(X_rep, X_d) with the right action, built once
@@ -449,6 +448,11 @@ class EndoPropData:
         is the source of the q_i concatenated and moved by the transport onto
         the merged representative, with the Koszul signs of the horizontal fold
         and of that shuffle.
+
+        The source is the tensor of the carriers, taken from this object's
+        table of spaces, keyed by the carriers' values (shared_space): keys
+        whose hom complexes are equal in dims and boundary entries share one
+        space.
         """
         p_comp = self.component(d, in_key)
         q_comps = [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
@@ -458,7 +462,7 @@ class EndoPropData:
         target = self.component(d, merged)
         if target is None:
             return None
-        space = TensorSpace([p_comp.carrier] + [q.carrier for q in q_comps])
+        space = shared_space(self._spaces, [p_comp.carrier] + [q.carrier for q in q_comps])
         concat_entries = []
         for bk in b_keys:
             concat_entries.extend(bk.rep.entries)
@@ -552,6 +556,7 @@ class OPropData:
         self.max_out = int(max_out)
         self.max_in = int(max_in)
         self._components = {}
+        self._spaces = {}  # shared_space's table
         self._build()
 
     def _build(self):
@@ -598,7 +603,8 @@ class OPropData:
         return self._components.get((color_key(self.palette, d), in_key))
 
     def rho(self, d, in_key, b_keys):
-        """Structure map on basis columns, through horizontal + vertical."""
+        """Structure map on basis columns, through horizontal + vertical; its
+        source comes from this object's value-keyed table of spaces."""
         p_bim = self.component(d, in_key)
         q_bims = [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
         if p_bim is None or any(q is None for q in q_bims):
@@ -611,7 +617,7 @@ class OPropData:
         target = self.component(d, merged)
         if target is None:
             return None
-        space = TensorSpace([p_bim.carrier] + [q.carrier for q in q_bims])
+        space = shared_space(self._spaces, [p_bim.carrier] + [q.carrier for q in q_bims])
         gm = self.operad.gamma_map(d, in_key, tuple(b_keys))
         return ChainMap(space.complex, target.carrier, gm.rows, check=False, sparse=True)
 
@@ -692,6 +698,10 @@ class OperadAlgebra:
             for k, v in zip(degrees, vals):
                 if v.out_profile != out_profile or v.in_profile != in_key.rep or v.degree != k:
                     raise EndoError("endo element shape mismatch")
+        # kept under the operad's own keys, which the operad's elements carry,
+        # so value() finds them by identity when the values came over an
+        # equal palette of another file
+        self.values = {key: self.values[key] for key in operad.components}
 
     def value(self, element: OperadElement) -> EndoElement:
         """The sum of the stored basis values over the nonzero coordinates; a

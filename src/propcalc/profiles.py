@@ -32,7 +32,7 @@ class ProfileError(ValueError):
 class Palette:
     """Ordered finite set of distinct color symbols; declaration order is the total order."""
 
-    __slots__ = ("colors", "_index", "_canonical")
+    __slots__ = ("colors", "_index", "_canonical", "_keys")
 
     def __init__(self, colors):
         colors = tuple(colors)
@@ -43,6 +43,7 @@ class Palette:
         self.colors = colors
         self._index = {c: i for i, c in enumerate(colors)}
         self._canonical = {}  # profile entries -> canonicalize_profile's (key, t)
+        self._keys = {}  # sorted representative's entries -> its one OrbitKey (orbit_key)
 
     def order(self, color) -> int:
         try:
@@ -205,7 +206,14 @@ def apply_permutation(sigma: Permutation, p: Profile, side: str = "left") -> Pro
 
 
 class OrbitKey:
-    """Canonical representative of a profile orbit: entries sorted by palette order."""
+    """Canonical representative of a profile orbit: entries sorted by palette order.
+
+    Build keys through orbit_key (or canonicalize_profile), never directly:
+    a palette keeps one key per representative, so equal keys over one
+    palette are the same object and compare by identity.  Keys over two
+    equal palettes, as from two files loaded in one run, are distinct
+    objects that still compare and hash equal by value.
+    """
 
     __slots__ = ("rep", "block_sizes", "_hash", "_generators")
 
@@ -240,20 +248,29 @@ class OrbitKey:
         return "OrbitKey(%s)" % (",".join(str(c) for c in self.rep.entries))
 
 
+def orbit_key(palette: Palette, entries) -> OrbitKey:
+    """The palette's one OrbitKey on the sorted representative with these entries (a tuple)."""
+    key = palette._keys.get(entries)
+    if key is None:
+        key = palette._keys[entries] = OrbitKey(Profile(palette, entries))
+    return key
+
+
 def canonicalize_profile(p: Profile):
     """Return (key, t) with t the lexicographically least permutation satisfying t(rep) = p.
 
     The greedy choice (smallest unused target position of the right color, in
     rep order) is lexicographically least because positions of distinct colors
     never compete.  Memoized per palette: equal profiles over one palette get
-    the same key and permutation objects, so keys compare by identity.
+    the same permutation object, and every profile of one orbit gets the
+    palette's one key from orbit_key, so keys over one palette compare by
+    identity.  Over two equal palettes the keys are distinct objects that
+    compare and hash equal by value.
     """
     memo = p.palette._canonical
     if p.entries in memo:
         return memo[p.entries]
-    order = p.palette.order
-    rep_entries = tuple(sorted(p.entries, key=order))
-    rep = Profile(p.palette, rep_entries)
+    rep_entries = tuple(sorted(p.entries, key=p.palette.order))
     # t(rep) = p under the left action means p[t(j)] = rep[j]
     positions = {}
     for i, c in enumerate(p.entries, start=1):
@@ -264,7 +281,7 @@ def canonicalize_profile(p: Profile):
         k = taken[c]
         images.append(positions[c][k])
         taken[c] = k + 1
-    memo[p.entries] = OrbitKey(rep), Permutation(images)
+    memo[p.entries] = orbit_key(p.palette, rep_entries), Permutation(images)
     return memo[p.entries]
 
 
@@ -282,8 +299,8 @@ def stabilizer_generators(key: OrbitKey):
     """Generators (adjacent transpositions inside each color block) of the Young subgroup.
 
     Built once per key object and kept on it, so the cache lives as long as
-    the key (keys are made per palette, so per run); each call returns a
-    fresh list of the same immutable permutations.
+    the key (a palette keeps one key per orbit, see orbit_key); each call
+    returns a fresh list of the same immutable permutations.
     """
     length = key.length
     if key._generators is None:

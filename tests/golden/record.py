@@ -12,6 +12,7 @@ Re-record only for an intended change of output, and say so in CHANGES.md.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -64,6 +65,9 @@ COMMANDS = [
     ("check-family-stray-color", ["check", "fam_stray_color.json"]),
     ("check-bimodule-extra-action", ["check", "sign_extra_action.json"]),
     ("check-bimodule-duplicate-action", ["check", "perm_a_duplicate_action.json"]),
+    ("check-bimodule-duplicate-component", ["check", "perm_a_duplicate_component.json"]),
+    ("check-operad-duplicate-component", ["check", "op_duplicate_component.json"]),
+    ("check-operad-duplicate-gamma", ["check", "ass_duplicate_gamma.json"]),
     ("check-zero-space-shape", ["check", "zero_space_shape.json"]),
     ("check-zero-space-degree", ["check", "zero_space_degree.json"]),
     ("check-zero-space-map", ["check", "zero_space_map.json"]),
@@ -118,6 +122,7 @@ COMMANDS = [
     ("round-trip-not-an-algebra", ["round-trip", "ass.json", "fam_sq.json", "alg_scaled.json"]),
     ("round-trip-malformed-algebra", ["round-trip", "ass.json", "fam_sq.json", "truncated.json"]),
     ("round-trip-missing-algebra", ["round-trip", "ass.json", "fam_sq.json", "missing.json"]),
+    ("round-trip-duplicate-value", ["round-trip", "ass.json", "fam_sq.json", "alg_duplicate_value.json"]),
 ]
 
 
@@ -272,6 +277,31 @@ def write_inputs():
         0, {"perm": [2, 1], "mats": {"0": [["7/1", "0/1"], ["0/1", "7/1"]]}}
     )
     _write("perm_a_duplicate_action.json", dumps(duplicate_action))
+    # an entry listed twice, the altered copy first: perm_a's component with
+    # both actions negated, a component of op with a 2-dimensional carrier,
+    # ass's first gamma entry times 7, and alg's first values entry times 7
+    duplicate = _plain(to_json(objects["perm_a"]))
+    twisted = copy.deepcopy(duplicate["components"][0])
+    for act in twisted["out_actions"] + twisted["in_actions"]:
+        act["mats"] = _scaled(act["mats"], -1)
+    duplicate["components"].insert(0, twisted)
+    _write("perm_a_duplicate_component.json", dumps(duplicate))
+    duplicate = _plain(to_json(objects["op"]))
+    wider = copy.deepcopy(duplicate["components"][0])
+    wider["carrier"]["dims"] = {"0": 2}
+    duplicate["components"].insert(0, wider)
+    _write("op_duplicate_component.json", dumps(duplicate))
+    duplicate = _plain(to_json(ass))
+    scaled = copy.deepcopy(duplicate["gamma"][0])
+    scaled["mats"] = _scaled(scaled["mats"], 7)
+    duplicate["gamma"].insert(0, scaled)
+    _write("ass_duplicate_gamma.json", dumps(duplicate))
+    duplicate = _plain(formats.operad_algebra_to_json(alg))
+    scaled = copy.deepcopy(duplicate["values"][0])
+    for value in scaled["values"]:
+        value["mats"] = _scaled(value["mats"], 7)
+    duplicate["values"].insert(0, scaled)
+    _write("alg_duplicate_value.json", dumps(duplicate))
     # all-zero matrices on zero spaces, of the wrong shape: a ragged boundary
     # into degree 0 where it should be (0, 2), a boundary in a degree with no
     # space on either side, and a ragged map into a zero space
@@ -290,6 +320,19 @@ def write_inputs():
     _write("truncated.json", '{"kind": "operad_algebra", ')
     with open(os.path.join(INPUTS, "not_utf8.json"), "wb") as handle:
         handle.write(b"\xff\xfe{")
+
+
+def _plain(payload):
+    """A to_json payload as plain JSON values, matrices as lists of strings."""
+    return json.loads(dumps(payload))
+
+
+def _scaled(mats, k):
+    """Per-degree JSON matrices with every entry multiplied by k."""
+    return {
+        deg: [["%d/%d" % ((F(x) * k).numerator, (F(x) * k).denominator) for x in row] for row in rows]
+        for deg, rows in mats.items()
+    }
 
 
 def _write(name, text):

@@ -31,7 +31,14 @@ out-action on the identity, which is not a stabilizer generator, and which
 `check` accepted before.  The wide-matrix cases (box-h-wide, box-v-wide)
 were recorded before dumps wrote matrices from their sparse rows, and the
 three check-zero-space cases after an all-zero matrix on a zero space was
-shape-checked: `check` accepted each of them before.
+shape-checked: `check` accepted each of them before.  operad-to-prop-5 was
+recorded before orbit keys were kept one per orbit and operad tensor spaces
+one per value of their factors.  The four duplicate-entry cases
+(check-bimodule-duplicate-component, check-operad-duplicate-component,
+check-operad-duplicate-gamma, round-trip-duplicate-value) were recorded after
+the loaders rejected an entry listed twice: before, the later entry silently
+replaced the earlier one, and `check` printed ok and `round-trip` round trip
+exact on each of them.
 """
 
 import json
@@ -68,6 +75,10 @@ NOT_LOADABLE = {
     "fam_stray_color.json",
     "sign_extra_action.json",
     "perm_a_duplicate_action.json",
+    "perm_a_duplicate_component.json",
+    "op_duplicate_component.json",
+    "ass_duplicate_gamma.json",
+    "alg_duplicate_value.json",
     "zero_space_shape.json",
     "zero_space_degree.json",
     "zero_space_map.json",

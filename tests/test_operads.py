@@ -20,9 +20,9 @@ from helpers import (
     sparse_element,
     zeros,
 )
-from propcalc import operads
+from propcalc import chains, operads
 from propcalc.formats import Workspace, operad_algebra_from_json, operad_from_json
-from propcalc.chains import ChainComplex, ChainMap
+from propcalc.chains import ChainComplex, ChainMap, TensorSpace, shared_space
 from propcalc.endo import ColoredFamily, EndoElement, EndoError, endo_horizontal, endo_permute, endo_vertical
 from propcalc.operads import (
     ColoredOperad,
@@ -763,6 +763,89 @@ def corrupt_inner_gamma(operad):
     m[0][0], m[1][0] = F(0), F(1)
     operad.gamma[key] = ChainMap(gm.source, gm.target, {0: m}, check=False)
     return ("x", two, (two, one), (one, one, one))
+
+
+def _dense_value(x):
+    """A complex's dims and dense boundary matrices, read without value_key."""
+    return tuple(sorted(x.dims.items())), tuple(
+        (n, tuple(map(tuple, x.d_mat(n)))) for n in x.degrees() if n - 1 in x.dims
+    )
+
+
+def _space_families():
+    """The (1,2) and (2,1) families of the operads benchmark, and a family
+    whose two complexes have equal dims and boundaries [[1]] and [[2]]."""
+    palette = Palette(["a", "b"])
+    families = [
+        ColoredFamily(palette, {"a": ChainComplex({0: i}), "b": ChainComplex({0: j})})
+        for i, j in ((1, 2), (2, 1))
+    ]
+    families.append(ColoredFamily(palette, {
+        "a": ChainComplex({0: 1, 1: 1}, {1: [[1]]}),
+        "b": ChainComplex({0: 1, 1: 1}, {1: [[2]]}),
+    }))
+    return families
+
+
+def _assert_same_as_fresh(space, factors):
+    fresh = TensorSpace(factors)
+    assert space.complex == fresh.complex
+    for n in fresh.complex.degrees():
+        assert space.basis(n) == fresh.basis(n)
+        assert [space.flat_index(c, i) for c, i in fresh.basis(n)] == [fresh.flat_index(c, i) for c, i in fresh.basis(n)]
+
+
+def test_shared_spaces_equal_fresh_spaces_and_only_join_equal_factors():
+    """Each gamma key's space, from the operad's table and from EndoPropData's,
+    gives the complex, basis and flat indices of a fresh TensorSpace of that
+    key's own carriers; keys share a space only when their carriers are equal
+    in dims and boundary entries, so carriers that differ only in entries
+    never do."""
+    for family in _space_families():
+        data = EndoPropData(family)
+        operad = forget_to_operad(data, 2)
+        assert operad.validate() == []
+        for owner in (operad, data):
+            by_space = {}
+            for (d, in_key, b_keys) in operad.gamma:
+                factors = [owner.component(d, in_key).carrier]
+                factors += [owner.component(c, bk).carrier for c, bk in zip(in_key.rep.entries, b_keys)]
+                if owner is operad:
+                    space = operad.space(d, in_key, b_keys)
+                else:
+                    space = shared_space(data._spaces, factors)
+                    assert data.rho(d, in_key, b_keys).source is space.complex
+                _assert_same_as_fresh(space, factors)
+                by_space.setdefault(id(space), set()).add(tuple(map(_dense_value, factors)))
+            assert all(len(values) == 1 for values in by_space.values())
+            if any(x.boundary for x in family.complexes.values()):
+                # [[1]] and [[2]]: factors of equal dims but other entries, on distinct spaces
+                by_dims = {}
+                for (value,) in by_space.values():
+                    by_dims.setdefault(tuple(dims for dims, _ in value), []).append(value)
+                assert any(len(values) > 1 for values in by_dims.values())
+            else:
+                assert len(by_space) < len(operad.gamma)
+
+
+def test_validate_builds_one_tensor_space_per_factor_value(monkeypatch):
+    """One validate() of the (1,2) endomorphism operad builds each
+    multi-factor TensorSpace once per tuple of factor values."""
+    (operad,) = [endomorphism_operad(_space_families()[0], 2)]
+    built = []
+
+    class CountingSpace(TensorSpace):
+        __slots__ = ()
+
+        def __init__(self, factors):
+            factors = list(factors)
+            if len(factors) > 1:
+                built.append(tuple(map(_dense_value, factors)))
+            super().__init__(factors)
+
+    monkeypatch.setattr(chains, "TensorSpace", CountingSpace)
+    assert operad.validate() == []
+    assert built and len(built) == len(set(built))
 
 
 def test_validate_memo_matches_per_instance_reference():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import assert_checked, orbit_object_count, reference_canonicalize_profile, young_keys
+from propcalc.bimodules import merge_keys
 from propcalc.profiles import (
     Palette,
     PaletteError,
@@ -15,6 +16,7 @@ from propcalc.profiles import (
     canonicalize_profile,
     concat,
     in_stabilizer,
+    orbit_key,
     stabilizer_elements,
     stabilizer_generators,
     stabilizer_order,
@@ -263,3 +265,28 @@ def test_canonicalize_profile_matches_the_unmemoized_reference():
         assert other == (key, t) and other[0] is not key
 
     check()
+
+
+def test_one_orbit_key_per_orbit_and_palette():
+    """Seeded profiles: every order of one orbit, and every split of it into
+    consecutive pieces handed to merge_keys in any order, gives the one key
+    object of the palette; the key over an equal but distinct palette is
+    another object that compares and hashes equal."""
+    rng = random.Random(27)
+    for _ in range(60):
+        palette = Palette(rng.sample("abcde", rng.randint(1, 4)))
+        entries = [rng.choice(palette.colors) for _ in range(rng.randint(1, 6))]
+        key = orbit_key(palette, tuple(sorted(entries, key=palette.colors.index)))
+        for order in set(itertools.permutations(entries)):
+            assert canonicalize_profile(Profile(palette, order))[0] is key
+            # a split: cut points between positions, each piece by its own key
+            cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, len(order) - 1)))
+            pieces = [order[i:j] for i, j in zip([0] + cuts, cuts + [len(order)])]
+            piece_keys = [canonicalize_profile(Profile(palette, piece))[0] for piece in pieces]
+            rng.shuffle(piece_keys)
+            assert merge_keys(palette, piece_keys) is key
+        twin = Palette(list(palette.colors))
+        other = merge_keys(twin, [canonicalize_profile(Profile(twin, entries))[0]])
+        assert other is not key and other.rep.palette is twin
+        assert other == key and key == other and hash(other) == hash(key)
+        assert other is canonicalize_profile(Profile(twin, entries[::-1]))[0]
