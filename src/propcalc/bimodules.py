@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from propcalc import linalg
 from propcalc.chains import (
+    ZERO_COMPLEX,
     ChainComplex,
     ChainMap,
     TensorSpace,
@@ -163,7 +164,7 @@ class BimoduleComponent:
         failures = []
         if self.carrier.boundary:
             d = ChainMap(
-                self.carrier, self.carrier, self.carrier.boundary, -1, check=False, sparse=True
+                self.carrier, self.carrier, self.carrier.boundary, -1, check=False
             )
             for mats in (self.out_gens, self.in_gens):
                 for images, m in mats.items():
@@ -328,7 +329,7 @@ def component_at(module: ColoredBimodule, d_profile: Profile, c_profile: Profile
     kc, t_c = canonicalize_profile(c_profile)
     comp = module.component(kd, kc)
     if comp is None:
-        zero = ChainComplex({})
+        zero = ZERO_COMPLEX
 
         def zero_structure(sigma, tau):
             return ChainMap.zero(zero, zero)
@@ -378,9 +379,9 @@ def coinvariant_quotient(space: ChainComplex, relation_maps):
     for n in sorted(dims):
         if dims.get(n - 1):
             boundary[n] = linalg.mat_mul(projs[n - 1], linalg.mat_mul(space.d(n), sects[n]))
-    quotient = ChainComplex(dims, boundary, sparse=True)
-    proj_map = ChainMap(space, quotient, projs, check=False, sparse=True)
-    sect_map = ChainMap(quotient, space, sects, check=False, sparse=True)
+    quotient = ChainComplex(dims, boundary)
+    proj_map = ChainMap(space, quotient, projs, check=False)
+    sect_map = ChainMap(quotient, space, sects, check=False)
     return quotient, proj_map, sect_map
 
 
@@ -754,9 +755,9 @@ class VPropData:
         src = (
             TensorSpace([left.carrier, right.carrier]).complex
             if left and right
-            else ChainComplex({})
+            else ZERO_COMPLEX
         )
-        tgt = target.carrier if target else ChainComplex({})
+        tgt = target.carrier if target else ZERO_COMPLEX
         return ChainMap.zero(src, tgt)
 
     def validate(self):
@@ -840,9 +841,9 @@ class HPropData:
         merged_in = merge_keys(self.module.palette, [key1[1], key2[1]])
         target = self.module.component(merged_out, merged_in)
         src = (
-            TensorSpace([c1.carrier, c2.carrier]).complex if c1 and c2 else ChainComplex({})
+            TensorSpace([c1.carrier, c2.carrier]).complex if c1 and c2 else ZERO_COMPLEX
         )
-        tgt = target.carrier if target else ChainComplex({})
+        tgt = target.carrier if target else ZERO_COMPLEX
         return ChainMap.zero(src, tgt)
 
 

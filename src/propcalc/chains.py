@@ -13,19 +13,22 @@ one-factor TensorSpace's complex is its factor itself.  assemble_tensor_map
 fills a tensor of maps block by block, one Kronecker product of the groups'
 sub-blocks per pair of target and source compositions.
 
-A complex's boundary and a map's matrices have one storage: per degree, a
+A complex's boundary and a map's matrices have one form: per degree, a
 list with one {column: entry} dict per row, holding only the nonzero exact
 scalars, in the row form of linalg; a degree whose matrix is zero is not
-stored.  Composition is linalg.mat_mul on it, and homology, classification
-and the lift solver hand it to linalg's elimination as it is.  A signed
+stored.  The constructors take that form and keep the rows they are given,
+which are not copied and never changed afterwards; they do not check shapes,
+as every matrix read from a file is read and shape-checked in formats.
+Composition is linalg.mat_mul on the rows, and homology, classification and
+the lift solver hand them to linalg's elimination as they are.  A signed
 permutation (an identity, factor_permutation_map, a bimodule action) is an
 ordinary map with one entry of 1 or -1 per row, so composing, placing and
-tensoring it touch only those entries.  The public constructors take dense
-lists of lists, check that every row has the expected length and coerce
-them; the builders here hand over fresh rows (sparse=True), which are not
-copied and never changed afterwards.  ChainMap.mat and .mats, and
-ChainComplex.d_mat, build dense matrices for inspection; nothing in the
-program reads them.
+tensoring it touch only those entries.
+
+A matrix handed over as dense lists of scalars, rows that are lists rather
+than dicts, is still read as the rows of its nonzero entries (_nonzero): the
+benchmark's input generators (perfbench/inputs.py) build their complexes and
+maps that way.
 """
 
 from __future__ import annotations
@@ -42,30 +45,16 @@ class ChainError(ValueError):
     pass
 
 
-def _coerce(blocks, expected_shape, name):
-    """Dense per-degree matrices as rows of exact scalars, shape-checked; a
-    zero matrix is dropped.  An empty list is the (0, c) matrix for every c."""
+def _nonzero(blocks):
+    """The per-degree matrices of blocks without the zero ones.  A matrix
+    given as dense lists of scalars is read as the rows of its nonzero
+    entries, made exact; it is not shape-checked."""
     out = {}
-    for j, m in dict(blocks).items():
-        j = int(j)
-        # a dict or a string would be read by its keys or its characters
-        if not isinstance(m, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in m):
-            raise ChainError("%s in degree %d is not a list of rows, each a list" % (name, j))
-        expected = expected_shape(j)
-        shape = (len(m), len(m[0]) if m else expected[1])
-        if shape != expected:
-            raise ChainError(
-                "%s in degree %d has shape %r, expected %r" % (name, j, shape, expected)
-            )
-        for i, r in enumerate(m):
-            if len(r) != shape[1]:
-                raise ChainError(
-                    "%s in degree %d has row %d of length %d, expected %d"
-                    % (name, j, i, len(r), shape[1])
-                )
-        rows = linalg.to_rows(m)
+    for n, rows in blocks.items():
+        if rows and type(rows[0]) is not dict:
+            rows = [{j: x for j, x in enumerate(map(linalg.exact, row)) if x} for row in rows]
         if any(rows):
-            out[j] = rows
+            out[n] = rows
     return out
 
 
@@ -75,7 +64,7 @@ class ChainComplex:
 
     __slots__ = ("dims", "boundary", "_key")
 
-    def __init__(self, dims, boundary=None, check=True, sparse=False):
+    def __init__(self, dims, boundary=None, check=True):
         clean = {}
         for n, d in dict(dims).items():
             n = int(n)
@@ -87,14 +76,7 @@ class ChainComplex:
             if d:
                 clean[n] = d
         self.dims = clean
-        if sparse:
-            self.boundary = {n: rows for n, rows in boundary.items() if any(rows)}
-        else:
-            self.boundary = _coerce(
-                boundary or {},
-                lambda n: (clean.get(n - 1, 0), clean.get(n, 0)),
-                "boundary",
-            )
+        self.boundary = _nonzero(boundary) if boundary else {}
         self._key = None  # value_key's tuple, built on first use
         if check:
             self._check()
@@ -128,10 +110,6 @@ class ChainComplex:
         if n in self.boundary:
             return self.boundary[n]
         return [{} for _ in range(self.dim(n - 1))]
-
-    def d_mat(self, n: int):
-        """Boundary X_n -> X_{n-1} as a dense matrix."""
-        return linalg.to_dense(self.d(n), self.dim(n))
 
     @property
     def top_degree(self) -> int:
@@ -168,7 +146,7 @@ def base_field_complex() -> ChainComplex:
 
 def disc_complex() -> ChainComplex:
     """Acyclic disc: Q --id--> Q in degrees 1, 0."""
-    return ChainComplex({0: 1, 1: 1}, {1: [[ONE]]})
+    return ChainComplex({0: 1, 1: 1}, {1: [{0: ONE}]})
 
 
 def sum_offsets(complexes):
@@ -204,7 +182,7 @@ def direct_sum(*complexes) -> ChainComplex:
         for n in dims
         if n - 1 in dims
     }
-    return ChainComplex(dims, bnd, sparse=True)
+    return ChainComplex(dims, bnd)
 
 
 class ChainMap:
@@ -212,25 +190,17 @@ class ChainMap:
     module docstring), only for the degrees where it is nonzero.
 
     Degree-0 maps are validated to commute with the differentials when
-    check=True; nonzero-degree data is shape-checked only (it is hom-complex
-    data, not necessarily a cycle there).  mats is given dense, or as rows
-    when sparse=True.
+    check=True; nonzero-degree data is not checked (it is hom-complex data,
+    not necessarily a cycle there).
     """
 
     __slots__ = ("source", "target", "degree", "rows")
 
-    def __init__(self, source, target, mats, degree=0, check=True, sparse=False):
+    def __init__(self, source, target, mats, degree=0, check=True):
         self.source = source
         self.target = target
         self.degree = int(degree)
-        if sparse:
-            self.rows = {j: rows for j, rows in mats.items() if any(rows)}
-        else:
-            self.rows = _coerce(
-                mats,
-                lambda j: (target.dim(j + self.degree), source.dim(j)),
-                "map",
-            )
+        self.rows = _nonzero(mats)
         if check and self.degree == 0:
             self._check_chain()
 
@@ -248,23 +218,14 @@ class ChainMap:
             return self.rows[j]
         return [{} for _ in range(self.target.dim(j + self.degree))]
 
-    def mat(self, j: int):
-        """The degree-j matrix, dense and built on each call."""
-        return linalg.to_dense(self.block(j), self.source.dim(j))
-
-    @property
-    def mats(self):
-        """The dense matrix of every degree where the map is nonzero, built on each reading."""
-        return {j: linalg.to_dense(rows, self.source.dim(j)) for j, rows in self.rows.items()}
-
     @classmethod
     def identity(cls, x: ChainComplex) -> "ChainMap":
         rows = {n: [{i: ONE} for i in range(d)] for n, d in x.dims.items()}
-        return cls(x, x, rows, check=False, sparse=True)
+        return cls(x, x, rows, check=False)
 
     @classmethod
     def zero(cls, source, target, degree=0) -> "ChainMap":
-        return cls(source, target, {}, degree, check=False, sparse=True)
+        return cls(source, target, {}, degree, check=False)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other; composition of homs carries no Koszul sign."""
@@ -276,7 +237,7 @@ class ChainMap:
             if a is not None:
                 mats[j] = linalg.mat_mul(a, b)
         degree = self.degree + other.degree
-        return ChainMap(other.source, self.target, mats, degree, check=False, sparse=True)
+        return ChainMap(other.source, self.target, mats, degree, check=False)
 
     def add(self, other: "ChainMap") -> "ChainMap":
         if self.degree != other.degree:
@@ -284,11 +245,11 @@ class ChainMap:
         mats = dict(self.rows)
         for j, b in other.rows.items():
             mats[j] = linalg.mat_add(mats[j], b) if j in mats else b
-        return ChainMap(self.source, self.target, mats, self.degree, check=False, sparse=True)
+        return ChainMap(self.source, self.target, mats, self.degree, check=False)
 
     def scale(self, c) -> "ChainMap":
         mats = {j: linalg.mat_scale(c, m) for j, m in self.rows.items()}
-        return ChainMap(self.source, self.target, mats, self.degree, check=False, sparse=True)
+        return ChainMap(self.source, self.target, mats, self.degree, check=False)
 
     def sub(self, other: "ChainMap") -> "ChainMap":
         return self.add(other.scale(MINUS_ONE))
@@ -336,7 +297,7 @@ def place_blocks(source: ChainComplex, target: ChainComplex, blocks) -> ChainMap
                 # a block's row is shared, never updated in place
                 out[i] = row if out[i] is None else {**out[i], **row}
     mats = {n: [{} if row is None else row for row in rows] for n, rows in mats.items()}
-    return ChainMap(source, target, mats, check=False, sparse=True)
+    return ChainMap(source, target, mats, check=False)
 
 
 def boundary_of_map(f: ChainMap) -> ChainMap:
@@ -348,7 +309,7 @@ def boundary_of_map(f: ChainMap) -> ChainMap:
             left = linalg.mat_mul(f.target.d(j + k), f.block(j))
             right = linalg.mat_mul(f.block(j - 1), f.source.d(j))
             mats[j] = linalg.mat_add(left, right if k % 2 else linalg.mat_scale(MINUS_ONE, right))
-    return ChainMap(f.source, f.target, mats, k - 1, check=False, sparse=True)
+    return ChainMap(f.source, f.target, mats, k - 1, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +416,7 @@ class TensorSpace:
 
     def _build(self) -> ChainComplex:
         if any(f.is_zero() for f in self.factors):
-            return ChainComplex({})
+            return ZERO_COMPLEX
         top = sum(f.top_degree for f in self.factors)
         dims = {}
         for n in range(top + 1):
@@ -502,7 +463,7 @@ class TensorSpace:
                                     rows[row + s][col + s] = x
             bnd[n] = rows
         # the constructor checks d o d = 0 through linalg.mat_mul
-        return ChainComplex(dims, bnd, sparse=True)
+        return ChainComplex(dims, bnd)
 
 
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
@@ -617,7 +578,7 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
                     big[r0 + r][c0 + c] = -x if negative else x
         if big is not None:
             mats[n] = big
-    return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False, sparse=True)
+    return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
 
 
 def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -667,7 +628,7 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
                 rows[t] = {col: sign}
                 col += 1
         mats[n] = rows
-    return ChainMap(src_space.complex, tgt_space.complex, mats, check=False, sparse=True)
+    return ChainMap(src_space.complex, tgt_space.complex, mats, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +745,7 @@ def path_object(x: ChainComplex):
             third.update((2 * dim + j, -v) for j, v in row.items())
             rows.append(third)
         boundary[n] = rows
-    p = ChainComplex(dims, boundary, sparse=True)
+    p = ChainComplex(dims, boundary)
 
     s_mats, d0_mats, d1_mats = {}, {}, {}
     for n, dim in x.dims.items():
@@ -796,9 +757,9 @@ def path_object(x: ChainComplex):
             d0_mats[n] = ident
         else:
             d0_mats[0] = [{i: ONE, **{dim + j: v for j, v in row.items()}} for i, row in enumerate(x.d(1))]
-    s = ChainMap(x, p, s_mats, sparse=True)
-    d0 = ChainMap(p, x, d0_mats, sparse=True)
-    d1 = ChainMap(p, x, d1_mats, sparse=True)
+    s = ChainMap(x, p, s_mats)
+    d0 = ChainMap(p, x, d0_mats)
+    d1 = ChainMap(p, x, d1_mats)
     return p, s, d0, d1
 
 
@@ -905,7 +866,7 @@ class LiftProblem:
                 {q: v[0] for q, v in enumerate(x[base + p * c : base + (p + 1) * c]) if v}
                 for p in range(r)
             ]
-        return ChainMap(self.source, self.target, mats, self.degree, check=False, sparse=True)
+        return ChainMap(self.source, self.target, mats, self.degree, check=False)
 
 
 def solve_constrained_lift(source, target, degree, equations) -> ChainMap:
@@ -934,7 +895,7 @@ def equivariant_average(f: ChainMap, group_action_pairs) -> ChainMap:
     total = None
     for src_g, tgt_g in group_action_pairs:
         inv_mats = {j: linalg.inverse(src_g.block(j), d) for j, d in src_g.source.dims.items()}
-        inv = ChainMap(src_g.source, src_g.source, inv_mats, check=False, sparse=True)
+        inv = ChainMap(src_g.source, src_g.source, inv_mats, check=False)
         term = tgt_g.compose(f).compose(inv)
         total = term if total is None else total.add(term)
     return total.scale(Fraction(1, n))

@@ -80,6 +80,8 @@ class EndoElement:
 
     @classmethod
     def from_mats(cls, family, out_profile, in_profile, degree, mats) -> "EndoElement":
+        """The element whose matrices are mats, per degree j the rows of its
+        block X_in_j -> X_out_{j+degree} (see chains)."""
         src = family.space(in_profile).complex
         tgt = family.space(out_profile).complex
         return cls(
@@ -93,7 +95,7 @@ class EndoElement:
         tgt = family.space(out_profile).complex
         rows = [{} for _ in range(tgt.dim(j + degree))]
         rows[r][c] = linalg.ONE
-        chain = ChainMap(src, tgt, {j: rows}, degree, check=False, sparse=True)
+        chain = ChainMap(src, tgt, {j: rows}, degree, check=False)
         return cls(family, out_profile, in_profile, chain)
 
     @classmethod
@@ -186,7 +188,7 @@ def endo_component(family: ColoredFamily, out_profile, in_profile):
             for i, x in read(unit.boundary().chain).items():
                 rows[i][col] = x
         boundary[k] = rows
-    return ChainComplex(dims, boundary, sparse=True), bases
+    return ChainComplex(dims, boundary), bases
 
 
 def hom_coordinates(basis):

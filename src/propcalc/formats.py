@@ -11,10 +11,15 @@ Loaders read every field through the readers _field, _list_of, _degree and
 _matrices, which check its exact JSON type: an integer is a JSON integer,
 never a boolean, a float or a numeric string, and a profile or a palette is
 a list of color strings.  A missing or mistyped field raises one FormatError
-that names the file kind and the field.  Values of the right type go to the
-domain constructors, whose own errors (ChainError, BimoduleError, ...) are
-input errors as well.  Matrix entries and differential coefficients are read
-by parse_rational, as before.
+that names the file kind and the field, and a JSON object that repeats a key
+raises one that names the file and the key.  Values of the right type go to
+the domain constructors, whose own errors (ChainError, BimoduleError, ...)
+are input errors as well.  Matrix entries and differential coefficients are
+read by parse_rational.
+
+A file writes each matrix dense.  Every one that is read, for a complex or
+a map of any kind, goes through matrix_from_json, which checks it against
+the shape its complex or map expects and returns its rows (see chains).
 """
 
 from __future__ import annotations
@@ -102,11 +107,21 @@ def _degree(n, key, where):
     return d
 
 
-def _matrices(obj, key, where):
+def _matrices(obj, key, where, shape, name="map"):
     """obj[key], rational matrices by degree, as {degree: rows}; {} when key
-    is absent."""
-    mats = _field(obj, key, dict, where, {})
-    return {_degree(n, key, where): matrix_from_json(m) for n, m in mats.items()}
+    is absent.  shape(n) is the (rows, columns) of the degree-n matrix, and
+    name names the matrices in a shape error (see matrix_from_json)."""
+    out = {}
+    for n, m in _field(obj, key, dict, where, {}).items():
+        n = _degree(n, key, where)
+        out[n] = matrix_from_json(m, shape(n), name, n)
+    return out
+
+
+def _map(obj, key, where, source, target, degree=0, check=True):
+    """The degree-`degree` map from source to target whose matrices are obj[key]."""
+    mats = _matrices(obj, key, where, lambda j: (target.dim(j + degree), source.dim(j)))
+    return ChainMap(source, target, mats, degree, check)
 
 
 def rational_str(x) -> str:
@@ -134,7 +149,7 @@ def parse_rational(s):  # an exact scalar (see linalg)
 # reaches the emitter as its rows: matrix_to_json wraps the {column: entry}
 # rows of a map or a complex, shared and not copied, and dumps writes them as
 # dense rows of "p/q" strings, formatting only the entries the rows hold.
-# matrix_from_json passes "0/1" without parsing it.
+# matrix_from_json skips "0/1" without parsing it.
 class MatrixRows:
     """A rational matrix for dumps: its {column: entry} rows and its column
     count.  Not a tuple or a list, so that json.dumps raises on it instead of
@@ -161,10 +176,28 @@ def mats_to_json(f: ChainMap):
     return {str(j): matrix_to_json(rows, f.source.dim(j)) for j, rows in sorted(f.rows.items())}
 
 
-def matrix_from_json(rows):
-    if type(rows) is not list or not all(type(row) is list for row in rows):
+def matrix_from_json(m, shape, name, degree):
+    """The {column: entry} rows of m, a dense matrix of rationals that must
+    have shape (rows, columns), read row by row; name and degree name it in
+    a ChainError for a wrong shape (the empty list has every shape (0, c)) or
+    a ragged row.  A zero matrix is checked like any other."""
+    if type(m) is not list or not all(type(row) is list for row in m):
         raise FormatError("a matrix must be a list of rows, each a list of rationals")
-    return [[ZERO if x == "0/1" else parse_rational(x) for x in row] for row in rows]
+    n_cols = shape[1]
+    found = (len(m), len(m[0]) if m else n_cols)
+    if found != shape:
+        raise ChainError("%s in degree %d has shape %r, expected %r" % (name, degree, found, shape))
+    rows = []
+    for i, row in enumerate(m):
+        if len(row) != n_cols:
+            raise ChainError(
+                "%s in degree %d has row %d of length %d, expected %d" % (name, degree, i, len(row), n_cols)
+            )
+        entries = {j: parse_rational(x) for j, x in enumerate(row) if x != "0/1"}
+        if ZERO in entries.values():  # a zero written other than "0/1"
+            entries = {j: x for j, x in entries.items() if x}
+        rows.append(entries)
+    return rows
 
 
 # dumps writes a MatrixRows row by row, each row in texts of at most _ROW_PIECE
@@ -328,9 +361,10 @@ def complex_from_json(data):
         if type(d) is not int:
             raise _mistyped("complex", "dims", "an object of integers by degree", d)
         dims[_degree(n, "dims", "complex")] = d
-    boundary = _matrices(data, "boundary", "complex")
     try:
-        return ChainComplex(dims, boundary)
+        x = ChainComplex(dims)  # its dimensions checked, and the boundary's shapes read off
+        boundary = _matrices(data, "boundary", "complex", lambda n: (x.dim(n - 1), x.dim(n)), "boundary")
+        return ChainComplex(x.dims, boundary) if boundary else x
     except ChainError as exc:
         raise FormatError("invalid complex: %s" % exc)
 
@@ -349,9 +383,9 @@ def chain_map_from_json(data):
     _expect_kind(data, "chain_map")
     src = complex_from_json(_field(data, "source", dict, "chain_map"))
     tgt = complex_from_json(_field(data, "target", dict, "chain_map"))
-    mats = _matrices(data, "mats", "chain_map")
+    degree = _field(data, "degree", int, "chain_map", 0)
     try:
-        return ChainMap(src, tgt, mats, _field(data, "degree", int, "chain_map", 0))
+        return _map(data, "mats", "chain_map", src, tgt, degree)
     except ChainError as exc:
         raise FormatError("invalid chain map: %s" % exc)
 
@@ -402,10 +436,7 @@ def family_map_from_json(data, families=None):
     return FamilyMap(
         source,
         target,
-        {
-            c: ChainMap(source.complexes[c], target.complexes[c], _matrices(maps, c, "family_map maps"))
-            for c in maps
-        },
+        {c: _map(maps, c, "family_map maps", source.complexes[c], target.complexes[c]) for c in maps},
     )
 
 
@@ -447,6 +478,12 @@ def _element_to_json(el: EndoElement):
     return {"degree": el.degree, "mats": mats_to_json(el.chain)}
 
 
+def _element(spec, where, family, out_profile, in_profile, degree):
+    """The endo element at (out_profile, in_profile) whose matrices are spec["mats"]."""
+    src, tgt = family.space(in_profile).complex, family.space(out_profile).complex
+    return EndoElement(family, out_profile, in_profile, _map(spec, "mats", where, src, tgt, degree, check=False))
+
+
 def structure_to_json(s: AlgebraStructure):
     return {
         "kind": "structure",
@@ -468,13 +505,8 @@ def structure_from_json(data, families=None):
         if name not in pres.signature:
             raise FormatError("assignment for unknown generator %r" % name)
         gen, spec = pres.signature[name], _field(specs, name, dict, "structure assignment")
-        assignment[name] = EndoElement.from_mats(
-            fam,
-            gen.out_profile,
-            gen.in_profile,
-            _field(spec, "degree", int, "structure assignment", gen.degree),
-            _matrices(spec, "mats", "structure assignment"),
-        )
+        degree = _field(spec, "degree", int, "structure assignment", gen.degree)
+        assignment[name] = _element(spec, "structure assignment", fam, gen.out_profile, gen.in_profile, degree)
     return AlgebraStructure(pres, fam, assignment)
 
 
@@ -512,9 +544,7 @@ def _actions(entry, key, carrier, kind):
             raise FormatError(
                 "%s component: field %r lists perm %r twice" % (kind, key, list(perm))
             )
-        actions[perm] = ChainMap(
-            carrier, carrier, _matrices(act, "mats", kind + " action"), check=False
-        )
+        actions[perm] = _map(act, "mats", kind + " action", carrier, carrier, check=False)
     return actions
 
 
@@ -634,12 +664,8 @@ def operad_from_json(data):
         target = operad.component(d, merge_in_keys(palette, b_keys))
         if target is None:
             raise FormatError("gamma targets a missing component")
-        operad.gamma[(d, in_key, b_keys)] = ChainMap(
-            operad.space(d, in_key, b_keys).complex,
-            target.carrier,
-            _matrices(entry, "mats", "operad gamma"),
-            check=False,
-        )
+        src = operad.space(d, in_key, b_keys).complex
+        operad.gamma[(d, in_key, b_keys)] = _map(entry, "mats", "operad gamma", src, target.carrier, check=False)
     return operad
 
 
@@ -671,15 +697,10 @@ def operad_algebra_from_json(data, operad, families=None):
             raise FormatError(
                 "operad_algebra: field 'values' lists out_color %r, in %r twice" % (d, entry["in"])
             )
+        out_profile, where = Profile(family.palette, [d]), "operad_algebra value"
         values[(d, in_key)] = [
-            EndoElement.from_mats(
-                family,
-                Profile(family.palette, [d]),
-                in_key.rep,
-                _field(v, "degree", int, "operad_algebra value", 0),
-                _matrices(v, "mats", "operad_algebra value"),
-            )
-            for v in _list_of(entry, "values", dict, "operad_algebra value")
+            _element(v, where, family, out_profile, in_key.rep, _field(v, "degree", int, where, 0))
+            for v in _list_of(entry, "values", dict, where)
         ]
     return OperadAlgebra(operad, family, values)
 
@@ -731,6 +752,19 @@ def to_json(obj):
     raise FormatError("cannot serialize %r" % type(obj))
 
 
+class _RepeatedKey(Exception):
+    """A key that a JSON object of a file gives twice."""
+
+
+def _unique_keys(pairs):
+    """The object of json's (key, value) pairs; _RepeatedKey when a key repeats."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise _RepeatedKey(next(key for i, key in enumerate(keys) if key in keys[:i]))
+    return obj
+
+
 class Workspace:
     """Named bindings loaded from a directory of JSON files.
 
@@ -763,7 +797,9 @@ class Workspace:
             raise FormatError("no such file: %r" % name_or_path)
         try:
             with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
+                return json.load(handle, object_pairs_hook=_unique_keys)
+        except _RepeatedKey as exc:
+            raise FormatError("%s: a JSON object repeats key %r" % (path, exc.args[0]))
         except json.JSONDecodeError as exc:
             raise FormatError(
                 "%s: JSON parse error at line %d column %d: %s"

@@ -6,9 +6,9 @@ the nonzero entries; where a routine needs the column count it takes it as
 an argument.  Every routine here takes and gives that form: the products
 mat_mul, mat_add and mat_scale, and the elimination routines row_echelon,
 rank, kernel_basis (the kernel as its inclusion map), solve, inverse and
-quotient_by_rowspace.  The chain complexes and maps of chains store it.
-Dense lists of lists are only read and written at the boundary, where
-to_rows and to_dense convert a matrix.  A scalar is an int when integral and
+quotient_by_rowspace.  The chain complexes and maps of chains store it, and
+formats reads a file's dense matrices straight into it; densify writes one
+row out dense, for solve's certificate.  A scalar is an int when integral and
 a Fraction when not, never a float or a bool: exact() coerces inputs so, ints
 and Fractions mix exactly, the one division, row_echelon's pivot
 normalisation, gives an int when both operands are ints and it is exact, and
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list  # list[list[int | Fraction]]
-
 # small ints are shared objects, so `x is ZERO` and `c is ONE` test by identity
 ZERO = 0
 ONE = 1
@@ -38,20 +36,6 @@ def exact(x):
     """x as an exact scalar: an int when x is integral, else a Fraction."""
     x = x if type(x) is int else Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def to_rows(m: Matrix) -> list:
-    """The {column: entry} rows of a dense matrix, its entries made exact."""
-    out = []
-    for row in m:
-        if not _INT_ONLY.issuperset(map(type, row)):
-            row = list(map(exact, row))
-        out.append({j: x for j, x in enumerate(row) if x})
-    return out
-
-
-def to_dense(rows, n_cols: int) -> Matrix:
-    return [densify(row, n_cols) for row in rows]
 
 
 def densify(row: dict, n_cols: int) -> list:

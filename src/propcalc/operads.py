@@ -21,7 +21,7 @@ from propcalc.bimodules import (
     merge_keys as merge_in_keys,
     sum_components,
 )
-from propcalc.chains import ChainComplex, ChainMap, TensorSpace, shared_space
+from propcalc.chains import ZERO_COMPLEX, ChainComplex, ChainMap, TensorSpace, shared_space
 from propcalc.endo import (
     ColoredFamily,
     EndoElement,
@@ -96,7 +96,7 @@ class ColoredOperad:
         """
         comps = [self.component(d, in_key)]
         comps += [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
-        return shared_space(self._spaces, [comp.carrier if comp else ChainComplex({}) for comp in comps])
+        return shared_space(self._spaces, [comp.carrier if comp else ZERO_COMPLEX for comp in comps])
 
     def plan(self, d, in_key, b_keys):
         """(gamma map, merged key, tensor space, nonzero columns of gamma per
@@ -122,24 +122,10 @@ class ColoredOperad:
         if key in self.gamma:
             return self.gamma[key]
         target = self.component(d, merge_in_keys(self.palette, b_keys))
-        tgt = target.carrier if target else ChainComplex({})
+        tgt = target.carrier if target else ZERO_COMPLEX
         return ChainMap.zero(self.space(d, in_key, b_keys).complex, tgt)
 
     # -- element-level operations -------------------------------------------
-
-    def element(self, d, in_key, degree, coords):
-        """The element with the dense coordinate list `coords`, one entry per
-        basis vector of the component at (d, in_key) in `degree`."""
-        comp = self.component(d, in_key)
-        if comp is None:
-            raise OperadError("no component at %r" % ((d, in_key),))
-        if len(coords) != comp.carrier.dim(degree):
-            raise OperadError(
-                "%d coordinates for a component of dimension %d in degree %d"
-                % (len(coords), comp.carrier.dim(degree), degree)
-            )
-        nonzero = {i: x for i, x in enumerate(map(linalg.exact, coords)) if x}
-        return OperadElement(self, d, in_key, degree, nonzero)
 
     def unit(self, d, in_key, degree, i) -> "OperadElement":
         """The i-th basis element of the component at (d, in_key) in a degree."""
@@ -435,7 +421,7 @@ class EndoPropData:
                 for i, (j, r, c) in enumerate(basis):
                     ((target, sign),) = moved[j][c]
                     rows[index[k][(j, r, target)]] = {i: sign}
-            in_gens[s.images] = ChainMap(hom, hom, mats, check=False, sparse=True)
+            in_gens[s.images] = ChainMap(hom, hom, mats, check=False)
         return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases, index)
 
     def rho(self, d, in_key, b_keys):
@@ -511,7 +497,7 @@ class EndoPropData:
                 for r_p in range(out_dim(j_p + k_p)):
                     col = space.flat_index((k_p,) + q_comp, (p_index[(j_p, r_p, c_p)],) + q_pos)
                     mats[n][target.index[n][(src_deg, r_p, c_t)]][col] = value
-        return ChainMap(space.complex, target.carrier, mats, check=False, sparse=True)
+        return ChainMap(space.complex, target.carrier, mats, check=False)
 
 
 def _element_from_basis(family, out_profile, in_profile, bases, k, flat_idx):
@@ -619,7 +605,7 @@ class OPropData:
             return None
         space = shared_space(self._spaces, [p_bim.carrier] + [q.carrier for q in q_bims])
         gm = self.operad.gamma_map(d, in_key, tuple(b_keys))
-        return ChainMap(space.complex, target.carrier, gm.rows, check=False, sparse=True)
+        return ChainMap(space.complex, target.carrier, gm.rows, check=False)
 
 
 def _locate(comp, deg, flat):
@@ -879,7 +865,7 @@ def trivial_operad(max_arity=3, color="x") -> ColoredOperad:
                 + [components[(color, k)].carrier for k in b_keys]
             ).complex
             operad.gamma[(d, in_key, tuple(b_keys))] = ChainMap(
-                src, components[(color, merged)].carrier, {0: [[linalg.ONE]]}, check=False
+                src, components[(color, merged)].carrier, {0: [{0: linalg.ONE}]}, check=False
             )
     return operad
 
@@ -904,7 +890,7 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
             rows = [None] * len(elems)
             for i, g in enumerate(elems):
                 rows[basis_cache[n][(s.inverse() * g).images]] = {i: linalg.ONE}
-            in_gens[s.images] = ChainMap(carrier, carrier, {0: rows}, check=False, sparse=True)
+            in_gens[s.images] = ChainMap(carrier, carrier, {0: rows}, check=False)
         components[(color, k)] = BimoduleComponent(
             color_key(palette, color), k, carrier, {}, in_gens
         )
@@ -942,7 +928,7 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
                 pi = Permutation(word)
                 rows[index_out[pi.images]][col] = linalg.ONE
             operad.gamma[(color, in_key, b_keys)] = ChainMap(
-                src.complex, components[(color, merged)].carrier, {0: rows}, check=False, sparse=True
+                src.complex, components[(color, merged)].carrier, {0: rows}, check=False
             )
     return operad
 

@@ -31,6 +31,7 @@ from helpers import (  # noqa: E402
     homotopy_assoc_presentation,
     inclusion_from_field,
     projection_to_field,
+    rows_of,
 )
 from propcalc import formats  # noqa: E402
 from propcalc.bimodules import ColoredBimodule  # noqa: E402
@@ -71,6 +72,8 @@ COMMANDS = [
     ("check-zero-space-shape", ["check", "zero_space_shape.json"]),
     ("check-zero-space-degree", ["check", "zero_space_degree.json"]),
     ("check-zero-space-map", ["check", "zero_space_map.json"]),
+    ("homology-repeated-key", ["homology", "dims_repeated_key.json"]),
+    ("check-operad-repeated-key", ["check", "ass_repeated_key.json"]),
     ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
     ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
     ("normalize-parse-error", ["normalize", "sig.json", "mu2 o $"]),
@@ -164,10 +167,10 @@ def write_inputs():
     )
     objects["q"] = base_field_complex()
     objects["x"] = direct_sum(base_field_complex(), disc_complex())
-    frac = ChainComplex({0: 2, 1: 1}, {1: [[F(1, 2)], [F(-3)]]})
+    frac = ChainComplex({0: 2, 1: 1}, rows_of({1: [[F(1, 2)], [F(-3)]]}))
     objects["frac"] = frac
     objects["frac_map"] = ChainMap(
-        frac, frac, {0: [[F(-2, 3), F(0)], [F(0), F(-2, 3)]], 1: [[F(-2, 3)]]}
+        frac, frac, rows_of({0: [[F(-2, 3), F(0)], [F(0), F(-2, 3)]], 1: [[F(-2, 3)]]})
     )
     objects["bad_pres"] = PropPresentation(
         pres.signature, {"mu2": [(F(1), parse("mu2 o (mu2 * iota)", pres.signature))]}
@@ -185,12 +188,12 @@ def write_inputs():
     wide_row = [F(0)] * 34
     for j, x in zip((0, 15, 16, 31, 32, 33), (F(1, 2), F(-3), F(5, 7), F(2**80), F(-1, 3), F(7))):
         wide_row[j] = x
-    wide = ChainComplex({0: 2, 1: 34}, {1: [wide_row, [F(0)] * 34]})
+    wide = ChainComplex({0: 2, 1: 34}, rows_of({1: [wide_row, [F(0)] * 34]}))
     objects["wide"] = ColoredBimodule(two, {(ka, kb): make_component(ka, kb, wide)})
     objects["sign_a"] = ColoredBimodule(
         two,
         {
-            (ka, ka): make_component(ka, ka, ChainComplex({0: 1, 1: 1}, {1: [[F(-5, 7)]]})),
+            (ka, ka): make_component(ka, ka, ChainComplex({0: 1, 1: 1}, rows_of({1: [[F(-5, 7)]]}))),
             (kaa, ka): make_component(kaa, ka, ChainComplex({0: 1}), out_mats=sign_rep(kaa)),
         },
     )
@@ -315,6 +318,13 @@ def write_inputs():
         "target": {"kind": "complex", "dims": {"1": 1}, "boundary": {}},
         "mats": {"0": [["0/1", "0/1"], ["0/1"]]},
     }))
+    # a JSON object that gives a key twice: a degree of dims, and the
+    # out_color of ass's first gamma entry
+    _write("dims_repeated_key.json", '{"kind": "complex", "dims": {"0": 1, "0": 2}, "boundary": {}}\n')
+    text = dumps(to_json(ass))
+    at = text.index('"out_color"', text.index('"gamma"'))
+    indent = at - text.rindex("\n", 0, at) - 1
+    _write("ass_repeated_key.json", text[:at] + '"out_color": "x",\n' + " " * indent + text[at:])
     # one basis vector in degree 10^8: the path object lives in two degrees
     _write("high_degree.json", dumps(to_json(ChainComplex({10**8: 1}))))
     _write("truncated.json", '{"kind": "operad_algebra", ')

@@ -49,6 +49,39 @@ from propcalc.profiles import (
 F = Fraction
 
 
+# -- dense matrices: fixtures are written dense and read back dense -----------
+
+
+def matrix_rows(m):
+    """The {column: entry} rows of a dense matrix, its entries made exact."""
+    return [{j: x for j, x in enumerate(map(linalg.exact, row)) if x} for row in m]
+
+
+def rows_of(mats):
+    """Dense matrices by degree as the rows ChainComplex and ChainMap take."""
+    return {n: matrix_rows(m) for n, m in mats.items()}
+
+
+def dense(rows, n_cols):
+    """The dense matrix of {column: entry} rows over n_cols columns."""
+    return [linalg.densify(row, n_cols) for row in rows]
+
+
+def dense_mat(f, j):
+    """The degree-j matrix of a map, dense."""
+    return dense(f.block(j), f.source.dim(j))
+
+
+def dense_mats(f):
+    """The dense matrix of every degree where a map is nonzero."""
+    return {j: dense(rows, f.source.dim(j)) for j, rows in f.rows.items()}
+
+
+def dense_d(x, n):
+    """The boundary X_n -> X_{n-1} of a complex, dense."""
+    return dense(x.d(n), x.dim(n))
+
+
 def exact_scalar(x) -> bool:
     """The scalar contract: an int when x is integral, a Fraction when it is
     not, and never a bool or a float."""
@@ -211,10 +244,10 @@ def ground_field_structure(presentation):
     sig = presentation.signature
     assignment = {
         "mu2": EndoElement.from_mats(
-            fam, sig["mu2"].out_profile, sig["mu2"].in_profile, 0, {0: [[F(1)]]}
+            fam, sig["mu2"].out_profile, sig["mu2"].in_profile, 0, rows_of({0: [[F(1)]]})
         ),
         "iota": EndoElement.from_mats(
-            fam, sig["iota"].out_profile, sig["iota"].in_profile, 0, {0: [[F(1)]]}
+            fam, sig["iota"].out_profile, sig["iota"].in_profile, 0, rows_of({0: [[F(1)]]})
         ),
         "mu3": EndoElement.zero(
             fam, sig["mu3"].out_profile, sig["mu3"].in_profile, 1
@@ -233,7 +266,7 @@ def projection_to_field(palette):
     """X = Q[0] + D --> Q[0], an entrywise acyclic fibration."""
     fam_x = field_plus_disc_family(palette)
     fam_y = ColoredFamily(palette, {"c": base_field_complex()})
-    proj = ChainMap(fam_x.complexes["c"], fam_y.complexes["c"], {0: [[1, 0]]})
+    proj = ChainMap(fam_x.complexes["c"], fam_y.complexes["c"], rows_of({0: [[1, 0]]}))
     return FamilyMap(fam_x, fam_y, {"c": proj})
 
 
@@ -241,7 +274,7 @@ def inclusion_from_field(palette):
     """Q[0] --> Q[0] + D, an entrywise acyclic cofibration."""
     fam_x = ColoredFamily(palette, {"c": base_field_complex()})
     fam_y = field_plus_disc_family(palette)
-    inc = ChainMap(fam_x.complexes["c"], fam_y.complexes["c"], {0: [[1], [0]]})
+    inc = ChainMap(fam_x.complexes["c"], fam_y.complexes["c"], rows_of({0: [[1], [0]]}))
     return FamilyMap(fam_x, fam_y, {"c": inc})
 
 
@@ -410,7 +443,7 @@ def reference_coinvariant_quotient(space, relation_maps):
         dim = space.dim(n)
         rows = []
         for m in relation_maps:
-            mat = m.mat(n)
+            mat = dense_mat(m, n)
             for j in range(dim):
                 row = [-mat[i][j] for i in range(dim)]
                 row[j] += F(1)
@@ -422,10 +455,10 @@ def reference_coinvariant_quotient(space, relation_maps):
     boundary = {}
     for n in sorted(dims):
         if dims.get(n - 1):
-            boundary[n] = dense_mul(projs[n - 1], dense_mul(space.d_mat(n), sects[n]))
-    quotient = ChainComplex(dims, boundary)
-    proj = ChainMap(space, quotient, {n: projs[n] for n in dims}, check=False)
-    sect = ChainMap(quotient, space, {n: sects[n] for n in dims}, check=False)
+            boundary[n] = dense_mul(projs[n - 1], dense_mul(dense_d(space, n), sects[n]))
+    quotient = ChainComplex(dims, rows_of(boundary))
+    proj = ChainMap(space, quotient, rows_of({n: projs[n] for n in dims}), check=False)
+    sect = ChainMap(quotient, space, rows_of({n: sects[n] for n in dims}), check=False)
     return quotient, proj, sect
 
 
@@ -465,7 +498,7 @@ def reference_path_object(x):
         for i in range(n0):
             cut[i][i] = ONE
             cut[i][n0 + i] = -ONE
-        d1x = x.d_mat(1)
+        d1x = dense_d(x, 1)
         for i in range(n0):
             for j in range(n1):
                 cut[i][2 * n0 + j] = -d1x[i][j]
@@ -491,9 +524,9 @@ def reference_path_object(x):
 
     def full_boundary(n, a, b, z):
         """(a, b, z) in degree n >= 1 -> full coordinates of the boundary."""
-        da = dense_vec(x.d_mat(n), a) if x.dim(n - 1) else []
-        db = dense_vec(x.d_mat(n), b) if x.dim(n - 1) else []
-        dz = dense_vec(x.d_mat(n + 1), z) if x.dim(n + 1) and x.dim(n) else [ZERO] * x.dim(n)
+        da = dense_vec(dense_d(x, n), a) if x.dim(n - 1) else []
+        db = dense_vec(dense_d(x, n), b) if x.dim(n - 1) else []
+        dz = dense_vec(dense_d(x, n + 1), z) if x.dim(n + 1) and x.dim(n) else [ZERO] * x.dim(n)
         third = [ai - bi - dzi for ai, bi, dzi in zip(a, b, dz)] if x.dim(n) else []
         return da + db + third
 
@@ -509,7 +542,7 @@ def reference_path_object(x):
             vec = full_boundary(n, a, b, z)
             cols.append(coords0(vec) if n == 1 else vec)
         boundary[n] = [[cols[j][i] for j in range(len(cols))] for i in range(dims[n - 1])]
-    p = ChainComplex(dims, boundary)
+    p = ChainComplex(dims, rows_of(boundary))
 
     s_mats = {}
     d0_mats = {}
@@ -536,9 +569,9 @@ def reference_path_object(x):
             s_mats[n] = s_m
             d0_mats[n] = d0_m
             d1_mats[n] = d1_m
-    s = ChainMap(x, p, s_mats)
-    d0 = ChainMap(p, x, d0_mats)
-    d1 = ChainMap(p, x, d1_mats)
+    s = ChainMap(x, p, rows_of(s_mats))
+    d0 = ChainMap(p, x, rows_of(d0_mats))
+    d1 = ChainMap(p, x, rows_of(d1_mats))
     return p, s, d0, d1
 
 
@@ -557,7 +590,7 @@ def dense_tensor_boundary(space):
                     continue
                 lower = comp[:slot] + (comp[slot] - 1,) + comp[slot + 1 :]
                 sign = -1 if sum(comp[:slot]) % 2 else 1
-                dmat = factor.d_mat(comp[slot])
+                dmat = dense_d(factor, comp[slot])
                 for i_tgt in range(factor.dim(comp[slot] - 1)):
                     val = dmat[i_tgt][idxs[slot]]
                     if val != 0:
@@ -581,7 +614,7 @@ def reference_assemble_tensor_map(src_space, tgt_space, groups):
     images = []
     for gsrc, gtgt, f in groups:
         by_degree = {}
-        for deg, fmat in f.mats.items():
+        for deg, fmat in dense_mats(f).items():
             tdeg = deg + f.degree
             cols = [[] for _ in range(len(fmat[0]))]
             for r, row in enumerate(fmat):
@@ -623,7 +656,7 @@ def reference_assemble_tensor_map(src_space, tgt_space, groups):
                 big[tgt_space.flat_index(acc_comp, acc_idx)][col] = coeff
         if not dense_is_zero(big):
             mats[n] = big
-    return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
+    return ChainMap(src_space.complex, tgt_space.complex, rows_of(mats), total_deg, check=False)
 
 
 def reference_factor_permutation_map(factors, perm):
@@ -652,7 +685,7 @@ def reference_factor_permutation_map(factors, perm):
                         sign = -sign
             big[tgt_space.flat_index(tuple(tcomp), tuple(tidx))][col] = F(sign)
         mats[n] = big
-    return ChainMap(src_space.complex, tgt_space.complex, mats, 0, check=False)
+    return ChainMap(src_space.complex, tgt_space.complex, rows_of(mats), 0, check=False)
 
 
 def is_signed_permutation(f):
@@ -661,7 +694,7 @@ def is_signed_permutation(f):
     if f.degree or f.source.dims != f.target.dims:
         return False
     for n, d in f.source.dims.items():
-        m = f.mat(n)
+        m = dense_mat(f, n)
         if sorted(c for row in m for c, x in enumerate(row) if x != 0) != list(range(d)):
             return False
         if any(sorted(abs(x) for x in row if x != 0) != [1] for row in m):
@@ -674,10 +707,10 @@ def reference_compose(f, g):
     mats = {}
     for j in g.source.degrees():
         if f.target.dim(j + g.degree + f.degree):
-            prod = dense_mul(f.mat(j + g.degree), g.mat(j))
+            prod = dense_mul(dense_mat(f, j + g.degree), dense_mat(g, j))
             if not dense_is_zero(prod):
                 mats[j] = prod
-    return ChainMap(g.source, f.target, mats, f.degree + g.degree, check=False)
+    return ChainMap(g.source, f.target, rows_of(mats), f.degree + g.degree, check=False)
 
 
 def reference_place_blocks(source, target, blocks):
@@ -685,12 +718,12 @@ def reference_place_blocks(source, target, blocks):
     mats = {n: [[F(0)] * source.dim(n) for _ in range(target.dim(n))] for n in source.degrees()}
     for f, rows, cols in blocks:
         for n in f.source.degrees():
-            for i, row in enumerate(f.mat(n)):
+            for i, row in enumerate(dense_mat(f, n)):
                 for j, x in enumerate(row):
                     if x != 0:
                         mats[n][rows.get(n, 0) + i][cols.get(n, 0) + j] = x
     mats = {n: m for n, m in mats.items() if not dense_is_zero(m)}
-    return ChainMap(source, target, mats, check=False)
+    return ChainMap(source, target, rows_of(mats), check=False)
 
 
 def random_rank_deficient(rng, rows, cols, density):
@@ -734,9 +767,10 @@ def dense_coords(el):
     return linalg.densify(el.coords, comp.carrier.dim(el.degree) if comp else 0)
 
 
-def sparse_element(operad, d, in_key, degree, dense):
-    """The operad element with the nonzero entries of a dense coordinate list."""
-    return OperadElement(operad, d, in_key, degree, {i: x for i, x in enumerate(dense) if x})
+def sparse_element(operad, d, in_key, degree, coords):
+    """The operad element with the nonzero entries of a dense coordinate list,
+    made exact."""
+    return OperadElement(operad, d, in_key, degree, {i: linalg.exact(x) for i, x in enumerate(coords) if x})
 
 
 def dense_compose_elements(p, q_els):
@@ -761,7 +795,7 @@ def dense_compose_elements(p, q_els):
         if coeff == 0:
             continue
         vec[space.flat_index(comp_tuple, idxs)] += coeff
-    mat = gm.mat(total_deg)
+    mat = dense_mat(gm, total_deg)
     merged = merge_keys(operad.palette, b_keys)
     target = operad.component(p.d, merged)
     tdim = target.carrier.dim(total_deg) if target else 0
@@ -783,7 +817,7 @@ def reference_compose_elements(p, q_els):
     merged = merge_keys(operad.palette, b_keys)
     target = operad.component(p.d, merged)
     out = [linalg.ZERO] * (target.carrier.dim(total_deg) if target else 0)
-    mat = operad.gamma_map(p.d, p.in_key, b_keys).mats.get(total_deg)
+    mat = dense_mats(operad.gamma_map(p.d, p.in_key, b_keys)).get(total_deg)
     if mat is None:
         return sparse_element(operad, p.d, merged, total_deg, out)
     space = operad.space(p.d, p.in_key, b_keys)
@@ -824,7 +858,7 @@ def reference_in_gens(data, d, in_key):
                 for i in range(len(basis))
             ]
             mats[k] = [[cols[j].get(i, ZERO) for j in range(len(cols))] for i in range(len(basis))]
-        in_gens[s.images] = ChainMap(comp.carrier, comp.carrier, mats, check=False)
+        in_gens[s.images] = ChainMap(comp.carrier, comp.carrier, rows_of(mats), check=False)
     return in_gens
 
 
@@ -866,7 +900,7 @@ def reference_rho(data, d, in_key, b_keys):
             for r, val in read(normalized.chain).items():
                 big[r][col] = val
         mats[n] = big
-    return ChainMap(space.complex, target.carrier, mats, check=False)
+    return ChainMap(space.complex, target.carrier, rows_of(mats), check=False)
 
 
 # -- oracles for graphs and induced products -----------------------------------
@@ -1077,8 +1111,8 @@ def reference_validate_component(comp):
             for n in comp.carrier.degrees():
                 if n == 0:
                     continue
-                lhs = dense_mul(comp.carrier.d_mat(n), m.mat(n))
-                rhs = dense_mul(m.mat(n - 1), comp.carrier.d_mat(n))
+                lhs = dense_mul(dense_d(comp.carrier, n), dense_mat(m, n))
+                rhs = dense_mul(dense_mat(m, n - 1), dense_d(comp.carrier, n))
                 if lhs != rhs:
                     failures.append("action %r does not commute with the differential" % (images,))
                     break
@@ -1384,14 +1418,14 @@ def reference_lift_solve(prob):
     rows = []
     rhs_col = []
     for terms, rhs, er, ec in prob.equations:
-        rhs = linalg.to_dense(rhs, ec)
+        rhs = dense(rhs, ec)
         dense_terms = []
         for coeff, L, j, R in terms:
             if j not in offsets:
                 continue
             base, vr, vc = offsets[j]
-            L = [[F(int(a == p)) for p in range(vr)] for a in range(er)] if L is None else linalg.to_dense(L, vr)
-            R = [[F(int(q == b)) for b in range(ec)] for q in range(vc)] if R is None else linalg.to_dense(R, ec)
+            L = [[F(int(a == p)) for p in range(vr)] for a in range(er)] if L is None else dense(L, vr)
+            R = [[F(int(q == b)) for b in range(ec)] for q in range(vc)] if R is None else dense(R, ec)
             l_rows = [[(p, x) for p, x in enumerate(L[a]) if x != 0] for a in range(er)]
             r_cols = [[(q, R[q][b]) for q in range(vc) if R[q][b] != 0] for b in range(ec)]
             dense_terms.append((coeff, base, vc, l_rows, r_cols))
@@ -1414,7 +1448,7 @@ def reference_lift_solve(prob):
     mats = {}
     for j, (base, r, c) in offsets.items():
         mats[j] = [[x[base + p * c + qcol][0] for qcol in range(c)] for p in range(r)]
-    return ChainMap(prob.source, prob.target, mats, prob.degree, check=False)
+    return ChainMap(prob.source, prob.target, rows_of(mats), prob.degree, check=False)
 
 
 # -- transported compositions, entry by entry -----------------------------------
@@ -1457,7 +1491,7 @@ def reference_induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
                 p_data, q_data, upper, lower, target, space, mats
             )
             vcomp[(kd, kb, kc)] = ChainMap(
-                space.complex, target.carrier, mats, check=False
+                space.complex, target.carrier, rows_of(mats), check=False
             )
     return r, VPropData(r, vcomp)
 
@@ -1501,7 +1535,7 @@ def _reference_fill_boxh_vertical_piece(upper, lower, target, vc_p, vc_q, space,
     q2 = l_tensor.factors[1]
     tp_space = TensorSpace([p1, p2])
     tq_space = TensorSpace([q1, q2])
-    p_mats, q_mats = vc_p.mats, vc_q.mats
+    p_mats, q_mats = dense_mats(vc_p), dense_mats(vc_q)
     for ao_u in ue.outs:
         for mid_a in ue.ins:
             if mid_a not in le.outs:
@@ -1574,7 +1608,7 @@ def reference_induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, mo
                 for n in space.complex.degrees()
             }
             _reference_fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats)
-            hcomp[(key1, key2)] = ChainMap(space.complex, target.carrier, mats, check=False)
+            hcomp[(key1, key2)] = ChainMap(space.complex, target.carrier, rows_of(mats), check=False)
     return r, HPropData(r, hcomp)
 
 
@@ -1617,8 +1651,8 @@ def _reference_fill_boxv_piece(first, second, target, h_p, h_q, space, mats):
     xp_space = TensorSpace([sp1.factors[0], sp2.factors[0]])
     yq_space = TensorSpace([sp1.factors[1], sp2.factors[1]])
     tgt_space = te.space  # TensorSpace([P(kd,mid), Q(mid,kc)])
-    sect1, sect2, proj = e1.sect.mats, e2.sect.mats, te.proj.mats
-    p_mats, q_mats = h_p.mats, h_q.mats
+    sect1, sect2, proj = dense_mats(e1.sect), dense_mats(e2.sect), dense_mats(te.proj)
+    p_mats, q_mats = dense_mats(h_p), dense_mats(h_q)
     for d1 in c1.carrier.degrees():
         v1 = sect1.get(d1, ())
         for d2 in c2.carrier.degrees():

@@ -18,6 +18,8 @@ import pytest
 
 from helpers import (
     dense_add,
+    dense_d,
+    dense_mat,
     dense_mul,
     dense_rank,
     dense_scale,
@@ -30,6 +32,7 @@ from helpers import (
     kron,
     projection_to_field,
     random_signature,
+    rows_of,
     zeros,
 )
 from propcalc.algebras import AlgebraStructure, check_algebra, check_morphism, transfer
@@ -152,8 +155,8 @@ def test_criterion_3_coinvariants_oracle():
         dim = dx * dy
         rows = []
         for g in stabilizer_elements(mid):
-            a = x.rho_in(g).mat(0)
-            b = y.rho_out(g).mat(0)
+            a = dense_mat(x.rho_in(g), 0)
+            b = dense_mat(y.rho_out(g), 0)
             rel = dense_sub(
                 kron(a, identity(dy)),
                 kron(identity(dx), b),
@@ -166,7 +169,7 @@ def test_criterion_3_coinvariants_oracle():
         elems = stabilizer_elements(mid)
         for g in elems:
             total = dense_add(
-                total, kron(x.rho_in(g.inverse()).mat(0), y.rho_out(g).mat(0))
+                total, kron(dense_mat(x.rho_in(g.inverse()), 0), dense_mat(y.rho_out(g), 0))
             )
         oracle_b = dense_rank(dense_scale(F(1, len(elems)), total))
         if got != oracle_a or got != oracle_b:
@@ -255,7 +258,7 @@ def test_criterion_5_path_object_contract():
         for n in p.degrees():
             if n == 0:
                 continue
-            stacked = d0.mat(n) + d1.mat(n)
+            stacked = dense_mat(d0, n) + dense_mat(d1, n)
             if dense_rank(stacked) != 2 * x.dim(n):
                 ok = False
                 break
@@ -295,27 +298,27 @@ def test_criterion_6_transfer_witness():
     # degrees 0 and 1, mu3 has degree 1, so D(mu3)_0 = d o mu3_0 and
     # lambda(d mu3)_0 = mu2 (mu2 (x) iota)_0 - mu2 (iota (x) mu2)_0 on the
     # degree-0 cube basis.
-    d1 = x.d_mat(1)
+    d1 = dense_d(x, 1)
     n0 = x.dim(0)
-    m2 = mu2.mat(0)
-    i0 = iota.mat(0)
+    m2 = dense_mat(mu2, 0)
+    i0 = dense_mat(iota, 0)
     # (mu2 (x) iota) and (iota (x) mu2) on the degree-0 part of X (x) X (x) X:
     left = dense_mul(m2, kron(m2, i0))
     right = dense_mul(m2, kron(i0, m2))
     assoc0 = dense_sub(left, right)
-    dmu3_0 = dense_mul(d1, mu3.mat(0))
+    dmu3_0 = dense_mul(d1, dense_mat(mu3, 0))
     if assoc0 != dmu3_0:
         ok = False
     # morphism squares at every generator, locally: f_d o phi = phi_Y o f_c
-    fm = f.maps["c"].mat(0)
+    fm = dense_mat(f.maps["c"], 0)
     for name in ("mu2", "iota", "mu3"):
         gen = pres.signature[name]
         phi_x = st_x.assignment[name].chain
         phi_y = st_y.assignment[name].chain
         f_in = _local_kron_many([fm] * len(gen.in_profile))
         if gen.degree == 0:
-            lhs = dense_mul(fm, phi_x.mat(0))
-            rhs = dense_mul(phi_y.mat(0), f_in)
+            lhs = dense_mul(fm, dense_mat(phi_x, 0))
+            rhs = dense_mul(dense_mat(phi_y, 0), f_in)
             if lhs != rhs:
                 ok = False
     if rep1["algebra_failures"] or not rep1["morphism_ok"]:
@@ -330,10 +333,10 @@ def test_criterion_6_transfer_witness():
     mu2b = st_y2.assignment["mu2"].chain
     iotab = st_y2.assignment["iota"].chain
     mu3b = st_y2.assignment["mu3"].chain
-    d1b = y2.d_mat(1)
-    leftb = dense_mul(mu2b.mat(0), kron(mu2b.mat(0), iotab.mat(0)))
-    rightb = dense_mul(mu2b.mat(0), kron(iotab.mat(0), mu2b.mat(0)))
-    if dense_sub(leftb, rightb) != dense_mul(d1b, mu3b.mat(0)):
+    d1b = dense_d(y2, 1)
+    leftb = dense_mul(dense_mat(mu2b, 0), kron(dense_mat(mu2b, 0), dense_mat(iotab, 0)))
+    rightb = dense_mul(dense_mat(mu2b, 0), kron(dense_mat(iotab, 0), dense_mat(mu2b, 0)))
+    if dense_sub(leftb, rightb) != dense_mul(d1b, dense_mat(mu3b, 0)):
         ok = False
     report(6, "transfer along projection and inclusion, verified directly", ok)
 
@@ -363,7 +366,7 @@ def test_criterion_7_splitsquare_equivalence():
                 c: ChainMap(
                     fam_x.complexes[c],
                     fam_y.complexes[c],
-                    {0: [[F(rng.randint(-1, 1)) for _ in range(fam_x.complexes[c].dim(0))] for _ in range(fam_y.complexes[c].dim(0))]},
+                    rows_of({0: [[F(rng.randint(-1, 1)) for _ in range(fam_x.complexes[c].dim(0))] for _ in range(fam_y.complexes[c].dim(0))]}),
                 )
                 for c in palette.colors
             },
@@ -387,7 +390,7 @@ def test_criterion_7_splitsquare_equivalence():
                     gen.out_profile,
                     gen.in_profile,
                     0,
-                    {0: [[F(rng.randint(-1, 1)) for _ in range(src.dim(0))] for _ in range(tgt.dim(0))]},
+                    rows_of({0: [[F(rng.randint(-1, 1)) for _ in range(src.dim(0))] for _ in range(tgt.dim(0))]}),
                 )
             return AlgebraStructure(pres, fam, assignment)
 
@@ -417,10 +420,10 @@ def test_criterion_7_splitsquare_equivalence():
         # direct square check with local matrix arithmetic
         direct = True
         for name, gen in sorted(sig.generators.items()):
-            f_out = _local_kron_many([f.maps[c].mat(0) for c in gen.out_profile.entries])
-            f_in = _local_kron_many([f.maps[c].mat(0) for c in gen.in_profile.entries])
-            lhs = dense_mul(f_out, st_x.assignment[name].chain.mat(0))
-            rhs = dense_mul(st_y.assignment[name].chain.mat(0), f_in)
+            f_out = _local_kron_many([dense_mat(f.maps[c], 0) for c in gen.out_profile.entries])
+            f_in = _local_kron_many([dense_mat(f.maps[c], 0) for c in gen.in_profile.entries])
+            lhs = dense_mul(f_out, dense_mat(st_x.assignment[name].chain, 0))
+            rhs = dense_mul(dense_mat(st_y.assignment[name].chain, 0), f_in)
             if lhs != rhs:
                 direct = False
                 break
@@ -476,7 +479,7 @@ def test_criterion_8_operad_bridge():
         cmp_ = operad.component(d, in_key)
         values[(d, in_key)] = [
             EndoElement.from_mats(
-                fam1, Profile(operad.palette, ["x"]), in_key.rep, 0, {0: [[F(1)]]}
+                fam1, Profile(operad.palette, ["x"]), in_key.rep, 0, rows_of({0: [[F(1)]]})
             )
             for _ in range(cmp_.carrier.dim(0))
         ]

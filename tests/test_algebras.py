@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dense_d,
     dense_kernel_basis,
+    dense_mat,
+    dense_mats,
     dense_solve,
     dense_vec,
     field_plus_disc_family,
@@ -16,6 +19,7 @@ from helpers import (
     projection_to_field,
     random_signature,
     reference_lift_solve,
+    rows_of,
 )
 from propcalc.algebras import (
     AlgebraError,
@@ -79,7 +83,7 @@ def random_structure(sig, rng, fam=None):
                     for _ in range(tgt.dim(j + gen.degree))
                 ]
         assignment[name] = EndoElement.from_mats(
-            fam, gen.out_profile, gen.in_profile, gen.degree, mats
+            fam, gen.out_profile, gen.in_profile, gen.degree, rows_of(mats)
         )
     return AlgebraStructure(pres, fam, assignment)
 
@@ -99,7 +103,7 @@ def test_ground_field_multiplication():
     sig = pres.signature
     e = parse("mu2 o (mu2 * iota)", sig)
     val = evaluate(e, st)
-    assert val.chain.mat(0) == [[F(1)]]
+    assert dense_mat(val.chain, 0) == [[F(1)]]
 
 
 def test_interchange_evaluates_equal_degree_zero():
@@ -186,7 +190,7 @@ def test_check_algebra_detects_perturbation():
         for r in range(x.dim(0))
     ]
     bump = EndoElement.from_mats(
-        fam, mu2.out_profile, mu2.in_profile, 0, {0: bump_mat}
+        fam, mu2.out_profile, mu2.in_profile, 0, rows_of({0: bump_mat})
     )
     st_x.assignment["mu2"] = mu2.add(bump)
     report = check_algebra(st_x)
@@ -271,7 +275,7 @@ def test_transfer_rejects_invalid_presentation():
         PropPresentation(sig),
         fam,
         {
-            "mu2": EndoElement.from_mats(fam, c("c"), c("c", "c"), 0, {0: [[1]]}),
+            "mu2": EndoElement.from_mats(fam, c("c"), c("c", "c"), 0, rows_of({0: [[1]]})),
             "bad": EndoElement.zero(fam, c("c"), c("c", "c"), 1),
         },
     )
@@ -287,7 +291,7 @@ def structure_on_zero_differential_twin():
     st_x, _ = transfer(pres, projection_to_field(palette), "alongAcyclicFibration", ground_field_structure(pres))
     twin = ColoredFamily(palette, {"c": ChainComplex(st_x.family.complexes["c"].dims)})
     assignment = {
-        name: EndoElement.from_mats(twin, el.out_profile, el.in_profile, el.degree, el.chain.mats)
+        name: EndoElement.from_mats(twin, el.out_profile, el.in_profile, el.degree, rows_of(dense_mats(el.chain)))
         for name, el in st_x.assignment.items()
     }
     return pres, st_x, AlgebraStructure(pres, twin, assignment)
@@ -305,7 +309,7 @@ def test_transfer_rejects_structure_on_family_with_other_differential(direction,
     # and the third, whose disc sits on the other coordinate, was unsolvable
     pres, st_x, st_twin = structure_on_zero_differential_twin()
     swapped = ColoredFamily(
-        pres.signature.palette, {"c": ChainComplex({0: 2, 1: 1}, {1: [[1], [0]]})}
+        pres.signature.palette, {"c": ChainComplex({0: 2, 1: 1}, rows_of({1: [[1], [0]]}))}
     )
     for map_family, source in ((st_x.family, st_twin), (st_twin.family, st_x), (swapped, st_x)):
         with pytest.raises(AlgebraError) as exc:
@@ -339,7 +343,7 @@ def mu2_only_structure(palette):
     c = lambda *xs: Profile(palette, xs)
     pres = PropPresentation(Signature(palette, [Generator("mu2", c("c"), c("c", "c"), 0)]))
     fam = ColoredFamily(palette, {"c": base_field_complex()})
-    mu2 = EndoElement.from_mats(fam, c("c"), c("c", "c"), 0, {0: [[1]]})
+    mu2 = EndoElement.from_mats(fam, c("c"), c("c", "c"), 0, rows_of({0: [[1]]}))
     return AlgebraStructure(pres, fam, {"mu2": mu2})
 
 
@@ -397,7 +401,7 @@ def test_factor_algebra_each_square_pins_the_disc(pinned_by):
         p = projection_to_field(palette)
         i = FamilyMap.identity(p.source)
     fam_b = i.target
-    scaled = EndoElement.from_mats(fam_b, c, c, 0, {0: [[1, 0], [0, 2]], 1: [[2]]})
+    scaled = EndoElement.from_mats(fam_b, c, c, 0, rows_of({0: [[1, 0], [0, 2]], 1: [[2]]}))
     st_b = AlgebraStructure(pres, fam_b, {"u": scaled})
     assert check_algebra(st_b) == []
     unit = lambda fam: AlgebraStructure(pres, fam, {"u": EndoElement.identity(fam, c)})
@@ -435,8 +439,8 @@ def mapping_path_factorization(g: FamilyMap):
         for n in set(list(a.dims) + list(pc.dims)):
             rows = []
             total = a.dim(n) + pc.dim(n)
-            gm = g.maps[color].mat(n)
-            d0m = d0.mat(n)
+            gm = dense_mat(g.maps[color], n)
+            d0m = dense_mat(d0, n)
             cut = [
                 [
                     (gm[r][j] if j < a.dim(n) else -d0m[r][j - a.dim(n)])
@@ -467,8 +471,8 @@ def mapping_path_factorization(g: FamilyMap):
             for vec in embed_n:
                 av = vec[: a.dim(n)]
                 pv = vec[a.dim(n) :]
-                da = dense_vec(a.d_mat(n), av) if a.dim(n - 1) else []
-                dp = dense_vec(pc.d_mat(n), pv) if pc.dim(n - 1) else []
+                da = dense_vec(dense_d(a, n), av) if a.dim(n - 1) else []
+                dp = dense_vec(dense_d(pc, n), pv) if pc.dim(n - 1) else []
                 full = list(da) + list(dp)
                 sol, cert = dense_solve(lo_mat, [[v] for v in full])
                 assert cert is None
@@ -477,7 +481,7 @@ def mapping_path_factorization(g: FamilyMap):
                 [cols_out[j][i] for j in range(len(cols_out))]
                 for i in range(dims[n - 1])
             ]
-        b = ChainComplex(dims, boundary)
+        b = ChainComplex(dims, rows_of(boundary))
         b_complexes[color] = (b, embeds, pc, s, d0, d1, a, c)
     b_family = ColoredFamily(
         palette, {color: b_complexes[color][0] for color in palette.colors}
@@ -496,8 +500,8 @@ def mapping_path_factorization(g: FamilyMap):
             cols = []
             for j in range(a.dim(n)):
                 avec = [F(1) if i == j else F(0) for i in range(a.dim(n))]
-                gv = dense_vec(g.maps[color].mat(n), avec) if c.dim(n) else []
-                sv = dense_vec(s.mat(n), gv) if pc.dim(n) else []
+                gv = dense_vec(dense_mat(g.maps[color], n), avec) if c.dim(n) else []
+                sv = dense_vec(dense_mat(s, n), gv) if pc.dim(n) else []
                 full = avec + list(sv)
                 sol, cert = dense_solve(lo_mat, [[v] for v in full])
                 assert cert is None
@@ -508,7 +512,7 @@ def mapping_path_factorization(g: FamilyMap):
                 ]
             # p = d1 o pr_2
             rows = []
-            d1m = d1.mat(n)
+            d1m = dense_mat(d1, n)
             for r in range(c.dim(n)):
                 row = []
                 for k in range(b.dim(n)):
@@ -519,8 +523,8 @@ def mapping_path_factorization(g: FamilyMap):
                 rows.append(row)
             if rows:
                 p_mats[n] = rows
-        i_maps[color] = ChainMap(a, b, i_mats)
-        p_maps[color] = ChainMap(b, c, p_mats)
+        i_maps[color] = ChainMap(a, b, rows_of(i_mats))
+        p_maps[color] = ChainMap(b, c, rows_of(p_mats))
     i_fm = FamilyMap(g.source, b_family, i_maps)
     p_fm = FamilyMap(b_family, g.target, p_maps)
     return b_family, i_fm, p_fm
@@ -616,7 +620,7 @@ def extend_with_discs(rng, fam):
         maps[c] = (x, proj_mats)
     fam_x = ColoredFamily(fam.palette, complexes)
     fmaps = {
-        c: ChainMap(fam_x.complexes[c], fam.complexes[c], proj_mats)
+        c: ChainMap(fam_x.complexes[c], fam.complexes[c], rows_of(proj_mats))
         for c, (x, proj_mats) in maps.items()
     }
     return fam_x, FamilyMap(fam_x, fam, fmaps)
@@ -649,7 +653,7 @@ def test_transfer_randomized_never_unsolvable():
                 for i in range(y.dim(n)):
                     m[i][i] = F(1)
                 mats[n] = m
-            inc_maps[c] = ChainMap(y, x, mats)
+            inc_maps[c] = ChainMap(y, x, rows_of(mats))
         g = FamilyMap(fam_y, fam_x, inc_maps)
         for c, flags in g.classify().items():
             assert flags["acyclicCofibration"]
@@ -732,7 +736,7 @@ def invalid_structure_on_field_plus_disc():
         for r in range(x.dim(0))
     ]
     st_x.assignment["mu2"] = mu2.add(
-        EndoElement.from_mats(fam, mu2.out_profile, mu2.in_profile, 0, {0: bump})
+        EndoElement.from_mats(fam, mu2.out_profile, mu2.in_profile, 0, rows_of({0: bump}))
     )
     assert check_algebra(st_x)
     return pres, st_x
@@ -813,7 +817,7 @@ def test_lift_solve_matches_the_dense_reference_on_the_transfer_suite(monkeypatc
             raise ours.value
         got = solve(prob)
         assert (got.degree, got.source, got.target) == (expected.degree, expected.source, expected.target)
-        assert got.mats == expected.mats
+        assert dense_mats(got) == dense_mats(expected)
         outcomes.append("solved")
         return got
 

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dense_mat,
+    dense_mats,
     dense_mul,
     dense_scale,
     identity,
     kron,
     random_permutation,
     reference_endo_permute,
+    rows_of,
 )
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex, factor_permutation_map
@@ -49,7 +52,7 @@ def small_family(rng=None, max_dim=2):
         bnd = {}
         if dims.get(1):
             bnd[1] = [[F(rng.randint(-1, 1)) for _ in range(dims[1])] for _ in range(dims[0])]
-        complexes[c] = ChainComplex(dims, bnd)
+        complexes[c] = ChainComplex(dims, rows_of(bnd))
     return ColoredFamily(PAL, complexes)
 
 
@@ -65,7 +68,7 @@ def random_element(rng, fam, out_p, in_p, degree=None):
                 [F(rng.randint(-2, 2)) for _ in range(src.dim(j))]
                 for _ in range(tgt.dim(j + degree))
             ]
-    return EndoElement.from_mats(fam, out_p, in_p, degree, mats)
+    return EndoElement.from_mats(fam, out_p, in_p, degree, rows_of(mats))
 
 
 def test_hom_dims_ground_field():
@@ -112,10 +115,10 @@ def test_vertical_identity():
 
 def test_vertical_is_matrix_product_in_degree_zero():
     fam = ColoredFamily(PAL, {"a": ChainComplex({0: 2}), "b": ChainComplex({0: 2})})
-    f = EndoElement.from_mats(fam, prof("a"), prof("b"), 0, {0: [[1, 2], [3, 4]]})
-    g = EndoElement.from_mats(fam, prof("b"), prof("a"), 0, {0: [[0, 1], [1, 0]]})
+    f = EndoElement.from_mats(fam, prof("a"), prof("b"), 0, rows_of({0: [[1, 2], [3, 4]]}))
+    g = EndoElement.from_mats(fam, prof("b"), prof("a"), 0, rows_of({0: [[0, 1], [1, 0]]}))
     fg = endo_vertical(f, g)
-    assert fg.chain.mat(0) == dense_mul(f.chain.mat(0), g.chain.mat(0))
+    assert dense_mat(fg.chain, 0) == dense_mul(dense_mat(f.chain, 0), dense_mat(g.chain, 0))
 
 
 def test_vertical_middle_mismatch():
@@ -139,10 +142,10 @@ def test_vertical_associativity_random():
 
 def test_horizontal_kronecker_degree_zero():
     fam = ColoredFamily(PAL, {"a": ChainComplex({0: 2}), "b": ChainComplex({0: 2})})
-    f = EndoElement.from_mats(fam, prof("a"), prof("a"), 0, {0: [[1, 2], [3, 4]]})
-    g = EndoElement.from_mats(fam, prof("b"), prof("b"), 0, {0: [[5, 6], [7, 8]]})
+    f = EndoElement.from_mats(fam, prof("a"), prof("a"), 0, rows_of({0: [[1, 2], [3, 4]]}))
+    g = EndoElement.from_mats(fam, prof("b"), prof("b"), 0, rows_of({0: [[5, 6], [7, 8]]}))
     fg = endo_horizontal(f, g)
-    assert fg.chain.mat(0) == kron(f.chain.mat(0), g.chain.mat(0))
+    assert dense_mat(fg.chain, 0) == kron(dense_mat(f.chain, 0), dense_mat(g.chain, 0))
 
 
 def test_horizontal_koszul_sign_odd_odd():
@@ -150,18 +153,18 @@ def test_horizontal_koszul_sign_odd_odd():
         PAL, {"a": ChainComplex({0: 1, 1: 1, 2: 1}), "b": base_field_complex()}
     )
     # f, g of degree 1 on color a, acting in every degree
-    f = EndoElement.from_mats(fam, prof("a"), prof("a"), 1, {0: [[1]], 1: [[1]]})
-    g = EndoElement.from_mats(fam, prof("a"), prof("a"), 1, {0: [[1]], 1: [[1]]})
+    f = EndoElement.from_mats(fam, prof("a"), prof("a"), 1, rows_of({0: [[1]], 1: [[1]]}))
+    g = EndoElement.from_mats(fam, prof("a"), prof("a"), 1, rows_of({0: [[1]], 1: [[1]]}))
     fg = endo_horizontal(f, g)
     src_space = fam.space(prof("a", "a"))
     # on x_0 (x) x_0 the odd g crosses nothing: coefficient +1
     col = src_space.flat_index((0, 0), (0, 0))
     row = src_space.flat_index((1, 1), (0, 0))
-    assert fg.chain.mat(0)[row][col] == 1
+    assert dense_mat(fg.chain, 0)[row][col] == 1
     # on x_1 (x) x_0 the odd g crosses the degree-1 letter: sign -1
     col2 = src_space.flat_index((1, 0), (0, 0))
     row2 = src_space.flat_index((2, 1), (0, 0))
-    assert fg.chain.mat(1)[row2][col2] == F(-1)
+    assert dense_mat(fg.chain, 1)[row2][col2] == F(-1)
 
 
 def test_interchange_with_prescribed_sign():
@@ -189,10 +192,10 @@ def test_permute_identity():
 
 def test_permute_swap_degree_zero_blocks():
     fam = ColoredFamily(PAL, {"a": ChainComplex({0: 1}), "b": ChainComplex({0: 1})})
-    f = EndoElement.from_mats(fam, prof("a", "b"), prof("a"), 0, {0: [[F(7)]]})
+    f = EndoElement.from_mats(fam, prof("a", "b"), prof("a"), 0, rows_of({0: [[F(7)]]}))
     swapped = endo_permute(Permutation([2, 1]), Permutation([1]), f)
     assert swapped.out_profile.entries == ("b", "a")
-    assert swapped.chain.mat(0) == [[F(7)]]
+    assert dense_mat(swapped.chain, 0) == [[F(7)]]
 
 
 def test_permute_action_law():
@@ -235,7 +238,7 @@ def test_membership_pushforward_through_invertible():
         fam_x,
         fam_y,
         {
-            c: ChainMap(fam_x.complexes[c], fam_y.complexes[c], {0: inv_mats[c]})
+            c: ChainMap(fam_x.complexes[c], fam_y.complexes[c], rows_of({0: inv_mats[c]}))
             for c in PAL.colors
         },
     )
@@ -247,7 +250,6 @@ def test_membership_pushforward_through_invertible():
         f_in.target,
         f_in.source,
         {j: linalg.inverse(rows, f_in.source.dim(j)) for j, rows in f_in.rows.items()},
-        sparse=True,
     )
     phi_y = EndoElement(fam_y, prof("a"), prof("a", "b"), push.compose(inv))
     ok, _ = relative_endo_membership(f, phi_x, phi_y)
@@ -260,7 +262,7 @@ def test_morphism_witness_reports_first_failure():
     ident = FamilyMap.identity(fam)
     f = random_element(rng, fam, prof("a"), prof("b"), degree=0)
     ax = {"g1": f, "g2": f}
-    ay = {"g1": f, "g2": f.add(EndoElement.from_mats(fam, prof("a"), prof("b"), 0, {0: [[1] * fam.space(prof("b")).complex.dim(0)] * fam.space(prof("a")).complex.dim(0)}))}
+    ay = {"g1": f, "g2": f.add(EndoElement.from_mats(fam, prof("a"), prof("b"), 0, rows_of({0: [[1] * fam.space(prof("b")).complex.dim(0)] * fam.space(prof("a")).complex.dim(0)})))}
     witness, failures = morphism_witness(ident, ax, ay)
     assert witness is None
     assert failures and failures[0][0] == "g2"
@@ -279,7 +281,6 @@ def matched_pair(rng, f, out_p, in_p, degree=0):
         f_in.source,
         {j: linalg.inverse(rows, f_in.source.dim(j)) for j, rows in f_in.rows.items()},
         check=False,
-        sparse=True,
     )
     phi_y = EndoElement(f.target, out_p, in_p, push.compose(inv))
     return phi_x, phi_y
@@ -292,7 +293,7 @@ def random_invertible_family_map(rng, fam):
         # one global scaling per color commutes with the differential and is invertible
         scale = F(rng.choice([1, 2, 3]))
         mats = {j: dense_scale(scale, identity(x.dim(j))) for j in x.degrees()}
-        maps[c] = ChainMap(x, x, mats)
+        maps[c] = ChainMap(x, x, rows_of(mats))
     return FamilyMap(fam, fam, maps)
 
 
@@ -361,7 +362,7 @@ def graded_family():
     """Odd-degree classes in both colors, so that Koszul shuffles have -1 entries."""
     return ColoredFamily(
         PAL,
-        {"a": ChainComplex({0: 1, 1: 1}, {1: [[F(1)]]}), "b": ChainComplex({0: 1, 1: 2})},
+        {"a": ChainComplex({0: 1, 1: 1}, rows_of({1: [[F(1)]]})), "b": ChainComplex({0: 1, 1: 2})},
     )
 
 
@@ -378,8 +379,8 @@ def test_shuffle_cache_matches_fresh_koszul_map():
             assert cached.source.dims == fresh.source.dims
             assert cached.target.dims == fresh.target.dims
             assert cached.degree == fresh.degree == 0
-            assert cached.mats == fresh.mats
-            negative += sum(x == -1 for m in cached.mats.values() for row in m for x in row)
+            assert dense_mats(cached) == dense_mats(fresh)
+            negative += sum(x == -1 for m in dense_mats(cached).values() for row in m for x in row)
     assert negative > 0
 
 
@@ -399,12 +400,12 @@ def test_endo_permute_matches_fresh_composition_identities_included():
                 assert got.out_profile == want.out_profile
                 assert got.in_profile == want.in_profile
                 assert got.chain.degree == want.chain.degree
-                assert got.chain.mats == want.chain.mats
+                assert dense_mats(got.chain) == dense_mats(want.chain)
 
 
 def test_colors_with_equal_complexes_share_one_tensor_space_per_profile():
-    disc = ChainComplex({0: 1, 1: 1}, {1: [[1]]})
-    fam = ColoredFamily(PAL, {"a": disc, "b": ChainComplex({0: 1, 1: 1}, {1: [[1]]})})
+    disc = ChainComplex({0: 1, 1: 1}, rows_of({1: [[1]]}))
+    fam = ColoredFamily(PAL, {"a": disc, "b": ChainComplex({0: 1, 1: 1}, rows_of({1: [[1]]}))})
     spaces = [fam.space(prof(*entries)) for entries in (("a", "b"), ("a", "a"), ("b", "a"))]
     assert spaces[0] is spaces[1] is spaces[2]
     assert fam.space(prof("b")) is fam.space(prof("a"))

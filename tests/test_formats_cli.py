@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dense_d,
     ground_field_structure,
     homotopy_assoc_presentation,
     projection_to_field,
+    rows_of,
 )
 from propcalc import formats
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex
@@ -43,10 +45,10 @@ def test_roundtrip_palette_signature():
 
 
 def test_roundtrip_complex_and_map():
-    x = ChainComplex({0: 2, 1: 1}, {1: [[F(1, 2)], [F(-3)]]})
+    x = ChainComplex({0: 2, 1: 1}, rows_of({1: [[F(1, 2)], [F(-3)]]}))
     a, b = roundtrip_bytes(x)
     assert a == b
-    f = ChainMap(x, x, {n: [[1 if i == j else 0 for j in range(x.dim(n))] for i in range(x.dim(n))] for n in x.dims})
+    f = ChainMap(x, x, rows_of({n: [[1 if i == j else 0 for j in range(x.dim(n))] for i in range(x.dim(n))] for n in x.dims}))
     a, b = roundtrip_bytes(f)
     assert a == b
 
@@ -219,7 +221,7 @@ def test_cli_homology_classify_path(tmp_path):
     assert code == 0
     assert "H_0 = 1" in out
     y = base_field_complex()
-    proj = ChainMap(x, y, {0: [[1, 0]]})
+    proj = ChainMap(x, y, rows_of({0: [[1, 0]]}))
     fp = write(tmp_path, "f.json", proj)
     code, out = run_cli(["classify", fp])
     assert code == 0
@@ -560,7 +562,7 @@ def test_families_that_differ_are_not_merged(tmp_path):
     fams = {name: ws.resolve(name) for name in ("base", "copy", "entry", "order")}
     assert fams["base"] is fams["copy"]
     assert len({id(f) for f in fams.values()}) == 3
-    assert fams["entry"].complexes["a"].d_mat(1) == [[F(2)]]
+    assert dense_d(fams["entry"].complexes["a"], 1) == [[F(2)]]
     assert fams["order"].palette.colors == ("b", "a")
     # a family map from one to the other keeps both
     (tmp_path / "map.json").write_text(

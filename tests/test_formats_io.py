@@ -21,13 +21,17 @@ from typing import NamedTuple
 import pytest
 
 from golden.record import CASES, INPUTS
-from helpers import exact_scalar, homotopy_assoc_presentation
+from helpers import (
+    exact_scalar,
+    homotopy_assoc_presentation,
+    rows_of,
+)
 from propcalc import formats
 from propcalc.chains import ChainComplex
 from propcalc.cli import INPUT_ERRORS, run
 from propcalc.exprs import expr_to_graph, parse
 from propcalc.formats import FormatError, Workspace, dumps, parse_rational, rational_str, to_json
-from propcalc.operads import associative_operad
+from propcalc.operads import OperadAlgebra, associative_operad
 from propcalc.profiles import Palette
 from test_golden import NOT_CANONICAL, NOT_LOADABLE
 
@@ -177,7 +181,7 @@ def test_dumps_writes_matrices_as_their_dense_rows():
 def test_json_dumps_rejects_a_matrix():
     # a MatrixRows is no tuple: json itself must not write it as [rows, n_cols]
     with pytest.raises(TypeError):
-        json.dumps(to_json(ChainComplex({0: 1, 1: 1}, {1: [[F(1, 2)]]})))
+        json.dumps(to_json(ChainComplex({0: 1, 1: 1}, rows_of({1: [[F(1, 2)]]}))))
 
 
 def test_rational_str_reads_fractions_and_converts_the_rest():
@@ -218,11 +222,11 @@ def test_matrix_rows_must_be_lists():
     # their characters; a complex with the first boundary below is acyclic
     for rows in ([{"0": "3", "1": "4"}, {"0": "2", "1": "9"}], ["34", "29"], {"0": ["3", "4"]}, "34"):
         with pytest.raises(FormatError, match="^a matrix must be a list of rows, each a list of rationals$"):
-            formats.matrix_from_json(rows)
+            formats.matrix_from_json(rows, (2, 2), "boundary", 1)
         data = {"kind": "complex", "dims": {"0": 2, "1": 2}, "boundary": {"1": rows}}
         with pytest.raises(FormatError):
             formats.complex_from_json(data)
-    assert formats.matrix_from_json([["3", "4"], ["2", "9/1"]]) == [[3, 4], [2, 9]]
+    assert formats.matrix_from_json([["3", "4"], ["0", "9/1"]], (2, 2), "boundary", 1) == [{0: 3, 1: 4}, {1: 9}]
 
 
 def test_ragged_matrix_rows_are_rejected():
@@ -236,6 +240,144 @@ def test_ragged_matrix_rows_are_rejected():
         data = {"kind": "chain_map", "source": x, "target": x, "mats": {"0": [["1", "0"], row]}}
         with pytest.raises(FormatError, match=message.replace("complex", "chain map").replace("boundary in degree 1", "map in degree 0")):
             formats.chain_map_from_json(data)
+
+
+# every loader site that reads a matrix: (golden input, the per-degree matrix
+# objects of the site in that file, the prefix and the name of its shape errors)
+MATRIX_SITES = {
+    "complex-boundary": ("frac.json", lambda d: [d["boundary"]], "invalid complex: ", "boundary"),
+    "chain_map-mats": ("frac_map.json", lambda d: [d["mats"]], "invalid chain map: ", "map"),
+    "family_map-maps": ("ident_x.json", lambda d: list(d["maps"].values()), "", "map"),
+    "structure-assignment": ("stx.json", lambda d: [a["mats"] for a in d["assignment"].values()], "", "map"),
+    "bimodule-action": ("perm_a.json", lambda d: [a["mats"] for c in d["components"] for a in c["out_actions"]], "", "map"),
+    "operad-action": ("ass.json", lambda d: [a["mats"] for c in d["components"] for a in c["in_actions"]], "", "map"),
+    "operad-gamma": ("ass.json", lambda d: [g["mats"] for g in d["gamma"]], "", "map"),
+    "operad_algebra-value": ("alg.json", lambda d: [v["mats"] for e in d["values"] for v in e["values"]], "", "map"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MATRIX_SITES))
+def test_matrices_are_shape_checked_at_every_loader_site(site):
+    """A matrix that is not a list of lists, is mis-shaped or has a ragged row
+    fails with one message, the same at every site; a zero matrix on zero
+    spaces is checked too, and the empty list is the (0, c) matrix."""
+    name, matrices, prefix, what = MATRIX_SITES[site]
+    with open(os.path.join(INPUTS, name), encoding="utf-8") as handle:
+        text = handle.read()
+    # a matrix of at least two rows and one column, by its position in the file
+    found = [
+        (i, n, m)
+        for i, mats in enumerate(matrices(json.loads(text)))
+        for n, m in sorted(mats.items())
+        if len(m) >= 2 and m[0]
+    ]
+    assert found, site
+    i, n, m = found[0]
+    r, c = len(m), len(m[0])
+    bad = "%s%s in degree %s " % (prefix, what, n)
+    not_rows = "a matrix must be a list of rows, each a list of rationals"
+    cases = [
+        ([{"0": x[0]} for x in m], not_rows),
+        (["34"] * r, not_rows),
+        ([m[0], m[1][:-1]] + m[2:], bad + "has row 1 of length %d, expected %d" % (c - 1, c)),
+        ([m[0], m[1] + ["0/1"]] + m[2:], bad + "has row 1 of length %d, expected %d" % (c + 1, c)),
+        (m[:-1], bad + "has shape (%d, %d), expected (%d, %d)" % (r - 1, c, r, c)),
+        ([m[0] + ["0/1"]] + m[1:], bad + "has shape (%d, %d), expected (%d, %d)" % (r, c + 1, r, c)),
+    ]
+    for value, message in cases:
+        data = json.loads(text)
+        matrices(data)[i][n] = value
+        with pytest.raises(INPUT_ERRORS) as raised:
+            load_golden(name, data)
+        assert str(raised.value) == message, site
+    # degree 9 has no space on either side in these files
+    data = json.loads(text)
+    matrices(data)[i]["9"] = [["0/1"]]
+    with pytest.raises(INPUT_ERRORS) as raised:
+        load_golden(name, data)
+    assert str(raised.value) == "%s%s in degree 9 has shape (1, 1), expected (0, 0)" % (prefix, what)
+    matrices(data)[i]["9"] = []
+    assert dumps(to_json_golden(load_golden(name, data))) == text
+
+
+def oracle_rows(m):
+    """The {column: entry} rows of a file's dense matrix of "p/q" strings, an
+    entry an int when integral and a Fraction when not, read with Fraction
+    alone."""
+    rows = []
+    for row in m:
+        entries = {}
+        for j, x in enumerate(row):
+            q = Fraction(x)
+            if q:
+                entries[j] = q.numerator if q.denominator == 1 else q
+        rows.append(entries)
+    return rows
+
+
+def _typed(rows):
+    return [sorted((j, type(x).__name__, x) for j, x in row.items()) for row in rows]
+
+
+def _matrices_against_the_file(payload, data):
+    """Compare every matrix of payload, an encoder's output for a loaded
+    object, with the matrix at the same place in data, the file's JSON; the
+    number of matrices compared."""
+    if isinstance(payload, formats.MatrixRows):
+        assert _typed(payload.rows) == _typed(oracle_rows(data))
+        assert all(len(row) == payload.n_cols for row in data)
+        return 1
+    if isinstance(payload, dict):
+        assert sorted(payload) == sorted(data)
+        return sum(_matrices_against_the_file(payload[k], data[k]) for k in payload)
+    if isinstance(payload, (list, tuple)):
+        assert len(payload) == len(data)
+        return sum(_matrices_against_the_file(x, y) for x, y in zip(payload, data))
+    return 0
+
+
+def to_json_golden(obj):
+    return formats.operad_algebra_to_json(obj) if isinstance(obj, OperadAlgebra) else to_json(obj)
+
+
+def test_loaded_matrices_are_the_rows_of_the_file():
+    """Every complex and map loaded from a golden input holds exactly the
+    rows oracle_rows reads from the file's matrices, and writes the file's
+    bytes back."""
+    names = sorted(
+        n for n in os.listdir(INPUTS) if n.endswith(".json") and n not in NOT_CANONICAL | NOT_LOADABLE
+    )
+    compared = {}
+    for name in names:
+        with open(os.path.join(INPUTS, name), encoding="utf-8") as handle:
+            text = handle.read()
+        data = json.loads(text)
+        payload = to_json_golden(load_golden(name, data))
+        compared[data["kind"]] = compared.get(data["kind"], 0) + _matrices_against_the_file(payload, data)
+        assert dumps(payload) == text, name
+    kinds = {"complex", "chain_map", "family_map", "structure", "bimodule", "operad", "operad_algebra"}
+    assert all(compared[k] for k in kinds), compared
+
+
+def test_a_repeated_key_is_one_format_error(tmp_path):
+    """A JSON object that gives a key twice, at any depth, is rejected with
+    the file and the key; json.load alone keeps the last value."""
+    texts = {
+        "dims.json": '{"kind": "complex", "dims": {"0": 1, "0": 2}, "boundary": {}}',
+        "kind.json": '{"kind": "complex", "kind": "complex", "dims": {}}',
+        "rows.json": '{"kind": "complex", "dims": {"0": 1, "1": 1}, "boundary": {"1": [["1/1"]], "1": [["2/1"]]}}',
+        "nested.json": '[{"a": {"b": 1}}, {"c": {"d": 1, "e": {"f": 2, "f": 3}}}]',
+    }
+    keys = {"dims.json": "0", "kind.json": "kind", "rows.json": "1", "nested.json": "f"}
+    ws = Workspace(str(tmp_path))
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as raised:
+            ws.read_json(name)
+        assert str(raised.value) == "%s: a JSON object repeats key %r" % (tmp_path / name, keys[name])
+    # the same objects without the repeat read as json.load reads them
+    (tmp_path / "ok.json").write_text('{"a": {"b": [1, {"c": 2}]}, "d": {}}', encoding="utf-8")
+    assert ws.read_json("ok.json") == {"a": {"b": [1, {"c": 2}]}, "d": {}}
 
 
 # -- fail-closed loaders --------------------------------------------------------
@@ -281,7 +423,7 @@ MALFORMED = [
 
 
 def load_golden(name, data):
-    if name == "alg.json":
+    if data.get("kind") == "operad_algebra":
         return formats.operad_algebra_from_json(data, Workspace(INPUTS).resolve("ass"))
     return formats.load_json(data)
 

@@ -38,7 +38,10 @@ one per value of their factors.  The four duplicate-entry cases
 check-operad-duplicate-gamma, round-trip-duplicate-value) were recorded after
 the loaders rejected an entry listed twice: before, the later entry silently
 replaced the earlier one, and `check` printed ok and `round-trip` round trip
-exact on each of them.
+exact on each of them.  The two repeated-key cases (homology-repeated-key,
+check-operad-repeated-key) were recorded after a JSON object that gives a key
+twice was rejected: before, the last value was read, and `homology` printed
+H_0 = 2 for dims {"0": 1, "0": 2}.
 """
 
 import json
@@ -60,8 +63,9 @@ from propcalc.formats import (
 with open(CASES, encoding="utf-8") as _handle:
     GOLDEN = json.load(_handle)
 
-# input files that are not canonical files, or do not load, on purpose
-NOT_CANONICAL = {"truncated.json", "not_utf8.json"}
+# input files that are not canonical files, or do not load, on purpose; a
+# file that repeats a key is neither, as json.loads keeps only its last value
+NOT_CANONICAL = {"truncated.json", "not_utf8.json", "dims_repeated_key.json", "ass_repeated_key.json"}
 NOT_LOADABLE = {
     "bad_bimodule.json",
     "noncommuting_bimodule.json",

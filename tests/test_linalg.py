@@ -18,14 +18,19 @@ import pytest
 from propcalc import linalg
 from helpers import (
     copy,
+    dense,
+    dense_d,
     dense_kernel_basis,
+    dense_mat,
     dense_mul,
     dense_quotient_by_rowspace,
     dense_rank,
     dense_row_echelon,
     dense_solve,
     exact_scalar,
+    matrix_rows,
     random_rank_deficient,
+    rows_of,
     zeros,
 )
 
@@ -80,7 +85,7 @@ def test_row_echelon_matches_dense_reference():
     for m in cases(1):
         ours, ref = dict_rows(m), copy(m)
         assert linalg.row_echelon(ours, len(m[0])) == dense_row_echelon(ref)
-        assert linalg.to_dense(ours, len(m[0])) == ref
+        assert dense(ours, len(m[0])) == ref
         assert all(x and exact_scalar(x) for row in ours for x in row.values())
 
 
@@ -90,7 +95,7 @@ def test_row_echelon_in_place_on_empty_and_zero_matrices():
         # a dense matrix without rows does not know its columns: all are free
         expected = dense_row_echelon(ref) if m else ([], list(range(cols)))
         assert linalg.row_echelon(ours, cols) == expected
-        assert linalg.to_dense(ours, cols) == ref
+        assert dense(ours, cols) == ref
 
 
 def test_rank_and_kernel_match_dense_reference():
@@ -99,7 +104,7 @@ def test_rank_and_kernel_match_dense_reference():
         assert linalg.rank(rows, cols) == dense_rank(m)
         ref = dense_kernel_basis(m) if m else [[int(i == j) for i in range(cols)] for j in range(cols)]
         inclusion = linalg.kernel_basis(rows, cols)
-        assert linalg.to_dense(inclusion, len(ref)) == transpose(ref, cols)
+        assert dense(inclusion, len(ref)) == transpose(ref, cols)
         assert rows == dict_rows(m)  # the input is not changed
         assert not any(linalg.mat_mul(rows, inclusion))
     # no rows: the kernel is everything; no columns: it is zero
@@ -125,7 +130,7 @@ def test_solve_matches_dense_reference_with_certificates():
                 i, residual = cert
                 assert all(v == 0 for v in residual[:cols]) and any(v != 0 for v in residual[cols:])
             else:
-                assert linalg.to_dense(x, 2) == ref_x
+                assert dense(x, 2) == ref_x
                 assert linalg.mat_mul(a, x) == b
     assert inconsistent > 0
 
@@ -134,8 +139,8 @@ def test_quotient_by_rowspace_matches_dense_reference():
     for m, dim in [(m, len(m[0])) for m in cases(4)] + EDGES:
         proj, sect = linalg.quotient_by_rowspace(dict_rows(m), dim)
         ref_proj, ref_sect = dense_quotient_by_rowspace(m, dim)
-        assert linalg.to_dense(proj, dim) == ref_proj
-        assert linalg.to_dense(sect, len(proj)) == ref_sect
+        assert dense(proj, dim) == ref_proj
+        assert dense(sect, len(proj)) == ref_sect
         assert linalg.mat_mul(proj, sect) == [{i: 1} for i in range(len(proj))]
     # no rows: the quotient is everything; a full-rank row space leaves nothing
     assert linalg.quotient_by_rowspace([], 2) == ([{0: 1}, {1: 1}], [{0: 1}, {1: 1}])
@@ -163,8 +168,8 @@ def test_mat_mul_matches_the_definition():
             [sum((a[i][k] * b[k][j] for k in range(cols) if a[i][k] and b[k][j]), F(0)) for j in range(rows)]
             for i in range(rows)
         ]
-        product = linalg.mat_mul(linalg.to_rows(a), linalg.to_rows(b))
-        assert linalg.to_dense(product, rows) == expected
+        product = linalg.mat_mul(matrix_rows(a), matrix_rows(b))
+        assert dense(product, rows) == expected
         assert all(x != 0 and exact_scalar(x) for row in product for x in row.values())
 
 
@@ -178,7 +183,7 @@ def test_rref_matches_sympy():
         expected = [
             [F(int(e.p), int(e.q)) for e in reduced.row(i)] for i in range(reduced.rows)
         ]
-        assert linalg.to_dense(work, len(m[0])) == expected
+        assert dense(work, len(m[0])) == expected
 
 
 def test_solve_rows_matches_dense_reference_with_certificates():
@@ -203,9 +208,9 @@ def test_solve_rows_matches_dense_reference_with_certificates():
                 assert len(residual) == cols + 1 and not any(residual[:cols]) and residual[cols]
             else:
                 seen["solved"] += 1
-                assert linalg.to_dense(x, 1) == ref_x
+                assert dense(x, 1) == ref_x
                 assert all(v and exact_scalar(v) for row in x for v in row.values())
-                assert dense_mul(m, linalg.to_dense(x, 1)) == rhs
+                assert dense_mul(m, dense(x, 1)) == rhs
     assert all(seen.values()), seen
 
 
@@ -237,7 +242,7 @@ def test_solve_rows_matches_sympy_gauss_jordan():
                     inconsistent += 1
                     continue
                 particular = sol.subs({t: 0 for t in params})
-                assert linalg.to_dense(x, 1) == [[F(int(e.p), int(e.q))] for e in particular]
+                assert dense(x, 1) == [[F(int(e.p), int(e.q))] for e in particular]
                 solved += 1
     assert solved and inconsistent
 
@@ -290,17 +295,17 @@ def kernel_results(m, rhs):
     reduced = dict_rows(m)
     pivots, _ = linalg.row_echelon(reduced, cols)
     try:
-        inv = linalg.to_dense(linalg.inverse(rows, cols), cols) if len(m) == cols else None
+        inv = dense(linalg.inverse(rows, cols), cols) if len(m) == cols else None
     except ValueError:
         inv = "singular"
     x, cert = linalg.solve(rows, dict_rows(rhs), cols, len(rhs[0]))
     proj, sect = linalg.quotient_by_rowspace(rows, cols)
     inclusion = linalg.kernel_basis(rows, cols)
     return {
-        "row_echelon": (pivots, linalg.to_dense(reduced, cols)),
+        "row_echelon": (pivots, dense(reduced, cols)),
         "kernel_basis": [linalg.densify(dict(col), cols) for col in linalg.columns(inclusion, len(proj))],
-        "solve": (x and linalg.to_dense(x, len(rhs[0])), cert),
-        "quotient_by_rowspace": (linalg.to_dense(proj, cols), linalg.to_dense(sect, len(proj))),
+        "solve": (x and dense(x, len(rhs[0])), cert),
+        "quotient_by_rowspace": (dense(proj, cols), dense(sect, len(proj))),
         "inverse": inv,
     }
 
@@ -362,13 +367,13 @@ def test_constructors_and_scalings_never_store_bools_or_floats():
 
     x = ChainComplex({0: 2, 1: 2}, {1: [[True, 0.5], [False, "3/6"]]})
     assert x.d(1) == [{0: 1, 1: F(1, 2)}, {1: F(1, 2)}]
-    assert x.d_mat(1) == [[1, F(1, 2)], [0, F(1, 2)]]
+    assert dense_d(x, 1) == [[1, F(1, 2)], [0, F(1, 2)]]
     f = ChainMap(x, x, {0: [[3.0, "0/3"], [False, "6/2"]], 1: [["9/3", -0.0], [False, 3]]})
-    assert f.mat(0) == f.mat(1) == [[3, 0], [0, 3]]
-    scaled = [f.scale(c).mat(0) for c in (True, 0.5, "1/2", F(4, 2))]
+    assert dense_mat(f, 0) == dense_mat(f, 1) == [[3, 0], [0, 3]]
+    scaled = [dense_mat(f.scale(c), 0) for c in (True, 0.5, "1/2", F(4, 2))]
     assert scaled == [[[3, 0], [0, 3]], [[F(3, 2), 0], [0, F(3, 2)]], [[F(3, 2), 0], [0, F(3, 2)]], [[6, 0], [0, 6]]]
     assert f.rows == {0: [{0: 3}, {1: 3}], 1: [{0: 3}, {1: 3}]}
-    for m in [x.d_mat(1), f.mat(0), f.mat(1)] + scaled:
+    for m in [dense_d(x, 1), dense_mat(f, 0), dense_mat(f, 1)] + scaled:
         assert all(exact_scalar(v) for row in m for v in row), m
     assert [type(linalg.exact(v)) for v in (True, 2.0, -0.0, "8/4", F(6, 3), 2**70)] == [int] * 6
     assert [linalg.quotient(6, -3), linalg.quotient(-3, 6), linalg.quotient(F(1, 2), 2)] == [-2, F(-1, 2), F(1, 4)]

@@ -8,8 +8,10 @@ import pytest
 
 from helpers import (
     dense_kernel_basis,
+    dense_mat,
     reference_induce_horizontal_on_boxv,
     reference_induce_vertical_on_boxh,
+    rows_of,
 )
 from test_bimodules import key, make_component, sign_rep
 from propcalc import bimodules
@@ -60,7 +62,7 @@ def scalar_vprop(lengths=(1, 2), style="trivial"):
                     [comps[(ka, kb)].carrier, comps[(kb, kc)].carrier]
                 ).complex
                 vcomp[(ka, kb, kc)] = ChainMap(
-                    src, comps[(ka, kc)].carrier, {0: [[F(1)]]}, check=False
+                    src, comps[(ka, kc)].carrier, rows_of({0: [[F(1)]]}), check=False
                 )
     return VPropData(mod, vcomp)
 
@@ -90,7 +92,7 @@ def scalar_hprop(lengths=(1, 2), style="trivial"):
                 [comps[(ka, kb)].carrier, comps[(kc, kd)].carrier]
             ).complex
             hcomp[((ka, kb), (kc, kd))] = ChainMap(
-                src, comps[(merged_out, merged_in)].carrier, {0: [[F(1)]]}, check=False
+                src, comps[(merged_out, merged_in)].carrier, rows_of({0: [[F(1)]]}), check=False
             )
     return HPropData(mod, hcomp)
 
@@ -113,7 +115,7 @@ def test_induced_vertical_composite_on_single_pair():
     # composite is nonzero exactly on middle-matching pairs
     upper_dim = comp.carrier.dim(0)
     assert upper_dim == 4
-    mat = m.mat(0)
+    mat = dense_mat(m, 0)
     nonzero_cols = [j for j in range(len(mat[0])) if any(mat[i][j] != 0 for i in range(len(mat)))]
     # of the 16 pairs, 8 match in the middle placement (2 choices of shared
     # middle x 2 upper-out x 2 lower-in)
@@ -126,7 +128,7 @@ def test_induced_vertical_zero_on_middle_mismatch():
     r, rdata = induce_vertical_on_boxh(vp, vq)
     k2 = key(PAL1, "x", "x")
     comp = r.component(k2, k2)
-    m = rdata.compose_map(k2, k2, k2).mat(0)
+    m = dense_mat(rdata.compose_map(k2, k2, k2), 0)
     # build the explicit mismatch: upper in-placement (0,1), lower out-placement (1,0)
     meta = comp.layout.pieces[0].component.layout
     outs, ins, index = meta.outs, meta.ins, meta.index
@@ -215,7 +217,7 @@ def test_induced_horizontal_uses_middle_piece_offsets():
     hq = scalar_hprop(lengths=(1, 2, 3, 4))
     _, rdata = induce_horizontal_on_boxv(hp, hq)
     k1 = key(PAL1, "x")
-    m = rdata.compose_map((k1, k1), (k1, k1)).mat(0)
+    m = dense_mat(rdata.compose_map((k1, k1), (k1, k1)), 0)
     nonzeros = {
         i: {j: v for j, v in enumerate(row) if v != 0} for i, row in enumerate(m) if any(row)
     }
@@ -315,7 +317,7 @@ def _random_carrier(rng, max_odd):
         if dims[2] and kernel:
             scale = rng.choice([1, -1, 2])
             boundary[2] = [[scale * x] for x in kernel[0]]
-    return ChainComplex(dims, boundary)
+    return ChainComplex(dims, rows_of(boundary))
 
 
 def _random_module(rng, palette, keys, density, max_odd):
@@ -343,7 +345,7 @@ def _random_map(rng, source, target):
         for n in source.degrees()
         if target.dim(n)
     }
-    return ChainMap(source, target, mats, check=False)
+    return ChainMap(source, target, rows_of(mats), check=False)
 
 
 def _random_vprop(rng, palette, keys, density):
