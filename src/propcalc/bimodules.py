@@ -15,6 +15,11 @@ element then permutes placements and twists decorations by the unique
 block-internal corrections, which is exactly the classical coset formula
 g.(rH, w) = (r'H, h.w).
 
+A product component holds its keys, carrier, layout and one rule for how a
+Young generator acts (BimoduleComponent.acting); a side's generator maps are
+built from the rule on first read and then kept, so printing dims builds no
+action.
+
 The transported compositions (vertical on box_h, horizontal on box_v) are
 sums of kernel maps iota o (f (x) g) o switch o split, with a projection to
 the coinvariants before iota on box_v; split reads (p1 (x) q1) (x) (p2 (x)
@@ -70,49 +75,70 @@ class BimoduleComponent:
 
     out_gens / in_gens: dict one-line-image tuple -> ChainMap on the carrier.
     The out side satisfies M(s's) = M(s') M(s), the in side the reversed law.
+    A component built with `acting` holds a rule instead, and builds a side's
+    dict from it the first time that side is read.
     layout: how a product's carrier is built from its pieces (a
     CoinvariantLayout, InducedLayout or DirectSumLayout), None otherwise.
     """
 
-    __slots__ = ("out_key", "in_key", "carrier", "out_gens", "in_gens", "layout")
+    __slots__ = ("out_key", "in_key", "carrier", "layout", "_act", "_gens")
 
     def __init__(self, out_key: OrbitKey, in_key: OrbitKey, carrier: ChainComplex, out_gens, in_gens, layout=None):
         self.out_key = out_key
         self.in_key = in_key
         self.carrier = carrier
-        self.out_gens = {tuple(k): v for k, v in out_gens.items()}
-        self.in_gens = {tuple(k): v for k, v in in_gens.items()}
-        out_generators = stabilizer_generators(out_key)
-        in_generators = stabilizer_generators(in_key)
-        for s in out_generators:
-            if s.images not in self.out_gens:
-                raise BimoduleError("missing out-generator action %r" % (s.images,))
-        for s in in_generators:
-            if s.images not in self.in_gens:
-                raise BimoduleError("missing in-generator action %r" % (s.images,))
+        self.layout = layout
+        self._act = None
+        self._gens = {
+            "out": {tuple(k): v for k, v in out_gens.items()},
+            "in": {tuple(k): v for k, v in in_gens.items()},
+        }
+        sides = [(side, self._gens[side], stabilizer_generators(self._key(side))) for side in ("out", "in")]
+        for side, gens, generators in sides:
+            for s in generators:
+                if s.images not in gens:
+                    raise BimoduleError("missing %s-generator action %r" % (side, s.images))
         # every generator has its key, so a side holds other keys iff it holds more keys
-        for side, gens, generators in (
-            ("out", self.out_gens, out_generators),
-            ("in", self.in_gens, in_generators),
-        ):
+        for side, gens, generators in sides:
             if len(gens) > len(generators):
                 allowed = {s.images for s in generators}
                 extra = next(k for k in gens if k not in allowed)
                 raise BimoduleError(
                     "%s-action given for %r, which is not a stabilizer generator" % (side, extra)
                 )
-        self.layout = layout
+
+    @classmethod
+    def acting(cls, out_key, in_key, carrier, act, layout=None) -> "BimoduleComponent":
+        """The component whose generator maps come from the rule act(side, s),
+        for side "out" or "in" and s a stabilizer generator of that side's key.
+        Its keys are the generators themselves, so they are not re-checked."""
+        comp = cls.__new__(cls)
+        comp.out_key, comp.in_key, comp.carrier, comp.layout = out_key, in_key, carrier, layout
+        comp._act, comp._gens = act, {}
+        return comp
 
     @classmethod
     def trivial(cls, out_key, in_key, carrier) -> "BimoduleComponent":
         ident = ChainMap.identity(carrier)
-        return cls(
-            out_key,
-            in_key,
-            carrier,
-            {s.images: ident for s in stabilizer_generators(out_key)},
-            {s.images: ident for s in stabilizer_generators(in_key)},
-        )
+        return cls.acting(out_key, in_key, carrier, lambda side, s: ident)
+
+    def _key(self, side) -> OrbitKey:
+        return self.out_key if side == "out" else self.in_key
+
+    def _side_gens(self, side):
+        """The generator maps of one side, built from the rule on first read."""
+        gens = self._gens.get(side)
+        if gens is None:
+            gens = self._gens[side] = {s.images: self._act(side, s) for s in stabilizer_generators(self._key(side))}
+        return gens
+
+    @property
+    def out_gens(self):
+        return self._side_gens("out")
+
+    @property
+    def in_gens(self):
+        return self._side_gens("in")
 
     def dim(self, n=0) -> int:
         return self.carrier.dim(n)
@@ -120,37 +146,34 @@ class BimoduleComponent:
     def total_dim(self) -> int:
         return self.carrier.total_dim()
 
-    def rho_out(self, sigma: Permutation) -> ChainMap:
-        """Action of (sigma; 1) for sigma in the out stabilizer: the product of
-        the generator maps of its word, a generator's own map for a generator.
+    def _action(self, side, g: Permutation) -> ChainMap:
+        """Action of g on one side: the product of the generator maps of its
+        word, taken reversed on the contravariant in-side.
 
-        A generator is looked up before any word is built: the constructor
-        keeps exactly the stabilizer generators as keys, and a generator's
-        word is itself, so the lookup returns what the word would."""
-        m = self.out_gens.get(sigma.images)
+        A generator is looked up before any word is built: a side's keys are
+        exactly the stabilizer generators, and a generator's word is itself,
+        so the lookup returns what the word would."""
+        gens = self._side_gens(side)
+        m = gens.get(g.images)
         if m is not None:
             return m
-        word = word_in_block_transpositions(self.out_key, sigma)
+        word = word_in_block_transpositions(self._key(side), g)
         if not word:
             return ChainMap.identity(self.carrier)
-        m = self.out_gens[word[0].images]
+        if side == "in":
+            word.reverse()
+        m = gens[word[0].images]
         for s in word[1:]:
-            m = m.compose(self.out_gens[s.images])
+            m = m.compose(gens[s.images])
         return m
+
+    def rho_out(self, sigma: Permutation) -> ChainMap:
+        """Action of (sigma; 1) for sigma in the out stabilizer."""
+        return self._action("out", sigma)
 
     def rho_in(self, tau: Permutation) -> ChainMap:
-        """Action of (1; tau) for tau in the in stabilizer (contravariant side),
-        with the generator lookup first, as in rho_out."""
-        m = self.in_gens.get(tau.images)
-        if m is not None:
-            return m
-        word = word_in_block_transpositions(self.in_key, tau)
-        if not word:
-            return ChainMap.identity(self.carrier)
-        m = self.in_gens[word[0].images]
-        for s in word[1:]:
-            m = self.in_gens[s.images].compose(m)
-        return m
+        """Action of (1; tau) for tau in the in stabilizer (contravariant side)."""
+        return self._action("in", tau)
 
     def rho(self, sigma: Permutation, tau: Permutation) -> ChainMap:
         return self.rho_out(sigma).compose(self.rho_in(tau))
@@ -216,22 +239,27 @@ class InducedLayout(NamedTuple):
     """Carrier of an induced component: one copy of tensor (the tensor product of
     the factors) per pair of out and in placements.
 
-    The pair (outs[a], ins[b]) is copy number index[(outs[a], ins[b])] =
-    a * len(ins) + b, and copy s occupies rows s * tensor.complex.dim(n)
-    onward in degree n.  Build it with InducedLayout.of.
+    out_pos and in_pos give each placement's position in outs and ins.  The
+    pair (outs[a], ins[b]) is copy number a * len(ins) + b (copy_number), and
+    copy s occupies rows s * tensor.complex.dim(n) onward in degree n.  Build
+    it with InducedLayout.of.
     """
 
     factors: tuple
     outs: tuple
     ins: tuple
     tensor: TensorSpace
-    index: dict
+    out_pos: dict
+    in_pos: dict
 
     @classmethod
     def of(cls, factors, outs, ins, tensor) -> "InducedLayout":
-        n_ins = len(ins)
-        index = {(ao, ai): a * n_ins + b for a, ao in enumerate(outs) for b, ai in enumerate(ins)}
-        return cls(tuple(factors), tuple(outs), tuple(ins), tensor, index)
+        outs, ins = tuple(outs), tuple(ins)
+        positions = [{place: a for a, place in enumerate(places)} for places in (outs, ins)]
+        return cls(tuple(factors), outs, ins, tensor, *positions)
+
+    def copy_number(self, out_place, in_place) -> int:
+        return self.out_pos[out_place] * len(self.ins) + self.in_pos[in_place]
 
     def copy_offsets(self, copy: int):
         """Per-degree first carrier index of the given copy."""
@@ -278,21 +306,14 @@ class DirectSumLayout(NamedTuple):
 def sum_components(pieces) -> BimoduleComponent:
     """Direct sum of SumPieces sharing one orbit pair, with blockwise actions."""
     comps = [piece.component for piece in pieces]
-    out_key, in_key = comps[0].out_key, comps[0].in_key
     carrier = direct_sum(*(c.carrier for c in comps))
     offsets = sum_offsets(c.carrier for c in comps)
 
-    def blockwise(maps):
-        return place_blocks(carrier, carrier, zip(maps, offsets, offsets))
+    def act(side, s):
+        return place_blocks(carrier, carrier, ((c._action(side, s), off, off) for c, off in zip(comps, offsets)))
 
-    out_gens = {
-        s.images: blockwise(c.rho_out(s) for c in comps) for s in stabilizer_generators(out_key)
-    }
-    in_gens = {
-        s.images: blockwise(c.rho_in(s) for c in comps) for s in stabilizer_generators(in_key)
-    }
     layout = DirectSumLayout(tuple(pieces), tuple(offsets))
-    return BimoduleComponent(out_key, in_key, carrier, out_gens, in_gens, layout)
+    return BimoduleComponent.acting(comps[0].out_key, comps[0].in_key, carrier, act, layout)
 
 
 class ColoredBimodule:
@@ -407,23 +428,17 @@ def tensor_over_sigma(x: BimoduleComponent, y: BimoduleComponent) -> BimoduleCom
     relations = [diagonal(g) for g in stabilizer_generators(x.in_key)]
     quotient, proj, sect = coinvariant_quotient(space.complex, relations)
 
-    def descend(m: ChainMap) -> ChainMap:
-        return proj.compose(m).compose(sect)
+    def act(side, s):
+        """The outer action of s on X (x) Y, descended to the quotient."""
+        if side == "out":
+            maps = (x.rho_out(s), ChainMap.identity(y.carrier))
+        else:
+            maps = (ChainMap.identity(x.carrier), y.rho_in(s))
+        big = assemble_tensor_map(space, space, [(xs, xs, maps[0]), (ys, ys, maps[1])])
+        return proj.compose(big).compose(sect)
 
-    out_gens = {}
-    for s in stabilizer_generators(x.out_key):
-        big = assemble_tensor_map(
-            space, space, [(xs, xs, x.rho_out(s)), (ys, ys, ChainMap.identity(y.carrier))]
-        )
-        out_gens[s.images] = descend(big)
-    in_gens = {}
-    for s in stabilizer_generators(y.in_key):
-        big = assemble_tensor_map(
-            space, space, [(xs, xs, ChainMap.identity(x.carrier)), (ys, ys, y.rho_in(s))]
-        )
-        in_gens[s.images] = descend(big)
     layout = CoinvariantLayout(space, proj, sect, x, y)
-    return BimoduleComponent(x.out_key, y.in_key, quotient, out_gens, in_gens, layout)
+    return BimoduleComponent.acting(x.out_key, y.in_key, quotient, act, layout)
 
 
 def box_v(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
@@ -543,7 +558,9 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
         placements(palette, in_keys, merged_in),
         TensorSpace([f.carrier for f in factors]),
     )
-    carrier = direct_sum(*[layout.tensor.complex] * len(layout.index))
+    # copy-major: Q^copies (x) tensor is the direct sum of the copies
+    copies = ChainComplex({0: len(layout.outs) * len(layout.ins)})
+    carrier = TensorSpace([copies, layout.tensor.complex]).complex
 
     factor_spaces = [TensorSpace([f.carrier]) for f in factors]
     identity = ChainMap.identity(layout.tensor.complex)
@@ -553,13 +570,14 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
         every twist is the identity, the one identity of this call."""
         if all(t.is_identity() for t in twists):
             return identity
-        maps = [f.rho_out(t) if side == "out" else f.rho_in(t) for f, t in zip(factors, twists)]
         return assemble_tensor_map(
-            layout.tensor, layout.tensor, [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
+            layout.tensor,
+            layout.tensor,
+            [(fs, fs, f._action(side, t)) for fs, f, t in zip(factor_spaces, factors, twists)],
         )
 
     def copy_offsets(out_place, in_place):
-        return layout.copy_offsets(layout.index[(out_place, in_place)])
+        return layout.copy_offsets(layout.copy_number(out_place, in_place))
 
     def action_blocks(side, sigma):
         """(decoration, target offsets, source offsets) per copy.  A placement
@@ -582,15 +600,10 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
                 for ao in layout.outs:
                     yield dec, copy_offsets(ao, new_a), copy_offsets(ao, ai)
 
-    out_gens = {
-        s.images: place_blocks(carrier, carrier, action_blocks("out", s))
-        for s in stabilizer_generators(merged_out)
-    }
-    in_gens = {
-        s.images: place_blocks(carrier, carrier, action_blocks("in", s))
-        for s in stabilizer_generators(merged_in)
-    }
-    return BimoduleComponent(merged_out, merged_in, carrier, out_gens, in_gens, layout)
+    def act(side, sigma):
+        return place_blocks(carrier, carrier, action_blocks(side, sigma))
+
+    return BimoduleComponent.acting(merged_out, merged_in, carrier, act, layout)
 
 
 def box_dot(palette, x: BimoduleComponent, y: BimoduleComponent) -> BimoduleComponent:
@@ -605,8 +618,6 @@ def box_h(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
     for (kd1, kc1), px in sorted(p.components.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         for (kd2, kc2), qy in sorted(q.components.items(), key=lambda kv: (kv[0][0], kv[0][1])):
             comp = box_dot_many(p.palette, [px, qy])
-            if comp.carrier.is_zero():
-                continue
             key = (comp.out_key, comp.in_key)
             buckets.setdefault(key, []).append(SumPiece(((kd1, kc1), (kd2, kc2)), comp))
     components = {key: sum_components(pieces) for key, pieces in buckets.items()}
@@ -619,12 +630,7 @@ def box_h(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
 
 def _profiles_with_image(source_palette, alpha, target_profile):
     """All source profiles mapping entrywise onto the given target profile."""
-    choices = []
-    for color in target_profile.entries:
-        pre = [c for c in source_palette.colors if alpha[c] == color]
-        if not pre:
-            return []
-        choices.append(pre)
+    choices = [[c for c in source_palette.colors if alpha[c] == color] for color in target_profile.entries]
     return [Profile(source_palette, combo) for combo in itertools.product(*choices)]
 
 
@@ -655,18 +661,12 @@ def change_colors(alpha, direction, module: ColoredBimodule, source_palette=None
     if direction == "induce":
         if target_palette is None:
             raise BimoduleError("induce needs the target palette")
-        out = {}
-        buckets = {}
-        for (kd, kc), comp in module.components.items():
+        images = set()
+        for kd, kc in module.components:
             image_out = Profile(target_palette, [alpha[c] for c in kd.rep.entries])
             image_in = Profile(target_palette, [alpha[c] for c in kc.rep.entries])
-            kd2, _ = canonicalize_profile(image_out)
-            kc2, _ = canonicalize_profile(image_in)
-            buckets.setdefault((kd2, kc2), None)
-        for (kd2, kc2) in sorted(buckets, key=lambda kk: (kk[0], kk[1])):
-            comp = _induced_component(alpha, module, kd2, kc2)
-            if comp is not None:
-                out[(kd2, kc2)] = comp
+            images.add((canonicalize_profile(image_out)[0], canonicalize_profile(image_in)[0]))
+        out = {key: _induced_component(alpha, module, *key) for key in sorted(images)}
         return ColoredBimodule(target_palette, out)
     raise BimoduleError("direction must be 'restrict' or 'induce'")
 
@@ -677,13 +677,13 @@ def _restricted_component(alpha, module, kd, kc):
     carrier, structure = component_at(module, image_out, image_in)
     if carrier.is_zero():
         return None
-    out_gens = {}
-    for s in stabilizer_generators(kd):
-        out_gens[s.images] = structure(s, Permutation.identity(kc.length))
-    in_gens = {}
-    for s in stabilizer_generators(kc):
-        in_gens[s.images] = structure(Permutation.identity(kd.length), s)
-    return BimoduleComponent(kd, kc, carrier, out_gens, in_gens)
+
+    def act(side, s):
+        if side == "out":
+            return structure(s, Permutation.identity(kc.length))
+        return structure(Permutation.identity(kd.length), s)
+
+    return BimoduleComponent.acting(kd, kc, carrier, act)
 
 
 def _induced_component(alpha, module, kd2, kc2):
@@ -698,8 +698,6 @@ def _induced_component(alpha, module, kd2, kc2):
             comp = module.component(kd, kc)
             if comp is not None:
                 summands.append((d_prof, c_prof, comp))
-    if not summands:
-        return None
     carrier = direct_sum(*(comp.carrier for _, _, comp in summands))
     offsets = sum_offsets(comp.carrier for _, _, comp in summands)
     index_of = {(d.entries, c.entries): i for i, (d, c, _) in enumerate(summands)}
@@ -718,15 +716,10 @@ def _induced_component(alpha, module, kd2, kc2):
             j = index_of[(new_d.entries, new_c.entries)]
             yield m, offsets[j], offsets[i]
 
-    out_gens = {
-        s.images: place_blocks(carrier, carrier, act_blocks("out", s))
-        for s in stabilizer_generators(kd2)
-    }
-    in_gens = {
-        s.images: place_blocks(carrier, carrier, act_blocks("in", s))
-        for s in stabilizer_generators(kc2)
-    }
-    return BimoduleComponent(kd2, kc2, carrier, out_gens, in_gens)
+    def act(side, s):
+        return place_blocks(carrier, carrier, act_blocks(side, s))
+
+    return BimoduleComponent.acting(kd2, kc2, carrier, act)
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +867,7 @@ def _shifted(offsets, extra):
 def _copy_projection(carrier: ChainComplex, layout: InducedLayout, piece_offsets, pair) -> ChainMap:
     """carrier -> layout.tensor: the coordinates of the copy of the placement
     pair, in the induced piece that starts at piece_offsets."""
-    cols = _shifted(piece_offsets, layout.copy_offsets(layout.index[pair]))
+    cols = _shifted(piece_offsets, layout.copy_offsets(layout.copy_number(*pair)))
     tensor = layout.tensor.complex
     return place_blocks(carrier, tensor, [(ChainMap.identity(tensor), {}, cols)])
 
@@ -926,7 +919,7 @@ def _boxh_vertical_terms(p_data, q_data, space, upper, lower, target):
                     (us, ue.tensor, _copy_projection(upper.carrier, ue, u_off, (ao, mid))),
                     (ls, le.tensor, _copy_projection(lower.carrier, le, l_off, (mid, ai))),
                 ]
-                rows = _shifted(tgt.offsets[t], te.copy_offsets(te.index[(ao, ai)]))
+                rows = _shifted(tgt.offsets[t], te.copy_offsets(te.copy_number(ao, ai)))
                 yield core.compose(assemble_tensor_map(space, four, halves)), rows, {}
 
 

@@ -374,11 +374,6 @@ class EndoHomComponent(BimoduleComponent):
 
     __slots__ = ("bases", "index")
 
-    def __init__(self, out_key, in_key, carrier, in_gens, bases, index):
-        super().__init__(out_key, in_key, carrier, {}, in_gens)
-        self.bases = bases
-        self.index = index
-
 
 class EndoPropData:
     """Endomorphism PROP over a colored family, exposed for the operad functor.
@@ -408,12 +403,14 @@ class EndoPropData:
         if hom.is_zero():
             return None
         index = {k: {t: i for i, t in enumerate(basis)} for k, basis in bases.items()}
-        in_gens = {}
-        for s in stabilizer_generators(in_key):
-            # the unit at (j, r, c) composed with the shuffle by s is +-(j, r, c'),
-            # with c' the source column that s moves onto c: the inverse shuffle
-            # sends c to +-c', the one entry of its column c
-            shuffle = self.family.shuffle(in_key.rep, s.inverse())
+        family = self.family  # the rule holds the family, not this table of its own components
+
+        def act(side, s):
+            # the in side: one output leaves no out generator.  The unit at
+            # (j, r, c) composed with the shuffle by s is +-(j, r, c'), with c'
+            # the source column that s moves onto c: the inverse shuffle sends
+            # c to +-c', the one entry of its column c
+            shuffle = family.shuffle(in_key.rep, s.inverse())
             moved = {j: linalg.columns(rows, len(rows)) for j, rows in shuffle.rows.items()}
             mats = {}
             for k, basis in bases.items():
@@ -421,8 +418,11 @@ class EndoPropData:
                 for i, (j, r, c) in enumerate(basis):
                     ((target, sign),) = moved[j][c]
                     rows[index[k][(j, r, target)]] = {i: sign}
-            in_gens[s.images] = ChainMap(hom, hom, mats, check=False)
-        return EndoHomComponent(color_key(self.palette, d), in_key, hom, in_gens, bases, index)
+            return ChainMap(hom, hom, mats, check=False)
+
+        comp = EndoHomComponent.acting(color_key(self.palette, d), in_key, hom, act)
+        comp.bases, comp.index = bases, index
+        return comp
 
     def rho(self, d, in_key, b_keys):
         """The operad structure map on basis elements, as one exact matrix.
@@ -879,21 +879,23 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
     """
     palette = Palette([color])
     components = {}
-    basis_cache = {}
+    regular = {}  # arity -> (basis elements, their positions, carrier)
+
+    def act(side, s):
+        # the in side of arity s.n (one output leaves no out generator):
+        # s sends the basis element g to s^-1 g
+        elems, index, carrier = regular[s.n]
+        rows = [None] * len(elems)
+        for i, g in enumerate(elems):
+            rows[index[(s.inverse() * g).images]] = {i: linalg.ONE}
+        return ChainMap(carrier, carrier, {0: rows}, check=False)
+
     for n in range(1, max_arity + 1):
         k = profile_key(palette, [color] * n)
         elems = stabilizer_elements(k)
-        basis_cache[n] = {g.images: i for i, g in enumerate(elems)}
         carrier = ChainComplex({0: len(elems)})
-        in_gens = {}
-        for s in stabilizer_generators(k):
-            rows = [None] * len(elems)
-            for i, g in enumerate(elems):
-                rows[basis_cache[n][(s.inverse() * g).images]] = {i: linalg.ONE}
-            in_gens[s.images] = ChainMap(carrier, carrier, {0: rows}, check=False)
-        components[(color, k)] = BimoduleComponent(
-            color_key(palette, color), k, carrier, {}, in_gens
-        )
+        regular[n] = (elems, {g.images: i for i, g in enumerate(elems)}, carrier)
+        components[(color, k)] = BimoduleComponent.acting(color_key(palette, color), k, carrier, act)
     operad = ColoredOperad(palette, max_arity, components, {})
     for n in range(1, max_arity + 1):
         in_key = profile_key(palette, [color] * n)
@@ -905,7 +907,7 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
             b_keys = tuple(profile_key(palette, [color] * s) for s in sizes)
             merged = profile_key(palette, [color] * total)
             elems_out = stabilizer_elements(merged)
-            index_out = basis_cache[total]
+            index_out = regular[total][1]
             src = TensorSpace(
                 [components[(color, in_key)].carrier]
                 + [components[(color, k)].carrier for k in b_keys]

@@ -74,6 +74,12 @@ COMMANDS = [
     ("check-zero-space-map", ["check", "zero_space_map.json"]),
     ("homology-repeated-key", ["homology", "dims_repeated_key.json"]),
     ("check-operad-repeated-key", ["check", "ass_repeated_key.json"]),
+    ("check-bimodule-unsorted-profile", ["check", "bimodule_unsorted.json"]),
+    ("check-operad-unsorted-inputs", ["check", "op_unsorted.json"]),
+    ("check-operad-missing-input", ["check", "op_missing_input.json"]),
+    ("check-operad-missing-target", ["check", "ass_missing_target.json"]),
+    ("check-presentation-bad-relation", ["check", "pres_bad_relation.json"]),
+    ("workspace-unknown-name", ["--workspace", "subdir", "homology", "nothere"]),
     ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
     ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
     ("normalize-parse-error", ["normalize", "sig.json", "mu2 o $"]),
@@ -104,10 +110,12 @@ COMMANDS = [
     ("classify-chain-map", ["classify", "frac_map.json"]),
     ("classify-family-map", ["classify", "proj.json"]),
     ("classify-wrong-kind", ["classify", "q.json"]),
+    ("classify-family-map-stray-color", ["classify", "proj_stray_color.json"]),
     ("path-object", ["path-object", "frac.json"]),
     ("path-object-high-degree", ["path-object", "high_degree.json"]),
     ("algebra-check-pass", ["algebra-check", "st.json"]),
     ("algebra-check-fail", ["algebra-check", "bad_st.json"]),
+    ("algebra-check-relation-failure", ["algebra-check", "st_relation.json"]),
     ("algebra-check-wrong-kind", ["algebra-check", "q.json"]),
     ("morphism-check-pass", ["morphism-check", "proj.json", "stx.json", "st.json"]),
     ("morphism-check-fail", ["morphism-check", "proj.json", "stx.json", "st_scaled.json"]),
@@ -121,11 +129,13 @@ COMMANDS = [
     ("factor-wrong-kind", ["factor", "ident.json", "st.json", "st.json", "ident.json", "ident.json", "q.json"]),
     ("operad-to-prop", ["operad-to-prop", "ass.json", "3"]),
     ("operad-to-prop-5", ["operad-to-prop", "ass.json", "5"]),
+    ("operad-to-prop-6", ["operad-to-prop", "ass.json", "6"]),
     ("round-trip", ["round-trip", "ass.json", "fam_sq.json", "alg.json"]),
     ("round-trip-not-an-algebra", ["round-trip", "ass.json", "fam_sq.json", "alg_scaled.json"]),
     ("round-trip-malformed-algebra", ["round-trip", "ass.json", "fam_sq.json", "truncated.json"]),
     ("round-trip-missing-algebra", ["round-trip", "ass.json", "fam_sq.json", "missing.json"]),
     ("round-trip-duplicate-value", ["round-trip", "ass.json", "fam_sq.json", "alg_duplicate_value.json"]),
+    ("round-trip-other-family", ["round-trip", "ass.json", "fam.json", "alg.json"]),
 ]
 
 
@@ -150,6 +160,12 @@ def write_inputs():
     scaled = ground_field_structure(pres)
     scaled.assignment["mu2"] = scaled.assignment["mu2"].scale(F(-3, 2))
     objects["st_scaled"] = scaled
+    # a relation, iota o iota = iota, that fails once iota is 2
+    sig = pres.signature
+    relation = PropPresentation(sig, pres.differential, [(parse("iota o iota", sig), parse("iota", sig))])
+    st_relation = ground_field_structure(relation)
+    st_relation.assignment["iota"] = st_relation.assignment["iota"].scale(2)
+    objects["st_relation"] = st_relation
     _, bad_st = invalid_structure_on_field_plus_disc()
     objects["bad_st"] = bad_st
     objects["ident_x"] = FamilyMap.identity(bad_st.family)
@@ -243,6 +259,37 @@ def write_inputs():
         ],
     }
     _write("bad_bimodule.json", dumps(bad_bimodule))
+    # profiles that are not sorted representatives: a bimodule out-profile
+    # and operad inputs, each (b, a) over the palette (a, b)
+    unsorted = copy.deepcopy(bad_bimodule)
+    unsorted["palette"]["colors"] = ["a", "b"]
+    unsorted["components"][0].update({"out": ["b", "a"], "out_actions": []})
+    _write("bimodule_unsorted.json", dumps(unsorted))
+    _write("op_unsorted.json", dumps({
+        "kind": "operad",
+        "palette": {"kind": "palette", "colors": ["a", "b"]},
+        "max_arity": 2,
+        "components": [{"out_color": "a", "in": ["b", "a"], "carrier": unsorted["components"][0]["carrier"], "in_actions": []}],
+        "gamma": [],
+    }))
+    # gamma entries whose input component, and whose target component, is
+    # missing: op without its arity-2 component, and ass without its arity-3
+    # component and the one gamma entry with an arity-3 input
+    missing = _plain(to_json(objects["op"]))
+    missing["components"] = [c for c in missing["components"] if len(c["in"]) != 2]
+    _write("op_missing_input.json", dumps(missing))
+    missing = _plain(to_json(ass))
+    missing["components"] = [c for c in missing["components"] if len(c["in"]) != 3]
+    missing["gamma"] = [g for g in missing["gamma"] if ["x", "x", "x"] not in g["blocks"]]
+    _write("ass_missing_target.json", dumps(missing))
+    # a relation that is not a pair of expression strings
+    bad_relation = _plain(to_json(pres))
+    bad_relation["relations"] = [["mu2", 3]]
+    _write("pres_bad_relation.json", dumps(bad_relation))
+    # a family map at a color outside both palettes
+    stray = _plain(to_json(proj))
+    stray["maps"]["zz"] = stray["maps"]["c"]
+    _write("proj_stray_color.json", dumps(stray))
     bad_op = to_json(objects["op"])
     bad_op["gamma"][0]["mats"]["0"] = [["2/1"]]
     _write("bad_op.json", dumps(bad_op))

@@ -1160,7 +1160,8 @@ def reference_box_dot_gens(palette, factors):
         placements(palette, in_keys, merged_in),
         TensorSpace([f.carrier for f in factors]),
     )
-    carrier = direct_sum(*[layout.tensor.complex] * len(layout.index))
+    n_ins = len(layout.ins)
+    carrier = direct_sum(*[layout.tensor.complex] * (len(layout.outs) * n_ins))
     factor_spaces = [TensorSpace([f.carrier]) for f in factors]
 
     def decorated(maps):
@@ -1174,16 +1175,17 @@ def reference_box_dot_gens(palette, factors):
             if side == "out"
             else [sigma.inverse()(i + 1) - 1 for i in range(sigma.n)]
         )
-        for (ao, ai), src in layout.index.items():
+        # the pair (outs[a], ins[b]) is copy a * n_ins + b, placements found by search
+        for src, (ao, ai) in enumerate(itertools.product(layout.outs, layout.ins)):
             if side == "out":
                 new_a = _moved_placement(ao, perm_positions)
                 tw = _twists(ao, new_a, perm_positions, len(factors))
-                tgt = layout.index[(new_a, ai)]
+                tgt = layout.outs.index(new_a) * n_ins + layout.ins.index(ai)
                 dec = decorated([reference_rho_out(f, t) for f, t in zip(factors, tw)])
             else:
                 new_a = _moved_placement(ai, perm_positions)
                 tw = _twists(ai, new_a, perm_positions, len(factors))
-                tgt = layout.index[(ao, new_a)]
+                tgt = layout.outs.index(ao) * n_ins + layout.ins.index(new_a)
                 dec = decorated([reference_rho_in(f, t.inverse()) for f, t in zip(factors, tw)])
             yield dec, layout.copy_offsets(tgt), layout.copy_offsets(src)
 
@@ -1458,8 +1460,10 @@ from propcalc.bimodules import HPropData, VPropData, box_h, box_v  # noqa: E402
 
 def _induced_flat(layout, n, out_place, in_place):
     """Degree-n carrier index of the first basis vector of the copy of the
-    placement pair in an InducedLayout."""
-    return layout.index[(out_place, in_place)] * layout.tensor.complex.dim(n)
+    placement pair in an InducedLayout: the pair (outs[a], ins[b]) is copy
+    a * len(ins) + b."""
+    copy = layout.outs.index(out_place) * len(layout.ins) + layout.ins.index(in_place)
+    return copy * layout.tensor.complex.dim(n)
 
 
 def reference_induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):

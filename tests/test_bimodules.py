@@ -364,7 +364,9 @@ def test_box_dot_generators_match_per_pair_reference():
 def test_box_dot_shares_one_identity_decoration(monkeypatch):
     """A moved placement whose twists are all the identity is decorated with
     the call's one identity, and only the others are assembled; both kinds
-    agree with the per-pair reference, which assembles every decoration."""
+    agree with the per-pair reference, which assembles every decoration.
+    Construction builds no action: the work is counted once both sides are
+    read."""
     import propcalc.bimodules as bimodules
 
     assembled, twist_lists = [], []
@@ -392,12 +394,13 @@ def test_box_dot_shares_one_identity_decoration(monkeypatch):
             ]
             del assembled[:], twist_lists[:]
             comp = box_dot_many(PAL, factors)
+            assert not assembled and not twist_lists
+            actions = (comp.out_gens, comp.in_gens)
             identities = sum(all(t.is_identity() for t in tw) for tw in twist_lists)
             assert len(assembled) == len(twist_lists) - identities
             shared += identities
             built += len(assembled)
-            out_gens, in_gens = reference_box_dot_gens(PAL, factors)
-            for ours, theirs in ((comp.out_gens, out_gens), (comp.in_gens, in_gens)):
+            for ours, theirs in zip(actions, reference_box_dot_gens(PAL, factors)):
                 assert set(ours) == set(theirs)
                 for images, m in theirs.items():
                     assert dense_mats(ours[images]) == dense_mats(m)
@@ -746,7 +749,7 @@ def flatten_nested(palette, nested, parts):
                         comp_ao = _compose_placement_right(ao, iao)
                         comp_ai = _compose_placement_right(ai, iai)
                     fm = flat.layout
-                    fs_idx = fm.index[(comp_ao, comp_ai)]
+                    fs_idx = fm.copy_number(comp_ao, comp_ai)
                     ftensor = fm.tensor
                     if outer_first:
                         fcomp = icomp + (other_deg,)

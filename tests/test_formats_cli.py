@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -336,6 +338,31 @@ def test_cli_operad_to_prop_and_round_trip(tmp_path):
     code, out = run_cli(["round-trip", op_p, fam_p, str(alg_p)])
     assert code == 0
     assert "round trip exact" in out
+
+
+@pytest.mark.parametrize("truncation", [3, 5, 7])
+def test_cli_operad_to_prop_dims_match_a_count_of_block_tuples(truncation):
+    """operad-to-prop on the associative operad of max arity 3 against a count
+    made here: component (m outputs, n inputs) has one summand per ordered
+    tuple of m block sizes in {1, 2, 3} summing to n, each of dimension
+    m! n! in degree 0 (m! out placements, n! / prod k_i! in placements, and
+    Q[Sigma_k_i] of dimension k_i! per block)."""
+    want = {}
+    for m in range(1, truncation + 1):
+        for sizes in itertools.product((1, 2, 3), repeat=m):
+            if sum(sizes) <= truncation:
+                want.setdefault((m, sum(sizes)), []).append(sizes)
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    code, out = run_cli(["--report", "json", "--workspace", inputs, "operad-to-prop", "ass.json", str(truncation)])
+    assert code == 0
+    got = {(len(c["out"]), len(c["in"])): c for c in json.loads(out)["components"]}
+    assert set(got) == set(want)
+    for (m, n), tuples in want.items():
+        dim = math.factorial(m) * math.factorial(n)
+        assert got[(m, n)]["dims"] == {"0": dim * len(tuples)}
+        summands = got[(m, n)]["summands"]
+        assert sorted(tuple(len(block) for block in s["blocks"]) for s in summands) == sorted(tuples)
+        assert all(s["dims"] == {"0": dim} for s in summands)
 
 
 def test_cli_normalize_deterministic(tmp_path):

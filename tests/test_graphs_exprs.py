@@ -780,6 +780,39 @@ def test_d_squared_violation_detected():
     assert any("d^2(h)" in f for f in failures)
 
 
+def leibniz_presentation(second_sign):
+    """p, q: (c, c) <- (c, c) cycles of degree 0; a, b of degree 1 with
+    da = p and db = q; c of degree 2 with
+        dc = ([2 1] . p) o (b . [2 1]) + second_sign ([2 1] . a) o (q . [2 1]),
+    and k of degree 3 with dk = ([2 1] . a) o (b . [2 1]) - c.  By the Leibniz
+    rule d(dk) = d(([2 1] . a) o (b . [2 1])) - dc is zero exactly when
+    second_sign is (-1)^|a| = -1, the sign of the right operand's term; both
+    operands of dk's first term carry a permutation action."""
+    c2 = Profile(PAL1, ("c", "c"))
+    sig = Signature(
+        PAL1,
+        [Generator(name, c2, c2, degree) for name, degree in (("p", 0), ("q", 0), ("a", 1), ("b", 1), ("c", 2), ("k", 3))],
+    )
+    differential = {
+        "a": [(1, parse("p", sig))],
+        "b": [(1, parse("q", sig))],
+        "c": [(1, parse("([2 1] . p) o (b . [2 1])", sig)), (second_sign, parse("([2 1] . a) o (q . [2 1])", sig))],
+        "k": [(1, parse("([2 1] . a) o (b . [2 1])", sig)), (-1, parse("c", sig))],
+    }
+    return PropPresentation(sig, differential)
+
+
+def test_leibniz_rule_signs_the_right_operand_through_actions():
+    valid = leibniz_presentation(-1)
+    assert validate_presentation(valid) == []
+    assert any("d^2(k)" in f for f in validate_presentation(leibniz_presentation(1)))
+    sig = valid.signature
+    terms = differentiate_expression(parse("([2 1] . a) o (b . [2 1])", sig), valid)
+    assert [c for c, _ in terms] == [1, -1]
+    want = [parse("([2 1] . p) o (b . [2 1])", sig), parse("([2 1] . a) o (q . [2 1])", sig)]
+    assert all(graphs_equal(t, w) for (_, t), w in zip(terms, want))
+
+
 def test_degree_shape_violation_detected():
     sig = ainf_sig()
     bad = PropPresentation(sig, {"mu2": [(1, parse("mu2 o (mu2 * iota)", sig))]})

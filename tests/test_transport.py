@@ -131,10 +131,10 @@ def test_induced_vertical_zero_on_middle_mismatch():
     m = dense_mat(rdata.compose_map(k2, k2, k2), 0)
     # build the explicit mismatch: upper in-placement (0,1), lower out-placement (1,0)
     meta = comp.layout.pieces[0].component.layout
-    outs, ins, index = meta.outs, meta.ins, meta.index
-    u = index[(outs[0], ins[0])]
+    outs, ins = meta.outs, meta.ins
+    u = meta.copy_number(outs[0], ins[0])
     mismatching = [a for a in outs if a != ins[0]][0]
-    v = index[(mismatching, ins[0])]
+    v = meta.copy_number(mismatching, ins[0])
     space = TensorSpace([comp.carrier, comp.carrier])
     col = space.flat_index((0, 0), (u, v))
     assert all(m[i][col] == 0 for i in range(len(m)))
