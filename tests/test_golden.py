@@ -67,6 +67,7 @@ from propcalc.formats import (
     operad_algebra_to_json,
     to_json,
 )
+from propcalc.operads import associative_operad, trivial_operad
 
 with open(CASES, encoding="utf-8") as _handle:
     GOLDEN = json.load(_handle)
@@ -143,3 +144,11 @@ def test_load_then_dump_is_byte_identical(name):
         assert dumps(operad_algebra_to_json(operad_algebra_from_json(data, operad))) == text
     elif name not in NOT_LOADABLE:
         assert dumps(to_json(load_json(data))) == text
+
+
+@pytest.mark.parametrize("name, build", [("op.json", lambda: trivial_operad(2)), ("ass.json", lambda: associative_operad(3))])
+def test_standard_operads_dump_to_their_golden_inputs(name, build):
+    # op.json and ass.json were written as dumps of these constructors, so
+    # the files pin the constructors' components, actions and gamma
+    with open(os.path.join(INPUTS, name), encoding="utf-8") as handle:
+        assert dumps(to_json(build())) == handle.read()
