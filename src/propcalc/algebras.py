@@ -11,7 +11,7 @@ differential is what makes the right-hand sides available when needed.
 
 from __future__ import annotations
 
-from propcalc.chains import Unsolvable, solve_constrained_lift
+from propcalc.chains import LiftProblem, Unsolvable
 from propcalc.endo import (
     ColoredFamily,
     EndoElement,
@@ -205,27 +205,26 @@ def _lift(presentation: PropPresentation, family: ColoredFamily, into=(), out_of
             EndoElement.zero(family, gen.out_profile, gen.in_profile, k - 1),
         ).chain
         sign = -ONE if k % 2 else ONE
-        equations = []
+        prob = LiftProblem(src, tgt, k)
         for j in src.degrees():
             terms = []
             if tgt.dim(j + k):
                 terms.append((ONE, tgt.d(j + k), j, None))
             if src.dim(j - 1):
                 terms.append((-sign, None, j - 1, src.d(j)))
-            equations.append((terms, rhs_d.block(j), src.dim(j)))
+            prob.add_equation(terms, rhs_d.block(j), src.dim(j))
         for f, structure in into:
             f_in = f.profile_map(gen.in_profile)
             rhs = f.profile_map(gen.out_profile).compose(structure.assignment[name].chain)
             for j in f_in.source.degrees():
-                terms = [(ONE, None, j, f_in.block(j))]
-                equations.append((terms, rhs.block(j), f_in.source.dim(j)))
+                prob.add_equation([(ONE, None, j, f_in.block(j))], rhs.block(j), f_in.source.dim(j))
         for f, structure in out_of:
             f_out = f.profile_map(gen.out_profile)
             rhs = structure.assignment[name].chain.compose(f.profile_map(gen.in_profile))
             for j in src.degrees():
-                equations.append(([(ONE, f_out.block(j + k), j, None)], rhs.block(j), src.dim(j)))
+                prob.add_equation([(ONE, f_out.block(j + k), j, None)], rhs.block(j), src.dim(j))
         try:
-            chain = solve_constrained_lift(src, tgt, k, equations)
+            chain = prob.solve()
         except Unsolvable as exc:
             raise TransferError(
                 name,

@@ -117,11 +117,6 @@ class BimoduleComponent:
         comp._act, comp._gens = act, {}
         return comp
 
-    @classmethod
-    def trivial(cls, out_key, in_key, carrier) -> "BimoduleComponent":
-        ident = ChainMap.identity(carrier)
-        return cls.acting(out_key, in_key, carrier, lambda side, s: ident)
-
     def _key(self, side) -> OrbitKey:
         return self.out_key if side == "out" else self.in_key
 
@@ -490,9 +485,7 @@ def placements(palette, factor_keys, merged: OrbitKey):
     for c in colors:
         positions = per_color_positions[c]
         counts = [sum(1 for e in k.rep.entries if e == c) for k in factor_keys]
-        arrangements = sorted(set(itertools.permutations(
-            [i for i, cnt in enumerate(counts) for _ in range(cnt)]
-        )))
+        arrangements = _arrangements([i for i, cnt in enumerate(counts) for _ in range(cnt)])
         per_color_choices.append((positions, arrangements))
     out = []
     for combo in itertools.product(*(arr for _, arr in per_color_choices)):
@@ -503,6 +496,26 @@ def placements(palette, factor_keys, merged: OrbitKey):
         out.append(tuple(assignment))
     out.sort()
     return out
+
+
+def _arrangements(letters):
+    """The distinct orderings of a sorted list, in lexicographic order: each
+    is the next permutation of the one before, so repeated letters are never
+    ordered twice."""
+    word = list(letters)
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+        out.append(tuple(word))
 
 
 def _placement_blocks(assignment, n_factors):

@@ -811,6 +811,8 @@ class LiftProblem:
             self.equations.append((terms, rhs, len(rhs), cols))
 
     def solve(self) -> ChainMap:
+        """The map phi, with its free variables set to 0 for determinism;
+        raises Unsolvable with an inconsistency certificate when none exists."""
         blocks = self.var_blocks()
         offsets = {}
         nvars = 0
@@ -867,19 +869,6 @@ class LiftProblem:
                 for p in range(r)
             ]
         return ChainMap(self.source, self.target, mats, self.degree, check=False)
-
-
-def solve_constrained_lift(source, target, degree, equations) -> ChainMap:
-    """Solve for an unknown degree-`degree` map subject to affine constraints.
-
-    equations: list of (terms, rhs, cols) as in LiftProblem.add_equation.
-    Raises Unsolvable with an inconsistency certificate when no solution
-    exists; free variables are set to 0 for determinism.
-    """
-    prob = LiftProblem(source, target, degree)
-    for terms, rhs, cols in equations:
-        prob.add_equation(terms, rhs, cols)
-    return prob.solve()
 
 
 def equivariant_average(f: ChainMap, group_action_pairs) -> ChainMap:

@@ -17,6 +17,7 @@ from propcalc import linalg
 from propcalc.bimodules import (
     BimoduleComponent,
     SumPiece,
+    _placement_blocks,
     box_dot_many,
     merge_keys as merge_in_keys,
     sum_components,
@@ -79,6 +80,10 @@ class ColoredOperad:
         self._spaces = {}  # shared_space's table
         self._plans = {}
         self._aligned = {}
+        # emptied when validate() and OperadAlgebra.check() end: the units
+        # refer back to the operad, and kept they would leave it a reference
+        # cycle that only the cyclic collector frees
+        self._first_units = {}
 
     def component(self, d, in_key):
         return self.components.get((d, in_key))
@@ -141,42 +146,49 @@ class ColoredOperad:
             for i in range(comp.carrier.dim(k))
         ]
 
+    def first_unit(self, d, in_key):
+        """The first basis vector of the lowest degree at (d, in_key), None
+        without a component; memoized until the check that asks ends."""
+        key = (d, in_key)
+        if key not in self._first_units:
+            comp = self.component(d, in_key)
+            self._first_units[key] = None if comp is None else self.unit(d, in_key, comp.carrier.degrees()[0], 0)
+        return self._first_units[key]
+
+    def first_units(self, in_key, b_keys):
+        """The first units at the inputs b_keys aligned to in_key's
+        representative, None if one of them has no component."""
+        units = [self.first_unit(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
+        return None if None in units else units
+
     def validate(self):
         """Equivariance and associativity of gamma, on first basis elements.
 
-        Not exhaustive: every input is the first basis vector of its
-        component's lowest degree (_first_unit).  Equivariance is checked at
-        every stored gamma key, for every basis element p of the outer
-        component and every non-identity tau of its stabilizer, with those
-        first units as the inputs q.  Associativity is checked at every
-        component, every aligned tuple of inputs and every aligned tuple of
-        their inputs within the truncation, with p, every q and every r the
-        first units; instances that leave the truncation are skipped.  gamma
-        is multilinear, so a defect that spares the first units goes unseen.
+        Not exhaustive: every input is its component's first unit
+        (first_unit).  Equivariance is checked at every stored gamma key, for
+        every basis element p of the outer component and every non-identity
+        tau of its stabilizer, with first units as the inputs q.
+        Associativity is checked at every component, every aligned tuple of
+        inputs and every aligned tuple of their inputs within the truncation,
+        with p, every q and every r first units; instances that leave the
+        truncation are skipped.  gamma is multilinear, so a defect that
+        spares the first units goes unseen.
         """
-        units = {}
-        return self._validate_equivariance(units) + self._validate_associativity(units)
+        failures = self._validate_equivariance() + self._validate_associativity()
+        self._first_units.clear()
+        return failures
 
-    def _validate_equivariance(self, units):
+    def _validate_equivariance(self):
         """gamma(p tau; q_{tau(1)}..) = gamma(p; q).(block permutation of tau),
         with the block permutation conjugated through the normal-form transports."""
         failures = []
         for (d, in_key, b_keys) in sorted(self.gamma, key=repr):
-            q_els = [_first_unit(self, units, c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
-            if None in q_els:
+            q_els = self.first_units(in_key, b_keys)
+            if q_els is None:
                 continue
             n = in_key.length
-            sizes = [k.length for k in b_keys]
-            starts = [0] * n
-            acc = 0
-            for j, s in enumerate(sizes):
-                starts[j] = acc
-                acc += s
-            total = acc
-            concat_w = []
-            for bk in b_keys:
-                concat_w.extend(bk.rep.entries)
-            _, t_w = canonicalize_profile(Profile(self.palette, concat_w))
+            t_w = concat_transport(self.palette, b_keys)
+            identities = [Permutation.identity(k.length) for k in b_keys]
             # the basis of p and gamma(p; q) do not depend on tau; built at the
             # first tau that needs them, so a trivial stabilizer builds nothing
             p_pairs = None
@@ -187,24 +199,11 @@ class ColoredOperad:
                     p_pairs = [(p_el, compose_elements(p_el, q_els)) for p_el in self.basis_elements(d, in_key)]
                 # delta: position s of the permuted arrangement (block i holds
                 # the inputs of q_{tau(i)}) to block tau(i) of the standard one
-                images = [0] * total
-                pos = 0
-                for i in range(1, n + 1):
-                    src_block = tau(i)
-                    for l in range(1, sizes[src_block - 1] + 1):
-                        images[pos] = starts[src_block - 1] + l
-                        pos += 1
-                delta = Permutation(images)
-                concat_wp = []
-                for i in range(1, n + 1):
-                    concat_wp.extend(b_keys[tau(i) - 1].rep.entries)
-                _, t_wp = canonicalize_profile(Profile(self.palette, concat_wp))
-                u = t_w.inverse() * delta * t_wp
+                delta = block_substitution(tau, identities)
+                moved = [b_keys[tau(i) - 1] for i in range(1, n + 1)]
+                u = t_w.inverse() * delta * concat_transport(self.palette, moved)
                 for p_el, composite in p_pairs:
-                    lhs = compose_elements(
-                        p_el.act_right(tau),
-                        [q_els[tau(i) - 1] for i in range(1, n + 1)],
-                    )
+                    lhs = compose_elements(p_el.act_right(tau), [q_els[tau(i) - 1] for i in range(1, n + 1)])
                     if lhs != composite.act_right(u):
                         failures.append(
                             "gamma not equivariant at %r"
@@ -213,41 +212,36 @@ class ColoredOperad:
                         break
         return failures
 
-    def _validate_associativity(self, units):
+    def _validate_associativity(self):
         """gamma(gamma(p; q); r) = gamma(p; gamma(q_1; r-block_1), ...) on the
         first units of every aligned instance within the truncation.
 
-        Instances share their factors: `units` and `composites` live for one
-        validate() call; `composites` holds each composition of first units,
-        keyed (color, in_key, input keys).  Both routes are still compared per
-        instance.
+        Instances share their factors: the first units are the operad's
+        (first_unit), and `composites`, which lives for one validate() call,
+        holds each composition of first units, keyed (color, in_key, input
+        keys).  Both routes are still compared per instance.
         """
         composites = {}
 
         def composite(d, in_key, b_keys):
             key = (d, in_key, b_keys)
             if key not in composites:
-                composites[key] = compose_elements(
-                    _first_unit(self, units, d, in_key),
-                    [_first_unit(self, units, c, bk) for c, bk in zip(in_key.rep.entries, b_keys)],
-                )
+                composites[key] = compose_elements(self.first_unit(d, in_key), self.first_units(in_key, b_keys))
             return composites[key]
 
         failures = []
         for (d, in_key) in self.support():
-            p = _first_unit(self, units, d, in_key)
+            p = self.first_unit(d, in_key)
             for b_keys in self._aligned_tuples(in_key):
                 merged = merge_in_keys(self.palette, b_keys)
                 # rep position j of `merged` is concat position t(j), which lies
                 # in the block of input owners[j - 1]
-                concat_entries = [c for bk in b_keys for c in bk.rep.entries]
                 owner = [i for i, bk in enumerate(b_keys) for _ in range(bk.length)]
-                _, t = canonicalize_profile(Profile(self.palette, concat_entries))
+                t = concat_transport(self.palette, b_keys)
                 owners = [owner[t(j) - 1] for j in range(1, merged.length + 1)]
                 for r_choice in self._aligned_tuples(merged):
                     # route 1: (p o q) o r
-                    r_els = [_first_unit(self, units, c, rk) for c, rk in zip(merged.rep.entries, r_choice)]
-                    route1 = compose_elements(composite(d, in_key, b_keys), r_els)
+                    route1 = compose_elements(composite(d, in_key, b_keys), self.first_units(merged, r_choice))
                     # route 2: p o (q_i o r-block_i)
                     blocks = [[] for _ in b_keys]
                     for i, rk in zip(owners, r_choice):
@@ -273,14 +267,19 @@ class ColoredOperad:
         return self._aligned[in_key]
 
 
-def _first_unit(operad, units, d, in_key):
-    """The first basis element at (d, in_key), None without a component;
-    `units` memoizes them for one validate() or check() call."""
-    key = (d, in_key)
-    if key not in units:
-        comp = operad.component(d, in_key)
-        units[key] = None if comp is None else operad.unit(d, in_key, comp.carrier.degrees()[0], 0)
-    return units[key]
+def block_substitution(sigma: Permutation, rhos) -> Permutation:
+    """gamma of the permutation operad: the permutation of the concatenated
+    blocks that reads them in sigma's order, block i ordered within by rhos[i]."""
+    starts = list(itertools.accumulate((rho.n for rho in rhos), initial=0))
+    return Permutation._trusted(
+        starts[b - 1] + rhos[b - 1](l) for b in sigma.images for l in range(1, rhos[b - 1].n + 1)
+    )
+
+
+def concat_transport(palette, keys) -> Permutation:
+    """The transport of the concatenated representatives of the keys onto the
+    sorted representative of their merged orbit."""
+    return canonicalize_profile(Profile(palette, [c for k in keys for c in k.rep.entries]))[1]
 
 
 class OperadElement:
@@ -500,10 +499,6 @@ class EndoPropData:
         return ChainMap(space.complex, target.carrier, mats, check=False)
 
 
-def _element_from_basis(family, out_profile, in_profile, bases, k, flat_idx):
-    return EndoElement.unit(family, out_profile, in_profile, k, *bases[k][flat_idx])
-
-
 def forget_to_operad(prop_data, max_arity: int) -> ColoredOperad:
     """Single-output components of the PROP data with gamma = vertical o (id x horizontal)."""
     palette = prop_data.palette
@@ -533,8 +528,9 @@ class TruncationExceeded(OperadError):
 
 
 class OPropData:
-    """PROP components generated by a colored operad, with the structure map
-    rho induced from gamma through the placement model."""
+    """PROP components generated by a colored operad, through the placement
+    model; its one-output part is the operad again, and rho reads the
+    operad's own gamma."""
 
     def __init__(self, operad: ColoredOperad, max_out: int, max_in: int):
         self.operad = operad
@@ -589,8 +585,9 @@ class OPropData:
         return self._components.get((color_key(self.palette, d), in_key))
 
     def rho(self, d, in_key, b_keys):
-        """Structure map on basis columns, through horizontal + vertical; its
-        source comes from this object's value-keyed table of spaces."""
+        """The operad's gamma rows at (d, in_key, b_keys), as a map from the
+        tensor of this object's one-output carriers, taken from its
+        value-keyed table of spaces; it composes nothing itself."""
         p_bim = self.component(d, in_key)
         q_bims = [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
         if p_bim is None or any(q is None for q in q_bims):
@@ -624,7 +621,9 @@ def prop_from_operad(operad: ColoredOperad, max_out: int, max_in: int) -> OPropD
 
 
 def check_unit_identity(operad: ColoredOperad, max_out=None, max_in=None) -> bool:
-    """U((-)_prop) is the identity: components, actions, and gamma agree."""
+    """U((-)_prop) is the identity on carriers and in-actions: the one-output
+    components of the free PROP have the operad's carriers and actions.  gamma
+    is not compared, as OPropData.rho returns the operad's own gamma."""
     max_in = max_in or operad.max_arity
     opp = prop_from_operad(operad, max_out or 1, max_in)
     back = forget_to_operad(opp, operad.max_arity)
@@ -640,15 +639,6 @@ def check_unit_identity(operad: ColoredOperad, max_out=None, max_in=None) -> boo
         for s in stabilizer_generators(k):
             if ours.rho_in(s) != theirs.rho_in(s):
                 return False
-    keys = set(operad.gamma) | set(back.gamma)
-    for key in keys:
-        d, in_key, b_keys = key
-        if sum(k.length for k in b_keys) > operad.max_arity:
-            continue
-        a = operad.gamma_map(d, in_key, b_keys)
-        b = back.gamma_map(d, in_key, b_keys)
-        if a != b:
-            return False
     return True
 
 
@@ -714,20 +704,18 @@ class OperadAlgebra:
         """gamma-compatibility and equivariance within the truncation."""
         failures = []
         operad = self.operad
-        units = {}
         one = Permutation.identity(1)
         for (d, in_key, b_keys) in sorted(operad.gamma, key=repr):
-            q_els = [_first_unit(operad, units, c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
+            q_els = operad.first_units(in_key, b_keys)
             basis = operad.basis_elements(d, in_key)
-            if None in q_els or not basis:
+            if q_els is None or not basis:
                 continue
             # lambda(p) o (lambda(q_1) (x) ... (x) lambda(q_n)), renormalized by the
             # transport of the concatenated inputs; h and the transport are per key
             h = self.value(q_els[0])
             for q in q_els[1:]:
                 h = endo_horizontal(h, self.value(q))
-            concat = Profile(self.family.palette, [c for q in q_els for c in q.in_key.rep.entries])
-            _, transport = canonicalize_profile(concat)
+            transport = concat_transport(self.family.palette, b_keys)
             for p_el in basis:
                 lhs = self.value(compose_elements(p_el, q_els))
                 rhs = endo_permute(one, transport, endo_vertical(self.value(p_el), h))
@@ -736,6 +724,7 @@ class OperadAlgebra:
                         ("gamma", (d, in_key, tuple(b_keys)), lhs.sub(rhs))
                     )
                     break
+        operad._first_units.clear()
         for (d, in_key) in operad.support():
             for s in stabilizer_generators(in_key):
                 for el in operad.basis_elements(d, in_key):
@@ -772,7 +761,7 @@ def _phi_basis_value(alg, comp, deg, flat):
     in_rep = comp.in_key.rep
     factors = []
     for i, k in enumerate(tup):
-        c = out_rep.entries[_position_of_factor(out_place, i)]
+        c = out_rep.entries[out_place.index(i)]
         factors.append(alg.value(alg.operad.unit(c, k, degs[i], idxs[i])))
     h = None
     for v in factors:
@@ -780,15 +769,9 @@ def _phi_basis_value(alg, comp, deg, flat):
     # h: X_{concat of factor in-reps} -> X_{(d_f1, d_f2, ...)}
     # out shuffle: factor i's single output goes to its placed position
     m = len(tup)
-    out_perm = Permutation([_position_of_factor(out_place, i) + 1 for i in range(m)])
+    out_perm = Permutation([out_place.index(i) + 1 for i in range(m)])
     # in shuffle: concat slot (factor-major) s -> its global position
-    concat_positions = []
-    blocks = [[] for _ in range(m)]
-    for pos, f in enumerate(in_place):
-        blocks[f].append(pos)
-    for i in range(m):
-        concat_positions.extend(blocks[i])
-    in_perm = Permutation([p + 1 for p in concat_positions])
+    in_perm = Permutation([pos + 1 for block in _placement_blocks(in_place, m) for pos in block])
     # element at (out_rep; in_rep): permute h's outputs by out_perm and inputs
     # from X_{in_rep} arranged concat-major: right action by in_perm^{-1}
     moved = endo_permute(out_perm, in_perm.inverse(), h)
@@ -796,14 +779,7 @@ def _phi_basis_value(alg, comp, deg, flat):
     return EndoElement(family, out_rep, in_rep, moved.chain)
 
 
-def _position_of_factor(place, factor):
-    for pos, f in enumerate(place):
-        if f == factor:
-            return pos
-    raise IndexError("factor not placed")
-
-
-def prop_algebra_to_operad_algebra(values, opp: OPropData, family: ColoredFamily) -> dict:
+def prop_algebra_to_operad_algebra(values) -> dict:
     """Psi: restrict to the single-output components."""
     out = {}
     for (out_key, in_key), vals in values.items():
@@ -828,7 +804,7 @@ def algebra_round_trip(operad: ColoredOperad, alg: OperadAlgebra, max_in=None):
     # Psi reads the single-output components only
     opp = prop_from_operad(operad, 1, max_in)
     values = operad_algebra_to_prop_algebra(alg, opp)
-    back = prop_algebra_to_operad_algebra(values, opp, alg.family)
+    back = prop_algebra_to_operad_algebra(values)
     for (d, in_key) in operad.support():
         original = [alg.value(el) for el in operad.basis_elements(d, in_key)]
         if back.get((d, in_key)) != original:
@@ -840,99 +816,60 @@ def algebra_round_trip(operad: ColoredOperad, alg: OperadAlgebra, max_in=None):
 # standard operads
 
 
-def trivial_operad(max_arity=3, color="x") -> ColoredOperad:
-    """O(n) = Q with trivial actions and gamma = multiplication."""
+def _linearized_set_operad(max_arity, color, elements, act, compose) -> ColoredOperad:
+    """Q[S] for a one-colour set operad S: O(n) has the basis elements(key) of
+    arity n in degree 0, s sends the basis element g to act(s, g), and gamma
+    sends g (x) h_1 (x) ... (x) h_n to compose(g, [h_1, ..., h_n])."""
     palette = Palette([color])
+    cells = {}  # arity -> (basis elements, their positions, carrier)
+
+    def action(side, s):
+        # the in side of arity s.n: one output leaves no out generator
+        elems, index, carrier = cells[s.n]
+        rows = [None] * len(elems)
+        for i, g in enumerate(elems):
+            rows[index[act(s, g)]] = {i: linalg.ONE}
+        return ChainMap(carrier, carrier, {0: rows}, check=False)
+
     components = {}
     for n in range(1, max_arity + 1):
         k = profile_key(palette, [color] * n)
-        components[(color, k)] = BimoduleComponent.trivial(
-            color_key(palette, color), k, ChainComplex({0: 1})
-        )
+        elems = elements(k)
+        carrier = ChainComplex({0: len(elems)})
+        cells[n] = (elems, {g: i for i, g in enumerate(elems)}, carrier)
+        components[(color, k)] = BimoduleComponent.acting(color_key(palette, color), k, carrier, action)
     operad = ColoredOperad(palette, max_arity, components, {})
     for (d, in_key) in operad.support():
-        keys = [
-            kk
-            for (dd, kk) in operad.support()
-            if dd == color
-        ]
-        for b_keys in itertools.product(keys, repeat=in_key.length):
-            if sum(k.length for k in b_keys) > max_arity:
-                continue
-            merged = merge_in_keys(palette, b_keys)
-            src = TensorSpace(
-                [components[(color, in_key)].carrier]
-                + [components[(color, k)].carrier for k in b_keys]
-            ).complex
-            operad.gamma[(d, in_key, tuple(b_keys))] = ChainMap(
-                src, components[(color, merged)].carrier, {0: [{0: linalg.ONE}]}, check=False
-            )
+        outer = cells[in_key.length][0]
+        for b_keys in operad._aligned_tuples(in_key):
+            inner = [cells[k.length][0] for k in b_keys]
+            elems, index, target = cells[sum(k.length for k in b_keys)]
+            src = operad.space(d, in_key, b_keys)
+            rows = [{} for _ in elems]
+            for comp_tuple, idxs in src.basis(0):
+                g = compose(outer[idxs[0]], [hs[i] for hs, i in zip(inner, idxs[1:])])
+                rows[index[g]][src.flat_index(comp_tuple, idxs)] = linalg.ONE
+            operad.gamma[(d, in_key, b_keys)] = ChainMap(src.complex, target, {0: rows}, check=False)
     return operad
+
+
+def trivial_operad(max_arity=3, color="x") -> ColoredOperad:
+    """O(n) = Q with trivial actions and gamma = multiplication: the
+    linearized one-point set operad."""
+    return _linearized_set_operad(max_arity, color, lambda k: [()], lambda s, g: g, lambda g, hs: g)
 
 
 def associative_operad(max_arity=3, color="x") -> ColoredOperad:
     """O(n) = Q[Sigma_n]; basis sigma = the operation (b_1..b_n) |-> prod_j b_{sigma(j)}.
 
-    Right action: (mult_sigma . tau) = mult_{tau^-1 sigma}.  Composition
-    substitutes block words: the composite of sigma with (rho_1..rho_n) reads
-    the blocks in sigma's order, each internally ordered by its rho.
+    Right action: (mult_sigma . tau) = mult_{tau^-1 sigma}.  Composition is
+    the permutation operad's block substitution: the composite of sigma with
+    (rho_1..rho_n) reads the blocks in sigma's order, each internally ordered
+    by its rho.
     """
-    palette = Palette([color])
-    components = {}
-    regular = {}  # arity -> (basis elements, their positions, carrier)
-
-    def act(side, s):
-        # the in side of arity s.n (one output leaves no out generator):
-        # s sends the basis element g to s^-1 g
-        elems, index, carrier = regular[s.n]
-        rows = [None] * len(elems)
-        for i, g in enumerate(elems):
-            rows[index[(s.inverse() * g).images]] = {i: linalg.ONE}
-        return ChainMap(carrier, carrier, {0: rows}, check=False)
-
-    for n in range(1, max_arity + 1):
-        k = profile_key(palette, [color] * n)
-        elems = stabilizer_elements(k)
-        carrier = ChainComplex({0: len(elems)})
-        regular[n] = (elems, {g.images: i for i, g in enumerate(elems)}, carrier)
-        components[(color, k)] = BimoduleComponent.acting(color_key(palette, color), k, carrier, act)
-    operad = ColoredOperad(palette, max_arity, components, {})
-    for n in range(1, max_arity + 1):
-        in_key = profile_key(palette, [color] * n)
-        elems_n = stabilizer_elements(in_key)
-        for sizes in itertools.product(range(1, max_arity + 1), repeat=n):
-            total = sum(sizes)
-            if total > max_arity:
-                continue
-            b_keys = tuple(profile_key(palette, [color] * s) for s in sizes)
-            merged = profile_key(palette, [color] * total)
-            elems_out = stabilizer_elements(merged)
-            index_out = regular[total][1]
-            src = TensorSpace(
-                [components[(color, in_key)].carrier]
-                + [components[(color, k)].carrier for k in b_keys]
-            )
-            rows = [{} for _ in elems_out]
-            block_start = [0] * n
-            acc = 0
-            for i, s in enumerate(sizes):
-                block_start[i] = acc
-                acc += s
-            for comp_tuple, idxs in src.basis(0):
-                col = src.flat_index(comp_tuple, idxs)
-                sigma = elems_n[idxs[0]]
-                rhos = [stabilizer_elements(b_keys[i])[idxs[i + 1]] for i in range(n)]
-                word = []
-                for j in range(1, n + 1):
-                    blk = sigma(j)
-                    for l in range(1, sizes[blk - 1] + 1):
-                        word.append(block_start[blk - 1] + rhos[blk - 1](l))
-                pi = Permutation(word)
-                rows[index_out[pi.images]][col] = linalg.ONE
-            operad.gamma[(color, in_key, b_keys)] = ChainMap(
-                src.complex, components[(color, merged)].carrier, {0: rows}, check=False
-            )
-    return operad
+    return _linearized_set_operad(
+        max_arity, color, stabilizer_elements, lambda s, g: s.inverse() * g, block_substitution
+    )
 
 
 def endomorphism_operad(family: ColoredFamily, max_arity: int) -> ColoredOperad:
@@ -951,8 +888,6 @@ def tautological_endo_algebra(operad: ColoredOperad, family: ColoredFamily) -> O
         out_profile = Profile(family.palette, [d])
         for k in comp.carrier.degrees():
             for flat in range(comp.carrier.dim(k)):
-                vals.append(
-                    _element_from_basis(family, out_profile, in_key.rep, bases, k, flat)
-                )
+                vals.append(EndoElement.unit(family, out_profile, in_key.rep, k, *bases[k][flat]))
         values[(d, in_key)] = vals
     return OperadAlgebra(operad, family, values)

@@ -1203,6 +1203,20 @@ def reference_box_dot_gens(palette, factors):
 # -- per-instance references for the operad checks -----------------------------
 
 
+def reference_block_substitution(sigma, rhos):
+    """gamma of the associative operad on basis permutations, by evaluating
+    operations as word functions: sigma is (w_1..w_n) |-> w_sigma(1)..w_sigma(n).
+    The rhos act on consecutive blocks of distinct one-letter words, sigma on
+    their results, and the permutation is read off the letters of the word."""
+
+    def operation(perm):
+        return lambda *words: [x for j in range(1, perm.n + 1) for x in words[perm(j) - 1]]
+
+    letters = iter(range(1, sum(rho.n for rho in rhos) + 1))
+    inner = [operation(rho)(*[[next(letters)] for _ in range(rho.n)]) for rho in rhos]
+    return Permutation(operation(sigma)(*inner))
+
+
 def reference_validate_equivariance(operad):
     """The equivariance failures of ColoredOperad.validate as propcalc found
     them before the checks shared first units: the first unit of each input
@@ -1371,16 +1385,15 @@ def reference_canonicalize_profile(p):
 
 def reference_algebra_check(alg):
     """OperadAlgebra.check as propcalc computed it before it built the tensor of
-    the q-values and the transport once per gamma key: both per basis element."""
-    from propcalc.operads import _first_unit
-
+    the q-values and the transport once per gamma key: both per basis element.
+    Like the check, it composes only the first basis element of each input."""
     failures = []
     operad = alg.operad
-    units = {}
     for (d, in_key, b_keys) in sorted(operad.gamma, key=repr):
-        q_els = [_first_unit(operad, units, c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
-        if None in q_els:
+        q_els = [operad.basis_elements(c, bk)[:1] for c, bk in zip(in_key.rep.entries, b_keys)]
+        if [] in q_els:
             continue
+        q_els = [q for (q,) in q_els]
         for p_el in operad.basis_elements(d, in_key):
             lhs = alg.value(compose_elements(p_el, q_els))
             h = None

@@ -1224,3 +1224,13 @@ def test_young_shortcuts_match_the_checked_rules():
     for module in golden + products:
         for comp in module.components.values():
             assert_rho_follows_the_words(comp)
+
+
+def test_arrangements_match_the_sorted_set_of_permutations():
+    # placements once built each colour's arrangements as the sorted set of all
+    # n! orderings; seeded multisets of up to 7 letters over up to 4 factors
+    rng = random.Random(30)
+    for size in range(8):
+        for _ in range(5):
+            letters = sorted(rng.randrange(rng.randint(1, 4)) for _ in range(size))
+            assert bimodules._arrangements(letters) == sorted(set(itertools.permutations(letters)))

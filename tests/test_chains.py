@@ -8,6 +8,7 @@ from propcalc.chains import (
     ChainComplex,
     ChainError,
     ChainMap,
+    LiftProblem,
     TensorSpace,
     Unsolvable,
     assemble_tensor_map,
@@ -21,7 +22,6 @@ from propcalc.chains import (
     homology_dims,
     path_object,
     place_blocks,
-    solve_constrained_lift,
     sum_offsets,
     tensor,
     tensor_maps,
@@ -806,13 +806,11 @@ def row_terms(terms):
 
 
 def dense_lift(source, target, degree, equations):
-    """solve_constrained_lift on dense equations (terms, rhs)."""
-    return solve_constrained_lift(
-        source,
-        target,
-        degree,
-        [(row_terms(terms), matrix_rows(rhs), len(rhs[0]) if rhs else 0) for terms, rhs in equations],
-    )
+    """LiftProblem.solve on dense equations (terms, rhs)."""
+    prob = LiftProblem(source, target, degree)
+    for terms, rhs in equations:
+        prob.add_equation(row_terms(terms), matrix_rows(rhs), len(rhs[0]) if rhs else 0)
+    return prob.solve()
 
 
 def test_solver_identity_lift():
@@ -896,8 +894,6 @@ def test_solver_terms_that_cancel_leave_no_zero_entry():
     # L phi + 0 phi - L phi = rhs: every entry cancels.  A zero rhs then constrains
     # nothing, a nonzero one is inconsistent; a zero left in an equation row
     # would be taken as a pivot
-    from propcalc.chains import LiftProblem
-
     x = ChainComplex({0: 2})
     L = [[F(1), F(2)], [F(0), F(1)]]
     cancel = [(F(1), L, 0, None), (F(0), None, 0, None), (F(-1), L, 0, None)]

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import os
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from helpers import (
     dense_mats,
     dense_vec,
     reference_algebra_check,
+    reference_block_substitution,
     reference_compose_elements,
     reference_in_gens,
     reference_rho,
@@ -35,6 +38,7 @@ from propcalc.operads import (
     OperadError,
     TruncationExceeded,
     associative_operad,
+    block_substitution,
     check_unit_identity,
     compose_elements,
     endomorphism_operad,
@@ -443,6 +447,37 @@ def test_unit_identity_standard_operads():
     assert check_unit_identity(associative_operad(3))
 
 
+def test_unit_identity_leaves_a_corrupted_gamma_to_validate():
+    # OPropData.rho returns the operad's own gamma, so the round trip compares
+    # carriers and in-actions only: a corrupted gamma passes it, and validate
+    # reports the key
+    operad = associative_operad(3)
+    one = profile_key(operad.palette, ["x"])
+    key = ("x", profile_key(operad.palette, ["x", "x"]), (one, one))
+    gm = operad.gamma[key]
+    m = [list(row) for row in dense_mat(gm, 0)]
+    m[0][0] = 7
+    operad.gamma[key] = ChainMap(gm.source, gm.target, rows_of({0: m}), check=False)
+    assert check_unit_identity(operad)
+    assert "gamma not equivariant at %r" % (key + ((2, 1),),) in operad.validate()
+
+
+def test_block_substitution_matches_the_word_oracle():
+    def perms(n):
+        return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+
+    checked = 0
+    for n in range(1, 6):
+        for sizes in itertools.product(range(1, 6), repeat=n):
+            if sum(sizes) > 5:
+                continue
+            for sigma in perms(n):
+                for rhos in itertools.product(*map(perms, sizes)):
+                    assert block_substitution(sigma, rhos) == reference_block_substitution(sigma, rhos)
+                    checked += 1
+    assert checked == 897
+
+
 def test_unit_identity_random_two_colored():
     rng = random.Random(1)
     palette = Palette(["a", "b"])
@@ -845,20 +880,20 @@ def test_validate_memo_matches_per_instance_reference():
     # a corruption made after a first validate is seen: the memo lives for one call
     inner_only = corrupt_inner_gamma(operad)
     failures = operad.validate()
-    assert failures == operad._validate_equivariance({}) + reference_validate_associativity(operad)
+    assert failures == operad._validate_equivariance() + reference_validate_associativity(operad)
     assert "gamma not associative at %r" % (inner_only,) in failures
 
 
 def test_validate_equivariance_matches_per_basis_element_reference():
     for operad in benchmark_endo_operads():
-        assert operad._validate_equivariance({}) == reference_validate_equivariance(operad) == []
+        assert operad._validate_equivariance() == reference_validate_equivariance(operad) == []
     operad = associative_operad(3)
-    assert operad._validate_equivariance({}) == reference_validate_equivariance(operad) == []
+    assert operad._validate_equivariance() == reference_validate_equivariance(operad) == []
     # let the swap act on O(2) as the identity: gamma stays, equivariance fails
     comp = operad.component("x", profile_key(operad.palette, ["x", "x"]))
     (swap,) = comp.in_gens
     comp.in_gens[swap] = ChainMap.identity(comp.carrier)
-    failures = operad._validate_equivariance({})
+    failures = operad._validate_equivariance()
     assert failures and failures == reference_validate_equivariance(operad)
     assert operad.validate() == failures + reference_validate_associativity(operad)
 
@@ -879,12 +914,31 @@ def count_units_and_compositions(monkeypatch):
     return calls
 
 
+def test_checks_leave_no_first_unit_that_keeps_the_operad_alive():
+    # a first unit refers back to its operad: kept after validate or the
+    # algebra check, it would leave every checked operad to the cyclic collector
+    gc.disable()
+    try:
+        operad = associative_operad(3)
+        assert operad.validate() == []
+        ref = weakref.ref(operad)
+        del operad
+        assert ref() is None
+        alg = square_zero_algebra(associative_operad(3))
+        assert alg.check() == []
+        ref = weakref.ref(alg.operad)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_validate_equivariance_builds_each_first_unit_once(monkeypatch):
     palette = Palette(["a", "b"])
     fam = ColoredFamily(palette, {"a": ChainComplex({0: 1}), "b": ChainComplex({0: 2})})
     operad = endomorphism_operad(fam, 2)
     calls = count_units_and_compositions(monkeypatch)
-    assert operad._validate_equivariance({}) == []
+    assert operad._validate_equivariance() == []
     # the per-basis-element lists built 384 units for these 120 compositions
     assert calls["compose"] == 120
     assert calls["unit"] < calls["compose"]
@@ -893,7 +947,7 @@ def test_validate_equivariance_builds_each_first_unit_once(monkeypatch):
 def test_validate_equivariance_builds_p_and_its_composite_once_per_key(monkeypatch):
     operad = associative_operad(3)
     calls = count_units_and_compositions(monkeypatch)
-    assert operad._validate_equivariance({}) == []
+    assert operad._validate_equivariance() == []
     # per basis element p: gamma(p; q) once, and one lhs per non-identity tau
     expected = 0
     for (d, in_key, b_keys) in operad.gamma:
