@@ -80,10 +80,6 @@ class ColoredOperad:
         self._spaces = {}  # shared_space's table
         self._plans = {}
         self._aligned = {}
-        # emptied when validate() and OperadAlgebra.check() end: the units
-        # refer back to the operad, and kept they would leave it a reference
-        # cycle that only the cyclic collector frees
-        self._first_units = {}
 
     def component(self, d, in_key):
         return self.components.get((d, in_key))
@@ -146,19 +142,20 @@ class ColoredOperad:
             for i in range(comp.carrier.dim(k))
         ]
 
-    def first_unit(self, d, in_key):
+    def first_unit(self, d, in_key, memo):
         """The first basis vector of the lowest degree at (d, in_key), None
-        without a component; memoized until the check that asks ends."""
+        without a component; memo, a dict that one check makes, holds the
+        units it has built."""
         key = (d, in_key)
-        if key not in self._first_units:
+        if key not in memo:
             comp = self.component(d, in_key)
-            self._first_units[key] = None if comp is None else self.unit(d, in_key, comp.carrier.degrees()[0], 0)
-        return self._first_units[key]
+            memo[key] = None if comp is None else self.unit(d, in_key, comp.carrier.degrees()[0], 0)
+        return memo[key]
 
-    def first_units(self, in_key, b_keys):
+    def first_units(self, in_key, b_keys, memo):
         """The first units at the inputs b_keys aligned to in_key's
         representative, None if one of them has no component."""
-        units = [self.first_unit(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
+        units = [self.first_unit(c, bk, memo) for c, bk in zip(in_key.rep.entries, b_keys)]
         return None if None in units else units
 
     def validate(self):
@@ -174,16 +171,15 @@ class ColoredOperad:
         truncation are skipped.  gamma is multilinear, so a defect that
         spares the first units goes unseen.
         """
-        failures = self._validate_equivariance() + self._validate_associativity()
-        self._first_units.clear()
-        return failures
+        return self._validate_equivariance() + self._validate_associativity()
 
     def _validate_equivariance(self):
         """gamma(p tau; q_{tau(1)}..) = gamma(p; q).(block permutation of tau),
         with the block permutation conjugated through the normal-form transports."""
         failures = []
+        units = {}
         for (d, in_key, b_keys) in sorted(self.gamma, key=repr):
-            q_els = self.first_units(in_key, b_keys)
+            q_els = self.first_units(in_key, b_keys, units)
             if q_els is None:
                 continue
             n = in_key.length
@@ -216,22 +212,23 @@ class ColoredOperad:
         """gamma(gamma(p; q); r) = gamma(p; gamma(q_1; r-block_1), ...) on the
         first units of every aligned instance within the truncation.
 
-        Instances share their factors: the first units are the operad's
-        (first_unit), and `composites`, which lives for one validate() call,
-        holds each composition of first units, keyed (color, in_key, input
-        keys).  Both routes are still compared per instance.
+        Instances share their factors: `units` (first_unit's memo) and
+        `composites` live for one call; `composites` holds each composition
+        of first units, keyed (color, in_key, input keys).  Both routes are
+        still compared per instance.
         """
+        units = {}
         composites = {}
 
         def composite(d, in_key, b_keys):
             key = (d, in_key, b_keys)
             if key not in composites:
-                composites[key] = compose_elements(self.first_unit(d, in_key), self.first_units(in_key, b_keys))
+                composites[key] = compose_elements(self.first_unit(d, in_key, units), self.first_units(in_key, b_keys, units))
             return composites[key]
 
         failures = []
         for (d, in_key) in self.support():
-            p = self.first_unit(d, in_key)
+            p = self.first_unit(d, in_key, units)
             for b_keys in self._aligned_tuples(in_key):
                 merged = merge_in_keys(self.palette, b_keys)
                 # rep position j of `merged` is concat position t(j), which lies
@@ -241,7 +238,7 @@ class ColoredOperad:
                 owners = [owner[t(j) - 1] for j in range(1, merged.length + 1)]
                 for r_choice in self._aligned_tuples(merged):
                     # route 1: (p o q) o r
-                    route1 = compose_elements(composite(d, in_key, b_keys), self.first_units(merged, r_choice))
+                    route1 = compose_elements(composite(d, in_key, b_keys), self.first_units(merged, r_choice, units))
                     # route 2: p o (q_i o r-block_i)
                     blocks = [[] for _ in b_keys]
                     for i, rk in zip(owners, r_choice):
@@ -622,23 +619,23 @@ def prop_from_operad(operad: ColoredOperad, max_out: int, max_in: int) -> OPropD
 
 def check_unit_identity(operad: ColoredOperad, max_out=None, max_in=None) -> bool:
     """U((-)_prop) is the identity on carriers and in-actions: the one-output
-    components of the free PROP have the operad's carriers and actions.  gamma
-    is not compared, as OPropData.rho returns the operad's own gamma."""
-    max_in = max_in or operad.max_arity
-    opp = prop_from_operad(operad, max_out or 1, max_in)
-    back = forget_to_operad(opp, operad.max_arity)
-    for (d, k) in set(list(operad.support()) + list(back.support())):
-        ours = operad.component(d, k)
-        theirs = back.component(d, k)
-        if (ours is None) != (theirs is None):
+    components of the free PROP, of arity at most the operad's, have the
+    operad's carriers and actions.  gamma is not compared, as OPropData.rho
+    returns the operad's own gamma."""
+    opp = prop_from_operad(operad, max_out or 1, max_in or operad.max_arity)
+    theirs = {}
+    for out_key, k in opp.support():
+        comp = opp.opp_component(out_key, k)
+        if out_key.length == 1 and 1 <= k.length <= operad.max_arity and not comp.carrier.is_zero():
+            theirs[(out_key.rep.entries[0], k)] = comp
+    if theirs.keys() != operad.components.keys():
+        return False
+    for (d, k), comp in theirs.items():
+        ours = operad.components[(d, k)]
+        if ours.carrier != comp.carrier:
             return False
-        if ours is None:
-            continue
-        if ours.carrier != theirs.carrier:
+        if any(ours.rho_in(s) != comp.rho_in(s) for s in stabilizer_generators(k)):
             return False
-        for s in stabilizer_generators(k):
-            if ours.rho_in(s) != theirs.rho_in(s):
-                return False
     return True
 
 
@@ -705,8 +702,9 @@ class OperadAlgebra:
         failures = []
         operad = self.operad
         one = Permutation.identity(1)
+        units = {}
         for (d, in_key, b_keys) in sorted(operad.gamma, key=repr):
-            q_els = operad.first_units(in_key, b_keys)
+            q_els = operad.first_units(in_key, b_keys, units)
             basis = operad.basis_elements(d, in_key)
             if q_els is None or not basis:
                 continue
@@ -724,7 +722,6 @@ class OperadAlgebra:
                         ("gamma", (d, in_key, tuple(b_keys)), lhs.sub(rhs))
                     )
                     break
-        operad._first_units.clear()
         for (d, in_key) in operad.support():
             for s in stabilizer_generators(in_key):
                 for el in operad.basis_elements(d, in_key):
