@@ -135,12 +135,6 @@ class BimoduleComponent:
     def in_gens(self):
         return self._side_gens("in")
 
-    def dim(self, n=0) -> int:
-        return self.carrier.dim(n)
-
-    def total_dim(self) -> int:
-        return self.carrier.total_dim()
-
     def _action(self, side, g: Permutation) -> ChainMap:
         """Action of g on one side: the product of the generator maps of its
         word, taken reversed on the contravariant in-side.
@@ -325,13 +319,10 @@ class ColoredBimodule:
             self.components[(out_key, in_key)] = comp
 
     def support(self):
-        return sorted(self.components, key=lambda kk: (kk[0], kk[1]))
+        return sorted(self.components)
 
     def component(self, out_key, in_key):
         return self.components.get((out_key, in_key))
-
-    def total_dim(self):
-        return sum(c.total_dim() for c in self.components.values())
 
 
 def component_at(module: ColoredBimodule, d_profile: Profile, c_profile: Profile):
@@ -441,8 +432,8 @@ def box_v(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
     if p.palette != q.palette:
         raise BimoduleError("palette mismatch")
     buckets = {}
-    for (kd, kb), px in sorted(p.components.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        for (kb2, kc), qy in sorted(q.components.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (kd, kb), px in sorted(p.components.items()):
+        for (kb2, kc), qy in sorted(q.components.items()):
             if kb != kb2:
                 continue
             comp = tensor_over_sigma(px, qy)
@@ -628,8 +619,8 @@ def box_h(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:
     if p.palette != q.palette:
         raise BimoduleError("palette mismatch")
     buckets = {}
-    for (kd1, kc1), px in sorted(p.components.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        for (kd2, kc2), qy in sorted(q.components.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (kd1, kc1), px in sorted(p.components.items()):
+        for (kd2, kc2), qy in sorted(q.components.items()):
             comp = box_dot_many(p.palette, [px, qy])
             key = (comp.out_key, comp.in_key)
             buckets.setdefault(key, []).append(SumPiece(((kd1, kc1), (kd2, kc2)), comp))
@@ -949,7 +940,7 @@ def induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None)
     """
     r = module if module is not None else box_v(p_data.module, q_data.module)
     hcomp = {}
-    keys = sorted(r.components, key=lambda kk: (kk[0], kk[1]))
+    keys = sorted(r.components)
     for key1, key2 in itertools.product(keys, keys):
         merged_out = merge_keys(r.palette, [key1[0], key2[0]])
         merged_in = merge_keys(r.palette, [key1[1], key2[1]])

@@ -9,9 +9,12 @@ convention:
 
 Multi-factor tensors use one flat basis convention (TensorSpace); every module
 builds on it, so multi-factor associativity is the identity on indices.  A
-one-factor TensorSpace's complex is its factor itself.  assemble_tensor_map
-fills a tensor of maps block by block, one Kronecker product of the groups'
-sub-blocks per pair of target and source compositions.
+TensorSpace indexes every degree in one walk when it is built and refers to
+nothing that refers back to it, so reference counting frees it, and its
+factors with it.  A one-factor TensorSpace's complex is its factor itself.
+assemble_tensor_map fills a tensor of maps block by block, one Kronecker
+product of the groups' sub-blocks per pair of target and source
+compositions.
 
 A complex's boundary and a map's matrices have one form: per degree, a
 list with one {column: entry} dict per row, holding only the nonzero exact
@@ -320,64 +323,39 @@ class TensorSpace:
     """Flat tensor product of several complexes with one global basis convention.
 
     Degree-n basis: for each composition (n_1..n_k) of n with nonzero blocks
-    (tuple-lex ascending), all index tuples (i_1..i_k) row-major.  A
-    one-factor space has its factor's basis, so its complex is the factor
-    itself, not a copy.  A product of several factors builds its complex once,
-    as boundary rows, and checks d o d = 0 on them.
+    (tuple-lex ascending), all index tuples (i_1..i_k) row-major.  The whole
+    index is built in one walk at construction: the product of the factors'
+    ascending degrees yields the compositions in tuple-lex order, and
+    grouping them by total degree gives each degree's block offsets and
+    dimension.  A one-factor space has its factor's basis, so its complex is
+    the factor itself, not a copy.  A product of several factors builds its
+    complex once, as boundary rows, and checks d o d = 0 on them.  A space
+    holds no reference to itself, so reference counting frees it.
     """
 
-    __slots__ = ("factors", "complex", "_comp_cache", "_off_cache", "_pos_cache")
+    __slots__ = ("factors", "complex", "_offsets", "_positions")
 
     def __init__(self, factors):
         self.factors = list(factors)
-        self._comp_cache = {}
-        self._off_cache = {}
-        self._pos_cache = {}
-        self.complex = self.factors[0] if len(self.factors) == 1 else self._build()
+        self._offsets = {}  # degree -> {composition: offset of its block}, in basis order
+        self._positions = {}
+        dims = {}
+        for comp in itertools.product(*[f.degrees() for f in self.factors]):
+            n = sum(comp)
+            blocks = self._offsets.setdefault(n, {})
+            blocks[comp] = dims.get(n, 0)
+            dims[n] = blocks[comp] + self.block_dim(comp)
+        self.complex = self.factors[0] if len(self.factors) == 1 else self._build(dict(sorted(dims.items())))
 
-    def compositions(self, n: int):
-        if n in self._comp_cache:
-            return self._comp_cache[n]
-        out = []
-
-        def rec(i, remaining, acc):
-            if i == len(self.factors):
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            top = self.factors[i].top_degree
-            for v in range(0, min(remaining, top) + 1):
-                if self.factors[i].dim(v) == 0:
-                    continue
-                acc.append(v)
-                rec(i + 1, remaining - v, acc)
-                acc.pop()
-
-        if n >= 0 and not any(f.is_zero() for f in self.factors):
-            rec(0, n, [])
-        out.sort()
-        self._comp_cache[n] = out
-        return out
+    def offsets(self, n: int):
+        """{composition: offset of its block} of degree n, in basis order."""
+        return self._offsets.get(n, {})
 
     def block_dim(self, comp) -> int:
         d = 1
         for f, n in zip(self.factors, comp):
             d *= f.dim(n)
         return d
-
-    def dim(self, n: int) -> int:
-        return sum(self.block_dim(c) for c in self.compositions(n))
-
-    def offsets(self, n: int):
-        if n in self._off_cache:
-            return self._off_cache[n]
-        off = {}
-        pos = 0
-        for c in self.compositions(n):
-            off[c] = pos
-            pos += self.block_dim(c)
-        self._off_cache[n] = off
-        return off
 
     def flat_index(self, comp, idxs) -> int:
         comp = tuple(comp)
@@ -389,11 +367,9 @@ class TensorSpace:
 
     def positions(self, n: int):
         """(composition, index inside its block) of every degree-n basis vector."""
-        if n not in self._pos_cache:
-            self._pos_cache[n] = [
-                (c, i) for c in self.compositions(n) for i in range(self.block_dim(c))
-            ]
-        return self._pos_cache[n]
+        if n not in self._positions:
+            self._positions[n] = [(c, i) for c in self.offsets(n) for i in range(self.block_dim(c))]
+        return self._positions[n]
 
     def unflatten(self, n: int, flat: int):
         positions = self.positions(n)
@@ -408,23 +384,16 @@ class TensorSpace:
 
     def basis(self, n: int):
         out = []
-        for c in self.compositions(n):
+        for c in self.offsets(n):
             ranges = [range(f.dim(v)) for f, v in zip(self.factors, c)]
             for idxs in itertools.product(*ranges):
                 out.append((c, idxs))
         return out
 
-    def _build(self) -> ChainComplex:
-        if any(f.is_zero() for f in self.factors):
+    def _build(self, dims) -> ChainComplex:
+        """The complex of a product of several factors, with the given dims."""
+        if not dims:
             return ZERO_COMPLEX
-        top = sum(f.top_degree for f in self.factors)
-        dims = {}
-        for n in range(top + 1):
-            d = self.dim(n)
-            if d:
-                dims[n] = d
-        if top == 0:
-            return ChainComplex(dims)
         # per factor and degree: the nonzero (row, entry) pairs of each boundary column
         columns = [
             {v: linalg.columns(d, f.dim(v)) for v, d in f.boundary.items()} for f in self.factors
@@ -432,13 +401,12 @@ class TensorSpace:
         if not any(columns):
             return ChainComplex(dims)
         bnd = {}
-        for n in range(1, top + 1):
-            if not dims.get(n) or not dims.get(n - 1):
+        for n in dims:
+            if n - 1 not in dims:
                 continue
             rows = [{} for _ in range(dims[n - 1])]
-            src_off = self.offsets(n)
-            tgt_off = self.offsets(n - 1)
-            for comp in self.compositions(n):
+            tgt_off = self._offsets[n - 1]
+            for comp, c0 in self._offsets[n].items():
                 sizes = [f.dim(v) for f, v in zip(self.factors, comp)]
                 for slot, factor in enumerate(self.factors):
                     v = comp[slot]
@@ -451,7 +419,6 @@ class TensorSpace:
                     inner = math.prod(sizes[slot + 1 :])
                     n_src = sizes[slot]
                     n_tgt = factor.dim(v - 1)
-                    c0 = src_off[comp]
                     r0 = tgt_off[lower]
                     for i, entries in enumerate(columns[slot][v]):
                         for t, val in entries:
@@ -610,7 +577,7 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
         tgt_off = tgt_space.offsets(n)
         rows = [None] * dim
         col = 0
-        for comp in src_space.compositions(n):
+        for comp in src_space.offsets(n):
             tcomp = [0] * k
             sizes = [0] * k
             for i in range(k):

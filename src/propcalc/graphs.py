@@ -501,36 +501,39 @@ def _is_acyclic(n_vertices, edges) -> bool:
 
 
 def _wirings(in_ports, out_ports, n_edges, work, work_cap):
-    """Yield sets of edges: injective color-matching pairings of size n_edges."""
+    """Lists of edges: injective color-matching pairings of size n_edges."""
     results = []
-
-    def rec(i, used_out, acc):
-        work[0] += 1
-        if work[0] > work_cap:
-            raise ResourceCapExceeded("graph enumeration exceeded %d steps" % work_cap)
-        remaining_ports = len(in_ports) - i
-        if len(acc) + remaining_ports < n_edges:
-            return
-        if i == len(in_ports):
-            # the pruning above and the guard below leave exactly n_edges edges
-            results.append(list(acc))
-            return
-        v, q, color = in_ports[i]
-        # leave this port as a leg
-        rec(i + 1, used_out, acc)
-        # or wire it to any unused matching output port
-        if len(acc) < n_edges:
-            for j, (u, p, ocolor) in enumerate(out_ports):
-                if j in used_out or ocolor != color:
-                    continue
-                used_out.add(j)
-                acc.append(((u, p), (v, q)))
-                rec(i + 1, used_out, acc)
-                acc.pop()
-                used_out.remove(j)
-
-    rec(0, set(), [])
+    _extend_wirings(results, 0, set(), [], in_ports, out_ports, n_edges, work, work_cap)
     return results
+
+
+def _extend_wirings(results, i, used_out, acc, in_ports, out_ports, n_edges, work, work_cap):
+    """Append to results every wiring that extends the edges acc, which wire
+    input ports before i to the output ports numbered in used_out: port i is
+    first left as a leg, then wired to each unused matching output port."""
+    work[0] += 1
+    if work[0] > work_cap:
+        raise ResourceCapExceeded("graph enumeration exceeded %d steps" % work_cap)
+    remaining_ports = len(in_ports) - i
+    if len(acc) + remaining_ports < n_edges:
+        return
+    if i == len(in_ports):
+        # the pruning above and the guard below leave exactly n_edges edges
+        results.append(list(acc))
+        return
+    v, q, color = in_ports[i]
+    # leave this port as a leg
+    _extend_wirings(results, i + 1, used_out, acc, in_ports, out_ports, n_edges, work, work_cap)
+    # or wire it to any unused matching output port
+    if len(acc) < n_edges:
+        for j, (u, p, ocolor) in enumerate(out_ports):
+            if j in used_out or ocolor != color:
+                continue
+            used_out.add(j)
+            acc.append(((u, p), (v, q)))
+            _extend_wirings(results, i + 1, used_out, acc, in_ports, out_ports, n_edges, work, work_cap)
+            acc.pop()
+            used_out.remove(j)
 
 
 def _leg_assignments(free_ports, profile, work, work_cap):

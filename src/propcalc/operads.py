@@ -85,7 +85,7 @@ class ColoredOperad:
         return self.components.get((d, in_key))
 
     def support(self):
-        return sorted(self.components, key=lambda k: (k[0], k[1]))
+        return sorted(self.components)
 
     def space(self, d, in_key, b_keys) -> TensorSpace:
         """The tensor of the carriers at (d, in_key) and at the inputs b_keys.
@@ -571,7 +571,7 @@ class OPropData:
                     self._components[(out_key, in_key)] = sum_components(pieces)
 
     def support(self):
-        return sorted(self._components, key=lambda kk: (kk[0], kk[1]))
+        return sorted(self._components)
 
     def opp_component(self, out_key, in_key):
         return self._components.get((out_key, in_key))

@@ -580,7 +580,7 @@ def dense_tensor_boundary(space):
     basis convention: d(x_1 .. x_k) = sum_s (-1)^{|x_1|+..+|x_{s-1}|} x_1 .. dx_s .. x_k."""
     out = {}
     for n in range(1, sum(f.top_degree for f in space.factors) + 1):
-        rows, cols = space.dim(n - 1), space.dim(n)
+        rows, cols = len(space.basis(n - 1)), len(space.basis(n))
         if not rows or not cols:
             continue
         m = [[F(0)] * cols for _ in range(rows)]
@@ -625,8 +625,8 @@ def reference_assemble_tensor_map(src_space, tgt_space, groups):
         images.append(by_degree)
     mats = {}
     for n in src_space.complex.degrees():
-        rows = tgt_space.dim(n + total_deg)
-        cols = src_space.dim(n)
+        rows = len(tgt_space.basis(n + total_deg))
+        cols = len(src_space.basis(n))
         if rows == 0 or cols == 0:
             continue
         big = zeros(rows, cols)
@@ -671,7 +671,7 @@ def reference_factor_permutation_map(factors, perm):
     tgt_space = TensorSpace(permuted)
     mats = {}
     for n in src_space.complex.degrees():
-        big = zeros(tgt_space.dim(n), src_space.dim(n))
+        big = zeros(len(tgt_space.basis(n)), len(src_space.basis(n)))
         for col, (comp, idxs) in enumerate(src_space.basis(n)):
             tcomp = [0] * k
             tidx = [0] * k
@@ -785,7 +785,7 @@ def dense_compose_elements(p, q_els):
         + [operad.component(q.d, q.in_key).carrier for q in q_els]
     )
     total_deg = p.degree + sum(q.degree for q in q_els)
-    vec = [F(0)] * space.dim(total_deg)
+    vec = [F(0)] * len(space.basis(total_deg))
     comp_tuple = tuple([p.degree] + [q.degree for q in q_els])
     all_coords = [dense_coords(p)] + [dense_coords(q) for q in q_els]
     for idxs in itertools.product(*[range(len(c)) for c in all_coords]):
@@ -881,7 +881,7 @@ def reference_rho(data, d, in_key, b_keys):
     mats = {}
     for n in space.complex.degrees():
         rows = target.carrier.dim(n)
-        cols = space.dim(n)
+        cols = len(space.basis(n))
         if rows == 0 or cols == 0:
             continue
         big = [[F(0)] * cols for _ in range(rows)]

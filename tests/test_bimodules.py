@@ -413,6 +413,10 @@ def test_component_at_zero():
         mod, Profile(PAL1, ["x"]), Profile(PAL1, ["x"])
     )
     assert carrier.is_zero()
+    # the identity (1; 1) acts as the zero map of the zero complex
+    m = structure(Permutation([1]), Permutation([1]))
+    assert (m.source, m.target, m.degree) == (carrier, carrier, 0)
+    assert m.is_zero()
 
 
 def test_component_at_trivial_action_transports_identically():

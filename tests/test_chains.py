@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -228,7 +230,48 @@ def test_one_factor_tensor_space_is_its_factor():
     for x in [ChainComplex({}), base_field_complex(), disc_complex()] + [random_complex(rng) for _ in range(10)]:
         space = TensorSpace([x])
         assert space.complex is x
-        assert [space.dim(n) for n in range(5)] == [x.dim(n) for n in range(5)]
+        assert [len(space.basis(n)) for n in range(5)] == [x.dim(n) for n in range(5)]
+
+
+def brute_force_tensor_index(factors):
+    """Degree -> [(composition, offset, block dimension)]: every tuple of
+    degrees at which all factors are nonzero, sorted, with offsets the
+    running sums of the block dimensions in each degree."""
+    index = {}
+    ranges = [range(max(f.dims, default=-1) + 1) for f in factors]
+    for comp in sorted(itertools.product(*ranges)):
+        sizes = [f.dim(v) for f, v in zip(factors, comp)]
+        if 0 in sizes:
+            continue
+        blocks = index.setdefault(sum(comp), [])
+        offset = blocks[-1][1] + blocks[-1][2] if blocks else 0
+        blocks.append((comp, offset, math.prod(sizes)))
+    return index
+
+
+def test_tensor_space_index_matches_brute_force():
+    rng = random.Random(17)
+    gap = ChainComplex({0: 1, 2: 3})
+    zero = ChainComplex({})
+    factor_lists = [[], [gap], [zero], [gap, gap], [gap, zero, gap], [disc_complex(), gap, base_field_complex()]]
+    factor_lists += [[random_complex(rng, max_dim=2) for _ in range(rng.randint(1, 3))] for _ in range(30)]
+    for factors in factor_lists:
+        space = TensorSpace(factors)
+        index = brute_force_tensor_index(factors)
+        assert space.complex.dims == {n: sum(size for _, _, size in blocks) for n, blocks in index.items()}
+        for n in range(-1, 12):
+            blocks = index.get(n, [])
+            assert list(space.offsets(n).items()) == [(comp, offset) for comp, offset, _ in blocks]
+            assert space.positions(n) == [(comp, i) for comp, _, size in blocks for i in range(size)]
+            basis = [
+                (comp, idxs)
+                for comp, _, _ in blocks
+                for idxs in itertools.product(*[range(f.dim(v)) for f, v in zip(factors, comp)])
+            ]
+            assert space.basis(n) == basis
+            for flat, (comp, idxs) in enumerate(basis):
+                assert space.flat_index(comp, idxs) == flat
+                assert space.unflatten(n, flat) == (comp, idxs)
 
 
 def test_tensor_space_checks_d_squared_of_its_product():
@@ -255,7 +298,7 @@ def test_random_tensor_spaces_match_dense_construction():
         assert sorted(space.complex.boundary) == sorted(expected)
         for n, m in expected.items():
             assert dense_d(space.complex, n) == m
-        assert space.complex.dims == {n: space.dim(n) for n in range(7) if space.dim(n)}
+        assert space.complex.dims == {n: d for n in range(7) if (d := len(space.basis(n)))}
 
 
 def test_built_tensor_complex_equals_the_checked_construction():

@@ -52,8 +52,11 @@ classify-family-map-stray-color, algebra-check-relation-failure,
 round-trip-other-family) print what that code printed.
 """
 
+import gc
 import json
 import os
+import types
+from collections import Counter
 
 import pytest
 
@@ -107,6 +110,39 @@ NOT_LOADABLE = {
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])
 def test_golden_case(case):
     assert run_case(case["argv"]) == (case["exit"], case["stdout"])
+
+
+# the palette's interning tables and the orbit keys they hold refer to each
+# other, so a run leaves these to the cyclic collector; nothing else it builds
+PALETTE_TABLES = {"Palette", "OrbitKey", "Profile", "Permutation"}
+
+
+def test_corpus_leaves_only_the_palette_tables_to_the_cyclic_collector():
+    # a warm run fills every cache; a second run with the collector off keeps
+    # in gc.garbage every object that reference counting could not free
+    for case in GOLDEN:
+        run_case(case["argv"])
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for case in GOLDEN:
+            run_case(case["argv"])
+        gc.collect()
+        cyclic = Counter()
+        for obj in gc.garbage:
+            if isinstance(obj, (types.FunctionType, types.MethodType)):
+                if (obj.__module__ or "").startswith("propcalc"):
+                    cyclic["function " + obj.__qualname__] += 1
+            elif type(obj).__module__.startswith("propcalc"):
+                cyclic[type(obj).__name__] += 1
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    for name in ("TensorSpace", "ChainComplex", "ChainMap", "BimoduleComponent"):
+        assert name not in cyclic
+    assert set(cyclic) <= PALETTE_TABLES, cyclic
 
 
 def test_corpus_covers_every_command_and_case():
