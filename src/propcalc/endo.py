@@ -158,57 +158,38 @@ class EndoElement:
 def endo_component(family: ColoredFamily, out_profile, in_profile):
     """The internal hom complex Hom(X_c, X_d) truncated to degrees >= 0.
 
-    Returns (complex, basis) where basis[k] lists (j, row, col) triples fixing
-    the coordinate order, and the differential is D(f) = d f - (-1)^k f d.
+    Returns (complex, bases, index): bases[k] lists the (j, row, col) triples
+    of degree k, the units X_j -> X_{j+k}, fixing the coordinate order, and
+    index[k] maps each triple to its position in bases[k].  The differential
+    D(f) = d f - (-1)^k f d is read off the boundary entries: the unit at
+    (j, r, c) goes to column r of d_{j+k} on the units (j, r', c), and to row
+    c of d_{j+1}, times -(-1)^k, on the units (j+1, r, c').
     """
     src = family.space(in_profile).complex
     tgt = family.space(out_profile).complex
-    top = (tgt.top_degree if not tgt.is_zero() else 0)
-    dims = {}
     bases = {}
-    for k in range(0, top + 1):
-        basis = []
-        for j in src.degrees():
-            rows = tgt.dim(j + k)
-            cols = src.dim(j)
-            for r in range(rows):
-                for c in range(cols):
-                    basis.append((j, r, c))
+    index = {}
+    for k in range(tgt.top_degree + 1):
+        basis = [
+            (j, r, c) for j in src.degrees() for r in range(tgt.dim(j + k)) for c in range(src.dim(j))
+        ]
         if basis:
-            dims[k] = len(basis)
             bases[k] = basis
+            index[k] = {t: i for i, t in enumerate(basis)}
+    out_columns = {n: linalg.columns(tgt.d(n), tgt.dim(n)) for n in tgt.degrees()}
+    in_rows = {j: src.d(j + 1) for j in src.degrees()}
     boundary = {}
-    for k in sorted(dims):
-        if k == 0 or (k - 1) not in dims:
+    for k, basis in bases.items():
+        if k - 1 not in bases:
             continue
-        read = hom_coordinates(bases[k - 1])
-        rows = [{} for _ in range(dims[k - 1])]
-        for col, (j, r, c) in enumerate(bases[k]):
-            unit = EndoElement.unit(family, out_profile, in_profile, k, j, r, c)
-            for i, x in read(unit.boundary().chain).items():
-                rows[i][col] = x
-        boundary[k] = rows
-    return ChainComplex(dims, boundary), bases
-
-
-def hom_coordinates(basis):
-    """The reader from a map's matrices to its coordinates in `basis`, a list
-    of (j, row, col) triples as endo_component returns them: an {index: entry}
-    dict holding the nonzero coordinates only.
-
-    The index is built once here; each read walks the nonzero entries only.
-    """
-    index = {trip: i for i, trip in enumerate(basis)}
-
-    def read(chain: ChainMap):
-        return {
-            index[(j, r, c)]: x
-            for j, rows in chain.rows.items()
-            for r, row in enumerate(rows)
-            for c, x in row.items()
-        }
-
-    return read
+        below = index[k - 1]
+        rows = boundary[k] = [{} for _ in bases[k - 1]]
+        for col, (j, r, c) in enumerate(basis):
+            for r2, x in out_columns[j + k][r]:
+                rows[below[(j, r2, c)]][col] = x
+            for c2, x in in_rows[j][c].items():
+                rows[below[(j + 1, r, c2)]][col] = x if k % 2 else -x
+    return ChainComplex({k: len(basis) for k, basis in bases.items()}, boundary), bases, index
 
 
 def endo_vertical(f: EndoElement, g: EndoElement) -> EndoElement:

@@ -46,14 +46,10 @@ class TypeMismatch(ValueError):
 
 
 class Expression:
+    """A term; each kind defines generators(), the generator occurrences
+    left to right, and to_graph()."""
+
     __slots__ = ("out_profile", "in_profile", "degree")
-
-    def generators(self):
-        """Generator occurrences, left to right."""
-        raise NotImplementedError
-
-    def to_graph(self) -> PropGraph:
-        raise NotImplementedError
 
 
 class GenExpr(Expression):

@@ -118,14 +118,6 @@ class ColoredOperad:
             plan = self._plans[key] = (gm, merged, space, columns)
         return plan
 
-    def gamma_map(self, d, in_key, b_keys):
-        key = (d, in_key, tuple(b_keys))
-        if key in self.gamma:
-            return self.gamma[key]
-        target = self.component(d, merge_in_keys(self.palette, b_keys))
-        tgt = target.carrier if target else ZERO_COMPLEX
-        return ChainMap.zero(self.space(d, in_key, b_keys).complex, tgt)
-
     # -- element-level operations -------------------------------------------
 
     def unit(self, d, in_key, degree, i) -> "OperadElement":
@@ -360,13 +352,13 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
 
 
 # ---------------------------------------------------------------------------
-# the forgetful functor from PROP-like data
+# the forgetful functor from the endomorphism PROP
 
 
 class EndoHomComponent(BimoduleComponent):
     """Hom(X_rep, X_d) as a component; bases[k] lists the (j, row, col)
-    coordinates of degree k, as endo_component returns them, and index[k]
-    maps each triple back to its position in bases[k]."""
+    coordinates of degree k and index[k] maps each triple back to its
+    position in bases[k], both as endo_component returns them."""
 
     __slots__ = ("bases", "index")
 
@@ -377,7 +369,8 @@ class EndoPropData:
     A matrix unit composed with tensors and Koszul-signed shuffles of matrix
     units is zero or plus or minus one matrix unit, so the stabilizer actions
     and rho are signed matchings of basis triples, computed here by index
-    arithmetic on the (j, row, col) triples.
+    arithmetic on the (j, row, col) triples and endo_component's index of
+    them; rho moves the concatenated sources by concat_transport.
     """
 
     def __init__(self, family: ColoredFamily):
@@ -395,10 +388,9 @@ class EndoPropData:
         return self._components[key]
 
     def _build_component(self, d, in_key):
-        hom, bases = endo_component(self.family, Profile(self.palette, [d]), in_key.rep)
+        hom, bases, index = endo_component(self.family, Profile(self.palette, [d]), in_key.rep)
         if hom.is_zero():
             return None
-        index = {k: {t: i for i, t in enumerate(basis)} for k, basis in bases.items()}
         family = self.family  # the rule holds the family, not this table of its own components
 
         def act(side, s):
@@ -445,18 +437,14 @@ class EndoPropData:
         if target is None:
             return None
         space = shared_space(self._spaces, [p_comp.carrier] + [q.carrier for q in q_comps])
-        concat_entries = []
-        for bk in b_keys:
-            concat_entries.extend(bk.rep.entries)
-        concat = Profile(self.palette, concat_entries)
-        _, transport = canonicalize_profile(concat)
+        transport = concat_transport(self.palette, b_keys)
         mats = {n: [{} for _ in range(target.carrier.dim(n))] for n in space.complex.degrees()}
         fam = self.family
         out_dim = fam.complexes[d].dim
         middle = fam.space(in_key.rep)
         # row s of the shuffle X_merged -> X_concat by the transport holds the
         # one merged basis vector sent onto +-s, with its Koszul sign
-        concat_space = fam.space(concat)
+        concat_space = fam.space(Profile(self.palette, [c for bk in b_keys for c in bk.rep.entries]))
         shuffle = fam.shuffle(merged.rep, transport).rows
         # per q_i: (degree, position, source degree, row, source composition, source indices)
         units = []
@@ -496,8 +484,10 @@ class EndoPropData:
         return ChainMap(space.complex, target.carrier, mats, check=False)
 
 
-def forget_to_operad(prop_data, max_arity: int) -> ColoredOperad:
-    """Single-output components of the PROP data with gamma = vertical o (id x horizontal)."""
+def forget_to_operad(prop_data: EndoPropData, max_arity: int) -> ColoredOperad:
+    """The underlying operad of the endomorphism PROP: its single-output
+    components up to max_arity, with gamma = vertical o (id x horizontal)
+    read from EndoPropData.rho."""
     palette = prop_data.palette
     components = {}
     for d in palette.colors:
@@ -526,8 +516,9 @@ class TruncationExceeded(OperadError):
 
 class OPropData:
     """PROP components generated by a colored operad, through the placement
-    model; its one-output part is the operad again, and rho reads the
-    operad's own gamma."""
+    model, keyed (out_key, in_key); its one-output part is the operad's
+    components again (check_unit_identity).  It keeps no composition of its
+    own: the round trip composes through the operad."""
 
     def __init__(self, operad: ColoredOperad, max_out: int, max_in: int):
         self.operad = operad
@@ -535,7 +526,6 @@ class OPropData:
         self.max_out = int(max_out)
         self.max_in = int(max_in)
         self._components = {}
-        self._spaces = {}  # shared_space's table
         self._build()
 
     def _build(self):
@@ -576,31 +566,6 @@ class OPropData:
     def opp_component(self, out_key, in_key):
         return self._components.get((out_key, in_key))
 
-    # single-output view (the forgetful interface)
-
-    def component(self, d, in_key):
-        return self._components.get((color_key(self.palette, d), in_key))
-
-    def rho(self, d, in_key, b_keys):
-        """The operad's gamma rows at (d, in_key, b_keys), as a map from the
-        tensor of this object's one-output carriers, taken from its
-        value-keyed table of spaces; it composes nothing itself."""
-        p_bim = self.component(d, in_key)
-        q_bims = [self.component(c, bk) for c, bk in zip(in_key.rep.entries, b_keys)]
-        if p_bim is None or any(q is None for q in q_bims):
-            return None
-        if sum(k.length for k in b_keys) > self.max_in:
-            raise TruncationExceeded(
-                "inputs %r exceed the truncation %d" % (b_keys, self.max_in)
-            )
-        merged = merge_in_keys(self.palette, b_keys)
-        target = self.component(d, merged)
-        if target is None:
-            return None
-        space = shared_space(self._spaces, [p_bim.carrier] + [q.carrier for q in q_bims])
-        gm = self.operad.gamma_map(d, in_key, tuple(b_keys))
-        return ChainMap(space.complex, target.carrier, gm.rows, check=False)
-
 
 def _locate(comp, deg, flat):
     """(piece, out placement, in placement, tensor index) of a basis vector of
@@ -620,8 +585,8 @@ def prop_from_operad(operad: ColoredOperad, max_out: int, max_in: int) -> OPropD
 def check_unit_identity(operad: ColoredOperad, max_out=None, max_in=None) -> bool:
     """U((-)_prop) is the identity on carriers and in-actions: the one-output
     components of the free PROP, of arity at most the operad's, have the
-    operad's carriers and actions.  gamma is not compared, as OPropData.rho
-    returns the operad's own gamma."""
+    operad's carriers and actions.  gamma is not compared: the free PROP
+    keeps no composition of its own."""
     opp = prop_from_operad(operad, max_out or 1, max_in or operad.max_arity)
     theirs = {}
     for out_key, k in opp.support():

@@ -85,9 +85,6 @@ class Profile:
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __getitem__(self, i):
         return self.entries[i]
 

@@ -130,6 +130,7 @@ COMMANDS = [
     ("operad-to-prop", ["operad-to-prop", "ass.json", "3"]),
     ("operad-to-prop-5", ["operad-to-prop", "ass.json", "5"]),
     ("operad-to-prop-6", ["operad-to-prop", "ass.json", "6"]),
+    ("operad-to-prop-zero-truncation", ["operad-to-prop", "ass.json", "0"]),
     ("round-trip", ["round-trip", "ass.json", "fam_sq.json", "alg.json"]),
     ("round-trip-not-an-algebra", ["round-trip", "ass.json", "fam_sq.json", "alg_scaled.json"]),
     ("round-trip-malformed-algebra", ["round-trip", "ass.json", "fam_sq.json", "truncated.json"]),

@@ -213,7 +213,6 @@ from propcalc.endo import (
     endo_horizontal,
     endo_permute,
     endo_vertical,
-    hom_coordinates,
 )
 from propcalc.exprs import PropPresentation, parse
 
@@ -779,7 +778,7 @@ def dense_compose_elements(p, q_els):
     the whole gamma matrix applied to it."""
     operad = p.operad
     b_keys = tuple(q.in_key for q in q_els)
-    gm = operad.gamma_map(p.d, p.in_key, b_keys)
+    gm = operad.gamma.get((p.d, p.in_key, b_keys))
     space = TensorSpace(
         [operad.component(p.d, p.in_key).carrier]
         + [operad.component(q.d, q.in_key).carrier for q in q_els]
@@ -795,7 +794,7 @@ def dense_compose_elements(p, q_els):
         if coeff == 0:
             continue
         vec[space.flat_index(comp_tuple, idxs)] += coeff
-    mat = dense_mat(gm, total_deg)
+    mat = dense_mat(gm, total_deg) if gm is not None else []
     merged = merge_keys(operad.palette, b_keys)
     target = operad.component(p.d, merged)
     tdim = target.carrier.dim(total_deg) if target else 0
@@ -817,7 +816,8 @@ def reference_compose_elements(p, q_els):
     merged = merge_keys(operad.palette, b_keys)
     target = operad.component(p.d, merged)
     out = [linalg.ZERO] * (target.carrier.dim(total_deg) if target else 0)
-    mat = dense_mats(operad.gamma_map(p.d, p.in_key, b_keys)).get(total_deg)
+    gm = operad.gamma.get((p.d, p.in_key, b_keys))
+    mat = dense_mats(gm).get(total_deg) if gm is not None else None
     if mat is None:
         return sparse_element(operad, p.d, merged, total_deg, out)
     space = operad.space(p.d, p.in_key, b_keys)
@@ -838,6 +838,12 @@ def reference_compose_elements(p, q_els):
 # -- per-tuple reference for the endomorphism PROP -----------------------------
 
 
+def hom_coordinates(index, chain):
+    """The coordinates of a map's matrices through an index of endo_component:
+    an {index: entry} dict holding the nonzero coordinates only."""
+    return {index[(j, r, c)]: x for j, rows in chain.rows.items() for r, row in enumerate(rows) for c, x in row.items()}
+
+
 def unit_element(family, d, in_key, bases, k, flat):
     return EndoElement.unit(family, Profile(family.palette, [d]), in_key.rep, k, *bases[k][flat])
 
@@ -852,9 +858,11 @@ def reference_in_gens(data, d, in_key):
         mats = {}
         for k in comp.carrier.degrees():
             basis = comp.bases[k]
-            read = hom_coordinates(basis)
             cols = [
-                read(endo_permute(Permutation.identity(1), s, unit_element(data.family, d, in_key, comp.bases, k, i)).chain)
+                hom_coordinates(
+                    comp.index[k],
+                    endo_permute(Permutation.identity(1), s, unit_element(data.family, d, in_key, comp.bases, k, i)).chain,
+                )
                 for i in range(len(basis))
             ]
             mats[k] = [[cols[j].get(i, ZERO) for j in range(len(cols))] for i in range(len(basis))]
@@ -885,7 +893,6 @@ def reference_rho(data, d, in_key, b_keys):
         if rows == 0 or cols == 0:
             continue
         big = [[F(0)] * cols for _ in range(rows)]
-        read = hom_coordinates(target.bases[n])
         for comp_tuple, idxs in space.basis(n):
             col = space.flat_index(comp_tuple, idxs)
             p_el = unit_element(fam, d, in_key, p_comp.bases, comp_tuple[0], idxs[0])
@@ -897,7 +904,7 @@ def reference_rho(data, d, in_key, b_keys):
             for q in q_els[1:]:
                 h = endo_horizontal(h, q)
             normalized = endo_permute(Permutation.identity(1), transport, endo_vertical(p_el, h))
-            for r, val in read(normalized.chain).items():
+            for r, val in hom_coordinates(target.index[n], normalized.chain).items():
                 big[r][col] = val
         mats[n] = big
     return ChainMap(space.complex, target.carrier, rows_of(mats), check=False)

@@ -9,6 +9,7 @@ from helpers import (
     dense_mats,
     dense_mul,
     dense_scale,
+    hom_coordinates,
     identity,
     kron,
     random_permutation,
@@ -73,7 +74,7 @@ def random_element(rng, fam, out_p, in_p, degree=None):
 
 def test_hom_dims_ground_field():
     fam = ColoredFamily(PAL, {"a": base_field_complex(), "b": base_field_complex()})
-    hom, _ = endo_component(fam, prof("a"), prof("a"))
+    hom, _, _ = endo_component(fam, prof("a"), prof("a"))
     assert hom.dims == {0: 1}
 
 
@@ -87,7 +88,7 @@ def test_hom_dims_two_step():
     fam = ColoredFamily(
         PAL, {"a": ChainComplex({0: 1, 1: 1}), "b": base_field_complex()}
     )
-    hom, _ = endo_component(fam, prof("a"), prof("a"))
+    hom, _, _ = endo_component(fam, prof("a"), prof("a"))
     assert hom.dim(0) == 2
     assert hom.dim(1) == 1
     assert hom.dim(-1) == 0
@@ -97,10 +98,58 @@ def test_hom_differential_squares_to_zero():
     rng = random.Random(0)
     for _ in range(20):
         fam = small_family(rng)
-        hom, _ = endo_component(fam, prof("a", "b"), prof("b"))
+        hom, _, _ = endo_component(fam, prof("a", "b"), prof("b"))
         for n in hom.degrees():
             if hom.dim(n) and hom.dim(n - 2):
                 assert not any(linalg.mat_mul(hom.d(n - 1), hom.d(n)))
+
+
+def rational_complex(rng):
+    """A small complex with a nonzero boundary carrying a non-integral entry:
+    two terms with a random rational d, or three terms with d_1 = [a, b] and
+    d_2 = [b, -a]^T, so d o d = 0; shifted up by 0 or 1 degrees."""
+    shift = rng.randint(0, 1)
+    a = F(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(2, 3))
+    if rng.random() < 0.5:
+        b = F(rng.randint(-3, 3), rng.randint(1, 3))
+        return ChainComplex(
+            {shift: 1, shift + 1: 2, shift + 2: 1}, rows_of({shift + 1: [[a, b]], shift + 2: [[b], [-a]]})
+        )
+    m, n = rng.randint(1, 2), rng.randint(1, 2)
+    d = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+    d[0][0] = a
+    return ChainComplex({shift: m, shift + 1: n}, rows_of({shift + 1: d}))
+
+
+def test_hom_differential_entries_are_the_unit_boundaries():
+    """Each column of endo_component's differential is D of that unit,
+    boundary_of_map's d o f - (-1)^k f o d, read back through the returned
+    index, on seeded families with rational boundaries and profiles of length
+    1 to 3, at least 60 of them with non-integral entries in the hom
+    differential; index[k] inverts bases[k]."""
+    rng = random.Random(7)
+    fractional = 0
+    for _ in range(100):
+        fam = ColoredFamily(PAL, {c: rational_complex(rng) for c in PAL.colors})
+        out_p = prof(*rng.choices(PAL.colors, k=rng.randint(1, 3)))
+        in_p = prof(*rng.choices(PAL.colors, k=rng.randint(1, 3)))
+        if fam.space(out_p).complex.total_dim() * fam.space(in_p).complex.total_dim() > 300:
+            continue
+        hom, bases, index = endo_component(fam, out_p, in_p)
+        assert hom.dims == {k: len(basis) for k, basis in bases.items()}
+        for k, basis in bases.items():
+            assert all(index[k][t] == i for i, t in enumerate(basis)) and len(index[k]) == len(basis)
+            if k == 0:
+                continue
+            columns = linalg.columns(hom.d(k), len(basis))
+            for col, (j, r, c) in enumerate(basis):
+                unit = EndoElement.unit(fam, out_p, in_p, k, j, r, c).boundary()
+                want = hom_coordinates(index[k - 1], unit.chain) if k - 1 in bases else {}
+                assert unit.is_zero() or k - 1 in bases
+                assert dict(columns[col]) == want
+        entries = [x for rows in hom.boundary.values() for row in rows for x in row.values()]
+        fractional += any(type(x) is F for x in entries)
+    assert fractional >= 60
 
 
 def test_vertical_identity():

@@ -49,7 +49,10 @@ the code before printed in 46 s.  The input cases recorded with it
 check-operad-missing-input, check-operad-missing-target,
 check-presentation-bad-relation, workspace-unknown-name,
 classify-family-map-stray-color, algebra-check-relation-failure,
-round-trip-other-family) print what that code printed.
+round-trip-other-family) print what that code printed.  The two
+operad-to-prop-zero-truncation cases pin the free PROP's bound check, the one
+place that raises TruncationExceeded; they were recorded when that check
+became the only one, and the code before printed the same.
 """
 
 import gc
