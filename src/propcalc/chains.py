@@ -11,7 +11,10 @@ Multi-factor tensors use one flat basis convention (TensorSpace); every module
 builds on it, so multi-factor associativity is the identity on indices.  A
 TensorSpace indexes every degree in one walk when it is built and refers to
 nothing that refers back to it, so reference counting frees it, and its
-factors with it.  A one-factor TensorSpace's complex is its factor itself.
+factors with it.  Each composition's (offset, row-major strides) pair is
+built the first time the composition is indexed and kept on the space;
+flat_index, unflatten and factor_permutation_map all read indices through
+it.  A one-factor TensorSpace's complex is its factor itself.
 assemble_tensor_map fills a tensor of maps block by block, one Kronecker
 product of the groups' sub-blocks per pair of target and source
 compositions.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from propcalc import linalg
@@ -327,18 +331,23 @@ class TensorSpace:
     index is built in one walk at construction: the product of the factors'
     ascending degrees yields the compositions in tuple-lex order, and
     grouping them by total degree gives each degree's block offsets and
-    dimension.  A one-factor space has its factor's basis, so its complex is
-    the factor itself, not a copy.  A product of several factors builds its
-    complex once, as boundary rows, and checks d o d = 0 on them.  A space
-    holds no reference to itself, so reference counting frees it.
+    dimension.  A composition's (offset, row-major strides) pair is built on
+    first use (strides) and kept: flat_index, unflatten and
+    factor_permutation_map read every index through it, and a space that is
+    never indexed builds none.  A one-factor space has its factor's basis,
+    so its complex is the factor itself, not a copy.  A product of several
+    factors builds its complex once, as boundary rows, and checks d o d = 0
+    on them.  A space holds no reference to itself, so reference counting
+    frees it.
     """
 
-    __slots__ = ("factors", "complex", "_offsets", "_positions")
+    __slots__ = ("factors", "complex", "_offsets", "_positions", "_strides")
 
     def __init__(self, factors):
         self.factors = list(factors)
         self._offsets = {}  # degree -> {composition: offset of its block}, in basis order
         self._positions = {}
+        self._strides = {}  # composition -> (offset, row-major strides), on first use
         dims = {}
         for comp in itertools.product(*[f.degrees() for f in self.factors]):
             n = sum(comp)
@@ -357,13 +366,22 @@ class TensorSpace:
             d *= f.dim(n)
         return d
 
+    def strides(self, comp: tuple):
+        """(offset, strides) of the block of composition comp: the flat index
+        of (i_1..i_k) is offset + sum of stride_m * i_m.  KeyError for a
+        composition the space lacks."""
+        pair = self._strides.get(comp)
+        if pair is None:
+            offset = self._offsets[sum(comp)][comp]
+            steps = [1] * len(comp)
+            for m in range(len(comp) - 1, 0, -1):
+                steps[m - 1] = steps[m] * self.factors[m].dim(comp[m])
+            pair = self._strides[comp] = (offset, tuple(steps))
+        return pair
+
     def flat_index(self, comp, idxs) -> int:
-        comp = tuple(comp)
-        off = self.offsets(sum(comp))[comp]
-        pos = 0
-        for f, n, i in zip(self.factors, comp, idxs):
-            pos = pos * f.dim(n) + i
-        return off + pos
+        offset, steps = self.strides(tuple(comp))
+        return offset + sum(map(operator.mul, steps, idxs))
 
     def positions(self, n: int):
         """(composition, index inside its block) of every degree-n basis vector."""
@@ -377,10 +395,10 @@ class TensorSpace:
             raise IndexError("flat index %d out of range in degree %d" % (flat, n))
         c, rem = positions[flat]
         idxs = []
-        for f, v in zip(reversed(self.factors), reversed(c)):
-            idxs.append(rem % f.dim(v))
-            rem //= f.dim(v)
-        return c, tuple(reversed(idxs))
+        for step in self.strides(c)[1]:
+            i, rem = divmod(rem, step)
+            idxs.append(i)
+        return c, tuple(idxs)
 
     def basis(self, n: int):
         out = []
@@ -574,20 +592,18 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
         tgt_space = TensorSpace(permuted)
     mats = {}
     for n, dim in src_space.complex.dims.items():
-        tgt_off = tgt_space.offsets(n)
         rows = [None] * dim
         col = 0
         for comp in src_space.offsets(n):
             tcomp = [0] * k
-            sizes = [0] * k
             for i in range(k):
                 tcomp[images[i]] = comp[i]
-                sizes[images[i]] = factors[i].dim(comp[i])
             # factor i's index steps by the row-major stride of its target slot
-            flat = [tgt_off[tuple(tcomp)]]
+            offset, steps = tgt_space.strides(tuple(tcomp))
+            flat = [offset]
             for i in range(k):
-                step = math.prod(sizes[images[i] + 1 :])
-                flat = [a + x * step for a in flat for x in range(sizes[images[i]])]
+                step = steps[images[i]]
+                flat = [a + x * step for a in flat for x in range(factors[i].dim(comp[i]))]
             odd = [images[i] for i in range(k) if comp[i] % 2]
             inversions = sum(1 for a, s in enumerate(odd) for t in odd[a + 1 :] if s > t)
             sign = MINUS_ONE if inversions % 2 else ONE

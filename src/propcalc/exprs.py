@@ -334,9 +334,6 @@ class GraphPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def __eq__(self, other):
-        return isinstance(other, GraphPolynomial) and self.terms == other.terms
-
 
 # -- presentations -------------------------------------------------------------
 

@@ -161,11 +161,6 @@ class MatrixRows:
         self.rows = rows
         self.n_cols = n_cols
 
-    def __eq__(self, other):
-        if not isinstance(other, MatrixRows):
-            return NotImplemented
-        return self.n_cols == other.n_cols and self.rows == other.rows
-
 
 def matrix_to_json(rows, n_cols):
     return MatrixRows(rows, n_cols)

@@ -12,6 +12,7 @@ representative, so every element is kept in normal form.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from propcalc import linalg
 from propcalc.bimodules import (
@@ -102,7 +103,9 @@ class ColoredOperad:
     def plan(self, d, in_key, b_keys):
         """(gamma map, merged key, tensor space, nonzero columns of gamma per
         degree as {column: [(row, entry)]}) at (d, in_key, b_keys); built on
-        first use and again once gamma[key] is replaced."""
+        first use and again once gamma[key] is replaced.  The space gives
+        compose_elements the (offset, strides) pair of each composition of
+        degrees it reads (TensorSpace.strides)."""
         key = (d, in_key, b_keys)
         gm = self.gamma.get(key)
         plan = self._plans.get(key)
@@ -321,30 +324,39 @@ def compose_elements(p: OperadElement, q_els) -> OperadElement:
 
     Each combination of the factors' nonzero coordinates adds its multiple of
     one column of gamma, read sparse from the operad's plan; a coefficient of 1
-    is not multiplied, and entries that cancel to zero are dropped.
+    is not multiplied, and entries that cancel to zero are dropped.  The
+    column is folded from the degrees' (offset, strides) pair, read once per
+    call, and the combination's indices.
     """
     operad = p.operad
     in_key = p.in_key
-    if len(q_els) != in_key.length:
+    colors = in_key.rep.entries
+    if len(q_els) != len(colors):
         raise OperadError("wrong number of inputs")
-    for c, q in zip(in_key.rep.entries, q_els):
+    comp = [p.degree]
+    b_keys = []
+    for c, q in zip(colors, q_els):
         if q.d != c:
             raise OperadError("input color mismatch: %r vs %r" % (q.d, c))
-    total_deg = p.degree + sum(q.degree for q in q_els)
-    _, merged, space, columns = operad.plan(p.d, in_key, tuple(q.in_key for q in q_els))
+        comp.append(q.degree)
+        b_keys.append(q.in_key)
+    total_deg = sum(comp)
+    _, merged, space, columns = operad.plan(p.d, in_key, tuple(b_keys))
     out = {}
     cols = columns.get(total_deg)
-    if not cols:
+    factors = [p.coords.items()] + [q.coords.items() for q in q_els]
+    if not cols or not all(factors):
         return OperadElement(operad, p.d, merged, total_deg, out)
     one = linalg.ONE
-    comp_tuple = (p.degree,) + tuple(q.degree for q in q_els)
-    factors = [p.coords.items()] + [q.coords.items() for q in q_els]
+    offset, steps = space.strides(tuple(comp))
     for terms in itertools.product(*factors):
         coeff = one
-        for _, x in terms:
+        col = offset
+        for (i, x), step in zip(terms, steps):
+            col += i * step
             if x is not one:
                 coeff = x if coeff is one else coeff * x
-        for r, x in cols.get(space.flat_index(comp_tuple, [i for i, _ in terms]), ()):
+        for r, x in cols.get(col, ()):
             if coeff is not one:
                 x = coeff * x
             out[r] = out[r] + x if r in out else x
@@ -475,12 +487,18 @@ class EndoPropData:
             j_p = sum(mid_comp)
             ((c_t, shuffle_sign),) = shuffle[src_deg][concat_space.flat_index(src_comp, src_idx)].items()
             value = shuffle_sign if sign > 0 else -shuffle_sign
-            q_comp, q_pos = tuple(q_comp), tuple(q_pos)
+            q_comp = tuple(q_comp)
             for k_p, p_index in p_comp.index.items():
+                out_rows = out_dim(j_p + k_p)
+                if not out_rows:
+                    continue
                 n = k_p + q_deg
-                for r_p in range(out_dim(j_p + k_p)):
-                    col = space.flat_index((k_p,) + q_comp, (p_index[(j_p, r_p, c_p)],) + q_pos)
-                    mats[n][target.index[n][(src_deg, r_p, c_t)]][col] = value
+                rows, t_index = mats[n], target.index[n]
+                # the q-part of the column is fixed; p's index steps by its stride
+                offset, (p_step, *q_steps) = space.strides((k_p,) + q_comp)
+                col = offset + sum(map(operator.mul, q_steps, q_pos))
+                for r_p in range(out_rows):
+                    rows[t_index[(src_deg, r_p, c_t)]][col + p_step * p_index[(j_p, r_p, c_p)]] = value
         return ChainMap(space.complex, target.carrier, mats, check=False)
 
 
@@ -663,7 +681,16 @@ class OperadAlgebra:
         return total
 
     def check(self):
-        """gamma-compatibility and equivariance within the truncation."""
+        """gamma-compatibility and equivariance within the truncation.
+
+        gamma: at every gamma key, lambda(gamma(p; q)) against lambda(p) o h
+        for every basis element p, with the q first units and h the tensor
+        of the lambda(q) moved by the transport of the concatenated inputs.
+        h is built and moved once per key, so each p costs one vertical
+        composite.  Equivariance: lambda(p s) against lambda(p) moved by s,
+        for every basis element p and stabilizer generator s.  The first
+        failing p of a key or a generator is reported, with its residual.
+        """
         failures = []
         operad = self.operad
         one = Permutation.identity(1)
@@ -674,14 +701,15 @@ class OperadAlgebra:
             if q_els is None or not basis:
                 continue
             # lambda(p) o (lambda(q_1) (x) ... (x) lambda(q_n)), renormalized by the
-            # transport of the concatenated inputs; h and the transport are per key
+            # transport of the concatenated inputs: (a o h) o shuffle = a o (h o
+            # shuffle), so h is shuffled once per key and each p costs one composite
             h = self.value(q_els[0])
             for q in q_els[1:]:
                 h = endo_horizontal(h, self.value(q))
-            transport = concat_transport(self.family.palette, b_keys)
+            h = endo_permute(Permutation.identity(in_key.length), concat_transport(self.family.palette, b_keys), h)
             for p_el in basis:
                 lhs = self.value(compose_elements(p_el, q_els))
-                rhs = endo_permute(one, transport, endo_vertical(self.value(p_el), h))
+                rhs = endo_vertical(self.value(p_el), h)
                 if lhs != rhs:
                     failures.append(
                         ("gamma", (d, in_key, tuple(b_keys)), lhs.sub(rhs))

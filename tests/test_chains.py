@@ -274,6 +274,61 @@ def test_tensor_space_index_matches_brute_force():
                 assert space.unflatten(n, flat) == (comp, idxs)
 
 
+def row_major_index(dims):
+    """Degree -> [(composition, index tuple)] in flat order, enumerated here
+    from the factors' dims alone: compositions in tuple-lex order, skipping
+    any whose block is empty, and within each block the index tuples
+    row-major, the last factor fastest."""
+    index = {}
+    for comp in itertools.product(*[range(len(d)) for d in dims]):
+        sizes = [d[v] for d, v in zip(dims, comp)]
+        if 0 in sizes:
+            continue
+        block = [()]
+        for size in sizes:
+            block = [idxs + (i,) for idxs in block for i in range(size)]
+        index.setdefault(sum(comp), []).extend((comp, idxs) for idxs in block)
+    return index
+
+
+def test_tensor_indexing_matches_a_row_major_enumeration():
+    rng = random.Random(33)
+    spaces = 0
+    while spaces < 120:
+        # each factor: dims in degrees 0..3, a third of them empty
+        dims = [[rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(4)] for _ in range(rng.randint(1, 4))]
+        factors = [ChainComplex(dict(enumerate(d))) for d in dims]
+        space = TensorSpace(factors)
+        index = row_major_index(dims)
+        spaces += 1
+        for n in range(-1, 14):
+            listed = index.get(n, [])
+            offsets = {}
+            for flat, (comp, idxs) in enumerate(listed):
+                offsets.setdefault(comp, flat)
+            assert space.offsets(n) == offsets and list(space.offsets(n)) == list(offsets)
+            for comp, offset in offsets.items():
+                sizes = [d[v] for d, v in zip(dims, comp)]
+                steps = tuple(math.prod(sizes[m + 1 :]) for m in range(len(comp)))
+                assert space.strides(comp) == (offset, steps)
+            assert space.basis(n) == listed
+            assert len(space.positions(n)) == len(listed)
+            hit = [0] * len(listed)
+            for flat, (comp, idxs) in enumerate(listed):
+                assert space.positions(n)[flat] == (comp, flat - offsets[comp])
+                assert space.unflatten(n, flat) == (comp, idxs)
+                hit[space.flat_index(comp, idxs)] += 1
+                assert space.flat_index(list(comp), list(idxs)) == flat
+            assert hit == [1] * len(listed)
+        # compositions the space lacks: a degree beyond 3, an empty block, a wrong length
+        absent = [(4,) * len(dims), (0,) * (len(dims) + 1)]
+        absent += [c for c in itertools.product(range(4), repeat=len(dims)) if 0 in [d[v] for d, v in zip(dims, c)]][:3]
+        for comp in absent:
+            with pytest.raises(KeyError):
+                space.flat_index(comp, (0,) * len(comp))
+    assert spaces >= 100
+
+
 def test_tensor_space_checks_d_squared_of_its_product():
     # y was built unchecked and has d o d != 0 out of degree 2
     y = ChainComplex({0: 1, 1: 1, 2: 1}, rows_of({1: [[1]], 2: [[1]]}), check=False)

@@ -37,6 +37,14 @@ def test_palette_rejects_duplicates_and_empty():
         Palette(["a", "a"])
 
 
+def test_equal_palettes_hash_equal():
+    # Palette defines __eq__, so without its own __hash__ it is unhashable
+    same = Palette(["a", "b", "c"])
+    assert same is not PAL and same == PAL and hash(same) == hash(PAL)
+    assert len({PAL, same, Palette(["a", "b"]), Palette(["b", "a", "c"])}) == 3
+    assert {PAL: 1}[same] == 1
+
+
 def test_profile_validation():
     with pytest.raises(ProfileError):
         Profile(PAL, [])
