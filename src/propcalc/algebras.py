@@ -19,7 +19,7 @@ from propcalc.endo import (
     endo_horizontal,
     endo_permute,
     endo_vertical,
-    morphism_witness,
+    relative_endo_membership,
 )
 from propcalc.exprs import (
     Expression,
@@ -69,45 +69,37 @@ class AlgebraStructure:
                 raise AlgebraError("assignment for %r has the wrong shape" % name)
 
 
-def evaluate(e: Expression, structure_or_assignment, family: ColoredFamily = None) -> EndoElement:
-    """Structural evaluation: generators through the assignment, compositions
-    through the endomorphism operations."""
-    if isinstance(structure_or_assignment, AlgebraStructure):
-        assignment = structure_or_assignment.assignment
-        family = structure_or_assignment.family
-    else:
-        assignment = structure_or_assignment
-        if family is None:
-            raise AlgebraError("evaluate needs the family when given a bare assignment")
-    return _eval(e, assignment, family)
+def evaluate(e: Expression, structure: AlgebraStructure) -> EndoElement:
+    """Structural evaluation under a structure: generators through its
+    assignment, compositions through the endomorphism operations."""
+    return _eval(e, structure.assignment)
 
 
-def _eval(e, assignment, family):
+def _eval(e, assignment):
     if isinstance(e, GenExpr):
         try:
             return assignment[e.name]
         except KeyError:
             raise AlgebraError("no assignment for generator %r" % e.name)
     if isinstance(e, VCompExpr):
-        return endo_vertical(_eval(e.left, assignment, family), _eval(e.right, assignment, family))
+        return endo_vertical(_eval(e.left, assignment), _eval(e.right, assignment))
     if isinstance(e, HCompExpr):
-        return endo_horizontal(_eval(e.left, assignment, family), _eval(e.right, assignment, family))
+        return endo_horizontal(_eval(e.left, assignment), _eval(e.right, assignment))
     if isinstance(e, LeftActExpr):
-        body = _eval(e.body, assignment, family)
+        body = _eval(e.body, assignment)
         return endo_permute(e.perm, Permutation.identity(len(body.in_profile)), body)
     if isinstance(e, RightActExpr):
-        body = _eval(e.body, assignment, family)
+        body = _eval(e.body, assignment)
         return endo_permute(Permutation.identity(len(body.out_profile)), e.perm, body)
     raise TypeError("unknown expression node %r" % (e,))
 
 
-def evaluate_combination(terms, assignment, family, template: EndoElement) -> EndoElement:
-    """Sum of coeff * evaluate(expr); template fixes the shape when empty."""
-    total = EndoElement.zero(
-        family, template.out_profile, template.in_profile, template.degree
-    )
+def evaluate_combination(terms, assignment, zero: EndoElement) -> EndoElement:
+    """zero + the sum of coeff * (expr through the assignment) over the
+    terms; zero is the zero element of the terms' shape."""
+    total = zero
     for coeff, expr in terms:
-        total = total.add(_eval(expr, assignment, family).scale(coeff))
+        total = total.add(_eval(expr, assignment).scale(coeff))
     return total
 
 
@@ -125,15 +117,14 @@ def check_algebra(structure: AlgebraStructure):
         rhs = evaluate_combination(
             pres.delta(name),
             structure.assignment,
-            fam,
             EndoElement.zero(fam, el.out_profile, el.in_profile, el.degree - 1),
         )
         residual = lhs.sub(rhs)
         if not residual.is_zero():
             report.append(("differential", name, residual))
     for idx, (lhs_e, rhs_e) in enumerate(pres.relations):
-        lhs = _eval(lhs_e, structure.assignment, fam)
-        rhs = _eval(rhs_e, structure.assignment, fam)
+        lhs = _eval(lhs_e, structure.assignment)
+        rhs = _eval(rhs_e, structure.assignment)
         residual = lhs.sub(rhs)
         if not residual.is_zero():
             report.append(("relation", idx, residual))
@@ -141,15 +132,26 @@ def check_algebra(structure: AlgebraStructure):
 
 
 def check_morphism(f: FamilyMap, structure_x: AlgebraStructure, structure_y: AlgebraStructure):
-    """f is a morphism of algebras iff both structures descend from one map
-    into the relative endomorphism construction (checked generator by
-    generator).  Returns (bool, failures)."""
+    """f is a morphism of algebras iff every generator's pair of images lies
+    in the relative construction E_f (relative_endo_membership).  Returns
+    (bool, failures): in sorted order, (name, message) for each generator
+    missing on the target side, up to (name, residual) for the first one
+    outside E_f, where the check stops."""
     if structure_x.presentation is not structure_y.presentation:
         # same presentation content is enough; identity check is the cheap gate
         if structure_x.presentation.signature.generators.keys() != structure_y.presentation.signature.generators.keys():
             raise AlgebraError("morphism check needs a common presentation")
-    witness, failures = morphism_witness(f, structure_x.assignment, structure_y.assignment)
-    return witness is not None, failures
+    assignment_x, assignment_y = structure_x.assignment, structure_y.assignment
+    failures = []
+    for name in sorted(assignment_x):
+        if name not in assignment_y:
+            failures.append((name, "missing on the target side"))
+            continue
+        ok, residual = relative_endo_membership(f, assignment_x[name], assignment_y[name])
+        if not ok:
+            failures.append((name, residual))
+            break
+    return not failures, failures
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,6 @@ def _lift(presentation: PropPresentation, family: ColoredFamily, into=(), out_of
         rhs_d = evaluate_combination(
             presentation.delta(name),
             assignment,
-            family,
             EndoElement.zero(family, gen.out_profile, gen.in_profile, k - 1),
         ).chain
         sign = -ONE if k % 2 else ONE
@@ -279,10 +280,9 @@ def transfer(presentation: PropPresentation, f: FamilyMap, direction: str, sourc
         )
 
     algebra_report = check_algebra(result)
-    ok, morphism_failures = check_morphism(f, *morphism_pair)
+    ok, _ = check_morphism(f, *morphism_pair)
     report["algebra_failures"] = algebra_report
     report["morphism_ok"] = ok
-    report["morphism_failures"] = morphism_failures
     differential_failures = [r for r in algebra_report if r[0] == "differential"]
     if differential_failures or not ok:
         raise TransferError(
@@ -306,7 +306,8 @@ def factor_algebra(
 
     Preconditions: i entrywise acyclic cofibration, p entrywise fibration,
     p o i = g, one triangular quasi-free presentation on both ends.
-    Returns (structure on B, report).
+    Returns (structure on B, report); the report holds i_morphism_ok and
+    p_morphism_ok.
     """
     presentation = lambda_a.presentation
     failures = validate_presentation(presentation)
@@ -326,14 +327,8 @@ def factor_algebra(
             raise AlgebraError("p o i differs from g at color %r" % (c,))
 
     result = _lift(presentation, b_family, into=[(i, lambda_a)], out_of=[(p, lambda_c)])
-    ok_i, fail_i = check_morphism(i, lambda_a, result)
-    ok_p, fail_p = check_morphism(p, result, lambda_c)
-    report = {
-        "notes": [],
-        "algebra_failures": check_algebra(result),
-        "i_morphism_ok": ok_i,
-        "p_morphism_ok": ok_p,
-    }
-    if not ok_i or not ok_p or any(r[0] == "differential" for r in report["algebra_failures"]):
+    ok_i, _ = check_morphism(i, lambda_a, result)
+    ok_p, _ = check_morphism(p, result, lambda_c)
+    if not ok_i or not ok_p or any(r[0] == "differential" for r in check_algebra(result)):
         raise TransferError("<factorization>", "post-verification failed")
-    return result, report
+    return result, {"i_morphism_ok": ok_i, "p_morphism_ok": ok_p}

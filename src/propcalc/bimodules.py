@@ -83,11 +83,11 @@ class BimoduleComponent:
 
     __slots__ = ("out_key", "in_key", "carrier", "layout", "_act", "_gens")
 
-    def __init__(self, out_key: OrbitKey, in_key: OrbitKey, carrier: ChainComplex, out_gens, in_gens, layout=None):
+    def __init__(self, out_key: OrbitKey, in_key: OrbitKey, carrier: ChainComplex, out_gens, in_gens):
         self.out_key = out_key
         self.in_key = in_key
         self.carrier = carrier
-        self.layout = layout
+        self.layout = None
         self._act = None
         self._gens = {
             "out": {tuple(k): v for k, v in out_gens.items()},
@@ -638,41 +638,36 @@ def _profiles_with_image(source_palette, alpha, target_profile):
     return [Profile(source_palette, combo) for combo in itertools.product(*choices)]
 
 
-def change_colors(alpha, direction, module: ColoredBimodule, source_palette=None, target_palette=None) -> ColoredBimodule:
-    """Restrict (precompose with alpha) or induce (sum over preimage profiles).
+def restrict_colors(alpha, module: ColoredBimodule, source_palette: Palette) -> ColoredBimodule:
+    """Precompose with alpha: `module` lives over the target palette, the
+    result over `source_palette`.  alpha: dict source color -> target color."""
+    out = {}
+    lengths_out = sorted({k[0].length for k in module.components})
+    lengths_in = sorted({k[1].length for k in module.components})
+    for lo in lengths_out:
+        for li in lengths_in:
+            # the sorted color tuples are the orbit representatives
+            for combo_o in itertools.combinations_with_replacement(source_palette.colors, lo):
+                kd, _ = canonicalize_profile(Profile(source_palette, combo_o))
+                for combo_i in itertools.combinations_with_replacement(source_palette.colors, li):
+                    kc, _ = canonicalize_profile(Profile(source_palette, combo_i))
+                    comp = _restricted_component(alpha, module, kd, kc)
+                    if comp is not None:
+                        out[(kd, kc)] = comp
+    return ColoredBimodule(source_palette, out)
 
-    alpha: dict source color -> target color.  For `restrict`, `module` lives
-    over the target palette and the result over the source palette; for
-    `induce` the other way around.
-    """
-    if direction == "restrict":
-        if source_palette is None:
-            raise BimoduleError("restrict needs the source palette")
-        out = {}
-        lengths_out = sorted({k[0].length for k in module.components})
-        lengths_in = sorted({k[1].length for k in module.components})
-        for lo in lengths_out:
-            for li in lengths_in:
-                # the sorted color tuples are the orbit representatives
-                for combo_o in itertools.combinations_with_replacement(source_palette.colors, lo):
-                    kd, _ = canonicalize_profile(Profile(source_palette, combo_o))
-                    for combo_i in itertools.combinations_with_replacement(source_palette.colors, li):
-                        kc, _ = canonicalize_profile(Profile(source_palette, combo_i))
-                        comp = _restricted_component(alpha, module, kd, kc)
-                        if comp is not None:
-                            out[(kd, kc)] = comp
-        return ColoredBimodule(source_palette, out)
-    if direction == "induce":
-        if target_palette is None:
-            raise BimoduleError("induce needs the target palette")
-        images = set()
-        for kd, kc in module.components:
-            image_out = Profile(target_palette, [alpha[c] for c in kd.rep.entries])
-            image_in = Profile(target_palette, [alpha[c] for c in kc.rep.entries])
-            images.add((canonicalize_profile(image_out)[0], canonicalize_profile(image_in)[0]))
-        out = {key: _induced_component(alpha, module, *key) for key in sorted(images)}
-        return ColoredBimodule(target_palette, out)
-    raise BimoduleError("direction must be 'restrict' or 'induce'")
+
+def induce_colors(alpha, module: ColoredBimodule, target_palette: Palette) -> ColoredBimodule:
+    """Sum over preimage profiles: `module` lives over the source palette of
+    alpha, the result over `target_palette`.  alpha: dict source color ->
+    target color."""
+    images = set()
+    for kd, kc in module.components:
+        image_out = Profile(target_palette, [alpha[c] for c in kd.rep.entries])
+        image_in = Profile(target_palette, [alpha[c] for c in kc.rep.entries])
+        images.add((canonicalize_profile(image_out)[0], canonicalize_profile(image_in)[0]))
+    out = {key: _induced_component(alpha, module, *key) for key in sorted(images)}
+    return ColoredBimodule(target_palette, out)
 
 
 def _restricted_component(alpha, module, kd, kc):

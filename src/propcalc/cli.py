@@ -74,7 +74,6 @@ def build_parser():
     )
     p.add_argument("--workspace", default=None, help="directory for resolving file names")
     p.add_argument("--max-vertices", type=int, default=4, help="vertex cap for graph search")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--report", choices=["json", "text"], default="text")
     sub = p.add_subparsers(dest="command", required=True)
 

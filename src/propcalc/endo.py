@@ -306,28 +306,3 @@ def relative_endo_membership(f: FamilyMap, phi_x: EndoElement, phi_y: EndoElemen
     residual = push.sub(pull)
     return residual.is_zero(), residual
 
-
-def morphism_witness(f: FamilyMap, assignment_x, assignment_y):
-    """Common-lift witness: f is a morphism of algebras iff every generator image
-    pair lands in E_f.
-
-    assignment_x / assignment_y: dict generator name -> EndoElement over the
-    source / target family.  Returns (witness dict or None, failures list);
-    the witness maps each generator to its (phi_x, phi_y) pair, the element of
-    the relative construction both structures descend from.
-    """
-    witness = {}
-    failures = []
-    for name in sorted(assignment_x):
-        if name not in assignment_y:
-            failures.append((name, "missing on the target side"))
-            continue
-        ok, residual = relative_endo_membership(f, assignment_x[name], assignment_y[name])
-        if ok:
-            witness[name] = (assignment_x[name], assignment_y[name])
-        else:
-            failures.append((name, residual))
-            break
-    if failures:
-        return None, failures
-    return witness, []

@@ -600,17 +600,13 @@ def prop_from_operad(operad: ColoredOperad, max_out: int, max_in: int) -> OPropD
     raise TruncationExceeded("truncation bounds must be positive")
 
 
-def check_unit_identity(operad: ColoredOperad, max_out=None, max_in=None) -> bool:
-    """U((-)_prop) is the identity on carriers and in-actions: the one-output
-    components of the free PROP, of arity at most the operad's, have the
-    operad's carriers and actions.  gamma is not compared: the free PROP
-    keeps no composition of its own."""
-    opp = prop_from_operad(operad, max_out or 1, max_in or operad.max_arity)
-    theirs = {}
-    for out_key, k in opp.support():
-        comp = opp.opp_component(out_key, k)
-        if out_key.length == 1 and 1 <= k.length <= operad.max_arity and not comp.carrier.is_zero():
-            theirs[(out_key.rep.entries[0], k)] = comp
+def check_unit_identity(operad: ColoredOperad) -> bool:
+    """U((-)_prop) is the identity on carriers and in-actions: the free PROP
+    truncated to one output and the operad's arity has exactly the operad's
+    components, with the operad's carriers and in-actions.  gamma is not
+    compared: the free PROP keeps no composition of its own."""
+    opp = prop_from_operad(operad, 1, operad.max_arity)
+    theirs = {(out_key.rep.entries[0], k): opp.opp_component(out_key, k) for out_key, k in opp.support()}
     if theirs.keys() != operad.components.keys():
         return False
     for (d, k), comp in theirs.items():
@@ -780,8 +776,9 @@ def prop_algebra_to_operad_algebra(values) -> dict:
     return out
 
 
-def algebra_round_trip(operad: ColoredOperad, alg: OperadAlgebra, max_in=None):
-    """Check Psi(Phi(alg)) = alg exactly, after alg.check().
+def algebra_round_trip(operad: ColoredOperad, alg: OperadAlgebra):
+    """Check Psi(Phi(alg)) = alg exactly, after alg.check(), through the free
+    PROP truncated to one output and the operad's arity.
 
     Returns a report list; empty means the algebra checks and the round trip
     is exact.
@@ -790,9 +787,8 @@ def algebra_round_trip(operad: ColoredOperad, alg: OperadAlgebra, max_in=None):
     input_failures = alg.check()
     if input_failures:
         return [("input", key, residual) for _, key, residual in input_failures]
-    max_in = max_in or operad.max_arity
     # Psi reads the single-output components only
-    opp = prop_from_operad(operad, 1, max_in)
+    opp = prop_from_operad(operad, 1, operad.max_arity)
     values = operad_algebra_to_prop_algebra(alg, opp)
     back = prop_algebra_to_operad_algebra(values)
     for (d, in_key) in operad.support():
@@ -806,10 +802,12 @@ def algebra_round_trip(operad: ColoredOperad, alg: OperadAlgebra, max_in=None):
 # standard operads
 
 
-def _linearized_set_operad(max_arity, color, elements, act, compose) -> ColoredOperad:
-    """Q[S] for a one-colour set operad S: O(n) has the basis elements(key) of
-    arity n in degree 0, s sends the basis element g to act(s, g), and gamma
-    sends g (x) h_1 (x) ... (x) h_n to compose(g, [h_1, ..., h_n])."""
+def _linearized_set_operad(max_arity, elements, act, compose) -> ColoredOperad:
+    """Q[S] for a set operad S on the one colour "x": O(n) has the basis
+    elements(key) of arity n in degree 0, s sends the basis element g to
+    act(s, g), and gamma sends g (x) h_1 (x) ... (x) h_n to compose(g, [h_1,
+    ..., h_n])."""
+    color = "x"
     palette = Palette([color])
     cells = {}  # arity -> (basis elements, their positions, carrier)
 
@@ -843,13 +841,13 @@ def _linearized_set_operad(max_arity, color, elements, act, compose) -> ColoredO
     return operad
 
 
-def trivial_operad(max_arity=3, color="x") -> ColoredOperad:
+def trivial_operad(max_arity=3) -> ColoredOperad:
     """O(n) = Q with trivial actions and gamma = multiplication: the
     linearized one-point set operad."""
-    return _linearized_set_operad(max_arity, color, lambda k: [()], lambda s, g: g, lambda g, hs: g)
+    return _linearized_set_operad(max_arity, lambda k: [()], lambda s, g: g, lambda g, hs: g)
 
 
-def associative_operad(max_arity=3, color="x") -> ColoredOperad:
+def associative_operad(max_arity=3) -> ColoredOperad:
     """O(n) = Q[Sigma_n]; basis sigma = the operation (b_1..b_n) |-> prod_j b_{sigma(j)}.
 
     Right action: (mult_sigma . tau) = mult_{tau^-1 sigma}.  Composition is
@@ -858,7 +856,7 @@ def associative_operad(max_arity=3, color="x") -> ColoredOperad:
     by its rho.
     """
     return _linearized_set_operad(
-        max_arity, color, stabilizer_elements, lambda s, g: s.inverse() * g, block_substitution
+        max_arity, stabilizer_elements, lambda s, g: s.inverse() * g, block_substitution
     )
 
 

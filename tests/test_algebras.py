@@ -249,6 +249,27 @@ def test_transfer_along_inclusion():
     assert ok
 
 
+def test_check_morphism_stops_at_the_first_failing_generator():
+    """The generators are checked in sorted order, and the check stops at the
+    first pair outside E_f: g2 is named, and g3, which fails too, is not."""
+    rng = random.Random(8)
+    palette = Palette(["a", "b"])
+    a, b = Profile(palette, ["a"]), Profile(palette, ["b"])
+    sig = Signature(palette, [Generator(name, a, b) for name in ("g1", "g2", "g3")])
+    st_x = random_structure(sig, rng)
+    fam = st_x.family
+    ones = [[1] * fam.space(b).complex.dim(0)] * fam.space(a).complex.dim(0)
+    bump = EndoElement.from_mats(fam, a, b, 0, rows_of({0: ones}))
+    moved = {name: el if name == "g1" else el.add(bump) for name, el in st_x.assignment.items()}
+    st_y = AlgebraStructure(st_x.presentation, fam, moved)
+    ident = FamilyMap.identity(fam)
+    ok, failures = check_morphism(ident, st_x, st_y)
+    assert not ok
+    assert [name for name, _ in failures] == ["g2"]
+    assert failures[0][1] == bump.chain.scale(-1)
+    assert check_morphism(ident, st_x, st_x) == (True, [])
+
+
 def test_transfer_rejects_wrong_map_class():
     pres = homotopy_assoc_presentation()
     st = ground_field_structure(pres)

@@ -37,10 +37,11 @@ from propcalc.bimodules import (
     box_dot_many,
     box_h,
     box_v,
-    change_colors,
     coinvariant_quotient,
     component_at,
+    induce_colors,
     placements,
+    restrict_colors,
     tensor_over_sigma,
 )
 from propcalc.chains import (
@@ -893,9 +894,9 @@ def test_change_colors_identity():
     comp = random_rep_component(rng, ka, ka)
     mod = single_component_module(PAL, comp)
     alpha = {"a": "a", "b": "b"}
-    restricted = change_colors(alpha, "restrict", mod, source_palette=PAL)
+    restricted = restrict_colors(alpha, mod, PAL)
     assert set(restricted.components) == set(mod.components)
-    induced = change_colors(alpha, "induce", mod, target_palette=PAL)
+    induced = induce_colors(alpha, mod, PAL)
     assert set(induced.components) == set(mod.components)
     for kk in mod.components:
         assert induced.component(*kk).carrier.dims == mod.component(*kk).carrier.dims
@@ -912,8 +913,8 @@ def test_change_colors_injective_unit():
 
         comp = random_rep_component(rng, rand_key(), rand_key())
         mod = single_component_module(PAL, comp)
-        induced = change_colors(alpha, "induce", mod, target_palette=big)
-        back = change_colors(alpha, "restrict", induced, source_palette=PAL)
+        induced = induce_colors(alpha, mod, big)
+        back = restrict_colors(alpha, induced, PAL)
         assert set(back.components) == set(mod.components)
         for kk in mod.components:
             b = back.component(*kk)
@@ -937,7 +938,7 @@ def test_change_colors_collapse_sums_preimages():
             (kb, ka): make_component(kb, ka, ChainComplex({0: 3})),
         },
     )
-    induced = change_colors(alpha, "induce", p, target_palette=one)
+    induced = induce_colors(alpha, p, one)
     kz = key(one, "z")
     comp = induced.component(kz, kz)
     assert comp.carrier.dim(0) == 5
@@ -960,7 +961,7 @@ def test_change_colors_restricts_along_a_non_injective_map():
             for o, i in pairs
         },
     )
-    restricted = change_colors(alpha, "restrict", mod, source_palette=source)
+    restricted = restrict_colors(alpha, mod, source)
     # the palette lists its colors in sorted order, so a representative is a sorted tuple
     expected = []
     for lo in sorted({len(o) for o, _ in pairs}):
@@ -1062,10 +1063,10 @@ def test_all_product_outputs_satisfy_group_laws():
         for mod in (box_v(p, q), box_h(p, q)):
             for comp in mod.components.values():
                 assert comp.validate() == []
-        induced = change_colors(alpha, "induce", p, target_palette=big)
+        induced = induce_colors(alpha, p, big)
         for comp in induced.components.values():
             assert comp.validate() == []
-        restricted = change_colors(alpha, "restrict", induced, source_palette=PAL)
+        restricted = restrict_colors(alpha, induced, PAL)
         for comp in restricted.components.values():
             assert comp.validate() == []
 

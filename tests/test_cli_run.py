@@ -33,8 +33,8 @@ def test_parser_is_built_once():
 
 @pytest.mark.parametrize(
     "bad_argv",
-    [["no-such-command", "q.json"], ["--report", "xml", "check", "q.json"], []],
-    ids=["unknown-command", "bad-report", "no-command"],
+    [["no-such-command", "q.json"], ["--report", "xml", "check", "q.json"], [], ["--seed", "1", "check", "fam.json"]],
+    ids=["unknown-command", "bad-report", "no-command", "retired-seed-flag"],
 )
 def test_usage_error_then_valid_call(bad_argv, capsys):
     with pytest.raises(SystemExit) as exc:

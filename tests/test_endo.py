@@ -27,7 +27,6 @@ from propcalc.endo import (
     endo_horizontal,
     endo_permute,
     endo_vertical,
-    morphism_witness,
     relative_endo_membership,
 )
 from propcalc.profiles import Palette, Permutation, Profile
@@ -303,21 +302,6 @@ def test_membership_pushforward_through_invertible():
     phi_y = EndoElement(fam_y, prof("a"), prof("a", "b"), push.compose(inv))
     ok, _ = relative_endo_membership(f, phi_x, phi_y)
     assert ok
-
-
-def test_morphism_witness_reports_first_failure():
-    rng = random.Random(8)
-    fam = small_family(rng)
-    ident = FamilyMap.identity(fam)
-    f = random_element(rng, fam, prof("a"), prof("b"), degree=0)
-    ax = {"g1": f, "g2": f}
-    ay = {"g1": f, "g2": f.add(EndoElement.from_mats(fam, prof("a"), prof("b"), 0, rows_of({0: [[1] * fam.space(prof("b")).complex.dim(0)] * fam.space(prof("a")).complex.dim(0)})))}
-    witness, failures = morphism_witness(ident, ax, ay)
-    assert witness is None
-    assert failures and failures[0][0] == "g2"
-    witness2, failures2 = morphism_witness(ident, ax, dict(ax))
-    assert failures2 == []
-    assert set(witness2) == {"g1", "g2"}
 
 
 def matched_pair(rng, f, out_p, in_p, degree=0):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import string
@@ -18,6 +19,7 @@ from helpers import (
     reference_enumerate_graphs,
 )
 from propcalc.cli import _relabel as cli_relabel
+from propcalc.formats import dumps, presentation_from_json, presentation_to_json
 from propcalc.exprs import (
     GenExpr,
     GraphPolynomial,
@@ -230,6 +232,51 @@ def test_action_compatibility_as_graphs():
         a = RightActExpr(LeftActExpr(sigma, e), tau)
         b = LeftActExpr(sigma, RightActExpr(e, tau))
         assert graphs_equal(a, b)
+
+
+def test_expressions_print_parseably():
+    """str is the parser's input syntax: printing and parsing again gives the
+    same text and the same graph, actions included."""
+    rng = random.Random(34)
+    with_actions = 0
+    for _ in range(300):
+        sig = random_signature(rng)
+        e = random_expression(sig, rng, depth=rng.randint(1, 3))
+        text = str(e)
+        back = parse(text, sig)
+        assert str(back) == text
+        assert graphs_equal(back, e)
+        with_actions += "[" in text
+    assert with_actions >= 150
+
+
+def test_presentation_with_action_terms_survives_json():
+    palette = Palette(["c"])
+    c1, c2 = Profile(palette, ["c"]), Profile(palette, ["c", "c"])
+    sig = Signature(
+        palette,
+        [
+            Generator("mu", c1, c2, 0),
+            Generator("h", c1, c2, 1),
+            Generator("delta", c2, c1, 0),
+            Generator("k", c2, c1, 1),
+        ],
+    )
+    pres = PropPresentation(
+        sig,
+        {
+            "h": [(1, parse("mu", sig)), (-1, parse("mu . [2 1]", sig))],
+            "k": [(1, parse("delta", sig)), (-1, parse("[2 1] . delta", sig))],
+        },
+    )
+    data = presentation_to_json(pres)
+    assert [t["expr"] for t in data["differential"]["k"]] == ["delta", "([2 1] . delta)"]
+    back = presentation_from_json(json.loads(dumps(data)))
+    assert presentation_to_json(back) == data
+    for name, terms in pres.differential.items():
+        got = back.delta(name)
+        assert [c for c, _ in got] == [c for c, _ in terms]
+        assert all(graphs_equal(a, b) for (_, a), (_, b) in zip(got, terms))
 
 
 def test_middle_transport_identity():

@@ -28,6 +28,7 @@ from helpers import (
     zeros,
 )
 from propcalc import chains, operads
+from propcalc.bimodules import BimoduleComponent
 from propcalc.formats import Workspace, operad_algebra_from_json, operad_from_json
 from propcalc.chains import ChainComplex, ChainMap, TensorSpace, shared_space
 from propcalc.endo import ColoredFamily, EndoElement, EndoError, endo_horizontal, endo_permute, endo_vertical
@@ -445,6 +446,62 @@ def test_oprop_dims_against_coset_brute_force():
 def test_unit_identity_standard_operads():
     assert check_unit_identity(trivial_operad(3))
     assert check_unit_identity(associative_operad(3))
+
+
+class _ChangedFreeProp:
+    """A free PROP with some of its components replaced or added."""
+
+    def __init__(self, prop, changes):
+        self.components = {key: prop.opp_component(*key) for key in prop.support()}
+        self.components.update(changes)
+
+    def support(self):
+        return list(self.components)
+
+    def opp_component(self, out_key, in_key):
+        return self.components.get((out_key, in_key))
+
+
+def _negated_in_generator(prop):
+    """The first component with an in-generator, that generator's action negated."""
+    out_key, k = next(key for key in prop.support() if stabilizer_generators(key[1]))
+    comp = prop.opp_component(out_key, k)
+    s = stabilizer_generators(k)[0]
+    in_gens = dict(comp.in_gens)
+    in_gens[s.images] = in_gens[s.images].scale(-1)
+    return {(out_key, k): BimoduleComponent(out_key, k, comp.carrier, comp.out_gens, in_gens)}
+
+
+def _replaced_carrier(prop):
+    """The first arity-1 component on a carrier one dimension larger."""
+    out_key, k = next(key for key in prop.support() if key[1].length == 1)
+    dim = prop.opp_component(out_key, k).carrier.dim(0)
+    return {(out_key, k): BimoduleComponent(out_key, k, ChainComplex({0: dim + 1}), {}, {})}
+
+
+def _extra_one_output_key(prop):
+    """A one-output, arity-1 component at a colour the operad lacks."""
+    wider = Palette(list(prop.palette.colors) + ["z"])
+    kz = profile_key(wider, ["z"])
+    return {(kz, kz): BimoduleComponent(kz, kz, ChainComplex({0: 1}), {}, {})}
+
+
+@pytest.mark.parametrize("change", [_negated_in_generator, _replaced_carrier, _extra_one_output_key])
+def test_check_unit_identity_rejects_a_changed_free_prop(change, monkeypatch):
+    """Each change to the one-output part of the free PROP makes the check
+    false, on both standard operads and an endomorphism operad."""
+    fam = ColoredFamily(Palette(["a", "b"]), {"a": ChainComplex({0: 2}), "b": ChainComplex({0: 1})})
+    free_prop = operads.prop_from_operad
+
+    def changed_prop(*args):
+        prop = free_prop(*args)
+        return _ChangedFreeProp(prop, change(prop))
+
+    for operad in (trivial_operad(3), associative_operad(3), endomorphism_operad(fam, 2)):
+        assert check_unit_identity(operad)
+        with monkeypatch.context() as patch:
+            patch.setattr(operads, "prop_from_operad", changed_prop)
+            assert not check_unit_identity(operad)
 
 
 def test_block_substitution_matches_the_word_oracle():

@@ -103,6 +103,41 @@ def test_scalar_vprop_valid():
         assert vp.validate() == []
 
 
+def test_vprop_validate_names_a_composition_on_a_zero_component():
+    vp = scalar_vprop(lengths=(1,))
+    k1, k2 = key(PAL1, "x"), key(PAL1, "x", "x")
+    # the right factor (k1, k2) is not a component of the module
+    vp.vcomp[(k1, k1, k2)] = vp.vcomp[(k1, k1, k1)]
+    assert vp.validate() == ["composition on a zero component at %r" % ((k1, k1, k2),)]
+
+
+def test_vprop_validate_names_each_composition_that_does_not_coequalize_the_middle():
+    """The sign acts on the in-side of every component (-, k2) and trivially
+    on the out-side of every component (k2, -), so x.g (x) y and x (x) g.y
+    differ by a sign across the middle k2 and no composition over k2
+    coequalizes them."""
+    vp = scalar_vprop()
+    k2 = key(PAL1, "x", "x")
+    comps = vp.module.components
+    for a, b in list(comps):
+        if b == k2:
+            comps[(a, b)] = make_component(a, b, comps[(a, b)].carrier, None, sign_rep(b))
+    assert vp.validate() == ["middle coequalization fails at %r" % (t,) for t in vp.vcomp if t[1] == k2]
+
+
+def test_vprop_validate_names_each_quadruple_that_a_scaled_composition_breaks():
+    """With m(k1, k2, k1) = 2 and every other composition 1, the two routes
+    of (d, b, c, a) differ exactly where they read m(k1, k2, k1) a different
+    number of times: at (k1, k2, k1, k2) and (k2, k1, k2, k1)."""
+    vp = scalar_vprop()
+    k1, k2 = key(PAL1, "x"), key(PAL1, "x", "x")
+    vp.vcomp[(k1, k2, k1)] = vp.vcomp[(k1, k2, k1)].scale(2)
+    assert vp.validate() == [
+        "vertical associativity fails on (%r, %r, %r, %r)" % quadruple
+        for quadruple in ((k1, k2, k1, k2), (k2, k1, k2, k1))
+    ]
+
+
 def test_induced_vertical_composite_on_single_pair():
     vp = scalar_vprop(lengths=(1,))
     vq = scalar_vprop(lengths=(1,))
