@@ -67,6 +67,9 @@ class AlgebraStructure:
                 or el.degree != gen.degree
             ):
                 raise AlgebraError("assignment for %r has the wrong shape" % name)
+        extra = self.assignment.keys() - presentation.signature.generators.keys()
+        if extra:
+            raise AlgebraError("assignment for unknown generator %r" % min(extra))
 
 
 def evaluate(e: Expression, structure: AlgebraStructure) -> EndoElement:
@@ -134,24 +137,18 @@ def check_algebra(structure: AlgebraStructure):
 def check_morphism(f: FamilyMap, structure_x: AlgebraStructure, structure_y: AlgebraStructure):
     """f is a morphism of algebras iff every generator's pair of images lies
     in the relative construction E_f (relative_endo_membership).  Returns
-    (bool, failures): in sorted order, (name, message) for each generator
-    missing on the target side, up to (name, residual) for the first one
-    outside E_f, where the check stops."""
+    (bool, failures): failures is [(name, residual)] for the first generator
+    in sorted order outside E_f, where the check stops, and empty otherwise."""
     if structure_x.presentation is not structure_y.presentation:
         # same presentation content is enough; identity check is the cheap gate
         if structure_x.presentation.signature.generators.keys() != structure_y.presentation.signature.generators.keys():
             raise AlgebraError("morphism check needs a common presentation")
     assignment_x, assignment_y = structure_x.assignment, structure_y.assignment
-    failures = []
     for name in sorted(assignment_x):
-        if name not in assignment_y:
-            failures.append((name, "missing on the target side"))
-            continue
         ok, residual = relative_endo_membership(f, assignment_x[name], assignment_y[name])
         if not ok:
-            failures.append((name, residual))
-            break
-    return not failures, failures
+            return False, [(name, residual)]
+    return True, []
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ from propcalc.profiles import (
 )
 
 
-# BimoduleComponent.validate checks a group law on the full multiplication
-# table up to this many elements, and on sampled pairs beyond
+# BimoduleComponent.validate checks a group law on the generator rows of the
+# multiplication table up to this many elements, and on sampled pairs beyond
 _GROUP_TABLE_CAP = 48
 _GROUP_LAW_SAMPLES = 20
 _GROUP_LAW_SEED = 0
@@ -169,9 +169,10 @@ class BimoduleComponent:
 
     def validate(self):
         """Check the action axioms: the generator actions are chain maps; the
-        group law on the full table up to 48 elements, sampled beyond; the two
-        sides commute on generators, which span both actions.  Each element's
-        action is built at most once per call.
+        group law on the generator rows of the table up to 48 elements (see
+        _table_pairs), sampled beyond; the two sides commute on generators,
+        which span both actions.  Each element's action is built at most once
+        per call.
         """
         failures = []
         if self.carrier.boundary:
@@ -188,11 +189,11 @@ class BimoduleComponent:
         # every component ever validated
         rho_out = functools.cache(self.rho_out)
         rho_in = functools.cache(self.rho_in)
-        for g, h in _table_pairs(stabilizer_elements(self.out_key)):
+        for g, h in _table_pairs(self.out_key):
             if rho_out(g).compose(rho_out(h)) != rho_out(g * h):
                 failures.append("out-action group law fails at %r, %r" % (g.images, h.images))
                 break
-        for g, h in _table_pairs(stabilizer_elements(self.in_key)):
+        for g, h in _table_pairs(self.in_key):
             if rho_in(h).compose(rho_in(g)) != rho_in(g * h):
                 failures.append("in-action group law fails at %r, %r" % (g.images, h.images))
                 break
@@ -203,12 +204,26 @@ class BimoduleComponent:
         return failures
 
 
-def _table_pairs(elems):
-    """The pairs on which validate checks a group law: the full table up to
-    _GROUP_TABLE_CAP elements, else _GROUP_LAW_SAMPLES pairs drawn with a
-    generator seeded by _GROUP_LAW_SEED."""
+def _table_pairs(key):
+    """The pairs (g, h) on which validate checks a group law for the
+    stabilizer of key.  Up to _GROUP_TABLE_CAP elements: the rows whose g is
+    a generator, taken in stabilizer_elements order, h over all elements.
+    Beyond: _GROUP_LAW_SAMPLES pairs drawn with a generator seeded by
+    _GROUP_LAW_SEED.
+
+    The generator rows decide the whole table, by induction on word length:
+    on the out side rho(s g')rho(h) = rho(s)rho(g' h) = rho(s g' h), and the
+    reversed in-side law follows the same way.  They also find the table's
+    first failing pair: an element g that is neither the identity nor a
+    generator is s g' for a generator s with s < g and g' < g in lex order
+    (s a left descent of g), so a failure in row g implies one in row s or
+    row g' before it; the identity's row always holds, so the first failing
+    row is a generator row, and the first failing pair is the table's.
+    """
+    elems = stabilizer_elements(key)
     if len(elems) <= _GROUP_TABLE_CAP:
-        return itertools.product(elems, elems)
+        generators = set(stabilizer_generators(key))
+        return [(g, h) for g in elems if g in generators for h in elems]
     rng = random.Random(_GROUP_LAW_SEED)
     return [(rng.choice(elems), rng.choice(elems)) for _ in range(_GROUP_LAW_SAMPLES)]
 
@@ -509,46 +524,18 @@ def _arrangements(letters):
         out.append(tuple(word))
 
 
-def _placement_blocks(assignment, n_factors):
-    """Positions (ascending) owned by each factor."""
-    blocks = [[] for _ in range(n_factors)]
-    for pos, fac in enumerate(assignment):
-        blocks[fac].append(pos)
-    return blocks
-
-
-def _moved_placement(assignment, perm_positions):
-    """Placement after moving position p to perm_positions[p]."""
-    out = [None] * len(assignment)
-    for pos, fac in enumerate(assignment):
-        out[perm_positions[pos]] = fac
-    return tuple(out)
-
-
-def _twists(assignment, new_assignment, perm_positions, n_factors):
-    """Per-factor correction permutations pi_i with m'_i pi_i = sigma m_i.
-
-    Each is a permutation by construction, so it is built without the check:
-    perm_positions maps factor i's positions in the placement one to one onto
-    its positions in the moved placement."""
-    old_blocks = _placement_blocks(assignment, n_factors)
-    new_blocks = _placement_blocks(new_assignment, n_factors)
-    twists = []
-    for i in range(n_factors):
-        new_index = {pos: k for k, pos in enumerate(new_blocks[i])}
-        images = [0] * len(old_blocks[i])
-        for ell, pos in enumerate(old_blocks[i]):
-            images[ell] = new_index[perm_positions[pos]] + 1
-        twists.append(Permutation._trusted(images))
-    return twists
-
-
 def box_dot_many(palette, factors) -> BimoduleComponent:
     """Iterated induced representation of a list of components.
 
     Carrier = one copy of (x)_i V_i per (out placement, in placement) pair;
-    dim = [G : H] prod dim V_i.  The Young actions permute placements and
-    twist the decorations through the block corrections.
+    dim = [G : H] prod dim V_i.  The rule is only asked for a stabilizer
+    generator s, the swap of positions t and t+1 inside one colour block, and
+    s is its own inverse, so both sides move placements the same way.  A
+    placement a with a[t] != a[t+1] swaps the two entries and every twist is
+    the identity: the decoration is the call's one identity.  One with
+    a[t] == a[t+1] == f stays, and factor f alone is twisted by its own
+    generator (l+1 l+2), l = a[:t].count(f): that decoration is built at most
+    once per (side, f, l), on first use.
     """
     if not factors:
         raise BimoduleError("box_dot needs at least one factor")
@@ -568,44 +555,44 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
 
     factor_spaces = [TensorSpace([f.carrier]) for f in factors]
     identity = ChainMap.identity(layout.tensor.complex)
+    twisted = {}
 
-    def decorated(side, twists):
-        """The tensor of the factors' actions of the twists on one side; when
-        every twist is the identity, the one identity of this call."""
-        if all(t.is_identity() for t in twists):
-            return identity
-        return assemble_tensor_map(
-            layout.tensor,
-            layout.tensor,
-            [(fs, fs, f._action(side, t)) for fs, f, t in zip(factor_spaces, factors, twists)],
-        )
+    def decoration(side, f, ell):
+        """Factor f's generator (ell+1 ell+2) on one side, tensored with the
+        identities of the other factors."""
+        dec = twisted.get((side, f, ell))
+        if dec is None:
+            images = list(range(1, factors[f]._key(side).length + 1))
+            images[ell], images[ell + 1] = ell + 2, ell + 1
+            maps = [ChainMap.identity(g.carrier) for g in factors]
+            maps[f] = factors[f]._side_gens(side)[tuple(images)]
+            groups = [(fs, fs, m) for fs, m in zip(factor_spaces, maps)]
+            dec = twisted[(side, f, ell)] = assemble_tensor_map(layout.tensor, layout.tensor, groups)
+        return dec
 
     def copy_offsets(out_place, in_place):
         return layout.copy_offsets(layout.copy_number(out_place, in_place))
 
-    def action_blocks(side, sigma):
+    def action_blocks(side, s):
         """(decoration, target offsets, source offsets) per copy.  A placement
-        moves on one side only, so each moved placement's decoration is built
-        once and shared by the copies of all its partner placements."""
-        if side == "out":
-            perm_positions = [sigma(i + 1) - 1 for i in range(sigma.n)]
-            for ao in layout.outs:
-                new_a = _moved_placement(ao, perm_positions)
-                tw = _twists(ao, new_a, perm_positions, len(factors))
-                dec = decorated(side, tw)
-                for ai in layout.ins:
-                    yield dec, copy_offsets(new_a, ai), copy_offsets(ao, ai)
-        else:
-            perm_positions = [sigma.inverse()(i + 1) - 1 for i in range(sigma.n)]
-            for ai in layout.ins:
-                new_a = _moved_placement(ai, perm_positions)
-                tw = _twists(ai, new_a, perm_positions, len(factors))
-                dec = decorated(side, [t.inverse() for t in tw])
-                for ao in layout.outs:
-                    yield dec, copy_offsets(ao, new_a), copy_offsets(ao, ai)
+        moves on one side only, so its decoration is shared by the copies of
+        all its partner placements."""
+        t = next(i for i, image in enumerate(s.images) if image != i + 1)
+        moving, partners = (layout.outs, layout.ins) if side == "out" else (layout.ins, layout.outs)
+        for a in moving:
+            f = a[t]
+            if f != a[t + 1]:
+                moved, dec = a[:t] + (a[t + 1], f) + a[t + 2:], identity
+            else:
+                moved, dec = a, decoration(side, f, a[:t].count(f))
+            for b in partners:
+                if side == "out":
+                    yield dec, copy_offsets(moved, b), copy_offsets(a, b)
+                else:
+                    yield dec, copy_offsets(b, moved), copy_offsets(b, a)
 
-    def act(side, sigma):
-        return place_blocks(carrier, carrier, action_blocks(side, sigma))
+    def act(side, s):
+        return place_blocks(carrier, carrier, action_blocks(side, s))
 
     return BimoduleComponent.acting(merged_out, merged_in, carrier, act, layout)
 

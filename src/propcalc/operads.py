@@ -18,7 +18,6 @@ from propcalc import linalg
 from propcalc.bimodules import (
     BimoduleComponent,
     SumPiece,
-    _placement_blocks,
     box_dot_many,
     merge_keys as merge_in_keys,
     sum_components,
@@ -756,8 +755,9 @@ def _phi_basis_value(alg, comp, deg, flat):
     # out shuffle: factor i's single output goes to its placed position
     m = len(tup)
     out_perm = Permutation([out_place.index(i) + 1 for i in range(m)])
-    # in shuffle: concat slot (factor-major) s -> its global position
-    in_perm = Permutation([pos + 1 for block in _placement_blocks(in_place, m) for pos in block])
+    # in shuffle: concat slot (factor-major) s -> its global position; the
+    # sort is stable, so each factor's positions stay ascending
+    in_perm = Permutation([pos + 1 for pos in sorted(range(len(in_place)), key=in_place.__getitem__)])
     # element at (out_rep; in_rep): permute h's outputs by out_perm and inputs
     # from X_{in_rep} arranged concat-major: right action by in_perm^{-1}
     moved = endo_permute(out_perm, in_perm.inverse(), h)

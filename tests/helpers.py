@@ -8,8 +8,6 @@ from fractions import Fraction
 from propcalc import linalg
 from propcalc.bimodules import (
     InducedLayout,
-    _moved_placement,
-    _twists,
     box_dot_many,
     merge_keys,
     placements,
@@ -1149,6 +1147,35 @@ def reference_validate_component(comp):
                 failures.append("out/in actions do not commute")
                 break
     return failures
+
+
+def _placement_blocks(assignment, n_factors):
+    """Positions (ascending) owned by each factor."""
+    blocks = [[] for _ in range(n_factors)]
+    for pos, fac in enumerate(assignment):
+        blocks[fac].append(pos)
+    return blocks
+
+
+def _moved_placement(assignment, perm_positions):
+    """Placement after moving position p to perm_positions[p]."""
+    out = [None] * len(assignment)
+    for pos, fac in enumerate(assignment):
+        out[perm_positions[pos]] = fac
+    return tuple(out)
+
+
+def _twists(assignment, new_assignment, perm_positions, n_factors):
+    """Per-factor correction permutations pi_i with m'_i pi_i = sigma m_i,
+    for any Young element sigma moving position p to perm_positions[p]:
+    box_dot_many's general rule before it took generators only."""
+    old_blocks = _placement_blocks(assignment, n_factors)
+    new_blocks = _placement_blocks(new_assignment, n_factors)
+    twists = []
+    for i in range(n_factors):
+        new_index = {pos: k for k, pos in enumerate(new_blocks[i])}
+        twists.append(Permutation([new_index[perm_positions[pos]] + 1 for pos in old_blocks[i]]))
+    return twists
 
 
 def reference_box_dot_gens(palette, factors):

@@ -270,6 +270,17 @@ def test_check_morphism_stops_at_the_first_failing_generator():
     assert check_morphism(ident, st_x, st_x) == (True, [])
 
 
+def test_structure_rejects_an_assignment_for_an_unknown_generator():
+    """An assignment name outside the signature is refused, so a structure
+    holds exactly its signature's names and check_morphism never meets a name
+    missing on the target side."""
+    rng = random.Random(9)
+    st = random_structure(random_signature(rng), rng)
+    extra = next(iter(st.assignment.values()))
+    with pytest.raises(AlgebraError, match=r"^assignment for unknown generator 'zz'$"):
+        AlgebraStructure(st.presentation, st.family, dict(st.assignment, zz=extra))
+
+
 def test_transfer_rejects_wrong_map_class():
     pres = homotopy_assoc_presentation()
     st = ground_field_structure(pres)

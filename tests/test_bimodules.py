@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    assert_checked,
+    _moved_placement,
+    _twists,
     dense_add,
     dense_mat,
     dense_mats,
@@ -344,6 +345,79 @@ def test_validate_sampled_path_builds_only_sampled_actions(monkeypatch):
     assert len(calls) == len(set(calls)) <= 60
 
 
+# stabilizers of 2, 6, 24, 36 and 48 elements: S2, S3, S4, S3 x S3, S4 x S2
+LAW_KEYS = [key(PAL, *"aa"), key(PAL, *"aaa"), key(PAL, *"aaaa"), key(PAL, *"aaabbb"), key(PAL, *"aaaabb")]
+
+
+def test_validate_generator_rows_match_the_full_table():
+    """validate checks the group law on generator rows only; the reference
+    checks the full table.  On seeded components over each stabilizer, on
+    either side, valid and broken (one generator scaled by 2, or one in a
+    block of 3 or more negated so that a braid relation fails), the failures
+    agree, first failing pair included."""
+    rng = random.Random(35)
+    failing, braids = set(), 0
+    for group_key in LAW_KEYS:
+        for side in ("out", "in"):
+            for _ in range(3):
+                other = random_young_key(rng, PAL, 2)
+                keys = (group_key, other) if side == "out" else (other, group_key)
+                comp = random_young_component(rng, *keys)
+                assert comp.validate() == reference_validate_component(comp) == []
+                gens = comp.out_gens if side == "out" else comp.in_gens
+                s = rng.choice(stabilizer_generators(group_key))
+                j = rng.choice([0, 1])
+                scaled = with_generator(comp, side, s.images, j, dense_scale(F(2), dense_mat(gens[s.images], j)))
+                # a generator in a colour block of 3 or more is in a braid relation
+                colours = group_key.rep.entries
+                braided = [
+                    g for g in stabilizer_generators(group_key) if colours.count(colours[swapped_position(g)]) >= 3
+                ]
+                negated = [
+                    with_generator(comp, side, g.images, j, dense_scale(F(-1), dense_mat(gens[g.images], j)))
+                    for g in braided[:1]
+                ]
+                braids += len(negated)
+                for broken in [scaled] + negated:
+                    failures = broken.validate()
+                    assert failures == reference_validate_component(broken)
+                    assert any(f.startswith(side + "-action group law fails") for f in failures)
+                    failing.update(f for f in failures if "group law" in f)
+    # every key but S2's has a block of 3 or more
+    assert braids == 4 * 2 * 3 and len(failing) > 10, (braids, failing)
+
+
+def test_validate_composes_k_times_order_group_law_pairs(monkeypatch):
+    """With every action built beforehand, a valid component on a carrier
+    with no differential makes k |G| group-law compositions per side, k the
+    number of generators, and two per pair of out and in generators for
+    commutation."""
+    rng = random.Random(36)
+    calls = []
+    compose = ChainMap.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    for out_key, in_key in zip(LAW_KEYS, reversed(LAW_KEYS)):
+        comp = random_young_component(rng, out_key, in_key, max_dim=4)
+        assert not comp.carrier.boundary
+        built = {
+            side: {g.images: comp._action(side, g) for g in stabilizer_elements(comp._key(side))}
+            for side in ("out", "in")
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(BimoduleComponent, "rho_out", lambda self, g: built["out"][g.images])
+            patch.setattr(BimoduleComponent, "rho_in", lambda self, g: built["in"][g.images])
+            patch.setattr(ChainMap, "compose", counting)
+            del calls[:]
+            assert comp.validate() == []
+        k_out, k_in = len(stabilizer_generators(out_key)), len(stabilizer_generators(in_key))
+        order_out, order_in = len(built["out"]), len(built["in"])
+        assert len(calls) == k_out * order_out + k_in * order_in + 2 * k_out * k_in
+
+
 def test_box_dot_generators_match_per_pair_reference():
     rng = random.Random(33)
     for n_factors, max_length in ((2, 2), (2, 2), (2, 3), (3, 1), (3, 2)):
@@ -362,29 +436,38 @@ def test_box_dot_generators_match_per_pair_reference():
                     assert dense_mats(ours[images]) == dense_mats(m)
 
 
+def swapped_position(s):
+    """The t (from 0) of a stabilizer generator s, the swap of t and t+1."""
+    return next(i for i, image in enumerate(s.images) if image != i + 1)
+
+
+def generator_swaps(places, merged):
+    """(t, placement) for every stabilizer generator of merged and every
+    placement on that side."""
+    for s in stabilizer_generators(merged):
+        for a in places:
+            yield swapped_position(s), a
+
+
 def test_box_dot_shares_one_identity_decoration(monkeypatch):
-    """A moved placement whose twists are all the identity is decorated with
-    the call's one identity, and only the others are assembled; both kinds
-    agree with the per-pair reference, which assembles every decoration.
-    Construction builds no action: the work is counted once both sides are
-    read."""
+    """A placement that gives the swapped positions to two factors is
+    decorated with the call's one identity; one that gives both to factor f
+    twists f alone, and that decoration is assembled once per (side, f, l),
+    l the number of f's positions before the swap.  Both kinds agree with
+    the per-pair reference, which assembles every decoration.  Construction
+    builds no action: the work is counted once both sides are read."""
     import propcalc.bimodules as bimodules
 
-    assembled, twist_lists = [], []
-    real_assemble, real_twists = bimodules.assemble_tensor_map, bimodules._twists
+    assembled = []
+    real_assemble = bimodules.assemble_tensor_map
 
     def counting_assemble(*args):
         assembled.append(args)
         return real_assemble(*args)
 
-    def recording_twists(*args):
-        twist_lists.append(real_twists(*args))
-        return twist_lists[-1]
-
     monkeypatch.setattr(bimodules, "assemble_tensor_map", counting_assemble)
-    monkeypatch.setattr(bimodules, "_twists", recording_twists)
     rng = random.Random(34)
-    shared = built = 0
+    shared = built = repeats = 0
     for n_factors, max_length in ((2, 2), (2, 3), (3, 1), (3, 2)):
         for _ in range(3):
             factors = [
@@ -393,19 +476,26 @@ def test_box_dot_shares_one_identity_decoration(monkeypatch):
                 )
                 for _ in range(n_factors)
             ]
-            del assembled[:], twist_lists[:]
+            del assembled[:]
             comp = box_dot_many(PAL, factors)
-            assert not assembled and not twist_lists
+            assert not assembled
             actions = (comp.out_gens, comp.in_gens)
-            identities = sum(all(t.is_identity() for t in tw) for tw in twist_lists)
-            assert len(assembled) == len(twist_lists) - identities
-            shared += identities
+            twisted = set()
+            for side, places, merged in (("out", comp.layout.outs, comp.out_key), ("in", comp.layout.ins, comp.in_key)):
+                for t, a in generator_swaps(places, merged):
+                    if a[t] == a[t + 1]:
+                        twist = (side, a[t], a[:t].count(a[t]))
+                        repeats += twist in twisted
+                        twisted.add(twist)
+                    else:
+                        shared += 1
+            assert len(assembled) == len(twisted)
             built += len(assembled)
             for ours, theirs in zip(actions, reference_box_dot_gens(PAL, factors)):
                 assert set(ours) == set(theirs)
                 for images, m in theirs.items():
                     assert dense_mats(ours[images]) == dense_mats(m)
-    assert shared and built, (shared, built)
+    assert shared and built and repeats, (shared, built, repeats)
 
 
 def test_component_at_zero():
@@ -1199,11 +1289,14 @@ def assert_rho_follows_the_words(comp):
 
 def test_young_shortcuts_match_the_checked_rules():
     """rho_out and rho_in look a generator up before building a word, and
-    _twists skips the permutation check.  On box_dot_many results over seeded
-    keys (blocks up to 4, merged length up to 6) and on the golden bimodules
-    and their products, the actions equal the word rule and every twist is
-    what the check accepts.  The first factor acts by sign on the out side
-    only, so a lookup on the wrong side shows."""
+    box_dot_many moves placements by one adjacent transposition.  On
+    box_dot_many results over seeded keys (blocks up to 4, merged length up
+    to 6) and on the golden bimodules and their products, the actions equal
+    the word rule.  For every generator and placement, the general twists
+    (built by the checking constructor) are the identity when the swapped
+    positions go to two factors, else the generator (l+1 l+2) on the one
+    factor f that owns both, l = a[:t].count(f).  The first factor acts by
+    sign on the out side only, so a lookup on the wrong side shows."""
     rng = random.Random(24)
     aa = key(PAL, "a", "a")
     signed = make_component(aa, aa, ChainComplex({0: 1}), out_mats=sign_rep(aa))
@@ -1217,12 +1310,21 @@ def test_young_shortcuts_match_the_checked_rules():
         comp = box_dot_many(PAL, factors)
         assert_rho_follows_the_words(comp)
         for places, merged in ((comp.layout.outs, comp.out_key), (comp.layout.ins, comp.in_key)):
-            for sigma in stabilizer_elements(merged):
-                perm_positions = [sigma(i + 1) - 1 for i in range(sigma.n)]
-                for a in places:
-                    moved = bimodules._moved_placement(a, perm_positions)
-                    for twist in bimodules._twists(a, moved, perm_positions, len(factors)):
-                        assert_checked(twist)
+            for t, a in generator_swaps(places, merged):
+                swap = list(range(len(a)))
+                swap[t], swap[t + 1] = t + 1, t
+                moved = _moved_placement(a, swap)
+                twists = [tw.images for tw in _twists(a, moved, swap, len(factors))]
+                expected = [tuple(range(1, len(tw) + 1)) for tw in twists]
+                if a[t] == a[t + 1]:
+                    ell = a[:t].count(a[t])
+                    own = list(expected[a[t]])
+                    own[ell], own[ell + 1] = ell + 2, ell + 1
+                    expected[a[t]] = tuple(own)
+                    assert moved == a
+                else:
+                    assert moved == a[:t] + (a[t + 1], a[t]) + a[t + 2:]
+                assert twists == expected
 
     golden = [load_golden(name) for name in ("p.json", "q_bimodule.json", "sign_a.json", "perm_a.json")]
     products = [box_h(golden[3], golden[0]), box_v(golden[2], golden[2]), box_h(golden[2], golden[3])]

@@ -94,6 +94,20 @@ def test_one_shot_process_matches_golden():
     assert (done.returncode, done.stdout) == (case["exit"], case["stdout"])
 
 
+@pytest.mark.parametrize("name, code, stdout", [("fam.json", 0, "ok\n"), ("bad_op.json", 2, None)])
+def test_main_exits_with_the_run_code(name, code, stdout):
+    """`python -m propcalc.cli` goes through cli.main, which exits with what
+    run returns: 0 on a valid family, 2 on an operad whose gamma fails."""
+    root = os.path.dirname(SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "propcalc.cli", "--workspace", os.path.join("tests", "golden", "inputs"), "check", name],
+        cwd=root, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code and done.stderr == ""
+    if stdout is not None:
+        assert done.stdout == stdout
+
+
 def test_import_builds_no_parser():
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
