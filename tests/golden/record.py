@@ -91,6 +91,7 @@ COMMANDS = [
     ("dim-free-equal-generators", ["dim-free", "binary.json", "c", "c,c,c,c", "3"]),
     ("dim-free-mixed-generators", ["dim-free", "sig.json", "c", "c,c,c,c", "3"]),
     ("dim-free-generators-string", ["dim-free", "generators_string.json", "c", "c,c", "2"]),
+    ("dim-free-two-colors", ["dim-free", "two_color.json", "a", "a,b,a,b,a", "4"]),
     ("box-v", ["box-v", "p.json", "q_bimodule.json"]),
     ("box-h", ["box-h", "p.json", "q_bimodule.json"]),
     ("box-v-signs", ["box-v", "sign_a.json", "sign_a.json"]),
@@ -181,6 +182,15 @@ def write_inputs():
     palette = Palette(["c"])
     objects["binary"] = Signature(
         palette, [Generator("mu", Profile(palette, ["c"]), Profile(palette, ["c", "c"]), 0)]
+    )
+    # two colours, each generator reading both: leg labels merge across colours
+    two_color = Palette(["a", "b"])
+    objects["two_color"] = Signature(
+        two_color,
+        [
+            Generator("m", Profile(two_color, ["a"]), Profile(two_color, ["a", "b"]), 0),
+            Generator("t", Profile(two_color, ["b"]), Profile(two_color, ["b", "a"]), 0),
+        ],
     )
     objects["q"] = base_field_complex()
     objects["x"] = direct_sum(base_field_complex(), disc_complex())

@@ -21,7 +21,9 @@ The transfer and factor cases whose maps carry 1/2 entries
 entries became ints, so they show the mixed int/Fraction path prints the
 same bytes.  The dim-free cases over repeated
 generators (dim-free-equal-generators, dim-free-mixed-generators) were
-recorded before enumerate_graphs canonicalized one labelled copy per class.
+recorded before enumerate_graphs canonicalized one labelled copy per class,
+and dim-free-two-colors, the only dim-free case with two colours, before its leg phase
+counted each wiring's leg steps at once.
 Three cases were recorded after the commands they run were mended:
 check-family-stray-color, for a family with a complex at a color outside its
 palette, which `check` accepted before; path-object-high-degree, for a
