@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import operator
 
 # canonicalize_profile is unused: perfbench/selftest.py's EXPECTED_SITES counts its 6 binding sites
 from propcalc.profiles import Palette, Permutation, Profile, canonicalize_profile
@@ -372,13 +372,24 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
     The graphs returned are orbit representatives, pairwise non-isomorphic,
     and none is canonicalized: callers that need a canonical order sort by
     `canonical_graph` themselves.  Raises ResourceCapExceeded when the
-    wiring search would exceed work_cap steps.
+    search would exceed work_cap steps.
 
     Every graph built is valid by construction, so none is checked:
     `_wirings` pairs ports of equal color, each input port at most once and
-    each output port at most once; `_leg_assignments` labels the unwired
+    each output port at most once; `_leg_labellings` labels the unwired
     ports by a color-preserving bijection onto 1..n; profiles are non-empty,
     so legs remain on both sides; and wirings with a cycle are skipped.
+
+    Work is counted as the search that builds every labelled object counts
+    it: one step per wiring search call, one per in-leg labelling and,
+    under each, one per out-leg labelling.  A wiring's leg steps therefore
+    number n_in * (1 + n_out), with n_in and n_out the `_leg_assignment_count`
+    of its free ports (n_in is 0 when the in-colors differ, since no
+    labelling is tried).  They are added at once per wiring, which is exact:
+    `_wirings` returns a list, so all wiring steps of a combination come
+    before its leg steps, a wiring's leg steps are contiguous, and each
+    raises the same message.  So work_cap fires at the same step with the
+    same message.
 
     Exactly one labelled copy of each isomorphism class is kept (isomorph
     rejection, McKay, J. Algorithms 26, 1998).  Within one generator
@@ -394,9 +405,11 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
     pair in each orbit lists each name's vertices in increasing index order.
     The action on pairs is free, so each orbit of objects has exactly one
     copy over a kept pair, whatever its out-legs: that copy is the one
-    kept.  Every wiring and in-leg assignment is still generated; a rejected
-    in-leg assignment counts its out-leg assignments without building them,
-    so work_cap fires at the same step with the same message.
+    kept.  The verdict depends on the in-legs only through their seed
+    vertices, so it is judged once per seed order of a wiring, in a table
+    that lives as long as the wiring.  Leg dicts are built for kept graphs
+    only: the out-leg dicts once per wiring, the in-leg dict once per kept
+    in-leg labelling.
     """
     if max_vertices < 1:
         raise GraphError("max_vertices must be >= 1")
@@ -432,19 +445,27 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
                 wired_in = {e[1] for e in wiring}
                 free_in = [ip for ip in in_ports if ip[:2] not in wired_in]
                 free_out = [op for op in out_ports if op[:2] not in wired_out]
+                n_in_legs = _leg_assignment_count(free_in, in_profile)
+                n_out_legs = _leg_assignment_count(free_out, out_profile)
+                work[0] += n_in_legs * (1 + n_out_legs)
+                if work[0] > work_cap:
+                    raise ResourceCapExceeded("leg assignment exceeded %d steps" % work_cap)
+                if not n_in_legs * n_out_legs:
+                    continue
+                all_out_legs = [_legs_dict(ports) for ports in _leg_labellings(free_out, out_profile)]
                 if repeats:
                     neighbours = _neighbours(count, wiring)
-                    n_out_legs = _leg_assignment_count(free_out, out_profile)
-                for in_legs in _leg_assignments(free_in, in_profile, work, work_cap):
+                    verdicts = {}
+                for ports in _leg_labellings(free_in, in_profile):
                     if repeats:
-                        seeds = [v for v, _ in sorted(in_legs, key=in_legs.__getitem__)]
-                        if not _increasing_per_name(combo, _discovery_order(neighbours, seeds)):
-                            # the out-leg loop below would only count its steps
-                            work[0] += n_out_legs
-                            if work[0] > work_cap:
-                                raise ResourceCapExceeded("leg assignment exceeded %d steps" % work_cap)
+                        seeds = tuple([v for v, _ in ports])
+                        kept = verdicts.get(seeds)
+                        if kept is None:
+                            kept = verdicts[seeds] = _increasing_per_name(combo, _discovery_order(neighbours, seeds))
+                        if not kept:
                             continue
-                    for out_legs in _leg_assignments(free_out, out_profile, work, work_cap):
+                    in_legs = _legs_dict(ports)
+                    for out_legs in all_out_legs:
                         found.append(PropGraph(signature, combo, wiring, in_legs, out_legs, check=False))
     return found
 
@@ -536,35 +557,36 @@ def _extend_wirings(results, i, used_out, acc, in_ports, out_ports, n_edges, wor
             used_out.remove(j)
 
 
-def _leg_assignments(free_ports, profile, work, work_cap):
-    """All leg labelings: bijections label -> port with matching colors."""
-    if sorted(color for _, _, color in free_ports) != sorted(profile.entries):
-        return
+def _leg_labellings(free_ports, profile):
+    """Every color-preserving bijection from the labels 1..n onto the
+    (v, q, color) free_ports, as the tuple of (v, q) ports in label order;
+    the colors of free_ports are those of profile.  The order is that of the
+    product over sorted colors of the permutations of each color's ports."""
     by_color = {}
     for v, q, color in free_ports:
         by_color.setdefault(color, []).append((v, q))
-    label_slots = {}
-    for label, color in enumerate(profile.entries, start=1):
-        label_slots.setdefault(color, []).append(label)
+    if len(by_color) == 1:
+        return itertools.permutations(by_color.popitem()[1])
     colors = sorted(by_color)
-    for chosen in itertools.product(*(itertools.permutations(by_color[c]) for c in colors)):
-        work[0] += 1
-        if work[0] > work_cap:
-            raise ResourceCapExceeded("leg assignment exceeded %d steps" % work_cap)
-        legs = {}
-        for color, ports in zip(colors, chosen):
-            for label, port in zip(label_slots[color], ports):
-                legs[port] = label
-        yield legs
+    # the k-th port of the ports joined in color order takes label slots[k] + 1
+    slots = [label for c in colors for label, color in enumerate(profile.entries) if color == c]
+    merge = operator.itemgetter(*sorted(range(len(slots)), key=slots.__getitem__))
+    products = itertools.product(*(itertools.permutations(by_color[c]) for c in colors))
+    return (merge(sum(chosen, ())) for chosen in products)
+
+
+def _legs_dict(ports):
+    """The leg dict (v, q) -> label of ports listed in label order."""
+    return {port: label for label, port in enumerate(ports, 1)}
 
 
 def _leg_assignment_count(free_ports, profile):
-    """How many labelings _leg_assignments(free_ports, profile) yields:
-    prod over colours of (ports of that colour)!, or 0 when the colours differ."""
-    counts = Counter(color for _, _, color in free_ports)
-    if counts != Counter(profile.entries):
+    """How many color-preserving labelings of free_ports by profile exist:
+    prod over colors of (ports of that color)!, or 0 when the colors differ."""
+    colors = sorted([color for _, _, color in free_ports])
+    if colors != sorted(profile.entries):
         return 0
-    return math.prod(math.factorial(k) for k in counts.values())
+    return math.prod([math.factorial(len(list(run))) for _, run in itertools.groupby(colors)])
 
 
 def free_component_dim(signature, out_profile, in_profile, max_vertices, work_cap=2_000_000):

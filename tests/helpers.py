@@ -17,9 +17,9 @@ from propcalc.graphs import (
     Generator,
     GraphError,
     PropGraph,
+    ResourceCapExceeded,
     Signature,
     _is_acyclic,
-    _leg_assignments,
     _wirings,
 )
 from propcalc.linalg import ONE, ZERO
@@ -1043,6 +1043,30 @@ def reference_enumerate_graphs(signature, out_profile, in_profile, max_vertices,
                         if cert not in found:
                             found[cert] = g
     return [found[c] for c in sorted(found)]
+
+
+def _leg_assignments(free_ports, profile, work, work_cap):
+    """All leg labelings, as enumerate_graphs made them while it built a dict
+    for every labelling: bijections label -> port with matching colors,
+    one step each."""
+    if sorted(color for _, _, color in free_ports) != sorted(profile.entries):
+        return
+    by_color = {}
+    for v, q, color in free_ports:
+        by_color.setdefault(color, []).append((v, q))
+    label_slots = {}
+    for label, color in enumerate(profile.entries, start=1):
+        label_slots.setdefault(color, []).append(label)
+    colors = sorted(by_color)
+    for chosen in itertools.product(*(itertools.permutations(by_color[c]) for c in colors)):
+        work[0] += 1
+        if work[0] > work_cap:
+            raise ResourceCapExceeded("leg assignment exceeded %d steps" % work_cap)
+        legs = {}
+        for color, ports in zip(colors, chosen):
+            for label, port in zip(label_slots[color], ports):
+                legs[port] = label
+        yield legs
 
 
 def labelled_objects(signature, out_profile, in_profile, max_vertices):

@@ -540,12 +540,13 @@ def _check_against_reference(sig, out_p, in_p, max_v, cap):
     return got
 
 
-def _repeating_case(rng):
-    """A small signature (mostly one colour, at most two generators besides
-    unaries) and leg profiles under which a generator can occur four times."""
+def _repeating_case(rng, max_colors=None):
+    """A small signature (mostly one colour unless max_colors says, at most
+    two generators besides unaries) and leg profiles under which a generator
+    can occur four times."""
     sig = random_signature(
-        rng, max_colors=rng.choice((1, 1, 2)), max_generators=2, max_arity=2,
-        with_unaries=rng.random() < 0.3,
+        rng, max_colors=rng.choice((1, 1, 2)) if max_colors is None else max_colors, max_generators=2,
+        max_arity=2, with_unaries=rng.random() < 0.3,
     )
     colors = sig.palette.colors
     out_p = Profile(sig.palette, [rng.choice(colors) for _ in range(rng.randint(1, 2))])
@@ -618,13 +619,45 @@ def test_isomorph_rejection_keeps_one_copy_per_orbit():
         combos += sum(1 for combo in classes if len(set(combo)) < len(combo))
 
 
+def test_enumerate_returns_the_kept_labelled_objects_in_order():
+    """enumerate_graphs returns, in order, exactly the labelled objects of
+    labelled_objects that the discovery-order rule keeps: all of them in a
+    combination of distinct names, and otherwise those whose discovery
+    order, seeded with the in-leg vertices in label order, lists the
+    vertices of each name in increasing index order.  Vertices, edges,
+    in-legs and out-legs are compared, on seeded cases whose in-legs have
+    one colour and two.  The oracle shares _wirings and _is_acyclic (through
+    labelled_objects) and _neighbours and _discovery_order with src; it
+    labels legs with its own _leg_assignments and reads the rule itself."""
+    rng = random.Random(47)
+    for n_colors in (1, 2):
+        checked = 0
+        while checked < 12:
+            sig, out_p, in_p = _repeating_case(rng, max_colors=n_colors)
+            try:
+                got = enumerate_graphs(sig, out_p, in_p, 4, work_cap=5_000)
+            except ResourceCapExceeded:
+                continue
+            want = []
+            for combo, wiring, in_legs, out_legs in labelled_objects(sig, out_p, in_p, 4):
+                seeds = [v for v, _ in sorted(in_legs, key=in_legs.get)]
+                position = {v: i for i, v in enumerate(_discovery_order(_neighbours(len(combo), wiring), seeds))}
+                pairs = itertools.combinations(range(len(combo)), 2)
+                if all(position[v] < position[w] for v, w in pairs if combo[v] == combo[w]):
+                    want.append((tuple(combo), frozenset(wiring), in_legs, out_legs))
+            assert [(g.vertices, g.edges, g.in_legs, g.out_legs) for g in got] == want
+            repeats = any(len(set(g.vertices)) < len(g.vertices) for g in got)
+            checked += repeats and len(set(in_p.entries)) == n_colors
+
+
 def test_every_work_cap_fails_or_succeeds_as_the_reference_does():
     """Every work_cap from 1 to the total work: both enumerators succeed
-    with equal certificates, or both raise the same message.  Some caps fall
-    inside the out-leg block of a rejected in-leg assignment, which
-    enumerate_graphs counts without building and so raises from itself."""
+    with equal certificates, or both raise the same message.  The reference
+    counts one step per leg labelling it builds; enumerate_graphs adds each
+    wiring's leg steps at once, so every cap that falls in the leg phase is
+    raised by enumerate_graphs itself, from that one count per wiring."""
     rng = random.Random(45)
-    cases = in_skipped_block = 0
+    cases = in_leg_phase = 0
     while cases < 4:
         sig, out_p, in_p = _repeating_case(rng)
         try:
@@ -640,12 +673,12 @@ def test_every_work_cap_fails_or_succeeds_as_the_reference_does():
                 with pytest.raises(ResourceCapExceeded) as raised:
                     enumerate_graphs(sig, out_p, in_p, 4, work_cap=cap)
                 assert str(raised.value) == str(exc)
-                in_skipped_block += raised.traceback[-1].name == "enumerate_graphs"
+                in_leg_phase += raised.traceback[-1].name == "enumerate_graphs"
                 continue
             got = enumerate_graphs(sig, out_p, in_p, 4, work_cap=cap)
             _assert_same_classes(got, want)
             break
-    assert in_skipped_block > 100
+    assert in_leg_phase > 100
 
 
 def test_enumerate_graphs_never_canonicalizes(monkeypatch):
