@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 
 # canonicalize_profile is unused: perfbench/selftest.py's EXPECTED_SITES counts its 6 binding sites
 from propcalc.profiles import Palette, Permutation, Profile, canonicalize_profile
@@ -583,10 +584,10 @@ def _legs_dict(ports):
 def _leg_assignment_count(free_ports, profile):
     """How many color-preserving labelings of free_ports by profile exist:
     prod over colors of (ports of that color)!, or 0 when the colors differ."""
-    colors = sorted([color for _, _, color in free_ports])
-    if colors != sorted(profile.entries):
+    counts = Counter(color for _, _, color in free_ports)
+    if counts != Counter(profile.entries):
         return 0
-    return math.prod([math.factorial(len(list(run))) for _, run in itertools.groupby(colors)])
+    return math.prod(math.factorial(k) for k in counts.values())
 
 
 def free_component_dim(signature, out_profile, in_profile, max_vertices, work_cap=2_000_000):
