@@ -19,11 +19,6 @@ A product component holds its keys, carrier, layout and one rule for how a
 Young generator acts (BimoduleComponent.acting); a side's generator maps are
 built from the rule on first read and then kept, so printing dims builds no
 action.
-
-The transported compositions (vertical on box_h, horizontal on box_v) are
-sums of kernel maps iota o (f (x) g) o switch o split, with a projection to
-the coinvariants before iota on box_v; split reads (p1 (x) q1) (x) (p2 (x)
-q2) off two basis pieces and the switch moves q1 past p2, Koszul-signed.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from propcalc.chains import (
     TensorSpace,
     assemble_tensor_map,
     direct_sum,
-    factor_permutation_map,
     place_blocks,
     sum_offsets,
 )
@@ -290,13 +284,6 @@ class DirectSumLayout(NamedTuple):
 
     pieces: tuple
     offsets: tuple
-
-    def find(self, key):
-        """Number of the piece with the given key, or None."""
-        for i, piece in enumerate(self.pieces):
-            if piece.key == key:
-                return i
-        return None
 
     def locate(self, n: int, flat: int):
         """(piece number, index inside the piece) of a degree-n carrier index."""
@@ -706,255 +693,3 @@ def _induced_component(alpha, module, kd2, kc2):
         return place_blocks(carrier, carrier, act_blocks(side, s))
 
     return BimoduleComponent.acting(kd2, kc2, carrier, act)
-
-
-# ---------------------------------------------------------------------------
-# transported compositions: vertical structure on box_h, horizontal on box_v
-
-
-class VPropData:
-    """Bimodule with an associative vertical composition.
-
-    vcomp[(kd, kb, kc)]: ChainMap from tensor(P(kd,kb), P(kb,kc)) to P(kd,kc)
-    in skeletal coordinates; it must coequalize the middle stabilizer (the
-    relation x.g (x) y ~ x (x) g.y) and be associative.
-    """
-
-    def __init__(self, module: ColoredBimodule, vcomp):
-        self.module = module
-        self.vcomp = dict(vcomp)
-
-    def compose_map(self, kd, kb, kc):
-        m = self.vcomp.get((kd, kb, kc))
-        if m is not None:
-            return m
-        left = self.module.component(kd, kb)
-        right = self.module.component(kb, kc)
-        target = self.module.component(kd, kc)
-        src = (
-            TensorSpace([left.carrier, right.carrier]).complex
-            if left and right
-            else ZERO_COMPLEX
-        )
-        tgt = target.carrier if target else ZERO_COMPLEX
-        return ChainMap.zero(src, tgt)
-
-    def validate(self):
-        failures = []
-        for (kd, kb, kc), m in self.vcomp.items():
-            left = self.module.component(kd, kb)
-            right = self.module.component(kb, kc)
-            if left is None or right is None:
-                failures.append("composition on a zero component at %r" % ((kd, kb, kc),))
-                continue
-            space = TensorSpace([left.carrier, right.carrier])
-            ls, rs = TensorSpace([left.carrier]), TensorSpace([right.carrier])
-            for g in stabilizer_generators(kb):
-                rel = assemble_tensor_map(
-                    space, space, [(ls, ls, left.rho_in(g.inverse())), (rs, rs, right.rho_out(g))]
-                )
-                if m.compose(rel) != m:
-                    failures.append("middle coequalization fails at %r" % ((kd, kb, kc),))
-                    break
-        # associativity on available triples
-        for (kd, kb, kc) in list(self.vcomp):
-            for (kb2, kc2, ka) in list(self.vcomp):
-                if (kb2, kc2) != (kb, kc):
-                    continue
-                if (kd, kb, ka) not in self.vcomp and (kd, kc, ka) not in self.vcomp:
-                    continue
-                left = self.module.component(kd, kb)
-                mid = self.module.component(kb, kc)
-                right = self.module.component(kc, ka)
-                if left is None or mid is None or right is None:
-                    continue
-                space3 = TensorSpace([left.carrier, mid.carrier, right.carrier])
-                s1 = TensorSpace([left.carrier])
-                s2 = TensorSpace([mid.carrier])
-                s3 = TensorSpace([right.carrier])
-                lm = self.compose_map(kd, kb, kc)
-                lm_r = self.compose_map(kd, kc, ka)
-                mr = self.compose_map(kb, kc, ka)
-                l_mr = self.compose_map(kd, kb, ka)
-                pair12 = TensorSpace([lm.target, right.carrier])
-                first = assemble_tensor_map(
-                    space3,
-                    pair12,
-                    [(TensorSpace([left.carrier, mid.carrier]), TensorSpace([lm.target]), lm), (s3, s3, ChainMap.identity(right.carrier))],
-                )
-                route1 = lm_r.compose(first)
-                pair23 = TensorSpace([left.carrier, mr.target])
-                second = assemble_tensor_map(
-                    space3,
-                    pair23,
-                    [(s1, s1, ChainMap.identity(left.carrier)), (TensorSpace([mid.carrier, right.carrier]), TensorSpace([mr.target]), mr)],
-                )
-                route2 = l_mr.compose(second)
-                if route1 != route2:
-                    failures.append(
-                        "vertical associativity fails on (%r, %r, %r, %r)" % (kd, kb, kc, ka)
-                    )
-        return failures
-
-
-class HPropData:
-    """Bimodule with an associative bi-equivariant horizontal composition.
-
-    hcomp[((kd1,kc1),(kd2,kc2))]: ChainMap from tensor of the two carriers to
-    the component at the merged orbit keys, in skeletal coordinates (the
-    concrete concatenated object transported onto the representative by the
-    canonical transports).
-    """
-
-    def __init__(self, module: ColoredBimodule, hcomp):
-        self.module = module
-        self.hcomp = dict(hcomp)
-
-    def compose_map(self, key1, key2):
-        m = self.hcomp.get((key1, key2))
-        if m is not None:
-            return m
-        c1 = self.module.component(*key1)
-        c2 = self.module.component(*key2)
-        merged_out = merge_keys(self.module.palette, [key1[0], key2[0]])
-        merged_in = merge_keys(self.module.palette, [key1[1], key2[1]])
-        target = self.module.component(merged_out, merged_in)
-        src = (
-            TensorSpace([c1.carrier, c2.carrier]).complex if c1 and c2 else ZERO_COMPLEX
-        )
-        tgt = target.carrier if target else ZERO_COMPLEX
-        return ChainMap.zero(src, tgt)
-
-
-def _switched_tensor(f: ChainMap, g: ChainMap, first: TensorSpace, second: TensorSpace, target: TensorSpace):
-    """The shared core (f (x) g) o switch of the transported compositions.
-
-    On first (x) second = a (x) b (x) c (x) d, the switch sends a (x) b (x) c
-    (x) d to a (x) c (x) b (x) d with the Koszul sign, then f: a (x) c and
-    g: b (x) d map into the two factors of target.  Returns the TensorSpace
-    over [a, b, c, d] and the map.
-    """
-    a, b = first.factors
-    c, d = second.factors
-    space, switched = TensorSpace([a, b, c, d]), TensorSpace([a, c, b, d])
-    switch = factor_permutation_map(space.factors, Permutation([1, 3, 2, 4]), space, switched)
-    fg = assemble_tensor_map(
-        switched,
-        target,
-        [(TensorSpace([a, c]), TensorSpace([f.target]), f), (TensorSpace([b, d]), TensorSpace([g.target]), g)],
-    )
-    return space, fg.compose(switch)
-
-
-def _shifted(offsets, extra):
-    return {n: offsets.get(n, 0) + extra.get(n, 0) for n in offsets.keys() | extra.keys()}
-
-
-def _copy_projection(carrier: ChainComplex, layout: InducedLayout, piece_offsets, pair) -> ChainMap:
-    """carrier -> layout.tensor: the coordinates of the copy of the placement
-    pair, in the induced piece that starts at piece_offsets."""
-    cols = _shifted(piece_offsets, layout.copy_offsets(layout.copy_number(*pair)))
-    tensor = layout.tensor.complex
-    return place_blocks(carrier, tensor, [(ChainMap.identity(tensor), {}, cols)])
-
-
-def induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
-    """Vertical composition on P box_h Q.  Returns (module, VPropData).
-
-    An upper copy (out placement, middle placement) of a piece P(kd1,kb1) .
-    Q(kd2,kb2) and a lower copy (that middle placement, in placement) of
-    P(kb1,kc1) . Q(kb2,kc2) compose to iota_t o (vcomp_P (x) vcomp_Q) o
-    switch o split: split projects onto the copies as p1 (x) q1 (x) p2 (x) q2,
-    and iota_t includes the result as the copy (out placement, in placement)
-    of the target piece.  Copies whose middle placements differ compose to
-    zero; a triple whose target is zero gets no map.
-    """
-    r = box_h(p_data.module, q_data.module)
-    vcomp = {}
-    for (kd, kb), upper in r.components.items():
-        for (kb2, kc), lower in r.components.items():
-            target = r.component(kd, kc)
-            if kb2 == kb and target is not None:
-                space = TensorSpace([upper.carrier, lower.carrier])
-                terms = _boxh_vertical_terms(p_data, q_data, space, upper, lower, target)
-                vcomp[(kd, kb, kc)] = place_blocks(space.complex, target.carrier, terms)
-    return r, VPropData(r, vcomp)
-
-
-def _boxh_vertical_terms(p_data, q_data, space, upper, lower, target):
-    """The terms as place_blocks blocks; each reads its own pair of copies, so
-    no two share an entry."""
-    us, ls = TensorSpace([upper.carrier]), TensorSpace([lower.carrier])
-    tgt = target.layout
-    for u_piece, u_off in zip(upper.layout.pieces, upper.layout.offsets):
-        (kd1, kb1), (kd2, kb2) = u_piece.key
-        for l_piece, l_off in zip(lower.layout.pieces, lower.layout.offsets):
-            (kb1_, kc1), (kb2_, kc2) = l_piece.key
-            t = tgt.find(((kd1, kc1), (kd2, kc2))) if (kb1_, kb2_) == (kb1, kb2) else None
-            if t is None:
-                continue
-            vc_p = p_data.compose_map(kd1, kb1, kc1)
-            vc_q = q_data.compose_map(kd2, kb2, kc2)
-            if vc_p.is_zero() or vc_q.is_zero():
-                continue
-            ue, le = u_piece.component.layout, l_piece.component.layout
-            te = tgt.pieces[t].component.layout
-            four, core = _switched_tensor(vc_p, vc_q, ue.tensor, le.tensor, te.tensor)
-            for ao, mid, ai in itertools.product(ue.outs, ue.ins, le.ins):
-                halves = [
-                    (us, ue.tensor, _copy_projection(upper.carrier, ue, u_off, (ao, mid))),
-                    (ls, le.tensor, _copy_projection(lower.carrier, le, l_off, (mid, ai))),
-                ]
-                rows = _shifted(tgt.offsets[t], te.copy_offsets(te.copy_number(ao, ai)))
-                yield core.compose(assemble_tensor_map(space, four, halves)), rows, {}
-
-
-def induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None):
-    """Horizontal composition on P box_v Q.  Returns (module, HPropData).
-
-    Middle pieces P(kd1,kb1) (x)_S Q(kb1,kc1) and P(kd2,kb2) (x)_S Q(kb2,kc2)
-    compose to iota_t o proj_t o (hcomp_P (x) hcomp_Q) o switch o split:
-    split lifts the classes through the sections as x1 (x) y1 (x) x2 (x) y2,
-    and proj_t and iota_t take the result to the target piece's coinvariants.
-
-    `module` may supply a prebuilt box_v(P, Q); the result does not depend on
-    the choice of its sections, which is what makes it well defined on classes.
-    """
-    r = module if module is not None else box_v(p_data.module, q_data.module)
-    hcomp = {}
-    keys = sorted(r.components)
-    for key1, key2 in itertools.product(keys, keys):
-        merged_out = merge_keys(r.palette, [key1[0], key2[0]])
-        merged_in = merge_keys(r.palette, [key1[1], key2[1]])
-        target = r.component(merged_out, merged_in)
-        if target is not None:
-            c1, c2 = r.component(*key1), r.component(*key2)
-            space = TensorSpace([c1.carrier, c2.carrier])
-            terms = _boxv_horizontal_terms(p_data, q_data, space, c1, c2, target)
-            hcomp[(key1, key2)] = place_blocks(space.complex, target.carrier, terms)
-    return r, HPropData(r, hcomp)
-
-
-def _boxv_horizontal_terms(p_data, q_data, space, c1, c2, target):
-    """The terms as place_blocks blocks, one per pair of middle pieces, so no
-    two share an entry."""
-    s1, s2 = TensorSpace([c1.carrier]), TensorSpace([c2.carrier])
-    tgt = target.layout
-    for piece1, off1 in zip(c1.layout.pieces, c1.layout.offsets):
-        for piece2, off2 in zip(c2.layout.pieces, c2.layout.offsets):
-            t = tgt.find(merge_keys(p_data.module.palette, [piece1.key, piece2.key]))
-            if t is None:
-                continue
-            e1, e2 = piece1.component.layout, piece2.component.layout
-            h_p = p_data.compose_map((e1.left.out_key, e1.left.in_key), (e2.left.out_key, e2.left.in_key))
-            h_q = q_data.compose_map((e1.right.out_key, e1.right.in_key), (e2.right.out_key, e2.right.in_key))
-            if h_p.is_zero() or h_q.is_zero():
-                continue
-            te = tgt.pieces[t].component.layout
-            four, core = _switched_tensor(h_p, h_q, e1.space, e2.space, te.space)
-            halves = [
-                (s1, e1.space, place_blocks(c1.carrier, e1.space.complex, [(e1.sect, {}, off1)])),
-                (s2, e2.space, place_blocks(c2.carrier, e2.space.complex, [(e2.sect, {}, off2)])),
-            ]
-            term = te.proj.compose(core).compose(assemble_tensor_map(space, four, halves))
-            yield term, tgt.offsets[t], {}

@@ -79,6 +79,8 @@ COMMANDS = [
     ("check-operad-missing-input", ["check", "op_missing_input.json"]),
     ("check-operad-missing-target", ["check", "ass_missing_target.json"]),
     ("check-presentation-bad-relation", ["check", "pres_bad_relation.json"]),
+    ("check-presentation-depth", ["check", "pres_depth.json"]),
+    ("check-presentation-depth-bad-sign", ["check", "pres_depth_bad_sign.json"]),
     ("workspace-unknown-name", ["--workspace", "subdir", "homology", "nothere"]),
     ("workspace-name", ["--workspace", "subdir", "homology", "x"]),
     ("normalize", ["normalize", "sig.json", "mu2 o (mu2 * iota)"]),
@@ -86,6 +88,9 @@ COMMANDS = [
     ("eq-equal", ["eq", "sig.json", "mu2 o (mu2 * iota)", "mu2 o (mu2 * iota)"]),
     ("eq-distinct", ["eq", "sig.json", "mu2 o (mu2 * iota)", "mu2 o (iota * mu2)"]),
     ("eq-wrong-kind", ["eq", "q.json", "mu2", "mu2"]),
+    ("eq-actions-equal", ["eq", "sig.json", "[2 1] . (mu2 * mu2)", "(mu2 * mu2) . [3 4 1 2]"]),
+    ("eq-actions-distinct", ["eq", "sig.json", "[2 1] . (iota * iota)", "iota * iota"]),
+    ("normalize-actions", ["normalize", "sig.json", "([2 1] . (mu2 * iota)) . [2 1 3]"]),
     ("dim-free", ["dim-free", "binary.json", "c", "c,c,c", "2"]),
     ("dim-free-default-cap", ["--max-vertices", "2", "dim-free", "binary.json", "c", "c,c"]),
     ("dim-free-equal-generators", ["dim-free", "binary.json", "c", "c,c,c,c", "3"]),
@@ -95,6 +100,7 @@ COMMANDS = [
     ("box-v", ["box-v", "p.json", "q_bimodule.json"]),
     ("box-h", ["box-h", "p.json", "q_bimodule.json"]),
     ("box-v-signs", ["box-v", "sign_a.json", "sign_a.json"]),
+    ("box-v-middle-stabilizer", ["box-v", "perm_a.json", "perm_a.json"]),
     ("box-h-actions", ["box-h", "perm_a.json", "p.json"]),
     ("box-h-wide", ["box-h", "wide.json", "q_bimodule.json"]),
     ("box-v-wide", ["box-v", "wide.json", "q_bimodule.json"]),
@@ -199,6 +205,8 @@ def write_inputs():
     objects["frac_map"] = ChainMap(
         frac, frac, rows_of({0: [[F(-2, 3), F(0)], [F(0), F(-2, 3)]], 1: [[F(-2, 3)]]})
     )
+    objects["pres_depth"] = depth_presentation(-1)
+    objects["pres_depth_bad_sign"] = depth_presentation(1)
     objects["bad_pres"] = PropPresentation(
         pres.signature, {"mu2": [(F(1), parse("mu2 o (mu2 * iota)", pres.signature))]}
     )
@@ -388,6 +396,40 @@ def write_inputs():
     _write("truncated.json", '{"kind": "operad_algebra", ')
     with open(os.path.join(INPUTS, "not_utf8.json"), "wb") as handle:
         handle.write(b"\xff\xfe{")
+
+
+def depth_presentation(first_sign):
+    """One colour, generators up to degree 3, and d k = first_sign *
+    ([2 1] . (b2 * b1) . [2 1]) - t.
+
+    Every generator above degree 1 has a differential whose terms have
+    differentials of their own, so the d^2 check sums nonzero terms for h, t
+    and k.  d^2(k) = 0 needs the Leibniz sign (-1)^|b2| of d passing b2, and
+    holds for first_sign = -1 only.
+    """
+    palette = Palette(["c"])
+    c = lambda *xs: Profile(palette, xs)
+    sig = Signature(
+        palette,
+        [
+            Generator("iota", c("c"), c("c"), 0),
+            Generator("b1", c("c"), c("c"), 1),
+            Generator("b2", c("c"), c("c"), 1),
+            Generator("h", c("c"), c("c"), 2),
+            Generator("t", c("c", "c"), c("c", "c"), 2),
+            Generator("k", c("c", "c"), c("c", "c"), 3),
+        ],
+    )
+    terms = {
+        "b1": [(1, "iota")],
+        "b2": [(1, "iota")],
+        "h": [(1, "b1"), (-1, "b2")],
+        "t": [(1, "iota * b2"), (-1, "b1 * iota")],
+        "k": [(first_sign, "[2 1] . (b2 * b1) . [2 1]"), (-1, "t")],
+    }
+    return PropPresentation(
+        sig, {name: [(F(k), parse(text, sig)) for k, text in pairs] for name, pairs in terms.items()}
+    )
 
 
 def _plain(payload):

@@ -1522,257 +1522,3 @@ def reference_lift_solve(prob):
     for j, (base, r, c) in offsets.items():
         mats[j] = [[x[base + p * c + qcol][0] for qcol in range(c)] for p in range(r)]
     return ChainMap(prob.source, prob.target, rows_of(mats), prob.degree, check=False)
-
-
-# -- transported compositions, entry by entry -----------------------------------
-
-from propcalc.bimodules import HPropData, VPropData, box_h, box_v  # noqa: E402
-
-
-def _induced_flat(layout, n, out_place, in_place):
-    """Degree-n carrier index of the first basis vector of the copy of the
-    placement pair in an InducedLayout: the pair (outs[a], ins[b]) is copy
-    a * len(ins) + b."""
-    copy = layout.outs.index(out_place) * len(layout.ins) + layout.ins.index(in_place)
-    return copy * layout.tensor.complex.dim(n)
-
-
-def reference_induce_vertical_on_boxh(p_data: VPropData, q_data: VPropData):
-    """induce_vertical_on_boxh as propcalc computed it with dense loops: the
-    composite of basis elements is zero unless the two middle splittings agree
-    (same orbit pair and same placement); otherwise it composes the P and Q
-    decorations with the Koszul switch sign, entry by entry.  A triple whose
-    target component is zero is skipped.  Returns (module, VPropData).
-    """
-    p, q = p_data.module, q_data.module
-    r = box_h(p, q)
-    vcomp = {}
-    keys = set(r.components)
-    for (kd, kb) in keys:
-        for (kb2, kc) in keys:
-            if kb2 != kb:
-                continue
-            upper = r.component(kd, kb)
-            lower = r.component(kb, kc)
-            target = r.component(kd, kc)
-            if target is None:
-                continue
-            space = TensorSpace([upper.carrier, lower.carrier])
-            mats = {
-                n: zeros(target.carrier.dim(n), space.complex.dim(n))
-                for n in space.complex.degrees()
-            }
-            _reference_fill_boxh_vertical(
-                p_data, q_data, upper, lower, target, space, mats
-            )
-            vcomp[(kd, kb, kc)] = ChainMap(
-                space.complex, target.carrier, rows_of(mats), check=False
-            )
-    return r, VPropData(r, vcomp)
-
-
-def _reference_fill_boxh_vertical(p_data, q_data, upper, lower, target, space, mats):
-    up, low, tgt = upper.layout, lower.layout, target.layout
-    for u_piece, u_off in zip(up.pieces, up.offsets):
-        (kd1, kb1), (kd2, kb2) = u_piece.key
-        for l_piece, l_off in zip(low.pieces, low.offsets):
-            (kb1p, kc1), (kb2p, kc2) = l_piece.key
-            if kb1p != kb1 or kb2p != kb2:
-                continue
-            t = tgt.find(((kd1, kc1), (kd2, kc2)))
-            if t is None:
-                continue
-            vc_p = p_data.compose_map(kd1, kb1, kc1)
-            vc_q = q_data.compose_map(kd2, kb2, kc2)
-            if vc_p.is_zero() and vc_q.is_zero():
-                continue
-            _reference_fill_boxh_vertical_piece(
-                (u_piece.component.layout, u_off),
-                (l_piece.component.layout, l_off),
-                (tgt.pieces[t].component.layout, tgt.offsets[t]),
-                vc_p,
-                vc_q,
-                space,
-                mats,
-            )
-
-
-def _reference_fill_boxh_vertical_piece(upper, lower, target, vc_p, vc_q, space, mats):
-    """Add the composites of one (upper piece, lower piece) pair; each of
-    upper, lower, target is (InducedLayout, per-degree offset of the piece)."""
-    (ue, u_off), (le, l_off), (te, t_off) = upper, lower, target
-    u_tensor = ue.tensor
-    l_tensor = le.tensor
-    t_tensor = te.tensor
-    p1 = u_tensor.factors[0]
-    q1 = u_tensor.factors[1]
-    p2 = l_tensor.factors[0]
-    q2 = l_tensor.factors[1]
-    tp_space = TensorSpace([p1, p2])
-    tq_space = TensorSpace([q1, q2])
-    p_mats, q_mats = dense_mats(vc_p), dense_mats(vc_q)
-    for ao_u in ue.outs:
-        for mid_a in ue.ins:
-            if mid_a not in le.outs:
-                continue
-            for ai_l in le.ins:
-                for du in u_tensor.complex.degrees():
-                    u_start = u_off.get(du, 0) + _induced_flat(ue, du, ao_u, mid_a)
-                    for dl in l_tensor.complex.degrees():
-                        n = du + dl
-                        if space.complex.dim(n) == 0:
-                            continue
-                        l_start = l_off.get(dl, 0) + _induced_flat(le, dl, mid_a, ai_l)
-                        t_start = t_off.get(n, 0) + _induced_flat(te, n, ao_u, ai_l)
-                        for (cu, iu) in u_tensor.basis(du):
-                            u_global = u_start + u_tensor.flat_index(cu, iu)
-                            for (cl, il) in l_tensor.basis(dl):
-                                l_global = l_start + l_tensor.flat_index(cl, il)
-                                col = space.flat_index((du, dl), (u_global, l_global))
-                                dx1, dx2 = cu
-                                dy1, dy2 = cl
-                                i1, i2 = iu
-                                j1, j2 = il
-                                sign = -1 if (dx2 % 2 and dy1 % 2) else 1
-                                pcol = tp_space.flat_index((dx1, dy1), (i1, j1))
-                                qcol = tq_space.flat_index((dx2, dy2), (i2, j2))
-                                mp = p_mats.get(dx1 + dy1)
-                                mq = q_mats.get(dx2 + dy2)
-                                if mp is None or mq is None:
-                                    continue
-                                for rp in range(len(mp)):
-                                    a = mp[rp][pcol]
-                                    if a == 0:
-                                        continue
-                                    for rq in range(len(mq)):
-                                        b = mq[rq][qcol]
-                                        if b == 0:
-                                            continue
-                                        # rows live in P(kd1,kc1) at degree dx1+dy1, Q part likewise
-                                        trow = t_tensor.flat_index((dx1 + dy1, dx2 + dy2), (rp, rq))
-                                        mats[n][t_start + trow][col] += sign * a * b
-
-
-def reference_induce_horizontal_on_boxv(p_data: HPropData, q_data: HPropData, module=None):
-    """induce_horizontal_on_boxv as propcalc computed it with dense loops:
-    expand each class through the sections, switch, compose in P and Q, and
-    project back to the middle coinvariants, entry by entry.  Returns
-    (module, HPropData).
-
-    `module` may supply a prebuilt box_v(P, Q); the construction only depends
-    on it through projections onto the middle coinvariants, never on the
-    choice of sections (section-independence is what makes the map well
-    defined on classes).
-    """
-    p, q = p_data.module, q_data.module
-    r = module if module is not None else box_v(p, q)
-    hcomp = {}
-    keys = sorted(r.components, key=lambda kk: (kk[0], kk[1]))
-    for key1 in keys:
-        for key2 in keys:
-            c1 = r.component(*key1)
-            c2 = r.component(*key2)
-            merged_out = merge_keys(r.palette, [key1[0], key2[0]])
-            merged_in = merge_keys(r.palette, [key1[1], key2[1]])
-            target = r.component(merged_out, merged_in)
-            if target is None:
-                continue
-            space = TensorSpace([c1.carrier, c2.carrier])
-            mats = {
-                n: zeros(target.carrier.dim(n), space.complex.dim(n))
-                for n in space.complex.degrees()
-            }
-            _reference_fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats)
-            hcomp[(key1, key2)] = ChainMap(space.complex, target.carrier, rows_of(mats), check=False)
-    return r, HPropData(r, hcomp)
-
-
-def _reference_fill_boxv_horizontal(p_data, q_data, c1, c2, target, space, mats):
-    lay1, lay2, tgt = c1.layout, c2.layout, target.layout
-    for piece1, off1 in zip(lay1.pieces, lay1.offsets):
-        for piece2, off2 in zip(lay2.pieces, lay2.offsets):
-            t = tgt.find(merge_keys(p_data.module.palette, [piece1.key, piece2.key]))
-            if t is None:
-                continue
-            e1 = piece1.component.layout
-            e2 = piece2.component.layout
-            h_p = p_data.compose_map(
-                (e1.left.out_key, e1.left.in_key), (e2.left.out_key, e2.left.in_key)
-            )
-            h_q = q_data.compose_map(
-                (e1.right.out_key, e1.right.in_key), (e2.right.out_key, e2.right.in_key)
-            )
-            if h_p.is_zero() or h_q.is_zero():
-                continue
-            _reference_fill_boxv_piece(
-                (piece1.component, off1),
-                (piece2.component, off2),
-                (tgt.pieces[t].component.layout, tgt.offsets[t]),
-                h_p,
-                h_q,
-                space,
-                mats,
-            )
-
-
-def _reference_fill_boxv_piece(first, second, target, h_p, h_q, space, mats):
-    """Add the composites of one pair of middle pieces; first and second are
-    (piece component, its per-degree offset), target is (CoinvariantLayout,
-    per-degree offset)."""
-    (c1, off1), (c2, off2), (te, t_off) = first, second, target
-    e1, e2 = c1.layout, c2.layout
-    sp1 = e1.space  # TensorSpace([x1, y1])
-    sp2 = e2.space
-    xp_space = TensorSpace([sp1.factors[0], sp2.factors[0]])
-    yq_space = TensorSpace([sp1.factors[1], sp2.factors[1]])
-    tgt_space = te.space  # TensorSpace([P(kd,mid), Q(mid,kc)])
-    sect1, sect2, proj = dense_mats(e1.sect), dense_mats(e2.sect), dense_mats(te.proj)
-    p_mats, q_mats = dense_mats(h_p), dense_mats(h_q)
-    for d1 in c1.carrier.degrees():
-        v1 = sect1.get(d1, ())
-        for d2 in c2.carrier.degrees():
-            v2 = sect2.get(d2, ())
-            n = d1 + d2
-            if space.complex.dim(n) == 0:
-                continue
-            pm = proj.get(n, ())
-            for b1 in range(c1.carrier.dim(d1)):
-                for b2 in range(c2.carrier.dim(d2)):
-                    col = space.flat_index(
-                        (d1, d2), (off1.get(d1, 0) + b1, off2.get(d2, 0) + b2)
-                    )
-                    # expand representatives
-                    for r1 in range(len(v1)):
-                        a1 = v1[r1][b1]
-                        if a1 == 0:
-                            continue
-                        (dx1, dy1), (i1, j1) = sp1.unflatten(d1, r1)
-                        for r2 in range(len(v2)):
-                            a2 = v2[r2][b2]
-                            if a2 == 0:
-                                continue
-                            (dx2, dy2), (i2, j2) = sp2.unflatten(d2, r2)
-                            sign = -1 if (dy1 % 2 and dx2 % 2) else 1
-                            pcol = xp_space.flat_index((dx1, dx2), (i1, i2))
-                            qcol = yq_space.flat_index((dy1, dy2), (j1, j2))
-                            mp = p_mats.get(dx1 + dx2)
-                            mq = q_mats.get(dy1 + dy2)
-                            if mp is None or mq is None:
-                                continue
-                            for rp in range(len(mp)):
-                                ap = mp[rp][pcol]
-                                if ap == 0:
-                                    continue
-                                for rq in range(len(mq)):
-                                    aq = mq[rq][qcol]
-                                    if aq == 0:
-                                        continue
-                                    traw = tgt_space.flat_index(
-                                        (dx1 + dx2, dy1 + dy2), (rp, rq)
-                                    )
-                                    for rt in range(len(pm)):
-                                        c = pm[rt][traw]
-                                        if c == 0:
-                                            continue
-                                        row = t_off.get(n, 0) + rt
-                                        mats[n][row][col] += sign * a1 * a2 * ap * aq * c

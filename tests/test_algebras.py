@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from golden.record import CASES, INPUTS
 from helpers import (
     dense_d,
     dense_kernel_basis,
@@ -51,6 +53,7 @@ from propcalc.exprs import (
     parse,
     validate_presentation,
 )
+from propcalc.formats import Workspace
 from propcalc.graphs import Generator, Signature
 from propcalc.profiles import Palette, Profile
 
@@ -159,6 +162,26 @@ def test_evaluation_factors_through_canonical_graphs_with_sign():
     vy = evaluate(y, st).scale(kappa(y))
     assert vx == vy
     assert kappa(x) * kappa(y) == -1
+
+
+def test_golden_eq_verdicts_on_sig_agree_with_evaluation():
+    """Every golden `eq` verdict on sig.json agrees with algebras.evaluate on a
+    seeded random structure: expressions called equal take one value, and
+    expressions called distinct take two.  evaluate shares endo_vertical,
+    endo_horizontal and endo_permute with the transfer engine, not the graphs
+    and canonical forms that decide eq.  The cases use mu2 and iota, of degree
+    0, so no sign enters.
+    """
+    with open(CASES, encoding="utf-8") as handle:
+        cases = [c for c in json.load(handle) if c["argv"][:4] == ["--report", "text", "eq", "sig.json"]]
+    sig = Workspace(INPUTS).resolve("sig.json")
+    st = random_structure(sig, random.Random(0), fam=ColoredFamily(sig.palette, {"c": ChainComplex({0: 2})}))
+    verdicts = []
+    for case in cases:
+        lhs, rhs = (parse(text, sig) for text in case["argv"][4:])
+        verdicts.append(case["stdout"])
+        assert (evaluate(lhs, st) == evaluate(rhs, st)) == (case["stdout"] == "equal\n"), case["id"]
+    assert sorted(verdicts) == ["distinct\n"] * 2 + ["equal\n"] * 2
 
 
 def test_check_algebra_ground_field():

@@ -54,7 +54,13 @@ classify-family-map-stray-color, algebra-check-relation-failure,
 round-trip-other-family) print what that code printed.  The two
 operad-to-prop-zero-truncation cases pin the free PROP's bound check, the one
 place that raises TruncationExceeded; they were recorded when that check
-became the only one, and the code before printed the same.
+became the only one, and the code before printed the same.  Six cases were
+recorded to reach code that no case reached before (see test_census.py), and
+the code before printed the same: check-presentation-depth and
+check-presentation-depth-bad-sign, whose d^2 check sums terms;
+eq-actions-equal, eq-actions-distinct and normalize-actions, which parse
+permutation actions; and box-v-middle-stabilizer, whose middle orbit has a
+nontrivial stabilizer.
 """
 
 import gc
