@@ -525,7 +525,7 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
     once per (side, f, l), on first use.
     """
     if not factors:
-        raise BimoduleError("box_dot needs at least one factor")
+        raise BimoduleError("box_dot_many needs at least one factor")
     out_keys = [f.out_key for f in factors]
     in_keys = [f.in_key for f in factors]
     merged_out = merge_keys(palette, out_keys)
@@ -582,10 +582,6 @@ def box_dot_many(palette, factors) -> BimoduleComponent:
         return place_blocks(carrier, carrier, action_blocks(side, s))
 
     return BimoduleComponent.acting(merged_out, merged_in, carrier, act, layout)
-
-
-def box_dot(palette, x: BimoduleComponent, y: BimoduleComponent) -> BimoduleComponent:
-    return box_dot_many(palette, [x, y])
 
 
 def box_h(p: ColoredBimodule, q: ColoredBimodule) -> ColoredBimodule:

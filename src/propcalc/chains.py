@@ -42,10 +42,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from propcalc import linalg
 from propcalc.linalg import MINUS_ONE, ONE
+from propcalc.profiles import koszul_sign
 
 
 class ChainError(ValueError):
@@ -451,10 +451,6 @@ class TensorSpace:
         return ChainComplex(dims, bnd)
 
 
-def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    return TensorSpace([x, y]).complex
-
-
 def shared_space(spaces: dict, factors) -> TensorSpace:
     """The TensorSpace of the factors, kept in `spaces`, a table its caller
     owns and keys by the factors' values (ChainComplex.value_key): factors
@@ -566,19 +562,10 @@ def assemble_tensor_map(src_space: TensorSpace, tgt_space: TensorSpace, groups) 
     return ChainMap(src_space.complex, tgt_space.complex, mats, total_deg, check=False)
 
 
-def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f (x) g with the Koszul sign (-1)^{|g| |x|}."""
-    src = TensorSpace([f.source, g.source])
-    tgt = TensorSpace([f.target, g.target])
-    gs1, gt1 = TensorSpace([f.source]), TensorSpace([f.target])
-    gs2, gt2 = TensorSpace([g.source]), TensorSpace([g.target])
-    return assemble_tensor_map(src, tgt, [(gs1, gt1, f), (gs2, gt2, g)])
-
-
 def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> ChainMap:
     """Signed permutation of tensor factors: slot i moves to slot perm(i).
 
-    Sign: Koszul, (-1) for every inversion of odd-degree letters.  perm is a
+    Sign: koszul_sign of each basis tensor's factor degrees.  perm is a
     Permutation on 1..k.  Each row of the result holds one entry, 1 or -1.
     """
     k = len(factors)
@@ -604,9 +591,7 @@ def factor_permutation_map(factors, perm, src_space=None, tgt_space=None) -> Cha
             for i in range(k):
                 step = steps[images[i]]
                 flat = [a + x * step for a in flat for x in range(factors[i].dim(comp[i]))]
-            odd = [images[i] for i in range(k) if comp[i] % 2]
-            inversions = sum(1 for a, s in enumerate(odd) for t in odd[a + 1 :] if s > t)
-            sign = MINUS_ONE if inversions % 2 else ONE
+            sign = MINUS_ONE if koszul_sign(comp, images) < 0 else ONE
             for t in flat:
                 rows[t] = {col: sign}
                 col += 1
@@ -852,22 +837,3 @@ class LiftProblem:
                 for p in range(r)
             ]
         return ChainMap(self.source, self.target, mats, self.degree, check=False)
-
-
-def equivariant_average(f: ChainMap, group_action_pairs) -> ChainMap:
-    """(1/|G|) sum_g  rho_target(g) o f o rho_source(g)^-1.
-
-    group_action_pairs: list of (src_map, tgt_map) ChainMaps for every group
-    element (the identity included).  The output commutes with the action and
-    is f itself when f was already equivariant.
-    """
-    n = len(group_action_pairs)
-    if n == 0:
-        raise ChainError("empty group")
-    total = None
-    for src_g, tgt_g in group_action_pairs:
-        inv_mats = {j: linalg.inverse(src_g.block(j), d) for j, d in src_g.source.dims.items()}
-        inv = ChainMap(src_g.source, src_g.source, inv_mats, check=False)
-        term = tgt_g.compose(f).compose(inv)
-        total = term if total is None else total.add(term)
-    return total.scale(Fraction(1, n))

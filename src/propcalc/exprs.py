@@ -13,23 +13,19 @@ Identifiers are generator names ([A-Za-z_][A-Za-z0-9_]*, except the keyword
 annotated at parse time; mismatches raise TypeMismatch naming both profiles.
 
 Expressions with equal canonical graphs are equal in the free PROP up to the
-Koszul sign of reordering their generator occurrences; GraphPolynomial tracks
-exactly that sign, which is what makes d^2 = 0 checks on graded presentations
-exact.
+Koszul sign of reordering their generator occurrences.  signed_certificate
+returns the graph with that sign; graphs_equal (the `eq` command) compares
+both, and GraphPolynomial sums by them, which is what makes d^2 = 0 checks on
+graded presentations exact.
 """
 
 from __future__ import annotations
 
 import re
 
-from propcalc.graphs import (
-    PropGraph,
-    Signature,
-    canonical_graph,
-    koszul_reorder_sign,
-)
+from propcalc.graphs import PropGraph, Signature
 from propcalc.linalg import exact
-from propcalc.profiles import Permutation, Profile, apply_permutation, concat
+from propcalc.profiles import Permutation, Profile, apply_permutation, concat, koszul_sign
 
 
 class ParseError(ValueError):
@@ -284,8 +280,20 @@ def expr_to_graph(e: Expression) -> PropGraph:
     return e.to_graph()
 
 
+def signed_certificate(e: Expression):
+    """(certificate, sign): e's canonical graph, and the Koszul sign of moving
+    e's generator occurrences, in expression order, to their canonical slots.
+    In the free PROP, sign * e is the element the certificate names."""
+    g = expr_to_graph(e)
+    cert, order = g.canonical()
+    slots = [0] * len(order)
+    for slot, v in enumerate(order):
+        slots[v] = slot
+    return cert, koszul_sign(g.vertex_degrees(), slots)
+
+
 def graphs_equal(e1: Expression, e2: Expression) -> bool:
-    """Equality in the free PROP: identical canonical graphs."""
+    """Equality in the free PROP: identical canonical graphs with equal signs."""
     if e1.out_profile != e2.out_profile or e1.in_profile != e2.in_profile:
         raise TypeMismatch(
             "cannot compare expressions of profiles %s<-%s and %s<-%s"
@@ -296,23 +304,15 @@ def graphs_equal(e1: Expression, e2: Expression) -> bool:
                 _pstr(e2.in_profile),
             )
         )
-    return canonical_graph(expr_to_graph(e1)) == canonical_graph(expr_to_graph(e2))
-
-
-def kappa(e: Expression):
-    """Koszul sign from the expression's generator order to the canonical vertex order."""
-    g = expr_to_graph(e)
-    _, order = g.canonical()
-    return koszul_reorder_sign(g.vertex_degrees(), order)
+    return signed_certificate(e1) == signed_certificate(e2)
 
 
 class GraphPolynomial:
     """Q-linear combination of canonical graphs.
 
-    Each expression contributes coeff * kappa(e) to the bucket of its
-    canonical certificate, where kappa is the Koszul sign of reordering the
-    expression's generator occurrences into canonical vertex order.  That sign
-    is what identifies expressions that differ by interchange moves past odd
+    Each expression contributes coeff * sign to the bucket of its canonical
+    certificate, with both read from signed_certificate.  The sign is what
+    identifies expressions that differ by interchange moves past odd
     generators.
     """
 
@@ -320,10 +320,8 @@ class GraphPolynomial:
         self.terms = {}
 
     def add_expression(self, coeff, e: Expression):
-        g = expr_to_graph(e)
-        cert, order = g.canonical()
-        kappa = koszul_reorder_sign(g.vertex_degrees(), order)
-        c = exact(coeff) * kappa
+        cert, sign = signed_certificate(e)
+        c = exact(coeff) * sign
         cur = self.terms.get(cert, 0) + c
         if cur:
             self.terms[cert] = cur

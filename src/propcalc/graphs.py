@@ -343,25 +343,6 @@ def _ranks(colors):
     return [ranking[c] for c in colors], len(ranking)
 
 
-def canonical_graph(g: PropGraph):
-    """Canonical certificate of a graph; equal certificates iff isomorphic."""
-    cert, _ = g.canonical()
-    return cert
-
-
-def koszul_reorder_sign(degrees, order) -> int:
-    """Sign for reordering graded letters; order[i] = original index at new slot i."""
-    pos = [0] * len(order)
-    for new, old in enumerate(order):
-        pos[old] = new
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if pos[i] > pos[j] and degrees[i] % 2 and degrees[j] % 2:
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # enumeration of free components
 
@@ -372,8 +353,8 @@ def enumerate_graphs(signature, out_profile, in_profile, max_vertices, work_cap=
 
     The graphs returned are orbit representatives, pairwise non-isomorphic,
     and none is canonicalized: callers that need a canonical order sort by
-    `canonical_graph` themselves.  Raises ResourceCapExceeded when the
-    search would exceed work_cap steps.
+    the certificates of `PropGraph.canonical` themselves.  Raises
+    ResourceCapExceeded when the search would exceed work_cap steps.
 
     Every graph built is valid by construction, so none is checked:
     `_wirings` pairs ports of equal color, each input port at most once and

@@ -164,23 +164,11 @@ class Permutation:
         shifted = tuple(x + self.n for x in other.images)
         return Permutation(self.images + shifted)
 
-    def sign(self) -> int:
-        inv = 0
-        im = self.images
-        for i in range(len(im)):
-            for j in range(i + 1, len(im)):
-                if im[i] > im[j]:
-                    inv += 1
-        return -1 if inv % 2 else 1
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self):
         return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
 
     def __repr__(self):
         return "Permutation(%s)" % (list(self.images),)
@@ -200,6 +188,17 @@ def apply_permutation(sigma: Permutation, p: Profile, side: str = "left") -> Pro
     if side == "right":
         return Profile(p.palette, (p.entries[sigma(i) - 1] for i in range(1, len(p) + 1)))
     raise ValueError("side must be 'left' or 'right'")
+
+
+def koszul_sign(degrees, slots) -> int:
+    """Koszul sign of moving graded letter i, of degree degrees[i], to slot
+    slots[i]: -1 for each pair of odd letters whose order the move reverses.
+
+    With every degree odd it is the sign of the permutation i -> slots[i].
+    """
+    odd = [slot for d, slot in zip(degrees, slots) if d % 2]
+    inversions = sum(1 for a, s in enumerate(odd) for t in odd[a + 1 :] if s > t)
+    return -1 if inversions % 2 else 1
 
 
 class OrbitKey:

@@ -91,6 +91,9 @@ COMMANDS = [
     ("eq-actions-equal", ["eq", "sig.json", "[2 1] . (mu2 * mu2)", "(mu2 * mu2) . [3 4 1 2]"]),
     ("eq-actions-distinct", ["eq", "sig.json", "[2 1] . (iota * iota)", "iota * iota"]),
     ("normalize-actions", ["normalize", "sig.json", "([2 1] . (mu2 * iota)) . [2 1 3]"]),
+    ("eq-odd-swap-distinct", ["eq", "odd.json", "s * s", "([2 1] . (s * s)) . [2 1]"]),
+    ("eq-odd-interchange-equal", ["eq", "odd.json", "(s * s) o (u * u)", "(s o u) * (s o u)"]),
+    ("eq-odd-interchange-distinct", ["eq", "odd.json", "(u * s) o (s * u)", "(u o s) * (s o u)"]),
     ("dim-free", ["dim-free", "binary.json", "c", "c,c,c", "2"]),
     ("dim-free-default-cap", ["--max-vertices", "2", "dim-free", "binary.json", "c", "c,c"]),
     ("dim-free-equal-generators", ["dim-free", "binary.json", "c", "c,c,c,c", "3"]),
@@ -196,6 +199,15 @@ def write_inputs():
         [
             Generator("m", Profile(two_color, ["a"]), Profile(two_color, ["a", "b"]), 0),
             Generator("t", Profile(two_color, ["b"]), Profile(two_color, ["b", "a"]), 0),
+        ],
+    )
+    # s odd and u even: equal graphs whose vertex orders differ by an odd
+    # number of swaps of s's are x and -x
+    objects["odd"] = Signature(
+        palette,
+        [
+            Generator("s", Profile(palette, ["c"]), Profile(palette, ["c"]), 1),
+            Generator("u", Profile(palette, ["c"]), Profile(palette, ["c"]), 0),
         ],
     )
     objects["q"] = base_field_complex()

@@ -19,6 +19,8 @@ from helpers import (
     inclusion_from_field,
     interchange_quadruple,
     projection_to_field,
+    random_expression,
+    random_expression_with_out,
     random_signature,
     reference_lift_solve,
     rows_of,
@@ -46,16 +48,18 @@ from propcalc.chains import (
 from propcalc.endo import ColoredFamily, EndoElement, FamilyMap
 from propcalc.exprs import (
     HCompExpr,
+    LeftActExpr,
     PropPresentation,
+    RightActExpr,
     VCompExpr,
     graphs_equal,
-    kappa,
     parse,
+    signed_certificate,
     validate_presentation,
 )
 from propcalc.formats import Workspace
 from propcalc.graphs import Generator, Signature
-from propcalc.profiles import Palette, Profile
+from propcalc.profiles import Palette, Permutation, Profile
 
 F = Fraction
 
@@ -71,7 +75,8 @@ def zero_diff_family(sig, rng, max_dim=2):
     return ColoredFamily(sig.palette, complexes)
 
 
-def random_structure(sig, rng, fam=None):
+def random_structure(sig, rng, fam=None, bound=2):
+    """Every generator a random map with integer entries in [-bound, bound]."""
     fam = fam or zero_diff_family(sig, rng)
     pres = PropPresentation(sig)
     assignment = {}
@@ -82,7 +87,7 @@ def random_structure(sig, rng, fam=None):
         for j in src.degrees():
             if tgt.dim(j + gen.degree):
                 mats[j] = [
-                    [F(rng.randint(-2, 2)) for _ in range(src.dim(j))]
+                    [F(rng.randint(-bound, bound)) for _ in range(src.dim(j))]
                     for _ in range(tgt.dim(j + gen.degree))
                 ]
         assignment[name] = EndoElement.from_mats(
@@ -134,7 +139,8 @@ def small_flat_family(sig, rng):
 
 
 def test_evaluation_factors_through_canonical_graphs_with_sign():
-    # odd-degree generators: evaluations agree after kappa normalization
+    # odd-degree generators: evaluations agree after each is scaled by the
+    # sign of its canonical graph, and eq's verdict is the sign comparison
     palette = Palette(["c"])
     c = lambda *xs: Profile(palette, xs)
     sig = Signature(
@@ -150,18 +156,24 @@ def test_evaluation_factors_through_canonical_graphs_with_sign():
     st = random_structure(sig, rng, fam=fam)
     a = parse("(s * t) o (u * u)", sig)
     b = parse("(s o u) * (t o u)", sig)
+    (cert_a, sign_a), (cert_b, sign_b) = signed_certificate(a), signed_certificate(b)
+    assert cert_a == cert_b and sign_a == sign_b
     assert graphs_equal(a, b)
-    va = evaluate(a, st).scale(kappa(a))
-    vb = evaluate(b, st).scale(kappa(b))
-    assert va == vb
-    # block-swapped odd pair: evaluations differ by the sign kappa tracks
+    assert evaluate(a, st) == evaluate(b, st)
+    # block-swapped odd pair: one graph with opposite signs, so x = -y
     x = parse("s * s", sig)
     y = parse("([2 1] . (s * s)) . [2 1]", sig)
-    assert graphs_equal(x, y)
-    vx = evaluate(x, st).scale(kappa(x))
-    vy = evaluate(y, st).scale(kappa(y))
-    assert vx == vy
-    assert kappa(x) * kappa(y) == -1
+    (cert_x, sign_x), (cert_y, sign_y) = signed_certificate(x), signed_certificate(y)
+    assert cert_x == cert_y and sign_x == -sign_y
+    assert not graphs_equal(x, y)
+    vx = evaluate(x, st)
+    assert not vx.is_zero() and vx == evaluate(y, st).scale(-1)
+
+
+def golden_eq_cases(signature_file):
+    """The text-report golden `eq` cases on one signature file."""
+    with open(CASES, encoding="utf-8") as handle:
+        return [c for c in json.load(handle) if c["argv"][:4] == ["--report", "text", "eq", signature_file]]
 
 
 def test_golden_eq_verdicts_on_sig_agree_with_evaluation():
@@ -172,8 +184,7 @@ def test_golden_eq_verdicts_on_sig_agree_with_evaluation():
     and canonical forms that decide eq.  The cases use mu2 and iota, of degree
     0, so no sign enters.
     """
-    with open(CASES, encoding="utf-8") as handle:
-        cases = [c for c in json.load(handle) if c["argv"][:4] == ["--report", "text", "eq", "sig.json"]]
+    cases = golden_eq_cases("sig.json")
     sig = Workspace(INPUTS).resolve("sig.json")
     st = random_structure(sig, random.Random(0), fam=ColoredFamily(sig.palette, {"c": ChainComplex({0: 2})}))
     verdicts = []
@@ -182,6 +193,26 @@ def test_golden_eq_verdicts_on_sig_agree_with_evaluation():
         verdicts.append(case["stdout"])
         assert (evaluate(lhs, st) == evaluate(rhs, st)) == (case["stdout"] == "equal\n"), case["id"]
     assert sorted(verdicts) == ["distinct\n"] * 2 + ["equal\n"] * 2
+
+
+def test_golden_eq_verdicts_on_odd_agree_with_evaluation():
+    """Every golden `eq` verdict on odd.json, where s is odd and u even,
+    agrees with algebras.evaluate on a seeded random structure over a graded
+    family, and no side evaluates to zero.  Two cases are distinct although
+    both sides have one canonical graph: their Koszul signs differ."""
+    cases = golden_eq_cases("odd.json")
+    sig = Workspace(INPUTS).resolve("odd.json")
+    fam = ColoredFamily(sig.palette, {"c": ChainComplex({0: 2, 1: 2, 2: 2})})
+    st = random_structure(sig, random.Random(0), fam=fam, bound=50)
+    verdicts = []
+    for case in cases:
+        lhs, rhs = (parse(text, sig) for text in case["argv"][4:])
+        assert signed_certificate(lhs)[0] == signed_certificate(rhs)[0], case["id"]
+        value_l, value_r = evaluate(lhs, st), evaluate(rhs, st)
+        assert not value_l.is_zero() and not value_r.is_zero(), case["id"]
+        assert (value_l == value_r) == (case["stdout"] == "equal\n"), case["id"]
+        verdicts.append(case["stdout"])
+    assert sorted(verdicts) == ["distinct\n"] * 2 + ["equal\n"]
 
 
 def test_check_algebra_ground_field():
@@ -809,8 +840,9 @@ def test_transfer_unsolvable_on_invalid_source():
 
 
 def test_interchange_evaluation_graded_kappa_randomized():
-    """Interchange pairs over graded signatures evaluate equal after the
-    Koszul normalization that identifies equal canonical graphs."""
+    """Interchange pairs over graded signatures have one canonical graph, and
+    evaluate equal after each is scaled by its sign; eq calls them equal
+    exactly when the signs agree."""
     rng = random.Random(31)
     palette = Palette(["c"])
     c = lambda *xs: Profile(palette, xs)
@@ -835,11 +867,89 @@ def test_interchange_evaluation_graded_kappa_randomized():
             continue
         fam = ColoredFamily(palette, {"c": ChainComplex({0: 1, 1: 1, 2: 1})})
         st = random_structure(sig, rng, fam=fam)
-        assert graphs_equal(lhs, rhs)
-        va = evaluate(lhs, st).scale(kappa(lhs))
-        vb = evaluate(rhs, st).scale(kappa(rhs))
-        assert va == vb
+        (cert_l, sign_l), (cert_r, sign_r) = signed_certificate(lhs), signed_certificate(rhs)
+        assert cert_l == cert_r
+        assert graphs_equal(lhs, rhs) == (sign_l == sign_r)
+        assert evaluate(lhs, st).scale(sign_l) == evaluate(rhs, st).scale(sign_r)
         cases += 1
+
+
+def graded_signature(rng):
+    """One or two colours: a unary u_<colour> of degree 0 for each, an odd
+    unary s on the last colour, and one to three generators of degree 0 or 1
+    with one or two outputs and one or two inputs."""
+    palette = Palette(["c0", "c1"][: rng.randint(1, 2)])
+    p = lambda colors: Profile(palette, colors)
+    last = palette.colors[-1]
+    gens = [Generator("u_%s" % c, p([c]), p([c]), 0) for c in palette.colors]
+    gens.append(Generator("s", p([last]), p([last]), 1))
+    for k in range(rng.randint(1, 3)):
+        out_p = [rng.choice(palette.colors) for _ in range(rng.randint(1, 2))]
+        in_p = [rng.choice(palette.colors) for _ in range(rng.randint(1, 2))]
+        gens.append(Generator("g%d" % k, p(out_p), p(in_p), rng.randint(0, 1)))
+    return Signature(palette, gens)
+
+
+def block_swap(first, second):
+    """The permutation of first + second positions that moves the first block
+    past the second."""
+    return Permutation([second + i for i in range(1, first + 1)] + list(range(1, second + 1)))
+
+
+def eq_pair(sig, rng, move):
+    """Two expressions of one profile: the sides of an interchange move, e * f
+    against f * e conjugated by block swaps (equivariance), or a random
+    expression and another with its outputs."""
+    if move == "interchange":
+        e1, e2, e3, e4 = interchange_quadruple(sig, rng, depth=0)
+        return VCompExpr(HCompExpr(e1, e2), HCompExpr(e3, e4)), HCompExpr(VCompExpr(e1, e3), VCompExpr(e2, e4))
+    e = random_expression(sig, rng, depth=rng.randint(0, 1))
+    if move == "swap":
+        f = random_expression(sig, rng, depth=rng.randint(0, 1))
+        swapped = RightActExpr(HCompExpr(e, f), block_swap(len(f.in_profile), len(e.in_profile)))
+        return LeftActExpr(block_swap(len(e.out_profile), len(f.out_profile)), swapped), HCompExpr(f, e)
+    return e, random_expression_with_out(sig, rng, e.out_profile, depth=1)
+
+
+def test_eq_agrees_with_evaluation_on_graded_signatures():
+    """400 seeded pairs over graded signatures of one or two colours: eq says
+    equal exactly when the two sides take one value on both of two random
+    structures.  Pairs come from interchange and equivariance moves, which
+    keep the graph and may flip its Koszul sign, and from unrelated
+    expressions.  algebras.evaluate shares endo_vertical, endo_horizontal and
+    endo_permute with the transfer engine, not the graphs, canonical forms or
+    signs that decide eq.
+
+    Each colour's complex has dimension 2 in degree 0, so degree-0 maps need
+    not commute, and dimension 1 in degrees 1 to 4; a pair has at most four
+    vertices, so no composite of odd maps leaves the top degree, and at most
+    four legs in all.  Entries lie in [-50, 50], so two distinct values
+    rarely agree on both structures by chance.
+    """
+    rng = random.Random(38)
+    kinds = {"same sign": 0, "opposite sign": 0, "other graph": 0}
+    while sum(kinds.values()) < 400:
+        sig = graded_signature(rng)
+        lhs, rhs = eq_pair(sig, rng, rng.choice(["interchange", "swap", "swap", "other"]))
+        if lhs.in_profile != rhs.in_profile or len(lhs.in_profile) + len(lhs.out_profile) > 4:
+            continue
+        if max(len(lhs.to_graph().vertices), len(rhs.to_graph().vertices)) > 4:
+            continue
+        fam = ColoredFamily(sig.palette, {c: ChainComplex({0: 2, 1: 1, 2: 1, 3: 1, 4: 1}) for c in sig.palette.colors})
+        values = []
+        for _ in range(2):
+            st = random_structure(sig, rng, fam=fam, bound=50)
+            values.append((evaluate(lhs, st), evaluate(rhs, st)))
+        assert graphs_equal(lhs, rhs) == all(a == b for a, b in values), (str(lhs), str(rhs))
+        (cert_l, sign_l), (cert_r, sign_r) = signed_certificate(lhs), signed_certificate(rhs)
+        if cert_l != cert_r:
+            kinds["other graph"] += 1
+        elif sign_l == sign_r:
+            kinds["same sign"] += 1
+        else:
+            kinds["opposite sign"] += 1
+            assert all(not a.is_zero() and a == b.scale(-1) for a, b in values)
+    assert min(kinds.values()) >= 40, kinds
 
 
 LIFT_SUITE = [

@@ -34,7 +34,6 @@ from propcalc.bimodules import (
     BimoduleError,
     ColoredBimodule,
     InducedLayout,
-    box_dot,
     box_dot_many,
     box_h,
     box_v,
@@ -759,7 +758,7 @@ def test_box_dot_one_color_dims():
     k1 = key(PAL1, "x")
     x = make_component(k1, k1, ChainComplex({0: 1}))
     y = make_component(k1, k1, ChainComplex({0: 1}))
-    comp = box_dot(PAL1, x, y)
+    comp = box_dot_many(PAL1, [x, y])
     assert comp.out_key == key(PAL1, "x", "x")
     assert comp.carrier.dims == {0: 4}
 
@@ -769,7 +768,7 @@ def test_box_dot_distinct_colors_dim_one():
     kb = key(PAL, "b")
     x = make_component(ka, ka, ChainComplex({0: 1}))
     y = make_component(kb, kb, ChainComplex({0: 1}))
-    comp = box_dot(PAL, x, y)
+    comp = box_dot_many(PAL, [x, y])
     assert comp.carrier.dims == {0: 1}
 
 
@@ -797,14 +796,14 @@ def test_box_dot_action_laws():
         kab = key(PAL, "a", "b")
         x = random_rep_component(rng, ka, kab)
         y = random_rep_component(rng, kab, ka)
-        comp = box_dot(PAL, x, y)
+        comp = box_dot_many(PAL, [x, y])
         assert comp.validate() == []
 
 
 def flatten_nested(palette, nested, parts):
     """Intertwiner basis map from ((X . Y) . Z) to (X . Y . Z) coordinates.
 
-    nested = box_dot(box_dot(x, y), z) or box_dot(x, box_dot(y, z)); parts =
+    nested = box_dot_many([box_dot_many([x, y]), z]) or box_dot_many([x, box_dot_many([y, z])]); parts =
     (x, y, z).  Returns per-degree permutation matrices.
     """
     flat = box_dot_many(palette, list(parts))
@@ -892,9 +891,9 @@ def test_box_dot_associativity_intertwiner():
         x = random_rep_component(rng, ka, ka)
         y = random_rep_component(rng, kb, kb)
         z = random_rep_component(rng, kc, kc)
-        nested_left = box_dot(PAL, box_dot(PAL, x, y), z)
+        nested_left = box_dot_many(PAL, [box_dot_many(PAL, [x, y]), z])
         flat3 = box_dot_many(PAL, [x, y, z])
-        nested_right = box_dot(PAL, x, box_dot(PAL, y, z))
+        nested_right = box_dot_many(PAL, [x, box_dot_many(PAL, [y, z])])
         assert nested_left.carrier.dims == flat3.carrier.dims
         assert nested_right.carrier.dims == flat3.carrier.dims
         flat, mats = flatten_nested(PAL, nested_left, (x, y, z))
@@ -1185,7 +1184,7 @@ def test_graded_coinvariants_and_box_dot():
     assert comp.carrier.dims == {0: 1, 1: 2, 2: 1}
     assert comp.validate() == []
     z = graded_component(k1, k1)
-    ind = box_dot(PAL1, x, z)
+    ind = box_dot_many(PAL1, [x, z])
     assert ind.validate() == []
     # induced dims: out (x,x) merged with (x): G_out = Sigma_2 x ... the law
     assert induced_dim_law(PAL1, [x, z])

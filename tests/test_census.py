@@ -63,7 +63,6 @@ NEVER_CALLED = {
     "bimodules._profiles_with_image": CRITERION_9,
     "bimodules._restricted_component": CRITERION_9,
     "bimodules._restricted_component.act": CRITERION_9,
-    "bimodules.box_dot": "two-factor box_dot_many, which the tests of the horizontal product call",
     "bimodules.component_at": "a component at a non-canonical object, by transport: tests only",
     "bimodules.component_at.structure": "a component at a non-canonical object, by transport: tests only",
     "bimodules.component_at.zero_structure": "a component at a non-canonical object, by transport: tests only",
@@ -77,9 +76,6 @@ NEVER_CALLED = {
     "chains.TensorSpace.flat_index": "read by EndoPropData.rho and the standard operads only",
     "chains.base_field_complex": "fixture builder for tests and record.py",
     "chains.disc_complex": "fixture builder for tests and record.py",
-    "chains.equivariant_average": TESTS_ONLY,
-    "chains.tensor": TESTS_ONLY,
-    "chains.tensor_maps": TESTS_ONLY,
     "cli.main": "console-script entry point; the replay calls cli.run, which it wraps",
     "endo.EndoElement.__repr__": REPR,
     "endo.EndoElement.identity": TESTS_ONLY,
@@ -88,7 +84,6 @@ NEVER_CALLED = {
     "endo.endo_component": ENDO_PROP,
     "exprs.LeftActExpr.__str__": "an expression's text: no command prints a parsed expression with an action",
     "exprs.RightActExpr.__str__": "an expression's text: no command prints a parsed expression with an action",
-    "exprs.kappa": "the sign GraphPolynomial.add_expression computes inline: tests only",
     "formats.chain_map_to_json": WRITER,
     "formats.family_map_to_json": WRITER,
     "formats.operad_algebra_to_json": WRITER,
@@ -113,10 +108,8 @@ NEVER_CALLED = {
     "operads.trivial_operad": STANDARD_OPERAD,
     "profiles.Palette.__hash__": "keeps Palette hashable; Profile hashes the colours directly",
     "profiles.Palette.__repr__": REPR,
-    "profiles.Permutation.__lt__": "a total order on permutations; no src code sorts them",
     "profiles.Permutation.__repr__": REPR,
     "profiles.Permutation.block_sum": TESTS_ONLY,
-    "profiles.Permutation.sign": TESTS_ONLY,
     "profiles.Profile.__repr__": REPR,
     "profiles.stabilizer_order": TESTS_ONLY,
 }

@@ -19,14 +19,11 @@ from propcalc.chains import (
     classify_map,
     direct_sum,
     disc_complex,
-    equivariant_average,
     factor_permutation_map,
     homology_dims,
     path_object,
     place_blocks,
     sum_offsets,
-    tensor,
-    tensor_maps,
 )
 from propcalc.profiles import Permutation
 
@@ -175,7 +172,7 @@ def test_unit_tensor():
     q = base_field_complex()
     for _ in range(10):
         x = random_complex(rng)
-        t = tensor(q, x)
+        t = TensorSpace([q, x]).complex
         assert t.dims == x.dims
         for n in x.degrees():
             assert dense_d(t, n) == dense_d(x, n)
@@ -186,7 +183,7 @@ def test_tensor_d_squared_random():
     for _ in range(200):
         x = random_complex(rng, max_deg=2, max_dim=2)
         y = random_complex(rng, max_deg=2, max_dim=2)
-        t = tensor(x, y)
+        t = TensorSpace([x, y]).complex
         for n in range(1, 6):
             if t.dim(n) and t.dim(n - 2):
                 assert dense_is_zero(dense_mul(dense_d(t, n - 1), dense_d(t, n)))
@@ -220,7 +217,8 @@ def test_tensor_maps_koszul_sign():
     # g: x0 -> x1 of degree 1 (the hom-degree-1 element)
     g = ChainMap(x0, x1, rows_of({0: [[1]]}), degree=1, check=False)
     f = ChainMap(x1, x1, rows_of({1: [[1]]}), degree=0, check=False)
-    fg = tensor_maps(f, g)
+    groups = [(TensorSpace([m.source]), TensorSpace([m.target]), m) for m in (f, g)]
+    fg = assemble_tensor_map(TensorSpace([x1, x0]), TensorSpace([x1, x1]), groups)
     # source basis in degree 1: x1 (x) x0; sign = (-1)^{|g| * 1} = -1
     assert dense_mat(fg, 1) == [[F(-1)]]
 
@@ -612,7 +610,7 @@ def test_signed_permutations_through_compose_add_place_and_tensor_match_dense_re
             src_space = TensorSpace([m.source for m in pair])
             tgt_space = TensorSpace([m.target for m in pair])
             groups = [(TensorSpace([m.source]), TensorSpace([m.target]), m) for m in pair]
-            ours = tensor_maps(*pair)
+            ours = assemble_tensor_map(src_space, tgt_space, groups)
             assert_same_entries(ours, reference_assemble_tensor_map(src_space, tgt_space, groups))
             seen["odd tensor"] += k == 1 and minus_ones(ours) > 0
     assert min(seen.values()) >= 30, seen
@@ -1005,18 +1003,3 @@ def test_solver_terms_that_cancel_leave_no_zero_entry():
     with pytest.raises(Unsolvable) as reference:
         reference_lift_solve(prob)
     assert ours.value.certificate == reference.value.certificate == (0, [F(0)] * 4 + [F(1)])
-
-
-def test_equivariant_average_swap():
-    v = ChainComplex({0: 2})
-    swap = ChainMap(v, v, rows_of({0: [[0, 1], [1, 0]]}))
-    ident = ChainMap.identity(v)
-    f = ChainMap(v, v, rows_of({0: [[1, 0], [0, 0]]}))
-    avg = equivariant_average(f, [(ident, ident), (swap, swap)])
-    assert dense_mat(avg, 0) == [[F(1, 2), F(0)], [F(0), F(1, 2)]]
-    # averaging is idempotent
-    again = equivariant_average(avg, [(ident, ident), (swap, swap)])
-    assert again == avg
-    # equivariant input unchanged
-    eq = ChainMap(v, v, rows_of({0: [[2, 3], [3, 2]]}))
-    assert equivariant_average(eq, [(ident, ident), (swap, swap)]) == eq

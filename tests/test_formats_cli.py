@@ -161,7 +161,6 @@ def test_cli_eq_associator(tmp_path):
     assert code == 0
 
 
-@pytest.mark.xfail(strict=True, reason="eq compares canonical graphs only and drops the Koszul sign of odd vertices")
 def test_cli_eq_tells_an_odd_expression_from_its_negative(tmp_path):
     """With s odd, conjugating s * s by the swap gives -(s * s): the same
     graph with the opposite Koszul sign, so eq must say distinct."""

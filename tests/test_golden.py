@@ -60,7 +60,11 @@ the code before printed the same: check-presentation-depth and
 check-presentation-depth-bad-sign, whose d^2 check sums terms;
 eq-actions-equal, eq-actions-distinct and normalize-actions, which parse
 permutation actions; and box-v-middle-stabilizer, whose middle orbit has a
-nontrivial stabilizer.
+nontrivial stabilizer.  The three eq-odd cases, on odd.json with an odd
+generator s, were recorded after eq compared the Koszul sign of the
+canonical vertex order: the code before printed equal for all three, and
+eq-odd-swap-distinct and eq-odd-interchange-distinct are distinct, as
+algebras.evaluate confirms (test_algebras.py).
 """
 
 import gc

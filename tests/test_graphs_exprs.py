@@ -35,6 +35,7 @@ from propcalc.exprs import (
     expr_to_graph,
     graphs_equal,
     parse,
+    signed_certificate,
     validate_presentation,
 )
 from propcalc.graphs import (
@@ -45,7 +46,6 @@ from propcalc.graphs import (
     Signature,
     _discovery_order,
     _neighbours,
-    canonical_graph,
     enumerate_graphs,
     free_component_dim,
 )
@@ -352,7 +352,7 @@ def test_canonical_reversal_invariance():
         n = len(g.vertices)
         order = list(reversed(range(n)))
         relabeled = _relabel(g, order)
-        assert canonical_graph(g) == canonical_graph(relabeled)
+        assert g.canonical()[0] == relabeled.canonical()[0]
 
 
 def _relabel(g, order):
@@ -390,7 +390,7 @@ def test_canonical_agrees_with_brute_force_oracle():
                 and g1.in_profile() == g2.in_profile()
                 and len(g1.vertices) == len(g2.vertices)
             ):
-                same_cert = canonical_graph(g1) == canonical_graph(g2)
+                same_cert = g1.canonical()[0] == g2.canonical()[0]
                 assert same_cert == graphs_isomorphic_brute_force(g1, g2)
                 pairs += 1
         except GraphError:
@@ -902,13 +902,16 @@ def test_degree_shape_violation_detected():
 
 def test_graph_polynomial_koszul_sign():
     # conjugating an odd (x) odd horizontal product by the block swaps flips
-    # its sign in the free graded PROP: a + b is the zero combination
+    # its sign in the free graded PROP: one graph with opposite signs, so a
+    # and b are distinct and a + b is the zero combination
     sig = ainf_sig()
     a = parse("mu3 * mu3", sig)
     swap_out = Permutation([2, 1])
     big_swap_in = Permutation([4, 5, 6, 1, 2, 3])
     b = LeftActExpr(swap_out, RightActExpr(parse("mu3 * mu3", sig), big_swap_in))
-    assert graphs_equal(a, b)
+    (cert_a, sign_a), (cert_b, sign_b) = signed_certificate(a), signed_certificate(b)
+    assert cert_a == cert_b and sign_a == -sign_b
+    assert not graphs_equal(a, b)
     total = GraphPolynomial()
     total.add_expression(1, a)
     total.add_expression(1, b)
@@ -919,6 +922,7 @@ def test_graph_polynomial_koszul_sign():
     b0 = LeftActExpr(
         swap_out, RightActExpr(parse("mu * mu", sig0), Permutation([3, 4, 1, 2]))
     )
+    assert signed_certificate(a0) == signed_certificate(b0)
     assert graphs_equal(a0, b0)
     diff = GraphPolynomial()
     diff.add_expression(1, a0)
@@ -950,7 +954,7 @@ def test_canonical_oracle_1000_pairs():
                     continue
             except GraphError:
                 continue
-        same = canonical_graph(g1) == canonical_graph(g2)
+        same = g1.canonical()[0] == g2.canonical()[0]
         assert same == graphs_isomorphic_brute_force(g1, g2)
         pairs += 1
 

@@ -16,6 +16,7 @@ from propcalc.profiles import (
     canonicalize_profile,
     concat,
     in_stabilizer,
+    koszul_sign,
     orbit_key,
     stabilizer_elements,
     stabilizer_generators,
@@ -144,7 +145,7 @@ def test_canonicalize_transport_lex_least():
             for imgs in itertools.permutations(range(1, n + 1))
             if apply_permutation(Permutation(imgs), key.rep, "left") == p
         ]
-        assert t == min(candidates)
+        assert t == min(candidates, key=lambda p: p.images)
 
 
 def test_stabilizer_order_and_generators():
@@ -239,8 +240,57 @@ def test_block_sum_and_sign():
     s = Permutation([2, 1])
     t = Permutation([1, 3, 2])
     assert s.block_sum(t).images == (2, 1, 3, 5, 4)
-    assert s.sign() == -1
-    assert (s * s).sign() == 1
+    # the sign of a permutation is koszul_sign with every letter odd
+    assert koszul_sign([1, 1], [i - 1 for i in s.images]) == -1
+    assert koszul_sign([1, 1], [i - 1 for i in (s * s).images]) == 1
+
+
+def koszul_sign_by_adjacent_swaps(degrees, slots):
+    """Bubble the letters into their slots one adjacent swap at a time; each
+    swap of two odd letters flips the sign."""
+    word = list(range(len(slots)))
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for a in range(end):
+            x, y = word[a], word[a + 1]
+            if slots[x] > slots[y]:
+                word[a], word[a + 1] = y, x
+                if degrees[x] % 2 and degrees[y] % 2:
+                    sign = -sign
+    assert [slots[x] for x in word] == sorted(slots)
+    return sign
+
+
+def parity_by_cycles(slots):
+    """(-1)^(n - number of cycles) of the permutation i -> slots[i]."""
+    seen = set()
+    cycles = 0
+    for i in range(len(slots)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = slots[i]
+    return -1 if (len(slots) - cycles) % 2 else 1
+
+
+def test_koszul_sign_matches_adjacent_swaps():
+    """Seeded degrees and permutations up to seven letters: koszul_sign equals
+    the brute force by adjacent swaps, is the permutation's parity when every
+    letter is odd, and is 1 when every letter is even."""
+    rng = random.Random(38)
+    flips = 0
+    for n in range(8):
+        for _ in range(60):
+            slots = rng.sample(range(n), n)
+            degrees = [rng.randint(0, 3) for _ in range(n)]
+            sign = koszul_sign(degrees, slots)
+            assert sign == koszul_sign_by_adjacent_swaps(degrees, slots)
+            flips += sign == -1
+            odd = [rng.choice((1, 3)) for _ in range(n)]
+            assert koszul_sign(odd, slots) == koszul_sign_by_adjacent_swaps(odd, slots) == parity_by_cycles(slots)
+            assert koszul_sign([2 * d for d in degrees], slots) == 1
+    assert flips >= 100, flips
 
 
 def test_canonicalize_profile_matches_the_unmemoized_reference():
