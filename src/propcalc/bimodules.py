@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import NamedTuple
 
 from propcalc import linalg
@@ -51,13 +50,6 @@ from propcalc.profiles import (
     stabilizer_generators,
     word_in_block_transpositions,
 )
-
-
-# BimoduleComponent.validate checks a group law on the generator rows of the
-# multiplication table up to this many elements, and on sampled pairs beyond
-_GROUP_TABLE_CAP = 48
-_GROUP_LAW_SAMPLES = 20
-_GROUP_LAW_SEED = 0
 
 
 class BimoduleError(ValueError):
@@ -158,15 +150,11 @@ class BimoduleComponent:
         """Action of (1; tau) for tau in the in stabilizer (contravariant side)."""
         return self._action("in", tau)
 
-    def rho(self, sigma: Permutation, tau: Permutation) -> ChainMap:
-        return self.rho_out(sigma).compose(self.rho_in(tau))
-
     def validate(self):
         """Check the action axioms: the generator actions are chain maps; the
-        group law on the generator rows of the table up to 48 elements (see
-        _table_pairs), sampled beyond; the two sides commute on generators,
-        which span both actions.  Each element's action is built at most once
-        per call.
+        group law on the generator rows of the table at every size (see
+        _table_pairs); the two sides commute on generators, which span both
+        actions.  Each element's action is built at most once per call.
         """
         failures = []
         if self.carrier.boundary:
@@ -200,10 +188,8 @@ class BimoduleComponent:
 
 def _table_pairs(key):
     """The pairs (g, h) on which validate checks a group law for the
-    stabilizer of key.  Up to _GROUP_TABLE_CAP elements: the rows whose g is
-    a generator, taken in stabilizer_elements order, h over all elements.
-    Beyond: _GROUP_LAW_SAMPLES pairs drawn with a generator seeded by
-    _GROUP_LAW_SEED.
+    stabilizer of key, at every size: the rows whose g is a generator, taken
+    in stabilizer_elements order, h over all elements.
 
     The generator rows decide the whole table, by induction on word length:
     on the out side rho(s g')rho(h) = rho(s)rho(g' h) = rho(s g' h), and the
@@ -215,11 +201,8 @@ def _table_pairs(key):
     row is a generator row, and the first failing pair is the table's.
     """
     elems = stabilizer_elements(key)
-    if len(elems) <= _GROUP_TABLE_CAP:
-        generators = set(stabilizer_generators(key))
-        return [(g, h) for g in elems if g in generators for h in elems]
-    rng = random.Random(_GROUP_LAW_SEED)
-    return [(rng.choice(elems), rng.choice(elems)) for _ in range(_GROUP_LAW_SAMPLES)]
+    generators = set(stabilizer_generators(key))
+    return [(g, h) for g in elems if g in generators for h in elems]
 
 
 class CoinvariantLayout(NamedTuple):
@@ -350,7 +333,7 @@ def component_at(module: ColoredBimodule, d_profile: Profile, c_profile: Profile
         _, t_ct = canonicalize_profile(apply_permutation(tau, c_profile, "right"))
         u = t_sd.inverse() * sigma * t_d
         v = t_c.inverse() * tau * t_ct
-        return comp.rho(u, v)
+        return comp.rho_out(u).compose(comp.rho_in(v))
 
     return comp.carrier, structure
 

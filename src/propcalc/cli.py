@@ -28,7 +28,6 @@ from propcalc.exprs import (
     PresentationError,
     PropPresentation,
     TypeMismatch,
-    expr_to_graph,
     graphs_equal,
     parse,
     validate_presentation,
@@ -79,7 +78,9 @@ def build_parser():
 
     sub.add_parser("check", help="validate any interchange file").add_argument("file")
 
-    s = sub.add_parser("normalize", help="canonical graph of an expression")
+    s = sub.add_parser(
+        "normalize", help="canonical graph of an expression, up to the Koszul sign of its vertex order"
+    )
     s.add_argument("signature")
     s.add_argument("expr")
 
@@ -205,7 +206,7 @@ def _dispatch(args, ws):
     if cmd == "normalize":
         sig = ws.resolve_as(args.signature, "signature")
         e = parse(args.expr, sig)
-        g = expr_to_graph(e)
+        g = e.to_graph()
         cert, order = g.canonical()
         graph_json = formats.graph_to_json(_relabel(g, order))
         payload = {"command": cmd, "ok": True, "graph": graph_json}

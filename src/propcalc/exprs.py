@@ -276,15 +276,11 @@ def parse(text: str, signature: Signature) -> Expression:
 # -- graph polynomials and expression equality --------------------------------
 
 
-def expr_to_graph(e: Expression) -> PropGraph:
-    return e.to_graph()
-
-
 def signed_certificate(e: Expression):
     """(certificate, sign): e's canonical graph, and the Koszul sign of moving
     e's generator occurrences, in expression order, to their canonical slots.
     In the free PROP, sign * e is the element the certificate names."""
-    g = expr_to_graph(e)
+    g = e.to_graph()
     cert, order = g.canonical()
     slots = [0] * len(order)
     for slot, v in enumerate(order):

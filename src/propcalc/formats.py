@@ -146,7 +146,7 @@ def parse_rational(s):  # an exact scalar (see linalg)
 
 
 # Most entries of the matrices propcalc reads and writes are zero.  A matrix
-# reaches the emitter as its rows: matrix_to_json wraps the {column: entry}
+# reaches the emitter as its rows: a MatrixRows holds the {column: entry}
 # rows of a map or a complex, shared and not copied, and dumps writes them as
 # dense rows of "p/q" strings, formatting only the entries the rows hold.
 # matrix_from_json skips "0/1" without parsing it.
@@ -162,13 +162,9 @@ class MatrixRows:
         self.n_cols = n_cols
 
 
-def matrix_to_json(rows, n_cols):
-    return MatrixRows(rows, n_cols)
-
-
 def mats_to_json(f: ChainMap):
     """The matrices of a map, per degree where it is nonzero."""
-    return {str(j): matrix_to_json(rows, f.source.dim(j)) for j, rows in sorted(f.rows.items())}
+    return {str(j): MatrixRows(rows, f.source.dim(j)) for j, rows in sorted(f.rows.items())}
 
 
 def matrix_from_json(m, shape, name, degree):
@@ -344,7 +340,7 @@ def complex_to_json(x: ChainComplex):
         "kind": "complex",
         "dims": {str(n): d for n, d in sorted(x.dims.items())},
         "boundary": {
-            str(n): matrix_to_json(rows, x.dim(n)) for n, rows in sorted(x.boundary.items())
+            str(n): MatrixRows(rows, x.dim(n)) for n, rows in sorted(x.boundary.items())
         },
     }
 

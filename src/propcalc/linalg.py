@@ -5,7 +5,7 @@ dimension.  It is a list of rows, each a {column: entry} dict holding only
 the nonzero entries; where a routine needs the column count it takes it as
 an argument.  Every routine here takes and gives that form: the products
 mat_mul, mat_add and mat_scale, and the elimination routines row_echelon,
-rank, kernel_basis (the kernel as its inclusion map), solve, inverse and
+rank, kernel_basis (the kernel as its inclusion map), solve and
 quotient_by_rowspace.  The chain complexes and maps of chains store it, and
 formats reads a file's dense matrices straight into it; densify writes one
 row out dense, for solve's certificate.  A scalar is an int when integral and
@@ -215,17 +215,6 @@ def solve(a, b, n_cols: int, b_cols: int):
     for row, pc in zip(aug, pivots):
         x[pc] = {j - n_cols: y for j, y in row.items() if j >= n_cols}
     return x, None
-
-
-def inverse(rows, n_cols: int) -> list:
-    """The inverse of a square matrix of {column: entry} rows, as rows;
-    ValueError when it is not square or not invertible."""
-    if len(rows) != n_cols:
-        raise ValueError("not square")
-    x, cert = solve(rows, [{i: ONE} for i in range(n_cols)], n_cols, n_cols)
-    if cert is not None:
-        raise ValueError("matrix not invertible")
-    return x
 
 
 def quotient_by_rowspace(rows, dim: int):

@@ -527,10 +527,6 @@ def forget_to_operad(prop_data: EndoPropData, max_arity: int) -> ColoredOperad:
 # the free PROP generated by an operad
 
 
-class TruncationExceeded(OperadError):
-    pass
-
-
 class OPropData:
     """PROP components generated by a colored operad, through the placement
     model, keyed (out_key, in_key); its one-output part is the operad's
@@ -596,7 +592,7 @@ def prop_from_operad(operad: ColoredOperad, max_out: int, max_in: int) -> OPropD
     """The free PROP on the operad, truncated to the given profile lengths."""
     if max_in > 0 and max_out > 0:
         return OPropData(operad, max_out, max_in)
-    raise TruncationExceeded("truncation bounds must be positive")
+    raise OperadError("truncation bounds must be positive")
 
 
 def check_unit_identity(operad: ColoredOperad) -> bool:

@@ -18,7 +18,6 @@ Conventions, used consistently everywhere downstream:
 from __future__ import annotations
 
 import itertools
-import math
 
 
 class PaletteError(ValueError):
@@ -308,13 +307,6 @@ def stabilizer_generators(key: OrbitKey):
                 gens.append(Permutation._trusted(images))
         key._generators = tuple(gens)
     return list(key._generators)
-
-
-def stabilizer_order(key: OrbitKey) -> int:
-    out = 1
-    for b in key.block_sizes:
-        out *= math.factorial(b)
-    return out
 
 
 def stabilizer_elements(key: OrbitKey):

@@ -55,6 +55,7 @@ COMMANDS = [
     ("check-operad", ["check", "op.json"]),
     ("check-bimodule-bad-action", ["check", "bad_bimodule.json"]),
     ("check-bimodule-noncommuting", ["check", "noncommuting_bimodule.json"]),
+    ("check-bimodule-twisted-s5", ["check", "twisted_bimodule.json"]),
     ("check-operad-bad-gamma", ["check", "bad_op.json"]),
     ("check-operad-arity-string", ["check", "arity_string.json"]),
     ("check-presentation-bad-differential", ["check", "bad_pres.json"]),
@@ -152,7 +153,14 @@ COMMANDS = [
 
 def write_inputs():
     from test_algebras import invalid_structure_on_field_plus_disc
-    from test_bimodules import key, make_component, noncommuting_component, perm_matrix_rep, sign_rep
+    from test_bimodules import (
+        key,
+        make_component,
+        noncommuting_component,
+        perm_matrix_rep,
+        sign_rep,
+        twisted_component,
+    )
     from test_operads import square_zero_algebra
 
     from propcalc.algebras import transfer
@@ -256,6 +264,8 @@ def write_inputs():
     objects["noncommuting_bimodule"] = ColoredBimodule(
         Palette(["x"]), {(noncommuting.out_key, noncommuting.in_key): noncommuting}
     )
+    twisted = twisted_component()
+    objects["twisted_bimodule"] = ColoredBimodule(Palette(["x"]), {(twisted.out_key, twisted.in_key): twisted})
 
     objects["op"] = trivial_operad(2)
     ass = associative_operad(3)

@@ -842,7 +842,12 @@ def test_transfer_unsolvable_on_invalid_source():
 def test_interchange_evaluation_graded_kappa_randomized():
     """Interchange pairs over graded signatures have one canonical graph, and
     evaluate equal after each is scaled by its sign; eq calls them equal
-    exactly when the signs agree."""
+    exactly when the signs agree.
+
+    The complex has dimension 2 in degree 0, so degree-0 maps need not
+    commute, and dimension 1 in degrees 1 to 4, so no composite of the four
+    generators of degree at most 1 leaves the top degree.  Entries lie in
+    [-50, 50], so two distinct values rarely agree by chance."""
     rng = random.Random(31)
     palette = Palette(["c"])
     c = lambda *xs: Profile(palette, xs)
@@ -865,8 +870,8 @@ def test_interchange_evaluation_graded_kappa_randomized():
         rhs = HCompExpr(VCompExpr(e1, e3), VCompExpr(e2, e4))
         if len(lhs.in_profile) + len(lhs.out_profile) > 5:
             continue
-        fam = ColoredFamily(palette, {"c": ChainComplex({0: 1, 1: 1, 2: 1})})
-        st = random_structure(sig, rng, fam=fam)
+        fam = ColoredFamily(palette, {"c": ChainComplex({0: 2, 1: 1, 2: 1, 3: 1, 4: 1})})
+        st = random_structure(sig, rng, fam=fam, bound=50)
         (cert_l, sign_l), (cert_r, sign_r) = signed_certificate(lhs), signed_certificate(rhs)
         assert cert_l == cert_r
         assert graphs_equal(lhs, rhs) == (sign_l == sign_r)

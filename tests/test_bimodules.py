@@ -178,6 +178,18 @@ def test_component_validate_rejects_noncommuting_actions():
     assert comp.validate() == ["out/in actions do not commute"]
 
 
+def twisted_component():
+    """Q^5 with S_5 permuting coordinates on the out side, except that the
+    generator (1 2) also negates the fifth coordinate: still an involution,
+    but it no longer commutes with (4 5), so the out group law fails.  The in
+    side is trivial."""
+    kd, kc = key(PAL1, *"xxxxx"), key(PAL1, "x")
+    mats = perm_matrix_rep(kd, "out")
+    s = (2, 1, 3, 4, 5)
+    mats[s] = [[-x if i == 4 else x for x in row] for i, row in enumerate(mats[s])]
+    return make_component(kd, kc, ChainComplex({0: 5}), out_mats=mats)
+
+
 def test_component_rejects_action_keys_that_are_not_generators():
     """An action on a permutation that is not a stabilizer generator is never
     read, so validate could not see it: the identity given as 5 on either
@@ -297,15 +309,15 @@ def assert_validate_matches_reference(comp):
 
 def test_validate_matches_reference_on_valid_broken_and_noncommuting_components():
     rng = random.Random(32)
-    seen = {"law": 0, "commute": 0, "sampled": 0}
-    # every fourth out key has 120 or 144 elements, so validate samples its table
+    seen = {"law": 0, "commute": 0, "big": 0}
+    # every fourth out key has 120 or 144 elements
     big = [key(PAL, *"aaaaa"), key(PAL, *"aaaabbb")]
     for trial in range(36):
         out_key = big[trial % 8 // 4] if trial % 4 == 0 else random_young_key(rng, PAL, 5)
         in_key = random_young_key(rng, PAL, 3)
         comp = random_young_component(rng, out_key, in_key)
         assert assert_validate_matches_reference(comp) == []
-        seen["sampled"] += len(stabilizer_elements(out_key)) > 48
+        seen["big"] += len(stabilizer_elements(out_key)) > 48
         out_gens = stabilizer_generators(out_key)
         in_gens = stabilizer_generators(in_key)
         if out_gens:
@@ -327,25 +339,49 @@ def test_validate_matches_reference_on_valid_broken_and_noncommuting_components(
     # validate and the exhaustive oracle flag the repro; the reference's 8 x 8 prefix does not
     assert assert_validate_matches_reference(noncommuting_component()) == [COMMUTE]
     assert COMMUTE not in reference_validate_component(noncommuting_component())
+    # on 120 elements validate names the full table's first failing pair
+    twisted = ["out-action group law fails at (1, 2, 3, 5, 4), (2, 3, 1, 4, 5)"]
+    assert assert_validate_matches_reference(twisted_component()) == twisted
 
 
-def test_validate_sampled_path_builds_only_sampled_actions(monkeypatch):
+def test_validate_runs_every_generator_row_of_s5(monkeypatch):
+    """On S5 (120 elements) validate builds each out action once and makes
+    4 x 120 out group-law compositions, one per pair of a generator row; the
+    in side S2 makes 1 x 2, and commutation stops at the first pair of
+    generators, (1 2) and (1 2), which do not commute."""
     comp = noncommuting_component()
-    calls = []
-    rho_out = BimoduleComponent.rho_out
+    built = {
+        side: {g.images: comp._action(side, g) for g in stabilizer_elements(comp._key(side))}
+        for side in ("out", "in")
+    }
+    reads, composed = [], []
+    compose = ChainMap.compose
 
-    def counting(self, sigma):
-        calls.append(sigma)
-        return rho_out(self, sigma)
+    def counting(self, other):
+        composed.append(1)
+        return compose(self, other)
 
-    monkeypatch.setattr(BimoduleComponent, "rho_out", counting)
+    def read_out(self, g):
+        reads.append(g.images)
+        return built["out"][g.images]
+
+    monkeypatch.setattr(BimoduleComponent, "rho_out", read_out)
+    monkeypatch.setattr(BimoduleComponent, "rho_in", lambda self, g: built["in"][g.images])
+    monkeypatch.setattr(ChainMap, "compose", counting)
     assert comp.validate() == [COMMUTE]
-    # 120 elements: 20 sampled pairs name at most 60 distinct elements, each built once
-    assert len(calls) == len(set(calls)) <= 60
+    assert sorted(reads) == sorted(built["out"])
+    assert len(composed) == 4 * 120 + 1 * 2 + 2
 
 
-# stabilizers of 2, 6, 24, 36 and 48 elements: S2, S3, S4, S3 x S3, S4 x S2
-LAW_KEYS = [key(PAL, *"aa"), key(PAL, *"aaa"), key(PAL, *"aaaa"), key(PAL, *"aaabbb"), key(PAL, *"aaaabb")]
+# stabilizers of 2, 6, 24, 36, 48 and 120 elements: S2, S3, S4, S3 x S3, S4 x S2, S5
+LAW_KEYS = [
+    key(PAL, *"aa"),
+    key(PAL, *"aaa"),
+    key(PAL, *"aaaa"),
+    key(PAL, *"aaabbb"),
+    key(PAL, *"aaaabb"),
+    key(PAL, *"aaaaa"),
+]
 
 
 def test_validate_generator_rows_match_the_full_table():
@@ -383,7 +419,7 @@ def test_validate_generator_rows_match_the_full_table():
                     assert any(f.startswith(side + "-action group law fails") for f in failures)
                     failing.update(f for f in failures if "group law" in f)
     # every key but S2's has a block of 3 or more
-    assert braids == 4 * 2 * 3 and len(failing) > 10, (braids, failing)
+    assert braids == 5 * 2 * 3 and len(failing) > 10, (braids, failing)
 
 
 def test_validate_composes_k_times_order_group_law_pairs(monkeypatch):

@@ -55,8 +55,7 @@ REPR = "__repr__, for reading objects in a debugger or a failing test"
 
 NEVER_CALLED = {
     "algebras.evaluate": "evaluation of one expression: the tests' oracle for eq and for interchange",
-    "bimodules.BimoduleComponent.rho": "read by component_at and tests only",
-    "bimodules.ColoredBimodule.component": TESTS_ONLY,
+    "bimodules.ColoredBimodule.component": "read by the change of colours (acceptance criterion 9) and component_at",
     "bimodules._induced_component": CRITERION_9,
     "bimodules._induced_component.act": CRITERION_9,
     "bimodules._induced_component.act_blocks": CRITERION_9,
@@ -91,7 +90,6 @@ NEVER_CALLED = {
     "formats.to_json": WRITER,
     "graphs.Generator.__repr__": REPR,
     "graphs.PropGraph._validate": "invariant check behind check=True; every src construction passes check=False",
-    "linalg.inverse": TESTS_ONLY,
     "operads.EndoPropData.__init__": ENDO_PROP,
     "operads.EndoPropData._build_component": ENDO_PROP,
     "operads.EndoPropData._build_component.act": ENDO_PROP,
@@ -109,9 +107,8 @@ NEVER_CALLED = {
     "profiles.Palette.__hash__": "keeps Palette hashable; Profile hashes the colours directly",
     "profiles.Palette.__repr__": REPR,
     "profiles.Permutation.__repr__": REPR,
-    "profiles.Permutation.block_sum": TESTS_ONLY,
+    "profiles.Permutation.block_sum": "acceptance criterion 4's coset oracle",
     "profiles.Profile.__repr__": REPR,
-    "profiles.stabilizer_order": TESTS_ONLY,
 }
 
 

@@ -15,6 +15,7 @@ from helpers import (
     random_permutation,
     reference_endo_permute,
     rows_of,
+    solve_identity,
 )
 from propcalc import linalg
 from propcalc.chains import ChainComplex, ChainMap, base_field_complex, factor_permutation_map
@@ -293,28 +294,27 @@ def test_membership_pushforward_through_invertible():
     phi_x = random_element(rng, fam_x, prof("a"), prof("a", "b"), degree=0)
     # phi_y = f o phi_x o f^{-1} on profile tensors
     push = f.profile_map(prof("a")).compose(phi_x.chain)
-    f_in = f.profile_map(prof("a", "b"))
-    inv = ChainMap(
-        f_in.target,
-        f_in.source,
-        {j: linalg.inverse(rows, f_in.source.dim(j)) for j, rows in f_in.rows.items()},
-    )
+    inv = inverse_map(f.profile_map(prof("a", "b")))
     phi_y = EndoElement(fam_y, prof("a"), prof("a", "b"), push.compose(inv))
     ok, _ = relative_endo_membership(f, phi_x, phi_y)
     assert ok
+
+
+def inverse_map(f, check=True):
+    """The inverse of an invertible chain map, degree by degree: solve with
+    the identity on the right."""
+    rows = {}
+    for j, block in f.rows.items():
+        rows[j], cert = solve_identity(block, f.source.dim(j))
+        assert cert is None, "not invertible in degree %d" % j
+    return ChainMap(f.target, f.source, rows, check=check)
 
 
 def matched_pair(rng, f, out_p, in_p, degree=0):
     """(phi_x, phi_y) in E_f built by conjugating through an invertible f."""
     phi_x = random_element(rng, f.source, out_p, in_p, degree=degree)
     push = f.profile_map(out_p).compose(phi_x.chain)
-    f_in = f.profile_map(in_p)
-    inv = ChainMap(
-        f_in.target,
-        f_in.source,
-        {j: linalg.inverse(rows, f_in.source.dim(j)) for j, rows in f_in.rows.items()},
-        check=False,
-    )
+    inv = inverse_map(f.profile_map(in_p), check=False)
     phi_y = EndoElement(f.target, out_p, in_p, push.compose(inv))
     return phi_x, phi_y
 

@@ -29,7 +29,7 @@ from helpers import (
 from propcalc import formats
 from propcalc.chains import ChainComplex
 from propcalc.cli import INPUT_ERRORS, run
-from propcalc.exprs import expr_to_graph, parse
+from propcalc.exprs import parse
 from propcalc.formats import FormatError, Workspace, dumps, parse_rational, rational_str, to_json
 from propcalc.operads import OperadAlgebra, associative_operad
 from propcalc.profiles import Palette
@@ -132,7 +132,7 @@ def test_dumps_to_json_of_every_kind_matches_json():
     objects = [Palette(["a", "b"])]
     objects += [ws.resolve(n) for n in sorted(os.listdir(INPUTS)) if n.endswith(".json") and n not in skip]
     sig = homotopy_assoc_presentation().signature
-    objects.append(expr_to_graph(parse("mu2 o (mu2 * iota)", sig)))
+    objects.append(parse("mu2 o (mu2 * iota)", sig).to_graph())
     payloads = [to_json(obj) for obj in objects]
     from test_operads import square_zero_algebra
 
@@ -170,9 +170,9 @@ def random_rows(rng, n_rows, n_cols):
 def test_dumps_writes_matrices_as_their_dense_rows():
     rng = random.Random(25)
     for _ in range(40):
-        mats = {str(w): formats.matrix_to_json(random_rows(rng, rng.randint(1, 4), w), w) for w in WIDTHS}
-        mats["no rows"] = formats.matrix_to_json([], rng.choice(WIDTHS))
-        mats["zero rows"] = formats.matrix_to_json([{} for _ in range(3)], rng.choice(WIDTHS))
+        mats = {str(w): formats.MatrixRows(random_rows(rng, rng.randint(1, 4), w), w) for w in WIDTHS}
+        mats["no rows"] = formats.MatrixRows([], rng.choice(WIDTHS))
+        mats["zero rows"] = formats.MatrixRows([{} for _ in range(3)], rng.choice(WIDTHS))
         # the same matrices at a second depth
         doc = {"kind": "x", "mats": mats, "deeper": [{"mats": list(mats.values())}]}
         assert dumps(doc) == oracle(expand(doc))

@@ -53,9 +53,9 @@ check-presentation-bad-relation, workspace-unknown-name,
 classify-family-map-stray-color, algebra-check-relation-failure,
 round-trip-other-family) print what that code printed.  The two
 operad-to-prop-zero-truncation cases pin the free PROP's bound check, the one
-place that raises TruncationExceeded; they were recorded when that check
-became the only one, and the code before printed the same.  Six cases were
-recorded to reach code that no case reached before (see test_census.py), and
+place that raises OperadError for a truncation bound; they were recorded when
+that check became the only one, and the code before printed the same.  Six
+cases were recorded to reach code that no case reached before (see test_census.py), and
 the code before printed the same: check-presentation-depth and
 check-presentation-depth-bad-sign, whose d^2 check sums terms;
 eq-actions-equal, eq-actions-distinct and normalize-actions, which parse
@@ -96,6 +96,7 @@ NOT_CANONICAL = {"truncated.json", "not_utf8.json", "dims_repeated_key.json", "a
 NOT_LOADABLE = {
     "bad_bimodule.json",
     "noncommuting_bimodule.json",
+    "twisted_bimodule.json",
     "rows_object.json",
     "rows_string.json",
     "short_row.json",

@@ -32,7 +32,6 @@ from propcalc.exprs import (
     VCompExpr,
     _tokenize,
     differentiate_expression,
-    expr_to_graph,
     graphs_equal,
     parse,
     signed_certificate,
@@ -195,7 +194,7 @@ def test_parse_precedence():
 
 def test_single_generator_graph():
     sig = one_color_sig()
-    g = expr_to_graph(parse("mu", sig))
+    g = parse("mu", sig).to_graph()
     assert g.vertices == ("mu",)
     assert g.in_legs == {(0, 1): 1, (0, 2): 2}
     assert g.out_legs == {(0, 1): 1}
@@ -348,7 +347,7 @@ def test_canonical_reversal_invariance():
     rng = random.Random(5)
     for _ in range(50):
         sig = random_signature(rng)
-        g = expr_to_graph(random_expression(sig, rng))
+        g = random_expression(sig, rng).to_graph()
         n = len(g.vertices)
         order = list(reversed(range(n)))
         relabeled = _relabel(g, order)
@@ -372,7 +371,7 @@ def test_canonical_agrees_with_brute_force_oracle():
     pairs = 0
     while pairs < 150:
         sig = random_signature(rng)
-        g1 = expr_to_graph(random_expression(sig, rng))
+        g1 = random_expression(sig, rng).to_graph()
         if len(g1.vertices) > 6:
             continue
         if rng.random() < 0.5:
@@ -380,7 +379,7 @@ def test_canonical_agrees_with_brute_force_oracle():
             rng.shuffle(order)
             g2 = _relabel(g1, order)
         else:
-            g2 = expr_to_graph(random_expression(sig, rng))
+            g2 = random_expression(sig, rng).to_graph()
             if len(g2.vertices) > 6:
                 continue
         same_cert = False
@@ -401,7 +400,7 @@ def test_canonical_idempotent():
     rng = random.Random(7)
     for _ in range(40):
         sig = random_signature(rng)
-        g = expr_to_graph(random_expression(sig, rng))
+        g = random_expression(sig, rng).to_graph()
         cert, order = g.canonical()
         relabeled = _relabel(g, order)
         cert2, order2 = relabeled.canonical()
@@ -434,7 +433,7 @@ def test_builders_keep_every_graph_valid(monkeypatch):
     rng = random.Random(46)
     for _ in range(300):
         sig = random_signature(rng)
-        g = expr_to_graph(random_expression(sig, rng, depth=rng.randint(1, 4)))
+        g = random_expression(sig, rng, depth=rng.randint(1, 4)).to_graph()
         cli_relabel(g, g.canonical()[1])._validate()
     assert min(built[name] for name in BUILDERS) > 50, built
 
@@ -720,7 +719,7 @@ def test_canonical_matches_the_reference():
         except ResourceCapExceeded:
             graphs = []
         with_unaries = random_signature(rng)
-        graphs += [expr_to_graph(random_expression(with_unaries, rng, depth=3)) for _ in range(10)]
+        graphs += [random_expression(with_unaries, rng, depth=3).to_graph() for _ in range(10)]
         for g in graphs:
             assert g.canonical() == reference_canonical(g)
             checked += 1
@@ -935,7 +934,7 @@ def test_canonical_oracle_1000_pairs():
     pairs = 0
     while pairs < 1000:
         sig = random_signature(rng, max_colors=2, max_generators=3, max_arity=2)
-        g1 = expr_to_graph(random_expression(sig, rng, depth=1))
+        g1 = random_expression(sig, rng, depth=1).to_graph()
         if len(g1.vertices) > 6:
             continue
         if rng.random() < 0.5:
@@ -943,7 +942,7 @@ def test_canonical_oracle_1000_pairs():
             rng.shuffle(order)
             g2 = _relabel(g1, order)
         else:
-            g2 = expr_to_graph(random_expression(sig, rng, depth=1))
+            g2 = random_expression(sig, rng, depth=1).to_graph()
             if len(g2.vertices) != len(g1.vertices):
                 continue
             try:

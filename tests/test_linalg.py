@@ -31,6 +31,7 @@ from helpers import (
     matrix_rows,
     random_rank_deficient,
     rows_of,
+    solve_identity,
     zeros,
 )
 
@@ -148,15 +149,13 @@ def test_quotient_by_rowspace_matches_dense_reference():
     assert linalg.quotient_by_rowspace([{1: 2}, {0: 3}], 2) == ([], [{}, {}])
 
 
-def test_inverse_on_empty_singular_and_non_square_matrices():
+def test_solve_with_identity_inverts_empty_and_certifies_singular_matrices():
     # invertible matrices are checked against sympy with the scalar contract below
-    assert linalg.inverse([], 0) == []
-    assert linalg.inverse([{1: 2}, {0: F(1, 2)}], 2) == [{1: 2}, {0: F(1, 2)}]
+    assert solve_identity([], 0) == ([], None)
+    assert solve_identity([{1: 2}, {0: F(1, 2)}], 2) == ([{1: 2}, {0: F(1, 2)}], None)
     for singular in ([{}], [{0: 1, 1: 2}, {0: 2, 1: 4}], [{0: 1}, {}]):
-        with pytest.raises(ValueError, match="^matrix not invertible$"):
-            linalg.inverse(singular, len(singular))
-    with pytest.raises(ValueError, match="^not square$"):
-        linalg.inverse([{0: 1, 1: 1}], 2)
+        x, cert = solve_identity(singular, len(singular))
+        assert x is None and cert is not None
 
 
 def test_mat_mul_matches_the_definition():
@@ -294,10 +293,10 @@ def kernel_results(m, rhs):
     rows, cols = dict_rows(m), len(m[0])
     reduced = dict_rows(m)
     pivots, _ = linalg.row_echelon(reduced, cols)
-    try:
-        inv = dense(linalg.inverse(rows, cols), cols) if len(m) == cols else None
-    except ValueError:
-        inv = "singular"
+    inv = None
+    if len(m) == cols:
+        inv_rows, inv_cert = solve_identity(rows, cols)
+        inv = "singular" if inv_cert else dense(inv_rows, cols)
     x, cert = linalg.solve(rows, dict_rows(rhs), cols, len(rhs[0]))
     proj, sect = linalg.quotient_by_rowspace(rows, cols)
     inclusion = linalg.kernel_basis(rows, cols)
